@@ -1,8 +1,8 @@
 """Command-line surface: validation, invariants, periods, comparison, oracles.
 
 Exit codes: 0 for ok / isomorphic, 1 for a diagnostic / distinct verdict,
-2 for errors and inconclusive outcomes.  Reports are deterministic for
-identical inputs; ``--json`` switches to machine-readable output.
+2 for errors.  Reports are deterministic for identical inputs; ``--json``
+switches to machine-readable output.
 """
 
 from __future__ import annotations
@@ -245,13 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
         "log Calabi-Yau threefold pairs over toric models.",
     )
     parser.add_argument("--json", action="store_true", help="machine-readable output")
-    parser.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
-    parser.add_argument(
-        "--search-bound",
-        type=int,
-        default=0,
-        help="bound for optional correspondence search (0 disables)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="validate a pair file")

@@ -31,6 +31,35 @@ def _field(doc, key, context):
     return doc[key]
 
 
+def _expect(value, kind, context):
+    """``value`` if it is a ``kind`` (list or dict), else a field-path error."""
+    if not isinstance(value, kind):
+        name = "a list" if kind is list else "an object"
+        raise DocumentError(f"{context}: expected {name}, got {value!r}")
+    return value
+
+
+def _integer(value, context) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise DocumentError(f"{context}: expected an integer, got {value!r}")
+    return value
+
+
+def _integers(value, context, length=None) -> tuple:
+    """A JSON list of integers, of the given length if one is given."""
+    _expect(value, list, context)
+    if length is not None and len(value) != length:
+        raise DocumentError(f"{context}: expected {length} entries, got {value!r}")
+    return tuple(_integer(x, f"{context}[{i}]") for i, x in enumerate(value))
+
+
+def _vertex_key(key, context) -> int:
+    try:
+        return int(key)
+    except ValueError as exc:
+        raise DocumentError(f"{context}: bad vertex key {key!r}") from exc
+
+
 def _parse_coordinate(text, context) -> GaussianRational:
     try:
         value = GaussianRational.parse(str(text))
@@ -91,13 +120,19 @@ def pair_from_document(doc: dict):
         raise DocumentError("document: unsupported version")
     if doc.get("lattice_rank", 3) != 3:
         raise DocumentError("document: lattice_rank must be 3")
-    rays = _field(doc, "rays", "document")
+    rays = [
+        _integers(ray, f"rays[{i}]", 3)
+        for i, ray in enumerate(_expect(_field(doc, "rays", "document"), list, "rays"))
+    ]
     cones = _field(doc, "cones", "document")
     orientation = None
     if "orientation" in doc:
+        spec = _expect(doc["orientation"], dict, "orientation")
+        triangle = _field(spec, "triangle", "orientation")
+        sign = _field(spec, "sign", "orientation")
         orientation = (
-            tuple(_field(doc["orientation"], "triangle", "orientation")),
-            _field(doc["orientation"], "sign", "orientation"),
+            _integers(triangle, "orientation.triangle", 3),
+            _integer(sign, "orientation.sign"),
         )
     try:
         fan = Fan3(rays, cones, orientation)
@@ -105,11 +140,14 @@ def pair_from_document(doc: dict):
         raise DocumentError(f"fan: {exc}") from exc
     program = [
         _step_from_document(entry, f"blowups[{i}]")
-        for i, entry in enumerate(doc.get("blowups", []))
+        for i, entry in enumerate(_expect(doc.get("blowups", []), list, "blowups"))
     ]
     edge_orientations = doc.get("edge_orientations")
     if edge_orientations is not None:
-        edge_orientations = [tuple(e) for e in edge_orientations]
+        edge_orientations = [
+            _integers(e, f"edge_orientations[{i}]", 2)
+            for i, e in enumerate(_expect(edge_orientations, list, "edge_orientations"))
+        ]
     try:
         pair = LogCY3Pair.build(fan, program, edge_orientations)
     except (PairError, FanError) as exc:
@@ -117,7 +155,7 @@ def pair_from_document(doc: dict):
     marking = None
     if "markings" in doc:
         values = {}
-        for key, text in doc["markings"].items():
+        for key, text in _expect(doc["markings"], dict, "markings").items():
             try:
                 v, w = (int(x) for x in key.split("-"))
             except ValueError as exc:
@@ -128,17 +166,19 @@ def pair_from_document(doc: dict):
 
 
 def _step_from_document(entry: dict, context: str):
-    kind = _field(entry, "kind", context)
+    kind = _field(_expect(entry, dict, context), "kind", context)
     if kind == "point":
-        edge = tuple(_field(entry, "edge", context))
+        edge = _integers(_field(entry, "edge", context), f"{context}.edge", 2)
         coord = _parse_coordinate(_field(entry, "coordinate", context), context)
         return PointBlowup(edge, coord)
     if kind == "curve":
+        per_vertex = _field(entry, "points", context)
         points = []
-        for w, coords in sorted(_field(entry, "points", context).items()):
+        for w, coords in sorted(_expect(per_vertex, dict, f"{context}.points").items()):
+            _expect(coords, list, f"{context}.points[{w}]")
             points.append(
                 (
-                    int(w),
+                    _vertex_key(w, f"{context}.points"),
                     tuple(
                         _parse_coordinate(q, f"{context}.points[{w}]")
                         for q in coords
@@ -147,7 +187,9 @@ def _step_from_document(entry: dict, context: str):
             )
         return CurveBlowup(
             component=_field(entry, "component", context),
-            curve_class=tuple(_field(entry, "curve_class", context)),
+            curve_class=_integers(
+                _field(entry, "curve_class", context), f"{context}.curve_class"
+            ),
             points=tuple(points),
         )
     raise DocumentError(f"{context}: unknown blowup kind {kind!r}")

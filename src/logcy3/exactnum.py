@@ -273,6 +273,25 @@ class SnfDecomposition:
     def invariant_factors(self) -> tuple:
         return tuple(d for d in self.D.diagonal() if d != 0)
 
+    def solve(self, b):
+        """An integer solution ``x`` of ``A x = b``, or ``None``.
+
+        One factorization of ``A`` serves any number of right-hand sides.
+        """
+        ub = self.U.apply(tuple(b))
+        diag = self.D.diagonal()
+        y = [0] * self.V.rows
+        for i in range(self.U.rows):
+            d = diag[i] if i < len(diag) else 0
+            if d == 0:
+                if ub[i] != 0:
+                    return None
+            else:
+                if ub[i] % d != 0:
+                    return None
+                y[i] = ub[i] // d
+        return self.V.apply(tuple(y))
+
 
 def snf(A: IntMatrix) -> SnfDecomposition:
     """Smith normal form over Z with transforms, by exact row/column reduction."""
@@ -383,20 +402,7 @@ def cokernel_structure(A: IntMatrix):
 
 def solve_integer(A: IntMatrix, b):
     """An integer solution ``x`` of ``A x = b``, or ``None``."""
-    dec = snf(A)
-    ub = dec.U.apply(tuple(b))
-    diag = dec.D.diagonal()
-    y = [0] * A.cols
-    for i in range(A.rows):
-        d = diag[i] if i < len(diag) else 0
-        if d == 0:
-            if ub[i] != 0:
-                return None
-        else:
-            if ub[i] % d != 0:
-                return None
-            y[i] = ub[i] // d
-    return dec.V.apply(tuple(y))
+    return snf(A).solve(b)
 
 
 def invert_unimodular(A: IntMatrix) -> IntMatrix:

@@ -87,6 +87,39 @@ def pair_fixtures() -> dict:
     return out
 
 
+def scaling_pair(subdivisions: int, steps: int) -> LogCY3Pair:
+    """A pair of growing size: a conic and then points on a subdivided P3.
+
+    Projective space is star-subdivided ``subdivisions`` times, each time at
+    the last max cone avoiding vertex 3, so component 3 stays a plane.  Step
+    0 is the conic of :func:`conic_program`; step k > 0 is a point on the
+    k-th wall in sorted order (cyclically), at a coordinate no other step
+    uses; from three steps on, the last step is a second conic.
+    """
+    fan = projective_space_fan()
+    for _ in range(subdivisions):
+        fan = star_subdivide(fan, [c for c in fan.max_cones if 3 not in c][-1])
+    walls = sorted(tuple(sorted(w)) for w in fan.walls())
+    program = [conic_program()] + [
+        PointBlowup(walls[k % len(walls)], GaussianRational(k + 2, k % 3 + 1))
+        for k in range(1, steps)
+    ]
+    if steps >= 3:
+        rank = 1 + sum(3 in step.edge for step in program[1:-1])
+        second = conic_program(
+            {
+                0: (GaussianRational(11), GaussianRational(13)),
+                1: (GaussianRational(17), GaussianRational(19)),
+                2: (
+                    GaussianRational(Fraction(1, 143)),
+                    GaussianRational(Fraction(1, 323)),
+                ),
+            }
+        )
+        program[-1] = CurveBlowup(3, (2,) + (0,) * (rank - 1), second.points)
+    return LogCY3Pair.build(fan, program)
+
+
 def perturbed_conic_pair() -> LogCY3Pair:
     """The conic pair with one edge's coordinate ratio changed.
 

@@ -20,7 +20,14 @@ from logcy3.boundary import (
     adjunction_check,
     component_marked_period,
 )
-from logcy3.exactnum import GaussianRational, IntMatrix, MINUS_ONE, solve_integer
+from logcy3.exactnum import (
+    GaussianRational,
+    IntMatrix,
+    MINUS_ONE,
+    image_saturated,
+    product,
+    snf,
+)
 from logcy3.toric import (
     DualComplex,
     Fan3,
@@ -98,8 +105,9 @@ class CurveBlowup:
 class LogCY3Pair:
     """A validated pair with all derived caches.
 
-    Construct with :meth:`build`; instances are immutable in practice (no
-    method mutates state after construction).
+    Construct with :meth:`build`; instances are immutable in practice: after
+    construction the only state that changes is the per-marking character
+    tables, filled in on first use and never changed afterwards.
     """
 
     def __init__(self):
@@ -125,6 +133,7 @@ class LogCY3Pair:
             else:
                 raise PairError(f"unknown step kind at index {k}")
         self.warnings = tuple(self.warnings)
+        self._character_tables = {}
         return self
 
     # -- construction internals ---------------------------------------------
@@ -154,36 +163,38 @@ class LogCY3Pair:
                     if val:
                         self._tensor[(i, j, k)] = val
         # Restriction of each toric basis class, solved from degree equations
-        # (the degree map of a complete toric surface is injective).
-        self._restriction = []
-        for i in range(toric_rank):
-            images = {}
-            for v in range(fan.n_rays):
-                images[v] = self._solve_toric_restriction(table, ray_vectors[i], v)
-            self._restriction.append(images)
+        # (the degree map of a complete toric surface is injective).  Each
+        # component's degree map is factored once for all toric classes.
+        self._restriction = [{} for _ in range(toric_rank)]
+        for v in range(fan.n_rays):
+            self._solve_toric_restrictions(table, ray_vectors, v)
         k_coords = tuple(-x for x in self.toric_basis.anticanonical())
         self.canonical = k_coords
 
-    def _solve_toric_restriction(self, table, ray_vector, v: int):
+    def _solve_toric_restrictions(self, table, ray_vectors, v: int):
         comp = self.components[v]
         base = comp.base
-        degrees = []
-        for w in comp.neighbors:
-            edge_ray = self._ray_indicator(v)
-            wall_ray = self._ray_indicator(w)
-            degrees.append(table.vector_triple(ray_vector, edge_ray, wall_ray))
-        matrix = IntMatrix(
-            [
-                [base.pairing(b, i) for b in base.basis_indices]
-                for i in range(base.n_rays)
-            ]
+        degree_map = snf(
+            IntMatrix(
+                [
+                    [base.pairing(b, i) for b in base.basis_indices]
+                    for i in range(base.n_rays)
+                ]
+            )
         )
-        sol = solve_integer(matrix, degrees)
-        if sol is None:
-            raise PairError(
-                f"toric restriction to component {v} is not integral"
-            )  # pragma: no cover
-        return tuple(sol)
+        edge_ray = self._ray_indicator(v)
+        wall_rays = [self._ray_indicator(w) for w in comp.neighbors]
+        for images, ray_vector in zip(self._restriction, ray_vectors):
+            degrees = [
+                table.vector_triple(ray_vector, edge_ray, wall_ray)
+                for wall_ray in wall_rays
+            ]
+            sol = degree_map.solve(degrees)
+            if sol is None:
+                raise PairError(
+                    f"toric restriction to component {v} is not integral"
+                )  # pragma: no cover
+            images[v] = tuple(sol)
 
     def _ray_indicator(self, v: int):
         vec = [0] * self.fan.n_rays
@@ -322,12 +333,13 @@ class LogCY3Pair:
         return self.components[v].intersection(restricted, comp_class)
 
     def _marker_period_of(self, images) -> GaussianRational:
+        # A component the class misses contributes a factor of exactly 1.
         marking = Marking.markers(self.edge_keys())
-        value = None
-        for v, comp in self.components.items():
-            factor = component_marked_period(comp, marking, images[v])
-            value = factor if value is None else value * factor
-        return value
+        return product(
+            component_marked_period(comp, marking, images[v])
+            for v, comp in self.components.items()
+            if any(images[v])
+        )
 
     # -- public queries ------------------------------------------------------
 
@@ -414,6 +426,22 @@ class LogCY3Pair:
         ]
         return IntMatrix(list(zip(*cols)))
 
+    def character_table(self, marking: Marking) -> tuple:
+        """Marked period values of the boundary basis classes, in flat order.
+
+        Each value is computed on its own component alone.  The table of a
+        marking is computed on first use and then held on the pair.
+        """
+        table = self._character_tables.get(marking)
+        if table is None:
+            table = tuple(
+                component_marked_period(comp, marking, unit)
+                for comp in self.boundary_components()
+                for unit in comp.basis_vectors()
+            )
+            self._character_tables[marking] = table
+        return table
+
     def split_boundary_vector(self, flat):
         offsets, total = self.component_offsets()
         if len(flat) != total:
@@ -425,8 +453,6 @@ class LogCY3Pair:
 
     def k_image(self):
         """Basis of the image of restriction, and whether it is saturated."""
-        from logcy3.exactnum import image_saturated, snf
-
         matrix = self.restriction_matrix()
         dec = snf(matrix)
         r = dec.rank

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from logcy3.boundary import Marking, component_marked_period
+from logcy3.boundary import Marking
 from logcy3.exactnum import (
     ExactArithmeticError,
     GaussianRational,
@@ -24,7 +24,6 @@ from logcy3.exactnum import (
     kernel_basis,
     power_product,
     snf,
-    solve_integer,
 )
 from logcy3.pair import LogCY3Pair, PairError
 
@@ -141,28 +140,27 @@ def edge_cokernel_report(pair: LogCY3Pair):
 def evaluate_boundary_character(
     pair: LogCY3Pair, marking: Marking, flat
 ) -> GaussianRational:
-    """Period value of a flat boundary-lattice vector for a given marking."""
-    per_component = pair.split_boundary_vector(flat)
-    value = ONE
-    for v in sorted(pair.components):
-        value = value * component_marked_period(
-            pair.components[v], marking, per_component[v]
-        )
-    return value
+    """Period value of a flat boundary-lattice vector for a given marking.
+
+    The period is a character, so its value is the power product of the
+    marking's character table over the coordinates of the vector.
+    """
+    table = pair.character_table(marking)
+    if len(flat) != len(table):
+        raise PairError("boundary vector length mismatch")
+    return power_product(table, flat)
 
 
 def marked_period(pair: LogCY3Pair, marking: Marking = None) -> PeriodCharacter:
     """The marked period character on the full boundary lattice."""
     if marking is None:
         marking = Marking.markers(pair.edge_keys())
-    _, total = pair.component_offsets()
-    basis = []
-    values = []
-    for i in range(total):
-        vec = tuple(1 if j == i else 0 for j in range(total))
-        basis.append(vec)
-        values.append(evaluate_boundary_character(pair, marking, vec))
-    return PeriodCharacter(tuple(basis), tuple(values))
+    values = pair.character_table(marking)
+    total = len(values)
+    basis = tuple(
+        tuple(1 if j == i else 0 for j in range(total)) for i in range(total)
+    )
+    return PeriodCharacter(basis, values)
 
 
 def _alternative_marking(pair: LogCY3Pair) -> Marking:
@@ -274,9 +272,10 @@ def quotient_character(pair: LogCY3Pair):
     if not generators:
         return PeriodCharacter((), ()), ()
     lattice = IntMatrix(list(zip(*generators)))  # flat x s
+    factored = snf(lattice)
     columns = []
     for gen in k_basis:
-        sol = solve_integer(lattice, gen)
+        sol = factored.solve(gen)
         if sol is None:
             raise PeriodConsistencyError(
                 "restricted global class outside the matching lattice"

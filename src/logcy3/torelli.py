@@ -26,7 +26,14 @@ from logcy3.periods import (
     evaluate_boundary_character,
     matching_lattice,
 )
-from logcy3.toric import Fan3, FanError, ToricIntersectionData, validate_fan, _det3
+from logcy3.toric import (
+    Fan3,
+    FanError,
+    ToricIntersectionData,
+    _det3,
+    _inverse_unimodular,
+    validate_fan,
+)
 
 
 class CorrespondenceError(ValueError):
@@ -67,20 +74,24 @@ def classify_contraction(pair: LogCY3Pair, step: int):
     """Type and intersection triple of the contraction undoing one step.
 
     The triple is ``(E.l, K.l, E.K^2)`` for the extremal curve class l of
-    the contraction, computed on the pair truncated after the step.
+    the contraction, taken on the threefold just after the step.  It is
+    read off the pair itself: building replays the program in order, and
+    each step only appends its exceptional class, its canonical coordinate
+    and tensor entries whose largest index is that class.  So the pair
+    truncated after the step has exactly the tensor entries with indices up
+    to the step's exceptional index, and its canonical class is ``K`` with
+    every later coordinate set to zero.
     """
     if not 0 <= step < len(pair.program):
         raise PairError(f"no step {step}")
-    truncated = pair.truncated(step + 1)
-    e_index = truncated.exceptional_index(step)
-    e_unit = tuple(
-        1 if i == e_index else 0 for i in range(truncated.pic_rank)
-    )
+    e_index = pair.exceptional_index(step)
+    e_unit = tuple(1 if i == e_index else 0 for i in range(pair.pic_rank))
+    k_then = pair.canonical[: e_index + 1] + (0,) * (pair.pic_rank - e_index - 1)
     # The extremal curve lies in E; pullbacks meet it trivially and E meets
     # it in -1, so intersection against l reads off the E-coefficient.
     e_dot_l = -1
-    k_dot_l = -truncated.canonical[e_index]
-    e_k2 = truncated.cubic_form(e_unit, truncated.canonical, truncated.canonical)
+    k_dot_l = -pair.canonical[e_index]
+    e_k2 = pair.cubic_form(e_unit, k_then, k_then)
     triple = (e_dot_l, k_dot_l, e_k2)
     mori_type = recognize_contraction_type(triple)
     if mori_type is None:
@@ -239,7 +250,7 @@ class Correspondence:
 class Verdict:
     """Outcome of the decision procedure with a re-checkable certificate."""
 
-    kind: str  # "isomorphic" | "distinct" | "inconclusive"
+    kind: str  # "isomorphic" | "distinct"
     reason: str
     certificate: dict = field(default_factory=dict)
 
@@ -490,8 +501,6 @@ def _toric_model_map(f: Fan3, g: Fan3, corr: Correspondence):
     cols_g = [g.rays[corr.vertex(i)] for i in seed]
     if abs(_det3(*cols_f)) != 1 or abs(_det3(*cols_g)) != 1:
         return None
-    from logcy3.toric import _inverse_unimodular
-
     inv = _inverse_unimodular(cols_f)
     m = [
         [sum(cols_g[k][row] * inv[k][col] for k in range(3)) for col in range(3)]
@@ -537,12 +546,12 @@ def marking_transporter(
         v: component_transport(pair, other, corr, v) for v in sorted(pair.components)
     }
     exponents = edge_matching_map(pair).transpose()  # basis x edges
-    _, total = pair.component_offsets()
+    table = pair.character_table(marking)
+    total = len(table)
     targets = []
-    for i in range(total):
+    for i, value in enumerate(table):
         unit = tuple(1 if j == i else 0 for j in range(total))
         image = transport_boundary_vector(pair, other, corr, transports, unit)
-        value = evaluate_boundary_character(pair, marking, unit)
         value2 = evaluate_boundary_character(other, marking_other, image)
         targets.append(value2 / value)
     return solve_over_gaussian_torus(exponents, targets)

@@ -73,6 +73,10 @@ class Fan3:
     max_cones: tuple
     orientation: tuple = None
 
+    # Derived data (the cone set, the global sign and the verdict of
+    # validate_fan) is computed on first use and held on the instance; it is
+    # not a field, so equality and hashing see the three fields only.
+
     def __init__(self, rays, max_cones, orientation=None):
         object.__setattr__(self, "rays", tuple(tuple(int(x) for x in r) for r in rays))
         object.__setattr__(
@@ -90,8 +94,19 @@ class Fan3:
     def n_rays(self) -> int:
         return len(self.rays)
 
-    def cone_set(self):
-        return {frozenset(c) for c in self.max_cones}
+    def _held(self, name, compute):
+        """The derived value ``name``, computed once and held on the fan."""
+        try:
+            return self.__dict__[name]
+        except KeyError:
+            value = compute()
+            object.__setattr__(self, name, value)
+            return value
+
+    def cone_set(self) -> frozenset:
+        return self._held(
+            "_cone_set", lambda: frozenset(frozenset(c) for c in self.max_cones)
+        )
 
     def walls(self):
         """Map from wall (frozen ray-index pair) to the two flanking apex rays."""
@@ -114,6 +129,9 @@ class Fan3:
 
     def global_sign(self) -> int:
         """Sign making det-ordering of the reference triangle match its datum."""
+        return self._held("_global_sign", self._compute_global_sign)
+
+    def _compute_global_sign(self) -> int:
         tri, sign = self.orientation
         d = _det3(*(self.rays[i] for i in tri))
         if d == 0:
@@ -135,7 +153,14 @@ class Fan3:
 
 
 def validate_fan(fan: Fan3):
-    """Check all Fan3 invariants; return ``None`` if ok, else a diagnostic."""
+    """Check all Fan3 invariants; return ``None`` if ok, else a diagnostic.
+
+    The verdict is held on the fan, so each fan is checked once.
+    """
+    return fan._held("_diagnostic", lambda: _diagnose_fan(fan))
+
+
+def _diagnose_fan(fan: Fan3):
     n = fan.n_rays
     seen = set()
     for i, ray in enumerate(fan.rays):

@@ -39,6 +39,24 @@ class TestValidate:
         assert "status: invalid" in out
         assert "missing field" in out
 
+    @pytest.mark.parametrize(
+        "malform",
+        [
+            lambda doc: doc["rays"][2].pop(),
+            lambda doc: doc["blowups"][0]["points"].update(x=["2", "3"]),
+            lambda doc: doc["blowups"][1]["edge"].pop(),
+        ],
+        ids=["short-ray", "point-key-x", "one-element-edge"],
+    )
+    def test_malformed_fields_are_diagnosed(self, malform, tmp_path, capsys):
+        with open(bundled_path("p3-mixed"), encoding="utf-8") as handle:
+            doc = documents.loads(handle.read())
+        malform(doc)
+        path = tmp_path / "bad.pair.json"
+        path.write_text(documents.dumps(doc), encoding="utf-8")
+        assert main(["--json", "validate", str(path)]) == 1
+        assert json.loads(capsys.readouterr().out)["results"]["status"] == "invalid"
+
     def test_missing_file(self, capsys):
         assert main(["validate", "/nonexistent/file.json"]) == 2
         assert "error:" in capsys.readouterr().err

@@ -1,6 +1,7 @@
 """Tests for the JSON pair and correspondence documents."""
 
 import importlib.resources
+import re
 
 import pytest
 
@@ -82,6 +83,47 @@ class TestPairDocuments:
         doc = loads(bundled_text("p3-point"))
         doc["blowups"][0]["coordinate"] = "0"
         with pytest.raises(DocumentError, match="0-stratum"):
+            pair_from_document(doc)
+
+    @pytest.mark.parametrize(
+        "malform, path",
+        [
+            (lambda doc: doc["rays"][2].pop(), "rays[2]"),
+            (
+                lambda doc: doc["blowups"][0]["points"].update(x=["2", "3"]),
+                "blowups[0].points: bad vertex key 'x'",
+            ),
+            (lambda doc: doc["blowups"][1]["edge"].pop(), "blowups[1].edge"),
+            (lambda doc: doc["blowups"][0].update(points=5), "blowups[0].points"),
+            (
+                lambda doc: doc["blowups"][0].update(curve_class=2),
+                "blowups[0].curve_class",
+            ),
+            (lambda doc: doc["blowups"].__setitem__(1, "kind"), "blowups[1]"),
+            (
+                lambda doc: doc["orientation"].update(triangle=5),
+                "orientation.triangle",
+            ),
+            (
+                lambda doc: doc["edge_orientations"].__setitem__(1, 5),
+                "edge_orientations[1]",
+            ),
+        ],
+        ids=[
+            "short-ray",
+            "point-key-x",
+            "one-element-edge",
+            "points-not-object",
+            "curve-class-not-list",
+            "step-not-object",
+            "triangle-not-list",
+            "edge-orientation-not-list",
+        ],
+    )
+    def test_malformed_shape_rejected_with_field_path(self, malform, path):
+        doc = loads(bundled_text("p3-mixed"))
+        malform(doc)
+        with pytest.raises(DocumentError, match=re.escape(path)):
             pair_from_document(doc)
 
     def test_malformed_json_reports_line(self):

@@ -1,6 +1,7 @@
 """Tests for exact Gaussian-rational arithmetic and integer lattice algebra."""
 
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -157,6 +158,33 @@ class TestKernelAndCokernel:
         a = IntMatrix([[2, 0], [0, 3]])
         assert solve_integer(a, (4, 9)) == (2, 3)
         assert solve_integer(a, (1, 0)) is None
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_matrices(), st.data())
+    def test_factored_solve_against_independent_oracle(self, a, data):
+        # One factorization serves several right-hand sides.  A system is
+        # solvable iff appending b keeps the rank and the product of the
+        # invariant factors (sympy), i.e. b lies in the column lattice.
+        sympy = pytest.importorskip("sympy")
+        from sympy.matrices.normalforms import smith_normal_form
+
+        def factors(rows):
+            d = smith_normal_form(sympy.Matrix(rows))
+            return [abs(d[i, i]) for i in range(min(d.shape)) if d[i, i] != 0]
+
+        entries = st.integers(-6, 6)
+        x0 = data.draw(st.lists(entries, min_size=a.cols, max_size=a.cols))
+        b_any = data.draw(st.lists(entries, min_size=a.rows, max_size=a.rows))
+        dec = snf(a)
+        for b in (a.apply(x0), tuple(b_any)):
+            x = dec.solve(b)
+            assert x == solve_integer(a, b)
+            augmented = [row + (y,) for row, y in zip(a.data, b)]
+            f, f_aug = factors(a.data), factors(augmented)
+            solvable = len(f) == len(f_aug) and prod(f) == prod(f_aug)
+            assert (x is not None) == solvable
+            if x is not None:
+                assert a.apply(x) == tuple(b)
 
     @settings(max_examples=40)
     @given(small_matrices())

@@ -5,8 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logcy3.boundary import Marking
-from logcy3.exactnum import GaussianRational, ONE
-from logcy3.fixtures import pair_fixtures
+from logcy3.exactnum import GaussianRational, ONE, power_product
+from logcy3.fixtures import pair_fixtures, scaling_pair
+from logcy3.oracle import cocycle_period
 from logcy3.periods import (
     boundary_basis_labels,
     edge_cokernel_report,
@@ -142,6 +143,28 @@ class TestPeriodCharacters:
             evaluate_boundary_character(pair, marking, a)
             * evaluate_boundary_character(pair, marking, b)
         )
+
+
+class TestCharacterTable:
+    def test_matches_cocycle_path_on_matching_generators(self, pairs):
+        for pair in [*pairs.values(), scaling_pair(2, 8)]:
+            keys = sorted(pair.edge_keys(), key=lambda k: tuple(sorted(k)))
+            markings = (
+                Marking.markers(keys),
+                Marking.build({key: g(f"{n + 2}+1*i") for n, key in enumerate(keys)}),
+            )
+            for marking in markings:
+                table = pair.character_table(marking)
+                for gen in matching_lattice(pair):
+                    assert power_product(table, gen) == cocycle_period(
+                        pair, gen, marking
+                    )
+
+    def test_table_is_held_per_marking(self, pairs):
+        pair = pairs["p3-mixed"]
+        markers = Marking.markers(pair.edge_keys())
+        assert pair.character_table(markers) is pair.character_table(markers)
+        assert marked_period(pair).values == pair.character_table(markers)
 
 
 class TestMarkingTorsor:

@@ -9,6 +9,7 @@ from logcy3.exactnum import GaussianRational, I
 from logcy3.fixtures import (
     pair_fixtures,
     perturbed_conic_pair,
+    scaling_pair,
     toric_fixture_fans,
 )
 from logcy3.periods import evaluate_boundary_character
@@ -57,6 +58,24 @@ class TestContractionTypes:
         assert classify_contraction(pair, 0)[0] == 1
         assert classify_contraction(pair, 1)[0] == 2
         assert classify_contraction(pair, 2)[0] == 2
+
+    def test_held_pair_matches_truncated_rebuild(self, pairs):
+        # The triple read off the full pair equals the one computed on the
+        # pair rebuilt from the program prefix, for every step.
+        for pair in [*pairs.values(), scaling_pair(2, 8)]:
+            for k in range(len(pair.program)):
+                head = pair.truncated(k + 1)
+                e = head.exceptional_index(k)
+                e_unit = tuple(1 if i == e else 0 for i in range(head.pic_rank))
+                triple = (
+                    -1,
+                    -head.canonical[e],
+                    head.cubic_form(e_unit, head.canonical, head.canonical),
+                )
+                assert classify_contraction(pair, k) == (
+                    recognize_contraction_type(triple),
+                    triple,
+                )
 
 
 class TestReconstruction:
