@@ -1,8 +1,9 @@
 """Command-line surface: validation, invariants, periods, comparison, oracles.
 
 Exit codes: 0 for ok / isomorphic, 1 for a diagnostic / distinct verdict,
-2 for errors.  Reports are deterministic for identical inputs; ``--json``
-switches to machine-readable output.
+2 for errors, including any unexpected exception (reported on one line).
+Reports are deterministic for identical inputs; ``--json`` switches to
+machine-readable output.
 """
 
 from __future__ import annotations
@@ -278,6 +279,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except (DocumentError, PairError, CorrespondenceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return ERROR
+    except Exception as exc:  # exit 1 would read as a verdict, so never leak
+        message = " ".join(str(exc).split())
+        print(f"error: {type(exc).__name__}: {message}", file=sys.stderr)
         return ERROR
 
 

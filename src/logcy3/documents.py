@@ -221,18 +221,34 @@ def correspondence_from_document(doc: dict) -> Correspondence:
         raise DocumentError("document: not a correspondence document")
     if _field(doc, "version", "document") != FORMAT_VERSION:
         raise DocumentError("document: unsupported version")
+    entries = _expect(_field(doc, "vertex_map", "document"), dict, "vertex_map").items()
     vertex_map = tuple(
-        sorted((int(a), int(b)) for a, b in _field(doc, "vertex_map", "document").items())
+        sorted(
+            (_vertex_key(a, "vertex_map"), _integer(b, f"vertex_map[{a}]"))
+            for a, b in entries
+        )
     )
-    step_map = tuple(int(x) for x in _field(doc, "step_map", "document"))
-    mu = IntMatrix(doc["mu"]) if "mu" in doc else None
+    step_map = _integers(_field(doc, "step_map", "document"), "step_map")
+    mu = _matrix(doc["mu"], "mu") if "mu" in doc else None
+    components = _expect(doc.get("mu_components", {}), dict, "mu_components").items()
     mu_components = tuple(
         sorted(
-            (int(v), IntMatrix(rows))
-            for v, rows in doc.get("mu_components", {}).items()
+            (_vertex_key(v, "mu_components"), _matrix(rows, f"mu_components[{v}]"))
+            for v, rows in components
         )
     )
     return Correspondence(vertex_map, step_map, mu, mu_components)
+
+
+def _matrix(value, context) -> IntMatrix:
+    rows = [
+        _integers(row, f"{context}[{i}]")
+        for i, row in enumerate(_expect(value, list, context))
+    ]
+    try:
+        return IntMatrix(rows)
+    except ExactArithmeticError as exc:
+        raise DocumentError(f"{context}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,21 @@ arbitrary-precision integer matrices.  This module supplies both layers:
 
 * :class:`GaussianRational` -- an exact element of Q(i);
 * :class:`IntMatrix` and :func:`snf` -- Smith normal form with unimodular
-  transforms, plus kernels, cokernels and integer linear solving;
+  transforms, plus kernels, cokernels, integer linear solving and the
+  inverse of a unimodular matrix;
 * :func:`solvable_over_torus` -- decides whether a multiplicative system of
   character equations has a solution valued in the full complex torus;
 * :func:`nth_root` -- exact n-th roots in Q(i), when they exist.
+
+A Gaussian rational is one reduced integer triple: ``(a + b*i) / d`` with
+``d > 0`` and ``gcd(a, b, d) == 1``.  The form is canonical, so equality
+and hashing compare triples.  Each operation works on the integers and
+reduces once with a single three-way ``gcd`` (none when ``d`` is 1); a
+power is taken in Z[i] and reduced once at the end; text is written
+straight from the triple.  ``Fraction`` appears only at the edges:
+parsing, the constructor's non-integer arguments, and the read-only
+``re``, ``im`` and ``norm()`` views.  Matrix inversion is integer row
+reduction too, so no hot path builds a ``Fraction``.
 
 Everything here is immutable and pure.
 """
@@ -19,7 +30,8 @@ from __future__ import annotations
 import re as _regex
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, lcm
+from operator import mul
 
 
 class ExactArithmeticError(ValueError):
@@ -38,16 +50,38 @@ _FULL_RE = _regex.compile(
 _IMAG_RE = _regex.compile(rf"^(?P<si>[+-]?)(?:(?P<im>{_RAT})\*)?i$")
 
 
-@dataclass(frozen=True)
 class GaussianRational:
-    """An exact element of Q(i), stored as a pair of reduced fractions."""
+    """An exact element of Q(i), stored as ``(a + b*i) / d`` in lowest terms.
 
-    re: Fraction
-    im: Fraction
+    The three integers satisfy ``d > 0`` and ``gcd(a, b, d) == 1``, so equal
+    values have equal triples.  Instances are immutable; ``re`` and ``im``
+    are read-only ``Fraction`` views.
+    """
+
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        if type(re) is int and type(im) is int:
+            a, b, d = re, im, 1
+        else:
+            re, im = Fraction(re), Fraction(im)
+            # Both parts are reduced, so over their least common denominator
+            # the triple is already in lowest terms.
+            d = lcm(re.denominator, im.denominator)
+            a = re.numerator * (d // re.denominator)
+            b = im.numerator * (d // im.denominator)
+        _set_a(self, a)
+        _set_b(self, b)
+        _set_d(self, d)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"GaussianRational is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"GaussianRational is immutable; cannot delete {name!r}")
+
+    def __reduce__(self):
+        return _reduced, (self._a, self._b, self._d)
 
     # -- construction -------------------------------------------------------
 
@@ -85,80 +119,143 @@ class GaussianRational:
             ) from exc
         return GaussianRational(re_part, im_part)
 
+    # -- accessors ----------------------------------------------------------
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
+
+    def norm(self) -> Fraction:
+        """The field norm ``re**2 + im**2``."""
+        a, b, d = self._a, self._b, self._d
+        return Fraction(a * a + b * b, d * d)
+
     # -- predicates ---------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return self._a == 0 and self._b == 0
 
     def is_one(self) -> bool:
-        return self.re == 1 and self.im == 0
+        return self._a == 1 and self._b == 0 and self._d == 1
+
+    def __eq__(self, other):
+        if other.__class__ is not GaussianRational:
+            return NotImplemented
+        return self._a == other._a and self._b == other._b and self._d == other._d
+
+    def __hash__(self):
+        return hash((self._a, self._b, self._d))
 
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
         other = _coerce(other)
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        d1, d2 = self._d, other._d
+        if d1 == d2:
+            return _reduced(self._a + other._a, self._b + other._b, d1)
+        return _reduced(
+            self._a * d2 + other._a * d1, self._b * d2 + other._b * d1, d1 * d2
+        )
 
     def __sub__(self, other):
-        other = _coerce(other)
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        return self + (-_coerce(other))
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _triple(-self._a, -self._b, self._d)
 
     def __mul__(self, other):
         other = _coerce(other)
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        a1, b1, a2, b2 = self._a, self._b, other._a, other._b
+        return _reduced(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, self._d * other._d)
 
     __radd__ = __add__
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        # (a1 + b1 i)/d1 * d2 (a2 - b2 i)/(a2^2 + b2^2), reduced once.
         other = _coerce(other)
-        return self * other.inverse()
-
-    def inverse(self) -> "GaussianRational":
-        n = self.norm()
+        a1, b1, a2, b2 = self._a, self._b, other._a, other._b
+        n = a2 * a2 + b2 * b2
         if n == 0:
             raise ExactArithmeticError("division by zero in Q(i)")
-        return GaussianRational(self.re / n, -self.im / n)
+        d2 = other._d
+        return _reduced(
+            (a1 * a2 + b1 * b2) * d2, (b1 * a2 - a1 * b2) * d2, self._d * n
+        )
+
+    def inverse(self) -> "GaussianRational":
+        # d / (a + b i) = (a - b i) d / (a^2 + b^2)
+        a, b, d = self._a, self._b, self._d
+        n = a * a + b * b
+        if n == 0:
+            raise ExactArithmeticError("division by zero in Q(i)")
+        return _reduced(a * d, -b * d, n)
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
-    def norm(self) -> Fraction:
-        """The field norm ``re**2 + im**2``."""
-        return self.re * self.re + self.im * self.im
+        return _triple(self._a, -self._b, self._d)
 
     def __pow__(self, exponent: int) -> "GaussianRational":
-        if exponent < 0:
-            return self.inverse() ** (-exponent)
-        result = ONE
-        base = self
-        e = exponent
+        base = self if exponent >= 0 else self.inverse()
+        e = abs(exponent)
+        # Square and multiply in Z[i]; one reduction at the end.
+        a, b, ra, rb = base._a, base._b, 1, 0
         while e:
             if e & 1:
-                result = result * base
-            base = base * base
+                ra, rb = ra * a - rb * b, ra * b + rb * a
             e >>= 1
-        return result
+            if e:
+                a, b = a * a - b * b, 2 * a * b
+        return _reduced(ra, rb, base._d ** abs(exponent))
 
     # -- formatting ---------------------------------------------------------
 
     def __str__(self) -> str:
-        def frac(x: Fraction) -> str:
-            return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-        if self.im == 0:
-            return frac(self.re)
-        sign = "+" if self.im >= 0 else "-"
-        return f"{frac(self.re)}{sign}{frac(abs(self.im))}*i"
+        a, b, d = self._a, self._b, self._d
+        if b == 0:
+            return _ratio_text(a, d)
+        sign = "+" if b > 0 else "-"
+        return f"{_ratio_text(a, d)}{sign}{_ratio_text(abs(b), d)}*i"
 
     def __repr__(self) -> str:
         return f"GaussianRational({str(self)!r})"
+
+
+# Slot setters that bypass the immutable ``__setattr__``.
+_set_a = GaussianRational._a.__set__
+_set_b = GaussianRational._b.__set__
+_set_d = GaussianRational._d.__set__
+_new = object.__new__
+
+
+def _triple(a: int, b: int, d: int) -> GaussianRational:
+    """The value ``(a + b*i) / d`` of a triple already in lowest terms."""
+    x = _new(GaussianRational)
+    _set_a(x, a)
+    _set_b(x, b)
+    _set_d(x, d)
+    return x
+
+
+def _reduced(a: int, b: int, d: int) -> GaussianRational:
+    """The value ``(a + b*i) / d`` for any ``d > 0``, brought to lowest terms."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            a, b, d = a // g, b // g, d // g
+    return _triple(a, b, d)
+
+
+def _ratio_text(n: int, d: int) -> str:
+    """``n/d`` in lowest terms, as ``str(Fraction(n, d))`` writes it."""
+    if d != 1:
+        g = gcd(n, d)
+        if g != 1:
+            n, d = n // g, d // g
+    return str(n) if d == 1 else f"{n}/{d}"
 
 
 def _coerce(x) -> GaussianRational:
@@ -204,7 +301,7 @@ class IntMatrix:
     data: tuple
 
     def __init__(self, rows):
-        rows = tuple(tuple(int(x) for x in r) for r in rows)
+        rows = tuple(tuple(map(int, r)) for r in rows)
         if rows:
             width = len(rows[0])
             if any(len(r) != width for r in rows):
@@ -232,7 +329,7 @@ class IntMatrix:
             raise ExactArithmeticError("matrix dimension mismatch")
         ot = list(zip(*other.data)) if other.data else []
         return IntMatrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in ot] for row in self.data]
+            [[sum(map(mul, row, col)) for col in ot] for row in self.data]
         )
 
     def transpose(self) -> "IntMatrix":
@@ -242,7 +339,7 @@ class IntMatrix:
         """Matrix-vector product."""
         if len(vector) != self.cols:
             raise ExactArithmeticError("vector length mismatch")
-        return tuple(sum(a * x for a, x in zip(row, vector)) for row in self.data)
+        return tuple(sum(map(mul, row, vector)) for row in self.data)
 
     def column(self, j: int) -> tuple:
         return tuple(row[j] for row in self.data)
@@ -272,6 +369,15 @@ class SnfDecomposition:
 
     def invariant_factors(self) -> tuple:
         return tuple(d for d in self.D.diagonal() if d != 0)
+
+    def kernel(self):
+        """A basis of the saturated integer kernel of ``A`` (column vectors)."""
+        return [self.V.column(j) for j in range(self.rank, self.V.rows)]
+
+    def cokernel(self):
+        """Free rank and torsion invariant factors of ``Z^rows / im(A)``."""
+        torsion = tuple(d for d in self.invariant_factors() if d > 1)
+        return self.U.rows - self.rank, torsion
 
     def solve(self, b):
         """An integer solution ``x`` of ``A x = b``, or ``None``.
@@ -388,16 +494,7 @@ def kernel_basis(A: IntMatrix):
 
     The returned list is empty iff ``A`` is injective.
     """
-    dec = snf(A)
-    r = dec.rank
-    return [dec.V.column(j) for j in range(r, A.cols)]
-
-
-def cokernel_structure(A: IntMatrix):
-    """Free rank and torsion invariant factors of ``Z^rows / im(A)``."""
-    dec = snf(A)
-    torsion = tuple(d for d in dec.invariant_factors() if d > 1)
-    return A.rows - dec.rank, torsion
+    return snf(A).kernel()
 
 
 def solve_integer(A: IntMatrix, b):
@@ -406,32 +503,49 @@ def solve_integer(A: IntMatrix, b):
 
 
 def invert_unimodular(A: IntMatrix) -> IntMatrix:
-    """Inverse of a square integer matrix with determinant +-1."""
+    """Inverse of a square integer matrix with determinant +-1.
+
+    Integer row reduction of ``[A | I]``: in each column, Euclid's
+    algorithm on the rows at and below the diagonal leaves a single pivot,
+    their gcd, which then clears the rows above.  ``A`` is unimodular
+    exactly when every pivot is +-1, and then the right half ends as the
+    inverse.
+    """
     n = A.rows
     if n != A.cols:
         raise ExactArithmeticError("matrix is not square")
-    work = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-            for i, row in enumerate(A.data)]
+    work = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(A.data)]
+    unimodular = True
     for col in range(n):
-        pivot = next((r for r in range(col, n) if work[r][col] != 0), None)
-        if pivot is None:
+        live = [r for r in range(col, n) if work[r][col]]
+        if not live:
             raise ExactArithmeticError("matrix is singular")
-        work[col], work[pivot] = work[pivot], work[col]
-        inv = 1 / work[col][col]
-        work[col] = [x * inv for x in work[col]]
-        for r in range(n):
-            if r != col and work[r][col] != 0:
-                factor = work[r][col]
-                work[r] = [x - factor * y for x, y in zip(work[r], work[col])]
-    out = [row[n:] for row in work]
-    if any(x.denominator != 1 for row in out for x in row):
+        while True:
+            top = min(live, key=lambda r: abs(work[r][col]))
+            pivot_row = work[top]
+            p = pivot_row[col]
+            rest = []
+            for r in live:
+                if r != top:
+                    q = work[r][col] // p
+                    work[r] = [x - q * y for x, y in zip(work[r], pivot_row)]
+                    if work[r][col]:
+                        rest.append(r)
+            if not rest:
+                break
+            live = rest + [top]
+        work[col], work[top] = pivot_row, work[col]
+        if p < 0:
+            p = -p
+            work[col] = pivot_row = [-x for x in pivot_row]
+        unimodular = unimodular and p == 1
+        for r in range(col):
+            q = work[r][col] // p
+            if q:
+                work[r] = [x - q * y for x, y in zip(work[r], pivot_row)]
+    if not unimodular:
         raise ExactArithmeticError("matrix is not unimodular")
-    return IntMatrix([[int(x) for x in row] for row in out])
-
-
-def image_saturated(A: IntMatrix) -> bool:
-    """Whether the column span of ``A`` is a saturated sublattice."""
-    return all(d == 1 for d in snf(A).invariant_factors())
+    return IntMatrix([row[n:] for row in work])
 
 
 # ---------------------------------------------------------------------------
@@ -595,12 +709,8 @@ def nth_root(x: GaussianRational, n: int):
         raise ExactArithmeticError("no roots of zero in Q(i)*")
     if n == 1 or x.is_one():
         return x if n == 1 else ONE
-    denom = x.re.denominator * x.im.denominator // gcd(
-        x.re.denominator, x.im.denominator
-    )
-    num = (int(x.re * denom), int(x.im * denom))
-    ku, fnum = _factor_gaussian(num)
-    kd, fden = _factor_gaussian((denom, 0))
+    ku, fnum = _factor_gaussian((x._a, x._b))
+    kd, fden = _factor_gaussian((x._d, 0))
     exponents = dict(fnum)
     for pi, e in fden.items():
         exponents[pi] = exponents.get(pi, 0) - e

@@ -24,7 +24,6 @@ from logcy3.exactnum import (
     GaussianRational,
     IntMatrix,
     MINUS_ONE,
-    image_saturated,
     product,
     snf,
 )
@@ -106,8 +105,9 @@ class LogCY3Pair:
     """A validated pair with all derived caches.
 
     Construct with :meth:`build`; instances are immutable in practice: after
-    construction the only state that changes is the per-marking character
-    tables, filled in on first use and never changed afterwards.
+    construction the only state that changes is the set of held derived
+    values (lattice maps, their factorizations, per-marking character
+    tables), each computed on first use and never changed afterwards.
     """
 
     def __init__(self):
@@ -133,7 +133,7 @@ class LogCY3Pair:
             else:
                 raise PairError(f"unknown step kind at index {k}")
         self.warnings = tuple(self.warnings)
-        self._character_tables = {}
+        self._held = {}
         return self
 
     # -- construction internals ---------------------------------------------
@@ -426,21 +426,32 @@ class LogCY3Pair:
         ]
         return IntMatrix(list(zip(*cols)))
 
+    def held(self, key, compute):
+        """The value ``compute(self)`` under ``key``, computed once per pair.
+
+        The first call with a key computes and holds the value; later calls
+        return the held object, so held values must be immutable.
+        """
+        try:
+            return self._held[key]
+        except KeyError:
+            value = self._held[key] = compute(self)
+            return value
+
     def character_table(self, marking: Marking) -> tuple:
         """Marked period values of the boundary basis classes, in flat order.
 
         Each value is computed on its own component alone.  The table of a
         marking is computed on first use and then held on the pair.
         """
-        table = self._character_tables.get(marking)
-        if table is None:
-            table = tuple(
+        return self.held(
+            ("character_table", marking),
+            lambda pair: tuple(
                 component_marked_period(comp, marking, unit)
-                for comp in self.boundary_components()
+                for comp in pair.boundary_components()
                 for unit in comp.basis_vectors()
-            )
-            self._character_tables[marking] = table
-        return table
+            ),
+        )
 
     def split_boundary_vector(self, flat):
         offsets, total = self.component_offsets()
@@ -452,19 +463,22 @@ class LogCY3Pair:
         }
 
     def k_image(self):
-        """Basis of the image of restriction, and whether it is saturated."""
+        """Basis of the image of restriction, and whether it is saturated.
+
+        Computed on first use and then held; the basis is returned as a
+        fresh list.
+        """
+        basis, saturated = self.held("k_image", LogCY3Pair._k_image)
+        return list(basis), saturated
+
+    def _k_image(self):
+        # The image is spanned by the restriction matrix applied to the
+        # first ``rank`` columns of V, and saturated iff every invariant
+        # factor is 1.
         matrix = self.restriction_matrix()
         dec = snf(matrix)
-        r = dec.rank
-        # Columns of U^-1 paired with the diagonal give an image basis; use
-        # the generator images directly and reduce: image basis = first r
-        # columns of U^-1 scaled by d_i.  Equivalent and simpler: the image
-        # is spanned by matrix * (columns of V)[:r].
-        basis = []
-        for j in range(r):
-            vec = matrix.apply(dec.V.column(j))
-            basis.append(vec)
-        return basis, image_saturated(matrix)
+        basis = tuple(matrix.apply(dec.V.column(j)) for j in range(dec.rank))
+        return basis, all(d == 1 for d in dec.invariant_factors())
 
     def truncated(self, steps: int) -> "LogCY3Pair":
         """The pair given by the first ``steps`` program entries."""

@@ -19,9 +19,7 @@ from logcy3.exactnum import (
     GaussianRational,
     IntMatrix,
     ONE,
-    cokernel_structure,
     invert_unimodular,
-    kernel_basis,
     power_product,
     snf,
 )
@@ -64,8 +62,17 @@ def edge_matching_map(pair: LogCY3Pair) -> IntMatrix:
     """The degree-difference map from the boundary lattice to the edge lattice.
 
     Row per directed edge (v, w): the degree of the v-component minus the
-    degree of the w-component on that edge.
+    degree of the w-component on that edge.  Built on first use and then
+    held on the pair, as is its Smith normal form.
     """
+    return pair.held("edge_matching_map", _build_edge_matching_map)
+
+
+def _edge_matching_snf(pair: LogCY3Pair):
+    return pair.held("edge_matching_snf", lambda p: snf(edge_matching_map(p)))
+
+
+def _build_edge_matching_map(pair: LogCY3Pair) -> IntMatrix:
     labels = boundary_basis_labels(pair)
     rows = []
     for v, w in pair.complex.edges:
@@ -88,8 +95,11 @@ def edge_matching_map(pair: LogCY3Pair) -> IntMatrix:
 
 
 def matching_lattice(pair: LogCY3Pair):
-    """Saturated basis of the kernel of the edge-matching map."""
-    return kernel_basis(edge_matching_map(pair))
+    """Saturated basis of the kernel of the edge-matching map.
+
+    Read off the held factorization of the map, as a fresh list.
+    """
+    return _edge_matching_snf(pair).kernel()
 
 
 def _wedge(a, b):
@@ -128,7 +138,7 @@ def edge_cokernel_report(pair: LogCY3Pair):
     composition_zero = all(
         row[j] == 0 for row in composed.data for j in toric_columns
     )
-    free_rank, torsion = cokernel_structure(ell)
+    free_rank, torsion = _edge_matching_snf(pair).cokernel()
     return free_rank, torsion, composition_zero
 
 

@@ -8,6 +8,7 @@ import pytest
 from logcy3 import documents
 from logcy3.cli import main
 from logcy3.fixtures import perturbed_conic_pair
+from logcy3.torelli import Correspondence
 
 
 def bundled_path(name):
@@ -132,6 +133,33 @@ class TestCompare:
         )
         path = bundled_path("p3-conic")
         assert main(["compare", path, path, str(corr_path)]) == 0
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("vertex_map", [[0, 0], [1, 1], [2, 2], [3, 3]]), ("step_map", ["0"])],
+        ids=["vertex-map-list", "step-map-not-int"],
+    )
+    def test_malformed_correspondence_is_an_error(self, field, value, tmp_path, capsys):
+        path = bundled_path("p3")
+        doc = documents.correspondence_to_document(
+            Correspondence.identity(documents.load_pair(path)[0])
+        )
+        doc[field] = value
+        corr_path = tmp_path / "bad.corr.json"
+        corr_path.write_text(documents.dumps(doc), encoding="utf-8")
+        assert main(["compare", path, path, str(corr_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field}") and err.count("\n") == 1
+
+    def test_unexpected_exception_is_an_error(self, monkeypatch, capsys):
+        def broken(*args):
+            raise ZeroDivisionError("integer division\nor modulo by zero")
+
+        monkeypatch.setattr("logcy3.cli.decide_isomorphism", broken)
+        path = bundled_path("p3")
+        assert main(["compare", path, path]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: ZeroDivisionError: integer division or modulo by zero\n"
 
 
 class TestOracleCheck:

@@ -149,3 +149,40 @@ class TestCorrespondenceDocuments:
     def test_wrong_format_rejected(self):
         with pytest.raises(DocumentError, match="not a correspondence"):
             correspondence_from_document({"format": "logcy3-pair", "version": 1})
+
+    @pytest.mark.parametrize(
+        "malform, path",
+        [
+            (lambda doc: doc.update(vertex_map=[[0, 0], [1, 1]]), "vertex_map"),
+            (lambda doc: doc["vertex_map"].update({"x": 1}), "vertex_map"),
+            (lambda doc: doc["vertex_map"].update({"1": "1"}), "vertex_map[1]"),
+            (lambda doc: doc.update(step_map={"0": 0}), "step_map"),
+            (lambda doc: doc.update(step_map=["0"]), "step_map[0]"),
+            (lambda doc: doc.update(mu=[1, 0]), "mu[0]"),
+            (lambda doc: doc.update(mu=[[1, 0], [0]]), "mu"),
+            (lambda doc: doc.update(mu_components=[[1]]), "mu_components"),
+            (lambda doc: doc["mu_components"].update({"0": [[0.5]]}), "mu_components[0][0][0]"),
+        ],
+        ids=[
+            "vertex-map-list",
+            "vertex-map-key",
+            "vertex-map-value",
+            "step-map-object",
+            "step-map-entry",
+            "mu-row",
+            "mu-ragged",
+            "mu-components-list",
+            "mu-components-entry",
+        ],
+    )
+    def test_malformed_shape_rejected_with_field_path(self, malform, path):
+        corr = Correspondence(
+            ((0, 0), (1, 1), (2, 2), (3, 3)),
+            (0,),
+            IntMatrix([[1, 0], [0, 1]]),
+            ((0, IntMatrix([[1]])),),
+        )
+        doc = loads(dumps(correspondence_to_document(corr)))
+        malform(doc)
+        with pytest.raises(DocumentError, match=re.escape(path)):
+            correspondence_from_document(doc)

@@ -1,7 +1,10 @@
 """Tests for exact Gaussian-rational arithmetic and integer lattice algebra."""
 
+import copy
+import importlib.resources
+import pickle
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +14,6 @@ from logcy3.exactnum import (
     ExactArithmeticError,
     GaussianRational,
     IntMatrix,
-    cokernel_structure,
     invert_unimodular,
     kernel_basis,
     nth_root,
@@ -41,6 +43,24 @@ def small_matrices(max_dim=4, max_entry=6):
             ).map(IntMatrix)
         )
     )
+
+
+@st.composite
+def elementary_products(draw, max_dim=6, max_ops=12):
+    """A unimodular matrix: a random product of elementary matrices."""
+    n = draw(st.integers(1, max_dim))
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    index = st.integers(0, n - 1)
+    for _ in range(draw(st.integers(0, max_ops))):
+        kind, i, j = draw(st.sampled_from(["add", "swap", "negate"])), draw(index), draw(index)
+        if kind == "add" and i != j:
+            c = draw(st.integers(-9, 9))
+            rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+        elif kind == "swap":
+            rows[i], rows[j] = rows[j], rows[i]
+        elif kind == "negate":
+            rows[i] = [-x for x in rows[i]]
+    return IntMatrix(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -83,6 +103,151 @@ class TestGaussianRational:
     @given(nonzero_gaussians, nonzero_gaussians)
     def test_norm_multiplicative(self, a, b):
         assert (a * b).norm() == a.norm() * b.norm()
+
+
+class FractionPair:
+    """Reference Q(i): a pair of ``Fraction``s, with textbook formulas."""
+
+    def __init__(self, re, im=0):
+        self.re, self.im = Fraction(re), Fraction(im)
+
+    @staticmethod
+    def of(g):
+        return FractionPair(g.re, g.im)
+
+    def __eq__(self, other):
+        return (self.re, self.im) == (other.re, other.im)
+
+    def __add__(self, o):
+        return FractionPair(self.re + o.re, self.im + o.im)
+
+    def __sub__(self, o):
+        return FractionPair(self.re - o.re, self.im - o.im)
+
+    def __neg__(self):
+        return FractionPair(-self.re, -self.im)
+
+    def __mul__(self, o):
+        return FractionPair(
+            self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re
+        )
+
+    def norm(self):
+        return self.re * self.re + self.im * self.im
+
+    def inverse(self):
+        n = self.norm()
+        return FractionPair(self.re / n, -self.im / n)
+
+    def __truediv__(self, o):
+        return self * o.inverse()
+
+    def conjugate(self):
+        return FractionPair(self.re, -self.im)
+
+    def __pow__(self, e):
+        result = FractionPair(1)
+        for _ in range(abs(e)):
+            result = result * (self if e > 0 else self.inverse())
+        return result
+
+    def text(self):
+        def frac(x):
+            return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+
+        if self.im == 0:
+            return frac(self.re)
+        sign = "+" if self.im >= 0 else "-"
+        return f"{frac(self.re)}{sign}{frac(abs(self.im))}*i"
+
+
+def agrees(g, ref):
+    """``g`` equals the reference value and its triple is in lowest terms."""
+    a, b, d = g._a, g._b, g._d
+    return d > 0 and gcd(a, b, d) == 1 and FractionPair.of(g) == ref
+
+
+wide_gaussians = st.builds(
+    GaussianRational,
+    st.fractions(max_denominator=10**6),
+    st.fractions(max_denominator=10**6),
+)
+
+
+class TestAgainstFractionPairs:
+    @settings(max_examples=200)
+    @given(wide_gaussians, wide_gaussians)
+    def test_binary_operations(self, x, y):
+        rx, ry = FractionPair.of(x), FractionPair.of(y)
+        assert agrees(x + y, rx + ry)
+        assert agrees(x - y, rx - ry)
+        assert agrees(x * y, rx * ry)
+        if not y.is_zero():
+            assert agrees(x / y, rx / ry)
+        else:
+            with pytest.raises(ExactArithmeticError):
+                x / y
+
+    @settings(max_examples=200)
+    @given(wide_gaussians, st.integers(-7, 7))
+    def test_unary_operations_and_powers(self, x, e):
+        rx = FractionPair.of(x)
+        assert agrees(-x, -rx)
+        assert agrees(x.conjugate(), rx.conjugate())
+        assert x.norm() == rx.norm()
+        assert x.is_zero() == (rx == FractionPair(0))
+        assert x.is_one() == (rx == FractionPair(1))
+        if x.is_zero():
+            with pytest.raises(ExactArithmeticError):
+                x.inverse()
+            assert x ** max(e, 0) == (GaussianRational(1) if e <= 0 else x)
+        else:
+            assert agrees(x.inverse(), rx.inverse())
+            assert agrees(x ** e, rx ** e)
+
+    @given(wide_gaussians, st.integers(-5, 5), st.fractions(max_denominator=50))
+    def test_mixed_operands(self, x, n, q):
+        rx = FractionPair.of(x)
+        assert agrees(x + n, rx + FractionPair(n))
+        assert agrees(n + x, rx + FractionPair(n))
+        assert agrees(x * q, rx * FractionPair(q))
+        assert agrees(q * x, rx * FractionPair(q))
+        assert agrees(x - q, rx - FractionPair(q))
+
+    @settings(max_examples=200)
+    @given(wide_gaussians)
+    def test_text_round_trip(self, x):
+        text = str(x)
+        assert text == FractionPair.of(x).text()
+        assert GaussianRational.parse(text) == x
+        assert repr(x) == f"GaussianRational({text!r})"
+
+    @given(wide_gaussians, wide_gaussians.filter(lambda g: not g.is_zero()))
+    def test_equality_and_hash_laws(self, x, y):
+        same = (x * y) / y
+        assert same == x and hash(same) == hash(x)
+        assert GaussianRational(x.re, x.im) == x
+        assert hash(GaussianRational(x.re, x.im)) == hash(x)
+        assert (x == y) == (FractionPair.of(x) == FractionPair.of(y))
+        assert len({x, same, GaussianRational.parse(str(x))}) == 1
+        assert x != x.re and GaussianRational(1) != 1
+
+    @given(wide_gaussians)
+    def test_copy_and_pickle_round_trips(self, x):
+        assert copy.copy(x) == x and copy.deepcopy(x) == x
+        assert copy.deepcopy([x])[0] == x
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(x, protocol))
+            assert back == x and hash(back) == hash(x) and agrees(back, FractionPair.of(x))
+
+    def test_immutable(self):
+        x = GaussianRational(Fraction(1, 2), 3)
+        for name in ("re", "im", "_a", "_d", "other"):
+            with pytest.raises(AttributeError):
+                setattr(x, name, 5)
+        with pytest.raises(AttributeError):
+            del x._a
+        assert x == GaussianRational.parse("1/2+3*i")
 
 
 # ---------------------------------------------------------------------------
@@ -150,9 +315,9 @@ class TestKernelAndCokernel:
         assert tuple(map(abs, basis[0])) == (1, 1) and basis[0][0] == basis[0][1]
 
     def test_cokernel_examples(self):
-        assert cokernel_structure(IntMatrix.identity(3)) == (0, ())
-        assert cokernel_structure(IntMatrix([[2]])) == (0, (2,))
-        assert cokernel_structure(IntMatrix([[1, 0], [0, 1], [0, 0]])) == (1, ())
+        assert snf(IntMatrix.identity(3)).cokernel() == (0, ())
+        assert snf(IntMatrix([[2]])).cokernel() == (0, (2,))
+        assert snf(IntMatrix([[1, 0], [0, 1], [0, 0]])).cokernel() == (1, ())
 
     def test_solve_integer(self):
         a = IntMatrix([[2, 0], [0, 3]])
@@ -185,6 +350,44 @@ class TestKernelAndCokernel:
             assert (x is not None) == solvable
             if x is not None:
                 assert a.apply(x) == tuple(b)
+
+    @settings(max_examples=60, deadline=None)
+    @given(elementary_products())
+    def test_invert_unimodular_against_sympy(self, u):
+        sympy = pytest.importorskip("sympy")
+        expected = sympy.Matrix(u.data).inv()
+        assert invert_unimodular(u).data == tuple(
+            tuple(int(x) for x in expected.row(i)) for i in range(u.rows)
+        )
+
+    def test_invert_snf_transforms_of_bundled_pairs_against_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        from logcy3.documents import load_pair
+        from logcy3.periods import edge_matching_map
+
+        data = importlib.resources.files("logcy3").joinpath("data")
+        paths = [e for e in data.iterdir() if e.name.endswith(".pair.json")]
+        assert len(paths) == 8
+        for path in paths:
+            u = snf(edge_matching_map(load_pair(path)[0])).U
+            expected = sympy.Matrix(u.data).inv()
+            assert invert_unimodular(u).data == tuple(
+                tuple(int(x) for x in expected.row(i)) for i in range(u.rows)
+            )
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([[1, 0, 0], [0, 1, 0]], "not square"),
+            ([[1, 2], [2, 4]], "singular"),
+            ([[2, 0], [0, 0]], "singular"),
+            ([[2, 1], [0, 1]], "not unimodular"),
+        ],
+        ids=["non-square", "singular", "singular-after-bad-pivot", "determinant-2"],
+    )
+    def test_invert_unimodular_rejects(self, rows, message):
+        with pytest.raises(ExactArithmeticError, match=message):
+            invert_unimodular(IntMatrix(rows))
 
     @settings(max_examples=40)
     @given(small_matrices())

@@ -62,6 +62,48 @@ class TestEdgeMatchingMap:
         b = edge_matching_map(other)
         assert b.data == tuple(tuple(-x for x in row) for row in a.data)
 
+    def test_lattice_maps_are_built_once_per_pair(self, monkeypatch):
+        from logcy3 import periods
+        from logcy3.pair import LogCY3Pair
+        from logcy3.torelli import decide_isomorphism, marking_transporter
+
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(arg, *args):
+                calls.append((name, arg))
+                return fn(arg, *args)
+            return wrapper
+
+        def times(name, arg):
+            return sum(1 for n, a in calls if n == name and a is arg)
+
+        monkeypatch.setattr(
+            periods, "_build_edge_matching_map",
+            counted("map", periods._build_edge_matching_map),
+        )
+        monkeypatch.setattr(periods, "snf", counted("snf", periods.snf))
+        monkeypatch.setattr(
+            LogCY3Pair, "restriction_matrix",
+            counted("restriction", LogCY3Pair.restriction_matrix),
+        )
+        pair = scaling_pair(1, 4)
+        other = LogCY3Pair.build(pair.fan, pair.program)
+        for _ in range(2):  # a report, both verdict paths and a transport
+            matching_lattice(pair)
+            pair.k_image()
+            edge_cokernel_report(pair)
+            quotient_character(pair)
+            unmarked_period(pair)
+            assert decide_isomorphism(pair, other).is_isomorphic
+            assert marking_transporter(pair, other)[0] == "solved"
+        assert times("map", pair) == times("map", other) == 1
+        assert times("snf", edge_matching_map(pair)) == 1
+        assert times("restriction", pair) == 1
+        assert edge_matching_map(pair) is edge_matching_map(pair)
+        assert matching_lattice(pair) == matching_lattice(pair)
+        assert matching_lattice(pair) is not matching_lattice(pair)
+
     def test_restricted_classes_are_matching(self, pairs):
         # Restriction of any threefold class agrees in degree across edges.
         for pair in pairs.values():
