@@ -18,6 +18,7 @@ Coordinate conventions, fixed once for the whole package:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from logcy3.exactnum import (
     ExactArithmeticError,
@@ -97,12 +98,22 @@ class Marking:
         """The distinguished marking: the point -1 on every edge."""
         return Marking.build({frozenset(e): MINUS_ONE for e in edge_keys})
 
+    @cached_property
+    def _by_edge(self) -> dict:
+        # Read once per marking; the first point listed on an edge wins.
+        by_edge = {}
+        for key, coord in self.points:
+            by_edge.setdefault(key, coord)
+        return by_edge
+
     def point(self, v: int, w: int) -> GaussianRational:
         key = frozenset((v, w))
-        for k, coord in self.points:
-            if k == key:
-                return coord
-        raise BoundaryError(f"marking has no point on edge {tuple(sorted(key))}")
+        try:
+            return self._by_edge[key]
+        except KeyError:
+            raise BoundaryError(
+                f"marking has no point on edge {tuple(sorted(key))}"
+            ) from None
 
 
 @dataclass(frozen=True)
@@ -168,6 +179,29 @@ class LooijengaComponent:
         return self.base.degree_on_ray(vt, ray) + sum(
             c for c, exc in zip(ve, self.excs) if exc.neighbor == w
         )
+
+    @cached_property
+    def degree_table(self) -> tuple:
+        """The nonzero edge degrees of each basis class, in basis order.
+
+        Entry ``i`` lists the ``(neighbor, degree)`` pairs of basis class
+        ``i`` with a nonzero degree on the edge toward ``neighbor``: at most
+        three for a toric class (its own ray and the two adjacent ones), and
+        ``(exc.neighbor, 1)`` for an exceptional class.  Computed on first
+        use and then held on the component.
+        """
+        base = self.base
+        n = base.n_rays
+        rows = []
+        for b in base.basis_indices:
+            entries = []
+            for ray in sorted({(b - 1) % n, b, (b + 1) % n}):
+                d = base.pairing(b, ray)
+                if d:
+                    entries.append((base.labels[ray], d))
+            rows.append(tuple(entries))
+        rows.extend(((exc.neighbor, 1),) for exc in self.excs)
+        return tuple(rows)
 
     def anticanonical(self):
         """The boundary cycle class (the anticanonical class of the component)."""
@@ -254,6 +288,32 @@ def component_marked_period(
         p = c.side_coordinate(w, marking.point(c.vertex, w))
         factors.append(section_ratio(points, p))
     return product(factors)
+
+
+def component_character_table(c: LooijengaComponent, marking: Marking) -> tuple:
+    """Marked period values of the component's basis classes, in basis order.
+
+    The values of :func:`component_marked_period` on the unit vectors, read
+    off the degree table.  With p the marking point of an edge in this
+    component's chart, a toric class of degree d on the edge restricts to d
+    times the marker point -1 and contributes ``(-1/p)**d``; an exceptional
+    class contributes its own coordinate over p on its edge.
+    """
+    marker_ratio = {}
+    for w in c.neighbors:
+        p = marking.point(c.vertex, w)
+        if p.is_zero():
+            raise BoundaryError("marking point on a 0-stratum")
+        marker_ratio[w] = MINUS_ONE / c.side_coordinate(w, p)
+    values = [
+        product(marker_ratio[w] ** d for w, d in edges)
+        for edges in c.degree_table[: c.base.rank]
+    ]
+    values.extend(
+        -c.side_coordinate(exc.neighbor, exc.coordinate) * marker_ratio[exc.neighbor]
+        for exc in c.excs
+    )
+    return tuple(values)
 
 
 def adjunction_check(c: LooijengaComponent, vec):

@@ -8,6 +8,8 @@ arbitrary-precision integer matrices.  This module supplies both layers:
 * :class:`IntMatrix` and :func:`snf` -- Smith normal form with unimodular
   transforms, plus kernels, cokernels, integer linear solving and the
   inverse of a unimodular matrix;
+* :func:`symmetric_trilinear` -- a symmetric tensor, stored sparsely,
+  evaluated at three vectors;
 * :func:`solvable_over_torus` -- decides whether a multiplicative system of
   character equations has a solution valued in the full complex torus;
 * :func:`nth_root` -- exact n-th roots in Q(i), when they exist.
@@ -289,6 +291,23 @@ def power_product(values, exponents) -> GaussianRational:
     return result
 
 
+def symmetric_trilinear(tensor: dict, a, b, c) -> int:
+    """The trilinear form of a symmetric tensor at three integer vectors.
+
+    ``tensor`` maps sorted index triples to entries (absent ones are 0);
+    only the nonzero coordinates of the vectors are walked.
+    """
+    nonzero_b = [(j, y) for j, y in enumerate(b) if y]
+    nonzero_c = [(k, z) for k, z in enumerate(c) if z]
+    total = 0
+    for i, x in enumerate(a):
+        if x:
+            for j, y in nonzero_b:
+                for k, z in nonzero_c:
+                    total += x * y * z * tensor.get(tuple(sorted((i, j, k))), 0)
+    return total
+
+
 # ---------------------------------------------------------------------------
 # Integer matrices and Smith normal form
 # ---------------------------------------------------------------------------
@@ -397,6 +416,48 @@ class SnfDecomposition:
                     return None
                 y[i] = ub[i] // d
         return self.V.apply(tuple(y))
+
+    def transpose(self) -> "SnfDecomposition":
+        """The factorization of ``A^T``, read off this one: ``V^T A^T U^T = D^T``."""
+        return SnfDecomposition(
+            self.V.transpose(), self.D.transpose(), self.U.transpose()
+        )
+
+    def violated_relation(self, targets):
+        """A relation among the rows of ``A`` that the targets break, or ``None``.
+
+        The rows of ``U`` past the rank span the integer relations ``a``
+        with ``a^T A = 0``; see :func:`solvable_over_torus`.
+        """
+        targets = list(targets)
+        if len(targets) != self.U.rows:
+            raise ExactArithmeticError("one target per row required")
+        for tval in targets:
+            if tval.is_zero():
+                raise ExactArithmeticError("targets must be nonzero")
+        for relation in self.U.data[self.rank:]:
+            if not power_product(targets, relation).is_one():
+                return relation
+        return None
+
+    def solve_over_gaussian_torus(self, targets):
+        """:func:`solve_over_gaussian_torus` on this factorization of ``A``.
+
+        One factorization gives both the relations and the solution.
+        """
+        relation = self.violated_relation(targets)
+        if relation is not None:
+            return "unsolvable", relation
+        y = [ONE] * self.V.rows
+        for i, d in enumerate(self.invariant_factors()):
+            # s_i = prod_j targets_j ** U[i, j], and y_i ** d_i = s_i.
+            s = power_product(targets, self.U.data[i])
+            root = nth_root(s, d)
+            if root is None:
+                return "complex_only", (d, s)
+            y[i] = root
+        # x_e = prod_i y_i ** V[e, i]
+        return "solved", [power_product(y, row) for row in self.V.data]
 
 
 def snf(A: IntMatrix) -> SnfDecomposition:
@@ -565,16 +626,8 @@ def solvable_over_torus(A: IntMatrix, targets):
     Returns ``(True, None)`` or ``(False, relation)`` with a violated
     relation as certificate.
     """
-    targets = list(targets)
-    if len(targets) != A.rows:
-        raise ExactArithmeticError("one target per row required")
-    for tval in targets:
-        if tval.is_zero():
-            raise ExactArithmeticError("targets must be nonzero")
-    for relation in kernel_basis(A.transpose()):
-        if not power_product(targets, relation).is_one():
-            return False, relation
-    return True, None
+    relation = snf(A).violated_relation(targets)
+    return relation is None, relation
 
 
 def solve_over_gaussian_torus(A: IntMatrix, targets):
@@ -585,25 +638,7 @@ def solve_over_gaussian_torus(A: IntMatrix, targets):
     over the full torus but some required root does not exist in Q(i), or
     ``("unsolvable", relation)`` with a violated relation.
     """
-    ok, relation = solvable_over_torus(A, targets)
-    if not ok:
-        return "unsolvable", relation
-    dec = snf(A)
-    # Transform targets by U: s_i = prod_j targets_j ** U[i, j].
-    s = [power_product(targets, dec.U.data[i]) for i in range(A.rows)]
-    diag = dec.D.diagonal()
-    y = [ONE] * A.cols
-    for i in range(min(A.rows, A.cols)):
-        d = diag[i]
-        if d == 0:
-            continue
-        root = nth_root(s[i], d)
-        if root is None:
-            return "complex_only", (d, s[i])
-        y[i] = root
-    # x_e = prod_i y_i ** V[e, i]
-    x = [power_product(y, dec.V.data[e]) for e in range(A.cols)]
-    return "solved", x
+    return snf(A).solve_over_gaussian_torus(targets)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ Two oracles live here:
 from __future__ import annotations
 
 from logcy3.boundary import Marking, restrict_to_cycle
-from logcy3.exactnum import GaussianRational, MINUS_ONE, ONE
+from logcy3.exactnum import GaussianRational, MINUS_ONE, ONE, symmetric_trilinear
 from logcy3.pair import LogCY3Pair, PointBlowup
 from logcy3.toric import Fan3, TripleIntersection, star_subdivide
 
@@ -72,18 +72,7 @@ def curve_subdivision_check(fan: Fan3, wall):
     tensor[(e_index, e_index, e_index)] = k_dot_c + 2
 
     def blowup_triple(x, y, z):
-        total = 0
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                for k, zk in enumerate(z):
-                    if zk:
-                        key = tuple(sorted((i, j, k)))
-                        total += xi * yj * zk * tensor.get(key, 0)
-        return total
+        return symmetric_trilinear(tensor, x, y, z)
 
     return _compare_against(sub, {v, w}, base_pair, blowup_triple)
 

@@ -12,12 +12,14 @@ blown-up toric surfaces, and the restriction map to the boundary lattice.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import permutations
 
 from logcy3.boundary import (
     ExceptionalClass,
     LooijengaComponent,
     Marking,
     adjunction_check,
+    component_character_table,
     component_marked_period,
 )
 from logcy3.exactnum import (
@@ -26,6 +28,7 @@ from logcy3.exactnum import (
     MINUS_ONE,
     product,
     snf,
+    symmetric_trilinear,
 )
 from logcy3.toric import (
     DualComplex,
@@ -374,18 +377,41 @@ class LogCY3Pair:
     def cubic_form(self, a, b, c) -> int:
         """The triple intersection product of three threefold classes."""
         va, vb, vc = (self._as_y_coords(x) for x in (a, b, c))
-        total = 0
-        for i, ai in enumerate(va):
-            if not ai:
+        return symmetric_trilinear(self._tensor, va, vb, vc)
+
+    def cubic_entries(self) -> dict:
+        """The nonzero entries of the cubic tensor, under sorted index triples."""
+        return {key: value for key, value in self._tensor.items() if value}
+
+    def pulled_back_cubic(self, mu: IntMatrix) -> dict:
+        """The nonzero entries of the cubic form pulled back along ``mu``.
+
+        ``mu`` has one row per basis class of this pair.  Entry ``(i, j, k)``
+        with ``i <= j <= k`` is ``cubic_form(mu e_i, mu e_j, mu e_k)``.  It is
+        summed from the stored entries alone: each is spread over its
+        distinct index orders, and each order through the nonzero entries of
+        the matching rows of ``mu``, so a sparse ``mu`` costs time linear in
+        the stored entries.
+        """
+        if mu.rows != len(self._restriction):
+            raise PairError("class length does not match the Picard rank")
+        rows = [tuple((i, x) for i, x in enumerate(row) if x) for row in mu.data]
+        pulled: dict = {}
+        for key, value in self._tensor.items():
+            if not value:
                 continue
-            for j, bj in enumerate(vb):
-                if not bj:
-                    continue
-                for k, ck in enumerate(vc):
-                    if ck:
-                        key = tuple(sorted((i, j, k)))
-                        total += ai * bj * ck * self._tensor.get(key, 0)
-        return total
+            for a, b, c in set(permutations(key)):
+                for i, x in rows[a]:
+                    for j, y in rows[b]:
+                        if j < i:
+                            continue
+                        for k, z in rows[c]:
+                            if k >= j:
+                                triple = (i, j, k)
+                                pulled[triple] = (
+                                    pulled.get(triple, 0) + value * x * y * z
+                                )
+        return {key: value for key, value in pulled.items() if value}
 
     def _as_y_coords(self, x):
         if isinstance(x, PicVector):
@@ -441,17 +467,41 @@ class LogCY3Pair:
     def character_table(self, marking: Marking) -> tuple:
         """Marked period values of the boundary basis classes, in flat order.
 
-        Each value is computed on its own component alone.  The table of a
-        marking is computed on first use and then held on the pair.
+        Each value is read off its own component's degree table.  The
+        table of a marking is computed on first use and then held on the pair.
         """
         return self.held(
             ("character_table", marking),
             lambda pair: tuple(
-                component_marked_period(comp, marking, unit)
+                value
                 for comp in pair.boundary_components()
-                for unit in comp.basis_vectors()
+                for value in component_character_table(comp, marking)
             ),
         )
+
+    def edge_degrees(self) -> tuple:
+        """The nonzero edge degrees of the boundary basis, in flat order.
+
+        Entry n lists the ``(edge index, degree)`` pairs of basis class n,
+        read off its component's degree table and signed as in the
+        edge-matching map: plus on the tail of the directed edge, minus on
+        its head.  Computed on first use and then held on the pair.
+        """
+        return self.held("edge_degrees", LogCY3Pair._edge_degrees)
+
+    def _edge_degrees(self):
+        edges = self.complex.edges
+        row_of = {frozenset(e): n for n, e in enumerate(edges)}
+        columns = []
+        for comp in self.boundary_components():
+            u = comp.vertex
+            for entries in comp.degree_table:
+                column = []
+                for w, d in entries:
+                    row = row_of[frozenset((u, w))]
+                    column.append((row, d if edges[row][0] == u else -d))
+                columns.append(tuple(column))
+        return tuple(columns)
 
     def split_boundary_vector(self, flat):
         offsets, total = self.component_offsets()

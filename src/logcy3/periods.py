@@ -18,9 +18,9 @@ from logcy3.exactnum import (
     ExactArithmeticError,
     GaussianRational,
     IntMatrix,
-    ONE,
     invert_unimodular,
     power_product,
+    product,
     snf,
 )
 from logcy3.pair import LogCY3Pair, PairError
@@ -68,29 +68,17 @@ def edge_matching_map(pair: LogCY3Pair) -> IntMatrix:
     return pair.held("edge_matching_map", _build_edge_matching_map)
 
 
-def _edge_matching_snf(pair: LogCY3Pair):
+def edge_matching_snf(pair: LogCY3Pair):
+    """The Smith normal form of the edge-matching map, held on the pair."""
     return pair.held("edge_matching_snf", lambda p: snf(edge_matching_map(p)))
 
 
 def _build_edge_matching_map(pair: LogCY3Pair) -> IntMatrix:
-    labels = boundary_basis_labels(pair)
-    rows = []
-    for v, w in pair.complex.edges:
-        row = []
-        for u, i in labels:
-            if u == v:
-                comp = pair.components[u]
-                vec = [0] * comp.rank
-                vec[i] = 1
-                row.append(comp.degree_on_edge(tuple(vec), w))
-            elif u == w:
-                comp = pair.components[u]
-                vec = [0] * comp.rank
-                vec[i] = 1
-                row.append(-comp.degree_on_edge(tuple(vec), v))
-            else:
-                row.append(0)
-        rows.append(row)
+    columns = pair.edge_degrees()
+    rows = [[0] * len(columns) for _ in pair.complex.edges]
+    for column, degrees in enumerate(columns):
+        for row, d in degrees:
+            rows[row][column] = d
     return IntMatrix(rows)
 
 
@@ -99,7 +87,7 @@ def matching_lattice(pair: LogCY3Pair):
 
     Read off the held factorization of the map, as a fresh list.
     """
-    return _edge_matching_snf(pair).kernel()
+    return edge_matching_snf(pair).kernel()
 
 
 def _wedge(a, b):
@@ -138,7 +126,7 @@ def edge_cokernel_report(pair: LogCY3Pair):
     composition_zero = all(
         row[j] == 0 for row in composed.data for j in toric_columns
     )
-    free_rank, torsion = _edge_matching_snf(pair).cokernel()
+    free_rank, torsion = edge_matching_snf(pair).cokernel()
     return free_rank, torsion, composition_zero
 
 
@@ -212,27 +200,15 @@ def edge_scaling_character(pair: LogCY3Pair, lambdas) -> PeriodCharacter:
     raised to the degree difference of the class across that edge.
     """
     scalars = _edge_scalars(pair, lambdas)
-    labels = boundary_basis_labels(pair)
-    basis = []
-    values = []
-    for n, (u, i) in enumerate(labels):
-        vec = tuple(1 if j == n else 0 for j in range(len(labels)))
-        basis.append(vec)
-        comp = pair.components[u]
-        local = [0] * comp.rank
-        local[i] = 1
-        value = ONE
-        for (v, w), lam in zip(pair.complex.edges, scalars):
-            if u == v:
-                d = comp.degree_on_edge(tuple(local), w)
-            elif u == w:
-                d = -comp.degree_on_edge(tuple(local), v)
-            else:
-                continue
-            if d:
-                value = value * (lam ** d)
-        values.append(value)
-    return PeriodCharacter(tuple(basis), tuple(values))
+    degrees = pair.edge_degrees()
+    basis = tuple(
+        tuple(1 if j == n else 0 for j in range(len(degrees)))
+        for n in range(len(degrees))
+    )
+    values = tuple(
+        product(scalars[row] ** d for row, d in column) for column in degrees
+    )
+    return PeriodCharacter(basis, values)
 
 
 def _edge_scalars(pair: LogCY3Pair, lambdas):

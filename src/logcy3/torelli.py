@@ -16,22 +16,21 @@ from fractions import Fraction
 
 from logcy3.boundary import Marking
 from logcy3.exactnum import (
+    ExactArithmeticError,
     IntMatrix,
     rank as matrix_rank,
-    solve_over_gaussian_torus,
 )
 from logcy3.pair import CurveBlowup, LogCY3Pair, PairError, PicVector, PointBlowup
 from logcy3.periods import (
     edge_matching_map,
+    edge_matching_snf,
     evaluate_boundary_character,
     matching_lattice,
 )
 from logcy3.toric import (
     Fan3,
-    FanError,
     ToricIntersectionData,
-    _det3,
-    _inverse_unimodular,
+    toric_model_map,
     validate_fan,
 )
 
@@ -371,26 +370,27 @@ def decide_isomorphism(
             {"check": "dual_complex"},
         )
 
-    # (ii) The induced threefold map must preserve the cubic form.
+    # (ii) The induced threefold map must preserve the cubic form: the
+    # tensor of the other pair, pulled back through mu, must equal this
+    # pair's.  The witness is the least differing triple i <= j <= k.
     mu = threefold_transport(pair, other, corr)
     r = pair.pic_rank
-    units = [tuple(1 if j == i else 0 for j in range(r)) for i in range(r)]
-    images = [mu.apply(u) for u in units]
-    for i in range(r):
-        for j in range(i, r):
-            for k in range(j, r):
-                left = pair.cubic_form(units[i], units[j], units[k])
-                right = other.cubic_form(images[i], images[j], images[k])
-                if left != right:
-                    return Verdict(
-                        "distinct",
-                        "cubic forms disagree under the correspondence",
-                        {
-                            "check": "cubic_form",
-                            "triple": (i, j, k),
-                            "values": (left, right),
-                        },
-                    )
+    if mu.cols != r:
+        raise ExactArithmeticError("vector length mismatch")
+    left = pair.cubic_entries()
+    right = other.pulled_back_cubic(mu)
+    differing = [t for t in left.keys() | right.keys() if left.get(t) != right.get(t)]
+    if differing:
+        triple = min(differing)
+        return Verdict(
+            "distinct",
+            "cubic forms disagree under the correspondence",
+            {
+                "check": "cubic_form",
+                "triple": triple,
+                "values": (left.get(triple, 0), right.get(triple, 0)),
+            },
+        )
 
     # (iii) Peel the programs step by step.
     transports = {
@@ -449,7 +449,7 @@ def decide_isomorphism(
                 )
 
     # (iv) Compare the base toric models through the vertex bijection.
-    frame_map = _toric_model_map(pair.fan, other.fan, corr)
+    frame_map = toric_model_map(pair.fan, other.fan, corr.vertex)
     if frame_map is None:
         return Verdict(
             "distinct",
@@ -494,27 +494,6 @@ def decide_isomorphism(
     )
 
 
-def _toric_model_map(f: Fan3, g: Fan3, corr: Correspondence):
-    """Unimodular matrix sending each ray of f to its corresponding ray of g."""
-    seed = f.max_cones[0]
-    cols_f = [f.rays[i] for i in seed]
-    cols_g = [g.rays[corr.vertex(i)] for i in seed]
-    if abs(_det3(*cols_f)) != 1 or abs(_det3(*cols_g)) != 1:
-        return None
-    inv = _inverse_unimodular(cols_f)
-    m = [
-        [sum(cols_g[k][row] * inv[k][col] for k in range(3)) for col in range(3)]
-        for row in range(3)
-    ]
-    for v in range(f.n_rays):
-        image = tuple(
-            sum(m[row][col] * f.rays[v][col] for col in range(3)) for row in range(3)
-        )
-        if image != g.rays[corr.vertex(v)]:
-            return None
-    return tuple(tuple(row) for row in m)
-
-
 # ---------------------------------------------------------------------------
 # Marking transport
 # ---------------------------------------------------------------------------
@@ -545,7 +524,6 @@ def marking_transporter(
     transports = {
         v: component_transport(pair, other, corr, v) for v in sorted(pair.components)
     }
-    exponents = edge_matching_map(pair).transpose()  # basis x edges
     table = pair.character_table(marking)
     total = len(table)
     targets = []
@@ -554,4 +532,6 @@ def marking_transporter(
         image = transport_boundary_vector(pair, other, corr, transports, unit)
         value2 = evaluate_boundary_character(other, marking_other, image)
         targets.append(value2 / value)
-    return solve_over_gaussian_torus(exponents, targets)
+    # The system's matrix is the transposed edge-matching map (basis x
+    # edges), so its factorization is the transpose of the held one.
+    return edge_matching_snf(pair).transpose().solve_over_gaussian_torus(targets)

@@ -9,11 +9,13 @@ its orientation data, and the coordinate charts on 1-strata.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import permutations
 from math import gcd
 
 from logcy3.exactnum import (
     GaussianRational,
     IntMatrix,
+    kernel_basis,
     snf,
     solve_integer,
 )
@@ -612,6 +614,18 @@ def canonical_form(fan: Fan3):
     return rays, cones
 
 
+def _frame_map(inverse, frame):
+    """The matrix sending the columns whose inverse is given to ``frame``."""
+    return [
+        [sum(frame[k][r] * inverse[k][c] for k in range(3)) for c in range(3)]
+        for r in range(3)
+    ]
+
+
+def _apply3(m, vec):
+    return tuple(sum(m[r][c] * vec[c] for c in range(3)) for r in range(3))
+
+
 def fan_isomorphism(f: Fan3, g: Fan3):
     """A unimodular map sending f onto g, found by frame search, or None."""
     if f.n_rays != g.n_rays or len(f.max_cones) != len(g.max_cones):
@@ -621,21 +635,11 @@ def fan_isomorphism(f: Fan3, g: Fan3):
     inv = _inverse_unimodular(seed_cols)
     g_cones = g.cone_set()
     g_rays = set(g.rays)
-    from itertools import permutations
-
     for cone in g.max_cones:
         for perm in permutations(cone):
-            frame = [g.rays[i] for i in perm]
-            # matrix M with M * f.rays[seed[k]] = frame[k]
-            m = [
-                [sum(frame[k][r] * inv[k][c] for k in range(3)) for c in range(3)]
-                for r in range(3)
-            ]
-
-            def apply(vec):
-                return tuple(sum(m[r][c] * vec[c] for c in range(3)) for r in range(3))
-
-            images = {ray: apply(ray) for ray in f.rays}
+            # matrix M with M * f.rays[seed[k]] = g.rays[perm[k]]
+            m = _frame_map(inv, [g.rays[i] for i in perm])
+            images = {ray: _apply3(m, ray) for ray in f.rays}
             if set(images.values()) != g_rays:
                 continue
             index_of = {ray: i for i, ray in enumerate(g.rays)}
@@ -645,6 +649,24 @@ def fan_isomorphism(f: Fan3, g: Fan3):
             if mapped == g_cones:
                 return tuple(tuple(row) for row in m)
     return None
+
+
+def toric_model_map(f: Fan3, g: Fan3, vertex):
+    """The unimodular matrix sending each ray i of f to ray ``vertex(i)`` of g.
+
+    The matrix is fixed by the first max cone of f; ``None`` when either
+    frame of that cone is not unimodular or some ray misses its image.
+    """
+    seed = f.max_cones[0]
+    cols_f = [f.rays[i] for i in seed]
+    cols_g = [g.rays[vertex(i)] for i in seed]
+    if abs(_det3(*cols_f)) != 1 or abs(_det3(*cols_g)) != 1:
+        return None
+    m = _frame_map(_inverse_unimodular(cols_f), cols_g)
+    for v in range(f.n_rays):
+        if _apply3(m, f.rays[v]) != g.rays[vertex(v)]:
+            return None
+    return tuple(tuple(row) for row in m)
 
 
 # ---------------------------------------------------------------------------
@@ -701,8 +723,6 @@ def edge_reference_character(fan: Fan3, complex_: DualComplex, edge):
     triangle where the directed edge occurs negatively (the 0 of the
     reference chart).
     """
-    from logcy3.exactnum import kernel_basis
-
     v, w = complex_.directed_edge(*edge)
     kernel = kernel_basis(IntMatrix([fan.rays[v], fan.rays[w]]))
     if len(kernel) != 1:

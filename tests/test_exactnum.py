@@ -452,6 +452,37 @@ class TestTorusSolvability:
         assert status == "complex_only"
         assert witness[0] == 2
 
+    @settings(max_examples=40)
+    @given(small_matrices())
+    def test_transposed_factorization(self, a):
+        dec = snf(a).transpose()
+        assert (dec.U * a.transpose() * dec.V).data == dec.D.data
+        assert dec.invariant_factors() == snf(a).invariant_factors()
+
+    @settings(max_examples=30, deadline=None)
+    @given(small_matrices(max_dim=3, max_entry=2), st.data())
+    def test_one_factorization_solves_and_certifies(self, a, data):
+        # Targets made from a Q(i)* point are solvable; the transposed
+        # factorization of a^T solves the same system as a fresh one.  The
+        # point has small Gaussian integer coordinates, so the roots stay
+        # cheap for nth_root's trial division.
+        coordinates = ((2, 0), (1, 1), (1, -1), (3, 0), (0, 1))
+        small = st.sampled_from([GaussianRational(x, y) for x, y in coordinates])
+        point = data.draw(st.lists(small, min_size=a.cols, max_size=a.cols))
+        targets = [power_product(point, row) for row in a.data]
+        for dec in (snf(a), snf(a.transpose()).transpose()):
+            status, x = dec.solve_over_gaussian_torus(targets)
+            assert status in ("solved", "complex_only")
+            if status == "solved":
+                assert [power_product(x, row) for row in a.data] == targets
+        # Breaking one target breaks a relation, when there is one.
+        bent = [targets[0] * GaussianRational(2)] + targets[1:]
+        relation = snf(a).violated_relation(bent)
+        if relation is not None:
+            assert all(x == 0 for x in a.transpose().apply(relation))
+            assert not power_product(bent, relation).is_one()
+            assert solve_over_gaussian_torus(a, bent) == ("unsolvable", relation)
+
     def test_gaussian_unsolvable(self):
         status, relation = solve_over_gaussian_torus(
             IntMatrix([[1], [1]]), [GaussianRational(2), GaussianRational(3)]

@@ -1,14 +1,17 @@
 """Tests for the edge-matching map, period characters, and marking torsors."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logcy3.boundary import Marking
-from logcy3.exactnum import GaussianRational, ONE, power_product
+from logcy3.boundary import BoundaryError, Marking, component_marked_period
+from logcy3.exactnum import GaussianRational, IntMatrix, ONE, power_product
 from logcy3.fixtures import pair_fixtures, scaling_pair
 from logcy3.oracle import cocycle_period
 from logcy3.periods import (
+    _alternative_marking,
     boundary_basis_labels,
     edge_cokernel_report,
     edge_matching_map,
@@ -207,6 +210,74 @@ class TestCharacterTable:
         markers = Marking.markers(pair.edge_keys())
         assert pair.character_table(markers) is pair.character_table(markers)
         assert marked_period(pair).values == pair.character_table(markers)
+
+
+def dense_degree(pair, u, i, w):
+    """Degree of basis class i of component u on the edge toward w."""
+    comp = pair.components[u]
+    unit = tuple(1 if j == i else 0 for j in range(comp.rank))
+    return comp.degree_on_edge(unit, w)
+
+
+class TestSparseDegreeTable:
+    """The degree table against dense unit vectors through ``degree_on_edge``."""
+
+    @pytest.fixture(scope="class")
+    def cases(self, pairs):
+        return [*pairs.values(), scaling_pair(2, 8)]
+
+    def test_character_table_matches_component_periods(self, cases):
+        rng = random.Random(4)
+        for pair in cases:
+            keys = sorted(pair.edge_keys(), key=lambda k: tuple(sorted(k)))
+            seeded = Marking.build(
+                {k: GaussianRational(rng.randint(1, 9), rng.randint(-4, 4)) for k in keys}
+            )
+            for marking in (Marking.markers(keys), _alternative_marking(pair), seeded):
+                expected = tuple(
+                    component_marked_period(comp, marking, unit)
+                    for comp in pair.boundary_components()
+                    for unit in comp.basis_vectors()
+                )
+                assert pair.character_table(marking) == expected
+
+    def test_marking_must_cover_every_edge(self, pairs):
+        marking = Marking.build({frozenset((0, 1)): g("2")})
+        with pytest.raises(BoundaryError, match="no point on edge"):
+            pairs["p3"].character_table(marking)
+
+    def test_edge_matching_map_matches_dense_degrees(self, cases):
+        for pair in cases:
+            rows = []
+            for v, w in pair.complex.edges:
+                row = []
+                for u, i in boundary_basis_labels(pair):
+                    if u == v:
+                        row.append(dense_degree(pair, u, i, w))
+                    elif u == w:
+                        row.append(-dense_degree(pair, u, i, v))
+                    else:
+                        row.append(0)
+                rows.append(row)
+            assert edge_matching_map(pair) == IntMatrix(rows)
+
+    def test_scaling_character_matches_dense_degrees(self, cases):
+        rng = random.Random(9)
+        for pair in cases:
+            lambdas = [
+                GaussianRational(rng.randint(1, 6), rng.randint(-3, 3))
+                for _ in pair.complex.edges
+            ]
+            expected = []
+            for u, i in boundary_basis_labels(pair):
+                value = ONE
+                for (v, w), lam in zip(pair.complex.edges, lambdas):
+                    if u == v:
+                        value = value * lam ** dense_degree(pair, u, i, w)
+                    elif u == w:
+                        value = value * lam ** -dense_degree(pair, u, i, v)
+                expected.append(value)
+            assert edge_scaling_character(pair, lambdas).values == tuple(expected)
 
 
 class TestMarkingTorsor:

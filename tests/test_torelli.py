@@ -1,18 +1,27 @@
 """Tests for contraction types, fan reconstruction, and the decision procedure."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
+from logcy3 import boundary, exactnum, pair as pair_module, periods, toric, torelli
 from logcy3.boundary import Marking
-from logcy3.exactnum import GaussianRational, I
+from logcy3.exactnum import ExactArithmeticError, GaussianRational, I, IntMatrix
 from logcy3.fixtures import (
     pair_fixtures,
     perturbed_conic_pair,
     scaling_pair,
     toric_fixture_fans,
 )
-from logcy3.periods import evaluate_boundary_character
+from logcy3.pair import LogCY3Pair, PairError
+from logcy3.periods import (
+    edge_cokernel_report,
+    evaluate_boundary_character,
+    matching_lattice,
+    quotient_character,
+    unmarked_period,
+)
 from logcy3.toric import ToricIntersectionData, fan_isomorphism
 from logcy3.torelli import (
     Correspondence,
@@ -188,3 +197,144 @@ class TestMarkingTransporter:
         )
         assert status == "unsolvable"
         assert relation is not None
+
+
+def dense_cubic_check(pair, other, mu):
+    """Step (ii) as a loop over every triple of unit vectors (the reference)."""
+    r = pair.pic_rank
+    units = [tuple(1 if j == i else 0 for j in range(r)) for i in range(r)]
+    images = [mu.apply(u) for u in units]
+    for i in range(r):
+        for j in range(i, r):
+            for k in range(j, r):
+                left = pair.cubic_form(units[i], units[j], units[k])
+                right = other.cubic_form(images[i], images[j], images[k])
+                if left != right:
+                    return (i, j, k), (left, right)
+    return None
+
+
+def random_unimodular(n, rng, ops):
+    if n == 1:
+        return IntMatrix([[rng.choice((-1, 1))]])
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(ops):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+    if rng.random() < 0.5:
+        rows.reverse()
+    return IntMatrix(rows)
+
+
+class TestSparseCubicCheck:
+    @pytest.fixture(scope="class")
+    def cases(self, pairs):
+        return [*pairs.values(), scaling_pair(2, 8)]
+
+    @staticmethod
+    def with_mu(pair, mu):
+        identity = Correspondence.identity(pair)
+        return Correspondence(identity.vertex_map, identity.step_map, mu)
+
+    def assert_same_outcome(self, pair, other, corr):
+        mu = torelli.threefold_transport(pair, other, corr)
+        expected = dense_cubic_check(pair, other, mu)
+        verdict = decide_isomorphism(pair, other, corr)
+        if expected is None:
+            assert verdict.certificate["check"] != "cubic_form"
+        else:
+            assert verdict.kind == "distinct"
+            assert verdict.certificate["check"] == "cubic_form"
+            assert (
+                verdict.certificate["triple"], verdict.certificate["values"]
+            ) == expected
+        return expected
+
+    def test_pullback_matches_dense_cubic_form(self, cases):
+        rng = random.Random(11)
+        for pair in cases:
+            r = pair.pic_rank
+            units = [tuple(1 if j == i else 0 for j in range(r)) for i in range(r)]
+            for mu in (IntMatrix.identity(r), random_unimodular(r, rng, 2 * r)):
+                images = [mu.apply(u) for u in units]
+                dense = {
+                    (i, j, k): pair.cubic_form(images[i], images[j], images[k])
+                    for i in range(r)
+                    for j in range(i, r)
+                    for k in range(j, r)
+                }
+                assert pair.pulled_back_cubic(mu) == {
+                    t: v for t, v in dense.items() if v
+                }
+
+    def test_identity_mu_agrees_with_the_triple_loop(self, cases):
+        for pair in cases:
+            other = LogCY3Pair.build(pair.fan, pair.program)
+            corr = self.with_mu(pair, IntMatrix.identity(pair.pic_rank))
+            assert self.assert_same_outcome(pair, other, corr) is None
+            assert decide_isomorphism(pair, other, corr).is_isomorphic
+
+    def test_random_unimodular_mu_agrees_with_the_triple_loop(self, cases):
+        rng = random.Random(20261018)
+        mismatches = 0
+        for pair in cases:
+            for ops in (1, 3, 2 * pair.pic_rank):
+                mu = random_unimodular(pair.pic_rank, rng, ops)
+                if self.assert_same_outcome(pair, pair, self.with_mu(pair, mu)):
+                    mismatches += 1
+        assert mismatches >= len(cases)
+
+    def test_distinct_programs_agree_with_the_triple_loop(self, pairs):
+        for a, b in (("p3-point", "p3-conic"), ("p3-conic", "p3-point")):
+            corr = Correspondence.identity(pairs[a])
+            assert self.assert_same_outcome(pairs[a], pairs[b], corr) is not None
+
+    @pytest.mark.parametrize(
+        "shape, error", [("cols", ExactArithmeticError), ("rows", PairError)]
+    )
+    def test_wrong_shape_errors_are_unchanged(self, cases, shape, error):
+        for pair in cases:
+            r = pair.pic_rank
+            mu = IntMatrix.zero(r + 1, r) if shape == "rows" else IntMatrix.zero(r, r + 1)
+            with pytest.raises(error) as dense:
+                dense_cubic_check(pair, pair, mu)
+            with pytest.raises(error) as sparse:
+                decide_isomorphism(pair, pair, self.with_mu(pair, mu))
+            assert str(sparse.value) == str(dense.value)
+
+
+class TestTransportReusesTheHeldFactorization:
+    def test_no_snf_after_a_report(self, monkeypatch):
+        pair = scaling_pair(1, 4)
+        moved = pair.torus_translate((g("2"), g("3"), I))
+        matching_lattice(pair)
+        pair.k_image()
+        edge_cokernel_report(pair)
+        quotient_character(pair)
+        unmarked_period(pair)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return exactnum.snf(*args, **kwargs)
+
+        for module in (exactnum, toric, boundary, pair_module, periods, torelli):
+            if hasattr(module, "snf"):
+                monkeypatch.setattr(module, "snf", counted)
+        status, scalars = marking_transporter(pair, moved)
+        assert status == "solved"
+        assert calls == []
+
+    def test_unsolvable_relation_is_violated(self, pairs):
+        pair = pairs["p3-conic"]
+        other = perturbed_conic_pair()
+        status, relation = marking_transporter(pair, other)
+        assert status == "unsolvable"
+        # The relation is a matching class whose periods differ.
+        assert list(relation) in [list(gen) for gen in matching_lattice(pair)]
+        markers = Marking.markers(pair.edge_keys())
+        markers2 = Marking.markers(other.edge_keys())
+        assert evaluate_boundary_character(
+            pair, markers, relation
+        ) != evaluate_boundary_character(other, markers2, relation)

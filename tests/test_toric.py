@@ -17,6 +17,7 @@ from logcy3.toric import (
     fan_isomorphism,
     star_subdivide,
     star_surface,
+    toric_model_map,
     triple_intersection,
     validate_fan,
 )
@@ -226,6 +227,31 @@ class TestFanIsomorphism:
 
     def test_distinct_fans(self, p3, p111):
         assert fan_isomorphism(p3, p111) is None
+
+
+class TestToricModelMap:
+    def test_identity_bijection(self):
+        for fan in toric_fixture_fans().values():
+            assert toric_model_map(fan, fan, lambda v: v) == (
+                (1, 0, 0), (0, 1, 0), (0, 0, 1)
+            )
+
+    def test_recovers_a_unimodular_image(self):
+        m = ((1, 2, 0), (0, 1, 0), (-1, 0, 1))  # determinant 1
+        for fan in toric_fixture_fans().values():
+            image = Fan3(
+                [tuple(sum(m[r][c] * ray[c] for c in range(3)) for r in range(3))
+                 for ray in fan.rays],
+                fan.max_cones,
+            )
+            assert toric_model_map(fan, image, lambda v: v) == m
+            assert fan_isomorphism(fan, image) is not None
+
+    def test_wrong_bijection_has_no_map(self, p111):
+        # Swapping x+ with y+ alone forces the swap of the x and y axes,
+        # which sends x- to y-, not to its partner x-.
+        swap = {0: 2, 2: 0}
+        assert toric_model_map(p111, p111, lambda v: swap.get(v, v)) is None
 
 
 class TestEdgeCharts:
