@@ -124,16 +124,21 @@ def pair_from_document(doc: dict):
         _integers(ray, f"rays[{i}]", 3)
         for i, ray in enumerate(_expect(_field(doc, "rays", "document"), list, "rays"))
     ]
-    cones = _field(doc, "cones", "document")
+    cones = [
+        _integers(cone, f"cones[{i}]", 3)
+        for i, cone in enumerate(_expect(_field(doc, "cones", "document"), list, "cones"))
+    ]
     orientation = None
     if "orientation" in doc:
         spec = _expect(doc["orientation"], dict, "orientation")
-        triangle = _field(spec, "triangle", "orientation")
-        sign = _field(spec, "sign", "orientation")
-        orientation = (
-            _integers(triangle, "orientation.triangle", 3),
-            _integer(sign, "orientation.sign"),
+        triangle = _integers(
+            _field(spec, "triangle", "orientation"), "orientation.triangle", 3
         )
+        for i, vertex in enumerate(triangle):
+            if not 0 <= vertex < len(rays):
+                raise DocumentError(f"orientation.triangle[{i}]: no vertex {vertex}")
+        sign = _integer(_field(spec, "sign", "orientation"), "orientation.sign")
+        orientation = (triangle, sign)
     try:
         fan = Fan3(rays, cones, orientation)
     except (TypeError, ValueError) as exc:
@@ -186,7 +191,9 @@ def _step_from_document(entry: dict, context: str):
                 )
             )
         return CurveBlowup(
-            component=_field(entry, "component", context),
+            component=_integer(
+                _field(entry, "component", context), f"{context}.component"
+            ),
             curve_class=_integers(
                 _field(entry, "curve_class", context), f"{context}.curve_class"
             ),

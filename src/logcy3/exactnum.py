@@ -484,9 +484,11 @@ def snf(A: IntMatrix) -> SnfDecomposition:
 
     def add_col(dst, src, c):
         for row in a:
-            row[dst] += c * row[src]
+            if row[src]:
+                row[dst] += c * row[src]
         for row in v:
-            row[dst] += c * row[src]
+            if row[src]:
+                row[dst] += c * row[src]
 
     def negate_row(i):
         a[i] = [-x for x in a[i]]
@@ -494,7 +496,9 @@ def snf(A: IntMatrix) -> SnfDecomposition:
 
     t = 0
     while t < min(m, n):
-        # Locate a pivot of minimal absolute value in the trailing block.
+        # Locate a pivot of minimal absolute value in the trailing block: the
+        # first one in row-major order.  No nonzero entry is below 1, so the
+        # scan stops at the first entry of absolute value 1.
         pivot = None
         best = None
         for i in range(t, m):
@@ -502,6 +506,10 @@ def snf(A: IntMatrix) -> SnfDecomposition:
                 if a[i][j] != 0 and (best is None or abs(a[i][j]) < best):
                     best = abs(a[i][j])
                     pivot = (i, j)
+                    if best == 1:
+                        break
+            if best == 1:
+                break
         if pivot is None:
             break
         swap_rows(t, pivot[0])
@@ -526,7 +534,10 @@ def snf(A: IntMatrix) -> SnfDecomposition:
                         dirty = True
             if dirty:
                 continue
-            # Enforce divisibility of the trailing block by the pivot.
+            # Enforce divisibility of the trailing block by the pivot; a unit
+            # divides everything.
+            if abs(a[t][t]) == 1:
+                break
             offender = None
             for i in range(t + 1, m):
                 for j in range(t + 1, n):

@@ -383,6 +383,23 @@ class LogCY3Pair:
         """The nonzero entries of the cubic tensor, under sorted index triples."""
         return {key: value for key, value in self._tensor.items() if value}
 
+    def entries_ending_at(self, index: int) -> tuple:
+        """The nonzero stored entries ``((i, j, index), value)``, ``i <= j <= index``.
+
+        For an exceptional index these are the entries its step appended.
+        The entries are grouped by largest index in one pass, on first use,
+        and the grouping is then held.
+        """
+        groups = self.held("entries_ending_at", LogCY3Pair._entries_by_last_index)
+        return groups[index]
+
+    def _entries_by_last_index(self):
+        groups = [[] for _ in range(self.pic_rank)]
+        for key, value in self._tensor.items():
+            if value:
+                groups[key[2]].append((key, value))
+        return tuple(tuple(group) for group in groups)
+
     def pulled_back_cubic(self, mu: IntMatrix) -> dict:
         """The nonzero entries of the cubic form pulled back along ``mu``.
 

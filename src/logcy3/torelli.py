@@ -18,11 +18,12 @@ from logcy3.boundary import Marking
 from logcy3.exactnum import (
     ExactArithmeticError,
     IntMatrix,
+    power_product,
+    product,
     rank as matrix_rank,
 )
 from logcy3.pair import CurveBlowup, LogCY3Pair, PairError, PicVector, PointBlowup
 from logcy3.periods import (
-    edge_matching_map,
     edge_matching_snf,
     evaluate_boundary_character,
     matching_lattice,
@@ -84,13 +85,17 @@ def classify_contraction(pair: LogCY3Pair, step: int):
     if not 0 <= step < len(pair.program):
         raise PairError(f"no step {step}")
     e_index = pair.exceptional_index(step)
-    e_unit = tuple(1 if i == e_index else 0 for i in range(pair.pic_rank))
-    k_then = pair.canonical[: e_index + 1] + (0,) * (pair.pic_rank - e_index - 1)
+    k = pair.canonical
     # The extremal curve lies in E; pullbacks meet it trivially and E meets
     # it in -1, so intersection against l reads off the E-coefficient.
     e_dot_l = -1
-    k_dot_l = -pair.canonical[e_index]
-    e_k2 = pair.cubic_form(e_unit, k_then, k_then)
+    k_dot_l = -k[e_index]
+    # E.K^2 with K cut after the step: only entries (i, j, e) with e the
+    # largest index meet E there, and i != j counts both orders.
+    e_k2 = sum(
+        value * (1 if i == j else 2) * k[i] * k[j]
+        for (i, j, _), value in pair.entries_ending_at(e_index)
+    )
     triple = (e_dot_l, k_dot_l, e_k2)
     mori_type = recognize_contraction_type(triple)
     if mori_type is None:
@@ -310,16 +315,55 @@ def component_transport(
     return IntMatrix(list(zip(*cols)))
 
 
-def transport_boundary_vector(pair, other, corr, transports, flat):
-    """Apply the per-component maps to a flat boundary-lattice vector."""
-    per_component = pair.split_boundary_vector(flat)
-    images = {}
-    for v in sorted(pair.components):
-        images[corr.vertex(v)] = transports[v].apply(per_component[v])
-    out = []
+def boundary_columns(pair, other, corr, transports):
+    """The correspondence's boundary map, one sparse column per basis class.
+
+    Column ``j`` lists the nonzero ``(flat index in other, coefficient)``
+    entries of the image of the pair's boundary basis class ``j``: column
+    ``j`` of its component's transport, placed at the start of the image
+    component's block.  The blocks follow the other pair's components in
+    order, each as long as its transport has rows, so a map of the right
+    shape places them at ``other.component_offsets()``.  Returns the columns
+    and the length of an image; a caller checks that length against the
+    other pair's boundary rank.  A transport with the wrong number of
+    columns raises ``ExactArithmeticError``, as applying it would.
+    """
+    start_of = {}
+    length = 0
+    source_of = {corr.vertex(v): v for v in transports}
     for u in sorted(other.components):
-        out.extend(images[u])
-    return tuple(out)
+        start_of[source_of[u]] = length
+        length += transports[source_of[u]].rows
+    columns = []
+    for v in sorted(pair.components):
+        matrix, start = transports[v], start_of[v]
+        if matrix.cols != pair.components[v].rank:
+            raise ExactArithmeticError("vector length mismatch")
+        for column in zip(*matrix.data):
+            columns.append(tuple((start + i, c) for i, c in enumerate(column) if c))
+    return tuple(columns), length
+
+
+def _push(columns, vector) -> dict:
+    """Sparse columns applied to ``(index, coefficient)`` pairs.
+
+    Returns the nonzero entries of the image, by index.
+    """
+    image: dict = {}
+    for j, x in vector:
+        if x:
+            for i, c in columns[j]:
+                image[i] = image.get(i, 0) + x * c
+    return {i: c for i, c in image.items() if c}
+
+
+def _pulled_back_table(columns, table) -> tuple:
+    """The other pair's character table pulled back through the columns.
+
+    A character is a homomorphism, so ``power_product`` over the result at
+    ``x`` is the other pair's period of the image of ``x``, exactly.
+    """
+    return tuple(product(table[i] ** c for i, c in column) for column in columns)
 
 
 def threefold_transport(
@@ -458,27 +502,36 @@ def decide_isomorphism(
             {"check": "toric_model"},
         )
 
-    # (v) Compare exact periods on the matching lattice.
+    # (v) Compare exact periods on the matching lattice.  The boundary map
+    # is built once, as sparse columns; the other pair's edge degrees and
+    # character table are pulled back through it, so a class is only
+    # transported itself as the witness of a distinct verdict.
     markers = Marking.markers(pair.edge_keys())
     markers2 = Marking.markers(other.edge_keys())
-    ell2 = edge_matching_map(other)
+    columns, length = boundary_columns(pair, other, corr, transports)
+    degrees2 = other.edge_degrees()
+    if length != len(degrees2):
+        # As the other pair's edge-matching map fails on such an image.
+        raise ExactArithmeticError("vector length mismatch")
+    column_degrees = [tuple(_push(degrees2, column).items()) for column in columns]
+    pulled = _pulled_back_table(columns, other.character_table(markers2))
     transcript = []
     for gen in matching_lattice(pair):
-        image = transport_boundary_vector(pair, other, corr, transports, gen)
-        if any(x != 0 for x in ell2.apply(image)):
+        if _push(column_degrees, enumerate(gen)):
             raise CorrespondenceError(
                 "transported matching class violates the edge-matching condition"
             )
         value = evaluate_boundary_character(pair, markers, gen)
-        value2 = evaluate_boundary_character(other, markers2, image)
+        value2 = power_product(pulled, gen)
         if value != value2:
+            image = _push(columns, enumerate(gen))
             return Verdict(
                 "distinct",
                 "periods disagree on a matching class",
                 {
                     "check": "period",
                     "witness": tuple(gen),
-                    "witness_image": tuple(image),
+                    "witness_image": tuple(image.get(i, 0) for i in range(length)),
                     "values": (str(value), str(value2)),
                 },
             )
@@ -525,13 +578,17 @@ def marking_transporter(
         v: component_transport(pair, other, corr, v) for v in sorted(pair.components)
     }
     table = pair.character_table(marking)
-    total = len(table)
-    targets = []
-    for i, value in enumerate(table):
-        unit = tuple(1 if j == i else 0 for j in range(total))
-        image = transport_boundary_vector(pair, other, corr, transports, unit)
-        value2 = evaluate_boundary_character(other, marking_other, image)
-        targets.append(value2 / value)
+    columns, length = boundary_columns(pair, other, corr, transports)
+    table2 = other.character_table(marking_other)
+    if length != len(table2):
+        # As the other pair's character fails on such an image.
+        raise PairError("boundary vector length mismatch")
+    # target j is the other pair's period of the image of basis class j
+    # over this pair's period of the class.
+    targets = [
+        value2 / value
+        for value2, value in zip(_pulled_back_table(columns, table2), table)
+    ]
     # The system's matrix is the transposed edge-matching map (basis x
     # edges), so its factorization is the transpose of the held one.
     return edge_matching_snf(pair).transpose().solve_over_gaussian_torus(targets)

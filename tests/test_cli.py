@@ -1,9 +1,16 @@
 """End-to-end tests of the command-line interface."""
 
+import contextlib
+import copy
 import importlib.resources
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logcy3 import documents
 from logcy3.cli import main
@@ -23,6 +30,86 @@ def perturbed_file(tmp_path):
     doc = documents.pair_to_document(perturbed_conic_pair())
     path.write_text(documents.dumps(doc), encoding="utf-8")
     return str(path)
+
+
+BUNDLED = sorted(
+    entry.name
+    for entry in importlib.resources.files("logcy3").joinpath("data").iterdir()
+    if entry.name.endswith(".pair.json")
+)
+ODD_VALUES = (None, True, 0, -1, 7, 2.5, "", "x", [], [0], {}, {"a": 1}, 10**30)
+BAD_COORDINATES = ("1/0", "i*i", "2/", "--1", "1e3", "3/-4", "1+", "9" * 40)
+
+
+def node_paths(node, prefix=()):
+    """Paths to every value below the top level of a JSON document."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield prefix + (key,), child
+        yield from node_paths(child, prefix + (key,))
+
+
+@st.composite
+def mutated_documents(draw):
+    """A bundled pair document with one key deleted or one value changed."""
+    name = draw(st.sampled_from(BUNDLED))
+    data = importlib.resources.files("logcy3").joinpath("data")
+    doc = json.loads(data.joinpath(name).read_text(encoding="utf-8"))
+    kind = draw(st.sampled_from(["delete", "retype", "shorten", "lengthen", "coordinate"]))
+    eligible = {
+        "delete": lambda value: True,
+        "retype": lambda value: True,
+        "shorten": lambda value: isinstance(value, list) and value,
+        "lengthen": lambda value: isinstance(value, list),
+        "coordinate": lambda value: isinstance(value, str),
+    }[kind]
+    path = draw(st.sampled_from([p for p, value in node_paths(doc) if eligible(value)]))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    key, value = path[-1], parent[path[-1]]
+    if kind == "delete":
+        del parent[key]
+    elif kind == "retype":
+        parent[key] = draw(
+            st.sampled_from([x for x in ODD_VALUES if type(x) is not type(value)])
+        )
+    elif kind == "shorten":
+        del value[draw(st.integers(0, len(value) - 1))]
+    elif kind == "lengthen":
+        extra = draw(st.sampled_from([*map(copy.deepcopy, value), *ODD_VALUES]))
+        value.insert(draw(st.integers(0, len(value))), extra)
+    else:
+        parent[key] = draw(st.sampled_from(BAD_COORDINATES))
+    return doc
+
+
+class TestValidateFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(mutated_documents())
+    def test_mutated_documents_get_a_verdict_or_one_error_line(self, doc):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "mutant.pair.json")
+            with open(path, "w", encoding="utf-8") as handle:
+                json.dump(doc, handle)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["--json", "validate", path])
+        if code == 0:
+            assert json.loads(out.getvalue())["results"]["status"] == "ok"
+        elif code == 1:
+            results = json.loads(out.getvalue())["results"]
+            assert results["status"] == "invalid"
+            assert results["diagnostic"]
+        else:
+            assert code == 2
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 class TestValidate:
@@ -46,8 +133,18 @@ class TestValidate:
             lambda doc: doc["rays"][2].pop(),
             lambda doc: doc["blowups"][0]["points"].update(x=["2", "3"]),
             lambda doc: doc["blowups"][1]["edge"].pop(),
+            lambda doc: doc["cones"][3].append(3),
+            lambda doc: doc["orientation"]["triangle"].__setitem__(2, 9),
+            lambda doc: doc["blowups"][0].update(component=[3]),
         ],
-        ids=["short-ray", "point-key-x", "one-element-edge"],
+        ids=[
+            "short-ray",
+            "point-key-x",
+            "one-element-edge",
+            "four-entry-cone",
+            "orientation-vertex-out-of-range",
+            "list-component",
+        ],
     )
     def test_malformed_fields_are_diagnosed(self, malform, tmp_path, capsys):
         with open(bundled_path("p3-mixed"), encoding="utf-8") as handle:

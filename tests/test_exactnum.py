@@ -307,6 +307,117 @@ class TestSmithNormalForm:
         assert list(ours) == [d for d in diag if d != 0]
 
 
+def reference_snf(A: IntMatrix):
+    """The elimination of ``exactnum.snf`` before its fast paths, verbatim.
+
+    ``snf`` must take the same steps: the first pivot of least absolute
+    value, the same clearing and the same divisibility repair, so ``U``,
+    ``D`` and ``V`` are equal.
+    """
+    m, n = A.rows, A.cols
+    a = [list(r) for r in A.data]
+    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+    def swap_rows(i, j):
+        a[i], a[j] = a[j], a[i]
+        u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        for row in a:
+            row[i], row[j] = row[j], row[i]
+        for row in v:
+            row[i], row[j] = row[j], row[i]
+
+    def add_row(dst, src, c):
+        # row[dst] += c * row[src]
+        a[dst] = [x + c * y for x, y in zip(a[dst], a[src])]
+        u[dst] = [x + c * y for x, y in zip(u[dst], u[src])]
+
+    def add_col(dst, src, c):
+        for row in a:
+            row[dst] += c * row[src]
+        for row in v:
+            row[dst] += c * row[src]
+
+    def negate_row(i):
+        a[i] = [-x for x in a[i]]
+        u[i] = [-x for x in u[i]]
+
+    t = 0
+    while t < min(m, n):
+        # Locate a pivot of minimal absolute value in the trailing block.
+        pivot = None
+        best = None
+        for i in range(t, m):
+            for j in range(t, n):
+                if a[i][j] != 0 and (best is None or abs(a[i][j]) < best):
+                    best = abs(a[i][j])
+                    pivot = (i, j)
+        if pivot is None:
+            break
+        swap_rows(t, pivot[0])
+        swap_cols(t, pivot[1])
+
+        while True:
+            # Clear column t below the pivot, then row t right of the pivot.
+            dirty = False
+            for i in range(t + 1, m):
+                if a[i][t] != 0:
+                    q = a[i][t] // a[t][t]
+                    add_row(i, t, -q)
+                    if a[i][t] != 0:
+                        swap_rows(t, i)
+                        dirty = True
+            for j in range(t + 1, n):
+                if a[t][j] != 0:
+                    q = a[t][j] // a[t][t]
+                    add_col(j, t, -q)
+                    if a[t][j] != 0:
+                        swap_cols(t, j)
+                        dirty = True
+            if dirty:
+                continue
+            # Enforce divisibility of the trailing block by the pivot.
+            offender = None
+            for i in range(t + 1, m):
+                for j in range(t + 1, n):
+                    if a[i][j] % a[t][t] != 0:
+                        offender = i
+                        break
+                if offender is not None:
+                    break
+            if offender is None:
+                break
+            add_row(t, offender, 1)
+
+        if a[t][t] < 0:
+            negate_row(t)
+        t += 1
+
+    return IntMatrix(u), IntMatrix(a), IntMatrix(v)
+
+
+class TestSmithNormalFormSteps:
+    @settings(max_examples=150)
+    @given(small_matrices(max_dim=5, max_entry=6), st.sampled_from((1, 2, 3, 6)))
+    def test_same_transforms_as_the_reference(self, a, scale):
+        # Scaling every entry leaves no unit pivot, so the divisibility
+        # repair and the full pivot scan run too.
+        a = IntMatrix([[scale * x for x in row] for row in a.data])
+        dec = snf(a)
+        assert (dec.U, dec.D, dec.V) == reference_snf(a)
+
+    def test_same_transforms_on_bundled_pairs(self):
+        from logcy3.fixtures import pair_fixtures, scaling_pair
+        from logcy3.periods import edge_matching_map
+
+        for pair in [*pair_fixtures().values(), scaling_pair(2, 8)]:
+            for a in (edge_matching_map(pair), pair.restriction_matrix()):
+                dec = snf(a)
+                assert (dec.U, dec.D, dec.V) == reference_snf(a)
+
+
 class TestKernelAndCokernel:
     def test_kernel_examples(self):
         assert kernel_basis(IntMatrix.identity(4)) == []

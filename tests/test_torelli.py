@@ -338,3 +338,209 @@ class TestTransportReusesTheHeldFactorization:
         assert evaluate_boundary_character(
             pair, markers, relation
         ) != evaluate_boundary_character(other, markers2, relation)
+
+
+def dense_image(pair, other, corr, transports, flat):
+    """A flat boundary vector through each component's dense transport."""
+    per_component = pair.split_boundary_vector(flat)
+    images = {
+        corr.vertex(v): transports[v].apply(per_component[v])
+        for v in sorted(pair.components)
+    }
+    return tuple(x for u in sorted(other.components) for x in images[u])
+
+
+def dense_transports(pair, other, corr):
+    return {
+        v: torelli.component_transport(pair, other, corr, v)
+        for v in sorted(pair.components)
+    }
+
+
+def dense_period_step(pair, other, corr):
+    """Step (v) with one dense transport per matching class (the reference)."""
+    transports = dense_transports(pair, other, corr)
+    markers = Marking.markers(pair.edge_keys())
+    markers2 = Marking.markers(other.edge_keys())
+    ell2 = periods.edge_matching_map(other)
+    transcript = []
+    for gen in matching_lattice(pair):
+        image = dense_image(pair, other, corr, transports, gen)
+        if any(ell2.apply(image)):
+            raise CorrespondenceError(
+                "transported matching class violates the edge-matching condition"
+            )
+        value = evaluate_boundary_character(pair, markers, gen)
+        value2 = evaluate_boundary_character(other, markers2, image)
+        if value != value2:
+            return "distinct", {
+                "check": "period",
+                "witness": tuple(gen),
+                "witness_image": image,
+                "values": (str(value), str(value2)),
+            }
+        transcript.append((tuple(gen), str(value)))
+    return "isomorphic", tuple(transcript)
+
+
+def dense_transporter(pair, other, corr, marking, marking_other):
+    """Marking transport with one dense unit vector per basis class."""
+    transports = dense_transports(pair, other, corr)
+    table = pair.character_table(marking)
+    targets = []
+    for i, value in enumerate(table):
+        unit = tuple(1 if j == i else 0 for j in range(len(table)))
+        image = dense_image(pair, other, corr, transports, unit)
+        targets.append(evaluate_boundary_character(other, marking_other, image) / value)
+    return periods.edge_matching_snf(pair).transpose().solve_over_gaussian_torus(
+        targets
+    )
+
+
+def outcome(function, *args):
+    """The value of a call, or the type and message of the error it raises."""
+    try:
+        return function(*args)
+    except (ExactArithmeticError, PairError, CorrespondenceError) as exc:
+        return type(exc), str(exc)
+
+
+def perturbed_partner(name, pair):
+    """The pair with its first point moved, or None if it has no point step."""
+    if name == "p3-conic":
+        return perturbed_conic_pair()
+    program = list(pair.program)
+    for k, step in enumerate(program):
+        if isinstance(step, pair_module.PointBlowup):
+            program[k] = pair_module.PointBlowup(step.edge, step.coordinate * g("3/2"))
+            return LogCY3Pair.build(
+                pair.fan, program, [tuple(e) for e in pair.complex.edges]
+            )
+    return None
+
+
+def seeded_marking(pair, rng):
+    return Marking.build(
+        {
+            key: GaussianRational(rng.randint(1, 9), rng.randint(-3, 3))
+            for key in pair.edge_keys()
+        }
+    )
+
+
+def with_override(pair, v, matrix):
+    identity = Correspondence.identity(pair)
+    return Correspondence(identity.vertex_map, identity.step_map, None, ((v, matrix),))
+
+
+class TestSparseBoundaryTransport:
+    @pytest.fixture(scope="class")
+    def cases(self, pairs):
+        """(pair, partner) cases: self, translated and perturbed partners."""
+        out = []
+        for name, pair in [*pairs.items(), ("scaling", scaling_pair(2, 8))]:
+            out.append((pair, pair))
+            out.append((pair, pair.torus_translate((g("2"), g("3"), I))))
+            perturbed = perturbed_partner(name, pair)
+            if perturbed is not None:
+                out.append((pair, perturbed))
+        return out
+
+    def assert_decide_matches(self, pair, other, corr):
+        verdict = outcome(decide_isomorphism, pair, other, corr)
+        expected = outcome(dense_period_step, pair, other, corr)
+        if not isinstance(verdict, torelli.Verdict):
+            assert verdict == expected
+            return "error"
+        check = verdict.certificate["check"]
+        if check == "period":
+            assert ("distinct", verdict.certificate) == expected
+        elif check == "complete":
+            assert expected == ("isomorphic", verdict.certificate["period_transcript"])
+        return check
+
+    def test_columns_match_the_dense_transports(self, cases):
+        for pair, other in cases:
+            corr = Correspondence.identity(pair)
+            transports = dense_transports(pair, other, corr)
+            columns, length = torelli.boundary_columns(pair, other, corr, transports)
+            assert length == len(other.character_table(Marking.markers(other.edge_keys())))
+            for j, column in enumerate(columns):
+                unit = tuple(1 if i == j else 0 for i in range(len(columns)))
+                image = dense_image(pair, other, corr, transports, unit)
+                assert column == tuple((i, x) for i, x in enumerate(image) if x)
+
+    def test_decide_matches_the_dense_period_step(self, cases):
+        checks = [
+            self.assert_decide_matches(pair, other, Correspondence.identity(pair))
+            for pair, other in cases
+        ]
+        assert {"period", "complete"} <= set(checks)
+
+    def test_component_overrides(self, pairs):
+        # Unimodular overrides of the right shape break the edge-matching
+        # condition or the periods; both paths must fail alike.  Transport
+        # checks no edge matching, so it solves with any of them.
+        rng = random.Random(7)
+        checks = []
+        for pair in [*pairs.values(), scaling_pair(1, 4)]:
+            markers = Marking.markers(pair.edge_keys())
+            for v in sorted(pair.components):
+                matrix = random_unimodular(pair.components[v].rank, rng, 3)
+                corr = with_override(pair, v, matrix)
+                checks.append(self.assert_decide_matches(pair, pair, corr))
+                assert marking_transporter(
+                    pair, pair, corr, markers, markers
+                ) == dense_transporter(pair, pair, corr, markers, markers)
+        assert "error" in checks and "complete" in checks
+
+    def test_transport_matches_the_dense_targets(self, cases):
+        rng = random.Random(3)
+        statuses = set()
+        for pair, other in cases:
+            corr = Correspondence.identity(pair)
+            markings = [
+                (Marking.markers(pair.edge_keys()), Marking.markers(other.edge_keys())),
+                (periods._alternative_marking(pair), seeded_marking(other, rng)),
+            ]
+            for marking, marking_other in markings:
+                result = marking_transporter(pair, other, corr, marking, marking_other)
+                assert result == dense_transporter(
+                    pair, other, corr, marking, marking_other
+                )
+                statuses.add(result[0])
+        assert {"solved", "unsolvable"} <= statuses
+
+    @pytest.mark.parametrize("shape", ["wide", "tall", "short"])
+    def test_wrong_shape_overrides(self, pairs, shape):
+        for name, pair in [*pairs.items(), ("scaling", scaling_pair(1, 4))]:
+            curve_components = {
+                step.component
+                for step in pair.program
+                if isinstance(step, pair_module.CurveBlowup)
+            }
+            for v in sorted(pair.components):
+                r = pair.components[v].rank
+                rows, cols = {
+                    "wide": (r, r + 1), "tall": (r + 1, r), "short": (r - 1, r)
+                }[shape]
+                corr = with_override(pair, v, IntMatrix.zero(rows, cols))
+                markers = (
+                    Marking.markers(pair.edge_keys()),
+                    Marking.markers(pair.edge_keys()),
+                )
+                sparse = outcome(marking_transporter, pair, pair, corr, *markers)
+                assert sparse == outcome(dense_transporter, pair, pair, corr, *markers)
+                if shape == "wide" or rows == 0:
+                    # A matrix with no rows has no columns either.
+                    assert sparse == (ExactArithmeticError, "vector length mismatch")
+                else:
+                    assert sparse == (PairError, "boundary vector length mismatch")
+                self.assert_decide_matches(pair, pair, corr)
+                if v not in curve_components:
+                    # A curve step in v compares the transported curve class
+                    # first, so only there can the verdict come before step (v).
+                    assert outcome(decide_isomorphism, pair, pair, corr) == (
+                        ExactArithmeticError,
+                        "vector length mismatch",
+                    )
