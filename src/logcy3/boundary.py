@@ -4,7 +4,8 @@ Each boundary component of a pair is a smooth toric surface blown up at
 interior points of its boundary cycle.  This module holds the component
 lattice (toric classes plus exceptional classes), restriction of classes
 to the boundary cycle, markings of the 1-strata, and the per-component
-period character computed from section ratios on each boundary edge.
+period character, read off each component's degree table; the section
+ratios on each boundary edge are the reference for the oracle and tests.
 
 Coordinate conventions, fixed once for the whole package:
 

@@ -138,6 +138,8 @@ def pair_from_document(doc: dict):
             if not 0 <= vertex < len(rays):
                 raise DocumentError(f"orientation.triangle[{i}]: no vertex {vertex}")
         sign = _integer(_field(spec, "sign", "orientation"), "orientation.sign")
+        if sign not in (1, -1):
+            raise DocumentError(f"orientation.sign: expected 1 or -1, got {sign!r}")
         orientation = (triangle, sign)
     try:
         fan = Fan3(rays, cones, orientation)
@@ -159,15 +161,32 @@ def pair_from_document(doc: dict):
         raise DocumentError(f"pair: {exc}") from exc
     marking = None
     if "markings" in doc:
-        values = {}
-        for key, text in _expect(doc["markings"], dict, "markings").items():
-            try:
-                v, w = (int(x) for x in key.split("-"))
-            except ValueError as exc:
-                raise DocumentError(f"markings: bad edge key {key!r}") from exc
-            values[frozenset((v, w))] = _parse_coordinate(text, f"markings[{key}]")
-        marking = Marking.build(values)
+        marking = _marking_from_document(doc["markings"], pair)
     return pair, marking
+
+
+def _marking_from_document(value, pair: LogCY3Pair) -> Marking:
+    """A marking with one nonzero point on each edge of the pair, each once."""
+    edges = set(pair.edge_keys())
+    values = {}
+    for key, text in _expect(value, dict, "markings").items():
+        try:
+            v, w = (int(x) for x in key.split("-"))
+        except ValueError as exc:
+            raise DocumentError(f"markings: bad edge key {key!r}") from exc
+        edge = frozenset((v, w))
+        if edge not in edges:
+            raise DocumentError(f"markings: {(v, w)} is not an edge")
+        if edge in values:
+            raise DocumentError(f"markings: edge {tuple(sorted(edge))} listed twice")
+        coord = _parse_coordinate(text, f"markings[{key}]")
+        if coord.is_zero():
+            raise DocumentError(f"markings[{key}]: marking point on a 0-stratum")
+        values[edge] = coord
+    missing = sorted(tuple(sorted(edge)) for edge in edges - set(values))
+    if missing:
+        raise DocumentError(f"markings: no point on edge {missing[0]}")
+    return Marking.build(values)
 
 
 def _step_from_document(entry: dict, context: str):
@@ -178,17 +197,14 @@ def _step_from_document(entry: dict, context: str):
         return PointBlowup(edge, coord)
     if kind == "curve":
         per_vertex = _field(entry, "points", context)
-        points = []
+        points = {}
         for w, coords in sorted(_expect(per_vertex, dict, f"{context}.points").items()):
             _expect(coords, list, f"{context}.points[{w}]")
-            points.append(
-                (
-                    _vertex_key(w, f"{context}.points"),
-                    tuple(
-                        _parse_coordinate(q, f"{context}.points[{w}]")
-                        for q in coords
-                    ),
-                )
+            vertex = _vertex_key(w, f"{context}.points")
+            if vertex in points:
+                raise DocumentError(f"{context}.points: vertex {vertex} listed twice")
+            points[vertex] = tuple(
+                _parse_coordinate(q, f"{context}.points[{w}]") for q in coords
             )
         return CurveBlowup(
             component=_integer(
@@ -197,7 +213,7 @@ def _step_from_document(entry: dict, context: str):
             curve_class=_integers(
                 _field(entry, "curve_class", context), f"{context}.curve_class"
             ),
-            points=tuple(points),
+            points=tuple(points.items()),
         )
     raise DocumentError(f"{context}: unknown blowup kind {kind!r}")
 

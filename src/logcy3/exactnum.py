@@ -692,10 +692,6 @@ def _gauss_gcd(a, b):
     return a
 
 
-def _gauss_mul(a, b):
-    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
-
-
 def _sqrt_minus_one_mod(p: int) -> int:
     """A square root of -1 modulo a prime p = 1 mod 4."""
     for base in range(2, p):

@@ -7,6 +7,9 @@ Building a pair replays the program and caches everything downstream code
 needs: the threefold Picard basis (toric classes plus one exceptional class
 per step), the cubic intersection tensor, the boundary components as
 blown-up toric surfaces, and the restriction map to the boundary lattice.
+The toric layer is read off the fan's cones, walls and star surfaces.  A
+curve step checks its boundary data with the component character tables;
+the section-ratio path of :mod:`logcy3.boundary` is the reference for them.
 """
 
 from __future__ import annotations
@@ -20,12 +23,12 @@ from logcy3.boundary import (
     Marking,
     adjunction_check,
     component_character_table,
-    component_marked_period,
 )
 from logcy3.exactnum import (
     GaussianRational,
     IntMatrix,
     MINUS_ONE,
+    power_product,
     product,
     snf,
     symmetric_trilinear,
@@ -143,72 +146,38 @@ class LogCY3Pair:
 
     def _build_toric_layer(self):
         fan = self.fan
+        table = TripleIntersection(fan)
+        basis_rays = self.toric_basis.basis_rays
+        index = {ray: i for i, ray in enumerate(basis_rays)}
+        # The basis rays ascend, so sorted ray triples key sorted index triples.
+        self._tensor = {}
+        for triple in table.support():
+            if all(ray in index for ray in triple):
+                value = table.ray_triple(*triple)
+                if value:
+                    self._tensor[tuple(index[ray] for ray in triple)] = value
+        # D_w restricts to D_v as the curve D_v . D_w when w is a neighbour,
+        # to zero when w misses v, and D_v itself through the linear
+        # equivalence D_v ~ -sum <m, n_w> D_w for m with <m, n_v> = 1.
         self.components = {}
+        self._restriction = [{} for _ in basis_rays]
         for v in range(fan.n_rays):
             base = star_surface(fan, v)
             heads = tuple(
                 self.complex.directed_edge(v, w)[1] == v for w in base.labels
             )
             self.components[v] = LooijengaComponent(base, (), heads)
-        table = TripleIntersection(fan)
-        toric_rank = self.toric_basis.rank
-        ray_vectors = [
-            self.toric_basis.to_ray_vector(self._unit(toric_rank, i))
-            for i in range(toric_rank)
-        ]
-        self._tensor = {}
-        for i in range(toric_rank):
-            for j in range(i, toric_rank):
-                for k in range(j, toric_rank):
-                    val = table.vector_triple(
-                        ray_vectors[i], ray_vectors[j], ray_vectors[k]
-                    )
-                    if val:
-                        self._tensor[(i, j, k)] = val
-        # Restriction of each toric basis class, solved from degree equations
-        # (the degree map of a complete toric surface is injective).  Each
-        # component's degree map is factored once for all toric classes.
-        self._restriction = [{} for _ in range(toric_rank)]
-        for v in range(fan.n_rays):
-            self._solve_toric_restrictions(table, ray_vectors, v)
-        k_coords = tuple(-x for x in self.toric_basis.anticanonical())
-        self.canonical = k_coords
-
-    def _solve_toric_restrictions(self, table, ray_vectors, v: int):
-        comp = self.components[v]
-        base = comp.base
-        degree_map = snf(
-            IntMatrix(
-                [
-                    [base.pairing(b, i) for b in base.basis_indices]
-                    for i in range(base.n_rays)
-                ]
-            )
-        )
-        edge_ray = self._ray_indicator(v)
-        wall_rays = [self._ray_indicator(w) for w in comp.neighbors]
-        for images, ray_vector in zip(self._restriction, ray_vectors):
-            degrees = [
-                table.vector_triple(ray_vector, edge_ray, wall_ray)
-                for wall_ray in wall_rays
-            ]
-            sol = degree_map.solve(degrees)
-            if sol is None:
-                raise PairError(
-                    f"toric restriction to component {v} is not integral"
-                )  # pragma: no cover
-            images[v] = tuple(sol)
-
-    def _ray_indicator(self, v: int):
-        vec = [0] * self.fan.n_rays
-        vec[v] = 1
-        return vec
-
-    @staticmethod
-    def _unit(n: int, i: int):
-        vec = [0] * n
-        vec[i] = 1
-        return tuple(vec)
+            for images in self._restriction:
+                images[v] = (0,) * base.rank
+            for ray, w in enumerate(base.labels):
+                if w in index:
+                    self._restriction[index[w]][v] = base.ray_class(ray)
+            if v in index:
+                m = table.unit_character(v)
+                self._restriction[index[v]][v] = base.reduce_ray_vector(
+                    [-sum(x * y for x, y in zip(m, fan.rays[w])) for w in base.labels]
+                )
+        self.canonical = tuple(-x for x in self.toric_basis.anticanonical())
 
     def _used_coordinates(self, v: int, w: int):
         """Reference coordinates already occupied on the edge between v, w."""
@@ -293,11 +262,12 @@ class LogCY3Pair:
                 seen.add(q)
         # Intersection numbers against the current basis, via restriction to v.
         e_index = self.toric_basis.rank + k
-        k_dot_c = self._component_pairing(v, self.canonical, curve)
+        k_dot_c = 0
         for a in range(e_index):
             a_dot_c = comp.intersection(self._restriction[a][v], curve)
             if a_dot_c:
                 self._tensor[(a, e_index, e_index)] = -a_dot_c
+                k_dot_c += self.canonical[a] * a_dot_c
         self._tensor[(e_index, e_index, e_index)] = k_dot_c + 2
         self.canonical = self.canonical + (1,)
         # Neighbors gain one exceptional class per intersection point.
@@ -331,15 +301,11 @@ class LogCY3Pair:
                 f"restriction (period obstruction {scalar})"
             )
 
-    def _component_pairing(self, v: int, y_class, comp_class) -> int:
-        restricted = self.restrict_raw(y_class)[v]
-        return self.components[v].intersection(restricted, comp_class)
-
     def _marker_period_of(self, images) -> GaussianRational:
         # A component the class misses contributes a factor of exactly 1.
-        marking = Marking.markers(self.edge_keys())
+        markers = Marking.markers(self.edge_keys())
         return product(
-            component_marked_period(comp, marking, images[v])
+            power_product(component_character_table(comp, markers), images[v])
             for v, comp in self.components.items()
             if any(images[v])
         )
@@ -354,7 +320,8 @@ class LogCY3Pair:
         return self.toric_basis.rank + step
 
     def exceptional_class(self, step: int) -> PicVector:
-        return PicVector(self._unit(self.pic_rank, self.exceptional_index(step)), "Y")
+        index = self.exceptional_index(step)
+        return PicVector([int(a == index) for a in range(self.pic_rank)], "Y")
 
     def canonical_class(self) -> PicVector:
         return PicVector(self.canonical, "Y")
@@ -464,9 +431,8 @@ class LogCY3Pair:
 
     def restriction_matrix(self) -> IntMatrix:
         """Matrix of the restriction map, boundary lattice by threefold basis."""
-        cols = [
-            self.restrict(self._unit(self.pic_rank, a)) for a in range(self.pic_rank)
-        ]
+        order = sorted(self.components)
+        cols = [[x for v in order for x in images[v]] for images in self._restriction]
         return IntMatrix(list(zip(*cols)))
 
     def held(self, key, compute):

@@ -360,6 +360,20 @@ class TripleIntersection:
         self._cones = fan.cone_set()
         self._walls = fan.walls()
         self._cache: dict = {}
+        self._characters: dict = {}
+
+    def support(self) -> list:
+        """The sorted ray triples that can be nonzero: on cones, walls, rays."""
+        triples = [tuple(sorted(cone)) for cone in self.fan.max_cones]
+        for a, b in map(sorted, self._walls):
+            triples += [(a, a, b), (a, b, b)]
+        return sorted(triples + [(i, i, i) for i in range(self.fan.n_rays)])
+
+    def unit_character(self, i: int) -> tuple:
+        """A character m with <m, n_i> = 1, solved once per ray."""
+        if i not in self._characters:
+            self._characters[i] = solve_integer(IntMatrix([self.fan.rays[i]]), (1,))
+        return self._characters[i]
 
     def ray_triple(self, i: int, j: int, k: int) -> int:
         key = tuple(sorted((i, j, k)))
@@ -393,7 +407,7 @@ class TripleIntersection:
     def _triple_same(self, i: int) -> int:
         # Pick m in M with <m, n_i> = 1 and trade one copy of D_i for the
         # linearly equivalent combination -sum <m, n_v> D_v over v != i.
-        m = solve_integer(IntMatrix([self.fan.rays[i]]), (1,))
+        m = self.unit_character(i)
         total = 0
         for v in range(self.fan.n_rays):
             if v == i:

@@ -155,6 +155,21 @@ class TestValidate:
         assert main(["--json", "validate", str(path)]) == 1
         assert json.loads(capsys.readouterr().out)["results"]["status"] == "invalid"
 
+    def test_partial_marking_is_invalid_for_every_command(self, tmp_path, capsys):
+        with open(bundled_path("p3-conic"), encoding="utf-8") as handle:
+            doc = documents.loads(handle.read())
+        doc["markings"] = {"0-1": "2"}
+        path = tmp_path / "partial.pair.json"
+        path.write_text(documents.dumps(doc), encoding="utf-8")
+        assert main(["--json", "validate", str(path)]) == 1
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert results["status"] == "invalid"
+        assert results["diagnostic"] == "markings: no point on edge (0, 2)"
+        assert main(["periods", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: markings: no point on edge (0, 2)\n"
+
     def test_missing_file(self, capsys):
         assert main(["validate", "/nonexistent/file.json"]) == 2
         assert "error:" in capsys.readouterr().err

@@ -86,6 +86,40 @@ class TestPairDocuments:
             pair_from_document(doc)
 
     @pytest.mark.parametrize(
+        "markings, message",
+        [
+            (
+                {"0-1": "2", "0-3": "2", "1-2": "2", "1-3": "2", "2-3": "2"},
+                "markings: no point on edge (0, 2)",
+            ),
+            ({"0-9": "2"}, "markings: (0, 9) is not an edge"),
+            ({"0-1": "2", "1-0": "3"}, "markings: edge (0, 1) listed twice"),
+            ({"0-1": "0"}, "markings[0-1]: marking point on a 0-stratum"),
+        ],
+        ids=["missing-edge", "non-edge", "duplicate-edge", "zero-point"],
+    )
+    def test_marking_must_cover_each_edge_once(self, markings, message):
+        doc = loads(bundled_text("p3-conic"))
+        doc["markings"] = markings
+        with pytest.raises(DocumentError, match=re.escape(message)):
+            pair_from_document(doc)
+
+    @pytest.mark.parametrize("sign", [0, 5, -2])
+    def test_orientation_sign_must_be_a_unit(self, sign):
+        doc = loads(bundled_text("p3"))
+        doc["orientation"]["sign"] = sign
+        message = f"orientation.sign: expected 1 or -1, got {sign}"
+        with pytest.raises(DocumentError, match=re.escape(message)):
+            pair_from_document(doc)
+
+    def test_curve_point_vertex_listed_twice(self):
+        doc = loads(bundled_text("p3-conic"))
+        doc["blowups"][0]["points"]["01"] = ["11", "13"]
+        message = "blowups[0].points: vertex 1 listed twice"
+        with pytest.raises(DocumentError, match=re.escape(message)):
+            pair_from_document(doc)
+
+    @pytest.mark.parametrize(
         "malform, path",
         [
             (lambda doc: doc["rays"][2].pop(), "rays[2]"),

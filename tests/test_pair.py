@@ -1,12 +1,19 @@
 """Tests for blowup-program pairs: cubic tensor, restriction, validation."""
 
+import random
+import re
+
 import pytest
 
-from logcy3.exactnum import GaussianRational, I, MINUS_ONE
+from logcy3 import exactnum, toric
+from logcy3 import pair as pair_module
+from logcy3.boundary import ExceptionalClass, Marking, component_marked_period
+from logcy3.exactnum import GaussianRational, I, IntMatrix, MINUS_ONE, product, snf
 from logcy3.fixtures import (
     conic_program,
     pair_fixtures,
     projective_space_fan,
+    toric_fixture_fans,
     triple_line_fan,
 )
 from logcy3.pair import (
@@ -15,6 +22,12 @@ from logcy3.pair import (
     PairError,
     PointBlowup,
     validate_pair,
+)
+from logcy3.toric import (
+    ToricPicBasis,
+    TripleIntersection,
+    star_subdivide,
+    star_surface,
 )
 
 
@@ -60,6 +73,109 @@ class TestBuild:
         head = pair.truncated(1)
         assert head.pic_rank == 2
         assert head.program == pair.program[:1]
+
+
+def _unit(n, i):
+    return tuple(int(j == i) for j in range(n))
+
+
+def dense_toric_layer(fan):
+    """The toric layer the dense way: the reference for the closed forms.
+
+    Every basis triple i <= j <= k goes through ``vector_triple``, and the
+    restriction of each toric class to each component is solved from its
+    degrees on the component's ray divisors, one SNF per component.
+    """
+    table = TripleIntersection(fan)
+    basis = ToricPicBasis.of(fan)
+    rank = basis.rank
+    ray_vectors = [basis.to_ray_vector(_unit(rank, i)) for i in range(rank)]
+    tensor = {}
+    for i in range(rank):
+        for j in range(i, rank):
+            for k in range(j, rank):
+                val = table.vector_triple(ray_vectors[i], ray_vectors[j], ray_vectors[k])
+                if val:
+                    tensor[(i, j, k)] = val
+    restriction = [{} for _ in range(rank)]
+    for v in range(fan.n_rays):
+        base = star_surface(fan, v)
+        degree_map = snf(
+            IntMatrix(
+                [
+                    [base.pairing(b, i) for b in base.basis_indices]
+                    for i in range(base.n_rays)
+                ]
+            )
+        )
+        edge_ray = _unit(fan.n_rays, v)
+        wall_rays = [_unit(fan.n_rays, w) for w in base.labels]
+        for images, ray_vector in zip(restriction, ray_vectors):
+            degrees = [
+                table.vector_triple(ray_vector, edge_ray, wall_ray)
+                for wall_ray in wall_rays
+            ]
+            images[v] = tuple(degree_map.solve(degrees))
+    canonical = tuple(-x for x in basis.anticanonical())
+    return tensor, restriction, canonical
+
+
+def ladder_fans(base, sizes, seed):
+    """Star subdivisions of ``base`` at seeded cones and walls, one per size."""
+    rng = random.Random(seed)
+    fan, out = base, []
+    for size in sizes:
+        while fan.n_rays < size:
+            if rng.random() < 0.5:
+                target = rng.choice(fan.max_cones)
+            else:
+                target = sorted(rng.choice(sorted(fan.walls(), key=sorted)))
+            fan = star_subdivide(fan, target)
+        out.append(fan)
+    return out
+
+
+LAYER_FANS = list(toric_fixture_fans().values()) + [
+    fan
+    for seed, base in enumerate((projective_space_fan(), triple_line_fan()))
+    for fan in ladder_fans(base, (8, 12, 16, 20), seed)
+]
+
+
+class TestToricLayer:
+    @pytest.mark.parametrize("fan", LAYER_FANS, ids=lambda fan: f"{fan.n_rays}-rays")
+    def test_closed_forms_match_the_dense_layer(self, fan):
+        pair = LogCY3Pair.build(fan)
+        tensor, restriction, canonical = dense_toric_layer(fan)
+        assert pair._tensor == tensor
+        assert pair._restriction == restriction
+        assert pair.canonical == canonical
+
+    def test_build_makes_no_dense_triple_and_few_snf_calls(self, monkeypatch):
+        calls = {"snf": 0, "vector_triple": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        counted_snf = counted("snf", exactnum.snf)
+        for module in (exactnum, toric, pair_module):
+            monkeypatch.setattr(module, "snf", counted_snf)
+        monkeypatch.setattr(
+            TripleIntersection, "vector_triple",
+            counted("vector_triple", TripleIntersection.vector_triple),
+        )
+        fan = LAYER_FANS[-1]
+        LogCY3Pair.build(fan)
+        assert calls["vector_triple"] == 0
+        assert 0 < calls["snf"] <= 2 * fan.n_rays
+
+    def test_restriction_matrix_stacks_the_images(self, pairs):
+        for pair in pairs.values():
+            columns = [pair.restrict(_unit(pair.pic_rank, a)) for a in range(pair.pic_rank)]
+            assert pair.restriction_matrix().data == tuple(zip(*columns))
 
 
 class TestCubicForm:
@@ -190,6 +306,23 @@ class TestProgramValidation:
         }
         diag = validate_pair(self.fan, [conic_program(coords)])
         assert diag is not None and "period obstruction" in diag
+        # The obstruction is the marked period of E's restriction, taken
+        # component by component along the section ratios.
+        toric_pair = LogCY3Pair.build(self.fan)
+        components = toric_pair.components
+        touched = [(components[3], (2,))]
+        for w, points in coords.items():
+            comp = components[w]
+            for q in points:
+                comp = comp.with_exceptional(ExceptionalClass(3, q, 0))
+            touched.append((comp, (0,) * comp.base.rank + (1,) * len(points)))
+        markers = Marking.markers(toric_pair.edge_keys())
+        expected = product(
+            component_marked_period(comp, markers, image) for comp, image in touched
+        )
+        assert not expected.is_one()
+        scalar = re.search(r"period obstruction (.*)\)", diag).group(1)
+        assert scalar == str(expected)
 
     def test_non_curve_class_rejected(self):
         program = [CurveBlowup(3, (3,), ())]
