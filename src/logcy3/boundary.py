@@ -291,6 +291,28 @@ def component_marked_period(
     return product(factors)
 
 
+def marker_ratios(c: LooijengaComponent, marking: Marking) -> dict:
+    """-1/p per neighbour, with p the marking point of its edge in this chart."""
+    ratios = {}
+    for w in c.neighbors:
+        p = marking.point(c.vertex, w)
+        if p.is_zero():
+            raise BoundaryError("marking point on a 0-stratum")
+        ratios[w] = MINUS_ONE / c.side_coordinate(w, p)
+    return ratios
+
+
+def exceptional_character(
+    c: LooijengaComponent, exc: ExceptionalClass, ratios: dict
+) -> GaussianRational:
+    """Marked period value of an exceptional class of the component.
+
+    ``ratios`` are the component's :func:`marker_ratios`: the class
+    restricts to its own point, whose coordinate over p is the value.
+    """
+    return -c.side_coordinate(exc.neighbor, exc.coordinate) * ratios[exc.neighbor]
+
+
 def component_character_table(c: LooijengaComponent, marking: Marking) -> tuple:
     """Marked period values of the component's basis classes, in basis order.
 
@@ -300,20 +322,12 @@ def component_character_table(c: LooijengaComponent, marking: Marking) -> tuple:
     times the marker point -1 and contributes ``(-1/p)**d``; an exceptional
     class contributes its own coordinate over p on its edge.
     """
-    marker_ratio = {}
-    for w in c.neighbors:
-        p = marking.point(c.vertex, w)
-        if p.is_zero():
-            raise BoundaryError("marking point on a 0-stratum")
-        marker_ratio[w] = MINUS_ONE / c.side_coordinate(w, p)
+    ratios = marker_ratios(c, marking)
     values = [
-        product(marker_ratio[w] ** d for w, d in edges)
+        product(ratios[w] ** d for w, d in edges)
         for edges in c.degree_table[: c.base.rank]
     ]
-    values.extend(
-        -c.side_coordinate(exc.neighbor, exc.coordinate) * marker_ratio[exc.neighbor]
-        for exc in c.excs
-    )
+    values.extend(exceptional_character(c, exc, ratios) for exc in c.excs)
     return tuple(values)
 
 

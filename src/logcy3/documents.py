@@ -283,9 +283,19 @@ def dumps(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object from its key-value pairs; a repeated key is an error."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise DocumentError(f"duplicate key {json.dumps(key)}")
+        doc[key] = value
+    return doc
+
+
 def loads(text: str) -> dict:
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"line {exc.lineno}: {exc.msg}") from exc
     if not isinstance(doc, dict):

@@ -7,9 +7,15 @@ Building a pair replays the program and caches everything downstream code
 needs: the threefold Picard basis (toric classes plus one exceptional class
 per step), the cubic intersection tensor, the boundary components as
 blown-up toric surfaces, and the restriction map to the boundary lattice.
-The toric layer is read off the fan's cones, walls and star surfaces.  A
-curve step checks its boundary data with the component character tables;
-the section-ratio path of :mod:`logcy3.boundary` is the reference for them.
+The toric layer (Picard basis, cubic tensor, star surfaces, toric
+restrictions and canonical class) is read off the fan's cones, walls and
+star surfaces once per fan and held on the fan, so every later pair on the
+same fan copies the tensor and the restriction images, makes its
+components with its own edge orientations, and replays only its program.
+A curve step checks its boundary data with the component character tables
+at the markers, held for the build and extended as components gain
+exceptional classes; the section-ratio path of :mod:`logcy3.boundary` is
+the reference for them.
 """
 
 from __future__ import annotations
@@ -23,6 +29,8 @@ from logcy3.boundary import (
     Marking,
     adjunction_check,
     component_character_table,
+    exceptional_character,
+    marker_ratios,
 )
 from logcy3.exactnum import (
     GaussianRational,
@@ -37,10 +45,8 @@ from logcy3.toric import (
     DualComplex,
     Fan3,
     FanError,
-    ToricPicBasis,
-    TripleIntersection,
     edge_reference_character,
-    star_surface,
+    toric_layer,
     validate_fan,
 )
 
@@ -128,9 +134,12 @@ class LogCY3Pair:
         self.fan = fan
         self.program = tuple(program)
         self.complex = DualComplex.from_fan(fan, edge_orientations)
-        self.toric_basis = ToricPicBasis.of(fan)
         self.warnings = []
         self._build_toric_layer()
+        # Curve steps check periods against the markers; their character
+        # tables are held for the build and extended as components grow.
+        self._markers = None
+        self._marker_tables = {}
         for k, step in enumerate(self.program):
             if isinstance(step, PointBlowup):
                 self._apply_point(k, step)
@@ -138,6 +147,7 @@ class LogCY3Pair:
                 self._apply_curve(k, step)
             else:
                 raise PairError(f"unknown step kind at index {k}")
+        del self._markers, self._marker_tables
         self.warnings = tuple(self.warnings)
         self._held = {}
         return self
@@ -145,39 +155,19 @@ class LogCY3Pair:
     # -- construction internals ---------------------------------------------
 
     def _build_toric_layer(self):
-        fan = self.fan
-        table = TripleIntersection(fan)
-        basis_rays = self.toric_basis.basis_rays
-        index = {ray: i for i, ray in enumerate(basis_rays)}
-        # The basis rays ascend, so sorted ray triples key sorted index triples.
-        self._tensor = {}
-        for triple in table.support():
-            if all(ray in index for ray in triple):
-                value = table.ray_triple(*triple)
-                if value:
-                    self._tensor[tuple(index[ray] for ray in triple)] = value
-        # D_w restricts to D_v as the curve D_v . D_w when w is a neighbour,
-        # to zero when w misses v, and D_v itself through the linear
-        # equivalence D_v ~ -sum <m, n_w> D_w for m with <m, n_v> = 1.
+        # The fan holds the layer; copy what the program extends, and give
+        # each component this pair's edge orientations.
+        layer = toric_layer(self.fan)
+        self.toric_basis = layer.basis
+        self._tensor = dict(layer.tensor)
+        self._restriction = [dict(images) for images in layer.restriction]
+        self.canonical = layer.canonical
         self.components = {}
-        self._restriction = [{} for _ in basis_rays]
-        for v in range(fan.n_rays):
-            base = star_surface(fan, v)
+        for v, base in enumerate(layer.surfaces):
             heads = tuple(
                 self.complex.directed_edge(v, w)[1] == v for w in base.labels
             )
             self.components[v] = LooijengaComponent(base, (), heads)
-            for images in self._restriction:
-                images[v] = (0,) * base.rank
-            for ray, w in enumerate(base.labels):
-                if w in index:
-                    self._restriction[index[w]][v] = base.ray_class(ray)
-            if v in index:
-                m = table.unit_character(v)
-                self._restriction[index[v]][v] = base.reduce_ray_vector(
-                    [-sum(x * y for x, y in zip(m, fan.rays[w])) for w in base.labels]
-                )
-        self.canonical = tuple(-x for x in self.toric_basis.anticanonical())
 
     def _used_coordinates(self, v: int, w: int):
         """Reference coordinates already occupied on the edge between v, w."""
@@ -213,7 +203,7 @@ class LogCY3Pair:
 
     def _apply_point(self, k: int, step: PointBlowup):
         v, w = step.edge
-        if frozenset((v, w)) not in {frozenset(e) for e in self.complex.edges}:
+        if not self.complex.has_edge(v, w):
             raise PairError(f"step {k}: {tuple(step.edge)} is not an edge")
         self._check_new_coordinate(k, v, w, step.coordinate, set())
         e_index = self.toric_basis.rank + k
@@ -264,7 +254,8 @@ class LogCY3Pair:
         e_index = self.toric_basis.rank + k
         k_dot_c = 0
         for a in range(e_index):
-            a_dot_c = comp.intersection(self._restriction[a][v], curve)
+            image = self._restriction[a][v]
+            a_dot_c = comp.intersection(image, curve) if any(image) else 0
             if a_dot_c:
                 self._tensor[(a, e_index, e_index)] = -a_dot_c
                 k_dot_c += self.canonical[a] * a_dot_c
@@ -303,12 +294,30 @@ class LogCY3Pair:
 
     def _marker_period_of(self, images) -> GaussianRational:
         # A component the class misses contributes a factor of exactly 1.
-        markers = Marking.markers(self.edge_keys())
         return product(
-            power_product(component_character_table(comp, markers), images[v])
-            for v, comp in self.components.items()
+            power_product(self._marker_table(v), images[v])
+            for v in self.components
             if any(images[v])
         )
+
+    def _marker_table(self, v: int) -> list:
+        """Component v's character table at the markers, held for the build.
+
+        Made on first use; later calls append the values of the exceptional
+        classes the component gained since.
+        """
+        comp = self.components[v]
+        if self._markers is None:
+            self._markers = Marking.markers(self.edge_keys())
+        if v not in self._marker_tables:
+            self._marker_tables[v] = (
+                marker_ratios(comp, self._markers),
+                list(component_character_table(comp, self._markers)),
+            )
+        ratios, table = self._marker_tables[v]
+        for exc in comp.excs[len(table) - comp.base.rank:]:
+            table.append(exceptional_character(comp, exc, ratios))
+        return table
 
     # -- public queries ------------------------------------------------------
 

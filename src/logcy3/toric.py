@@ -3,12 +3,15 @@
 The fan is the source of every toric pair in this package: it carries the
 Picard presentation, the cubic intersection tensor (computed by wall-relation
 reduction), the star surfaces of boundary components, the dual complex with
-its orientation data, and the coordinate charts on 1-strata.
+its orientation data, and the coordinate charts on 1-strata.  The fan-only
+part of a pair build, the :class:`ToricLayer`, is computed once per fan and
+held on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import permutations
 from math import gcd
 
@@ -75,9 +78,10 @@ class Fan3:
     max_cones: tuple
     orientation: tuple = None
 
-    # Derived data (the cone set, the global sign and the verdict of
-    # validate_fan) is computed on first use and held on the instance; it is
-    # not a field, so equality and hashing see the three fields only.
+    # Derived data (the cone set, the cones at each ray, the global sign,
+    # the verdict of validate_fan and the toric layer) is computed on first
+    # use and held on the instance; it is not a field, so equality and
+    # hashing see the three fields only.
 
     def __init__(self, rays, max_cones, orientation=None):
         object.__setattr__(self, "rays", tuple(tuple(int(x) for x in r) for r in rays))
@@ -210,13 +214,24 @@ def _diagnose_fan(fan: Fan3):
     return None
 
 
+def _cones_at(fan: Fan3) -> tuple:
+    """The max cones containing each ray, in max-cone order, held on the fan."""
+
+    def compute():
+        at = [[] for _ in range(fan.n_rays)]
+        for cone in fan.max_cones:
+            for i in set(cone):
+                at[i].append(cone)
+        return tuple(map(tuple, at))
+
+    return fan._held("_cones_at", compute)
+
+
 def _link_cycle(fan: Fan3, v: int):
     """The link of v as a cyclically ordered vertex list, or None."""
     succ = {}
     count = 0
-    for cone in fan.max_cones:
-        if v not in cone:
-            continue
+    for cone in _cones_at(fan)[v]:
         count += 1
         tri = fan.oriented_triangle(cone)
         i = tri.index(v)
@@ -265,11 +280,22 @@ class DualComplex:
         triangles = tuple(fan.oriented_triangle(c) for c in fan.max_cones)
         return DualComplex(tuple(range(fan.n_rays)), edges, triangles)
 
-    def edge_index(self, v: int, w: int) -> int:
+    @cached_property
+    def _edge_at(self) -> dict:
+        # Read once per complex; the first edge listed on a wall wins.
+        index = {}
         for i, e in enumerate(self.edges):
-            if frozenset(e) == frozenset((v, w)):
-                return i
-        raise FanError(f"no edge between {v} and {w}")
+            index.setdefault(frozenset(e), i)
+        return index
+
+    def has_edge(self, v: int, w: int) -> bool:
+        return frozenset((v, w)) in self._edge_at
+
+    def edge_index(self, v: int, w: int) -> int:
+        try:
+            return self._edge_at[frozenset((v, w))]
+        except KeyError:
+            raise FanError(f"no edge between {v} and {w}") from None
 
     def directed_edge(self, v: int, w: int):
         return self.edges[self.edge_index(v, w)]
@@ -359,6 +385,10 @@ class TripleIntersection:
         self.fan = fan
         self._cones = fan.cone_set()
         self._walls = fan.walls()
+        self._neighbours = {i: [] for i in range(fan.n_rays)}
+        for a, b in self._walls:
+            self._neighbours[a].append(b)
+            self._neighbours[b].append(a)
         self._cache: dict = {}
         self._characters: dict = {}
 
@@ -406,12 +436,11 @@ class TripleIntersection:
 
     def _triple_same(self, i: int) -> int:
         # Pick m in M with <m, n_i> = 1 and trade one copy of D_i for the
-        # linearly equivalent combination -sum <m, n_v> D_v over v != i.
+        # linearly equivalent combination -sum <m, n_v> D_v over v != i;
+        # D_i . D_i . D_v vanishes unless v is a wall neighbour of i.
         m = self.unit_character(i)
         total = 0
-        for v in range(self.fan.n_rays):
-            if v == i:
-                continue
+        for v in self._neighbours[i]:
             pairing = sum(m[t] * self.fan.rays[v][t] for t in range(3))
             if pairing:
                 total -= pairing * self.ray_triple(i, i, v)
@@ -515,14 +544,14 @@ class Fan2:
         # Dual basis vectors m0, m1 with <m_a, u_b> = delta.
         m0 = (u1[1] * det, -u1[0] * det)
         m1 = (-u0[1] * det, u0[0] * det)
-        out = {i: coeffs[i] for i in self.basis_indices}
-        for s, m in ((0, m0), (1, m1)):
-            c = coeffs[s]
-            if c == 0:
-                continue
-            for i in self.basis_indices:
-                out[i] -= c * (m[0] * self.rays[i][0] + m[1] * self.rays[i][1])
-        return tuple(out[i] for i in self.basis_indices)
+        out = list(coeffs[2:])
+        for c, m in ((coeffs[0], m0), (coeffs[1], m1)):
+            if c:
+                out = [
+                    x - c * (m[0] * u[0] + m[1] * u[1])
+                    for x, u in zip(out, self.rays[2:])
+                ]
+        return tuple(out)
 
     def ray_class(self, i: int):
         coeffs = [0] * self.n_rays
@@ -578,6 +607,65 @@ def star_surface(fan: Fan3, v: int) -> Fan2:
             raise FanError(f"star surface of {v} is not smooth")
         surf.wall_coefficient(i)  # raises if the 2d wall relation fails
     return surf
+
+
+# ---------------------------------------------------------------------------
+# The toric layer of a pair build, held per fan
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True, eq=False)
+class ToricLayer:
+    """The fan-only part of every pair built on one fan.
+
+    ``tensor`` maps sorted basis index triples to the nonzero cubic entries
+    of the toric classes; ``surfaces[v]`` is the star surface of vertex v;
+    ``restriction[i][v]`` is the restriction of basis class i to component
+    v, in the star surface's basis; ``canonical`` is K in the Picard basis.
+    The layer is shared by all pairs on the fan and never changed: a pair
+    copies the tensor and the restriction images its program extends.
+    """
+
+    basis: ToricPicBasis
+    tensor: dict
+    surfaces: tuple
+    restriction: tuple
+    canonical: tuple
+
+
+def toric_layer(fan: Fan3) -> ToricLayer:
+    """The toric layer of ``fan``, computed on first use and held on the fan."""
+    return fan._held("_toric_layer", lambda: _compute_toric_layer(fan))
+
+
+def _compute_toric_layer(fan: Fan3) -> ToricLayer:
+    table = TripleIntersection(fan)
+    basis = ToricPicBasis.of(fan)
+    index = {ray: i for i, ray in enumerate(basis.basis_rays)}
+    # The basis rays ascend, so sorted ray triples key sorted index triples.
+    tensor = {}
+    for triple in table.support():
+        if all(ray in index for ray in triple):
+            value = table.ray_triple(*triple)
+            if value:
+                tensor[tuple(index[ray] for ray in triple)] = value
+    # D_w restricts to D_v as the curve D_v . D_w when w is a neighbour,
+    # to zero when w misses v, and D_v itself through the linear
+    # equivalence D_v ~ -sum <m, n_w> D_w for m with <m, n_v> = 1.
+    surfaces = tuple(star_surface(fan, v) for v in range(fan.n_rays))
+    zeros = {v: (0,) * base.rank for v, base in enumerate(surfaces)}
+    restriction = [dict(zeros) for _ in basis.basis_rays]
+    for v, base in enumerate(surfaces):
+        for ray, w in enumerate(base.labels):
+            if w in index:
+                restriction[index[w]][v] = base.ray_class(ray)
+        if v in index:
+            m = table.unit_character(v)
+            restriction[index[v]][v] = base.reduce_ray_vector(
+                [-sum(x * y for x, y in zip(m, fan.rays[w])) for w in base.labels]
+            )
+    canonical = tuple(-x for x in basis.anticanonical())
+    return ToricLayer(basis, tensor, surfaces, tuple(restriction), canonical)
 
 
 # ---------------------------------------------------------------------------

@@ -170,6 +170,26 @@ class TestValidate:
         assert captured.out == ""
         assert captured.err == "error: markings: no point on edge (0, 2)\n"
 
+    def test_repeated_key_is_invalid_for_every_command(self, tmp_path, capsys):
+        with open(bundled_path("p3-point"), encoding="utf-8") as handle:
+            text = handle.read()
+        assert '"coordinate": "2",' in text
+        path = tmp_path / "repeated.pair.json"
+        path.write_text(
+            text.replace('"coordinate": "2",', '"coordinate": "2", "coordinate": "3",'),
+            encoding="utf-8",
+        )
+        assert main(["--json", "validate", str(path)]) == 1
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert results["status"] == "invalid"
+        assert results["diagnostic"] == 'duplicate key "coordinate"'
+        for command in (["invariants", str(path)], ["periods", str(path)],
+                        ["compare", str(path), str(path)]):
+            assert main(command) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == 'error: duplicate key "coordinate"\n'
+
     def test_missing_file(self, capsys):
         assert main(["validate", "/nonexistent/file.json"]) == 2
         assert "error:" in capsys.readouterr().err

@@ -164,6 +164,28 @@ class TestPairDocuments:
         with pytest.raises(DocumentError, match="line"):
             loads("{\n  broken\n}")
 
+    @pytest.mark.parametrize(
+        "old, new, key",
+        [
+            ('"coordinate": "2",', '"coordinate": "2", "coordinate": "3",', "coordinate"),
+            ('"kind": "point"', '"kind": "point", "kind": "point"', "kind"),
+            ('"version": 1', '"version": 1, "version": 1', "version"),
+        ],
+        ids=["point-coordinate", "same-value-twice", "top-level"],
+    )
+    def test_repeated_key_rejected(self, old, new, key):
+        text = bundled_text("p3-point")
+        assert old in text
+        with pytest.raises(DocumentError, match=re.escape(f'duplicate key "{key}"')):
+            loads(text.replace(old, new, 1))
+
+    def test_repeated_marking_key_rejected(self):
+        pair = pair_fixtures()["p3"]
+        text = dumps(pair_to_document(pair, Marking.markers(pair.edge_keys())))
+        assert '"0-1": "-1",' in text
+        with pytest.raises(DocumentError, match=re.escape('duplicate key "0-1"')):
+            loads(text.replace('"0-1": "-1",', '"0-1": "-1", "0-1": "2",', 1))
+
 
 class TestCorrespondenceDocuments:
     def test_round_trip(self):

@@ -24,6 +24,8 @@ from logcy3.pair import (
     validate_pair,
 )
 from logcy3.toric import (
+    DualComplex,
+    Fan3,
     ToricPicBasis,
     TripleIntersection,
     star_subdivide,
@@ -142,6 +144,123 @@ LAYER_FANS = list(toric_fixture_fans().values()) + [
 ]
 
 
+def fresh_copy(fan):
+    """An equal fan that holds no derived data yet."""
+    return Fan3(fan.rays, fan.max_cones, fan.orientation)
+
+
+def counting(calls, name, fn):
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+def count_toric_calls(monkeypatch):
+    """Count calls of snf, star_surface and TripleIntersection from now on."""
+    calls = {"snf": 0, "star_surface": 0, "TripleIntersection": 0}
+    counted_snf = counting(calls, "snf", exactnum.snf)
+    for module in (exactnum, toric, pair_module):
+        monkeypatch.setattr(module, "snf", counted_snf)
+    monkeypatch.setattr(
+        toric, "star_surface", counting(calls, "star_surface", toric.star_surface)
+    )
+    monkeypatch.setattr(
+        TripleIntersection, "__init__",
+        counting(calls, "TripleIntersection", TripleIntersection.__init__),
+    )
+    return calls
+
+
+def counted_edges(calls):
+    """``DualComplex.from_fan`` whose edge tuple counts the edges visited."""
+    from_fan = DualComplex.from_fan
+
+    class Edges(tuple):
+        def __iter__(self):
+            for edge in tuple.__iter__(self):
+                calls["edges"] += 1
+                yield edge
+
+        def __getitem__(self, index):
+            calls["edges"] += 1
+            return tuple.__getitem__(self, index)
+
+    def wrapper(fan, edge_orientations=None):
+        complex_ = from_fan(fan, edge_orientations)
+        object.__setattr__(complex_, "edges", Edges(complex_.edges))
+        return complex_
+
+    return wrapper
+
+
+def point_program(fan, steps):
+    walls = sorted(tuple(sorted(w)) for w in fan.walls())
+    return [
+        PointBlowup(walls[k % len(walls)], GaussianRational(k + 2, k % 3))
+        for k in range(steps)
+    ]
+
+
+def curve_program(fan, edge_orientations, before, after):
+    """Points, then a curve in the class of a ray divisor D with D.D >= 0.
+
+    The curve lies in the first component (in vertex order) whose star
+    surface has such a ray, after ``before`` point steps; a general
+    member of the class is a smooth rational curve, and the adjunction and
+    degree checks hold.  At the markers a toric class has the value 1 and a
+    point q, seen from the neighbour w it is added to, the value -q when w
+    is the head of the edge and -1/q otherwise; the last point is solved so
+    that the curve's period is one.  Then ``after`` more points follow.
+    """
+    program = point_program(fan, before)
+    pair = LogCY3Pair.build(fan, program, edge_orientations)
+    v, ray = next(
+        (comp.vertex, i)
+        for comp in pair.boundary_components()
+        for i in range(comp.base.n_rays)
+        if comp.base.self_intersection(i) >= 0
+    )
+    comp = pair.components[v]
+    curve = comp.base.ray_class(ray) + (0,) * len(comp.excs)
+    points = {
+        w: [GaussianRational(101 + 2 * len(comp.excs) + 7 * w + t) for t in range(d)]
+        for w in comp.neighbors
+        if (d := comp.degree_on_edge(curve, w))
+    }
+
+    def value(w, q):
+        head = pair.complex.directed_edge(v, w)[1] == w
+        return -q if head else -q.inverse()
+
+    last = max(points)
+    period = product(value(w, q) for w, qs in points.items() for q in qs)
+    target = value(last, points[last][-1]) / period
+    head = pair.complex.directed_edge(v, last)[1] == last
+    points[last][-1] = -target if head else (-target).inverse()
+    step = CurveBlowup(v, curve, tuple((w, tuple(qs)) for w, qs in points.items()))
+    return program + [step] + point_program(fan, before + after)[before:]
+
+
+def layer_snapshot(pair):
+    """Copies of the parts of a pair that its toric layer seeds."""
+    return (
+        dict(pair._tensor),
+        [dict(images) for images in pair._restriction],
+        pair.canonical,
+        pair.cubic_entries(),
+        pair.restriction_matrix().data,
+        {v: comp.head_sides for v, comp in pair.components.items()},
+    )
+
+
+ALIAS_FANS = list(toric_fixture_fans().values()) + [
+    fan
+    for seed, base in enumerate((projective_space_fan(), triple_line_fan()))
+    for fan in ladder_fans(base, (8, 14, 20), seed + 7)
+]
+
+
 class TestToricLayer:
     @pytest.mark.parametrize("fan", LAYER_FANS, ids=lambda fan: f"{fan.n_rays}-rays")
     def test_closed_forms_match_the_dense_layer(self, fan):
@@ -167,10 +286,76 @@ class TestToricLayer:
             TripleIntersection, "vector_triple",
             counted("vector_triple", TripleIntersection.vector_triple),
         )
+        # A fresh copy of the fan, so that this is a first build on it.
         fan = LAYER_FANS[-1]
+        fan = Fan3(fan.rays, fan.max_cones, fan.orientation)
         LogCY3Pair.build(fan)
         assert calls["vector_triple"] == 0
         assert 0 < calls["snf"] <= 2 * fan.n_rays
+
+    def test_second_build_on_a_fan_reads_the_held_layer(self, monkeypatch):
+        ladder = fresh_copy(LAYER_FANS[-1])
+        mixed = pair_fixtures()["p3-mixed"]
+        programs = [
+            (ladder, point_program(ladder, 12)),
+            (mixed.fan, mixed.program),
+        ]
+        for fan, program in programs:
+            LogCY3Pair.build(fan, program)
+            calls = count_toric_calls(monkeypatch)
+            pair = LogCY3Pair.build(fan, program)
+            assert calls == {"snf": 0, "star_surface": 0, "TripleIntersection": 0}
+            monkeypatch.undo()
+            assert pair.cubic_entries() == LogCY3Pair.build(
+                fresh_copy(fan), program
+            ).cubic_entries()
+
+    def test_first_build_is_linear_in_the_fan(self, monkeypatch):
+        # Deterministic counts, not wall time: ray triples evaluated and
+        # edges visited by edge lookups, in a first build at 20 and 60 rays
+        # of projective space star-subdivided at its last max cone.
+        counts = {}
+        for rays in (20, 60):
+            fan = projective_space_fan()
+            while fan.n_rays < rays:
+                fan = star_subdivide(fan, fan.max_cones[-1])
+            calls = {"ray_triple": 0, "edges": 0}
+            monkeypatch.setattr(
+                TripleIntersection, "ray_triple",
+                counting(calls, "ray_triple", TripleIntersection.ray_triple),
+            )
+            monkeypatch.setattr(
+                DualComplex, "from_fan", staticmethod(counted_edges(calls))
+            )
+            LogCY3Pair.build(fresh_copy(fan))
+            monkeypatch.undo()
+            counts[rays] = calls
+        for name in ("ray_triple", "edges"):
+            assert 0 < counts[60][name] <= 4 * counts[20][name], (name, counts)
+
+    @pytest.mark.parametrize("fan", ALIAS_FANS, ids=lambda fan: f"{fan.n_rays}-rays")
+    def test_builds_on_one_fan_do_not_share_what_they_change(self, fan):
+        shared = fresh_copy(fan)
+        walls = sorted(tuple(sorted(w)) for w in fan.walls())
+        reverse = [(b, a) for a, b in walls]
+        builds = [
+            (point_program(fan, 6), None),
+            (curve_program(fan, None, 0, 0), None),
+            (curve_program(fan, None, 5, 2), None),
+            (point_program(fan, 4), reverse),
+            (curve_program(fan, reverse, 3, 2), reverse),
+        ]
+        pairs, held = [], []
+        for program, edges in builds:
+            pairs.append(LogCY3Pair.build(shared, program, edges))
+            held.append(layer_snapshot(pairs[-1]))
+        for (program, edges), pair, snapshot in zip(builds, pairs, held):
+            assert layer_snapshot(pair) == snapshot
+            fresh = LogCY3Pair.build(fresh_copy(fan), program, edges)
+            assert layer_snapshot(fresh) == snapshot
+        assert layer_snapshot(LogCY3Pair.build(shared)) == layer_snapshot(
+            LogCY3Pair.build(fresh_copy(fan))
+        )
 
     def test_restriction_matrix_stacks_the_images(self, pairs):
         for pair in pairs.values():
