@@ -9,6 +9,7 @@ machine-readable output.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -239,7 +240,9 @@ def cmd_oracle_check(args):
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="logcy3",
         description="Exact invariants and Torelli comparison for "

@@ -10,8 +10,10 @@ blown-up toric surfaces, and the restriction map to the boundary lattice.
 The toric layer (Picard basis, cubic tensor, star surfaces, toric
 restrictions and canonical class) is read off the fan's cones, walls and
 star surfaces once per fan and held on the fan, so every later pair on the
-same fan copies the tensor and the restriction images, makes its
-components with its own edge orientations, and replays only its program.
+same fan copies the tensor, shares the layer's restriction images, makes
+its components with its own edge orientations, and replays only its
+program.  Each step appends its own images and rewrites no earlier one
+(see :class:`~logcy3.toric.ToricLayer` for their format).
 A curve step checks its boundary data with the component character tables
 at the markers, held for the build and extended as components gain
 exceptional classes; the section-ratio path of :mod:`logcy3.boundary` is
@@ -140,6 +142,8 @@ class LogCY3Pair:
         # tables are held for the build and extended as components grow.
         self._markers = None
         self._marker_tables = {}
+        # The reference coordinates occupied on each edge, held for the build.
+        self._occupied = {}
         for k, step in enumerate(self.program):
             if isinstance(step, PointBlowup):
                 self._apply_point(k, step)
@@ -147,7 +151,7 @@ class LogCY3Pair:
                 self._apply_curve(k, step)
             else:
                 raise PairError(f"unknown step kind at index {k}")
-        del self._markers, self._marker_tables
+        del self._markers, self._marker_tables, self._occupied
         self.warnings = tuple(self.warnings)
         self._held = {}
         return self
@@ -155,12 +159,13 @@ class LogCY3Pair:
     # -- construction internals ---------------------------------------------
 
     def _build_toric_layer(self):
-        # The fan holds the layer; copy what the program extends, and give
-        # each component this pair's edge orientations.
+        # The fan holds the layer; copy the tensor the program extends, share
+        # the restriction images, and give each component this pair's edge
+        # orientations.
         layer = toric_layer(self.fan)
         self.toric_basis = layer.basis
         self._tensor = dict(layer.tensor)
-        self._restriction = [dict(images) for images in layer.restriction]
+        self._restriction = list(layer.restriction)
         self.canonical = layer.canonical
         self.components = {}
         for v, base in enumerate(layer.surfaces):
@@ -169,23 +174,13 @@ class LogCY3Pair:
             )
             self.components[v] = LooijengaComponent(base, (), heads)
 
-    def _used_coordinates(self, v: int, w: int):
-        """Reference coordinates already occupied on the edge between v, w."""
-        used = set()
-        for exc in self.components[v].excs:
-            if exc.neighbor == w:
-                used.add(exc.coordinate)
-        for exc in self.components[w].excs:
-            if exc.neighbor == v:
-                used.add(exc.coordinate)
-        return used
-
-    def _check_new_coordinate(self, k, v, w, q, seen_in_step):
+    def _check_new_coordinate(self, k, v, w, q):
         if not isinstance(q, GaussianRational):
             raise PairError(f"step {k}: coordinate must be a Gaussian rational")
         if q.is_zero():
             raise PairError(f"step {k}: blowup point on a 0-stratum")
-        if q in self._used_coordinates(v, w) or q in seen_in_step:
+        occupied = self._occupied.setdefault(frozenset((v, w)), set())
+        if q in occupied:
             raise PairError(
                 f"step {k}: coordinate {q} already used on edge "
                 f"{tuple(sorted((v, w)))} (infinitely-near centers rejected)"
@@ -195,29 +190,26 @@ class LogCY3Pair:
                 f"step {k}: blowup point at the marker of edge "
                 f"{tuple(sorted((v, w)))}"
             )
+        occupied.add(q)
 
-    def _pad_component(self, v: int):
-        """After component v gained an exceptional, pad stored restrictions."""
-        for images in self._restriction:
-            images[v] = images[v] + (0,)
+    def _image(self, images: dict, v: int) -> tuple:
+        """The image ``images`` holds on component v, padded to v's current rank."""
+        image = images.get(v, ())
+        return image + (0,) * (self.components[v].rank - len(image))
 
     def _apply_point(self, k: int, step: PointBlowup):
         v, w = step.edge
         if not self.complex.has_edge(v, w):
             raise PairError(f"step {k}: {tuple(step.edge)} is not an edge")
-        self._check_new_coordinate(k, v, w, step.coordinate, set())
+        self._check_new_coordinate(k, v, w, step.coordinate)
         e_index = self.toric_basis.rank + k
         self._tensor[(e_index, e_index, e_index)] = 1
         self.canonical = self.canonical + (2,)
-        for u in (v, w):
-            other = w if u == v else v
-            self.components[u] = self.components[u].with_exceptional(
+        images = {}
+        for u, other in ((v, w), (w, v)):
+            comp = self.components[u] = self.components[u].with_exceptional(
                 ExceptionalClass(other, step.coordinate, k)
             )
-            self._pad_component(u)
-        images = {u: (0,) * self.components[u].rank for u in self.components}
-        for u in (v, w):
-            comp = self.components[u]
             images[u] = comp.exceptional_vector(len(comp.excs) - 1)
         self._restriction.append(images)
 
@@ -246,41 +238,32 @@ class LogCY3Pair:
                     f"step {k}: {len(coords)} intersection points on edge "
                     f"toward {w}, class degree is {need}"
                 )
-            seen = set()
             for q in coords:
-                self._check_new_coordinate(k, v, w, q, seen)
-                seen.add(q)
+                self._check_new_coordinate(k, v, w, q)
         # Intersection numbers against the current basis, via restriction to v.
         e_index = self.toric_basis.rank + k
         k_dot_c = 0
-        for a in range(e_index):
-            image = self._restriction[a][v]
-            a_dot_c = comp.intersection(image, curve) if any(image) else 0
+        for a, images in enumerate(self._restriction):
+            if v not in images:
+                continue
+            a_dot_c = comp.intersection(self._image(images, v), curve)
             if a_dot_c:
                 self._tensor[(a, e_index, e_index)] = -a_dot_c
                 k_dot_c += self.canonical[a] * a_dot_c
         self._tensor[(e_index, e_index, e_index)] = k_dot_c + 2
         self.canonical = self.canonical + (1,)
         # Neighbors gain one exceptional class per intersection point.
-        new_excs = {}
+        images = {v: curve}
         for w in comp.neighbors:
             coords = step.points_on(w)
             if not coords:
                 continue
-            start = len(self.components[w].excs)
+            old_rank = self.components[w].rank
             for q in coords:
                 self.components[w] = self.components[w].with_exceptional(
                     ExceptionalClass(v, q, k)
                 )
-                self._pad_component(w)
-            new_excs[w] = range(start, start + len(coords))
-        images = {u: (0,) * self.components[u].rank for u in self.components}
-        images[v] = curve
-        for w, indices in new_excs.items():
-            vec = [0] * self.components[w].rank
-            for i in indices:
-                vec[self.components[w].base.rank + i] = 1
-            images[w] = tuple(vec)
+            images[w] = (0,) * old_rank + (1,) * len(coords)
         self._restriction.append(images)
         # The boundary data of a curve blowup must be compatible with the
         # restricted class: the period of E's restriction (a global class,
@@ -293,11 +276,9 @@ class LogCY3Pair:
             )
 
     def _marker_period_of(self, images) -> GaussianRational:
-        # A component the class misses contributes a factor of exactly 1.
+        # The components the class misses are not named: their factor is 1.
         return product(
-            power_product(self._marker_table(v), images[v])
-            for v in self.components
-            if any(images[v])
+            power_product(self._marker_table(v), image) for v, image in images.items()
         )
 
     def _marker_table(self, v: int) -> list:
@@ -420,14 +401,13 @@ class LogCY3Pair:
     def restrict_raw(self, y_class):
         """Per-component coordinate tuples of the boundary restriction."""
         coords = self._as_y_coords(y_class)
-        out = {}
-        for v, comp in self.components.items():
-            vec = [0] * comp.rank
-            for a, c in enumerate(coords):
-                if c:
-                    for t, x in enumerate(self._restriction[a][v]):
-                        vec[t] += c * x
-            out[v] = tuple(vec)
+        out = {v: (0,) * comp.rank for v, comp in self.components.items()}
+        for c, images in zip(coords, self._restriction):
+            if c:
+                for v in images:
+                    out[v] = tuple(
+                        x + c * y for x, y in zip(out[v], self._image(images, v))
+                    )
         return out
 
     def restrict(self, y_class):
@@ -441,7 +421,10 @@ class LogCY3Pair:
     def restriction_matrix(self) -> IntMatrix:
         """Matrix of the restriction map, boundary lattice by threefold basis."""
         order = sorted(self.components)
-        cols = [[x for v in order for x in images[v]] for images in self._restriction]
+        cols = [
+            [x for v in order for x in self._image(images, v)]
+            for images in self._restriction
+        ]
         return IntMatrix(list(zip(*cols)))
 
     def held(self, key, compute):

@@ -457,14 +457,9 @@ def decide_isomorphism(
                 f"contraction types differ at steps {k} and {k2}",
                 {"check": "contraction_type", "triples": (triple1, triple2)},
             )
-        e_unit = tuple(
-            1 if i == pair.exceptional_index(k) else 0 for i in range(r)
-        )
-        e_image = mu.apply(e_unit)
-        e_unit2 = tuple(
-            1 if i == other.exceptional_index(k2) else 0 for i in range(r)
-        )
-        if e_image != e_unit2:
+        e_index2 = other.exceptional_index(k2)
+        e_unit2 = tuple(int(i == e_index2) for i in range(r))
+        if mu.column(pair.exceptional_index(k)) != e_unit2:
             return Verdict(
                 "distinct",
                 f"exceptional classes of steps {k} and {k2} do not correspond",

@@ -6,6 +6,12 @@ reduction), the star surfaces of boundary components, the dual complex with
 its orientation data, and the coordinate charts on 1-strata.  The fan-only
 part of a pair build, the :class:`ToricLayer`, is computed once per fan and
 held on it.
+
+Every max cone is smooth, so the rows of the inverse of its ray frame are
+the dual basis of M.  The lattice data of this module is read off such a
+dual frame: the character pairing 1 with a ray, the projection onto the
+quotient lattice of a star, and the chart character of a 1-stratum.  No
+integer elimination is needed.
 """
 
 from __future__ import annotations
@@ -15,13 +21,7 @@ from functools import cached_property
 from itertools import permutations
 from math import gcd
 
-from logcy3.exactnum import (
-    GaussianRational,
-    IntMatrix,
-    kernel_basis,
-    snf,
-    solve_integer,
-)
+from logcy3.exactnum import GaussianRational
 
 
 class FanError(ValueError):
@@ -58,6 +58,16 @@ def _inverse_unimodular(cols):
         for j in range(3)
     ]
     return [[x * d for x in row] for row in cof]
+
+
+def _dual_frame(fan: Fan3, cone, v: int):
+    """Rows dual to the rays of a max cone at v, the row dual to n_v first.
+
+    The first row pairs 1 with n_v; the other two vanish on n_v, so they
+    project N onto the quotient lattice N / Z n_v.
+    """
+    frame = [v] + [i for i in cone if i != v]
+    return _inverse_unimodular([fan.rays[i] for i in frame])
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +400,6 @@ class TripleIntersection:
             self._neighbours[a].append(b)
             self._neighbours[b].append(a)
         self._cache: dict = {}
-        self._characters: dict = {}
 
     def support(self) -> list:
         """The sorted ray triples that can be nonzero: on cones, walls, rays."""
@@ -400,10 +409,8 @@ class TripleIntersection:
         return sorted(triples + [(i, i, i) for i in range(self.fan.n_rays)])
 
     def unit_character(self, i: int) -> tuple:
-        """A character m with <m, n_i> = 1, solved once per ray."""
-        if i not in self._characters:
-            self._characters[i] = solve_integer(IntMatrix([self.fan.rays[i]]), (1,))
-        return self._characters[i]
+        """A character m with <m, n_i> = 1: the row dual to n_i in a cone at i."""
+        return tuple(_dual_frame(self.fan, _cones_at(self.fan)[i][0], i)[0])
 
     def ray_triple(self, i: int, j: int, k: int) -> int:
         key = tuple(sorted((i, j, k)))
@@ -586,16 +593,14 @@ def _candidate_multiples(s, u):
 def star_surface(fan: Fan3, v: int) -> Fan2:
     """The 2d fan of the boundary component D_v, with its edge correspondence.
 
-    The quotient projection kills the ray of v; the cyclic order of the image
-    rays follows the link of v in the oriented dual complex.
+    The quotient projection kills the ray of v: it is given by the two rows
+    of the dual frame of a cone at v that vanish on n_v.  The cyclic order
+    of the image rays follows the link of v in the oriented dual complex.
     """
     if (diag := validate_fan(fan)) is not None:
         raise FanError(diag)
     cycle = _link_cycle(fan, v)
-    dec = snf(IntMatrix([[x] for x in fan.rays[v]]))
-    if dec.D.data[0][0] != 1:
-        raise FanError(f"ray {v} is not primitive")
-    proj = dec.U.data[1:]  # two rows spanning the quotient lattice
+    proj = _dual_frame(fan, _cones_at(fan)[v][0], v)[1:]
     rays = []
     for w in cycle:
         img = tuple(sum(r[t] * fan.rays[w][t] for t in range(3)) for r in proj)
@@ -620,10 +625,16 @@ class ToricLayer:
 
     ``tensor`` maps sorted basis index triples to the nonzero cubic entries
     of the toric classes; ``surfaces[v]`` is the star surface of vertex v;
-    ``restriction[i][v]`` is the restriction of basis class i to component
-    v, in the star surface's basis; ``canonical`` is K in the Picard basis.
-    The layer is shared by all pairs on the fan and never changed: a pair
-    copies the tensor and the restriction images its program extends.
+    ``canonical`` is K in the Picard basis.
+
+    ``restriction[i]`` maps a component v to the restriction of basis class
+    i to v, in v's basis, and names only the components where that image
+    is nonzero.  An image tuple has the rank its component had when the
+    image was made; a pair's program appends one such dict per step, and
+    the exceptional classes a component gains later read as 0 in every
+    earlier image.  The layer is shared by all pairs on the fan and never
+    changed: a pair copies the tensor its program extends and shares the
+    image dicts.
     """
 
     basis: ToricPicBasis
@@ -649,21 +660,23 @@ def _compute_toric_layer(fan: Fan3) -> ToricLayer:
             value = table.ray_triple(*triple)
             if value:
                 tensor[tuple(index[ray] for ray in triple)] = value
-    # D_w restricts to D_v as the curve D_v . D_w when w is a neighbour,
-    # to zero when w misses v, and D_v itself through the linear
-    # equivalence D_v ~ -sum <m, n_w> D_w for m with <m, n_v> = 1.
+    # D_w restricts to D_v as the curve D_v . D_w when w is a neighbour
+    # (never the zero class), to zero when w misses v, and D_v itself
+    # through the linear equivalence D_v ~ -sum <m, n_w> D_w for m with
+    # <m, n_v> = 1; that normal class can be zero.
     surfaces = tuple(star_surface(fan, v) for v in range(fan.n_rays))
-    zeros = {v: (0,) * base.rank for v, base in enumerate(surfaces)}
-    restriction = [dict(zeros) for _ in basis.basis_rays]
+    restriction = [{} for _ in basis.basis_rays]
     for v, base in enumerate(surfaces):
         for ray, w in enumerate(base.labels):
             if w in index:
                 restriction[index[w]][v] = base.ray_class(ray)
         if v in index:
             m = table.unit_character(v)
-            restriction[index[v]][v] = base.reduce_ray_vector(
+            image = base.reduce_ray_vector(
                 [-sum(x * y for x, y in zip(m, fan.rays[w])) for w in base.labels]
             )
+            if any(image):
+                restriction[index[v]][v] = image
     canonical = tuple(-x for x in basis.anticanonical())
     return ToricLayer(basis, tensor, surfaces, tuple(restriction), canonical)
 
@@ -823,19 +836,14 @@ def edge_reference_character(fan: Fan3, complex_: DualComplex, edge):
     The character annihilates the two rays of the edge and its sign is
     pinned by the chart convention: it vanishes at the 0-stratum of the
     triangle where the directed edge occurs negatively (the 0 of the
-    reference chart).
+    reference chart).  It is the row dual to the apex of that triangle,
+    the one primitive character that vanishes on the edge and pairs 1 with
+    the apex.
     """
     v, w = complex_.directed_edge(*edge)
-    kernel = kernel_basis(IntMatrix([fan.rays[v], fan.rays[w]]))
-    if len(kernel) != 1:
-        raise FanError("edge rays do not span a rank-2 sublattice")
-    m = kernel[0]
     zero_tri = complex_.positive_triangle(w, v)
     apex = next(i for i in zero_tri if i not in (v, w))
-    pairing = sum(m[t] * fan.rays[apex][t] for t in range(3))
-    if pairing == 0:
-        raise FanError("degenerate chart character")  # pragma: no cover
-    return m if pairing > 0 else tuple(-x for x in m)
+    return tuple(_dual_frame(fan, zero_tri, apex)[0])
 
 
 def edge_coordinate_chart(fan: Fan3, edge, edge_orientations=None) -> EdgeChart:

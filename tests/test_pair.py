@@ -2,13 +2,22 @@
 
 import random
 import re
+import sys
 
 import pytest
 
 from logcy3 import exactnum, toric
-from logcy3 import pair as pair_module
 from logcy3.boundary import ExceptionalClass, Marking, component_marked_period
-from logcy3.exactnum import GaussianRational, I, IntMatrix, MINUS_ONE, product, snf
+from logcy3.exactnum import (
+    GaussianRational,
+    I,
+    IntMatrix,
+    MINUS_ONE,
+    kernel_basis,
+    product,
+    snf,
+    solve_integer,
+)
 from logcy3.fixtures import (
     conic_program,
     pair_fixtures,
@@ -25,11 +34,14 @@ from logcy3.pair import (
 )
 from logcy3.toric import (
     DualComplex,
+    Fan2,
     Fan3,
     ToricPicBasis,
     TripleIntersection,
+    edge_reference_character,
     star_subdivide,
     star_surface,
+    toric_layer,
 )
 
 
@@ -156,12 +168,18 @@ def counting(calls, name, fn):
     return wrapper
 
 
+def count_snf_calls(monkeypatch, calls):
+    """Count ``snf`` calls in ``calls["snf"]``, in every module that binds it."""
+    counted_snf = counting(calls, "snf", exactnum.snf)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "logcy3" and vars(module).get("snf") is exactnum.snf:
+            monkeypatch.setattr(module, "snf", counted_snf)
+
+
 def count_toric_calls(monkeypatch):
     """Count calls of snf, star_surface and TripleIntersection from now on."""
     calls = {"snf": 0, "star_surface": 0, "TripleIntersection": 0}
-    counted_snf = counting(calls, "snf", exactnum.snf)
-    for module in (exactnum, toric, pair_module):
-        monkeypatch.setattr(module, "snf", counted_snf)
+    count_snf_calls(monkeypatch, calls)
     monkeypatch.setattr(
         toric, "star_surface", counting(calls, "star_surface", toric.star_surface)
     )
@@ -242,6 +260,36 @@ def curve_program(fan, edge_orientations, before, after):
     return program + [step] + point_program(fan, before + after)[before:]
 
 
+def snf_star_surface(fan, v):
+    """The star surface projected by the SNF of n_v: the dual frame's reference."""
+    dec = snf(IntMatrix([[x] for x in fan.rays[v]]))
+    assert dec.D.data[0][0] == 1
+    proj = dec.U.data[1:]
+    cycle = toric._link_cycle(fan, v)
+    rays = tuple(
+        tuple(sum(r[t] * fan.rays[w][t] for t in range(3)) for r in proj)
+        for w in cycle
+    )
+    return Fan2(v, rays, tuple(cycle))
+
+
+def normal_class(fan, surface, m):
+    """D_v restricted to D_v through D_v ~ -sum <m, n_w> D_w."""
+    return surface.reduce_ray_vector(
+        [-sum(x * y for x, y in zip(m, fan.rays[w])) for w in surface.labels]
+    )
+
+
+def kernel_reference_character(fan, complex_, edge):
+    """The chart character as the signed kernel of the edge rays."""
+    v, w = complex_.directed_edge(*edge)
+    (m,) = kernel_basis(IntMatrix([fan.rays[v], fan.rays[w]]))
+    apex = next(i for i in complex_.positive_triangle(w, v) if i not in (v, w))
+    pairing = sum(m[t] * fan.rays[apex][t] for t in range(3))
+    assert pairing != 0
+    return tuple(m) if pairing > 0 else tuple(-x for x in m)
+
+
 def layer_snapshot(pair):
     """Copies of the parts of a pair that its toric layer seeds."""
     return (
@@ -252,6 +300,19 @@ def layer_snapshot(pair):
         pair.restriction_matrix().data,
         {v: comp.head_sides for v, comp in pair.components.items()},
     )
+
+
+def alias_builds(fan):
+    """Point and curve programs, with the walls' and the reversed edges."""
+    walls = sorted(tuple(sorted(w)) for w in fan.walls())
+    reverse = [(b, a) for a, b in walls]
+    return [
+        (point_program(fan, 6), None),
+        (curve_program(fan, None, 0, 0), None),
+        (curve_program(fan, None, 5, 2), None),
+        (point_program(fan, 4), reverse),
+        (curve_program(fan, reverse, 3, 2), reverse),
+    ]
 
 
 ALIAS_FANS = list(toric_fixture_fans().values()) + [
@@ -267,31 +328,60 @@ class TestToricLayer:
         pair = LogCY3Pair.build(fan)
         tensor, restriction, canonical = dense_toric_layer(fan)
         assert pair._tensor == tensor
-        assert pair._restriction == restriction
+        # Only nonzero images are stored, so a stored zero image fails too.
+        assert pair._restriction == [
+            {v: image for v, image in images.items() if any(image)}
+            for images in restriction
+        ]
         assert pair.canonical == canonical
 
     def test_build_makes_no_dense_triple_and_few_snf_calls(self, monkeypatch):
         calls = {"snf": 0, "vector_triple": 0}
-
-        def counted(name, fn):
-            def wrapper(*args):
-                calls[name] += 1
-                return fn(*args)
-            return wrapper
-
-        counted_snf = counted("snf", exactnum.snf)
-        for module in (exactnum, toric, pair_module):
-            monkeypatch.setattr(module, "snf", counted_snf)
+        count_snf_calls(monkeypatch, calls)
         monkeypatch.setattr(
             TripleIntersection, "vector_triple",
-            counted("vector_triple", TripleIntersection.vector_triple),
+            counting(calls, "vector_triple", TripleIntersection.vector_triple),
         )
         # A fresh copy of the fan, so that this is a first build on it.
-        fan = LAYER_FANS[-1]
-        fan = Fan3(fan.rays, fan.max_cones, fan.orientation)
+        fan = fresh_copy(LAYER_FANS[-1])
+        assert fan.n_rays == 20
         LogCY3Pair.build(fan)
-        assert calls["vector_triple"] == 0
-        assert 0 < calls["snf"] <= 2 * fan.n_rays
+        assert calls == {"snf": 0, "vector_triple": 0}
+
+    def test_torus_translation_makes_no_snf_call(self, monkeypatch):
+        fan = fresh_copy(LAYER_FANS[-1])
+        pair = LogCY3Pair.build(fan, point_program(fan, 24))
+        calls = {"snf": 0}
+        count_snf_calls(monkeypatch, calls)
+        moved = pair.torus_translate((g("2"), g("3"), I))
+        assert calls == {"snf": 0}
+        assert moved.program != pair.program
+
+    @pytest.mark.parametrize("fan", LAYER_FANS, ids=lambda fan: f"{fan.n_rays}-rays")
+    def test_dual_frames_match_the_elimination_values(self, fan):
+        table = TripleIntersection(fan)
+        for v in range(fan.n_rays):
+            m = table.unit_character(v)
+            solved = solve_integer(IntMatrix([fan.rays[v]]), (1,))
+            assert sum(x * y for x, y in zip(m, fan.rays[v])) == 1
+            surface, reference = star_surface(fan, v), snf_star_surface(fan, v)
+            assert surface.labels == reference.labels
+            # Both characters give D_v the same normal class on D_v.
+            assert normal_class(fan, surface, m) == normal_class(
+                fan, reference, solved
+            )
+            for i in range(surface.n_rays):
+                assert surface.ray_class(i) == reference.ray_class(i)
+                for j in range(surface.n_rays):
+                    assert surface.pairing(i, j) == reference.pairing(i, j)
+        walls = sorted(tuple(sorted(w)) for w in fan.walls())
+        for edges in (walls, [(b, a) for a, b in walls]):
+            complex_ = fan.dual_complex(edges)
+            for v, w in edges:
+                for edge in ((v, w), (w, v)):
+                    assert edge_reference_character(
+                        fan, complex_, edge
+                    ) == kernel_reference_character(fan, complex_, edge)
 
     def test_second_build_on_a_fan_reads_the_held_layer(self, monkeypatch):
         ladder = fresh_copy(LAYER_FANS[-1])
@@ -336,15 +426,7 @@ class TestToricLayer:
     @pytest.mark.parametrize("fan", ALIAS_FANS, ids=lambda fan: f"{fan.n_rays}-rays")
     def test_builds_on_one_fan_do_not_share_what_they_change(self, fan):
         shared = fresh_copy(fan)
-        walls = sorted(tuple(sorted(w)) for w in fan.walls())
-        reverse = [(b, a) for a, b in walls]
-        builds = [
-            (point_program(fan, 6), None),
-            (curve_program(fan, None, 0, 0), None),
-            (curve_program(fan, None, 5, 2), None),
-            (point_program(fan, 4), reverse),
-            (curve_program(fan, reverse, 3, 2), reverse),
-        ]
+        builds = alias_builds(fan)
         pairs, held = [], []
         for program, edges in builds:
             pairs.append(LogCY3Pair.build(shared, program, edges))
@@ -356,6 +438,20 @@ class TestToricLayer:
         assert layer_snapshot(LogCY3Pair.build(shared)) == layer_snapshot(
             LogCY3Pair.build(fresh_copy(fan))
         )
+
+    @pytest.mark.parametrize("fan", ALIAS_FANS, ids=lambda fan: f"{fan.n_rays}-rays")
+    def test_builds_share_the_layer_images_and_store_no_zero(self, fan):
+        shared = fresh_copy(fan)
+        layer = toric_layer(shared)
+        before = [dict(images) for images in layer.restriction]
+        for program, edges in alias_builds(fan):
+            pair = LogCY3Pair.build(shared, program, edges)
+            assert all(a is b for a, b in zip(pair._restriction, layer.restriction))
+            for images in pair._restriction:
+                for v, image in images.items():
+                    assert any(image)
+                    assert len(image) <= pair.components[v].rank
+        assert list(layer.restriction) == before
 
     def test_restriction_matrix_stacks_the_images(self, pairs):
         for pair in pairs.values():
@@ -461,6 +557,28 @@ class TestProgramValidation:
         program = [PointBlowup((0, 1), g("2")), PointBlowup((0, 1), g("2"))]
         diag = validate_pair(self.fan, program)
         assert diag is not None and "already used" in diag
+
+    def test_curve_repeating_a_point_on_an_edge_rejected(self):
+        coords = {0: (g("2"), g("2")), 1: (g("5"), g("7")), 2: (g("11"), g("13"))}
+        diag = validate_pair(self.fan, [conic_program(coords)])
+        assert diag == (
+            "step 0: coordinate 2 already used on edge (0, 3) "
+            "(infinitely-near centers rejected)"
+        )
+
+    def test_curve_point_on_an_earlier_point_step_rejected(self):
+        # The point is listed from vertex 0 and the curve meets the same
+        # edge from component 3, at the same reference coordinate.
+        curve = CurveBlowup(
+            3,
+            (2, 0),
+            ((0, (g("5"), g("2"))), (1, (g("7"), g("11"))), (2, (g("13"), g("17")))),
+        )
+        diag = validate_pair(self.fan, [PointBlowup((0, 3), g("2")), curve])
+        assert diag == (
+            "step 1: coordinate 2 already used on edge (0, 3) "
+            "(infinitely-near centers rejected)"
+        )
 
     def test_same_coordinate_on_distinct_edges_allowed(self):
         program = [PointBlowup((0, 1), g("2")), PointBlowup((1, 2), g("2"))]
