@@ -12,7 +12,10 @@ arbitrary-precision integer matrices.  This module supplies both layers:
   evaluated at three vectors;
 * :func:`solvable_over_torus` -- decides whether a multiplicative system of
   character equations has a solution valued in the full complex torus;
-* :func:`nth_root` -- exact n-th roots in Q(i), when they exist.
+* :func:`nth_root` -- exact n-th roots in Q(i), when they exist, found
+  without factoring: integer n-th roots by Newton's iteration, one
+  Gaussian gcd and one power check.  Of several roots it returns the one
+  with the largest real part, then the largest imaginary part.
 
 A Gaussian rational is one reduced integer triple: ``(a + b*i) / d`` with
 ``d > 0`` and ``gcd(a, b, d) == 1``.  The form is canonical, so equality
@@ -657,18 +660,21 @@ def solve_over_gaussian_torus(A: IntMatrix, targets):
 # ---------------------------------------------------------------------------
 
 
-def _factor_int(n: int) -> dict:
-    """Prime factorization of a positive integer by trial division."""
-    factors: dict = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            factors[d] = factors.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        factors[n] = factors.get(n, 0) + 1
-    return factors
+def _integer_root(m: int, n: int):
+    """The integer ``r >= 0`` with ``r**n == m``, or ``None`` if there is none.
+
+    Newton's iteration from above (Cohen, GTM 138, section 1.7) reaches
+    the floor of the real root; one exact power check then decides.
+    """
+    if m < 2:
+        return m
+    r = 1 << -(-m.bit_length() // n)
+    while True:
+        s = ((n - 1) * r + m // r ** (n - 1)) // n
+        if s >= r:
+            break
+        r = s
+    return r if r ** n == m else None
 
 
 def _gauss_divmod(a, b):
@@ -692,79 +698,53 @@ def _gauss_gcd(a, b):
     return a
 
 
-def _sqrt_minus_one_mod(p: int) -> int:
-    """A square root of -1 modulo a prime p = 1 mod 4."""
-    for base in range(2, p):
-        s = pow(base, (p - 1) // 4, p)
-        if (s * s) % p == p - 1:
-            return s
-    raise ExactArithmeticError(f"no sqrt(-1) mod {p}")  # pragma: no cover
-
-
-def _gaussian_prime_above(p: int):
-    """A Gaussian prime dividing the rational prime p (split or ramified)."""
-    if p == 2:
-        return (1, 1)
-    s = _sqrt_minus_one_mod(p)
-    return _gauss_gcd((p, 0), (s, 1))
-
-
-def _factor_gaussian(z):
-    """Factor a nonzero Z[i] element into unit power and prime exponents.
-
-    Returns ``(k, factors)`` where the unit is ``i**k`` and ``factors`` maps a
-    canonical Gaussian prime (as an (re, im) pair) to its exponent.
-    """
-    factors: dict = {}
-    norm = z[0] * z[0] + z[1] * z[1]
-    for p, _ in _factor_int(norm).items():
-        if p == 2:
-            primes = [(1, 1)]
-        elif p % 4 == 3:
-            primes = [(p, 0)]
-        else:
-            pi = _gaussian_prime_above(p)
-            primes = [pi, (pi[0], -pi[1])]
-        for pi in primes:
-            while True:
-                q, r = _gauss_divmod(z, pi)
-                if r != (0, 0):
-                    break
-                z = q
-                factors[pi] = factors.get(pi, 0) + 1
-    # What remains is a unit 1, i, -1 or -i.
-    units = {(1, 0): 0, (0, 1): 1, (-1, 0): 2, (0, -1): 3}
-    if z not in units:
-        raise ExactArithmeticError("Gaussian factorization failed")  # pragma: no cover
-    return units[z], factors
-
-
 def nth_root(x: GaussianRational, n: int):
     """The exact n-th root of ``x`` in Q(i), or ``None`` if there is none.
 
-    Decided by Gaussian prime factorization: every prime exponent must be
-    divisible by n and the residual unit must be an n-th power of a unit.
+    Write ``x = (a + b*i) / d``; the roots of ``x`` are ``w / d`` with ``w``
+    an n-th root of ``y = (a + b*i) * d**(n-1)`` in Z[i], which is
+    integrally closed.  Any such ``w`` is ``q * (1+i)**s * u`` up to a unit,
+    with ``q`` an odd positive integer and ``u`` primitive and prime to
+    ``1+i``, hence prime to its conjugate.  Then the content of ``y`` is
+    ``q**n * 2**t`` with ``2*t + [1+i divides y / content] == s*n``, the
+    rest is a unit times ``u**n``, and ``u`` is the Gaussian gcd of the
+    rest with the integer n-th root of its norm.  Each step takes integer
+    n-th roots or one gcd, so nothing is factored; the last step keeps the
+    unit multiples of ``q * (1+i)**s * u`` whose n-th power is ``y``.
+
+    When ``x`` has several roots (only for even ``n``), the one with the
+    largest real part, then the largest imaginary part, is returned.
     """
     if n <= 0:
         raise ExactArithmeticError("root order must be positive")
     if x.is_zero():
         raise ExactArithmeticError("no roots of zero in Q(i)*")
-    if n == 1 or x.is_one():
-        return x if n == 1 else ONE
-    ku, fnum = _factor_gaussian((x._a, x._b))
-    kd, fden = _factor_gaussian((x._d, 0))
-    exponents = dict(fnum)
-    for pi, e in fden.items():
-        exponents[pi] = exponents.get(pi, 0) - e
-    unit_exp = (ku - kd) % 4
-    if any(e % n for e in exponents.values()):
+    if n == 1:
+        return x
+    d = x._d
+    scale = d ** (n - 1)
+    y = _triple(x._a * scale, x._b * scale, 1)
+    content = gcd(y._a, y._b)
+    t = (content & -content).bit_length() - 1
+    q = _integer_root(content >> t, n)
+    if q is None:
         return None
-    step = gcd(n, 4)
-    if unit_exp % step:
+    # The power of 1+i in y: 2**t is a unit times (1+i)**(2t), and the
+    # primitive rest holds 1+i at most once.
+    a, b, e = y._a // content, y._b // content, 2 * t
+    if (a - b) % 2 == 0:
+        a, b, e = (a + b) // 2, (b - a) // 2, e + 1
+    s, r = divmod(e, n)
+    if r:
         return None
-    # Find j with j * n = unit_exp mod 4.
-    j = next(j for j in range(4) if (j * n) % 4 == unit_exp % 4)
-    root = GaussianRational(0, 1) ** j
-    for pi, e in exponents.items():
-        root = root * (GaussianRational(pi[0], pi[1]) ** (e // n))
-    return root
+    k = _integer_root(a * a + b * b, n)
+    if k is None:
+        return None
+    u = _gauss_gcd((a, b), (k, 0))
+    w = _triple(q * u[0], q * u[1], 1) * GaussianRational(1, 1) ** s
+    power = w ** n
+    roots = [w * unit for unit in (ONE, I, MINUS_ONE, -I) if power * unit ** n == y]
+    if not roots:
+        return None
+    best = max(roots, key=lambda root: (root._a, root._b))
+    return _reduced(best._a, best._b, d)

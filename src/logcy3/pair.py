@@ -44,7 +44,6 @@ from logcy3.exactnum import (
     symmetric_trilinear,
 )
 from logcy3.toric import (
-    DualComplex,
     Fan3,
     FanError,
     edge_reference_character,
@@ -135,7 +134,7 @@ class LogCY3Pair:
             raise PairError(f"invalid fan: {diag}")
         self.fan = fan
         self.program = tuple(program)
-        self.complex = DualComplex.from_fan(fan, edge_orientations)
+        self.complex = fan.dual_complex(edge_orientations)
         self.warnings = []
         self._build_toric_layer()
         # Curve steps check periods against the markers; their character
@@ -519,7 +518,10 @@ class LogCY3Pair:
         ``torus_element`` is a triple of nonzero Gaussian rationals, the
         images of the three character basis vectors.
         """
-        m = edge_reference_character(self.fan, self.complex, (v, w))
+        m = self.held(
+            frozenset((v, w)),
+            lambda pair: edge_reference_character(pair.fan, pair.complex, (v, w)),
+        )
         value = None
         for t, e in zip(torus_element, m, strict=True):
             factor = t ** e

@@ -89,9 +89,10 @@ class Fan3:
     orientation: tuple = None
 
     # Derived data (the cone set, the cones at each ray, the global sign,
-    # the verdict of validate_fan and the toric layer) is computed on first
-    # use and held on the instance; it is not a field, so equality and
-    # hashing see the three fields only.
+    # the verdict of validate_fan, the toric layer and the dual complex
+    # with default edge orientations) is computed on first use and held on
+    # the instance; it is not a field, so equality and hashing see the three
+    # fields only.
 
     def __init__(self, rays, max_cones, orientation=None):
         object.__setattr__(self, "rays", tuple(tuple(int(x) for x in r) for r in rays))
@@ -165,6 +166,9 @@ class Fan3:
         return (cone[0], cone[2], cone[1])
 
     def dual_complex(self, edge_orientations=None) -> "DualComplex":
+        """The dual complex; the one with default edge orientations is held."""
+        if edge_orientations is None:
+            return self._held("_dual_complex", lambda: DualComplex.from_fan(self))
         return DualComplex.from_fan(self, edge_orientations)
 
 
@@ -310,13 +314,22 @@ class DualComplex:
     def directed_edge(self, v: int, w: int):
         return self.edges[self.edge_index(v, w)]
 
-    def positive_triangle(self, v: int, w: int):
-        """The triangle in which the directed edge (v, w) occurs positively."""
+    @cached_property
+    def _triangle_at(self) -> dict:
+        # Read once per complex; the first triangle listed on a directed
+        # edge wins.
+        index = {}
         for tri in self.triangles:
             for k in range(3):
-                if tri[k] == v and tri[(k + 1) % 3] == w:
-                    return tri
-        raise FanError(f"directed edge ({v}, {w}) not found")
+                index.setdefault((tri[k], tri[(k + 1) % 3]), tri)
+        return index
+
+    def positive_triangle(self, v: int, w: int):
+        """The triangle in which the directed edge (v, w) occurs positively."""
+        try:
+            return self._triangle_at[(v, w)]
+        except KeyError:
+            raise FanError(f"directed edge ({v}, {w}) not found") from None
 
     def euler_characteristic(self) -> int:
         return len(self.vertices) - len(self.edges) + len(self.triangles)

@@ -3,6 +3,8 @@
 import copy
 import importlib.resources
 import pickle
+import random
+import time
 from fractions import Fraction
 from math import gcd, prod
 
@@ -31,6 +33,7 @@ gaussians = st.builds(
     st.fractions(max_denominator=20),
 )
 nonzero_gaussians = gaussians.filter(lambda g: not g.is_zero())
+UNITS = [GaussianRational(x, y) for x, y in ((1, 0), (0, 1), (-1, 0), (0, -1))]
 
 
 def small_matrices(max_dim=4, max_entry=6):
@@ -575,8 +578,9 @@ class TestTorusSolvability:
     def test_one_factorization_solves_and_certifies(self, a, data):
         # Targets made from a Q(i)* point are solvable; the transposed
         # factorization of a^T solves the same system as a fresh one.  The
-        # point has small Gaussian integer coordinates, so the roots stay
-        # cheap for nth_root's trial division.
+        # matrices and the point's Gaussian integer coordinates are small
+        # because snf lets its transforms grow, and the solve raises the
+        # targets to powers as large as the transforms' entries.
         coordinates = ((2, 0), (1, 1), (1, -1), (3, 0), (0, 1))
         small = st.sampled_from([GaussianRational(x, y) for x, y in coordinates])
         point = data.draw(st.lists(small, min_size=a.cols, max_size=a.cols))
@@ -623,14 +627,77 @@ class TestNthRoot:
     def test_roots_missing(self, value, n):
         assert nth_root(GaussianRational.parse(value), n) is None
 
-    small_fractions = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
+    small_fractions = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 40))
     small_gaussians = st.builds(GaussianRational, small_fractions, small_fractions).filter(
         lambda g: not g.is_zero()
     )
 
-    @given(small_gaussians, st.integers(2, 3))
-    @settings(max_examples=30, deadline=None)
+    @given(small_gaussians, st.integers(2, 8))
+    @settings(max_examples=60, deadline=None)
     def test_root_of_power_recovers_up_to_unit(self, g, n):
         root = nth_root(g ** n, n)
         assert root is not None
         assert root ** n == g ** n
+        # Every root is g times a unit; the one returned comes first by
+        # (real part, imaginary part), largest first.
+        roots = [g * u for u in UNITS if (g * u) ** n == g ** n]
+        assert root == max(roots, key=lambda r: (r.re, r.im))
+
+    @pytest.mark.parametrize(
+        "value, n, expected",
+        [("16", 4, "2"), ("-4", 2, "2*i"), ("1/2*i", 2, "1/2+1/2*i"), ("1", 6, "1")],
+    )
+    def test_choice_of_root(self, value, n, expected):
+        root = nth_root(GaussianRational.parse(value), n)
+        assert root == GaussianRational.parse(expected)
+
+    def test_large_inputs_answer_without_factoring(self):
+        # 3p^2 + 4 = 7 * 97 * 271 * 19699 * 827633401178743795021, so
+        # trial division of its norm would run to about 2.9e10.
+        p = 10 ** 15 + 37
+        start = time.perf_counter()
+        assert nth_root(GaussianRational(3 * p * p + 4), 2) is None
+        square = GaussianRational(p, 7) ** 2 / GaussianRational(p + 2) ** 2
+        root = nth_root(square, 2)
+        elapsed = time.perf_counter() - start
+        assert root == GaussianRational(Fraction(p, p + 2), Fraction(7, p + 2))
+        assert elapsed < 0.1
+
+    def test_root_exists_exactly_when_sympy_finds_a_linear_factor(self):
+        # X**n - x has a root in Q(i) exactly when it has a factor of degree
+        # 1 over Q(i); sympy factors it over the field Q(i) independently.
+        import sympy
+
+        field = sympy.QQ.algebraic_field(sympy.I)
+        qq = sympy.QQ
+        X = sympy.Symbol("X")
+        rng = random.Random(20240)
+
+        def draw():
+            while True:
+                g = GaussianRational(
+                    Fraction(rng.randint(-12, 12), rng.randint(1, 12)),
+                    Fraction(rng.randint(-12, 12), rng.randint(1, 12)),
+                )
+                if not g.is_zero():
+                    return g
+
+        found = 0
+        for case in range(40):
+            n = rng.choice((2, 3, 4, 5, 6, 8))
+            x = draw()
+            if case % 2 == 0:
+                x = x ** n
+                if case % 4 == 2:
+                    x = x * rng.choice(UNITS + [GaussianRational(2)])
+            value = field([qq(x.im.numerator, x.im.denominator),
+                           qq(x.re.numerator, x.re.denominator)])
+            coeffs = [field.one] + [field.zero] * (n - 1) + [-value]
+            _, factors = sympy.Poly(coeffs, X, domain=field).factor_list()
+            linear = any(f.degree() == 1 for f, _ in factors)
+            root = nth_root(x, n)
+            assert (root is not None) == linear, (str(x), n)
+            if root is not None:
+                assert root ** n == x
+                found += 1
+        assert 0 < found < 40

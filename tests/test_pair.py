@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from logcy3 import exactnum, toric
+from logcy3 import pair as pair_module
 from logcy3.boundary import ExceptionalClass, Marking, component_marked_period
 from logcy3.exactnum import (
     GaussianRational,
@@ -347,6 +348,33 @@ class TestToricLayer:
         assert fan.n_rays == 20
         LogCY3Pair.build(fan)
         assert calls == {"snf": 0, "vector_triple": 0}
+
+    def test_program_free_builds_share_the_held_complex(self):
+        fan = fresh_copy(LAYER_FANS[-1])
+        first, second = LogCY3Pair.build(fan), LogCY3Pair.build(fan)
+        assert first.complex is second.complex
+        walls = [tuple(e) for e in first.complex.edges]
+        explicit = LogCY3Pair.build(fan, (), walls)
+        assert explicit.complex is not first.complex
+        assert explicit.complex == first.complex
+
+    def test_translations_compute_each_reference_character_once(self, monkeypatch):
+        fan = fresh_copy(LAYER_FANS[-1])
+        program = point_program(fan, 24)
+        pair = LogCY3Pair.build(fan, program)
+        calls = {"edge_reference_character": 0}
+        monkeypatch.setattr(
+            pair_module, "edge_reference_character",
+            counting(calls, "edge_reference_character", edge_reference_character),
+        )
+        t = (g("2"), g("3"), I)
+        first, second = pair.torus_translate(t), pair.torus_translate(t)
+        assert calls["edge_reference_character"] == len(
+            {frozenset(step.edge) for step in program}
+        ) == 24
+        monkeypatch.undo()
+        again = LogCY3Pair.build(fresh_copy(fan), program).torus_translate(t)
+        assert first.program == second.program == again.program
 
     def test_torus_translation_makes_no_snf_call(self, monkeypatch):
         fan = fresh_copy(LAYER_FANS[-1])

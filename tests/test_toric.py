@@ -76,6 +76,26 @@ class TestDualComplex:
             assert t1 != t2
             assert {v, w} < set(t1) and {v, w} < set(t2)
 
+    def test_positive_triangle_matches_a_scan_of_the_triangles(self, p3):
+        def scan(complex_, v, w):
+            for tri in complex_.triangles:
+                for k in range(3):
+                    if tri[k] == v and tri[(k + 1) % 3] == w:
+                        return tri
+            return None
+
+        for fan in toric_fixture_fans().values():
+            default = fan.dual_complex()
+            flipped = [(w, v) for v, w in default.edges]
+            for complex_ in (default, DualComplex.from_fan(fan, flipped)):
+                for v, w in complex_.edges:
+                    for edge in ((v, w), (w, v)):
+                        expected = scan(complex_, *edge)
+                        assert expected is not None
+                        assert complex_.positive_triangle(*edge) == expected
+        with pytest.raises(FanError, match=r"^directed edge \(0, 0\) not found$"):
+            p3.dual_complex().positive_triangle(0, 0)
+
     def test_custom_edge_orientations(self, p3):
         flipped = [(w, v) for v, w in p3.dual_complex().edges]
         c = DualComplex.from_fan(p3, edge_orientations=flipped)
