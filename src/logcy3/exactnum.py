@@ -5,13 +5,15 @@ group of the Gaussian rationals, and all lattice bookkeeping is done with
 arbitrary-precision integer matrices.  This module supplies both layers:
 
 * :class:`GaussianRational` -- an exact element of Q(i);
-* :class:`IntMatrix` and :func:`snf` -- Smith normal form with unimodular
-  transforms, plus kernels, cokernels, integer linear solving and the
+* :class:`IntMatrix` -- an integer matrix made from its rows or from the
+  nonzero entries of its columns; it holds each form once built, applies
+  and multiplies on the columns, and pulls characters back along them;
+* :func:`snf` -- Smith normal form with unimodular transforms, plus
+  kernels, cokernels, integer linear solving, the solution of
+  multiplicative character systems over the torus and in Q(i), and the
   inverse of a unimodular matrix;
 * :func:`symmetric_trilinear` -- a symmetric tensor, stored sparsely,
   evaluated at three vectors;
-* :func:`solvable_over_torus` -- decides whether a multiplicative system of
-  character equations has a solution valued in the full complex torus;
 * :func:`nth_root` -- exact n-th roots in Q(i), when they exist, found
   without factoring: integer n-th roots by Newton's iteration, one
   Gaussian gcd and one power check.  Of several roots it returns the one
@@ -34,9 +36,9 @@ from __future__ import annotations
 
 import re as _regex
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
 
 
 class ExactArithmeticError(ValueError):
@@ -316,27 +318,70 @@ def symmetric_trilinear(tensor: dict, a, b, c) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class IntMatrix:
-    """A rectangular matrix of arbitrary-precision integers."""
+    """An immutable matrix of arbitrary-precision integers, in two forms.
 
-    data: tuple
+    A matrix is made from its rows, ``IntMatrix(rows)``, or from the nonzero
+    ``(row, value)`` entries of each column, :meth:`from_columns`.  It keeps
+    that form and builds the other once, on first use: ``data`` holds the
+    dense rows and ``columns`` the sparse columns.  ``apply``, ``*`` and
+    ``pull_back`` walk the columns; equality and hashing compare ``shape``
+    and ``data``, so the two forms of a matrix are equal.
+    """
 
     def __init__(self, rows):
         rows = tuple(tuple(map(int, r)) for r in rows)
-        if rows:
-            width = len(rows[0])
-            if any(len(r) != width for r in rows):
-                raise ExactArithmeticError("ragged matrix")
-        object.__setattr__(self, "data", rows)
+        width = len(rows[0]) if rows else 0
+        if any(len(r) != width for r in rows):
+            raise ExactArithmeticError("ragged matrix")
+        self.__dict__.update(shape=(len(rows), width), data=rows)
+
+    @classmethod
+    def from_columns(cls, rows: int, columns) -> "IntMatrix":
+        """The ``rows x len(columns)`` matrix with these sparse columns."""
+        self = object.__new__(cls)
+        columns = tuple(tuple(column) for column in columns)
+        self.__dict__.update(shape=(rows, len(columns)), columns=columns)
+        return self
+
+    @cached_property
+    def data(self) -> tuple:
+        rows = [[0] * self.shape[1] for _ in range(self.shape[0])]
+        for j, column in enumerate(self.columns):
+            for i, x in column:
+                rows[i][j] = x
+        return tuple(map(tuple, rows))
+
+    @cached_property
+    def columns(self) -> tuple:
+        columns = [[] for _ in range(self.shape[1])]
+        for i, row in enumerate(self.data):
+            for j, x in enumerate(row):
+                if x:
+                    columns[j].append((i, x))
+        return tuple(map(tuple, columns))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"IntMatrix is immutable; cannot set {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not IntMatrix:
+            return NotImplemented
+        return self.shape == other.shape and self.data == other.data
+
+    def __hash__(self):
+        return hash((self.shape, self.data))
+
+    def __repr__(self) -> str:
+        return f"IntMatrix(shape={self.shape}, data={self.data})"
 
     @property
     def rows(self) -> int:
-        return len(self.data)
+        return self.shape[0]
 
     @property
     def cols(self) -> int:
-        return len(self.data[0]) if self.data else 0
+        return self.shape[1]
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":
@@ -349,19 +394,44 @@ class IntMatrix:
     def __mul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ExactArithmeticError("matrix dimension mismatch")
-        ot = list(zip(*other.data)) if other.data else []
-        return IntMatrix(
-            [[sum(map(mul, row, col)) for col in ot] for row in self.data]
-        )
+        left = self.columns
+        product_columns = []
+        for column in other.columns:
+            image: dict = {}
+            for k, y in column:
+                for i, x in left[k]:
+                    image[i] = image.get(i, 0) + x * y
+            product_columns.append(tuple((i, x) for i, x in image.items() if x))
+        return IntMatrix.from_columns(self.rows, product_columns)
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(list(zip(*self.data))) if self.data else IntMatrix([])
+        transposed = object.__new__(IntMatrix)
+        rows = tuple(zip(*self.data)) or ((),) * self.cols
+        transposed.__dict__.update(shape=(self.cols, self.rows), data=rows)
+        return transposed
 
     def apply(self, vector) -> tuple:
         """Matrix-vector product."""
         if len(vector) != self.cols:
             raise ExactArithmeticError("vector length mismatch")
-        return tuple(sum(map(mul, row, vector)) for row in self.data)
+        image = [0] * self.rows
+        for y, column in zip(vector, self.columns):
+            if y:
+                for i, x in column:
+                    image[i] += x * y
+        return tuple(image)
+
+    def pull_back(self, values) -> tuple:
+        """The character with these values on the rows, pulled back.
+
+        Entry ``j`` is ``prod(values[i] ** A[i, j])``, so ``power_product``
+        over the result at ``x`` is the character's value at ``A x``.
+        """
+        if len(values) != self.rows:
+            raise ExactArithmeticError("vector length mismatch")
+        return tuple(
+            product(values[i] ** x for i, x in column) for column in self.columns
+        )
 
     def column(self, j: int) -> tuple:
         return tuple(row[j] for row in self.data)
@@ -429,8 +499,13 @@ class SnfDecomposition:
     def violated_relation(self, targets):
         """A relation among the rows of ``A`` that the targets break, or ``None``.
 
-        The rows of ``U`` past the rank span the integer relations ``a``
-        with ``a^T A = 0``; see :func:`solvable_over_torus`.
+        Row ``j`` of ``A`` is a character on ``Z^cols``, and the system asks
+        for a homomorphism ``h: Z^cols -> C*`` with ``h(A_j) = targets[j]``.
+        The complex torus is divisible, so the system is solvable exactly
+        when every integer relation ``a`` with ``a^T A = 0`` has
+        ``prod(targets[j] ** a[j]) == 1``.  The rows of ``U`` past the rank
+        span those relations, so ``None`` means solvable and a returned row
+        certifies that the system is not.
         """
         targets = list(targets)
         if len(targets) != self.U.rows:
@@ -444,9 +519,13 @@ class SnfDecomposition:
         return None
 
     def solve_over_gaussian_torus(self, targets):
-        """:func:`solve_over_gaussian_torus` on this factorization of ``A``.
+        """Solve the system of :meth:`violated_relation` with values in Q(i).
 
-        One factorization gives both the relations and the solution.
+        Returns ``("solved", values)`` with one Q(i)* value per column,
+        ``("complex_only", (d, s))`` when the system is solvable over the
+        full torus but the root ``s ** (1/d)`` it needs is not in Q(i), or
+        ``("unsolvable", relation)`` with a violated relation.  One
+        factorization gives both the relations and the solution.
         """
         relation = self.violated_relation(targets)
         if relation is not None:
@@ -560,10 +639,6 @@ def snf(A: IntMatrix) -> SnfDecomposition:
     return SnfDecomposition(IntMatrix(u), IntMatrix(a), IntMatrix(v))
 
 
-def rank(A: IntMatrix) -> int:
-    return snf(A).rank
-
-
 def kernel_basis(A: IntMatrix):
     """A basis of the saturated integer kernel of ``A`` (column vectors).
 
@@ -621,38 +696,6 @@ def invert_unimodular(A: IntMatrix) -> IntMatrix:
     if not unimodular:
         raise ExactArithmeticError("matrix is not unimodular")
     return IntMatrix([row[n:] for row in work])
-
-
-# ---------------------------------------------------------------------------
-# Character solvability over the torus
-# ---------------------------------------------------------------------------
-
-
-def solvable_over_torus(A: IntMatrix, targets):
-    """Decide whether a homomorphism ``Z^cols -> C*`` hits the targets.
-
-    ``A`` has one row per equation; row ``j`` is a character on ``Z^cols``
-    and the equation asks for a homomorphism ``h`` with ``h(A_j) = targets[j]``.
-    Since the complex torus is divisible, solvability only depends on the
-    integer relations among the rows: for every relation ``a`` with
-    ``a^T A = 0`` the corresponding product of targets must be 1.
-
-    Returns ``(True, None)`` or ``(False, relation)`` with a violated
-    relation as certificate.
-    """
-    relation = snf(A).violated_relation(targets)
-    return relation is None, relation
-
-
-def solve_over_gaussian_torus(A: IntMatrix, targets):
-    """Solve the multiplicative system of :func:`solvable_over_torus` in Q(i).
-
-    Returns ``("solved", values)`` with one Q(i)* value per column,
-    ``("complex_only", relation_free_witness)`` when the system is solvable
-    over the full torus but some required root does not exist in Q(i), or
-    ``("unsolvable", relation)`` with a violated relation.
-    """
-    return snf(A).solve_over_gaussian_torus(targets)
 
 
 # ---------------------------------------------------------------------------

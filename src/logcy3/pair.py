@@ -419,12 +419,12 @@ class LogCY3Pair:
 
     def restriction_matrix(self) -> IntMatrix:
         """Matrix of the restriction map, boundary lattice by threefold basis."""
-        order = sorted(self.components)
-        cols = [
-            [x for v in order for x in self._image(images, v)]
+        offsets, total = self.component_offsets()
+        columns = [
+            [(offsets[v] + i, x) for v in images for i, x in enumerate(images[v]) if x]
             for images in self._restriction
         ]
-        return IntMatrix(list(zip(*cols)))
+        return IntMatrix.from_columns(total, columns)
 
     def held(self, key, compute):
         """The value ``compute(self)`` under ``key``, computed once per pair.
@@ -452,30 +452,6 @@ class LogCY3Pair:
                 for value in component_character_table(comp, marking)
             ),
         )
-
-    def edge_degrees(self) -> tuple:
-        """The nonzero edge degrees of the boundary basis, in flat order.
-
-        Entry n lists the ``(edge index, degree)`` pairs of basis class n,
-        read off its component's degree table and signed as in the
-        edge-matching map: plus on the tail of the directed edge, minus on
-        its head.  Computed on first use and then held on the pair.
-        """
-        return self.held("edge_degrees", LogCY3Pair._edge_degrees)
-
-    def _edge_degrees(self):
-        edges = self.complex.edges
-        row_of = {frozenset(e): n for n, e in enumerate(edges)}
-        columns = []
-        for comp in self.boundary_components():
-            u = comp.vertex
-            for entries in comp.degree_table:
-                column = []
-                for w, d in entries:
-                    row = row_of[frozenset((u, w))]
-                    column.append((row, d if edges[row][0] == u else -d))
-                columns.append(tuple(column))
-        return tuple(columns)
 
     def split_boundary_vector(self, flat):
         offsets, total = self.component_offsets()
@@ -506,9 +482,13 @@ class LogCY3Pair:
 
     def truncated(self, steps: int) -> "LogCY3Pair":
         """The pair given by the first ``steps`` program entries."""
-        return LogCY3Pair.build(
-            self.fan, self.program[:steps], [tuple(e) for e in self.complex.edges]
-        )
+        return LogCY3Pair.build(self.fan, self.program[:steps], self._orientations())
+
+    def _orientations(self):
+        # None when the pair has the fan's held complex, so a new pair shares it.
+        if self.complex is self.fan.dual_complex():
+            return None
+        return [tuple(e) for e in self.complex.edges]
 
     # -- torus action --------------------------------------------------------
 
@@ -549,9 +529,7 @@ class LogCY3Pair:
                 new_program.append(
                     CurveBlowup(step.component, step.curve_class, tuple(new_points))
                 )
-        return LogCY3Pair.build(
-            self.fan, new_program, [tuple(e) for e in self.complex.edges]
-        )
+        return LogCY3Pair.build(self.fan, new_program, self._orientations())
 
 
 def validate_pair(fan: Fan3, program=(), edge_orientations=None):

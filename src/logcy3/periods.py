@@ -20,7 +20,6 @@ from logcy3.exactnum import (
     IntMatrix,
     invert_unimodular,
     power_product,
-    product,
     snf,
 )
 from logcy3.pair import LogCY3Pair, PairError
@@ -74,12 +73,19 @@ def edge_matching_snf(pair: LogCY3Pair):
 
 
 def _build_edge_matching_map(pair: LogCY3Pair) -> IntMatrix:
-    columns = pair.edge_degrees()
-    rows = [[0] * len(columns) for _ in pair.complex.edges]
-    for column, degrees in enumerate(columns):
-        for row, d in degrees:
-            rows[row][column] = d
-    return IntMatrix(rows)
+    # Column n holds the nonzero edge degrees of basis class n, read off its
+    # component's degree table and signed as the rows require.
+    edges = pair.complex.edges
+    columns = []
+    for comp in pair.boundary_components():
+        u = comp.vertex
+        for entries in comp.degree_table:
+            column = []
+            for w, d in entries:
+                row = pair.complex.edge_index(u, w)
+                column.append((row, d if edges[row][0] == u else -d))
+            columns.append(column)
+    return IntMatrix.from_columns(len(edges), columns)
 
 
 def matching_lattice(pair: LogCY3Pair):
@@ -123,9 +129,7 @@ def edge_cokernel_report(pair: LogCY3Pair):
         for j, (v, i) in enumerate(boundary_basis_labels(pair))
         if i < pair.components[v].base.rank
     ]
-    composition_zero = all(
-        row[j] == 0 for row in composed.data for j in toric_columns
-    )
+    composition_zero = not any(composed.columns[j] for j in toric_columns)
     free_rank, torsion = edge_matching_snf(pair).cokernel()
     return free_rank, torsion, composition_zero
 
@@ -199,14 +203,10 @@ def edge_scaling_character(pair: LogCY3Pair, lambdas) -> PeriodCharacter:
     value on a boundary basis class is the product over edges of the scalar
     raised to the degree difference of the class across that edge.
     """
-    scalars = _edge_scalars(pair, lambdas)
-    degrees = pair.edge_degrees()
+    values = edge_matching_map(pair).pull_back(_edge_scalars(pair, lambdas))
     basis = tuple(
-        tuple(1 if j == n else 0 for j in range(len(degrees)))
-        for n in range(len(degrees))
-    )
-    values = tuple(
-        product(scalars[row] ** d for row, d in column) for column in degrees
+        tuple(1 if j == n else 0 for j in range(len(values)))
+        for n in range(len(values))
     )
     return PeriodCharacter(basis, values)
 
@@ -268,10 +268,9 @@ def quotient_character(pair: LogCY3Pair):
             )
         columns.append(sol)
     s = len(generators)
-    if columns:
-        inclusion = IntMatrix(list(zip(*columns)))  # s x t
-    else:
-        inclusion = IntMatrix([[0] for _ in range(s)])
+    inclusion = IntMatrix.from_columns(  # s x t
+        s, [[(i, x) for i, x in enumerate(sol) if x] for sol in columns]
+    )
     dec = snf(inclusion)
     diag = dec.D.diagonal()
     torsion = tuple(d for d in diag if d > 1)

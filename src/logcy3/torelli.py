@@ -15,15 +15,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from logcy3.boundary import Marking
-from logcy3.exactnum import (
-    ExactArithmeticError,
-    IntMatrix,
-    power_product,
-    product,
-    rank as matrix_rank,
-)
+from logcy3.exactnum import ExactArithmeticError, IntMatrix, power_product, snf
 from logcy3.pair import CurveBlowup, LogCY3Pair, PairError, PicVector, PointBlowup
 from logcy3.periods import (
+    edge_matching_map,
     edge_matching_snf,
     evaluate_boundary_character,
     matching_lattice,
@@ -196,7 +191,7 @@ def complexity(pair: LogCY3Pair, decomposition) -> Fraction:
         coords = cls.coords if isinstance(cls, PicVector) else tuple(cls)
         weights.append(weight)
         classes.append(coords)
-    r = matrix_rank(IntMatrix(classes)) if classes else 0
+    r = snf(IntMatrix(classes)).rank if classes else 0
     return Fraction(3) + r - sum(weights, Fraction(0))
 
 
@@ -315,18 +310,17 @@ def component_transport(
     return IntMatrix(list(zip(*cols)))
 
 
-def boundary_columns(pair, other, corr, transports):
-    """The correspondence's boundary map, one sparse column per basis class.
+def boundary_map(pair, other, corr, transports) -> IntMatrix:
+    """The correspondence's boundary map, from the pair's boundary lattice.
 
-    Column ``j`` lists the nonzero ``(flat index in other, coefficient)``
-    entries of the image of the pair's boundary basis class ``j``: column
-    ``j`` of its component's transport, placed at the start of the image
-    component's block.  The blocks follow the other pair's components in
-    order, each as long as its transport has rows, so a map of the right
-    shape places them at ``other.component_offsets()``.  Returns the columns
-    and the length of an image; a caller checks that length against the
-    other pair's boundary rank.  A transport with the wrong number of
-    columns raises ``ExactArithmeticError``, as applying it would.
+    Column ``j`` is the image of the pair's boundary basis class ``j``:
+    column ``j`` of its component's transport, placed at the start of the
+    image component's block.  The blocks follow the other pair's components
+    in order, each as long as its transport has rows, so a map of the right
+    shape places them at ``other.component_offsets()``; a caller checks the
+    map's row count against the other pair's boundary rank.  A transport
+    with the wrong number of columns raises ``ExactArithmeticError``, as
+    applying it would.
     """
     start_of = {}
     length = 0
@@ -339,31 +333,9 @@ def boundary_columns(pair, other, corr, transports):
         matrix, start = transports[v], start_of[v]
         if matrix.cols != pair.components[v].rank:
             raise ExactArithmeticError("vector length mismatch")
-        for column in zip(*matrix.data):
-            columns.append(tuple((start + i, c) for i, c in enumerate(column) if c))
-    return tuple(columns), length
-
-
-def _push(columns, vector) -> dict:
-    """Sparse columns applied to ``(index, coefficient)`` pairs.
-
-    Returns the nonzero entries of the image, by index.
-    """
-    image: dict = {}
-    for j, x in vector:
-        if x:
-            for i, c in columns[j]:
-                image[i] = image.get(i, 0) + x * c
-    return {i: c for i, c in image.items() if c}
-
-
-def _pulled_back_table(columns, table) -> tuple:
-    """The other pair's character table pulled back through the columns.
-
-    A character is a homomorphism, so ``power_product`` over the result at
-    ``x`` is the other pair's period of the image of ``x``, exactly.
-    """
-    return tuple(product(table[i] ** c for i, c in column) for column in columns)
+        for column in matrix.columns:
+            columns.append([(start + i, c) for i, c in column])
+    return IntMatrix.from_columns(length, columns)
 
 
 def threefold_transport(
@@ -498,35 +470,34 @@ def decide_isomorphism(
         )
 
     # (v) Compare exact periods on the matching lattice.  The boundary map
-    # is built once, as sparse columns; the other pair's edge degrees and
-    # character table are pulled back through it, so a class is only
+    # is built once; the other pair's edge-matching map is composed with it
+    # and its character table pulled back along it, so a class is only
     # transported itself as the witness of a distinct verdict.
     markers = Marking.markers(pair.edge_keys())
     markers2 = Marking.markers(other.edge_keys())
-    columns, length = boundary_columns(pair, other, corr, transports)
-    degrees2 = other.edge_degrees()
-    if length != len(degrees2):
+    boundary = boundary_map(pair, other, corr, transports)
+    matching2 = edge_matching_map(other)
+    if boundary.rows != matching2.cols:
         # As the other pair's edge-matching map fails on such an image.
         raise ExactArithmeticError("vector length mismatch")
-    column_degrees = [tuple(_push(degrees2, column).items()) for column in columns]
-    pulled = _pulled_back_table(columns, other.character_table(markers2))
+    moved = matching2 * boundary
+    pulled = boundary.pull_back(other.character_table(markers2))
     transcript = []
     for gen in matching_lattice(pair):
-        if _push(column_degrees, enumerate(gen)):
+        if any(moved.apply(gen)):
             raise CorrespondenceError(
                 "transported matching class violates the edge-matching condition"
             )
         value = evaluate_boundary_character(pair, markers, gen)
         value2 = power_product(pulled, gen)
         if value != value2:
-            image = _push(columns, enumerate(gen))
             return Verdict(
                 "distinct",
                 "periods disagree on a matching class",
                 {
                     "check": "period",
                     "witness": tuple(gen),
-                    "witness_image": tuple(image.get(i, 0) for i in range(length)),
+                    "witness_image": boundary.apply(gen),
                     "values": (str(value), str(value2)),
                 },
             )
@@ -573,16 +544,15 @@ def marking_transporter(
         v: component_transport(pair, other, corr, v) for v in sorted(pair.components)
     }
     table = pair.character_table(marking)
-    columns, length = boundary_columns(pair, other, corr, transports)
+    boundary = boundary_map(pair, other, corr, transports)
     table2 = other.character_table(marking_other)
-    if length != len(table2):
+    if boundary.rows != len(table2):
         # As the other pair's character fails on such an image.
         raise PairError("boundary vector length mismatch")
     # target j is the other pair's period of the image of basis class j
     # over this pair's period of the class.
     targets = [
-        value2 / value
-        for value2, value in zip(_pulled_back_table(columns, table2), table)
+        value2 / value for value2, value in zip(boundary.pull_back(table2), table)
     ]
     # The system's matrix is the transposed edge-matching map (basis x
     # edges), so its factorization is the transpose of the held one.

@@ -82,6 +82,8 @@ class Fan3:
     ``orientation`` is a reference datum ``(triangle, sign)``: the ordered
     ray-index triple is declared positively (+1) or negatively (-1) oriented
     on the dual complex; all other triangle orientations are derived from it.
+    It defaults to the first max cone, positively oriented, and is ``None``
+    when there is no max cone.
     """
 
     rays: tuple
@@ -101,9 +103,9 @@ class Fan3:
         )
         if orientation is None and self.max_cones:
             orientation = (self.max_cones[0], 1)
-        object.__setattr__(
-            self, "orientation", (tuple(orientation[0]), int(orientation[1]))
-        )
+        if orientation is not None:
+            orientation = (tuple(orientation[0]), int(orientation[1]))
+        object.__setattr__(self, "orientation", orientation)
 
     # -- basic queries -------------------------------------------------------
 
@@ -285,7 +287,11 @@ class DualComplex:
     def from_fan(fan: Fan3, edge_orientations=None) -> "DualComplex":
         walls = sorted(tuple(sorted(w)) for w in fan.walls())
         if edge_orientations is not None:
-            chosen = {frozenset(e): tuple(e) for e in edge_orientations}
+            chosen = {}
+            for e in edge_orientations:
+                if frozenset(e) in chosen:
+                    raise FanError(f"edge {tuple(sorted(e))} is oriented twice")
+                chosen[frozenset(e)] = tuple(e)
             if set(chosen) != {frozenset(w) for w in walls}:
                 raise FanError("edge orientation list does not match the walls")
             edges = tuple(chosen[frozenset(w)] for w in walls)

@@ -190,6 +190,36 @@ class TestValidate:
             assert captured.out == ""
             assert captured.err == 'error: duplicate key "coordinate"\n'
 
+    @pytest.mark.parametrize("reverse", [False, True], ids=["same", "reversed"])
+    def test_edge_oriented_twice_is_invalid(self, reverse, tmp_path, capsys):
+        with open(bundled_path("p3-point"), encoding="utf-8") as handle:
+            doc = documents.loads(handle.read())
+        first = doc["edge_orientations"][0]
+        assert first == [0, 1]
+        doc["edge_orientations"].append(first[::-1] if reverse else first)
+        path = tmp_path / "twice.pair.json"
+        path.write_text(documents.dumps(doc), encoding="utf-8")
+        assert main(["--json", "validate", str(path)]) == 1
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert results == {
+            "status": "invalid",
+            "diagnostic": "pair: edge (0, 1) is oriented twice",
+        }
+
+    def test_fan_without_cones_is_invalid(self, tmp_path, capsys):
+        with open(bundled_path("p3"), encoding="utf-8") as handle:
+            doc = documents.loads(handle.read())
+        doc["cones"] = []
+        del doc["orientation"]
+        path = tmp_path / "coneless.pair.json"
+        path.write_text(documents.dumps(doc), encoding="utf-8")
+        assert main(["--json", "validate", str(path)]) == 1
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert results == {
+            "status": "invalid",
+            "diagnostic": "pair: invalid fan: fan has no max cones",
+        }
+
     def test_missing_file(self, capsys):
         assert main(["validate", "/nonexistent/file.json"]) == 2
         assert "error:" in capsys.readouterr().err

@@ -20,11 +20,8 @@ from logcy3.exactnum import (
     kernel_basis,
     nth_root,
     power_product,
-    rank,
     snf,
-    solvable_over_torus,
     solve_integer,
-    solve_over_gaussian_torus,
 )
 
 gaussians = st.builds(
@@ -36,9 +33,9 @@ nonzero_gaussians = gaussians.filter(lambda g: not g.is_zero())
 UNITS = [GaussianRational(x, y) for x, y in ((1, 0), (0, 1), (-1, 0), (0, -1))]
 
 
-def small_matrices(max_dim=4, max_entry=6):
-    return st.integers(1, max_dim).flatmap(
-        lambda m: st.integers(1, max_dim).flatmap(
+def small_matrices(max_dim=4, max_entry=6, min_dim=1):
+    return st.integers(min_dim, max_dim).flatmap(
+        lambda m: st.integers(min_dim, max_dim).flatmap(
             lambda n: st.lists(
                 st.lists(st.integers(-max_entry, max_entry), min_size=n, max_size=n),
                 min_size=m,
@@ -286,7 +283,7 @@ class TestSmithNormalForm:
     @settings(max_examples=60)
     @given(small_matrices())
     def test_rank_nullity(self, a):
-        assert rank(a) + len(kernel_basis(a)) == a.cols
+        assert snf(a).rank + len(kernel_basis(a)) == a.cols
 
     @settings(max_examples=40)
     @given(small_matrices())
@@ -308,6 +305,66 @@ class TestSmithNormalForm:
         theirs = smith_normal_form(sympy.Matrix(a.data))
         diag = [abs(theirs[i, i]) for i in range(min(a.rows, a.cols))]
         assert list(ours) == [d for d in diag if d != 0]
+
+
+def integer_lists(length, bound=3):
+    return st.lists(st.integers(-bound, bound), min_size=length, max_size=length)
+
+
+class TestTwoForms:
+    """A matrix made from its sparse columns is the matrix made from its rows."""
+
+    @settings(max_examples=60)
+    @given(small_matrices(max_entry=3, min_dim=0))
+    def test_round_trip(self, a):
+        b = IntMatrix.from_columns(a.rows, a.columns)
+        assert b.columns == a.columns
+        assert b == a and hash(b) == hash(a)
+        assert b.shape == a.shape and b.data is b.data
+
+    @settings(max_examples=60)
+    @given(small_matrices(max_entry=3, min_dim=0), st.data())
+    def test_arithmetic_matches_dense(self, a, data):
+        m, n = a.shape
+        b = IntMatrix.from_columns(m, a.columns)
+        vector = data.draw(integer_lists(n))
+        dense = tuple(sum(a.data[i][j] * vector[j] for j in range(n)) for i in range(m))
+        assert a.apply(vector) == b.apply(vector) == dense
+        k = data.draw(st.integers(0, 3))
+        right = [data.draw(integer_lists(n)) for _ in range(k)]  # its columns
+        other = IntMatrix.from_columns(
+            n, [[(i, x) for i, x in enumerate(column) if x] for column in right]
+        )
+        expected = tuple(
+            tuple(sum(a.data[i][j] * column[j] for j in range(n)) for column in right)
+            for i in range(m)
+        )
+        for left in (a, b):
+            product_ = left * other
+            assert product_.shape == (m, k) and product_.data == expected
+        values = data.draw(st.lists(nonzero_gaussians, min_size=m, max_size=m))
+        assert b.pull_back(values) == tuple(
+            power_product(values, a.column(j)) for j in range(n)
+        )
+        # The column form answers all of the above without its dense rows.
+        assert "data" not in vars(b) and "data" not in vars(other)
+        transposed = b.transpose()
+        assert transposed.shape == (n, m)
+        assert transposed.data == tuple(
+            tuple(a.data[i][j] for i in range(m)) for j in range(n)
+        )
+
+    def test_shapes_without_entries(self):
+        empty = IntMatrix.from_columns(3, [])
+        assert empty.shape == (3, 0) and empty.data == ((), (), ())
+        assert empty == IntMatrix([[], [], []]) and empty.apply(()) == (0, 0, 0)
+        assert empty.transpose().shape == (0, 3)
+        assert empty.transpose() * empty == IntMatrix.zero(0, 0)
+        wide = IntMatrix.from_columns(0, [(), ()])
+        assert wide != IntMatrix([]) and wide.transpose().data == ((), ())
+        assert (empty * wide).data == ((0, 0),) * 3
+        with pytest.raises(ExactArithmeticError):
+            empty.pull_back([GaussianRational(2)])
 
 
 def reference_snf(A: IntMatrix):
@@ -519,49 +576,48 @@ class TestKernelAndCokernel:
 
 class TestTorusSolvability:
     def test_identity_always_solvable(self):
-        ok, cert = solvable_over_torus(
-            IntMatrix.identity(2), [GaussianRational(5), GaussianRational(0, 1)]
+        cert = snf(IntMatrix.identity(2)).violated_relation(
+            [GaussianRational(5), GaussianRational(0, 1)]
         )
-        assert ok and cert is None
+        assert cert is None
 
     def test_forced_inconsistency(self):
-        ok, cert = solvable_over_torus(
-            IntMatrix([[1], [1]]), [GaussianRational(2), GaussianRational(3)]
+        cert = snf(IntMatrix([[1], [1]])).violated_relation(
+            [GaussianRational(2), GaussianRational(3)]
         )
-        assert not ok
+        assert cert is not None
         assert not power_product(
             [GaussianRational(2), GaussianRational(3)], cert
         ).is_one()
 
     def test_divisibility_of_the_torus(self):
-        ok, _ = solvable_over_torus(IntMatrix([[2]]), [GaussianRational(4)])
-        assert ok
+        assert snf(IntMatrix([[2]])).violated_relation([GaussianRational(4)]) is None
 
     def test_zero_target_rejected(self):
         with pytest.raises(ExactArithmeticError):
-            solvable_over_torus(IntMatrix([[1]]), [GaussianRational(0)])
+            snf(IntMatrix([[1]])).violated_relation([GaussianRational(0)])
 
     def test_unimodular_row_invariance(self):
         a = IntMatrix([[1, 2], [3, 4], [4, 6]])
         targets = [GaussianRational(2), GaussianRational(3), GaussianRational(6)]
-        ok1, _ = solvable_over_torus(a, targets)
+        ok1 = snf(a).violated_relation(targets) is None
         # Row operation: add row 0 to row 1; multiply targets accordingly.
         a2 = IntMatrix([[1, 2], [4, 6], [4, 6]])
         targets2 = [targets[0], targets[0] * targets[1], targets[2]]
-        ok2, _ = solvable_over_torus(a2, targets2)
+        ok2 = snf(a2).violated_relation(targets2) is None
         assert ok1 == ok2
 
     def test_gaussian_solution_verifies(self):
         a = IntMatrix([[2, 0], [1, 1]])
         targets = [GaussianRational(4), GaussianRational(6)]
-        status, x = solve_over_gaussian_torus(a, targets)
+        status, x = snf(a).solve_over_gaussian_torus(targets)
         assert status == "solved"
         for row, t in zip(a.data, targets):
             assert power_product(x, row) == t
 
     def test_gaussian_complex_only(self):
-        status, witness = solve_over_gaussian_torus(
-            IntMatrix([[2]]), [GaussianRational(2)]
+        status, witness = snf(IntMatrix([[2]])).solve_over_gaussian_torus(
+            [GaussianRational(2)]
         )
         assert status == "complex_only"
         assert witness[0] == 2
@@ -596,11 +652,11 @@ class TestTorusSolvability:
         if relation is not None:
             assert all(x == 0 for x in a.transpose().apply(relation))
             assert not power_product(bent, relation).is_one()
-            assert solve_over_gaussian_torus(a, bent) == ("unsolvable", relation)
+            assert snf(a).solve_over_gaussian_torus(bent) == ("unsolvable", relation)
 
     def test_gaussian_unsolvable(self):
-        status, relation = solve_over_gaussian_torus(
-            IntMatrix([[1], [1]]), [GaussianRational(2), GaussianRational(3)]
+        status, relation = snf(IntMatrix([[1], [1]])).solve_over_gaussian_torus(
+            [GaussianRational(2), GaussianRational(3)]
         )
         assert status == "unsolvable" and relation is not None
 

@@ -358,6 +358,19 @@ class TestToricLayer:
         assert explicit.complex is not first.complex
         assert explicit.complex == first.complex
 
+    def test_translated_and_truncated_pairs_keep_the_complex(self):
+        fan = fresh_copy(LAYER_FANS[-1])
+        pair = LogCY3Pair.build(fan, point_program(fan, 6))
+        assert pair.complex is fan.dual_complex()
+        t = (g("2"), g("3"), I)
+        for derived in (pair.torus_translate(t), pair.truncated(3)):
+            assert derived.complex is pair.complex
+        flipped = [(w, v) for v, w in pair.complex.edges]
+        other = LogCY3Pair.build(fan, pair.program, flipped)
+        for derived in (other.torus_translate(t), other.truncated(3)):
+            assert derived.complex.edges == tuple(flipped)
+            assert derived.complex is not other.complex
+
     def test_translations_compute_each_reference_character_once(self, monkeypatch):
         fan = fresh_copy(LAYER_FANS[-1])
         program = point_program(fan, 24)

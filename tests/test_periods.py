@@ -101,9 +101,11 @@ class TestEdgeMatchingMap:
             assert decide_isomorphism(pair, other).is_isomorphic
             assert marking_transporter(pair, other)[0] == "solved"
         assert times("map", pair) == 1
-        # A verdict and a transport read the other pair's edge degrees and
-        # character table, never its edge-matching map.
-        assert times("map", other) == 0
+        # A verdict composes the other pair's edge-matching map with the
+        # boundary map: it is built once, and never densified or factored.
+        assert times("map", other) == 1
+        assert "data" not in vars(edge_matching_map(other))
+        assert times("snf", edge_matching_map(other)) == 0
         assert times("snf", edge_matching_map(pair)) == 1
         assert times("restriction", pair) == 1
         assert edge_matching_map(pair) is edge_matching_map(pair)

@@ -463,7 +463,9 @@ class TestSparseBoundaryTransport:
         for pair, other in cases:
             corr = Correspondence.identity(pair)
             transports = dense_transports(pair, other, corr)
-            columns, length = torelli.boundary_columns(pair, other, corr, transports)
+            boundary = torelli.boundary_map(pair, other, corr, transports)
+            length = boundary.rows
+            columns = boundary.columns
             assert length == len(other.character_table(Marking.markers(other.edge_keys())))
             for j, column in enumerate(columns):
                 unit = tuple(1 if i == j else 0 for i in range(len(columns)))
