@@ -7,11 +7,14 @@ arbitrary-precision integer matrices.  This module supplies both layers:
 * :class:`GaussianRational` -- an exact element of Q(i);
 * :class:`IntMatrix` -- an integer matrix made from its rows or from the
   nonzero entries of its columns; it holds each form once built, applies
-  and multiplies on the columns, and pulls characters back along them;
-* :func:`snf` -- Smith normal form with unimodular transforms, plus
-  kernels, cokernels, integer linear solving, the solution of
-  multiplicative character systems over the torus and in Q(i), and the
-  inverse of a unimodular matrix;
+  and multiplies on the columns, pulls characters back along them, and
+  is transposed in constant time, the transpose building its forms from
+  the form it was made from;
+* :func:`snf` -- Smith normal form with unimodular transforms and their
+  inverses, built step by step alongside them, plus kernels, cokernels,
+  coordinates in the basis of ``V``, integer linear solving, and the
+  solution of multiplicative character systems over the torus and in
+  Q(i); and the inverse of a unimodular matrix by row reduction;
 * :func:`symmetric_trilinear` -- a symmetric tensor, stored sparsely,
   evaluated at three vectors;
 * :func:`nth_root` -- exact n-th roots in Q(i), when they exist, found
@@ -321,12 +324,13 @@ def symmetric_trilinear(tensor: dict, a, b, c) -> int:
 class IntMatrix:
     """An immutable matrix of arbitrary-precision integers, in two forms.
 
-    A matrix is made from its rows, ``IntMatrix(rows)``, or from the nonzero
-    ``(row, value)`` entries of each column, :meth:`from_columns`.  It keeps
-    that form and builds the other once, on first use: ``data`` holds the
-    dense rows and ``columns`` the sparse columns.  ``apply``, ``*`` and
-    ``pull_back`` walk the columns; equality and hashing compare ``shape``
-    and ``data``, so the two forms of a matrix are equal.
+    A matrix is made from its rows, ``IntMatrix(rows)``, from the nonzero
+    ``(row, value)`` entries of each column, :meth:`from_columns`, or as the
+    transpose of another, :meth:`transpose`.  It builds each form it was not
+    made with once, on first use: ``data`` holds the dense rows and
+    ``columns`` the sparse columns.  ``apply``, ``*``, ``pull_back`` and
+    ``column`` walk the columns; equality and hashing compare ``shape`` and
+    ``data``, so the forms of a matrix are equal.
     """
 
     def __init__(self, rows):
@@ -344,8 +348,22 @@ class IntMatrix:
         self.__dict__.update(shape=(rows, len(columns)), columns=columns)
         return self
 
+    @classmethod
+    def _from_rows(cls, shape: tuple, rows) -> "IntMatrix":
+        # Rows of integers this module built, so they are neither converted
+        # nor checked; the shape keeps the width of a matrix with no rows.
+        self = object.__new__(cls)
+        self.__dict__.update(shape=shape, data=tuple(map(tuple, rows)))
+        return self
+
     @cached_property
     def data(self) -> tuple:
+        source = vars(self).get("_transposed_from")
+        if source is not None:
+            # A transpose's rows are its source's columns.
+            if "columns" in vars(source):
+                return tuple(map(source.column, range(source.cols)))
+            return tuple(zip(*source.data)) or ((),) * self.shape[0]
         rows = [[0] * self.shape[1] for _ in range(self.shape[0])]
         for j, column in enumerate(self.columns):
             for i, x in column:
@@ -355,10 +373,18 @@ class IntMatrix:
     @cached_property
     def columns(self) -> tuple:
         columns = [[] for _ in range(self.shape[1])]
-        for i, row in enumerate(self.data):
-            for j, x in enumerate(row):
-                if x:
-                    columns[j].append((i, x))
+        source = vars(self).get("_transposed_from")
+        if source is not None and "columns" in vars(source):
+            # A transpose's columns take its source's column entries, in
+            # time linear in them.
+            for j, column in enumerate(source.columns):
+                for i, x in column:
+                    columns[i].append((j, x))
+        else:
+            for i, row in enumerate(self.data):
+                for j, x in enumerate(row):
+                    if x:
+                        columns[j].append((i, x))
         return tuple(map(tuple, columns))
 
     def __setattr__(self, name, value):
@@ -389,7 +415,7 @@ class IntMatrix:
 
     @staticmethod
     def zero(m: int, n: int) -> "IntMatrix":
-        return IntMatrix([[0] * n for _ in range(m)])
+        return IntMatrix.from_columns(m, ((),) * n)
 
     def __mul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
@@ -405,9 +431,16 @@ class IntMatrix:
         return IntMatrix.from_columns(self.rows, product_columns)
 
     def transpose(self) -> "IntMatrix":
+        """The transpose, made in constant time from this matrix.
+
+        Its forms are built on first use from the form this matrix has, so
+        the transpose of a column-form matrix is never made dense to find
+        its columns.  It keeps this matrix, so transposing back returns it.
+        """
+        if "_transposed_from" in vars(self):
+            return self._transposed_from
         transposed = object.__new__(IntMatrix)
-        rows = tuple(zip(*self.data)) or ((),) * self.cols
-        transposed.__dict__.update(shape=(self.cols, self.rows), data=rows)
+        transposed.__dict__.update(shape=(self.cols, self.rows), _transposed_from=self)
         return transposed
 
     def apply(self, vector) -> tuple:
@@ -434,7 +467,11 @@ class IntMatrix:
         )
 
     def column(self, j: int) -> tuple:
-        return tuple(row[j] for row in self.data)
+        """Column ``j`` as a dense tuple, read off the sparse columns."""
+        column = [0] * self.rows
+        for i, x in self.columns[j]:
+            column[i] = x
+        return tuple(column)
 
     def diagonal(self) -> tuple:
         return tuple(self.data[i][i] for i in range(min(self.rows, self.cols)))
@@ -445,15 +482,19 @@ class IntMatrix:
 
 @dataclass(frozen=True)
 class SnfDecomposition:
-    """Unimodular U, V and diagonal D with ``U * A * V == D``.
+    """Unimodular U, V and diagonal D with ``U * A * V == D``, and the inverses.
 
     The diagonal entries are nonnegative and satisfy the divisibility
-    chain d1 | d2 | ... .
+    chain d1 | d2 | ... .  ``V`` and ``U_inv`` are held as sparse columns
+    and ``V_inv`` is built from its sparse rows, so reading a kernel
+    vector, a lift or coordinates costs the nonzero entries it touches.
     """
 
     U: IntMatrix
     D: IntMatrix
     V: IntMatrix
+    U_inv: IntMatrix
+    V_inv: IntMatrix
 
     @property
     def rank(self) -> int:
@@ -465,6 +506,14 @@ class SnfDecomposition:
     def kernel(self):
         """A basis of the saturated integer kernel of ``A`` (column vectors)."""
         return [self.V.column(j) for j in range(self.rank, self.V.rows)]
+
+    def coordinates(self, x) -> tuple:
+        """The coordinates ``V_inv x`` of ``x`` in the basis of ``V``'s columns.
+
+        ``A x`` is zero exactly when the coordinates before ``rank`` are,
+        and then the rest are ``x``'s coordinates in the kernel basis.
+        """
+        return self.V_inv.apply(tuple(x))
 
     def cokernel(self):
         """Free rank and torsion invariant factors of ``Z^rows / im(A)``."""
@@ -493,7 +542,11 @@ class SnfDecomposition:
     def transpose(self) -> "SnfDecomposition":
         """The factorization of ``A^T``, read off this one: ``V^T A^T U^T = D^T``."""
         return SnfDecomposition(
-            self.V.transpose(), self.D.transpose(), self.U.transpose()
+            self.V.transpose(),
+            self.D.transpose(),
+            self.U.transpose(),
+            self.V_inv.transpose(),
+            self.U_inv.transpose(),
         )
 
     def violated_relation(self, targets):
@@ -513,9 +566,10 @@ class SnfDecomposition:
         for tval in targets:
             if tval.is_zero():
                 raise ExactArithmeticError("targets must be nonzero")
-        for relation in self.U.data[self.rank:]:
-            if not power_product(targets, relation).is_one():
-                return relation
+        rows = self.U.transpose()  # its sparse columns are U's rows
+        for k in range(self.rank, self.U.rows):
+            if not product(targets[j] ** x for j, x in rows.columns[k]).is_one():
+                return rows.column(k)
         return None
 
     def solve_over_gaussian_torus(self, targets):
@@ -530,53 +584,85 @@ class SnfDecomposition:
         relation = self.violated_relation(targets)
         if relation is not None:
             return "unsolvable", relation
+        rows = self.U.transpose()
         y = [ONE] * self.V.rows
         for i, d in enumerate(self.invariant_factors()):
             # s_i = prod_j targets_j ** U[i, j], and y_i ** d_i = s_i.
-            s = power_product(targets, self.U.data[i])
+            s = product(targets[j] ** x for j, x in rows.columns[i])
             root = nth_root(s, d)
             if root is None:
                 return "complex_only", (d, s)
             y[i] = root
         # x_e = prod_i y_i ** V[e, i]
-        return "solved", [power_product(y, row) for row in self.V.data]
+        return "solved", list(self.V.transpose().pull_back(y))
+
+
+def _add_sparse(dst: dict, src: dict, c: int):
+    """``dst += c * src`` on vectors held as ``{index: nonzero entry}``."""
+    if not c:
+        return
+    for k, y in src.items():
+        x = dst.get(k, 0) + c * y
+        if x:
+            dst[k] = x
+        else:
+            del dst[k]
 
 
 def snf(A: IntMatrix) -> SnfDecomposition:
-    """Smith normal form over Z with transforms, by exact row/column reduction."""
-    m, n = A.rows, A.cols
+    """Smith normal form over Z with transforms, by exact row/column reduction.
+
+    The inverses of the transforms are built alongside, each elementary
+    step by its inverse (Dumas, Saunders and Villard, J. Symbolic Comput. 32
+    (2001) 71-99): row ``dst += c * row src`` on ``U`` is column
+    ``src -= c * column dst`` on ``U_inv``, column ``dst += c * column src``
+    on ``V`` is row ``src -= c * row dst`` on ``V_inv``, and a swap or a
+    negation is the same swap or negation there.  ``V``, ``U_inv`` and
+    ``V_inv`` are held sparse, so a step costs the nonzero entries it moves.
+    """
+    m, n = A.shape
     a = [list(r) for r in A.data]
     u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    u_inv = [{i: 1} for i in range(m)]  # columns
+    v = [{j: 1} for j in range(n)]  # columns
+    v_inv = [{j: 1} for j in range(n)]  # rows
+    t = 0
+
+    def holding():
+        # The rows of a with a nonzero entry in column t.  Rows above t are
+        # zero right of the diagonal, and the column steps only combine
+        # columns from t on, so they walk the rows from t on.
+        return [row for row in a[t:] if row[t]]
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
         u[i], u[j] = u[j], u[i]
+        u_inv[i], u_inv[j] = u_inv[j], u_inv[i]
 
     def swap_cols(i, j):
-        for row in a:
+        for row in a[t:]:
             row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
+        v[i], v[j] = v[j], v[i]
+        v_inv[i], v_inv[j] = v_inv[j], v_inv[i]
 
     def add_row(dst, src, c):
         # row[dst] += c * row[src]
         a[dst] = [x + c * y for x, y in zip(a[dst], a[src])]
         u[dst] = [x + c * y for x, y in zip(u[dst], u[src])]
+        _add_sparse(u_inv[src], u_inv[dst], -c)
 
-    def add_col(dst, src, c):
-        for row in a:
-            if row[src]:
-                row[dst] += c * row[src]
-        for row in v:
-            if row[src]:
-                row[dst] += c * row[src]
+    def add_col(dst, src, c, rows):
+        # rows: those of a with a nonzero entry in column src
+        for row in rows:
+            row[dst] += c * row[src]
+        _add_sparse(v[dst], v[src], c)
+        _add_sparse(v_inv[src], v_inv[dst], -c)
 
     def negate_row(i):
         a[i] = [-x for x in a[i]]
         u[i] = [-x for x in u[i]]
+        u_inv[i] = {k: -x for k, x in u_inv[i].items()}
 
-    t = 0
     while t < min(m, n):
         # Locate a pivot of minimal absolute value in the trailing block: the
         # first one in row-major order.  No nonzero entry is below 1, so the
@@ -607,12 +693,14 @@ def snf(A: IntMatrix) -> SnfDecomposition:
                     if a[i][t] != 0:
                         swap_rows(t, i)
                         dirty = True
+            rows = holding()
             for j in range(t + 1, n):
                 if a[t][j] != 0:
                     q = a[t][j] // a[t][t]
-                    add_col(j, t, -q)
+                    add_col(j, t, -q, rows)
                     if a[t][j] != 0:
                         swap_cols(t, j)
+                        rows = holding()
                         dirty = True
             if dirty:
                 continue
@@ -636,7 +724,13 @@ def snf(A: IntMatrix) -> SnfDecomposition:
             negate_row(t)
         t += 1
 
-    return SnfDecomposition(IntMatrix(u), IntMatrix(a), IntMatrix(v))
+    return SnfDecomposition(
+        IntMatrix._from_rows((m, m), u),
+        IntMatrix._from_rows((m, n), a),
+        IntMatrix.from_columns(n, [vector.items() for vector in v]),
+        IntMatrix.from_columns(m, [vector.items() for vector in u_inv]),
+        IntMatrix.from_columns(n, [vector.items() for vector in v_inv]).transpose(),
+    )
 
 
 def kernel_basis(A: IntMatrix):

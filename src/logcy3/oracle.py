@@ -17,8 +17,29 @@ from __future__ import annotations
 
 from logcy3.boundary import Marking, restrict_to_cycle
 from logcy3.exactnum import GaussianRational, MINUS_ONE, ONE, symmetric_trilinear
-from logcy3.pair import LogCY3Pair, PointBlowup
+from logcy3.pair import LogCY3Pair, PairError, PointBlowup
 from logcy3.toric import Fan3, TripleIntersection, star_subdivide
+
+
+# ---------------------------------------------------------------------------
+# Boundary vectors per component
+# ---------------------------------------------------------------------------
+
+
+def split_boundary_vector(pair: LogCY3Pair, flat) -> dict:
+    """A flat boundary-lattice vector as one coordinate tuple per component."""
+    offsets, total = pair.component_offsets()
+    if len(flat) != total:
+        raise PairError("boundary vector length mismatch")
+    return {
+        v: tuple(flat[offsets[v]: offsets[v] + pair.components[v].rank])
+        for v in sorted(pair.components)
+    }
+
+
+def restrict_raw(pair: LogCY3Pair, y_class) -> dict:
+    """Per-component coordinate tuples of a threefold class's boundary restriction."""
+    return split_boundary_vector(pair, pair.restrict(y_class))
 
 
 # ---------------------------------------------------------------------------
@@ -62,11 +83,11 @@ def curve_subdivision_check(fan: Fan3, wall):
     tensor = dict(base_pair._tensor)
     e_index = rank
     k_dot_c = comp.intersection(
-        base_pair.restrict_raw(base_pair.canonical)[v], curve
+        restrict_raw(base_pair, base_pair.canonical)[v], curve
     )
     for a in range(rank):
         unit = tuple(1 if i == a else 0 for i in range(rank))
-        a_dot_c = comp.intersection(base_pair.restrict_raw(unit)[v], curve)
+        a_dot_c = comp.intersection(restrict_raw(base_pair, unit)[v], curve)
         if a_dot_c:
             tensor[(a, e_index, e_index)] = -a_dot_c
     tensor[(e_index, e_index, e_index)] = k_dot_c + 2
@@ -142,7 +163,7 @@ def cocycle_period(
     """
     if marking is None:
         marking = Marking.markers(pair.edge_keys())
-    per_component = pair.split_boundary_vector(flat)
+    per_component = split_boundary_vector(pair, flat)
     # Section boundary values per flag (u, w): value at the 0-end triangle.
     flag_values = {}
     for u in sorted(pair.components):

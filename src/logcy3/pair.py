@@ -397,25 +397,9 @@ class LogCY3Pair:
             raise PairError("class length does not match the Picard rank")
         return coords
 
-    def restrict_raw(self, y_class):
-        """Per-component coordinate tuples of the boundary restriction."""
-        coords = self._as_y_coords(y_class)
-        out = {v: (0,) * comp.rank for v, comp in self.components.items()}
-        for c, images in zip(coords, self._restriction):
-            if c:
-                for v in images:
-                    out[v] = tuple(
-                        x + c * y for x, y in zip(out[v], self._image(images, v))
-                    )
-        return out
-
     def restrict(self, y_class):
         """Boundary restriction as one flat vector in the boundary lattice."""
-        per_component = self.restrict_raw(y_class)
-        flat = []
-        for v in sorted(self.components):
-            flat.extend(per_component[v])
-        return tuple(flat)
+        return self.restriction_matrix().apply(self._as_y_coords(y_class))
 
     def restriction_matrix(self) -> IntMatrix:
         """Matrix of the restriction map, boundary lattice by threefold basis."""
@@ -453,15 +437,6 @@ class LogCY3Pair:
             ),
         )
 
-    def split_boundary_vector(self, flat):
-        offsets, total = self.component_offsets()
-        if len(flat) != total:
-            raise PairError("boundary vector length mismatch")
-        return {
-            v: tuple(flat[offsets[v]: offsets[v] + self.components[v].rank])
-            for v in sorted(self.components)
-        }
-
     def k_image(self):
         """Basis of the image of restriction, and whether it is saturated.
 
@@ -473,8 +448,8 @@ class LogCY3Pair:
 
     def _k_image(self):
         # The image is spanned by the restriction matrix applied to the
-        # first ``rank`` columns of V, and saturated iff every invariant
-        # factor is 1.
+        # first ``rank`` sparse columns of V, and saturated iff every
+        # invariant factor is 1.
         matrix = self.restriction_matrix()
         dec = snf(matrix)
         basis = tuple(matrix.apply(dec.V.column(j)) for j in range(dec.rank))

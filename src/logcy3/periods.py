@@ -18,7 +18,6 @@ from logcy3.exactnum import (
     ExactArithmeticError,
     GaussianRational,
     IntMatrix,
-    invert_unimodular,
     power_product,
     snf,
 )
@@ -91,9 +90,14 @@ def _build_edge_matching_map(pair: LogCY3Pair) -> IntMatrix:
 def matching_lattice(pair: LogCY3Pair):
     """Saturated basis of the kernel of the edge-matching map.
 
-    Read off the held factorization of the map, as a fresh list.
+    Read off the sparse columns of the held factorization's ``V`` once,
+    held on the pair, and returned as a fresh list.
     """
-    return edge_matching_snf(pair).kernel()
+    return list(pair.held("matching_lattice", _kernel))
+
+
+def _kernel(pair: LogCY3Pair) -> tuple:
+    return tuple(edge_matching_snf(pair).kernel())
 
 
 def _wedge(a, b):
@@ -246,6 +250,12 @@ def quotient_character(pair: LogCY3Pair):
     character is evaluated on lifts of a free-part basis of the quotient.
     Raises :class:`PeriodConsistencyError` if the period is not already
     trivial on the image (which would signal an implementation bug).
+
+    Everything is read off the held factorization of the edge-matching
+    map: an image vector's coordinates in the matching basis are the
+    entries of ``V_inv k`` from the rank on, and the lifts are columns of
+    the ``U_inv`` of the small inclusion of the image into the matching
+    lattice, the one Smith normal form this computes.
     """
     generators = matching_lattice(pair)
     markers = Marking.markers(pair.edge_keys())
@@ -257,30 +267,28 @@ def quotient_character(pair: LogCY3Pair):
             )
     if not generators:
         return PeriodCharacter((), ()), ()
-    lattice = IntMatrix(list(zip(*generators)))  # flat x s
-    factored = snf(lattice)
+    factored = edge_matching_snf(pair)
+    rank = factored.rank
     columns = []
     for gen in k_basis:
-        sol = factored.solve(gen)
-        if sol is None:
+        coordinates = factored.coordinates(gen)
+        if any(coordinates[:rank]):
             raise PeriodConsistencyError(
                 "restricted global class outside the matching lattice"
             )
-        columns.append(sol)
+        columns.append([(i, x) for i, x in enumerate(coordinates[rank:]) if x])
     s = len(generators)
-    inclusion = IntMatrix.from_columns(  # s x t
-        s, [[(i, x) for i, x in enumerate(sol) if x] for sol in columns]
-    )
-    dec = snf(inclusion)
+    dec = snf(IntMatrix.from_columns(s, columns))  # s x t inclusion
     diag = dec.D.diagonal()
     torsion = tuple(d for d in diag if d > 1)
-    u_inv = invert_unimodular(dec.U)
     free_indices = [i for i in range(s) if i >= len(diag) or diag[i] == 0]
     basis = []
     values = []
     for i in free_indices:
-        lift = u_inv.column(i)  # coefficients in the matching-lattice basis
-        flat = lattice.apply(lift)
-        basis.append(tuple(flat))
+        # The lift's coefficients in the matching basis, the columns of V
+        # from the rank on.
+        lift = (0,) * rank + dec.U_inv.column(i)
+        flat = factored.V.apply(lift)
+        basis.append(flat)
         values.append(evaluate_boundary_character(pair, markers, flat))
     return PeriodCharacter(tuple(basis), tuple(values)), torsion

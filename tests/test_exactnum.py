@@ -349,6 +349,7 @@ class TestTwoForms:
         # The column form answers all of the above without its dense rows.
         assert "data" not in vars(b) and "data" not in vars(other)
         transposed = b.transpose()
+        assert "data" not in vars(transposed) and "data" not in vars(b)
         assert transposed.shape == (n, m)
         assert transposed.data == tuple(
             tuple(a.data[i][j] for i in range(m)) for j in range(n)
@@ -455,18 +456,53 @@ def reference_snf(A: IntMatrix):
             negate_row(t)
         t += 1
 
-    return IntMatrix(u), IntMatrix(a), IntMatrix(v)
+    # A matrix with no rows keeps its width in D.
+    return IntMatrix(u), IntMatrix(a) if m else IntMatrix.zero(0, n), IntMatrix(v)
+
+
+def check_against_reference(a):
+    """Equal transforms to the reference's, and the inverses ``snf`` keeps."""
+    dec = snf(a)
+    assert (dec.U, dec.D, dec.V) == reference_snf(a)
+    assert dec.D.shape == a.shape
+    transposed = dec.transpose()
+    assert transposed.U_inv == dec.V_inv.transpose()
+    assert transposed.V_inv == dec.U_inv.transpose()
+    assert transposed.U * a.transpose() * transposed.V == transposed.D
+    for factored in (dec, transposed):
+        assert factored.U * factored.U_inv == IntMatrix.identity(factored.U.rows)
+        assert factored.V * factored.V_inv == IntMatrix.identity(factored.V.rows)
+
+
+# A 4 x 3 matrix with entries at most 6 on which the transforms grow: V to
+# entries in the tens of thousands, U in the thousands.
+GROWING = IntMatrix([(-3, 6, -5), (-6, 2, -3), (-1, 6, 3), (-4, -2, -1)])
 
 
 class TestSmithNormalFormSteps:
     @settings(max_examples=150)
-    @given(small_matrices(max_dim=5, max_entry=6), st.sampled_from((1, 2, 3, 6)))
+    @given(
+        small_matrices(max_dim=5, max_entry=6, min_dim=0),
+        st.sampled_from((1, 2, 3, 6)),
+    )
     def test_same_transforms_as_the_reference(self, a, scale):
         # Scaling every entry leaves no unit pivot, so the divisibility
         # repair and the full pivot scan run too.
-        a = IntMatrix([[scale * x for x in row] for row in a.data])
-        dec = snf(a)
-        assert (dec.U, dec.D, dec.V) == reference_snf(a)
+        check_against_reference(IntMatrix([[scale * x for x in row] for row in a.data]))
+
+    @pytest.mark.parametrize(
+        "a",
+        [
+            IntMatrix.zero(0, 3),
+            IntMatrix.from_columns(0, [(), ()]),
+            IntMatrix([[], [], []]),
+            IntMatrix([]),
+            GROWING,
+        ],
+        ids=["0x3", "0x2", "3x0", "0x0", "growing"],
+    )
+    def test_shapes_without_entries_and_growing_transforms(self, a):
+        check_against_reference(a)
 
     def test_same_transforms_on_bundled_pairs(self):
         from logcy3.fixtures import pair_fixtures, scaling_pair
@@ -474,8 +510,35 @@ class TestSmithNormalFormSteps:
 
         for pair in [*pair_fixtures().values(), scaling_pair(2, 8)]:
             for a in (edge_matching_map(pair), pair.restriction_matrix()):
-                dec = snf(a)
-                assert (dec.U, dec.D, dec.V) == reference_snf(a)
+                check_against_reference(a)
+
+
+class TestWidthAndCoordinates:
+    def test_a_matrix_with_no_rows_keeps_its_width(self):
+        zero = IntMatrix.zero(0, 3)
+        assert zero.shape == (0, 3) and zero.transpose().shape == (3, 0)
+        dec = snf(zero)
+        assert dec.U.shape == (0, 0) and dec.D.shape == (0, 3)
+        assert dec.kernel() == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+        assert dec.cokernel() == (0, ())
+        # A document's empty matrix names no width.
+        assert IntMatrix([]).shape == (0, 0)
+
+    @settings(max_examples=80)
+    @given(small_matrices(max_dim=4, max_entry=4), st.data())
+    def test_coordinates_vanish_before_the_rank_exactly_on_the_kernel(self, a, data):
+        dec = snf(a)
+        kernel = dec.kernel()
+        weights = tuple(data.draw(integer_lists(len(kernel))))
+        in_kernel = tuple(
+            sum(w * vector[i] for w, vector in zip(weights, kernel))
+            for i in range(a.cols)
+        )
+        assert dec.coordinates(in_kernel)[dec.rank:] == weights
+        for x in (in_kernel, tuple(data.draw(integer_lists(a.cols)))):
+            coordinates = dec.coordinates(x)
+            assert dec.V.apply(coordinates) == x
+            assert (not any(coordinates[: dec.rank])) == (not any(a.apply(x)))
 
 
 class TestKernelAndCokernel:

@@ -26,6 +26,7 @@ from logcy3.fixtures import (
     toric_fixture_fans,
     triple_line_fan,
 )
+from logcy3.oracle import restrict_raw
 from logcy3.pair import (
     CurveBlowup,
     LogCY3Pair,
@@ -495,9 +496,21 @@ class TestToricLayer:
         assert list(layer.restriction) == before
 
     def test_restriction_matrix_stacks_the_images(self, pairs):
+        # Column a is class a's image on each component, padded to the
+        # component's rank, in vertex order.
         for pair in pairs.values():
-            columns = [pair.restrict(_unit(pair.pic_rank, a)) for a in range(pair.pic_rank)]
+            columns = [
+                tuple(
+                    x
+                    for v in sorted(pair.components)
+                    for x in pair._image(images, v)
+                )
+                for images in pair._restriction
+            ]
             assert pair.restriction_matrix().data == tuple(zip(*columns))
+            assert [
+                pair.restrict(_unit(pair.pic_rank, a)) for a in range(pair.pic_rank)
+            ] == columns
 
 
 class TestCubicForm:
@@ -560,13 +573,13 @@ class TestCubicForm:
 class TestRestriction:
     def test_point_exceptional_hits_both_endpoints(self, pairs):
         pair = pairs["p3-point"]
-        raw = pair.restrict_raw(pair.exceptional_class(0))
+        raw = restrict_raw(pair, pair.exceptional_class(0))
         assert raw[0] == (0, 1) and raw[1] == (0, 1)
         assert raw[2] == (0,) and raw[3] == (0,)
 
     def test_curve_exceptional_restriction(self, pairs):
         pair = pairs["p3-conic"]
-        raw = pair.restrict_raw(pair.exceptional_class(0))
+        raw = restrict_raw(pair, pair.exceptional_class(0))
         # On the host component the restriction is the curve class itself.
         assert raw[3] == (2,)
         # On each met neighbor: the sum of the new exceptional classes.

@@ -1,20 +1,31 @@
 """Tests for the edge-matching map, period characters, and marking torsors."""
 
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logcy3.boundary import BoundaryError, Marking, component_marked_period
-from logcy3.exactnum import GaussianRational, IntMatrix, ONE, power_product
+from logcy3 import exactnum
+from logcy3.exactnum import (
+    GaussianRational,
+    IntMatrix,
+    ONE,
+    invert_unimodular,
+    power_product,
+    snf,
+)
 from logcy3.fixtures import pair_fixtures, scaling_pair
 from logcy3.oracle import cocycle_period
 from logcy3.periods import (
+    PeriodConsistencyError,
     _alternative_marking,
     boundary_basis_labels,
     edge_cokernel_report,
     edge_matching_map,
+    edge_matching_snf,
     edge_scaling_character,
     evaluate_boundary_character,
     marked_period,
@@ -24,6 +35,7 @@ from logcy3.periods import (
     unmarked_period,
     wedge_map,
 )
+from logcy3.torelli import classify_contraction
 
 
 @pytest.fixture(scope="module")
@@ -326,3 +338,100 @@ class TestQuotient:
             char, torsion = quotient_character(pair)
             k_basis, _ = pair.k_image()
             assert len(char.values) == len(matching_lattice(pair)) - len(k_basis)
+
+
+def reference_quotient_character(pair):
+    """The quotient from a second factorization, as it was computed before.
+
+    The flat x s matrix of matching generators is factored, each image
+    vector is solved on it, and the lifts are columns of the inverse of the
+    inclusion's ``U``.  Returns the lifts, their values and the torsion.
+    """
+    generators = matching_lattice(pair)
+    if not generators:
+        return (), (), ()
+    markers = Marking.markers(pair.edge_keys())
+    lattice = IntMatrix(list(zip(*generators)))
+    factored = snf(lattice)
+    columns = [factored.solve(gen) for gen in pair.k_image()[0]]
+    assert None not in columns
+    s = len(generators)
+    dec = snf(
+        IntMatrix.from_columns(
+            s, [[(i, x) for i, x in enumerate(sol) if x] for sol in columns]
+        )
+    )
+    diag = dec.D.diagonal()
+    u_inv = invert_unimodular(dec.U)
+    free = [i for i in range(s) if i >= len(diag) or diag[i] == 0]
+    basis = tuple(lattice.apply(u_inv.column(i)) for i in free)
+    values = tuple(evaluate_boundary_character(pair, markers, flat) for flat in basis)
+    return basis, values, tuple(d for d in diag if d > 1)
+
+
+class TestQuotientFromTheHeldFactorization:
+    def test_matches_the_second_factorization(self, pairs):
+        cases = [
+            *pairs.values(),
+            scaling_pair(1, 4),
+            scaling_pair(2, 8),
+            scaling_pair(3, 6),
+        ]
+        for pair in cases:
+            char, torsion = quotient_character(pair)
+            assert (char.basis, char.values, torsion) == reference_quotient_character(pair)
+
+    def test_an_image_vector_off_the_matching_lattice_is_an_error(
+        self, pairs, monkeypatch
+    ):
+        # Every class of a toric pair has period 1 at the markers, so only
+        # the coordinates can reject these vectors: column i of V has the
+        # unit vector e_i as its coordinates.
+        pair = pairs["p111"]
+        factored = edge_matching_snf(pair)
+        for i in range(factored.rank):
+            monkeypatch.setitem(pair._held, "k_image", ((factored.V.column(i),), True))
+            with pytest.raises(PeriodConsistencyError, match="outside the matching"):
+                quotient_character(pair)
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Calls of ``snf`` and ``invert_unimodular``, counted in every module."""
+        counts = {"snf": 0, "invert_unimodular": 0}
+        modules = [
+            module
+            for name, module in sys.modules.items()
+            if name == "logcy3" or name.startswith("logcy3.")
+        ]
+        for name in counts:
+            original = getattr(exactnum, name)
+
+            def counted(*args, name=name, original=original):
+                counts[name] += 1
+                return original(*args)
+
+            for module in modules:
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counted)
+        return counts
+
+    def test_quotient_factors_only_the_inclusion(self, calls):
+        pair = scaling_pair(2, 8)
+        unmarked_period(pair)
+        pair.k_image()
+        calls.update(snf=0, invert_unimodular=0)
+        quotient_character(pair)
+        assert calls == {"snf": 1, "invert_unimodular": 0}
+
+    def test_a_report_makes_three_factorizations(self, pairs, calls):
+        for pair in [scaling_pair(2, 8), *pair_fixtures().values()]:
+            calls.update(snf=0, invert_unimodular=0)
+            marked_period(pair)
+            unmarked_period(pair)
+            quotient_character(pair)
+            edge_cokernel_report(pair)
+            pair.k_image()
+            for k in range(len(pair.program)):
+                classify_contraction(pair, k)
+            # The edge-matching map, the restriction matrix and the inclusion.
+            assert calls == {"snf": 3, "invert_unimodular": 0}
