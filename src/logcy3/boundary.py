@@ -26,6 +26,7 @@ from logcy3.exactnum import (
     GaussianRational,
     MINUS_ONE,
     ONE,
+    power_product_of,
     product,
 )
 from logcy3.toric import Fan2
@@ -98,6 +99,14 @@ class Marking:
     def markers(edge_keys) -> "Marking":
         """The distinguished marking: the point -1 on every edge."""
         return Marking.build({frozenset(e): MINUS_ONE for e in edge_keys})
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash(self.points)
+
+    def __hash__(self):
+        # Held, so looking up a held table under a marking hashes no point.
+        return self._hash
 
     @cached_property
     def _by_edge(self) -> dict:
@@ -324,7 +333,7 @@ def component_character_table(c: LooijengaComponent, marking: Marking) -> tuple:
     """
     ratios = marker_ratios(c, marking)
     values = [
-        product(ratios[w] ** d for w, d in edges)
+        power_product_of((ratios[w], d) for w, d in edges)
         for edges in c.degree_table[: c.base.rank]
     ]
     values.extend(exceptional_character(c, exc, ratios) for exc in c.excs)

@@ -15,7 +15,6 @@ import json
 import sys
 
 from logcy3 import documents
-from logcy3.boundary import Marking
 from logcy3.documents import DocumentError
 from logcy3.oracle import (
     cocycle_period,
@@ -143,7 +142,7 @@ def cmd_invariants(args):
 def cmd_periods(args):
     pair, marking = _load_pair(args.file)
     if marking is None:
-        marking = Marking.markers(pair.edge_keys())
+        marking = pair.markers()
     marked = marked_period(pair, marking)
     unmarked = unmarked_period(pair)
     quotient, quotient_torsion = quotient_character(pair)
@@ -203,7 +202,7 @@ def cmd_oracle_check(args):
     pair, _ = _load_pair(args.file)
     discrepancies = []
     # Two computation paths for the period of every matching generator.
-    markers = Marking.markers(pair.edge_keys())
+    markers = pair.markers()
     checked = 0
     for gen in matching_lattice(pair):
         direct = evaluate_boundary_character(pair, markers, gen)

@@ -25,12 +25,13 @@ arbitrary-precision integer matrices.  This module supplies both layers:
 A Gaussian rational is one reduced integer triple: ``(a + b*i) / d`` with
 ``d > 0`` and ``gcd(a, b, d) == 1``.  The form is canonical, so equality
 and hashing compare triples.  Each operation works on the integers and
-reduces once with a single three-way ``gcd`` (none when ``d`` is 1); a
-power is taken in Z[i] and reduced once at the end; text is written
-straight from the triple.  ``Fraction`` appears only at the edges:
-parsing, the constructor's non-integer arguments, and the read-only
-``re``, ``im`` and ``norm()`` views.  Matrix inversion is integer row
-reduction too, so no hot path builds a ``Fraction``.
+reduces once with a single three-way ``gcd`` (none when ``d`` is 1).
+Powers and products of powers share one kernel, :func:`power_product_of`,
+which raises each factor in Z[i] and reduces the running triple once per
+factor.  Text is written straight from the triple.  ``Fraction`` appears
+only at the edges: parsing, the constructor's non-integer arguments, and
+the read-only ``re``, ``im`` and ``norm()`` views.  Matrix inversion is
+integer row reduction too, so no hot path builds a ``Fraction``.
 
 Everything here is immutable and pure.
 """
@@ -209,17 +210,7 @@ class GaussianRational:
         return _triple(self._a, -self._b, self._d)
 
     def __pow__(self, exponent: int) -> "GaussianRational":
-        base = self if exponent >= 0 else self.inverse()
-        e = abs(exponent)
-        # Square and multiply in Z[i]; one reduction at the end.
-        a, b, ra, rb = base._a, base._b, 1, 0
-        while e:
-            if e & 1:
-                ra, rb = ra * a - rb * b, ra * b + rb * a
-            e >>= 1
-            if e:
-                a, b = a * a - b * b, 2 * a * b
-        return _reduced(ra, rb, base._d ** abs(exponent))
+        return power_product_of(((self, exponent),))
 
     # -- formatting ---------------------------------------------------------
 
@@ -282,21 +273,59 @@ MINUS_ONE = GaussianRational(-1)
 I = GaussianRational(0, 1)
 
 
+def power_product_of(factors) -> GaussianRational:
+    """Compute ``prod(v ** e)`` over ``(v, e)`` pairs exactly.
+
+    The running product is one integer triple ``(a, b, d)``.  Each factor
+    is raised in Z[i] by square and multiply, a negative exponent first
+    inverting it as ``q * (x - y*i) / (x**2 + y**2)``, multiplied in, and
+    the triple reduced by one ``gcd(a, b, d)`` (none while ``d`` is 1), so
+    a factor makes no intermediate Gaussian rational (Knuth, TAOCP vol. 2,
+    4.6.3).
+    """
+    a, b, d = 1, 0, 1
+    for v, e in factors:
+        if not e:
+            continue
+        x, y, q = v._a, v._b, v._d
+        if e < 0:
+            n = x * x + y * y
+            if n == 0:
+                raise ExactArithmeticError("division by zero in Q(i)")
+            x, y, q, e = q * x, -q * y, n, -e
+        if e == 1:
+            a, b = a * x - b * y, a * y + b * x
+        else:
+            if q != 1:
+                q = q**e
+            while True:
+                if e & 1:
+                    a, b = a * x - b * y, a * y + b * x
+                e >>= 1
+                if not e:
+                    break
+                x, y = x * x - y * y, 2 * x * y
+        if q != 1:
+            d *= q
+        if d != 1:
+            g = gcd(a, b, d)
+            if g != 1:
+                a, b, d = a // g, b // g, d // g
+    return _triple(a, b, d)
+
+
 def product(values) -> GaussianRational:
     """Multiply an iterable of Gaussian rationals (empty product is 1)."""
-    result = ONE
-    for v in values:
-        result = result * v
-    return result
+    return power_product_of((v, 1) for v in values)
 
 
 def power_product(values, exponents) -> GaussianRational:
-    """Compute ``prod(values[j] ** exponents[j])`` exactly."""
-    result = ONE
-    for v, e in zip(values, exponents, strict=True):
-        if e:
-            result = result * (v ** e)
-    return result
+    """Compute ``prod(values[j] ** exponents[j])`` exactly.
+
+    One pass of :func:`power_product_of`; the two sequences must have the
+    same length (``ValueError`` otherwise).
+    """
+    return power_product_of(zip(values, exponents, strict=True))
 
 
 def symmetric_trilinear(tensor: dict, a, b, c) -> int:
@@ -463,7 +492,8 @@ class IntMatrix:
         if len(values) != self.rows:
             raise ExactArithmeticError("vector length mismatch")
         return tuple(
-            product(values[i] ** x for i, x in column) for column in self.columns
+            power_product_of((values[i], x) for i, x in column)
+            for column in self.columns
         )
 
     def column(self, j: int) -> tuple:
@@ -568,7 +598,9 @@ class SnfDecomposition:
                 raise ExactArithmeticError("targets must be nonzero")
         rows = self.U.transpose()  # its sparse columns are U's rows
         for k in range(self.rank, self.U.rows):
-            if not product(targets[j] ** x for j, x in rows.columns[k]).is_one():
+            if not power_product_of(
+                (targets[j], x) for j, x in rows.columns[k]
+            ).is_one():
                 return rows.column(k)
         return None
 
@@ -588,7 +620,7 @@ class SnfDecomposition:
         y = [ONE] * self.V.rows
         for i, d in enumerate(self.invariant_factors()):
             # s_i = prod_j targets_j ** U[i, j], and y_i ** d_i = s_i.
-            s = product(targets[j] ** x for j, x in rows.columns[i])
+            s = power_product_of((targets[j], x) for j, x in rows.columns[i])
             root = nth_root(s, d)
             if root is None:
                 return "complex_only", (d, s)

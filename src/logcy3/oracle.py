@@ -162,7 +162,7 @@ def cocycle_period(
     sign sensitivity of the construction for classes of nontrivial period.
     """
     if marking is None:
-        marking = Marking.markers(pair.edge_keys())
+        marking = pair.markers()
     per_component = split_boundary_vector(pair, flat)
     # Section boundary values per flag (u, w): value at the 0-end triangle.
     flag_values = {}

@@ -137,9 +137,11 @@ class LogCY3Pair:
         self.complex = fan.dual_complex(edge_orientations)
         self.warnings = []
         self._build_toric_layer()
+        # Held values depend on the complex alone until the program is
+        # replayed; the markers are the only one read during the build.
+        self._held = {}
         # Curve steps check periods against the markers; their character
         # tables are held for the build and extended as components grow.
-        self._markers = None
         self._marker_tables = {}
         # The reference coordinates occupied on each edge, held for the build.
         self._occupied = {}
@@ -150,9 +152,8 @@ class LogCY3Pair:
                 self._apply_curve(k, step)
             else:
                 raise PairError(f"unknown step kind at index {k}")
-        del self._markers, self._marker_tables, self._occupied
+        del self._marker_tables, self._occupied
         self.warnings = tuple(self.warnings)
-        self._held = {}
         return self
 
     # -- construction internals ---------------------------------------------
@@ -287,12 +288,11 @@ class LogCY3Pair:
         classes the component gained since.
         """
         comp = self.components[v]
-        if self._markers is None:
-            self._markers = Marking.markers(self.edge_keys())
         if v not in self._marker_tables:
+            markers = self.markers()
             self._marker_tables[v] = (
-                marker_ratios(comp, self._markers),
-                list(component_character_table(comp, self._markers)),
+                marker_ratios(comp, markers),
+                list(component_character_table(comp, markers)),
             )
         ratios, table = self._marker_tables[v]
         for exc in comp.excs[len(table) - comp.base.rank:]:
@@ -421,6 +421,10 @@ class LogCY3Pair:
         except KeyError:
             value = self._held[key] = compute(self)
             return value
+
+    def markers(self) -> Marking:
+        """The distinguished marking, the point -1 on every edge, held."""
+        return self.held("markers", lambda pair: Marking.markers(pair.edge_keys()))
 
     def character_table(self, marking: Marking) -> tuple:
         """Marked period values of the boundary basis classes, in flat order.

@@ -19,6 +19,7 @@ from logcy3.exactnum import (
     GaussianRational,
     IntMatrix,
     power_product,
+    power_product_of,
     snf,
 )
 from logcy3.pair import LogCY3Pair, PairError
@@ -100,6 +101,21 @@ def _kernel(pair: LogCY3Pair) -> tuple:
     return tuple(edge_matching_snf(pair).kernel())
 
 
+def matching_values(pair: LogCY3Pair) -> tuple:
+    """The markers' period value on each :func:`matching_lattice` generator.
+
+    One power product per generator over the markers' character table,
+    computed on first use and held on the pair; the unmarked period, the
+    quotient and the decision procedure all read them from here.
+    """
+    return pair.held("matching_values", _matching_values)
+
+
+def _matching_values(pair: LogCY3Pair) -> tuple:
+    table = pair.character_table(pair.markers())
+    return tuple(power_product(table, gen) for gen in matching_lattice(pair))
+
+
 def _wedge(a, b):
     return (
         a[0] * b[1] - a[1] * b[0],
@@ -157,16 +173,18 @@ def evaluate_boundary_character(
     return power_product(table, flat)
 
 
+def _unit_basis(n: int) -> tuple:
+    """The unit vectors of Z^n, each sliced from one zero tuple."""
+    zero = (0,) * n
+    return tuple(zero[:i] + (1,) + zero[i + 1 :] for i in range(n))
+
+
 def marked_period(pair: LogCY3Pair, marking: Marking = None) -> PeriodCharacter:
     """The marked period character on the full boundary lattice."""
     if marking is None:
-        marking = Marking.markers(pair.edge_keys())
+        marking = pair.markers()
     values = pair.character_table(marking)
-    total = len(values)
-    basis = tuple(
-        tuple(1 if j == i else 0 for j in range(total)) for i in range(total)
-    )
-    return PeriodCharacter(basis, values)
+    return PeriodCharacter(_unit_basis(len(values)), values)
 
 
 def _alternative_marking(pair: LogCY3Pair) -> Marking:
@@ -181,22 +199,19 @@ def unmarked_period(pair: LogCY3Pair) -> PeriodCharacter:
     """The period character on the matching lattice.
 
     On matching classes the per-edge degrees agree across the two sides, so
-    the value does not depend on the marking; this is asserted by evaluating
-    against a second marking.
+    the value does not depend on the marking.  The values are the held
+    :func:`matching_values` at the markers; each is asserted against one
+    power product over a second marking's character table.
     """
     generators = matching_lattice(pair)
-    markers = Marking.markers(pair.edge_keys())
-    other = _alternative_marking(pair)
-    values = []
-    for gen in generators:
-        value = evaluate_boundary_character(pair, markers, gen)
-        check = evaluate_boundary_character(pair, other, gen)
-        if value != check:
+    values = matching_values(pair)
+    other = pair.character_table(_alternative_marking(pair))
+    for gen, value in zip(generators, values):
+        if power_product(other, gen) != value:
             raise PeriodConsistencyError(
                 "period value depends on the marking on a matching class"
             )
-        values.append(value)
-    return PeriodCharacter(tuple(tuple(g) for g in generators), tuple(values))
+    return PeriodCharacter(tuple(generators), values)
 
 
 def edge_scaling_character(pair: LogCY3Pair, lambdas) -> PeriodCharacter:
@@ -208,11 +223,7 @@ def edge_scaling_character(pair: LogCY3Pair, lambdas) -> PeriodCharacter:
     raised to the degree difference of the class across that edge.
     """
     values = edge_matching_map(pair).pull_back(_edge_scalars(pair, lambdas))
-    basis = tuple(
-        tuple(1 if j == n else 0 for j in range(len(values)))
-        for n in range(len(values))
-    )
-    return PeriodCharacter(basis, values)
+    return PeriodCharacter(_unit_basis(len(values)), values)
 
 
 def _edge_scalars(pair: LogCY3Pair, lambdas):
@@ -255,13 +266,16 @@ def quotient_character(pair: LogCY3Pair):
     map: an image vector's coordinates in the matching basis are the
     entries of ``V_inv k`` from the rank on, and the lifts are columns of
     the ``U_inv`` of the small inclusion of the image into the matching
-    lattice, the one Smith normal form this computes.
+    lattice, the one Smith normal form this computes.  The character is
+    multiplicative, so a lift's value is the power product of the held
+    :func:`matching_values` over its column of ``U_inv``; only the image
+    vectors are evaluated on the character table itself.
     """
     generators = matching_lattice(pair)
-    markers = Marking.markers(pair.edge_keys())
+    table = pair.character_table(pair.markers())
     k_basis, _ = pair.k_image()
     for gen in k_basis:
-        if not evaluate_boundary_character(pair, markers, gen).is_one():
+        if not power_product(table, gen).is_one():
             raise PeriodConsistencyError(
                 "period is nontrivial on a restricted global class"
             )
@@ -282,13 +296,15 @@ def quotient_character(pair: LogCY3Pair):
     diag = dec.D.diagonal()
     torsion = tuple(d for d in diag if d > 1)
     free_indices = [i for i in range(s) if i >= len(diag) or diag[i] == 0]
+    held = matching_values(pair)
     basis = []
     values = []
     for i in free_indices:
         # The lift's coefficients in the matching basis, the columns of V
         # from the rank on.
         lift = (0,) * rank + dec.U_inv.column(i)
-        flat = factored.V.apply(lift)
-        basis.append(flat)
-        values.append(evaluate_boundary_character(pair, markers, flat))
+        basis.append(factored.V.apply(lift))
+        values.append(
+            power_product_of((held[j], x) for j, x in dec.U_inv.columns[i])
+        )
     return PeriodCharacter(tuple(basis), tuple(values)), torsion

@@ -20,8 +20,8 @@ from logcy3.pair import CurveBlowup, LogCY3Pair, PairError, PicVector, PointBlow
 from logcy3.periods import (
     edge_matching_map,
     edge_matching_snf,
-    evaluate_boundary_character,
     matching_lattice,
+    matching_values,
 )
 from logcy3.toric import (
     Fan3,
@@ -469,26 +469,24 @@ def decide_isomorphism(
             {"check": "toric_model"},
         )
 
-    # (v) Compare exact periods on the matching lattice.  The boundary map
-    # is built once; the other pair's edge-matching map is composed with it
-    # and its character table pulled back along it, so a class is only
-    # transported itself as the witness of a distinct verdict.
-    markers = Marking.markers(pair.edge_keys())
-    markers2 = Marking.markers(other.edge_keys())
+    # (v) Compare exact periods on the matching lattice.  This pair's side
+    # is its held matching values.  The boundary map is built once; the
+    # other pair's edge-matching map is composed with it and its character
+    # table pulled back along it, so a class is only transported itself as
+    # the witness of a distinct verdict.
     boundary = boundary_map(pair, other, corr, transports)
     matching2 = edge_matching_map(other)
     if boundary.rows != matching2.cols:
         # As the other pair's edge-matching map fails on such an image.
         raise ExactArithmeticError("vector length mismatch")
     moved = matching2 * boundary
-    pulled = boundary.pull_back(other.character_table(markers2))
+    pulled = boundary.pull_back(other.character_table(other.markers()))
     transcript = []
-    for gen in matching_lattice(pair):
+    for gen, value in zip(matching_lattice(pair), matching_values(pair)):
         if any(moved.apply(gen)):
             raise CorrespondenceError(
                 "transported matching class violates the edge-matching condition"
             )
-        value = evaluate_boundary_character(pair, markers, gen)
         value2 = power_product(pulled, gen)
         if value != value2:
             return Verdict(
@@ -537,9 +535,9 @@ def marking_transporter(
         corr = Correspondence.identity(pair)
     _check_correspondence_shape(pair, other, corr)
     if marking is None:
-        marking = Marking.markers(pair.edge_keys())
+        marking = pair.markers()
     if marking_other is None:
-        marking_other = Marking.markers(other.edge_keys())
+        marking_other = other.markers()
     transports = {
         v: component_transport(pair, other, corr, v) for v in sorted(pair.components)
     }

@@ -125,6 +125,34 @@ class TestComponentPeriod:
             component_marked_period(comp, marking, next(iter(comp.basis_vectors())))
 
 
+class TestMarkingHash:
+    def test_a_second_hash_walks_no_point(self, pairs, monkeypatch):
+        walked = []
+        original = GaussianRational.__hash__
+
+        def counted(value):
+            walked.append(value)
+            return original(value)
+
+        monkeypatch.setattr(GaussianRational, "__hash__", counted)
+        pair = pairs["p3-mixed"]
+        marking = Marking.markers(pair.edge_keys())
+        first = hash(marking)
+        assert len(walked) == len(marking.points)
+        walked.clear()
+        assert hash(marking) == first
+        pair.character_table(marking)
+        pair.character_table(marking)
+        assert walked == []
+
+    def test_equal_markings_hash_alike(self, pairs):
+        pair = pairs["p3-conic"]
+        a = Marking.markers(pair.edge_keys())
+        b = Marking.markers(reversed(pair.edge_keys()))
+        assert a == b and hash(a) == hash(b)
+        assert {a: 1}[b] == 1
+
+
 class TestAdjunction:
     def test_conic_class_accepted(self, pairs):
         # Degree-2 rational curve class on a projective plane component.

@@ -20,6 +20,7 @@ from logcy3.exactnum import (
     kernel_basis,
     nth_root,
     power_product,
+    power_product_of,
     snf,
     solve_integer,
 )
@@ -630,6 +631,126 @@ class TestKernelAndCokernel:
         for u in (dec.U, dec.V):
             inv = invert_unimodular(u)
             assert (u * inv).data == IntMatrix.identity(u.rows).data
+
+
+# ---------------------------------------------------------------------------
+# The power-product kernel
+# ---------------------------------------------------------------------------
+
+
+def reference_power(v, e):
+    """``v ** e`` by repeated multiplication, independent of the kernel."""
+    base = v if e >= 0 else v.inverse()
+    result = GaussianRational(1)
+    for _ in range(abs(e)):
+        result = result * base
+    return result
+
+
+def reference_power_product(values, exponents):
+    """The per-factor ``result * (v ** e)`` product the kernel replaced."""
+    result = GaussianRational(1)
+    for v, e in zip(values, exponents, strict=True):
+        if e:
+            result = result * reference_power(v, e)
+    return result
+
+
+def triple(x):
+    return x._a, x._b, x._d
+
+
+def outcome_of(function, *args):
+    try:
+        return triple(function(*args))
+    except ExactArithmeticError as exc:
+        return type(exc), str(exc)
+
+
+def reference_violated_relation(dec, targets):
+    rows = dec.U.data
+    for k in range(dec.rank, dec.U.rows):
+        if not reference_power_product(targets, rows[k]).is_one():
+            return rows[k]
+    return None
+
+
+def reference_solve(dec, targets):
+    relation = reference_violated_relation(dec, targets)
+    if relation is not None:
+        return "unsolvable", relation
+    y = [GaussianRational(1)] * dec.V.rows
+    for i, d in enumerate(dec.invariant_factors()):
+        s = reference_power_product(targets, dec.U.data[i])
+        root = nth_root(s, d)
+        if root is None:
+            return "complex_only", (d, s)
+        y[i] = root
+    return "solved", [reference_power_product(y, row) for row in dec.V.data]
+
+
+factor_lists = st.lists(st.tuples(gaussians, st.integers(-6, 6)), max_size=8)
+
+
+class TestPowerProductKernel:
+    @settings(max_examples=120)
+    @given(factor_lists)
+    def test_same_triples_as_the_per_factor_product(self, factors):
+        values = [v for v, _ in factors]
+        exponents = [e for _, e in factors]
+        expected = outcome_of(reference_power_product, values, exponents)
+        assert outcome_of(power_product_of, factors) == expected
+        assert outcome_of(power_product, values, exponents) == expected
+
+    @given(gaussians, st.integers(-6, 6))
+    def test_a_power_is_a_one_factor_product(self, v, e):
+        assert outcome_of(pow, v, e) == outcome_of(reference_power, v, e)
+
+    def test_zero_to_a_negative_power_is_rejected(self):
+        two, zero = GaussianRational(2), GaussianRational(0)
+        with pytest.raises(ExactArithmeticError, match="division by zero in Q"):
+            power_product_of([(two, 3), (zero, -1)])
+        with pytest.raises(ExactArithmeticError, match="division by zero in Q"):
+            power_product([zero], [-2])
+        assert power_product_of([(zero, 0), (two, -1)]) == GaussianRational(1, 0) / 2
+        assert power_product_of([(zero, 2), (two, -1)]).is_zero()
+
+    def test_length_mismatch_is_rejected(self):
+        one = GaussianRational(1)
+        with pytest.raises(ValueError):
+            power_product([one, one], [1])
+        with pytest.raises(ValueError):
+            power_product([one], [1, 0])
+
+    @settings(max_examples=60)
+    @given(small_matrices(max_dim=4, max_entry=3), st.data())
+    def test_pull_back_against_the_reference(self, a, data):
+        values = data.draw(st.lists(nonzero_gaussians, min_size=a.rows, max_size=a.rows))
+        expected = tuple(
+            reference_power_product(values, a.column(j)) for j in range(a.cols)
+        )
+        assert tuple(map(triple, a.pull_back(values))) == tuple(map(triple, expected))
+
+    @settings(max_examples=30, deadline=None)
+    @given(small_matrices(max_dim=3, max_entry=2), st.data())
+    def test_torus_solves_against_the_reference(self, a, data):
+        coordinates = ((2, 0), (1, 1), (1, -1), (3, 0), (0, 1), (1, 2))
+        small = st.sampled_from([GaussianRational(x, y) for x, y in coordinates])
+        targets = data.draw(st.lists(small, min_size=a.rows, max_size=a.rows))
+        for dec in (snf(a), snf(a.transpose()).transpose()):
+            assert dec.violated_relation(targets) == reference_violated_relation(
+                dec, targets
+            )
+            status, answer = dec.solve_over_gaussian_torus(targets)
+            expected_status, expected = reference_solve(dec, targets)
+            assert status == expected_status
+            if status == "solved":
+                assert list(map(triple, answer)) == list(map(triple, expected))
+            elif status == "complex_only":
+                assert answer[0] == expected[0]
+                assert triple(answer[1]) == triple(expected[1])
+            else:
+                assert tuple(answer) == tuple(expected)
 
 
 # ---------------------------------------------------------------------------

@@ -599,6 +599,21 @@ class TestRestriction:
             assert saturated
 
 
+class TestHeldMarkers:
+    def test_markers_are_held_and_key_the_same_table(self, pairs):
+        for pair in pairs.values():
+            markers = pair.markers()
+            assert markers is pair.markers()
+            assert markers == Marking.markers(pair.edge_keys())
+            assert pair.character_table(markers) is pair.character_table(
+                Marking.markers(pair.edge_keys())
+            )
+
+    def test_a_curve_build_holds_the_markers_it_checked(self):
+        pair = pair_fixtures()["p3-conic"]
+        assert pair._held["markers"] is pair.markers()
+
+
 class TestProgramValidation:
     def setup_method(self):
         self.fan = projective_space_fan()

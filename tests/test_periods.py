@@ -19,6 +19,7 @@ from logcy3.exactnum import (
 )
 from logcy3.fixtures import pair_fixtures, scaling_pair
 from logcy3.oracle import cocycle_period
+from logcy3.pair import LogCY3Pair
 from logcy3.periods import (
     PeriodConsistencyError,
     _alternative_marking,
@@ -30,6 +31,7 @@ from logcy3.periods import (
     evaluate_boundary_character,
     marked_period,
     matching_lattice,
+    matching_values,
     quotient_character,
     scale_marking,
     unmarked_period,
@@ -435,3 +437,58 @@ class TestQuotientFromTheHeldFactorization:
                 classify_contraction(pair, k)
             # The edge-matching map, the restriction matrix and the inclusion.
             assert calls == {"snf": 3, "invert_unimodular": 0}
+
+
+class TestHeldMatchingValues:
+    @pytest.fixture(scope="class")
+    def cases(self):
+        return [
+            *pair_fixtures().values(),
+            scaling_pair(1, 4),
+            scaling_pair(2, 8),
+            scaling_pair(3, 6),
+        ]
+
+    def test_values_are_the_direct_evaluation(self, cases):
+        for pair in cases:
+            markers = Marking.markers(pair.edge_keys())
+            generators = matching_lattice(pair)
+            expected = tuple(
+                evaluate_boundary_character(pair, markers, gen) for gen in generators
+            )
+            assert matching_values(pair) == expected
+            assert matching_values(pair) is matching_values(pair)
+            assert unmarked_period(pair).values == expected
+
+    def test_quotient_values_are_the_direct_evaluation_of_their_lifts(self, cases):
+        for pair in cases:
+            markers = Marking.markers(pair.edge_keys())
+            char, _ = quotient_character(pair)
+            for flat, value in zip(char.basis, char.values, strict=True):
+                assert value == evaluate_boundary_character(pair, markers, flat)
+
+    def test_quotient_evaluates_no_dense_lift(self, power_products):
+        pair = scaling_pair(2, 8)
+        unmarked_period(pair)
+        power_products.clear()
+        char, _ = quotient_character(pair)
+        # Only the restricted global classes are evaluated on the table.
+        assert char.values
+        assert power_products == [tuple(k) for k in pair.k_image()[0]]
+
+    def test_each_stage_reads_its_table_once(self, monkeypatch):
+        reads = []
+        original = LogCY3Pair.character_table
+
+        def counted(pair, marking):
+            reads.append(marking)
+            return original(pair, marking)
+
+        monkeypatch.setattr(LogCY3Pair, "character_table", counted)
+        pair = scaling_pair(2, 8)
+        unmarked_period(pair)
+        # The markers' table for the held values, and the second marking's.
+        assert reads == [pair.markers(), _alternative_marking(pair)]
+        reads.clear()
+        quotient_character(pair)
+        assert reads == [pair.markers()]

@@ -548,3 +548,61 @@ class TestSparseBoundaryTransport:
                         ExactArithmeticError,
                         "vector length mismatch",
                     )
+
+
+def full_report(pair):
+    """Every stage of the ``invariants`` and ``periods`` reports."""
+    periods.marked_period(pair)
+    unmarked_period(pair)
+    quotient_character(pair)
+    edge_cokernel_report(pair)
+    pair.k_image()
+    for k in range(len(pair.program)):
+        classify_contraction(pair, k)
+
+
+class TestHeldMatchingValuesInDecide:
+    def partners(self, name, pair):
+        out = [pair, pair.torus_translate((g("2"), g("3"), I))]
+        perturbed = perturbed_partner(name, pair)
+        if perturbed is not None:
+            out.append(perturbed)
+        return out
+
+    def cases(self):
+        """Fresh (name, pair) builds: the bundled pairs and the scaling family."""
+        return [
+            *pair_fixtures().items(),
+            ("scaling", scaling_pair(1, 4)),
+            ("scaling", scaling_pair(2, 8)),
+            ("scaling", scaling_pair(3, 6)),
+        ]
+
+    def verdicts(self, report_first):
+        # Each decide runs on a pair built for it, so a fresh one holds no
+        # period value yet.
+        out = []
+        for j in range(3):
+            for name, pair in self.cases():
+                partners = self.partners(name, pair)
+                if j >= len(partners):
+                    continue
+                if report_first:
+                    full_report(pair)
+                else:
+                    assert "matching_values" not in pair._held
+                verdict = decide_isomorphism(pair, partners[j])
+                out.append((verdict.kind, verdict.reason, verdict.certificate))
+        return out
+
+    def test_fresh_decide_matches_decide_after_a_report(self):
+        fresh = self.verdicts(report_first=False)
+        assert {check["check"] for _, _, check in fresh} >= {"complete", "period"}
+        assert fresh == self.verdicts(report_first=True)
+
+    def test_self_decide_makes_one_power_product_per_generator(self, power_products):
+        for pair in [scaling_pair(2, 8), *pair_fixtures().values()]:
+            unmarked_period(pair)
+            power_products.clear()
+            assert decide_isomorphism(pair, pair).kind == "isomorphic"
+            assert power_products == [tuple(gen) for gen in matching_lattice(pair)]
