@@ -175,12 +175,16 @@ class LooijengaComponent:
             raise BoundaryError("class length does not match component rank")
         return tuple(vec[: self.base.rank]), tuple(vec[self.base.rank:])
 
-    def intersection(self, a, b) -> int:
-        """The intersection form: toric block plus orthogonal (-1)-classes."""
-        at, ae = self.split(a)
+    def intersection_vector(self, b) -> tuple:
+        """``b``'s degree on each toric basis ray, then ``-b_e`` per (-1)-class."""
         bt, be = self.split(b)
-        toric = self.base.intersection(at, bt) if self.base.rank else 0
-        return toric - sum(x * y for x, y in zip(ae, be))
+        degrees = tuple(self.base.degree_on_ray(bt, i) for i in self.base.basis_indices)
+        return degrees + tuple(-x for x in be)
+
+    def intersection(self, a, b) -> int:
+        """The intersection form: ``a`` dotted with ``b``'s intersection vector."""
+        self.split(a)
+        return sum(x * y for x, y in zip(a, self.intersection_vector(b)) if x)
 
     def degree_on_edge(self, vec, w: int) -> int:
         """Intersection of a class with the (strict-transform) edge divisor."""
@@ -311,6 +315,11 @@ def marker_ratios(c: LooijengaComponent, marking: Marking) -> dict:
     return ratios
 
 
+def marker_value(c: LooijengaComponent, exc: ExceptionalClass) -> GaussianRational:
+    """An exceptional class's marked period at the markers: -(its point here)."""
+    return -c.side_coordinate(exc.neighbor, exc.coordinate)
+
+
 def exceptional_character(
     c: LooijengaComponent, exc: ExceptionalClass, ratios: dict
 ) -> GaussianRational:
@@ -319,7 +328,7 @@ def exceptional_character(
     ``ratios`` are the component's :func:`marker_ratios`: the class
     restricts to its own point, whose coordinate over p is the value.
     """
-    return -c.side_coordinate(exc.neighbor, exc.coordinate) * ratios[exc.neighbor]
+    return marker_value(c, exc) * ratios[exc.neighbor]
 
 
 def component_character_table(c: LooijengaComponent, marking: Marking) -> tuple:

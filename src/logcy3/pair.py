@@ -14,10 +14,10 @@ same fan copies the tensor, shares the layer's restriction images, makes
 its components with its own edge orientations, and replays only its
 program.  Each step appends its own images and rewrites no earlier one
 (see :class:`~logcy3.toric.ToricLayer` for their format).
-A curve step checks its boundary data with the component character tables
-at the markers, held for the build and extended as components gain
-exceptional classes; the section-ratio path of :mod:`logcy3.boundary` is
-the reference for them.
+A curve step checks its boundary data with one power product over the
+exceptional classes it touches, valued at the markers; the section-ratio
+path of :mod:`logcy3.boundary` is the reference for that value.  A build
+holds nothing on the pair.
 """
 
 from __future__ import annotations
@@ -31,15 +31,13 @@ from logcy3.boundary import (
     Marking,
     adjunction_check,
     component_character_table,
-    exceptional_character,
-    marker_ratios,
+    marker_value,
 )
 from logcy3.exactnum import (
     GaussianRational,
     IntMatrix,
     MINUS_ONE,
-    power_product,
-    product,
+    power_product_of,
     snf,
     symmetric_trilinear,
 )
@@ -137,12 +135,8 @@ class LogCY3Pair:
         self.complex = fan.dual_complex(edge_orientations)
         self.warnings = []
         self._build_toric_layer()
-        # Held values depend on the complex alone until the program is
-        # replayed; the markers are the only one read during the build.
+        # Held values are computed after the build; the build reads none.
         self._held = {}
-        # Curve steps check periods against the markers; their character
-        # tables are held for the build and extended as components grow.
-        self._marker_tables = {}
         # The reference coordinates occupied on each edge, held for the build.
         self._occupied = {}
         for k, step in enumerate(self.program):
@@ -152,7 +146,7 @@ class LogCY3Pair:
                 self._apply_curve(k, step)
             else:
                 raise PairError(f"unknown step kind at index {k}")
-        del self._marker_tables, self._occupied
+        del self._occupied
         self.warnings = tuple(self.warnings)
         return self
 
@@ -191,11 +185,6 @@ class LogCY3Pair:
                 f"{tuple(sorted((v, w)))}"
             )
         occupied.add(q)
-
-    def _image(self, images: dict, v: int) -> tuple:
-        """The image ``images`` holds on component v, padded to v's current rank."""
-        image = images.get(v, ())
-        return image + (0,) * (self.components[v].rank - len(image))
 
     def _apply_point(self, k: int, step: PointBlowup):
         v, w = step.edge
@@ -240,18 +229,26 @@ class LogCY3Pair:
                 )
             for q in coords:
                 self._check_new_coordinate(k, v, w, q)
-        # Intersection numbers against the current basis, via restriction to v.
+        # Intersection numbers against the current basis: each image on v
+        # dotted with the curve's intersection vector, reading 0 past its end.
         e_index = self.toric_basis.rank + k
+        vector = comp.intersection_vector(curve)
         k_dot_c = 0
         for a, images in enumerate(self._restriction):
-            if v not in images:
-                continue
-            a_dot_c = comp.intersection(self._image(images, v), curve)
+            a_dot_c = sum(x * y for x, y in zip(images.get(v, ()), vector) if x)
             if a_dot_c:
                 self._tensor[(a, e_index, e_index)] = -a_dot_c
                 k_dot_c += self.canonical[a] * a_dot_c
         self._tensor[(e_index, e_index, e_index)] = k_dot_c + 2
         self.canonical = self.canonical + (1,)
+        # The period of E's restriction (a global class, hence trivial on the
+        # boundary lattice) must be exactly 1.  At the markers it is 1 on
+        # every toric class, so only v's exceptional classes (with the
+        # curve's coordinates) and the classes this step adds count.
+        factors = [
+            (marker_value(comp, exc), x)
+            for exc, x in zip(comp.excs, curve[comp.base.rank:])
+        ]
         # Neighbors gain one exceptional class per intersection point.
         images = {v: curve}
         for w in comp.neighbors:
@@ -260,44 +257,17 @@ class LogCY3Pair:
                 continue
             old_rank = self.components[w].rank
             for q in coords:
-                self.components[w] = self.components[w].with_exceptional(
-                    ExceptionalClass(v, q, k)
-                )
+                exc = ExceptionalClass(v, q, k)
+                self.components[w] = self.components[w].with_exceptional(exc)
+                factors.append((marker_value(self.components[w], exc), 1))
             images[w] = (0,) * old_rank + (1,) * len(coords)
         self._restriction.append(images)
-        # The boundary data of a curve blowup must be compatible with the
-        # restricted class: the period of E's restriction (a global class,
-        # hence trivial on the boundary lattice) must be exactly 1.
-        scalar = self._marker_period_of(images)
+        scalar = power_product_of(factors)
         if not scalar.is_one():
             raise PairError(
                 f"step {k}: curve boundary data inconsistent with class "
                 f"restriction (period obstruction {scalar})"
             )
-
-    def _marker_period_of(self, images) -> GaussianRational:
-        # The components the class misses are not named: their factor is 1.
-        return product(
-            power_product(self._marker_table(v), image) for v, image in images.items()
-        )
-
-    def _marker_table(self, v: int) -> list:
-        """Component v's character table at the markers, held for the build.
-
-        Made on first use; later calls append the values of the exceptional
-        classes the component gained since.
-        """
-        comp = self.components[v]
-        if v not in self._marker_tables:
-            markers = self.markers()
-            self._marker_tables[v] = (
-                marker_ratios(comp, markers),
-                list(component_character_table(comp, markers)),
-            )
-        ratios, table = self._marker_tables[v]
-        for exc in comp.excs[len(table) - comp.base.rank:]:
-            table.append(exceptional_character(comp, exc, ratios))
-        return table
 
     # -- public queries ------------------------------------------------------
 

@@ -479,11 +479,16 @@ def decide_isomorphism(
     if boundary.rows != matching2.cols:
         # As the other pair's edge-matching map fails on such an image.
         raise ExactArithmeticError("vector length mismatch")
-    moved = matching2 * boundary
+    # The matching generators are the kernel columns of the held
+    # factorization's V, so one sparse product gives every image at once.
+    factored = edge_matching_snf(pair)
+    kernel = IntMatrix.from_columns(factored.V.rows, factored.V.columns[factored.rank:])
+    images = (matching2 * boundary * kernel).columns
     pulled = boundary.pull_back(other.character_table(other.markers()))
     transcript = []
-    for gen, value in zip(matching_lattice(pair), matching_values(pair)):
-        if any(moved.apply(gen)):
+    generators = zip(matching_lattice(pair), images, matching_values(pair))
+    for gen, image, value in generators:
+        if image:
             raise CorrespondenceError(
                 "transported matching class violates the edge-matching condition"
             )

@@ -57,7 +57,7 @@ def _inverse_unimodular(cols):
         ]
         for j in range(3)
     ]
-    return [[x * d for x in row] for row in cof]
+    return tuple(tuple(x * d for x in row) for row in cof)
 
 
 def _dual_frame(fan: Fan3, cone, v: int):
@@ -68,6 +68,16 @@ def _dual_frame(fan: Fan3, cone, v: int):
     """
     frame = [v] + [i for i in cone if i != v]
     return _inverse_unimodular([fan.rays[i] for i in frame])
+
+
+def _vertex_frame(fan: Fan3, v: int) -> tuple:
+    """The dual frame of the first max cone at v; every vertex's is held."""
+    return fan._held(
+        "_frames",
+        lambda: tuple(
+            _dual_frame(fan, cones[0], u) for u, cones in enumerate(_cones_at(fan))
+        ),
+    )[v]
 
 
 # ---------------------------------------------------------------------------
@@ -90,11 +100,11 @@ class Fan3:
     max_cones: tuple
     orientation: tuple = None
 
-    # Derived data (the cone set, the cones at each ray, the global sign,
-    # the verdict of validate_fan, the toric layer and the dual complex
-    # with default edge orientations) is computed on first use and held on
-    # the instance; it is not a field, so equality and hashing see the three
-    # fields only.
+    # Derived data (the cone set, the cones, link and dual frame at each
+    # ray, the global sign, the verdict of validate_fan, the toric layer and
+    # the dual complex with default edge orientations) is computed on first
+    # use and held on the instance; it is not a field, so equality and
+    # hashing see the three fields only.
 
     def __init__(self, rays, max_cones, orientation=None):
         object.__setattr__(self, "rays", tuple(tuple(int(x) for x in r) for r in rays))
@@ -244,7 +254,13 @@ def _cones_at(fan: Fan3) -> tuple:
 
 
 def _link_cycle(fan: Fan3, v: int):
-    """The link of v as a cyclically ordered vertex list, or None."""
+    """The link of v as a cyclically ordered tuple, or None; every link is held."""
+    return fan._held(
+        "_links", lambda: tuple(_trace_link(fan, u) for u in range(fan.n_rays))
+    )[v]
+
+
+def _trace_link(fan: Fan3, v: int):
     succ = {}
     count = 0
     for cone in _cones_at(fan)[v]:
@@ -267,7 +283,7 @@ def _link_cycle(fan: Fan3, v: int):
         cur = succ[cur]
     if len(cycle) != len(succ):
         return None
-    return cycle
+    return tuple(cycle)
 
 
 @dataclass(frozen=True)
@@ -365,7 +381,7 @@ class ToricPicBasis:
         seed = fan.max_cones[0]
         basis_rays = tuple(v for v in range(fan.n_rays) if v not in seed)
         dual = _inverse_unimodular([fan.rays[i] for i in seed])
-        return ToricPicBasis(fan, seed, basis_rays, tuple(tuple(r) for r in dual))
+        return ToricPicBasis(fan, seed, basis_rays, dual)
 
     @property
     def rank(self) -> int:
@@ -429,7 +445,7 @@ class TripleIntersection:
 
     def unit_character(self, i: int) -> tuple:
         """A character m with <m, n_i> = 1: the row dual to n_i in a cone at i."""
-        return tuple(_dual_frame(self.fan, _cones_at(self.fan)[i][0], i)[0])
+        return _vertex_frame(self.fan, i)[0]
 
     def ray_triple(self, i: int, j: int, k: int) -> int:
         key = tuple(sorted((i, j, k)))
@@ -585,15 +601,14 @@ class Fan2:
         return self.reduce_ray_vector(coeffs)
 
     def degree_on_ray(self, vec, i: int) -> int:
-        """Intersection of a basis-coordinate class with the ray divisor D_i."""
+        """Degree of a basis-coordinate class on D_i, read off rays i and i +- 1."""
+        if len(vec) != self.rank:
+            raise FanError("class length does not match the surface rank")
+        k = self.n_rays
         return sum(
-            x * self.pairing(b, i) for x, b in zip(vec, self.basis_indices, strict=True)
-        )
-
-    def intersection(self, a, b) -> int:
-        return sum(
-            x * self.degree_on_ray(b, i)
-            for x, i in zip(a, self.basis_indices, strict=True)
+            vec[b - 2] * self.pairing(b, i)
+            for b in {(i - 1) % k, i, (i + 1) % k}
+            if b >= 2
         )
 
     def anticanonical(self):
@@ -619,7 +634,7 @@ def star_surface(fan: Fan3, v: int) -> Fan2:
     if (diag := validate_fan(fan)) is not None:
         raise FanError(diag)
     cycle = _link_cycle(fan, v)
-    proj = _dual_frame(fan, _cones_at(fan)[v][0], v)[1:]
+    proj = _vertex_frame(fan, v)[1:]
     rays = []
     for w in cycle:
         img = tuple(sum(r[t] * fan.rays[w][t] for t in range(3)) for r in proj)
@@ -862,7 +877,7 @@ def edge_reference_character(fan: Fan3, complex_: DualComplex, edge):
     v, w = complex_.directed_edge(*edge)
     zero_tri = complex_.positive_triangle(w, v)
     apex = next(i for i in zero_tri if i not in (v, w))
-    return tuple(_dual_frame(fan, zero_tri, apex)[0])
+    return _dual_frame(fan, zero_tri, apex)[0]
 
 
 def edge_coordinate_chart(fan: Fan3, edge, edge_orientations=None) -> EdgeChart:

@@ -5,16 +5,27 @@ import re
 import sys
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from logcy3 import exactnum, toric
 from logcy3 import pair as pair_module
-from logcy3.boundary import ExceptionalClass, Marking, component_marked_period
+from logcy3 import boundary
+from logcy3.boundary import (
+    ExceptionalClass,
+    LooijengaComponent,
+    Marking,
+    adjunction_check,
+    component_character_table,
+    component_marked_period,
+)
 from logcy3.exactnum import (
     GaussianRational,
     I,
     IntMatrix,
     MINUS_ONE,
     kernel_basis,
+    power_product,
     product,
     snf,
     solve_integer,
@@ -222,16 +233,46 @@ def point_program(fan, steps):
     ]
 
 
+def solved_curve_step(pair, v, curve, start):
+    """A curve step in component v of ``pair`` whose period is one.
+
+    The points on each met edge are ``start + 7 w + t``.  At the markers a
+    toric class has the value 1 and a point q, seen from the component w
+    it is added to, the value -q when w is the head of the edge and -1/q
+    otherwise; an exceptional class of v takes its value from v's side.
+    The last point is solved so that the curve's period is one.
+    """
+    comp = pair.components[v]
+    points = {
+        w: [GaussianRational(start + 7 * w + t) for t in range(d)]
+        for w in comp.neighbors
+        if (d := comp.degree_on_edge(curve, w))
+    }
+
+    def value(side, other, q):
+        head = pair.complex.directed_edge(side, other)[1] == side
+        return -q if head else -q.inverse()
+
+    own = power_product(
+        [value(v, exc.neighbor, exc.coordinate) for exc in comp.excs],
+        curve[comp.base.rank:],
+    )
+    last = max(points)
+    period = own * product(value(w, v, q) for w, qs in points.items() for q in qs)
+    target = value(last, v, points[last][-1]) / period
+    head = pair.complex.directed_edge(v, last)[1] == last
+    points[last][-1] = -target if head else (-target).inverse()
+    return CurveBlowup(v, curve, tuple((w, tuple(qs)) for w, qs in points.items()))
+
+
 def curve_program(fan, edge_orientations, before, after):
     """Points, then a curve in the class of a ray divisor D with D.D >= 0.
 
     The curve lies in the first component (in vertex order) whose star
     surface has such a ray, after ``before`` point steps; a general
     member of the class is a smooth rational curve, and the adjunction and
-    degree checks hold.  At the markers a toric class has the value 1 and a
-    point q, seen from the neighbour w it is added to, the value -q when w
-    is the head of the edge and -1/q otherwise; the last point is solved so
-    that the curve's period is one.  Then ``after`` more points follow.
+    degree checks hold.  Its points are solved so that its period is one
+    (:func:`solved_curve_step`).  Then ``after`` more points follow.
     """
     program = point_program(fan, before)
     pair = LogCY3Pair.build(fan, program, edge_orientations)
@@ -243,23 +284,159 @@ def curve_program(fan, edge_orientations, before, after):
     )
     comp = pair.components[v]
     curve = comp.base.ray_class(ray) + (0,) * len(comp.excs)
-    points = {
-        w: [GaussianRational(101 + 2 * len(comp.excs) + 7 * w + t) for t in range(d)]
-        for w in comp.neighbors
-        if (d := comp.degree_on_edge(curve, w))
-    }
-
-    def value(w, q):
-        head = pair.complex.directed_edge(v, w)[1] == w
-        return -q if head else -q.inverse()
-
-    last = max(points)
-    period = product(value(w, q) for w, qs in points.items() for q in qs)
-    target = value(last, points[last][-1]) / period
-    head = pair.complex.directed_edge(v, last)[1] == last
-    points[last][-1] = -target if head else (-target).inverse()
-    step = CurveBlowup(v, curve, tuple((w, tuple(qs)) for w, qs in points.items()))
+    step = solved_curve_step(pair, v, curve, 101 + 2 * len(comp.excs))
     return program + [step] + point_program(fan, before + after)[before:]
+
+
+def through_point_program(fan, edge_orientations, before):
+    """Points, then a curve D - E through one of them, or None.
+
+    D is a ray divisor of nonnegative square with positive degree on the
+    edge of an exceptional class E of its component, so D - E passes the
+    adjunction and degree checks and has the coordinate -1 on E.
+    """
+    program = point_program(fan, before)
+    pair = LogCY3Pair.build(fan, program, edge_orientations)
+    for comp in pair.boundary_components():
+        for ray in range(comp.base.n_rays):
+            if comp.base.self_intersection(ray) < 0:
+                continue
+            divisor = comp.base.ray_class(ray) + (0,) * len(comp.excs)
+            for j, exc in enumerate(comp.excs):
+                if comp.degree_on_edge(divisor, exc.neighbor) > 0:
+                    curve = list(divisor)
+                    curve[comp.base.rank + j] = -1
+                    step = solved_curve_step(pair, comp.vertex, tuple(curve), 301)
+                    return program + [step]
+    return None
+
+
+def conic_ladder_fan(rays):
+    """Projective space subdivided away from component 3, a plane throughout."""
+    fan = projective_space_fan()
+    while fan.n_rays < rays:
+        cone = next(c for c in reversed(fan.max_cones) if 3 not in c)
+        fan = star_subdivide(fan, cone)
+    return fan
+
+
+def conic_ladder(fan, steps):
+    """``steps`` conics in component 3, each solved to period one."""
+    program = []
+    for k in range(steps):
+        pair = LogCY3Pair.build(fan, program)
+        program.append(solved_curve_step(pair, 3, (2,), 1000 * (k + 1)))
+    return program
+
+
+def moved_point(program):
+    """The program with the first point of its first curve step moved."""
+    k = next(k for k, step in enumerate(program) if isinstance(step, CurveBlowup))
+    step = program[k]
+    (w, coords), *rest = step.points
+    moved = (w, (coords[0] + GaussianRational(1000),) + coords[1:])
+    curve = CurveBlowup(step.component, step.curve_class, (moved, *rest))
+    return program[:k] + [curve] + program[k + 1:]
+
+
+def reference_degree_on_ray(base, vec, i):
+    """A class's degree on D_i, every basis ray paired with D_i."""
+    return sum(
+        x * base.pairing(b, i) for x, b in zip(vec, base.basis_indices, strict=True)
+    )
+
+
+def reference_intersection(comp, a, b):
+    """The intersection form summed ray by ray: O(rank**2) pairings."""
+    at, ae = comp.split(a)
+    bt, be = comp.split(b)
+    toric = sum(
+        x * reference_degree_on_ray(comp.base, bt, i)
+        for x, i in zip(at, comp.base.basis_indices, strict=True)
+    )
+    return toric - sum(x * y for x, y in zip(ae, be))
+
+
+class TableCheckedPair(LogCY3Pair):
+    """Pairs whose curve steps run the table-based check, the reference.
+
+    Each restriction image on the curve's component is padded to the
+    component's rank and met with the curve by :func:`reference_intersection`;
+    the period of the step's images is the product, over the components
+    they name, of power products of each component's character table at
+    the markers.
+    """
+
+    def _apply_curve(self, k, step):
+        v = step.component
+        if v not in self.components:
+            raise PairError(f"step {k}: no component {v}")
+        comp = self.components[v]
+        curve = tuple(step.curve_class)
+        if len(curve) != comp.rank:
+            raise PairError(
+                f"step {k}: curve class length {len(curve)} does not match "
+                f"component rank {comp.rank}"
+            )
+        diag = adjunction_check(comp, curve)
+        if diag is not None:
+            raise PairError(f"step {k}: {diag}")
+        declared = {w for w, _ in step.points}
+        if not declared <= set(comp.neighbors):
+            raise PairError(f"step {k}: points on a non-adjacent vertex")
+        for w in comp.neighbors:
+            coords = step.points_on(w)
+            need = comp.degree_on_edge(curve, w)
+            if len(coords) != need:
+                raise PairError(
+                    f"step {k}: {len(coords)} intersection points on edge "
+                    f"toward {w}, class degree is {need}"
+                )
+            for q in coords:
+                self._check_new_coordinate(k, v, w, q)
+        e_index = self.toric_basis.rank + k
+        k_dot_c = 0
+        for a, images in enumerate(self._restriction):
+            if v not in images:
+                continue
+            image = padded(images[v], comp.rank)
+            a_dot_c = reference_intersection(comp, image, curve)
+            if a_dot_c:
+                self._tensor[(a, e_index, e_index)] = -a_dot_c
+                k_dot_c += self.canonical[a] * a_dot_c
+        self._tensor[(e_index, e_index, e_index)] = k_dot_c + 2
+        self.canonical = self.canonical + (1,)
+        images = {v: curve}
+        for w in comp.neighbors:
+            coords = step.points_on(w)
+            if not coords:
+                continue
+            old_rank = self.components[w].rank
+            for q in coords:
+                self.components[w] = self.components[w].with_exceptional(
+                    ExceptionalClass(v, q, k)
+                )
+            images[w] = (0,) * old_rank + (1,) * len(coords)
+        self._restriction.append(images)
+        markers = Marking.markers(self.edge_keys())
+        scalar = product(
+            power_product(component_character_table(self.components[u], markers), image)
+            for u, image in images.items()
+        )
+        if not scalar.is_one():
+            raise PairError(
+                f"step {k}: curve boundary data inconsistent with class "
+                f"restriction (period obstruction {scalar})"
+            )
+
+
+def build_outcome(cls, fan, program, edges):
+    """The diagnostic of a rejected build, else what the build computed."""
+    try:
+        pair = cls.build(fan, program, edges)
+    except PairError as exc:
+        return str(exc)
+    return pair.cubic_entries(), pair._restriction, pair.canonical, pair.warnings
 
 
 def snf_star_surface(fan, v):
@@ -290,6 +467,11 @@ def kernel_reference_character(fan, complex_, edge):
     pairing = sum(m[t] * fan.rays[apex][t] for t in range(3))
     assert pairing != 0
     return tuple(m) if pairing > 0 else tuple(-x for x in m)
+
+
+def padded(image, rank):
+    """A stored restriction image read at a component's current rank."""
+    return tuple(image) + (0,) * (rank - len(image))
 
 
 def layer_snapshot(pair):
@@ -465,6 +647,19 @@ class TestToricLayer:
         for name in ("ray_triple", "edges"):
             assert 0 < counts[60][name] <= 4 * counts[20][name], (name, counts)
 
+    @pytest.mark.parametrize("rays", (12, 20))
+    def test_first_build_makes_one_frame_and_one_link_per_vertex(
+        self, monkeypatch, rays
+    ):
+        fan = next(fan for fan in LAYER_FANS if fan.n_rays == rays)
+        calls = {"_dual_frame": 0, "_trace_link": 0}
+        for name in calls:
+            monkeypatch.setattr(
+                toric, name, counting(calls, name, getattr(toric, name))
+            )
+        LogCY3Pair.build(fresh_copy(fan), point_program(fan, 4))
+        assert calls == {"_dual_frame": rays, "_trace_link": rays}
+
     @pytest.mark.parametrize("fan", ALIAS_FANS, ids=lambda fan: f"{fan.n_rays}-rays")
     def test_builds_on_one_fan_do_not_share_what_they_change(self, fan):
         shared = fresh_copy(fan)
@@ -502,8 +697,8 @@ class TestToricLayer:
             columns = [
                 tuple(
                     x
-                    for v in sorted(pair.components)
-                    for x in pair._image(images, v)
+                    for v, comp in sorted(pair.components.items())
+                    for x in padded(images.get(v, ()), comp.rank)
                 )
                 for images in pair._restriction
             ]
@@ -511,6 +706,151 @@ class TestToricLayer:
             assert [
                 pair.restrict(_unit(pair.pic_rank, a)) for a in range(pair.pic_rank)
             ] == columns
+
+
+def differential_builds(fan):
+    """Point and curve programs on ``fan``, and each curve program moved.
+
+    The curve programs solve their periods to one, some through an earlier
+    point (a curve with a negative exceptional coordinate), with the
+    walls' and the reversed edges; each has a copy with one intersection
+    point moved, whose period is not one.
+    """
+    walls = sorted(tuple(sorted(w)) for w in fan.walls())
+    reverse = [(b, a) for a, b in walls]
+    builds = alias_builds(fan)
+    for edges, before in ((None, 5), (reverse, 3)):
+        program = through_point_program(fan, edges, before)
+        if program is not None:
+            builds.append((program, edges))
+    moved = [
+        (moved_point(program), edges)
+        for program, edges in builds
+        if any(isinstance(step, CurveBlowup) for step in program)
+    ]
+    return builds, moved
+
+
+LADDER_COMPONENTS = [
+    (fan, v) for fan in LAYER_FANS[len(toric_fixture_fans()):] for v in (0, 3)
+]
+
+
+@st.composite
+def components_with_exceptionals(draw):
+    """A star surface of a ladder fan blown up at one to four points."""
+    fan, v = draw(st.sampled_from(LADDER_COMPONENTS))
+    base = star_surface(fan, v)
+    heads = tuple(draw(st.booleans()) for _ in base.labels)
+    comp = LooijengaComponent(base, (), heads)
+    for k in range(draw(st.integers(1, 4))):
+        w = draw(st.sampled_from(base.labels))
+        comp = comp.with_exceptional(ExceptionalClass(w, GaussianRational(k + 2), k))
+    return comp
+
+
+class TestCurveStepAgainstTheTables:
+    """The curve step against the table-based check it replaced."""
+
+    def test_bundled_pairs(self, pairs):
+        moved = 0
+        for pair in pairs.values():
+            edges = pair._orientations()
+            outcome = build_outcome(LogCY3Pair, pair.fan, pair.program, edges)
+            assert not isinstance(outcome, str), outcome
+            assert outcome == build_outcome(
+                TableCheckedPair, pair.fan, pair.program, edges
+            )
+            if any(isinstance(step, CurveBlowup) for step in pair.program):
+                program = moved_point(list(pair.program))
+                diag = build_outcome(LogCY3Pair, pair.fan, program, edges)
+                assert "period obstruction" in diag
+                assert diag == build_outcome(TableCheckedPair, pair.fan, program, edges)
+                moved += 1
+        assert moved >= 2
+
+    @pytest.mark.parametrize("fan", ALIAS_FANS, ids=lambda fan: f"{fan.n_rays}-rays")
+    def test_curve_programs(self, fan):
+        builds, moved = differential_builds(fan)
+        for program, edges in builds:
+            outcome = build_outcome(LogCY3Pair, fan, program, edges)
+            assert not isinstance(outcome, str), outcome
+            assert outcome == build_outcome(TableCheckedPair, fan, program, edges)
+        for program, edges in moved:
+            diag = build_outcome(LogCY3Pair, fan, program, edges)
+            assert "period obstruction" in diag
+            assert diag == build_outcome(TableCheckedPair, fan, program, edges)
+
+    def test_some_curves_run_through_a_point(self):
+        found = [
+            program
+            for fan in ALIAS_FANS
+            for program in (through_point_program(fan, None, 5),)
+            if program is not None
+        ]
+        assert len(found) >= len(ALIAS_FANS) // 2
+        for program in found:
+            assert -1 in program[-1].curve_class
+
+    @given(components_with_exceptionals(), st.data())
+    def test_intersection_matches_the_ray_by_ray_sum(self, comp, data):
+        classes = st.lists(st.integers(-5, 5), min_size=comp.rank, max_size=comp.rank)
+        a, b = data.draw(classes), data.draw(classes)
+        assume(any(a[comp.base.rank:]) and any(b[comp.base.rank:]))
+        assert comp.intersection(a, b) == reference_intersection(comp, a, b)
+        assert comp.intersection_vector(b) == tuple(
+            reference_intersection(comp, unit, b) for unit in comp.basis_vectors()
+        )
+        toric_part = tuple(b[: comp.base.rank])
+        for i in range(comp.base.n_rays):
+            assert comp.base.degree_on_ray(toric_part, i) == reference_degree_on_ray(
+                comp.base, toric_part, i
+            )
+
+    def test_degree_on_ray_rejects_a_wrong_length(self):
+        base = star_surface(LAYER_FANS[-1], 0)
+        for vec in ((0,) * (base.rank - 1), (0,) * (base.rank + 1)):
+            with pytest.raises(ValueError):
+                base.degree_on_ray(vec, 0)
+
+
+def valence_fan(valence):
+    """Projective space subdivided at cones of ray 3 missing ray 0.
+
+    Component 3 gains one ray per subdivision and keeps ray 0 at square 1.
+    """
+    fan = projective_space_fan()
+    while len(star_surface(fan, 3).labels) < valence:
+        cone = next(c for c in reversed(fan.max_cones) if 3 in c and 0 not in c)
+        fan = star_subdivide(fan, cone)
+    return fan
+
+
+class TestCurveStepCost:
+    def test_pairings_grow_linearly_in_the_component_rank(self, monkeypatch):
+        # Deterministic counts, not wall time: Fan2.pairing calls of one
+        # intersection of dense classes and of one curve step, in component
+        # 3 at ranks 4 and 16.  A ray-by-ray sum makes rank**2 of them.
+        counts = {}
+        for valence in (6, 18):
+            fan = valence_fan(valence)
+            pair = LogCY3Pair.build(fan)
+            comp = pair.components[3]
+            dense = tuple(range(1, comp.rank + 1))
+            curve = comp.base.ray_class(comp.base.labels.index(0))
+            step = solved_curve_step(pair, 3, curve, 101)
+            calls = {"pairing": 0}
+            monkeypatch.setattr(
+                Fan2, "pairing", counting(calls, "pairing", Fan2.pairing)
+            )
+            comp.intersection(dense, dense)
+            intersection = calls["pairing"]
+            LogCY3Pair.build(fan, [step])
+            monkeypatch.undo()
+            counts[comp.rank] = (intersection, calls["pairing"] - intersection)
+        assert sorted(counts) == [4, 16]
+        for small, large in zip(counts[4], counts[16]):
+            assert 0 < large <= 5 * small, counts
 
 
 class TestCubicForm:
@@ -609,9 +949,24 @@ class TestHeldMarkers:
                 Marking.markers(pair.edge_keys())
             )
 
-    def test_a_curve_build_holds_the_markers_it_checked(self):
-        pair = pair_fixtures()["p3-conic"]
-        assert pair._held["markers"] is pair.markers()
+    def test_a_build_holds_nothing_and_reads_no_marking(self, monkeypatch):
+        calls = {"component_character_table": 0, "marker_ratios": 0}
+        for name in calls:
+            original = getattr(boundary, name)
+            counted = counting(calls, name, original)
+            for module_name, module in list(sys.modules.items()):
+                if module_name.split(".")[0] == "logcy3":
+                    if vars(module).get(name) is original:
+                        monkeypatch.setattr(module, name, counted)
+        fan = conic_ladder_fan(12)
+        builds = [
+            (pair.fan, pair.program, pair._orientations())
+            for pair in pair_fixtures().values()
+        ] + [(fan, conic_ladder(fan, 8), None)]
+        for fan, program, edges in builds:
+            pair = LogCY3Pair.build(fan, program, edges)
+            assert pair._held == {}
+        assert calls == {"component_character_table": 0, "marker_ratios": 0}
 
 
 class TestProgramValidation:
