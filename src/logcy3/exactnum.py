@@ -28,10 +28,10 @@ and hashing compare triples.  Each operation works on the integers and
 reduces once with a single three-way ``gcd`` (none when ``d`` is 1).
 Powers and products of powers share one kernel, :func:`power_product_of`,
 which raises each factor in Z[i] and reduces the running triple once per
-factor.  Text is written straight from the triple.  ``Fraction`` appears
-only at the edges: parsing, the constructor's non-integer arguments, and
-the read-only ``re``, ``im`` and ``norm()`` views.  Matrix inversion is
-integer row reduction too, so no hot path builds a ``Fraction``.
+factor.  Text is read and written straight from the triple.  ``Fraction``
+appears only at the edges: the constructor's non-integer arguments and the
+read-only ``re``, ``im`` and ``norm()`` views.  Matrix inversion is integer
+row reduction too, so no hot path builds a ``Fraction``.
 
 Everything here is immutable and pure.
 """
@@ -53,12 +53,10 @@ class ExactArithmeticError(ValueError):
 # Gaussian rationals
 # ---------------------------------------------------------------------------
 
-_RAT = r"\d+(?:/\d+)?"
-_FULL_RE = _regex.compile(
-    rf"^(?P<sr>[+-]?)(?P<re>{_RAT})"
-    rf"(?:(?P<si>[+-])(?:(?P<im>{_RAT})\*)?i)?$"
-)
-_IMAG_RE = _regex.compile(rf"^(?P<si>[+-]?)(?:(?P<im>{_RAT})\*)?i$")
+_RE = r"(?P<re>\d+)(?:/(?P<re_d>\d+))?"
+_IM = r"(?P<im>\d+)(?:/(?P<im_d>\d+))?"
+_FULL_RE = _regex.compile(rf"^(?P<sr>[+-]?){_RE}(?:(?P<si>[+-])(?:{_IM}\*)?i)?$")
+_IMAG_RE = _regex.compile(rf"^(?P<si>[+-]?)(?:{_IM}\*)?i$")
 
 
 class GaussianRational:
@@ -104,31 +102,22 @@ class GaussianRational:
         imaginary part (``i``, ``-i``, ``2*i``) is also accepted.
         """
         s = text.replace(" ", "")
-        try:
-            m = _IMAG_RE.match(s)
-            if m:
-                im = Fraction(m.group("im") or "1")
-                if m.group("si") == "-":
-                    im = -im
-                return GaussianRational(0, im)
-            m = _FULL_RE.match(s)
-            if m is None:
-                raise ExactArithmeticError(
-                    f"cannot parse Gaussian rational {text!r}"
-                )
-            re_part = Fraction(m.group("re"))
-            if m.group("sr") == "-":
-                re_part = -re_part
-            im_part = Fraction(0)
-            if m.group("si"):
-                im_part = Fraction(m.group("im") or "1")
-                if m.group("si") == "-":
-                    im_part = -im_part
-        except ZeroDivisionError as exc:
-            raise ExactArithmeticError(
-                f"zero denominator in Gaussian rational {text!r}"
-            ) from exc
-        return GaussianRational(re_part, im_part)
+        m = _IMAG_RE.match(s) or _FULL_RE.match(s)
+        if m is None:
+            raise ExactArithmeticError(f"cannot parse Gaussian rational {text!r}")
+        parts = m.groupdict()
+        # A part reads n / d; a missing real part is 0 and a bare i is 1.
+        a = int(parts.get("re") or 0)
+        p = int(parts.get("re_d") or 1)
+        b = int(parts["im"] or 1) if parts["si"] is not None else 0
+        q = int(parts["im_d"] or 1)
+        if p == 0 or q == 0:
+            raise ExactArithmeticError(f"zero denominator in Gaussian rational {text!r}")
+        if parts.get("sr") == "-":
+            a = -a
+        if parts["si"] == "-":
+            b = -b
+        return _reduced(a * q, b * p, p * q)
 
     # -- accessors ----------------------------------------------------------
 

@@ -1,11 +1,13 @@
 """Smooth complete fans in rank 3 and their divisor-level combinatorics.
 
 The fan is the source of every toric pair in this package: it carries the
-Picard presentation, the cubic intersection tensor (computed by wall-relation
-reduction), the star surfaces of boundary components, the dual complex with
-its orientation data, and the coordinate charts on 1-strata.  The fan-only
-part of a pair build, the :class:`ToricLayer`, is computed once per fan and
-held on it.
+Picard presentation, the star surfaces of boundary components, the cubic
+intersection tensor (read off those surfaces), the dual complex with its
+orientation data, and the coordinate charts on 1-strata.  The fan-only part
+of a pair build, the :class:`ToricLayer`, is computed once per fan and held
+on it, as are the fan's walls, the oriented ordering of each max cone and
+the link and dual frame at each ray: validation, the star surfaces and the
+dual complex read each of them once.
 
 Every max cone is smooth, so the rows of the inverse of its ray frame are
 the dual basis of M.  The lattice data of this module is read off such a
@@ -20,6 +22,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import permutations
 from math import gcd
+from types import MappingProxyType
 
 from logcy3.exactnum import GaussianRational
 
@@ -75,9 +78,17 @@ def _vertex_frame(fan: Fan3, v: int) -> tuple:
     return fan._held(
         "_frames",
         lambda: tuple(
-            _dual_frame(fan, cones[0], u) for u, cones in enumerate(_cones_at(fan))
+            _dual_frame(fan, fan.max_cones[at[0]], u)
+            for u, at in enumerate(_cones_at(fan))
         ),
     )[v]
+
+
+def _orient(cone: tuple, d: int, global_sign: int) -> tuple:
+    """The ordering of a cone with determinant d that is positively oriented."""
+    if d * global_sign > 0:
+        return cone
+    return (cone[0], cone[2], cone[1])
 
 
 # ---------------------------------------------------------------------------
@@ -100,11 +111,12 @@ class Fan3:
     max_cones: tuple
     orientation: tuple = None
 
-    # Derived data (the cone set, the cones, link and dual frame at each
-    # ray, the global sign, the verdict of validate_fan, the toric layer and
-    # the dual complex with default edge orientations) is computed on first
-    # use and held on the instance; it is not a field, so equality and
-    # hashing see the three fields only.
+    # Derived data (the cone set, the walls, the determinant and oriented
+    # ordering of each max cone, the cones, link and dual frame at each ray,
+    # the global sign, the verdict of validate_fan, the toric layer and the
+    # dual complex with default edge orientations) is computed on first use
+    # and held on the instance; it is not a field, so equality and hashing
+    # see the three fields only.
 
     def __init__(self, rays, max_cones, orientation=None):
         object.__setattr__(self, "rays", tuple(tuple(int(x) for x in r) for r in rays))
@@ -138,21 +150,20 @@ class Fan3:
         )
 
     def walls(self):
-        """Map from wall (frozen ray-index pair) to the two flanking apex rays."""
+        """Read-only map from wall (frozen ray-index pair) to its apex tuple.
+
+        The apexes are the third rays of the max cones on the wall, two on a
+        valid fan.  The map is held on the fan.
+        """
+        return self._held("_walls", self._compute_walls)
+
+    def _compute_walls(self):
         flanks: dict = {}
         for cone in self.max_cones:
             for k in range(3):
                 wall = frozenset((cone[k], cone[(k + 1) % 3]))
-                apex = cone[(k + 2) % 3]
-                flanks.setdefault(wall, []).append(apex)
-        return flanks
-
-    def neighbors(self, v: int):
-        out = set()
-        for cone in self.max_cones:
-            if v in cone:
-                out.update(set(cone) - {v})
-        return out
+                flanks.setdefault(wall, []).append(cone[(k + 2) % 3])
+        return MappingProxyType({wall: tuple(a) for wall, a in flanks.items()})
 
     # -- orientation ---------------------------------------------------------
 
@@ -172,10 +183,19 @@ class Fan3:
     def oriented_triangle(self, cone):
         """The ordering of a max cone that is positively oriented."""
         cone = tuple(cone)
-        d = _det3(*(self.rays[i] for i in cone))
-        if d * self.global_sign() > 0:
-            return cone
-        return (cone[0], cone[2], cone[1])
+        return _orient(cone, _det3(*(self.rays[i] for i in cone)), self.global_sign())
+
+    def oriented_triangles(self) -> tuple:
+        """The positively oriented ordering of each max cone, in order, held."""
+        return self._held("_oriented", self._compute_oriented_triangles)
+
+    def _compute_oriented_triangles(self) -> tuple:
+        g = self.global_sign()
+        dets = self._held(
+            "_cone_dets",
+            lambda: tuple(_det3(*(self.rays[i] for i in c)) for c in self.max_cones),
+        )
+        return tuple(_orient(c, d, g) for c, d in zip(self.max_cones, dets))
 
     def dual_complex(self, edge_orientations=None) -> "DualComplex":
         """The dual complex; the one with default edge orientations is held."""
@@ -204,12 +224,18 @@ def _diagnose_fan(fan: Fan3):
     if not fan.max_cones:
         return "fan has no max cones"
     used = set()
+    dets = []
     for cone in fan.max_cones:
         if len(set(cone)) != 3 or any(i < 0 or i >= n for i in cone):
             return f"bad cone {cone}"
-        if abs(_det3(*(fan.rays[i] for i in cone))) != 1:
+        dets.append(_det3(*(fan.rays[i] for i in cone)))
+        if abs(dets[-1]) != 1:
             return f"non-smooth cone {cone}"
         used.update(cone)
+    # The links and the orientation check below orient each cone by these
+    # determinants; none is taken twice.
+    dets = tuple(dets)
+    fan._held("_cone_dets", lambda: dets)
     if used != set(range(n)):
         return "unused ray"
     if len(fan.cone_set()) != len(fan.max_cones):
@@ -228,8 +254,7 @@ def _diagnose_fan(fan: Fan3):
     # Orientation datum must induce a coherent orientation: each wall gets
     # opposite directions from its two oriented triangles.
     directed = set()
-    for cone in fan.max_cones:
-        a, b, c = fan.oriented_triangle(cone)
+    for a, b, c in fan.oriented_triangles():
         for e in ((a, b), (b, c), (c, a)):
             if e in directed:
                 return f"incoherent orientation at edge {e}"
@@ -241,13 +266,13 @@ def _diagnose_fan(fan: Fan3):
 
 
 def _cones_at(fan: Fan3) -> tuple:
-    """The max cones containing each ray, in max-cone order, held on the fan."""
+    """The indices of the max cones containing each ray, ascending, held."""
 
     def compute():
         at = [[] for _ in range(fan.n_rays)]
-        for cone in fan.max_cones:
+        for k, cone in enumerate(fan.max_cones):
             for i in set(cone):
-                at[i].append(cone)
+                at[i].append(k)
         return tuple(map(tuple, at))
 
     return fan._held("_cones_at", compute)
@@ -263,9 +288,10 @@ def _link_cycle(fan: Fan3, v: int):
 def _trace_link(fan: Fan3, v: int):
     succ = {}
     count = 0
-    for cone in _cones_at(fan)[v]:
+    oriented = fan.oriented_triangles()
+    for k in _cones_at(fan)[v]:
         count += 1
-        tri = fan.oriented_triangle(cone)
+        tri = oriented[k]
         i = tri.index(v)
         a, b = tri[(i + 1) % 3], tri[(i + 2) % 3]
         if a in succ:
@@ -313,8 +339,7 @@ class DualComplex:
             edges = tuple(chosen[frozenset(w)] for w in walls)
         else:
             edges = tuple(walls)
-        triangles = tuple(fan.oriented_triangle(c) for c in fan.max_cones)
-        return DualComplex(tuple(range(fan.n_rays)), edges, triangles)
+        return DualComplex(tuple(range(fan.n_rays)), edges, fan.oriented_triangles())
 
     @cached_property
     def _edge_at(self) -> dict:
@@ -422,7 +447,12 @@ class ToricPicBasis:
 
 
 class TripleIntersection:
-    """Cubic intersection numbers of ray divisors on a smooth complete fan."""
+    """Cubic intersection numbers of ray divisors on a smooth complete fan.
+
+    This is the independent path the toric layer's tensor is checked
+    against: it solves each 3d wall relation, where the layer reads the
+    star surfaces.
+    """
 
     def __init__(self, fan: Fan3):
         if (diag := validate_fan(fan)) is not None:
@@ -529,12 +559,22 @@ class Fan2:
     ``rays`` are listed in the cyclic order induced by the global orientation
     of the dual complex; ``labels[i]`` is the neighbouring vertex whose image
     spans ray ``i``, so ray ``i`` corresponds to the 1-stratum between the
-    component and that neighbour.
+    component and that neighbour.  ``wall_coefficients[i]`` is the c with
+    u_{i-1} + u_{i+1} = c * u_i, solved once on construction, which raises
+    ``FanError`` if some relation has no integer c.
     """
 
     vertex: int
     rays: tuple
     labels: tuple
+    wall_coefficients: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(
+            self,
+            "wall_coefficients",
+            tuple(_solve_wall_coefficient(self.rays, i) for i in range(len(self.rays))),
+        )
 
     @property
     def n_rays(self) -> int:
@@ -543,20 +583,8 @@ class Fan2:
     def ray_of_neighbor(self, w: int) -> int:
         return self.labels.index(w)
 
-    def wall_coefficient(self, i: int) -> int:
-        """c with u_{i-1} + u_{i+1} = c * u_i; the self-intersection is -c."""
-        k = self.n_rays
-        u_prev = self.rays[(i - 1) % k]
-        u_next = self.rays[(i + 1) % k]
-        u = self.rays[i]
-        s = (u_prev[0] + u_next[0], u_prev[1] + u_next[1])
-        for c in _candidate_multiples(s, u):
-            if (c * u[0], c * u[1]) == s:
-                return c
-        raise FanError(f"rays around index {i} are not a smooth 2d fan")
-
     def self_intersection(self, i: int) -> int:
-        return -self.wall_coefficient(i)
+        return -self.wall_coefficients[i]
 
     def pairing(self, i: int, j: int) -> int:
         """Intersection number of the ray divisors with indices i and j."""
@@ -566,6 +594,19 @@ class Fan2:
         if (i - j) % k in (1, k - 1):
             return 1
         return 0
+
+    def square(self, coeffs) -> int:
+        """Self-intersection of ``sum coeffs[i] * D_i``.
+
+        Only D_i . D_i and the products D_i . D_{i+1} = 1 of neighbouring
+        rays are nonzero, and a complete fan has at least three rays, so
+        the sum is ``sum c_i^2 (D_i^2) + 2 sum c_i c_{i+1}``.
+        """
+        k = self.n_rays
+        return sum(
+            c * (c * self.self_intersection(i) + 2 * coeffs[(i + 1) % k])
+            for i, c in enumerate(coeffs)
+        )
 
     # -- Picard basis --------------------------------------------------------
 
@@ -615,6 +656,16 @@ class Fan2:
         return self.reduce_ray_vector([1] * self.n_rays)
 
 
+def _solve_wall_coefficient(rays, i: int) -> int:
+    k = len(rays)
+    u_prev, u, u_next = rays[(i - 1) % k], rays[i], rays[(i + 1) % k]
+    s = (u_prev[0] + u_next[0], u_prev[1] + u_next[1])
+    for c in _candidate_multiples(s, u):
+        if (c * u[0], c * u[1]) == s:
+            return c
+    raise FanError(f"rays around index {i} are not a smooth 2d fan")
+
+
 def _candidate_multiples(s, u):
     if u[0] != 0 and s[0] % u[0] == 0:
         yield s[0] // u[0]
@@ -639,13 +690,10 @@ def star_surface(fan: Fan3, v: int) -> Fan2:
     for w in cycle:
         img = tuple(sum(r[t] * fan.rays[w][t] for t in range(3)) for r in proj)
         rays.append(img)
-    surf = Fan2(v, tuple(rays), tuple(cycle))
-    for i in range(surf.n_rays):
-        u, un = surf.rays[i], surf.rays[(i + 1) % surf.n_rays]
+    for u, un in zip(rays, rays[1:] + rays[:1]):
         if abs(u[0] * un[1] - u[1] * un[0]) != 1:
             raise FanError(f"star surface of {v} is not smooth")
-        surf.wall_coefficient(i)  # raises if the 2d wall relation fails
-    return surf
+    return Fan2(v, tuple(rays), tuple(cycle))  # solves the 2d wall relations
 
 
 # ---------------------------------------------------------------------------
@@ -658,7 +706,8 @@ class ToricLayer:
     """The fan-only part of every pair built on one fan.
 
     ``tensor`` maps sorted basis index triples to the nonzero cubic entries
-    of the toric classes; ``surfaces[v]`` is the star surface of vertex v;
+    of the toric classes, in ascending key order; ``surfaces[v]`` is the
+    star surface of vertex v;
     ``canonical`` is K in the Picard basis.
 
     ``restriction[i]`` maps a component v to the restriction of basis class
@@ -684,33 +733,43 @@ def toric_layer(fan: Fan3) -> ToricLayer:
 
 
 def _compute_toric_layer(fan: Fan3) -> ToricLayer:
-    table = TripleIntersection(fan)
+    if (diag := validate_fan(fan)) is not None:
+        raise FanError(diag)
     basis = ToricPicBasis.of(fan)
     index = {ray: i for i, ray in enumerate(basis.basis_rays)}
-    # The basis rays ascend, so sorted ray triples key sorted index triples.
-    tensor = {}
-    for triple in table.support():
-        if all(ray in index for ray in triple):
-            value = table.ray_triple(*triple)
-            if value:
-                tensor[tuple(index[ray] for ray in triple)] = value
+    surfaces = tuple(star_surface(fan, v) for v in range(fan.n_rays))
+    # The cubic entries are read off the star surfaces: a max cone gives 1,
+    # D_w^2 . D_v is the self-intersection of ray w in the surface of v, and
+    # D_v^3 is the square there of D_v's normal class (below).  No 3d wall
+    # relation n_p + n_q + a n_v + b n_w = 0 is solved, and none needs a
+    # check: on a validated fan the cones are unimodular and coherently
+    # oriented, so the apexes p and q lie on opposite sides of the wall and
+    # both carry coefficient 1.
+    entries = [
+        (tuple(sorted(index[ray] for ray in cone)), 1)
+        for cone in fan.max_cones
+        if all(ray in index for ray in cone)
+    ]
     # D_w restricts to D_v as the curve D_v . D_w when w is a neighbour
     # (never the zero class), to zero when w misses v, and D_v itself
     # through the linear equivalence D_v ~ -sum <m, n_w> D_w for m with
     # <m, n_v> = 1; that normal class can be zero.
-    surfaces = tuple(star_surface(fan, v) for v in range(fan.n_rays))
     restriction = [{} for _ in basis.basis_rays]
     for v, base in enumerate(surfaces):
         for ray, w in enumerate(base.labels):
             if w in index:
                 restriction[index[w]][v] = base.ray_class(ray)
+                if v in index:
+                    key = tuple(sorted((index[w], index[w], index[v])))
+                    entries.append((key, base.self_intersection(ray)))
         if v in index:
-            m = table.unit_character(v)
-            image = base.reduce_ray_vector(
-                [-sum(x * y for x, y in zip(m, fan.rays[w])) for w in base.labels]
-            )
+            m = _vertex_frame(fan, v)[0]
+            normal = [-sum(x * y for x, y in zip(m, fan.rays[w])) for w in base.labels]
+            image = base.reduce_ray_vector(normal)
             if any(image):
                 restriction[index[v]][v] = image
+            entries.append(((index[v],) * 3, base.square(normal)))
+    tensor = {key: value for key, value in sorted(entries) if value}
     canonical = tuple(-x for x in basis.anticanonical())
     return ToricLayer(basis, tensor, surfaces, tuple(restriction), canonical)
 
@@ -910,15 +969,15 @@ class ToricIntersectionData:
 
     @staticmethod
     def of_fan(fan: Fan3) -> "ToricIntersectionData":
-        table = TripleIntersection(fan)
+        surfaces = toric_layer(fan).surfaces
         cones = frozenset(frozenset(c) for c in fan.max_cones)
         wall_curves = {}
         for wall in fan.walls():
             a, b = sorted(wall)
-            # C = D_a . D_b; its self-intersection inside D_a is C . D_b.
+            # C = D_a . D_b is ray b of the star surface of a, and ray a of b's.
             wall_curves[(a, b)] = (
-                table.ray_triple(b, b, a),
-                table.ray_triple(a, a, b),
+                surfaces[a].self_intersection(surfaces[a].ray_of_neighbor(b)),
+                surfaces[b].self_intersection(surfaces[b].ray_of_neighbor(a)),
             )
         return ToricIntersectionData(fan.n_rays, cones, wall_curves)
 

@@ -4,6 +4,7 @@ import copy
 import importlib.resources
 import pickle
 import random
+import re
 import time
 from fractions import Fraction
 from math import gcd, prod
@@ -68,6 +69,70 @@ def elementary_products(draw, max_dim=6, max_ops=12):
 # Gaussian rationals
 # ---------------------------------------------------------------------------
 
+_RAT = r"\d+(?:/\d+)?"
+_FULL_RE = re.compile(
+    rf"^(?P<sr>[+-]?)(?P<re>{_RAT})"
+    rf"(?:(?P<si>[+-])(?:(?P<im>{_RAT})\*)?i)?$"
+)
+_IMAG_RE = re.compile(rf"^(?P<si>[+-]?)(?:(?P<im>{_RAT})\*)?i$")
+
+
+def fraction_parse(text):
+    """``GaussianRational.parse`` as it was written with ``Fraction``: the reference."""
+    s = text.replace(" ", "")
+    try:
+        m = _IMAG_RE.match(s)
+        if m:
+            im = Fraction(m.group("im") or "1")
+            if m.group("si") == "-":
+                im = -im
+            return GaussianRational(0, im)
+        m = _FULL_RE.match(s)
+        if m is None:
+            raise ExactArithmeticError(f"cannot parse Gaussian rational {text!r}")
+        re_part = Fraction(m.group("re"))
+        if m.group("sr") == "-":
+            re_part = -re_part
+        im_part = Fraction(0)
+        if m.group("si"):
+            im_part = Fraction(m.group("im") or "1")
+            if m.group("si") == "-":
+                im_part = -im_part
+    except ZeroDivisionError as exc:
+        raise ExactArithmeticError(
+            f"zero denominator in Gaussian rational {text!r}"
+        ) from exc
+    return GaussianRational(re_part, im_part)
+
+
+def parse_outcome(parse, text):
+    try:
+        value = parse(text)
+    except ExactArithmeticError as exc:
+        return "error", str(exc)
+    return "value", (value._a, value._b, value._d)
+
+
+_ratio_texts = st.builds(
+    lambda n, d: n if d is None else f"{n}/{d}",
+    st.integers(0, 10**6).map(str) | st.sampled_from(["0", "00", "007", "٣"]),
+    st.none() | st.integers(0, 60).map(str) | st.just("00"),
+)
+_signs = st.sampled_from(["", "+", "-"])
+_parse_texts = st.one_of(
+    # Well-formed real, imaginary and complex forms, zero denominators included.
+    st.builds(lambda s, r: s + r, _signs, _ratio_texts),
+    st.builds(
+        lambda s, r: f"{s}{r}*i" if r else f"{s}i", _signs, st.just("") | _ratio_texts
+    ),
+    st.builds(
+        lambda s, r, t, m: f"{s}{r}{t}{m}*i" if m else f"{s}{r}{t}i",
+        _signs, _ratio_texts, st.sampled_from(["+", "-"]), st.just("") | _ratio_texts,
+    ),
+    # Malformed and spaced strings over the parser's alphabet.
+    st.text(alphabet="0123456789/+-*i .x\n", max_size=12),
+)
+
 
 class TestGaussianRational:
     @pytest.mark.parametrize(
@@ -82,6 +147,14 @@ class TestGaussianRational:
         for bad in ["", "x", "1+", "1/0", "2i", "1//2"]:
             with pytest.raises(ExactArithmeticError):
                 GaussianRational.parse(bad)
+
+    @settings(max_examples=400)
+    @given(_parse_texts)
+    def test_parse_matches_the_fraction_parser(self, text):
+        # The same value, or the same error text, as the Fraction parser.
+        assert parse_outcome(GaussianRational.parse, text) == parse_outcome(
+            fraction_parse, text
+        )
 
     def test_field_axioms_on_samples(self):
         a = GaussianRational(Fraction(2, 3), Fraction(-1, 5))

@@ -507,7 +507,15 @@ ALIAS_FANS = list(toric_fixture_fans().values()) + [
 
 
 class TestToricLayer:
-    @pytest.mark.parametrize("fan", LAYER_FANS, ids=lambda fan: f"{fan.n_rays}-rays")
+    @pytest.mark.parametrize(
+        "fan",
+        [pytest.param(fan, id=f"{fan.n_rays}-rays") for fan in LAYER_FANS]
+        + [
+            pytest.param(fan, id=f"alias-{fan.n_rays}-rays")
+            for fan in ALIAS_FANS
+            if fan not in LAYER_FANS
+        ],
+    )
     def test_closed_forms_match_the_dense_layer(self, fan):
         pair = LogCY3Pair.build(fan)
         tensor, restriction, canonical = dense_toric_layer(fan)
@@ -625,18 +633,21 @@ class TestToricLayer:
             ).cubic_entries()
 
     def test_first_build_is_linear_in_the_fan(self, monkeypatch):
-        # Deterministic counts, not wall time: ray triples evaluated and
-        # edges visited by edge lookups, in a first build at 20 and 60 rays
-        # of projective space star-subdivided at its last max cone.
+        # Deterministic counts, not wall time: 2d wall relations solved by
+        # the star surfaces and edges visited by edge lookups, in a first
+        # build at 20 and 60 rays of projective space star-subdivided at its
+        # last max cone.
         counts = {}
         for rays in (20, 60):
             fan = projective_space_fan()
             while fan.n_rays < rays:
                 fan = star_subdivide(fan, fan.max_cones[-1])
-            calls = {"ray_triple": 0, "edges": 0}
+            calls = {"_solve_wall_coefficient": 0, "edges": 0}
             monkeypatch.setattr(
-                TripleIntersection, "ray_triple",
-                counting(calls, "ray_triple", TripleIntersection.ray_triple),
+                toric, "_solve_wall_coefficient",
+                counting(
+                    calls, "_solve_wall_coefficient", toric._solve_wall_coefficient
+                ),
             )
             monkeypatch.setattr(
                 DualComplex, "from_fan", staticmethod(counted_edges(calls))
@@ -644,8 +655,40 @@ class TestToricLayer:
             LogCY3Pair.build(fresh_copy(fan))
             monkeypatch.undo()
             counts[rays] = calls
-        for name in ("ray_triple", "edges"):
+            # One solve per ray of each star surface: two per wall.
+            assert calls["_solve_wall_coefficient"] == 2 * len(fan.walls())
+        for name in ("_solve_wall_coefficient", "edges"):
             assert 0 < counts[60][name] <= 4 * counts[20][name], (name, counts)
+
+    @pytest.mark.parametrize("rays", (12, 20))
+    def test_first_build_reads_the_fan_once(self, monkeypatch, rays):
+        # No TripleIntersection, one walls() computation, and one
+        # determinant per max cone for validation and orientation: every
+        # other determinant inverts a dual frame, plus one for the
+        # orientation reference.
+        fan = fresh_copy(next(fan for fan in LAYER_FANS if fan.n_rays == rays))
+        calls = {
+            "TripleIntersection": 0, "_compute_walls": 0,
+            "_det3": 0, "_inverse_unimodular": 0,
+        }
+        monkeypatch.setattr(
+            TripleIntersection, "__init__",
+            counting(calls, "TripleIntersection", TripleIntersection.__init__),
+        )
+        monkeypatch.setattr(
+            Fan3, "_compute_walls",
+            counting(calls, "_compute_walls", Fan3._compute_walls),
+        )
+        for name in ("_det3", "_inverse_unimodular"):
+            monkeypatch.setattr(
+                toric, name, counting(calls, name, getattr(toric, name))
+            )
+        LogCY3Pair.build(fan, point_program(fan, 4))
+        assert calls["TripleIntersection"] == 0
+        assert calls["_compute_walls"] == 1
+        assert calls["_det3"] - calls["_inverse_unimodular"] == (
+            len(fan.max_cones) + 1
+        )
 
     @pytest.mark.parametrize("rays", (12, 20))
     def test_first_build_makes_one_frame_and_one_link_per_vertex(

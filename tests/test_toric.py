@@ -1,9 +1,14 @@
 """Tests for smooth complete fans, triple intersections, and edge charts."""
 
+import random
+from itertools import combinations
+from math import gcd
+
 import pytest
 
 from logcy3.exactnum import GaussianRational
 from logcy3.fixtures import projective_space_fan, toric_fixture_fans, triple_line_fan
+from logcy3 import toric
 from logcy3.toric import (
     DualComplex,
     Fan3,
@@ -26,6 +31,148 @@ from logcy3.toric import (
 @pytest.fixture
 def p3():
     return projective_space_fan()
+
+
+def reference_walls(fan):
+    """Each wall's apexes, one list entry per max cone on it."""
+    flanks = {}
+    for cone in fan.max_cones:
+        for k in range(3):
+            wall = frozenset((cone[k], cone[(k + 1) % 3]))
+            flanks.setdefault(wall, []).append(cone[(k + 2) % 3])
+    return flanks
+
+
+def reference_link(fan, v):
+    """The link of v traced over oriented_triangle, one call per cone at v."""
+    succ = {}
+    count = 0
+    for cone in fan.max_cones:
+        if v not in cone:
+            continue
+        count += 1
+        tri = fan.oriented_triangle(cone)
+        i = tri.index(v)
+        a, b = tri[(i + 1) % 3], tri[(i + 2) % 3]
+        if a in succ:
+            return None
+        succ[a] = b
+    if not succ or len(succ) != count:
+        return None
+    start = next(iter(succ))
+    cycle = [start]
+    cur = succ[start]
+    while cur != start:
+        if cur not in succ or len(cycle) > len(succ):
+            return None
+        cycle.append(cur)
+        cur = succ[cur]
+    if len(cycle) != len(succ):
+        return None
+    return tuple(cycle)
+
+
+def reference_diagnose_fan(fan):
+    """The fan check with nothing held but the global sign: the reference."""
+    n = fan.n_rays
+    seen = set()
+    for i, ray in enumerate(fan.rays):
+        if ray == (0, 0, 0) or gcd(*ray) != 1:
+            return f"non-primitive ray {i}: {ray}"
+        if ray in seen:
+            return f"duplicate ray {i}: {ray}"
+        seen.add(ray)
+    if not fan.max_cones:
+        return "fan has no max cones"
+    used = set()
+    for cone in fan.max_cones:
+        if len(set(cone)) != 3 or any(i < 0 or i >= n for i in cone):
+            return f"bad cone {cone}"
+        if abs(toric._det3(*(fan.rays[i] for i in cone))) != 1:
+            return f"non-smooth cone {cone}"
+        used.update(cone)
+    if used != set(range(n)):
+        return "unused ray"
+    if len({frozenset(c) for c in fan.max_cones}) != len(fan.max_cones):
+        return "duplicate max cone"
+    flanks = reference_walls(fan)
+    for wall, apexes in flanks.items():
+        if len(apexes) != 2:
+            return f"wall with {'one' if len(apexes) == 1 else len(apexes)} incident cone(s): {sorted(wall)}"
+    euler = n - len(flanks) + len(fan.max_cones)
+    if euler != 2:
+        return f"dual complex has Euler characteristic {euler}, expected 2"
+    for v in range(n):
+        if reference_link(fan, v) is None:
+            return f"link of vertex {v} is not a cycle"
+    directed = set()
+    for cone in fan.max_cones:
+        a, b, c = fan.oriented_triangle(cone)
+        for e in ((a, b), (b, c), (c, a)):
+            if e in directed:
+                return f"incoherent orientation at edge {e}"
+            directed.add(e)
+    for e in directed:
+        if (e[1], e[0]) not in directed:
+            return f"incoherent orientation at edge {e}"
+    return None
+
+
+def diagnosis(check, fan):
+    """What ``check`` says of a fresh copy of ``fan``: a diagnostic or an error."""
+    fresh = Fan3(fan.rays, fan.max_cones, fan.orientation)
+    try:
+        return "diagnostic", check(fresh)
+    except (FanError, IndexError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def broken_fans(fan, rng):
+    """Named and seeded corruptions of a valid fan."""
+    rays, cones, (tri, sign) = list(fan.rays), list(fan.max_cones), fan.orientation
+    n = len(rays)
+    off_cone = next(
+        (
+            (i, j, k)
+            for i, j, k in combinations(range(n), 3)
+            if toric._det3(rays[i], rays[j], rays[k])
+            and frozenset((i, j, k)) not in fan.cone_set()
+        ),
+        None,
+    )
+    out = {
+        "valid": fan,
+        "reversed sign": Fan3(rays, cones, (tri, -sign)),
+        "reordered reference": Fan3(rays, cones, ((tri[1], tri[0], tri[2]), sign)),
+        "degenerate reference": Fan3(rays, cones, ((0, 0, 1), sign)),
+        "unused ray": Fan3(rays + [(7, 5, 3)], cones),
+        "duplicate cone": Fan3(rays, cones + [cones[-1][::-1]]),
+        "negated ray": Fan3([tuple(-x for x in rays[0])] + rays[1:], cones),
+        "missing cone": Fan3(rays, cones[:-1]),
+    }
+    if off_cone is not None:
+        out["reference not a cone"] = Fan3(rays, cones, (off_cone, sign))
+    for t in range(12):
+        r, c = list(rays), list(cones)
+        kind = rng.choice(("negate", "swap rays", "reindex", "drop", "double"))
+        if kind == "negate":
+            k = rng.randrange(n)
+            r[k] = tuple(-x for x in r[k])
+        elif kind == "swap rays":
+            i, j = rng.sample(range(n), 2)
+            r[i], r[j] = r[j], r[i]
+        elif kind == "reindex":
+            k = rng.randrange(len(c))
+            cone = list(c[k])
+            cone[rng.randrange(3)] = rng.randrange(-1, n + 1)
+            c[k] = tuple(cone)
+        elif kind == "drop":
+            del c[rng.randrange(len(c))]
+        else:
+            c.append(tuple(rng.sample(c[rng.randrange(len(c))], 3)))
+        orientation = (tri, sign) if frozenset(tri) in map(frozenset, c) else None
+        out[f"{kind} {t}"] = Fan3(r, c, orientation)
+    return out
 
 
 @pytest.fixture
@@ -54,6 +201,49 @@ class TestValidation:
     def test_duplicate_ray_rejected(self, p3):
         bad = Fan3(list(p3.rays) + [(1, 0, 0)], p3.max_cones)
         assert "duplicate" in validate_fan(bad)
+
+    @pytest.mark.parametrize(
+        "fan",
+        list(toric_fixture_fans().values())
+        + [
+            star_subdivide(star_subdivide(projective_space_fan(), (0, 1, 2)), (0, 4)),
+            star_subdivide(triple_line_fan(), (0, 2)),
+        ],
+        ids=lambda fan: f"{fan.n_rays}-rays",
+    )
+    def test_diagnostics_match_the_reference_check(self, fan):
+        cases = broken_fans(fan, random.Random(fan.n_rays))
+        said = {}
+        for name, case in cases.items():
+            said[name] = diagnosis(toric._diagnose_fan, case)
+            assert said[name] == diagnosis(reference_diagnose_fan, case), name
+        assert said["valid"] == said["reversed sign"] == ("diagnostic", None)
+        assert said["unused ray"] == ("diagnostic", "unused ray")
+        assert said["duplicate cone"] == ("diagnostic", "duplicate max cone")
+        if "reference not a cone" in said:
+            assert said["reference not a cone"] == (
+                "FanError", "orientation reference is not a max cone"
+            )
+        assert said["degenerate reference"] == (
+            "FanError", "degenerate orientation reference triangle"
+        )
+        if fan.n_rays == 4:
+            assert said["negated ray"] == (
+                "diagnostic", "link of vertex 1 is not a cycle"
+            )
+
+    def test_held_walls_cannot_be_changed(self, p111):
+        walls = p111.walls()
+        wall = next(iter(walls))
+        with pytest.raises(TypeError):
+            walls[wall] = (0,)
+        with pytest.raises(TypeError):
+            del walls[wall]
+        assert walls[wall] == tuple(reference_walls(p111)[wall])
+        with pytest.raises(AttributeError):
+            walls[wall].append(0)
+        assert p111.walls() is walls
+        assert {w: list(a) for w, a in walls.items()} == reference_walls(p111)
 
 
 class TestDualComplex:
