@@ -221,9 +221,6 @@ class LooijengaComponent:
         """The boundary cycle class (the anticanonical class of the component)."""
         return tuple(self.base.anticanonical()) + (-1,) * len(self.excs)
 
-    def zero(self):
-        return (0,) * self.rank
-
     def basis_vectors(self):
         for i in range(self.rank):
             vec = [0] * self.rank

@@ -84,10 +84,6 @@ def _emit_tree(value, prefix):
                 print(f"{prefix}- {child}")
 
 
-def _load_pair(path):
-    return documents.load_pair(path)
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -95,7 +91,7 @@ def _load_pair(path):
 
 def cmd_validate(args):
     try:
-        pair, _ = _load_pair(args.file)
+        pair, _ = documents.load_pair(args.file)
     except DocumentError as exc:
         report = _report(
             "validate", [("file", args.file)], {"status": "invalid", "diagnostic": str(exc)}
@@ -113,7 +109,7 @@ def cmd_validate(args):
 
 
 def cmd_invariants(args):
-    pair, _ = _load_pair(args.file)
+    pair, _ = documents.load_pair(args.file)
     lattice = matching_lattice(pair)
     k_basis, saturated = pair.k_image()
     free_rank, torsion, composed_zero = edge_cokernel_report(pair)
@@ -139,26 +135,24 @@ def cmd_invariants(args):
     return OK
 
 
+def _classes(character):
+    return [
+        {"class": list(vec), "value": str(val)}
+        for vec, val in zip(character.basis, character.values)
+    ]
+
+
 def cmd_periods(args):
-    pair, marking = _load_pair(args.file)
+    pair, marking = documents.load_pair(args.file)
     if marking is None:
         marking = pair.markers()
     marked = marked_period(pair, marking)
     unmarked = unmarked_period(pair)
     quotient, quotient_torsion = quotient_character(pair)
     results = {
-        "marked": [
-            {"class": list(vec), "value": str(val)}
-            for vec, val in zip(marked.basis, marked.values)
-        ],
-        "unmarked": [
-            {"class": list(vec), "value": str(val)}
-            for vec, val in zip(unmarked.basis, unmarked.values)
-        ],
-        "quotient": [
-            {"class": list(vec), "value": str(val)}
-            for vec, val in zip(quotient.basis, quotient.values)
-        ],
+        "marked": _classes(marked),
+        "unmarked": _classes(unmarked),
+        "quotient": _classes(quotient),
         "quotient_torsion": list(quotient_torsion),
     }
     _emit(_report("periods", [("file", args.file)], results), args.json)
@@ -166,8 +160,8 @@ def cmd_periods(args):
 
 
 def cmd_compare(args):
-    pair, _ = _load_pair(args.file_a)
-    other, _ = _load_pair(args.file_b)
+    pair, _ = documents.load_pair(args.file_a)
+    other, _ = documents.load_pair(args.file_b)
     inputs = [("file_a", args.file_a), ("file_b", args.file_b)]
     if args.correspondence:
         corr = documents.load_correspondence(args.correspondence)
@@ -199,7 +193,7 @@ def _stringify(value):
 
 
 def cmd_oracle_check(args):
-    pair, _ = _load_pair(args.file)
+    pair, _ = documents.load_pair(args.file)
     discrepancies = []
     # Two computation paths for the period of every matching generator.
     markers = pair.markers()

@@ -14,7 +14,7 @@ arbitrary-precision integer matrices.  This module supplies both layers:
   inverses, built step by step alongside them, plus kernels, cokernels,
   coordinates in the basis of ``V``, integer linear solving, and the
   solution of multiplicative character systems over the torus and in
-  Q(i); and the inverse of a unimodular matrix by row reduction;
+  Q(i);
 * :func:`symmetric_trilinear` -- a symmetric tensor, stored sparsely,
   evaluated at three vectors;
 * :func:`nth_root` -- exact n-th roots in Q(i), when they exist, found
@@ -30,8 +30,8 @@ Powers and products of powers share one kernel, :func:`power_product_of`,
 which raises each factor in Z[i] and reduces the running triple once per
 factor.  Text is read and written straight from the triple.  ``Fraction``
 appears only at the edges: the constructor's non-integer arguments and the
-read-only ``re``, ``im`` and ``norm()`` views.  Matrix inversion is integer
-row reduction too, so no hot path builds a ``Fraction``.
+read-only ``re``, ``im`` and ``norm()`` views, so no hot path builds a
+``Fraction``.
 
 Everything here is immutable and pure.
 """
@@ -770,47 +770,17 @@ def solve_integer(A: IntMatrix, b):
 def invert_unimodular(A: IntMatrix) -> IntMatrix:
     """Inverse of a square integer matrix with determinant +-1.
 
-    Integer row reduction of ``[A | I]``: in each column, Euclid's
-    algorithm on the rows at and below the diagonal leaves a single pivot,
-    their gcd, which then clears the rows above.  ``A`` is unimodular
-    exactly when every pivot is +-1, and then the right half ends as the
-    inverse.
+    Read off the factorization: ``U * A * V == I`` exactly when ``A`` is
+    unimodular, and then ``A^-1 == V * U``.
     """
-    n = A.rows
-    if n != A.cols:
+    if A.rows != A.cols:
         raise ExactArithmeticError("matrix is not square")
-    work = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(A.data)]
-    unimodular = True
-    for col in range(n):
-        live = [r for r in range(col, n) if work[r][col]]
-        if not live:
-            raise ExactArithmeticError("matrix is singular")
-        while True:
-            top = min(live, key=lambda r: abs(work[r][col]))
-            pivot_row = work[top]
-            p = pivot_row[col]
-            rest = []
-            for r in live:
-                if r != top:
-                    q = work[r][col] // p
-                    work[r] = [x - q * y for x, y in zip(work[r], pivot_row)]
-                    if work[r][col]:
-                        rest.append(r)
-            if not rest:
-                break
-            live = rest + [top]
-        work[col], work[top] = pivot_row, work[col]
-        if p < 0:
-            p = -p
-            work[col] = pivot_row = [-x for x in pivot_row]
-        unimodular = unimodular and p == 1
-        for r in range(col):
-            q = work[r][col] // p
-            if q:
-                work[r] = [x - q * y for x, y in zip(work[r], pivot_row)]
-    if not unimodular:
+    dec = snf(A)
+    if dec.rank < A.rows:
+        raise ExactArithmeticError("matrix is singular")
+    if any(d != 1 for d in dec.invariant_factors()):
         raise ExactArithmeticError("matrix is not unimodular")
-    return IntMatrix([row[n:] for row in work])
+    return dec.V * dec.U
 
 
 # ---------------------------------------------------------------------------

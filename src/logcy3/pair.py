@@ -65,20 +65,6 @@ class PicVector:
         object.__setattr__(self, "coords", tuple(int(x) for x in coords))
         object.__setattr__(self, "basis", str(basis))
 
-    def __add__(self, other):
-        if self.basis != other.basis:
-            raise PairError("basis mismatch")
-        return PicVector(
-            tuple(a + b for a, b in zip(self.coords, other.coords, strict=True)),
-            self.basis,
-        )
-
-    def __neg__(self):
-        return PicVector(tuple(-a for a in self.coords), self.basis)
-
-    def __sub__(self, other):
-        return self + (-other)
-
 
 @dataclass(frozen=True)
 class PointBlowup:
@@ -451,11 +437,7 @@ class LogCY3Pair:
             frozenset((v, w)),
             lambda pair: edge_reference_character(pair.fan, pair.complex, (v, w)),
         )
-        value = None
-        for t, e in zip(torus_element, m, strict=True):
-            factor = t ** e
-            value = factor if value is None else value * factor
-        return value
+        return power_product_of(zip(torus_element, m, strict=True))
 
     def torus_translate(self, torus_element) -> "LogCY3Pair":
         """The image of the pair under a torus translation of the boundary."""

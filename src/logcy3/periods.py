@@ -40,10 +40,6 @@ class PeriodCharacter:
     basis: tuple
     values: tuple
 
-    def value(self, coefficients) -> GaussianRational:
-        """Evaluate on an integer combination of the basis vectors."""
-        return power_product(self.values, coefficients)
-
     def is_trivial(self) -> bool:
         return all(v.is_one() for v in self.values)
 

@@ -259,7 +259,10 @@ class Verdict:
 
 
 def _step_exc_positions(pair: LogCY3Pair, v: int):
-    """Map (step, neighbor, occurrence index) -> exc index on component v."""
+    """Map (step, neighbor, occurrence index) -> exc index on component v.
+
+    The keys come in basis order.
+    """
     positions = {}
     counters: dict = {}
     for idx, exc in enumerate(pair.components[v].excs):
@@ -296,15 +299,11 @@ def component_transport(
         toric = comp2.base.ray_class(image_ray)
         cols.append(tuple(toric) + (0,) * len(comp2.excs))
     positions2 = _step_exc_positions(other, image_vertex)
-    counters: dict = {}
-    for exc in comp.excs:
-        key = (exc.step, exc.neighbor)
-        n = counters.get(key, 0)
-        counters[key] = n + 1
-        target = (corr.step_map[exc.step], corr.vertex(exc.neighbor), n)
+    for step, neighbor, n in _step_exc_positions(pair, v):
+        target = (corr.step_map[step], corr.vertex(neighbor), n)
         if target not in positions2:
             raise CorrespondenceError(
-                f"no matching exceptional for step {exc.step} on component {v}"
+                f"no matching exceptional for step {step} on component {v}"
             )
         cols.append(comp2.exceptional_vector(positions2[target]))
     return IntMatrix(list(zip(*cols)))

@@ -3,9 +3,9 @@
 The fan is the source of every toric pair in this package: it carries the
 Picard presentation, the star surfaces of boundary components, the cubic
 intersection tensor (read off those surfaces), the dual complex with its
-orientation data, and the coordinate charts on 1-strata.  The fan-only part
-of a pair build, the :class:`ToricLayer`, is computed once per fan and held
-on it, as are the fan's walls, the oriented ordering of each max cone and
+orientation data, and the chart character of each 1-stratum.  The fan-only
+part of a pair build, the :class:`ToricLayer`, is computed once per fan and
+held on it, as are the fan's walls, the oriented ordering of each max cone and
 the link and dual frame at each ray: validation, the star surfaces and the
 dual complex read each of them once.
 
@@ -23,8 +23,6 @@ from functools import cached_property
 from itertools import permutations
 from math import gcd
 from types import MappingProxyType
-
-from logcy3.exactnum import GaussianRational
 
 
 class FanError(ValueError):
@@ -378,13 +376,30 @@ class DualComplex:
         except KeyError:
             raise FanError(f"directed edge ({v}, {w}) not found") from None
 
-    def euler_characteristic(self) -> int:
-        return len(self.vertices) - len(self.edges) + len(self.triangles)
-
 
 # ---------------------------------------------------------------------------
-# Picard presentation of the threefold
+# Picard presentations: ray divisors outside a seed cone
 # ---------------------------------------------------------------------------
+
+
+def _reduce_ray_vector(coeffs, seed, dual, rays, basis) -> tuple:
+    """Coordinates of ``sum coeffs[v] * D_v`` on the divisors of ``basis``.
+
+    The seed rays form a lattice basis with dual rows ``dual``: row k pairs
+    1 with the ray of ``seed[k]`` and 0 with the other seed rays.  Each
+    seed divisor D_s is traded for the linearly equivalent -sum <m_s, n_v>
+    D_v, which lies on the basis rays; the pairings are accumulated one
+    nonzero entry of m_s at a time.  Serves the threefold and its star
+    surfaces alike.
+    """
+    out = [coeffs[v] for v in basis]
+    for s, m in zip(seed, dual):
+        if c := coeffs[s]:
+            for t, x in enumerate(m):
+                if x:
+                    k = c * x
+                    out = [y - k * rays[v][t] for y, v in zip(out, basis)]
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -414,16 +429,9 @@ class ToricPicBasis:
 
     def reduce_ray_vector(self, coeffs):
         """Coordinates of ``sum coeffs[v] * D_v`` in the chosen basis."""
-        out = {v: coeffs[v] for v in self.basis_rays}
-        for k, s in enumerate(self.seed):
-            c = coeffs[s]
-            if c == 0:
-                continue
-            m = self._dual[k]  # dual vector with <m, n_s> = 1, 0 on other seeds
-            for v in self.basis_rays:
-                pairing = sum(m[t] * self.fan.rays[v][t] for t in range(3))
-                out[v] -= c * pairing
-        return tuple(out[v] for v in self.basis_rays)
+        return _reduce_ray_vector(
+            coeffs, self.seed, self._dual, self.fan.rays, self.basis_rays
+        )
 
     def ray_class(self, v: int):
         coeffs = [0] * self.fan.n_rays
@@ -465,13 +473,6 @@ class TripleIntersection:
             self._neighbours[a].append(b)
             self._neighbours[b].append(a)
         self._cache: dict = {}
-
-    def support(self) -> list:
-        """The sorted ray triples that can be nonzero: on cones, walls, rays."""
-        triples = [tuple(sorted(cone)) for cone in self.fan.max_cones]
-        for a, b in map(sorted, self._walls):
-            triples += [(a, a, b), (a, b, b)]
-        return sorted(triples + [(i, i, i) for i in range(self.fan.n_rays)])
 
     def unit_character(self, i: int) -> tuple:
         """A character m with <m, n_i> = 1: the row dual to n_i in a cone at i."""
@@ -531,20 +532,6 @@ class TripleIntersection:
                     if ck:
                         total += ai * bj * ck * self.ray_triple(i, j, k)
         return total
-
-
-def triple_intersection(fan: Fan3, a, b, c) -> int:
-    """Triple product of ray divisors, given as indices or coefficient vectors."""
-    table = TripleIntersection(fan)
-
-    def as_vector(x):
-        if isinstance(x, int):
-            coeffs = [0] * fan.n_rays
-            coeffs[x] = 1
-            return coeffs
-        return list(x)
-
-    return table.vector_triple(as_vector(a), as_vector(b), as_vector(c))
 
 
 # ---------------------------------------------------------------------------
@@ -625,16 +612,9 @@ class Fan2:
         if abs(det) != 1:
             raise FanError("seed rays do not form a lattice basis")
         # Dual basis vectors m0, m1 with <m_a, u_b> = delta.
-        m0 = (u1[1] * det, -u1[0] * det)
-        m1 = (-u0[1] * det, u0[0] * det)
-        out = list(coeffs[2:])
-        for c, m in ((coeffs[0], m0), (coeffs[1], m1)):
-            if c:
-                out = [
-                    x - c * (m[0] * u[0] + m[1] * u[1])
-                    for x, u in zip(out, self.rays[2:])
-                ]
-        return tuple(out)
+        dual = ((u1[1] * det, -u1[0] * det), (-u0[1] * det, u0[0] * det))
+        basis = range(2, self.n_rays)
+        return _reduce_ray_vector(coeffs, (0, 1), dual, self.rays, basis)
 
     def ray_class(self, i: int):
         coeffs = [0] * self.n_rays
@@ -878,49 +858,8 @@ def toric_model_map(f: Fan3, g: Fan3, vertex):
 
 
 # ---------------------------------------------------------------------------
-# Edge coordinate charts
+# Chart characters of 1-strata
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class EdgeChart:
-    """Coordinates on the interior of a 1-stratum, pinned to the directed edge.
-
-    The reference chart is the identification induced from the head
-    component: points are stored as their reference coordinates, and the
-    tail component sees the inverse coordinate.  The 0-stratum of the
-    triangle traversing the edge positively sits at infinity in the
-    reference chart (at 0 in the tail chart); the other 0-stratum at 0.
-    The distinguished marker point reads -1 in either chart.
-    """
-
-    tail: int
-    head: int
-    zero_triangle: tuple
-    infinity_triangle: tuple
-
-    def coordinate_for(self, side: int, reference: GaussianRational) -> GaussianRational:
-        """The coordinate a point (stored in the reference chart) has on one side."""
-        if side == self.head:
-            return reference
-        if side == self.tail:
-            return reference.inverse()
-        raise FanError(f"vertex {side} is not an endpoint of this edge")
-
-    def stratum_position(self, side: int, triangle) -> str:
-        """Whether a 0-stratum reads '0' or 'inf' in the chart of ``side``."""
-        tri = frozenset(triangle)
-        if tri == frozenset(self.infinity_triangle):
-            at_infinity_in_reference = True
-        elif tri == frozenset(self.zero_triangle):
-            at_infinity_in_reference = False
-        else:
-            raise FanError("triangle does not contain this edge")
-        if side == self.head:
-            return "inf" if at_infinity_in_reference else "0"
-        if side == self.tail:
-            return "0" if at_infinity_in_reference else "inf"
-        raise FanError(f"vertex {side} is not an endpoint of this edge")
 
 
 def edge_reference_character(fan: Fan3, complex_: DualComplex, edge):
@@ -937,15 +876,6 @@ def edge_reference_character(fan: Fan3, complex_: DualComplex, edge):
     zero_tri = complex_.positive_triangle(w, v)
     apex = next(i for i in zero_tri if i not in (v, w))
     return _dual_frame(fan, zero_tri, apex)[0]
-
-
-def edge_coordinate_chart(fan: Fan3, edge, edge_orientations=None) -> EdgeChart:
-    """The chart descriptor of the (directed) edge of the dual complex."""
-    complex_ = fan.dual_complex(edge_orientations)
-    v, w = complex_.directed_edge(*edge)
-    positive = complex_.positive_triangle(v, w)
-    negative = complex_.positive_triangle(w, v)
-    return EdgeChart(tail=v, head=w, zero_triangle=negative, infinity_triangle=positive)
 
 
 # ---------------------------------------------------------------------------

@@ -116,6 +116,8 @@ class TestComponentPeriod:
         q = g("3/2")
         assert head.side_coordinate(v, q) == q
         assert tail.side_coordinate(w, q) == q.inverse()
+        # The marker -1 reads the same on both sides.
+        assert tail.side_coordinate(w, MINUS_ONE) == MINUS_ONE
 
     def test_marking_must_cover_edge(self, pairs):
         pair = pairs["p3"]

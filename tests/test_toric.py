@@ -1,4 +1,4 @@
-"""Tests for smooth complete fans, triple intersections, and edge charts."""
+"""Tests for smooth complete fans, triple intersections, and chart characters."""
 
 import random
 from itertools import combinations
@@ -6,9 +6,10 @@ from math import gcd
 
 import pytest
 
-from logcy3.exactnum import GaussianRational
+from logcy3.exactnum import MINUS_ONE
 from logcy3.fixtures import projective_space_fan, toric_fixture_fans, triple_line_fan
 from logcy3 import toric
+from logcy3.pair import LogCY3Pair
 from logcy3.toric import (
     DualComplex,
     Fan3,
@@ -17,15 +18,15 @@ from logcy3.toric import (
     TripleIntersection,
     ToricIntersectionData,
     canonical_form,
-    edge_coordinate_chart,
     edge_reference_character,
     fan_isomorphism,
     star_subdivide,
     star_surface,
     toric_model_map,
-    triple_intersection,
     validate_fan,
 )
+
+from test_pair import ALIAS_FANS
 
 
 @pytest.fixture
@@ -249,8 +250,8 @@ class TestValidation:
 class TestDualComplex:
     def test_euler_characteristic_is_spherical(self, p3, p111):
         for fan in (p3, p111):
-            complex_ = fan.dual_complex()
-            assert complex_.euler_characteristic() == 2
+            c = fan.dual_complex()
+            assert len(c.vertices) - len(c.edges) + len(c.triangles) == 2
 
     def test_counts(self, p3, p111):
         c = p3.dual_complex()
@@ -294,19 +295,21 @@ class TestDualComplex:
 
 class TestTripleIntersection:
     def test_projective_space_values(self, p3):
+        table = TripleIntersection(p3)
         # Any three distinct rays span a cone: product 1.
-        assert triple_intersection(p3, 0, 1, 2) == 1
-        assert triple_intersection(p3, 0, 1, 3) == 1
+        assert table.ray_triple(0, 1, 2) == 1
+        assert table.ray_triple(0, 1, 3) == 1
         # All rays are linearly equivalent, so cubes agree.
-        assert triple_intersection(p3, 0, 0, 0) == 1
-        assert triple_intersection(p3, 0, 0, 1) == 1
+        assert table.ray_triple(0, 0, 0) == 1
+        assert table.ray_triple(0, 0, 1) == 1
 
     def test_split_threefold_values(self, p111):
+        table = TripleIntersection(p111)
         # Opposite rays never share a cone.
-        assert triple_intersection(p111, 0, 1, 2) == 0
+        assert table.ray_triple(0, 1, 2) == 0
         # A divisor squared vanishes on a product factor of degree one.
-        assert triple_intersection(p111, 0, 0, 2) == 0
-        assert triple_intersection(p111, 0, 2, 4) == 1
+        assert table.ray_triple(0, 0, 2) == 0
+        assert table.ray_triple(0, 2, 4) == 1
 
     def test_symmetry(self, p3, p111):
         for fan in (p3, p111):
@@ -364,6 +367,72 @@ class TestPicBasis:
             cls = basis.ray_class(v)
             expanded = basis.to_ray_vector(cls)
             assert basis.reduce_ray_vector(expanded) == cls
+
+
+def reference_pic_reduce(basis, coeffs):
+    """The threefold's seed reduction, written out on its own: the reference."""
+    out = {v: coeffs[v] for v in basis.basis_rays}
+    for k, s in enumerate(basis.seed):
+        c = coeffs[s]
+        if c == 0:
+            continue
+        m = basis._dual[k]  # dual vector with <m, n_s> = 1, 0 on other seeds
+        for v in basis.basis_rays:
+            pairing = sum(m[t] * basis.fan.rays[v][t] for t in range(3))
+            out[v] -= c * pairing
+    return tuple(out[v] for v in basis.basis_rays)
+
+
+def reference_surface_reduce(surface, coeffs):
+    """A star surface's seed reduction, written out on its own: the reference."""
+    u0, u1 = surface.rays[0], surface.rays[1]
+    det = u0[0] * u1[1] - u0[1] * u1[0]
+    if abs(det) != 1:
+        raise FanError("seed rays do not form a lattice basis")
+    # Dual basis vectors m0, m1 with <m_a, u_b> = delta.
+    m0 = (u1[1] * det, -u1[0] * det)
+    m1 = (-u0[1] * det, u0[0] * det)
+    out = list(coeffs[2:])
+    for c, m in ((coeffs[0], m0), (coeffs[1], m1)):
+        if c:
+            out = [
+                x - c * (m[0] * u[0] + m[1] * u[1])
+                for x, u in zip(out, surface.rays[2:])
+            ]
+    return tuple(out)
+
+
+def unit(n, i):
+    return [int(j == i) for j in range(n)]
+
+
+class TestSeedReduction:
+    """Both Picard bases reduce through one function; each old body is the reference."""
+
+    @pytest.mark.parametrize("fan", ALIAS_FANS, ids=lambda fan: f"{fan.n_rays}-rays")
+    def test_threefold_basis_matches_the_reference(self, fan):
+        basis = ToricPicBasis.of(fan)
+        n = fan.n_rays
+        for v in range(n):
+            assert basis.ray_class(v) == reference_pic_reduce(basis, unit(n, v))
+        assert basis.anticanonical() == reference_pic_reduce(basis, [1] * n)
+
+    @pytest.mark.parametrize("fan", ALIAS_FANS, ids=lambda fan: f"{fan.n_rays}-rays")
+    def test_star_surfaces_match_the_reference(self, fan):
+        for v in range(fan.n_rays):
+            surface = star_surface(fan, v)
+            k = surface.n_rays
+            for i in range(k):
+                assert surface.ray_class(i) == reference_surface_reduce(
+                    surface, unit(k, i)
+                )
+            assert surface.anticanonical() == reference_surface_reduce(surface, [1] * k)
+
+    def test_a_surface_seed_off_a_lattice_basis_is_rejected(self):
+        # Every wall relation holds (with c = 0), but the rays are not primitive.
+        surface = toric.Fan2(0, ((2, 0), (0, 2), (-2, 0), (0, -2)), (1, 2, 3, 4))
+        with pytest.raises(FanError, match="seed rays do not form a lattice basis"):
+            surface.ray_class(0)
 
 
 class TestStarSurface:
@@ -465,31 +534,14 @@ class TestToricModelMap:
 
 
 class TestEdgeCharts:
-    def test_chart_inversion(self, p3):
-        chart = edge_coordinate_chart(p3, (0, 1))
-        q = GaussianRational(3, 2)
-        head_value = chart.coordinate_for(chart.head, q)
-        tail_value = chart.coordinate_for(chart.tail, q)
-        assert head_value == q
-        assert tail_value * head_value == GaussianRational(1)
-
     def test_marker_is_self_inverse(self, p3):
-        chart = edge_coordinate_chart(p3, (0, 1))
-        marker = GaussianRational(-1)
-        assert chart.coordinate_for(chart.tail, marker) == marker
-
-    def test_stratum_positions(self, p3):
-        complex_ = p3.dual_complex()
-        chart = edge_coordinate_chart(p3, (0, 1))
-        zero = chart.zero_triangle
-        infinity = chart.infinity_triangle
-        assert zero != infinity
-        assert chart.stratum_position(chart.head, zero) == "0"
-        assert chart.stratum_position(chart.head, infinity) == "inf"
-        assert chart.stratum_position(chart.tail, zero) == "inf"
-        assert chart.stratum_position(chart.tail, infinity) == "0"
-        # The 0-end of the head chart is where (head, tail) is positive.
-        assert set(zero) == set(complex_.positive_triangle(chart.head, chart.tail))
+        # The marker -1 reads -1 in the tail chart of an edge, where a
+        # coordinate is inverted.
+        pair = LogCY3Pair.build(p3)
+        v, w = pair.complex.edges[0]
+        tail = pair.components[v]
+        assert not tail.is_head(w)
+        assert tail.side_coordinate(w, MINUS_ONE) == MINUS_ONE
 
     def test_reference_character_orthogonality(self, p3, p111):
         for fan in (p3, p111):
