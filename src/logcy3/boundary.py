@@ -75,9 +75,6 @@ class CycleDivisor:
                 return entries
         return ()
 
-    def degree(self, w: int) -> int:
-        return sum(m for _, m in self.on_edge(w))
-
 
 @dataclass(frozen=True)
 class Marking:

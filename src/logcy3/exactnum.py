@@ -6,15 +6,15 @@ arbitrary-precision integer matrices.  This module supplies both layers:
 
 * :class:`GaussianRational` -- an exact element of Q(i);
 * :class:`IntMatrix` -- an integer matrix made from its rows or from the
-  nonzero entries of its columns; it holds each form once built, applies
-  and multiplies on the columns, pulls characters back along them, and
-  is transposed in constant time, the transpose building its forms from
-  the form it was made from;
-* :func:`snf` -- Smith normal form with unimodular transforms and their
-  inverses, built step by step alongside them, plus kernels, cokernels,
-  coordinates in the basis of ``V``, integer linear solving, and the
-  solution of multiplicative character systems over the torus and in
-  Q(i);
+  nonzero entries of its columns; it holds each form once built, and
+  applies, multiplies, transposes and pulls characters back on the
+  columns;
+* :func:`snf` -- Smith normal form: four sparse unimodular transforms and
+  the invariant factors, the inverses built step by step alongside the
+  transforms, plus kernels, cokernels, coordinates in the basis of ``V``,
+  integer linear solving, and the solution in Q(i) of a character system
+  on the columns, ``h(A e_j) = t_j``, or a relation among the columns
+  that the targets break;
 * :func:`symmetric_trilinear` -- a symmetric tensor, stored sparsely,
   evaluated at three vectors;
 * :func:`nth_root` -- exact n-th roots in Q(i), when they exist, found
@@ -342,13 +342,13 @@ def symmetric_trilinear(tensor: dict, a, b, c) -> int:
 class IntMatrix:
     """An immutable matrix of arbitrary-precision integers, in two forms.
 
-    A matrix is made from its rows, ``IntMatrix(rows)``, from the nonzero
-    ``(row, value)`` entries of each column, :meth:`from_columns`, or as the
-    transpose of another, :meth:`transpose`.  It builds each form it was not
-    made with once, on first use: ``data`` holds the dense rows and
-    ``columns`` the sparse columns.  ``apply``, ``*``, ``pull_back`` and
-    ``column`` walk the columns; equality and hashing compare ``shape`` and
-    ``data``, so the forms of a matrix are equal.
+    A matrix is made from its rows, ``IntMatrix(rows)``, or from the nonzero
+    ``(row, value)`` entries of each column, :meth:`from_columns`.  It
+    builds the form it was not made with once, on first use: ``data`` holds
+    the dense rows and ``columns`` the sparse columns.  ``apply``, ``*``,
+    ``pull_back``, ``column`` and ``transpose`` walk the columns; equality
+    and hashing compare ``shape`` and ``data``, so the forms of a matrix
+    are equal.
     """
 
     def __init__(self, rows):
@@ -366,22 +366,8 @@ class IntMatrix:
         self.__dict__.update(shape=(rows, len(columns)), columns=columns)
         return self
 
-    @classmethod
-    def _from_rows(cls, shape: tuple, rows) -> "IntMatrix":
-        # Rows of integers this module built, so they are neither converted
-        # nor checked; the shape keeps the width of a matrix with no rows.
-        self = object.__new__(cls)
-        self.__dict__.update(shape=shape, data=tuple(map(tuple, rows)))
-        return self
-
     @cached_property
     def data(self) -> tuple:
-        source = vars(self).get("_transposed_from")
-        if source is not None:
-            # A transpose's rows are its source's columns.
-            if "columns" in vars(source):
-                return tuple(map(source.column, range(source.cols)))
-            return tuple(zip(*source.data)) or ((),) * self.shape[0]
         rows = [[0] * self.shape[1] for _ in range(self.shape[0])]
         for j, column in enumerate(self.columns):
             for i, x in column:
@@ -391,18 +377,10 @@ class IntMatrix:
     @cached_property
     def columns(self) -> tuple:
         columns = [[] for _ in range(self.shape[1])]
-        source = vars(self).get("_transposed_from")
-        if source is not None and "columns" in vars(source):
-            # A transpose's columns take its source's column entries, in
-            # time linear in them.
-            for j, column in enumerate(source.columns):
-                for i, x in column:
-                    columns[i].append((j, x))
-        else:
-            for i, row in enumerate(self.data):
-                for j, x in enumerate(row):
-                    if x:
-                        columns[j].append((i, x))
+        for i, row in enumerate(self.data):
+            for j, x in enumerate(row):
+                if x:
+                    columns[j].append((i, x))
         return tuple(map(tuple, columns))
 
     def __setattr__(self, name, value):
@@ -427,14 +405,6 @@ class IntMatrix:
     def cols(self) -> int:
         return self.shape[1]
 
-    @staticmethod
-    def identity(n: int) -> "IntMatrix":
-        return IntMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @staticmethod
-    def zero(m: int, n: int) -> "IntMatrix":
-        return IntMatrix.from_columns(m, ((),) * n)
-
     def __mul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ExactArithmeticError("matrix dimension mismatch")
@@ -449,17 +419,16 @@ class IntMatrix:
         return IntMatrix.from_columns(self.rows, product_columns)
 
     def transpose(self) -> "IntMatrix":
-        """The transpose, made in constant time from this matrix.
+        """The transpose, its sparse columns read off this matrix's columns.
 
-        Its forms are built on first use from the form this matrix has, so
-        the transpose of a column-form matrix is never made dense to find
-        its columns.  It keeps this matrix, so transposing back returns it.
+        Takes time linear in the nonzero entries; a column-form matrix is
+        never made dense.
         """
-        if "_transposed_from" in vars(self):
-            return self._transposed_from
-        transposed = object.__new__(IntMatrix)
-        transposed.__dict__.update(shape=(self.cols, self.rows), _transposed_from=self)
-        return transposed
+        columns = [[] for _ in range(self.rows)]
+        for j, column in enumerate(self.columns):
+            for i, x in column:
+                columns[i].append((j, x))
+        return IntMatrix.from_columns(self.cols, columns)
 
     def apply(self, vector) -> tuple:
         """Matrix-vector product."""
@@ -492,35 +461,33 @@ class IntMatrix:
             column[i] = x
         return tuple(column)
 
-    def diagonal(self) -> tuple:
-        return tuple(self.data[i][i] for i in range(min(self.rows, self.cols)))
-
     def __str__(self) -> str:
         return "\n".join(" ".join(str(x) for x in row) for row in self.data)
 
 
 @dataclass(frozen=True)
 class SnfDecomposition:
-    """Unimodular U, V and diagonal D with ``U * A * V == D``, and the inverses.
+    """Unimodular U and V with ``U * A * V == diag(factors)``, and the inverses.
 
-    The diagonal entries are nonnegative and satisfy the divisibility
-    chain d1 | d2 | ... .  ``V`` and ``U_inv`` are held as sparse columns
-    and ``V_inv`` is built from its sparse rows, so reading a kernel
-    vector, a lift or coordinates costs the nonzero entries it touches.
+    ``factors`` are the nonzero diagonal entries, positive and in the
+    divisibility chain d1 | d2 | ... ; the rest of the diagonal is zero.
+    All four transforms are held as sparse columns, so reading a kernel
+    vector, a lift, coordinates or a character's power products costs the
+    nonzero entries it touches.
     """
 
     U: IntMatrix
-    D: IntMatrix
     V: IntMatrix
     U_inv: IntMatrix
     V_inv: IntMatrix
+    factors: tuple
 
     @property
     def rank(self) -> int:
-        return sum(1 for d in self.D.diagonal() if d != 0)
+        return len(self.factors)
 
     def invariant_factors(self) -> tuple:
-        return tuple(d for d in self.D.diagonal() if d != 0)
+        return self.factors
 
     def kernel(self):
         """A basis of the saturated integer kernel of ``A`` (column vectors)."""
@@ -536,8 +503,7 @@ class SnfDecomposition:
 
     def cokernel(self):
         """Free rank and torsion invariant factors of ``Z^rows / im(A)``."""
-        torsion = tuple(d for d in self.invariant_factors() if d > 1)
-        return self.U.rows - self.rank, torsion
+        return self.U.rows - self.rank, tuple(d for d in self.factors if d > 1)
 
     def solve(self, b):
         """An integer solution ``x`` of ``A x = b``, or ``None``.
@@ -545,77 +511,49 @@ class SnfDecomposition:
         One factorization of ``A`` serves any number of right-hand sides.
         """
         ub = self.U.apply(tuple(b))
-        diag = self.D.diagonal()
+        if any(ub[self.rank :]):
+            return None
         y = [0] * self.V.rows
-        for i in range(self.U.rows):
-            d = diag[i] if i < len(diag) else 0
-            if d == 0:
-                if ub[i] != 0:
-                    return None
-            else:
-                if ub[i] % d != 0:
-                    return None
-                y[i] = ub[i] // d
+        for i, d in enumerate(self.factors):
+            if ub[i] % d != 0:
+                return None
+            y[i] = ub[i] // d
         return self.V.apply(tuple(y))
 
-    def transpose(self) -> "SnfDecomposition":
-        """The factorization of ``A^T``, read off this one: ``V^T A^T U^T = D^T``."""
-        return SnfDecomposition(
-            self.V.transpose(),
-            self.D.transpose(),
-            self.U.transpose(),
-            self.V_inv.transpose(),
-            self.U_inv.transpose(),
-        )
+    def solve_over_gaussian_torus(self, targets):
+        """A character ``h`` on ``Z^rows`` with ``h(A e_j) == targets[j]``.
 
-    def violated_relation(self, targets):
-        """A relation among the rows of ``A`` that the targets break, or ``None``.
-
-        Row ``j`` of ``A`` is a character on ``Z^cols``, and the system asks
-        for a homomorphism ``h: Z^cols -> C*`` with ``h(A_j) = targets[j]``.
         The complex torus is divisible, so the system is solvable exactly
-        when every integer relation ``a`` with ``a^T A = 0`` has
-        ``prod(targets[j] ** a[j]) == 1``.  The rows of ``U`` past the rank
-        span those relations, so ``None`` means solvable and a returned row
-        certifies that the system is not.
+        when every integer relation ``a`` with ``A a = 0`` has
+        ``prod(targets[j] ** a[j]) == 1``; the columns of ``V`` from the
+        rank on span those relations.  Otherwise ``h`` is read off the
+        factorization: with ``s_i = prod(targets[j] ** V[j, i])`` and
+        ``y_i ** d_i == s_i``, ``h(e_r) = prod(y_i ** U[i, r])``.
+
+        Returns ``("solved", values)`` with one Q(i)* value per row,
+        ``("complex_only", (d, s))`` when the system is solvable over the
+        full torus but the root ``s ** (1/d)`` it needs is not in Q(i), or
+        ``("unsolvable", relation)`` with the first relation the targets
+        break, which certifies that no solution exists.
         """
         targets = list(targets)
-        if len(targets) != self.U.rows:
-            raise ExactArithmeticError("one target per row required")
+        if len(targets) != self.V.rows:
+            raise ExactArithmeticError("one target per column required")
         for tval in targets:
             if tval.is_zero():
                 raise ExactArithmeticError("targets must be nonzero")
-        rows = self.U.transpose()  # its sparse columns are U's rows
-        for k in range(self.rank, self.U.rows):
-            if not power_product_of(
-                (targets[j], x) for j, x in rows.columns[k]
-            ).is_one():
-                return rows.column(k)
-        return None
-
-    def solve_over_gaussian_torus(self, targets):
-        """Solve the system of :meth:`violated_relation` with values in Q(i).
-
-        Returns ``("solved", values)`` with one Q(i)* value per column,
-        ``("complex_only", (d, s))`` when the system is solvable over the
-        full torus but the root ``s ** (1/d)`` it needs is not in Q(i), or
-        ``("unsolvable", relation)`` with a violated relation.  One
-        factorization gives both the relations and the solution.
-        """
-        relation = self.violated_relation(targets)
-        if relation is not None:
-            return "unsolvable", relation
-        rows = self.U.transpose()
-        y = [ONE] * self.V.rows
-        for i, d in enumerate(self.invariant_factors()):
-            # s_i = prod_j targets_j ** U[i, j], and y_i ** d_i = s_i.
-            s = power_product_of((targets[j], x) for j, x in rows.columns[i])
+        columns = self.V.columns
+        for k in range(self.rank, self.V.rows):
+            if not power_product_of((targets[j], x) for j, x in columns[k]).is_one():
+                return "unsolvable", self.V.column(k)
+        y = [ONE] * self.U.rows
+        for i, d in enumerate(self.factors):
+            s = power_product_of((targets[j], x) for j, x in columns[i])
             root = nth_root(s, d)
             if root is None:
                 return "complex_only", (d, s)
             y[i] = root
-        # x_e = prod_i y_i ** V[e, i]
-        return "solved", list(self.V.transpose().pull_back(y))
+        return "solved", list(self.U.pull_back(y))
 
 
 def _add_sparse(dst: dict, src: dict, c: int):
@@ -638,12 +576,13 @@ def snf(A: IntMatrix) -> SnfDecomposition:
     (2001) 71-99): row ``dst += c * row src`` on ``U`` is column
     ``src -= c * column dst`` on ``U_inv``, column ``dst += c * column src``
     on ``V`` is row ``src -= c * row dst`` on ``V_inv``, and a swap or a
-    negation is the same swap or negation there.  ``V``, ``U_inv`` and
-    ``V_inv`` are held sparse, so a step costs the nonzero entries it moves.
+    negation is the same swap or negation there.  All four are held as
+    sparse vectors, so a step costs the nonzero entries it moves; ``U`` and
+    ``V_inv``, built as rows, are transposed once at the end.
     """
     m, n = A.shape
     a = [list(r) for r in A.data]
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    u = [{i: 1} for i in range(m)]  # rows
     u_inv = [{i: 1} for i in range(m)]  # columns
     v = [{j: 1} for j in range(n)]  # columns
     v_inv = [{j: 1} for j in range(n)]  # rows
@@ -669,7 +608,7 @@ def snf(A: IntMatrix) -> SnfDecomposition:
     def add_row(dst, src, c):
         # row[dst] += c * row[src]
         a[dst] = [x + c * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x + c * y for x, y in zip(u[dst], u[src])]
+        _add_sparse(u[dst], u[src], c)
         _add_sparse(u_inv[src], u_inv[dst], -c)
 
     def add_col(dst, src, c, rows):
@@ -681,7 +620,7 @@ def snf(A: IntMatrix) -> SnfDecomposition:
 
     def negate_row(i):
         a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
+        u[i] = {k: -x for k, x in u[i].items()}
         u_inv[i] = {k: -x for k, x in u_inv[i].items()}
 
     while t < min(m, n):
@@ -745,12 +684,14 @@ def snf(A: IntMatrix) -> SnfDecomposition:
             negate_row(t)
         t += 1
 
+    # The loop stops at the first empty trailing block, so the nonzero
+    # diagonal entries are the first t.
     return SnfDecomposition(
-        IntMatrix._from_rows((m, m), u),
-        IntMatrix._from_rows((m, n), a),
-        IntMatrix.from_columns(n, [vector.items() for vector in v]),
-        IntMatrix.from_columns(m, [vector.items() for vector in u_inv]),
-        IntMatrix.from_columns(n, [vector.items() for vector in v_inv]).transpose(),
+        IntMatrix.from_columns(m, [row.items() for row in u]).transpose(),
+        IntMatrix.from_columns(n, [column.items() for column in v]),
+        IntMatrix.from_columns(m, [column.items() for column in u_inv]),
+        IntMatrix.from_columns(n, [row.items() for row in v_inv]).transpose(),
+        tuple(a[i][i] for i in range(t)),
     )
 
 

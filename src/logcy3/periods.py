@@ -84,23 +84,41 @@ def _build_edge_matching_map(pair: LogCY3Pair) -> IntMatrix:
     return IntMatrix.from_columns(len(edges), columns)
 
 
+def matching_kernel(pair: LogCY3Pair) -> IntMatrix:
+    """The matching generators as the sparse columns of one matrix.
+
+    This is the one place that chooses the matching basis: the kernel
+    columns of the held factorization's ``V``, from the rank on.  Held on
+    the pair; every reader of the basis goes through it, except the
+    quotient's coordinates, which are read off the same factorization's
+    ``V_inv``.
+    """
+    return pair.held("matching_kernel", _matching_kernel)
+
+
+def _matching_kernel(pair: LogCY3Pair) -> IntMatrix:
+    factored = edge_matching_snf(pair)
+    return IntMatrix.from_columns(factored.V.rows, factored.V.columns[factored.rank :])
+
+
 def matching_lattice(pair: LogCY3Pair):
     """Saturated basis of the kernel of the edge-matching map.
 
-    Read off the sparse columns of the held factorization's ``V`` once,
-    held on the pair, and returned as a fresh list.
+    The :func:`matching_kernel` columns made dense once, held on the pair,
+    and returned as a fresh list.
     """
-    return list(pair.held("matching_lattice", _kernel))
+    return list(pair.held("matching_lattice", _dense_generators))
 
 
-def _kernel(pair: LogCY3Pair) -> tuple:
-    return tuple(edge_matching_snf(pair).kernel())
+def _dense_generators(pair: LogCY3Pair) -> tuple:
+    kernel = matching_kernel(pair)
+    return tuple(map(kernel.column, range(kernel.cols)))
 
 
 def matching_values(pair: LogCY3Pair) -> tuple:
     """The markers' period value on each :func:`matching_lattice` generator.
 
-    One power product per generator over the markers' character table,
+    The markers' character table pulled back along :func:`matching_kernel`,
     computed on first use and held on the pair; the unmarked period, the
     quotient and the decision procedure all read them from here.
     """
@@ -108,8 +126,7 @@ def matching_values(pair: LogCY3Pair) -> tuple:
 
 
 def _matching_values(pair: LogCY3Pair) -> tuple:
-    table = pair.character_table(pair.markers())
-    return tuple(power_product(table, gen) for gen in matching_lattice(pair))
+    return matching_kernel(pair).pull_back(pair.character_table(pair.markers()))
 
 
 def _wedge(a, b):
@@ -196,18 +213,16 @@ def unmarked_period(pair: LogCY3Pair) -> PeriodCharacter:
 
     On matching classes the per-edge degrees agree across the two sides, so
     the value does not depend on the marking.  The values are the held
-    :func:`matching_values` at the markers; each is asserted against one
-    power product over a second marking's character table.
+    :func:`matching_values` at the markers, asserted equal to a second
+    marking's character table pulled back along :func:`matching_kernel`.
     """
-    generators = matching_lattice(pair)
     values = matching_values(pair)
     other = pair.character_table(_alternative_marking(pair))
-    for gen, value in zip(generators, values):
-        if power_product(other, gen) != value:
-            raise PeriodConsistencyError(
-                "period value depends on the marking on a matching class"
-            )
-    return PeriodCharacter(tuple(generators), values)
+    if matching_kernel(pair).pull_back(other) != values:
+        raise PeriodConsistencyError(
+            "period value depends on the marking on a matching class"
+        )
+    return PeriodCharacter(tuple(matching_lattice(pair)), values)
 
 
 def edge_scaling_character(pair: LogCY3Pair, lambdas) -> PeriodCharacter:
@@ -289,17 +304,14 @@ def quotient_character(pair: LogCY3Pair):
         columns.append([(i, x) for i, x in enumerate(coordinates[rank:]) if x])
     s = len(generators)
     dec = snf(IntMatrix.from_columns(s, columns))  # s x t inclusion
-    diag = dec.D.diagonal()
-    torsion = tuple(d for d in diag if d > 1)
-    free_indices = [i for i in range(s) if i >= len(diag) or diag[i] == 0]
+    _, torsion = dec.cokernel()
+    kernel = matching_kernel(pair)
     held = matching_values(pair)
     basis = []
     values = []
-    for i in free_indices:
-        # The lift's coefficients in the matching basis, the columns of V
-        # from the rank on.
-        lift = (0,) * rank + dec.U_inv.column(i)
-        basis.append(factored.V.apply(lift))
+    for i in range(dec.rank, s):
+        # The lift's coefficients in the matching basis.
+        basis.append(kernel.apply(dec.U_inv.column(i)))
         values.append(
             power_product_of((held[j], x) for j, x in dec.U_inv.columns[i])
         )

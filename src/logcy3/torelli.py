@@ -20,6 +20,7 @@ from logcy3.pair import CurveBlowup, LogCY3Pair, PairError, PicVector, PointBlow
 from logcy3.periods import (
     edge_matching_map,
     edge_matching_snf,
+    matching_kernel,
     matching_lattice,
     matching_values,
 )
@@ -232,17 +233,6 @@ class Correspondence:
             if a == v:
                 return m
         return None
-
-    def inverse(self) -> "Correspondence":
-        step_inv = [0] * len(self.step_map)
-        for k, img in enumerate(self.step_map):
-            step_inv[img] = k
-        return Correspondence(
-            tuple((b, a) for a, b in self.vertex_map),
-            tuple(step_inv),
-            None,
-            (),
-        )
 
 
 @dataclass(frozen=True)
@@ -478,10 +468,9 @@ def decide_isomorphism(
     if boundary.rows != matching2.cols:
         # As the other pair's edge-matching map fails on such an image.
         raise ExactArithmeticError("vector length mismatch")
-    # The matching generators are the kernel columns of the held
-    # factorization's V, so one sparse product gives every image at once.
-    factored = edge_matching_snf(pair)
-    kernel = IntMatrix.from_columns(factored.V.rows, factored.V.columns[factored.rank:])
+    # The matching generators are the held kernel's sparse columns, so one
+    # sparse product gives every image at once.
+    kernel = matching_kernel(pair)
     images = (matching2 * boundary * kernel).columns
     pulled = boundary.pull_back(other.character_table(other.markers()))
     transcript = []
@@ -556,6 +545,6 @@ def marking_transporter(
     targets = [
         value2 / value for value2, value in zip(boundary.pull_back(table2), table)
     ]
-    # The system's matrix is the transposed edge-matching map (basis x
-    # edges), so its factorization is the transpose of the held one.
-    return edge_matching_snf(pair).transpose().solve_over_gaussian_torus(targets)
+    # The scalars h on the edges solve h(ell e_j) = targets[j] on the columns
+    # of the edge-matching map ell, read off its held factorization.
+    return edge_matching_snf(pair).solve_over_gaussian_torus(targets)

@@ -548,7 +548,8 @@ class Fan2:
     spans ray ``i``, so ray ``i`` corresponds to the 1-stratum between the
     component and that neighbour.  ``wall_coefficients[i]`` is the c with
     u_{i-1} + u_{i+1} = c * u_i, solved once on construction, which raises
-    ``FanError`` if some relation has no integer c.
+    ``FanError`` if some relation has no integer c.  The dual rows of the
+    seed rays 0 and 1 are held once read.
     """
 
     vertex: int
@@ -605,21 +606,28 @@ class Fan2:
     def rank(self) -> int:
         return self.n_rays - 2
 
-    def reduce_ray_vector(self, coeffs):
-        """Basis coordinates of ``sum coeffs[i] * D_i`` (seed rays 0, 1)."""
+    @cached_property
+    def _dual(self) -> tuple:
+        # Dual basis vectors m0, m1 of the seed rays 0, 1: <m_a, u_b> = delta.
         u0, u1 = self.rays[0], self.rays[1]
         det = u0[0] * u1[1] - u0[1] * u1[0]
         if abs(det) != 1:
             raise FanError("seed rays do not form a lattice basis")
-        # Dual basis vectors m0, m1 with <m_a, u_b> = delta.
-        dual = ((u1[1] * det, -u1[0] * det), (-u0[1] * det, u0[0] * det))
+        return ((u1[1] * det, -u1[0] * det), (-u0[1] * det, u0[0] * det))
+
+    def reduce_ray_vector(self, coeffs):
+        """Basis coordinates of ``sum coeffs[i] * D_i`` (seed rays 0, 1)."""
         basis = range(2, self.n_rays)
-        return _reduce_ray_vector(coeffs, (0, 1), dual, self.rays, basis)
+        return _reduce_ray_vector(coeffs, (0, 1), self._dual, self.rays, basis)
 
     def ray_class(self, i: int):
+        """The class of D_i; past the two seeds it is a unit basis vector."""
         coeffs = [0] * self.n_rays
         coeffs[i] = 1
-        return self.reduce_ray_vector(coeffs)
+        if i < 2:
+            return self.reduce_ray_vector(coeffs)
+        self._dual  # a seed off a lattice basis raises for every ray
+        return tuple(coeffs[2:])
 
     def degree_on_ray(self, vec, i: int) -> int:
         """Degree of a basis-coordinate class on D_i, read off rays i and i +- 1."""

@@ -35,6 +35,23 @@ nonzero_gaussians = gaussians.filter(lambda g: not g.is_zero())
 UNITS = [GaussianRational(x, y) for x, y in ((1, 0), (0, 1), (-1, 0), (0, -1))]
 
 
+def identity(n):
+    return IntMatrix([[int(i == j) for j in range(n)] for i in range(n)])
+
+
+def zero(m, n):
+    """The m x n zero matrix, which keeps its width when m is 0."""
+    return IntMatrix.from_columns(m, ((),) * n)
+
+
+def diagonal(factors, shape):
+    """The m x n matrix with these entries first on its diagonal."""
+    m, n = shape
+    return IntMatrix.from_columns(
+        m, [((j, factors[j]),) if j < len(factors) else () for j in range(n)]
+    )
+
+
 def small_matrices(max_dim=4, max_entry=6, min_dim=1):
     return st.integers(min_dim, max_dim).flatmap(
         lambda m: st.integers(min_dim, max_dim).flatmap(
@@ -331,14 +348,12 @@ class TestAgainstFractionPairs:
 
 class TestSmithNormalForm:
     def test_identity(self):
-        dec = snf(IntMatrix.identity(3))
-        assert dec.D.data == IntMatrix.identity(3).data
-        assert dec.invariant_factors() == (1, 1, 1)
+        dec = snf(identity(3))
+        assert dec.factors == dec.invariant_factors() == (1, 1, 1)
 
     def test_zero_matrix(self):
-        dec = snf(IntMatrix.zero(2, 3))
-        assert dec.rank == 0
-        assert all(x == 0 for row in dec.D.data for x in row)
+        dec = snf(zero(2, 3))
+        assert dec.rank == 0 and dec.factors == ()
 
     def test_hand_example(self):
         dec = snf(IntMatrix([[2, 4], [6, 8]]))
@@ -348,7 +363,9 @@ class TestSmithNormalForm:
     @given(small_matrices())
     def test_round_trip_and_divisibility(self, a):
         dec = snf(a)
-        assert (dec.U * a * dec.V).data == dec.D.data
+        assert dec.U * a * dec.V == diagonal(dec.factors, a.shape)
+        assert dec.U * dec.U_inv == identity(a.rows)
+        assert dec.V * dec.V_inv == identity(a.cols)
         factors = dec.invariant_factors()
         assert all(f > 0 for f in factors)
         for x, y in zip(factors, factors[1:]):
@@ -434,7 +451,7 @@ class TestTwoForms:
         assert empty.shape == (3, 0) and empty.data == ((), (), ())
         assert empty == IntMatrix([[], [], []]) and empty.apply(()) == (0, 0, 0)
         assert empty.transpose().shape == (0, 3)
-        assert empty.transpose() * empty == IntMatrix.zero(0, 0)
+        assert empty.transpose() * empty == zero(0, 0)
         wide = IntMatrix.from_columns(0, [(), ()])
         assert wide != IntMatrix([]) and wide.transpose().data == ((), ())
         assert (empty * wide).data == ((0, 0),) * 3
@@ -531,21 +548,15 @@ def reference_snf(A: IntMatrix):
         t += 1
 
     # A matrix with no rows keeps its width in D.
-    return IntMatrix(u), IntMatrix(a) if m else IntMatrix.zero(0, n), IntMatrix(v)
+    return IntMatrix(u), IntMatrix(a) if m else zero(0, n), IntMatrix(v)
 
 
 def check_against_reference(a):
-    """Equal transforms to the reference's, and the inverses ``snf`` keeps."""
+    """Equal transforms and diagonal to the reference's, and the inverses."""
     dec = snf(a)
-    assert (dec.U, dec.D, dec.V) == reference_snf(a)
-    assert dec.D.shape == a.shape
-    transposed = dec.transpose()
-    assert transposed.U_inv == dec.V_inv.transpose()
-    assert transposed.V_inv == dec.U_inv.transpose()
-    assert transposed.U * a.transpose() * transposed.V == transposed.D
-    for factored in (dec, transposed):
-        assert factored.U * factored.U_inv == IntMatrix.identity(factored.U.rows)
-        assert factored.V * factored.V_inv == IntMatrix.identity(factored.V.rows)
+    assert (dec.U, diagonal(dec.factors, a.shape), dec.V) == reference_snf(a)
+    assert dec.U * dec.U_inv == identity(a.rows)
+    assert dec.V * dec.V_inv == identity(a.cols)
 
 
 # A 4 x 3 matrix with entries at most 6 on which the transforms grow: V to
@@ -567,7 +578,7 @@ class TestSmithNormalFormSteps:
     @pytest.mark.parametrize(
         "a",
         [
-            IntMatrix.zero(0, 3),
+            zero(0, 3),
             IntMatrix.from_columns(0, [(), ()]),
             IntMatrix([[], [], []]),
             IntMatrix([]),
@@ -589,10 +600,10 @@ class TestSmithNormalFormSteps:
 
 class TestWidthAndCoordinates:
     def test_a_matrix_with_no_rows_keeps_its_width(self):
-        zero = IntMatrix.zero(0, 3)
-        assert zero.shape == (0, 3) and zero.transpose().shape == (3, 0)
-        dec = snf(zero)
-        assert dec.U.shape == (0, 0) and dec.D.shape == (0, 3)
+        empty = zero(0, 3)
+        assert empty.shape == (0, 3) and empty.transpose().shape == (3, 0)
+        dec = snf(empty)
+        assert dec.U.shape == (0, 0) and dec.V.shape == (3, 3) and dec.factors == ()
         assert dec.kernel() == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
         assert dec.cokernel() == (0, ())
         # A document's empty matrix names no width.
@@ -617,13 +628,13 @@ class TestWidthAndCoordinates:
 
 class TestKernelAndCokernel:
     def test_kernel_examples(self):
-        assert kernel_basis(IntMatrix.identity(4)) == []
+        assert kernel_basis(identity(4)) == []
         basis = kernel_basis(IntMatrix([[2, -2]]))
         assert len(basis) == 1
         assert tuple(map(abs, basis[0])) == (1, 1) and basis[0][0] == basis[0][1]
 
     def test_cokernel_examples(self):
-        assert snf(IntMatrix.identity(3)).cokernel() == (0, ())
+        assert snf(identity(3)).cokernel() == (0, ())
         assert snf(IntMatrix([[2]])).cokernel() == (0, (2,))
         assert snf(IntMatrix([[1, 0], [0, 1], [0, 0]])).cokernel() == (1, ())
 
@@ -703,7 +714,7 @@ class TestKernelAndCokernel:
         dec = snf(a)
         for u in (dec.U, dec.V):
             inv = invert_unimodular(u)
-            assert (u * inv).data == IntMatrix.identity(u.rows).data
+            assert u * inv == identity(u.rows)
 
 
 # ---------------------------------------------------------------------------
@@ -741,25 +752,33 @@ def outcome_of(function, *args):
 
 
 def reference_violated_relation(dec, targets):
-    rows = dec.U.data
-    for k in range(dec.rank, dec.U.rows):
-        if not reference_power_product(targets, rows[k]).is_one():
-            return rows[k]
+    """The first dense kernel column of ``V`` on which the targets are not 1."""
+    columns = list(zip(*dec.V.data))
+    for k in range(dec.rank, dec.V.rows):
+        if not reference_power_product(targets, columns[k]).is_one():
+            return columns[k]
     return None
 
 
 def reference_solve(dec, targets):
+    """The column system solved on dense ``V`` columns and ``U`` rows."""
     relation = reference_violated_relation(dec, targets)
     if relation is not None:
         return "unsolvable", relation
-    y = [GaussianRational(1)] * dec.V.rows
+    columns = list(zip(*dec.V.data))
+    y = [GaussianRational(1)] * dec.U.rows
     for i, d in enumerate(dec.invariant_factors()):
-        s = reference_power_product(targets, dec.U.data[i])
+        s = reference_power_product(targets, columns[i])
         root = nth_root(s, d)
         if root is None:
             return "complex_only", (d, s)
         y[i] = root
-    return "solved", [reference_power_product(y, row) for row in dec.V.data]
+    # h(e_r) = prod_i y_i ** U[i, r], one factor per row of U.
+    h = [GaussianRational(1)] * dec.U.rows
+    for i, row in enumerate(dec.U.data):
+        for r, x in enumerate(row):
+            h[r] = h[r] * reference_power(y[i], x)
+    return "solved", h
 
 
 factor_lists = st.lists(st.tuples(gaussians, st.integers(-6, 6)), max_size=8)
@@ -809,21 +828,18 @@ class TestPowerProductKernel:
     def test_torus_solves_against_the_reference(self, a, data):
         coordinates = ((2, 0), (1, 1), (1, -1), (3, 0), (0, 1), (1, 2))
         small = st.sampled_from([GaussianRational(x, y) for x, y in coordinates])
-        targets = data.draw(st.lists(small, min_size=a.rows, max_size=a.rows))
-        for dec in (snf(a), snf(a.transpose()).transpose()):
-            assert dec.violated_relation(targets) == reference_violated_relation(
-                dec, targets
-            )
-            status, answer = dec.solve_over_gaussian_torus(targets)
-            expected_status, expected = reference_solve(dec, targets)
-            assert status == expected_status
-            if status == "solved":
-                assert list(map(triple, answer)) == list(map(triple, expected))
-            elif status == "complex_only":
-                assert answer[0] == expected[0]
-                assert triple(answer[1]) == triple(expected[1])
-            else:
-                assert tuple(answer) == tuple(expected)
+        targets = data.draw(st.lists(small, min_size=a.cols, max_size=a.cols))
+        dec = snf(a)
+        status, answer = dec.solve_over_gaussian_torus(targets)
+        expected_status, expected = reference_solve(dec, targets)
+        assert status == expected_status
+        if status == "solved":
+            assert list(map(triple, answer)) == list(map(triple, expected))
+        elif status == "complex_only":
+            assert answer[0] == expected[0]
+            assert triple(answer[1]) == triple(expected[1])
+        else:
+            assert tuple(answer) == tuple(expected)
 
 
 # ---------------------------------------------------------------------------
@@ -831,46 +847,60 @@ class TestPowerProductKernel:
 # ---------------------------------------------------------------------------
 
 
+def values_on_columns(a, h):
+    """``h(A e_j)`` for each column j of ``a``."""
+    return [power_product(h, a.column(j)) for j in range(a.cols)]
+
+
 class TestTorusSolvability:
+    """The system ``h(A e_j) = targets[j]`` for a character ``h`` on ``Z^rows``."""
+
     def test_identity_always_solvable(self):
-        cert = snf(IntMatrix.identity(2)).violated_relation(
-            [GaussianRational(5), GaussianRational(0, 1)]
+        targets = [GaussianRational(5), GaussianRational(0, 1)]
+        assert snf(identity(2)).solve_over_gaussian_torus(targets) == (
+            "solved",
+            targets,
         )
-        assert cert is None
 
     def test_forced_inconsistency(self):
-        cert = snf(IntMatrix([[1], [1]])).violated_relation(
-            [GaussianRational(2), GaussianRational(3)]
-        )
-        assert cert is not None
-        assert not power_product(
-            [GaussianRational(2), GaussianRational(3)], cert
-        ).is_one()
+        # Both columns are 1, so h(1) cannot be both 2 and 3.
+        targets = [GaussianRational(2), GaussianRational(3)]
+        status, cert = snf(IntMatrix([[1, 1]])).solve_over_gaussian_torus(targets)
+        assert status == "unsolvable"
+        assert IntMatrix([[1, 1]]).apply(cert) == (0,)
+        assert not power_product(targets, cert).is_one()
 
     def test_divisibility_of_the_torus(self):
-        assert snf(IntMatrix([[2]])).violated_relation([GaussianRational(4)]) is None
+        status, h = snf(IntMatrix([[2]])).solve_over_gaussian_torus([GaussianRational(4)])
+        assert status == "solved" and h == [GaussianRational(2)]
 
     def test_zero_target_rejected(self):
-        with pytest.raises(ExactArithmeticError):
-            snf(IntMatrix([[1]])).violated_relation([GaussianRational(0)])
+        with pytest.raises(ExactArithmeticError, match="targets must be nonzero"):
+            snf(IntMatrix([[1]])).solve_over_gaussian_torus([GaussianRational(0)])
+        with pytest.raises(ExactArithmeticError, match="one target per column"):
+            snf(IntMatrix([[1, 0]])).solve_over_gaussian_torus([GaussianRational(2)])
 
     def test_unimodular_row_invariance(self):
-        a = IntMatrix([[1, 2], [3, 4], [4, 6]])
-        targets = [GaussianRational(2), GaussianRational(3), GaussianRational(6)]
-        ok1 = snf(a).violated_relation(targets) is None
-        # Row operation: add row 0 to row 1; multiply targets accordingly.
-        a2 = IntMatrix([[1, 2], [4, 6], [4, 6]])
-        targets2 = [targets[0], targets[0] * targets[1], targets[2]]
-        ok2 = snf(a2).violated_relation(targets2) is None
-        assert ok1 == ok2
+        # A row operation W on A leaves the solvable systems alone: h solves
+        # W A exactly when h o W solves A.
+        a = IntMatrix([[1, 3, 4], [2, 4, 6]])
+        a2 = IntMatrix([[1, 3, 4], [3, 7, 10]])  # row 1 += row 0
+        for targets in (
+            [GaussianRational(2), GaussianRational(3), GaussianRational(6)],
+            [GaussianRational(2), GaussianRational(8), GaussianRational(8)],
+        ):
+            status, h = snf(a).solve_over_gaussian_torus(targets)
+            status2, h2 = snf(a2).solve_over_gaussian_torus(targets)
+            assert status == status2
+            if status == "solved":
+                assert values_on_columns(a, h) == values_on_columns(a2, h2) == targets
 
     def test_gaussian_solution_verifies(self):
         a = IntMatrix([[2, 0], [1, 1]])
-        targets = [GaussianRational(4), GaussianRational(6)]
-        status, x = snf(a).solve_over_gaussian_torus(targets)
+        targets = [GaussianRational(24), GaussianRational(6)]
+        status, h = snf(a).solve_over_gaussian_torus(targets)
         assert status == "solved"
-        for row, t in zip(a.data, targets):
-            assert power_product(x, row) == t
+        assert values_on_columns(a, h) == targets
 
     def test_gaussian_complex_only(self):
         status, witness = snf(IntMatrix([[2]])).solve_over_gaussian_torus(
@@ -879,40 +909,31 @@ class TestTorusSolvability:
         assert status == "complex_only"
         assert witness[0] == 2
 
-    @settings(max_examples=40)
-    @given(small_matrices())
-    def test_transposed_factorization(self, a):
-        dec = snf(a).transpose()
-        assert (dec.U * a.transpose() * dec.V).data == dec.D.data
-        assert dec.invariant_factors() == snf(a).invariant_factors()
-
     @settings(max_examples=30, deadline=None)
     @given(small_matrices(max_dim=3, max_entry=2), st.data())
     def test_one_factorization_solves_and_certifies(self, a, data):
-        # Targets made from a Q(i)* point are solvable; the transposed
-        # factorization of a^T solves the same system as a fresh one.  The
-        # matrices and the point's Gaussian integer coordinates are small
-        # because snf lets its transforms grow, and the solve raises the
-        # targets to powers as large as the transforms' entries.
+        # Targets made from a Q(i)* point are solvable.  The matrices and
+        # the point's Gaussian integer coordinates are small because snf
+        # lets its transforms grow, and the solve raises the targets to
+        # powers as large as the transforms' entries.
         coordinates = ((2, 0), (1, 1), (1, -1), (3, 0), (0, 1))
         small = st.sampled_from([GaussianRational(x, y) for x, y in coordinates])
-        point = data.draw(st.lists(small, min_size=a.cols, max_size=a.cols))
-        targets = [power_product(point, row) for row in a.data]
-        for dec in (snf(a), snf(a.transpose()).transpose()):
-            status, x = dec.solve_over_gaussian_torus(targets)
-            assert status in ("solved", "complex_only")
-            if status == "solved":
-                assert [power_product(x, row) for row in a.data] == targets
+        point = data.draw(st.lists(small, min_size=a.rows, max_size=a.rows))
+        targets = values_on_columns(a, point)
+        dec = snf(a)
+        status, h = dec.solve_over_gaussian_torus(targets)
+        assert status in ("solved", "complex_only")
+        if status == "solved":
+            assert values_on_columns(a, h) == targets
         # Breaking one target breaks a relation, when there is one.
         bent = [targets[0] * GaussianRational(2)] + targets[1:]
-        relation = snf(a).violated_relation(bent)
-        if relation is not None:
-            assert all(x == 0 for x in a.transpose().apply(relation))
+        status, relation = dec.solve_over_gaussian_torus(bent)
+        if status == "unsolvable":
+            assert not any(a.apply(relation))
             assert not power_product(bent, relation).is_one()
-            assert snf(a).solve_over_gaussian_torus(bent) == ("unsolvable", relation)
 
     def test_gaussian_unsolvable(self):
-        status, relation = snf(IntMatrix([[1], [1]])).solve_over_gaussian_torus(
+        status, relation = snf(IntMatrix([[1, 1]])).solve_over_gaussian_torus(
             [GaussianRational(2), GaussianRational(3)]
         )
         assert status == "unsolvable" and relation is not None

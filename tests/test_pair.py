@@ -442,7 +442,7 @@ def build_outcome(cls, fan, program, edges):
 def snf_star_surface(fan, v):
     """The star surface projected by the SNF of n_v: the dual frame's reference."""
     dec = snf(IntMatrix([[x] for x in fan.rays[v]]))
-    assert dec.D.data[0][0] == 1
+    assert dec.factors == (1,)
     proj = dec.U.data[1:]
     cycle = toric._link_cycle(fan, v)
     rays = tuple(

@@ -363,12 +363,10 @@ def reference_quotient_character(pair):
             s, [[(i, x) for i, x in enumerate(sol) if x] for sol in columns]
         )
     )
-    diag = dec.D.diagonal()
     u_inv = invert_unimodular(dec.U)
-    free = [i for i in range(s) if i >= len(diag) or diag[i] == 0]
-    basis = tuple(lattice.apply(u_inv.column(i)) for i in free)
+    basis = tuple(lattice.apply(u_inv.column(i)) for i in range(dec.rank, s))
     values = tuple(evaluate_boundary_character(pair, markers, flat) for flat in basis)
-    return basis, values, tuple(d for d in diag if d > 1)
+    return basis, values, tuple(d for d in dec.factors if d > 1)
 
 
 class TestQuotientFromTheHeldFactorization:

@@ -7,7 +7,13 @@ import pytest
 
 from logcy3 import boundary, exactnum, pair as pair_module, periods, toric, torelli
 from logcy3.boundary import Marking
-from logcy3.exactnum import ExactArithmeticError, GaussianRational, I, IntMatrix
+from logcy3.exactnum import (
+    ExactArithmeticError,
+    GaussianRational,
+    I,
+    IntMatrix,
+    power_product,
+)
 from logcy3.fixtures import (
     pair_fixtures,
     perturbed_conic_pair,
@@ -35,6 +41,25 @@ from logcy3.torelli import (
     recognize_contraction_type,
     reconstruct_fan,
 )
+
+
+def identity_matrix(n):
+    return IntMatrix([[int(i == j) for j in range(n)] for i in range(n)])
+
+
+def zero_matrix(m, n):
+    """The m x n zero matrix, which keeps its width when m is 0."""
+    return IntMatrix.from_columns(m, ((),) * n)
+
+
+def inverse(corr):
+    """The correspondence back, with no lattice overrides."""
+    step_inv = [0] * len(corr.step_map)
+    for k, img in enumerate(corr.step_map):
+        step_inv[img] = k
+    return Correspondence(
+        tuple((b, a) for a, b in corr.vertex_map), tuple(step_inv), None, ()
+    )
 
 
 @pytest.fixture(scope="module")
@@ -167,7 +192,7 @@ class TestDecision:
         pair = pairs["p3-conic"]
         other = perturbed_conic_pair()
         corr = Correspondence.identity(pair)
-        verdict = decide_isomorphism(other, pair, corr.inverse())
+        verdict = decide_isomorphism(other, pair, inverse(corr))
         assert verdict.kind == "distinct"
 
     def test_different_programs_are_distinct(self, pairs):
@@ -257,7 +282,7 @@ class TestSparseCubicCheck:
         for pair in cases:
             r = pair.pic_rank
             units = [tuple(1 if j == i else 0 for j in range(r)) for i in range(r)]
-            for mu in (IntMatrix.identity(r), random_unimodular(r, rng, 2 * r)):
+            for mu in (identity_matrix(r), random_unimodular(r, rng, 2 * r)):
                 images = [mu.apply(u) for u in units]
                 dense = {
                     (i, j, k): pair.cubic_form(images[i], images[j], images[k])
@@ -272,7 +297,7 @@ class TestSparseCubicCheck:
     def test_identity_mu_agrees_with_the_triple_loop(self, cases):
         for pair in cases:
             other = LogCY3Pair.build(pair.fan, pair.program)
-            corr = self.with_mu(pair, IntMatrix.identity(pair.pic_rank))
+            corr = self.with_mu(pair, identity_matrix(pair.pic_rank))
             assert self.assert_same_outcome(pair, other, corr) is None
             assert decide_isomorphism(pair, other, corr).is_isomorphic
 
@@ -297,12 +322,27 @@ class TestSparseCubicCheck:
     def test_wrong_shape_errors_are_unchanged(self, cases, shape, error):
         for pair in cases:
             r = pair.pic_rank
-            mu = IntMatrix.zero(r + 1, r) if shape == "rows" else IntMatrix.zero(r, r + 1)
+            mu = zero_matrix(r + 1, r) if shape == "rows" else zero_matrix(r, r + 1)
             with pytest.raises(error) as dense:
                 dense_cubic_check(pair, pair, mu)
             with pytest.raises(error) as sparse:
                 decide_isomorphism(pair, pair, self.with_mu(pair, mu))
             assert str(sparse.value) == str(dense.value)
+
+
+def count_snf_calls(monkeypatch):
+    """The arguments of every ``snf`` call from now on, patched in every module."""
+    calls = []
+    original = exactnum.snf
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in (exactnum, toric, boundary, pair_module, periods, torelli):
+        if hasattr(module, "snf"):
+            monkeypatch.setattr(module, "snf", counted)
+    return calls
 
 
 class TestTransportReusesTheHeldFactorization:
@@ -314,17 +354,20 @@ class TestTransportReusesTheHeldFactorization:
         edge_cokernel_report(pair)
         quotient_character(pair)
         unmarked_period(pair)
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return exactnum.snf(*args, **kwargs)
-
-        for module in (exactnum, toric, boundary, pair_module, periods, torelli):
-            if hasattr(module, "snf"):
-                monkeypatch.setattr(module, "snf", counted)
+        calls = count_snf_calls(monkeypatch)
         status, scalars = marking_transporter(pair, moved)
         assert status == "solved"
+        assert calls == []
+
+    def test_no_snf_once_the_factorization_is_held(self, monkeypatch):
+        cases = []
+        for pair in (scaling_pair(1, 4), perturbed_conic_pair()):
+            periods.edge_matching_snf(pair)
+            cases.append((pair, pair.torus_translate((g("2"), g("3"), I))))
+        calls = count_snf_calls(monkeypatch)
+        for pair, moved in cases:
+            assert marking_transporter(pair, moved)[0] == "solved"
+            assert marking_transporter(pair, pair)[0] == "solved"
         assert calls == []
 
     def test_unsolvable_relation_is_violated(self, pairs):
@@ -384,8 +427,8 @@ def dense_period_step(pair, other, corr):
     return "isomorphic", tuple(transcript)
 
 
-def dense_transporter(pair, other, corr, marking, marking_other):
-    """Marking transport with one dense unit vector per basis class."""
+def dense_targets(pair, other, corr, marking, marking_other):
+    """Transport's targets with one dense unit vector per basis class."""
     transports = dense_transports(pair, other, corr)
     table = pair.character_table(marking)
     targets = []
@@ -393,9 +436,39 @@ def dense_transporter(pair, other, corr, marking, marking_other):
         unit = tuple(1 if j == i else 0 for j in range(len(table)))
         image = dense_image(pair, other, corr, transports, unit)
         targets.append(evaluate_boundary_character(other, marking_other, image) / value)
-    return periods.edge_matching_snf(pair).transpose().solve_over_gaussian_torus(
-        targets
-    )
+    return targets
+
+
+def dense_transporter(pair, other, corr, marking, marking_other):
+    """Marking transport on the dense targets."""
+    targets = dense_targets(pair, other, corr, marking, marking_other)
+    return periods.edge_matching_snf(pair).solve_over_gaussian_torus(targets)
+
+
+def transposed_transporter(pair, other, marking, marking_other):
+    """Transport as the transposed factorization solved it, on dense rows.
+
+    The system was posed on the rows of the transposed edge-matching map,
+    factored as ``V^T ell^T U^T``: the relations were the rows of ``V^T``
+    past the rank, ``s_i`` the targets' product over row i of ``V^T``, and
+    scalar e the roots' product over row e of ``U^T``.
+    """
+    dec = periods.edge_matching_snf(pair)
+    corr = Correspondence.identity(pair)
+    targets = dense_targets(pair, other, corr, marking, marking_other)
+    relations = list(zip(*dec.V.data))  # rows of V^T
+    scalar_rows = list(zip(*dec.U.data))  # rows of U^T
+    for k in range(dec.rank, len(relations)):
+        if not power_product(targets, relations[k]).is_one():
+            return "unsolvable", relations[k]
+    y = [GaussianRational(1)] * len(scalar_rows)
+    for i, d in enumerate(dec.invariant_factors()):
+        s = power_product(targets, relations[i])
+        root = exactnum.nth_root(s, d)
+        if root is None:
+            return "complex_only", (d, s)
+        y[i] = root
+    return "solved", [power_product(y, row) for row in scalar_rows]
 
 
 def outcome(function, *args):
@@ -527,7 +600,7 @@ class TestSparseBoundaryTransport:
                 rows, cols = {
                     "wide": (r, r + 1), "tall": (r + 1, r), "short": (r - 1, r)
                 }[shape]
-                corr = with_override(pair, v, IntMatrix.zero(rows, cols))
+                corr = with_override(pair, v, zero_matrix(rows, cols))
                 markers = (
                     Marking.markers(pair.edge_keys()),
                     Marking.markers(pair.edge_keys()),
@@ -548,6 +621,33 @@ class TestSparseBoundaryTransport:
                         ExactArithmeticError,
                         "vector length mismatch",
                     )
+
+
+class TestTransportOnTheColumns:
+    def test_same_outcome_as_the_transposed_factorization(self):
+        statuses = set()
+        cases = [
+            *pair_fixtures().items(),
+            ("scaling", scaling_pair(1, 4)),
+            ("scaling", scaling_pair(2, 8)),
+            ("scaling", scaling_pair(3, 6)),
+        ]
+        for name, pair in cases:
+            partners = [pair, pair.torus_translate((g("2"), g("3"), I))]
+            perturbed = perturbed_partner(name, pair)
+            if perturbed is not None:
+                partners.append(perturbed)
+            corr = Correspondence.identity(pair)
+            for other in partners:
+                markers = Marking.markers(other.edge_keys())
+                # The markers, then a re-marking of this pair.
+                for marking in (pair.markers(), periods._alternative_marking(pair)):
+                    result = marking_transporter(pair, other, corr, marking, markers)
+                    assert result == transposed_transporter(
+                        pair, other, marking, markers
+                    )
+                    statuses.add(result[0])
+        assert {"solved", "unsolvable"} <= statuses
 
 
 def full_report(pair):
