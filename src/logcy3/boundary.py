@@ -18,11 +18,11 @@ Coordinate conventions, fixed once for the whole package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from logcy3.exactnum import (
     ExactArithmeticError,
+    Frozen,
     GaussianRational,
     MINUS_ONE,
     ONE,
@@ -36,8 +36,7 @@ class BoundaryError(ValueError):
     """Raised on structurally invalid boundary data."""
 
 
-@dataclass(frozen=True)
-class ExceptionalClass:
+class ExceptionalClass(Frozen):
     """An exceptional curve class on a component, created by one blowup step.
 
     ``neighbor`` names the other endpoint of the boundary edge carrying the
@@ -45,13 +44,15 @@ class ExceptionalClass:
     edge; ``step`` is the index of the originating program step.
     """
 
-    neighbor: int
-    coordinate: GaussianRational
-    step: int
+    _fields = ("neighbor", "coordinate", "step")
+
+    def __init__(self, neighbor: int, coordinate: GaussianRational, step: int):
+        object.__setattr__(self, "neighbor", neighbor)
+        object.__setattr__(self, "coordinate", coordinate)
+        object.__setattr__(self, "step", step)
 
 
-@dataclass(frozen=True)
-class CycleDivisor:
+class CycleDivisor(Frozen):
     """A formal Z-combination of interior points of the boundary cycle.
 
     ``edges`` maps each neighbor vertex to a tuple of (reference coordinate,
@@ -59,7 +60,10 @@ class CycleDivisor:
     classes to the cycle.
     """
 
-    edges: tuple  # of (neighbor, ((coordinate, multiplicity), ...))
+    _fields = ("edges",)
+
+    def __init__(self, edges: tuple):  # of (neighbor, ((coordinate, multiplicity), ...))
+        object.__setattr__(self, "edges", edges)
 
     @staticmethod
     def build(per_edge: dict) -> "CycleDivisor":
@@ -76,11 +80,13 @@ class CycleDivisor:
         return ()
 
 
-@dataclass(frozen=True)
-class Marking:
+class Marking(Frozen):
     """A choice of interior point on each 1-stratum, in reference coordinates."""
 
-    points: tuple  # of (frozenset edge key, coordinate)
+    _fields = ("points",)
+
+    def __init__(self, points: tuple):  # of (frozenset edge key, coordinate)
+        object.__setattr__(self, "points", points)
 
     @staticmethod
     def build(values: dict) -> "Marking":
@@ -123,8 +129,7 @@ class Marking:
             ) from None
 
 
-@dataclass(frozen=True)
-class LooijengaComponent:
+class LooijengaComponent(Frozen):
     """A boundary component: toric surface plus boundary-interior blowups.
 
     The Picard basis is the toric basis of ``base`` followed by the
@@ -133,9 +138,12 @@ class LooijengaComponent:
     ``base.labels[i]`` (so sees reference coordinates directly).
     """
 
-    base: Fan2
-    excs: tuple
-    head_sides: tuple
+    _fields = ("base", "excs", "head_sides")
+
+    def __init__(self, base: Fan2, excs: tuple, head_sides: tuple):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "excs", excs)
+        object.__setattr__(self, "head_sides", head_sides)
 
     @property
     def vertex(self) -> int:

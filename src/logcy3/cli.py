@@ -16,42 +16,27 @@ import sys
 
 from logcy3 import documents
 from logcy3.documents import DocumentError
-from logcy3.oracle import (
-    cocycle_period,
-    curve_subdivision_check,
-    point_subdivision_check,
-)
 from logcy3.pair import PairError
-from logcy3.periods import (
-    edge_cokernel_report,
-    evaluate_boundary_character,
-    marked_period,
-    matching_lattice,
-    quotient_character,
-    unmarked_period,
-)
-from logcy3.torelli import (
-    Correspondence,
-    CorrespondenceError,
-    classify_contraction,
-    decide_isomorphism,
-)
 
 OK, DIAGNOSTIC, ERROR = 0, 1, 2
 
 
-def _digest(path) -> str:
-    try:
-        with open(path, "rb") as handle:
-            return hashlib.sha256(handle.read()).hexdigest()
-    except OSError:
-        return "unavailable"
+def _load(parse, path, name, inputs: dict):
+    """``parse`` of the document at ``path``, whose bytes are read once.
+
+    The sha256 of those bytes goes into ``inputs[name]`` before they are
+    parsed, so a report on a malformed document still names them.
+    """
+    with open(path, "rb") as handle:
+        data = handle.read()
+    inputs[name] = hashlib.sha256(data).hexdigest()
+    return parse(documents.loads(data))
 
 
-def _report(command, inputs, results) -> dict:
+def _report(command, inputs: dict, results) -> dict:
     return {
         "command": command,
-        "inputs": {name: _digest(path) for name, path in inputs},
+        "inputs": inputs,
         "results": results,
         "exact": True,
     }
@@ -85,17 +70,17 @@ def _emit_tree(value, prefix):
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands.  Each imports the modules only it runs, so a call loads no
+# more of the package than its subcommand needs.
 # ---------------------------------------------------------------------------
 
 
 def cmd_validate(args):
+    inputs = {}
     try:
-        pair, _ = documents.load_pair(args.file)
+        pair, _ = _load(documents.pair_from_document, args.file, "file", inputs)
     except DocumentError as exc:
-        report = _report(
-            "validate", [("file", args.file)], {"status": "invalid", "diagnostic": str(exc)}
-        )
+        report = _report("validate", inputs, {"status": "invalid", "diagnostic": str(exc)})
         _emit(report, args.json)
         return DIAGNOSTIC
     results = {
@@ -104,12 +89,21 @@ def cmd_validate(args):
         "steps": len(pair.program),
         "warnings": list(pair.warnings),
     }
-    _emit(_report("validate", [("file", args.file)], results), args.json)
+    _emit(_report("validate", inputs, results), args.json)
     return OK
 
 
 def cmd_invariants(args):
-    pair, _ = documents.load_pair(args.file)
+    from logcy3.periods import (
+        edge_cokernel_report,
+        matching_lattice,
+        quotient_character,
+        unmarked_period,
+    )
+    from logcy3.torelli import classify_contraction
+
+    inputs = {}
+    pair, _ = _load(documents.pair_from_document, args.file, "file", inputs)
     lattice = matching_lattice(pair)
     k_basis, saturated = pair.k_image()
     free_rank, torsion, composed_zero = edge_cokernel_report(pair)
@@ -131,7 +125,7 @@ def cmd_invariants(args):
         "period_trivial": "yes" if period.is_trivial() else "no",
         "contractions": steps,
     }
-    _emit(_report("invariants", [("file", args.file)], results), args.json)
+    _emit(_report("invariants", inputs, results), args.json)
     return OK
 
 
@@ -143,7 +137,10 @@ def _classes(character):
 
 
 def cmd_periods(args):
-    pair, marking = documents.load_pair(args.file)
+    from logcy3.periods import marked_period, quotient_character, unmarked_period
+
+    inputs = {}
+    pair, marking = _load(documents.pair_from_document, args.file, "file", inputs)
     if marking is None:
         marking = pair.markers()
     marked = marked_period(pair, marking)
@@ -155,17 +152,20 @@ def cmd_periods(args):
         "quotient": _classes(quotient),
         "quotient_torsion": list(quotient_torsion),
     }
-    _emit(_report("periods", [("file", args.file)], results), args.json)
+    _emit(_report("periods", inputs, results), args.json)
     return OK
 
 
 def cmd_compare(args):
-    pair, _ = documents.load_pair(args.file_a)
-    other, _ = documents.load_pair(args.file_b)
-    inputs = [("file_a", args.file_a), ("file_b", args.file_b)]
+    from logcy3.torelli import Correspondence, decide_isomorphism
+
+    inputs = {}
+    pair, _ = _load(documents.pair_from_document, args.file_a, "file_a", inputs)
+    other, _ = _load(documents.pair_from_document, args.file_b, "file_b", inputs)
     if args.correspondence:
-        corr = documents.load_correspondence(args.correspondence)
-        inputs.append(("correspondence", args.correspondence))
+        corr = _load(
+            documents.correspondence_from_document, args.correspondence, "correspondence", inputs
+        )
     else:
         corr = Correspondence.identity(pair)
     verdict = decide_isomorphism(pair, other, corr)
@@ -193,7 +193,11 @@ def _stringify(value):
 
 
 def cmd_oracle_check(args):
-    pair, _ = documents.load_pair(args.file)
+    from logcy3.oracle import cocycle_period, curve_subdivision_check, point_subdivision_check
+    from logcy3.periods import evaluate_boundary_character, matching_lattice
+
+    inputs = {}
+    pair, _ = _load(documents.pair_from_document, args.file, "file", inputs)
     discrepancies = []
     # Two computation paths for the period of every matching generator.
     markers = pair.markers()
@@ -224,7 +228,7 @@ def cmd_oracle_check(args):
         "curve_subdivision": "agree" if not curve_diag else "disagree",
         "discrepancies": discrepancies,
     }
-    _emit(_report("oracle-check", [("file", args.file)], results), args.json)
+    _emit(_report("oracle-check", inputs, results), args.json)
     return OK if not discrepancies else DIAGNOSTIC
 
 
@@ -273,7 +277,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DocumentError, PairError, CorrespondenceError, OSError) as exc:
+    except (DocumentError, PairError, OSError) as exc:  # CorrespondenceError is a PairError
         print(f"error: {exc}", file=sys.stderr)
         return ERROR
     except Exception as exc:  # exit 1 would read as a verdict, so never leak

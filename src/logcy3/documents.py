@@ -14,7 +14,6 @@ from logcy3.boundary import Marking
 from logcy3.exactnum import ExactArithmeticError, GaussianRational, IntMatrix
 from logcy3.pair import CurveBlowup, LogCY3Pair, PairError, PointBlowup
 from logcy3.toric import Fan3, FanError
-from logcy3.torelli import Correspondence
 
 PAIR_FORMAT = "logcy3-pair"
 CORRESPONDENCE_FORMAT = "logcy3-correspondence"
@@ -223,7 +222,7 @@ def _step_from_document(entry: dict, context: str):
 # ---------------------------------------------------------------------------
 
 
-def correspondence_to_document(corr: Correspondence) -> dict:
+def correspondence_to_document(corr) -> dict:
     doc = {
         "format": CORRESPONDENCE_FORMAT,
         "version": FORMAT_VERSION,
@@ -239,7 +238,10 @@ def correspondence_to_document(corr: Correspondence) -> dict:
     return doc
 
 
-def correspondence_from_document(doc: dict) -> Correspondence:
+def correspondence_from_document(doc: dict):
+    # Imported here: reading a pair document needs none of the comparison code.
+    from logcy3.torelli import Correspondence
+
     if _field(doc, "format", "document") != CORRESPONDENCE_FORMAT:
         raise DocumentError("document: not a correspondence document")
     if _field(doc, "version", "document") != FORMAT_VERSION:
@@ -293,21 +295,27 @@ def _unique_keys(pairs) -> dict:
     return doc
 
 
-def loads(text: str) -> dict:
+def loads(data) -> dict:
+    """The JSON object in ``data``, a ``str`` or the UTF-8 bytes of a file."""
+    if isinstance(data, bytes):
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DocumentError(f"document: not UTF-8 text at byte {exc.start}") from exc
+        # Line ends read as a text-mode file reads them.
+        data = text.replace("\r\n", "\n").replace("\r", "\n")
     try:
-        doc = json.loads(text, object_pairs_hook=_unique_keys)
+        doc = json.loads(data, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"line {exc.lineno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise DocumentError("document: nested too deeply") from exc
+    except DocumentError:
+        raise
+    except ValueError as exc:
+        # The decoder's only other error: an integer literal with more
+        # digits than the interpreter converts.
+        raise DocumentError("document: integer literal too long") from exc
     if not isinstance(doc, dict):
         raise DocumentError("document: top level must be an object")
     return doc
-
-
-def load_pair(path):
-    with open(path, encoding="utf-8") as handle:
-        return pair_from_document(loads(handle.read()))
-
-
-def load_correspondence(path):
-    with open(path, encoding="utf-8") as handle:
-        return correspondence_from_document(loads(handle.read()))

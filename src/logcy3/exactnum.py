@@ -33,20 +33,63 @@ appears only at the edges: the constructor's non-integer arguments and the
 read-only ``re``, ``im`` and ``norm()`` views, so no hot path builds a
 ``Fraction``.
 
-Everything here is immutable and pure.
+Everything here is immutable and pure.  :class:`Frozen` is the one base of
+the package's immutable values.
 """
 
 from __future__ import annotations
 
 import re as _regex
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from math import gcd, lcm
+from operator import attrgetter
 
 
 class ExactArithmeticError(ValueError):
     """Raised on invalid exact-arithmetic input (zero denominators etc.)."""
+
+
+class Frozen:
+    """An immutable value: its attributes are set once, when it is made.
+
+    Setting or deleting an attribute raises ``AttributeError``.  The
+    constructor gets past that with ``object.__setattr__`` (or, on a class
+    with slots, each slot's own setter), and values derived on first use
+    (``cached_property``) go straight into the instance ``__dict__``.  A
+    subclass names in ``_fields`` the attributes that ``==``, ``hash`` and
+    ``repr`` read, in order: two values are equal when they have the same
+    class and equal fields, and hash as the tuple of their fields.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "_fields" in cls.__dict__:
+            get = attrgetter(*cls._fields)
+            # Of a single name, ``attrgetter`` gives the bare value.
+            cls._values = property(
+                get if len(cls._fields) > 1 else lambda self: (get(self),)
+            )
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot delete {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values == other._values
+
+    def __hash__(self):
+        return hash(self._values)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
 
 
 # ---------------------------------------------------------------------------
@@ -59,7 +102,7 @@ _FULL_RE = _regex.compile(rf"^(?P<sr>[+-]?){_RE}(?:(?P<si>[+-])(?:{_IM}\*)?i)?$"
 _IMAG_RE = _regex.compile(rf"^(?P<si>[+-]?)(?:{_IM}\*)?i$")
 
 
-class GaussianRational:
+class GaussianRational(Frozen):
     """An exact element of Q(i), stored as ``(a + b*i) / d`` in lowest terms.
 
     The three integers satisfy ``d > 0`` and ``gcd(a, b, d) == 1``, so equal
@@ -83,12 +126,6 @@ class GaussianRational:
         _set_b(self, b)
         _set_d(self, d)
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"GaussianRational is immutable; cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"GaussianRational is immutable; cannot delete {name!r}")
-
     def __reduce__(self):
         return _reduced, (self._a, self._b, self._d)
 
@@ -107,10 +144,13 @@ class GaussianRational:
             raise ExactArithmeticError(f"cannot parse Gaussian rational {text!r}")
         parts = m.groupdict()
         # A part reads n / d; a missing real part is 0 and a bare i is 1.
-        a = int(parts.get("re") or 0)
-        p = int(parts.get("re_d") or 1)
-        b = int(parts["im"] or 1) if parts["si"] is not None else 0
-        q = int(parts["im_d"] or 1)
+        try:
+            a = int(parts.get("re") or 0)
+            p = int(parts.get("re_d") or 1)
+            b = int(parts["im"] or 1) if parts["si"] is not None else 0
+            q = int(parts["im_d"] or 1)
+        except ValueError as exc:  # more digits than the interpreter converts
+            raise ExactArithmeticError("Gaussian rational with too many digits") from exc
         if p == 0 or q == 0:
             raise ExactArithmeticError(f"zero denominator in Gaussian rational {text!r}")
         if parts.get("sr") == "-":
@@ -214,7 +254,7 @@ class GaussianRational:
         return f"GaussianRational({str(self)!r})"
 
 
-# Slot setters that bypass the immutable ``__setattr__``.
+# Slot setters that bypass the immutable ``Frozen.__setattr__``.
 _set_a = GaussianRational._a.__set__
 _set_b = GaussianRational._b.__set__
 _set_d = GaussianRational._d.__set__
@@ -339,7 +379,7 @@ def symmetric_trilinear(tensor: dict, a, b, c) -> int:
 # ---------------------------------------------------------------------------
 
 
-class IntMatrix:
+class IntMatrix(Frozen):
     """An immutable matrix of arbitrary-precision integers, in two forms.
 
     A matrix is made from its rows, ``IntMatrix(rows)``, or from the nonzero
@@ -356,14 +396,16 @@ class IntMatrix:
         width = len(rows[0]) if rows else 0
         if any(len(r) != width for r in rows):
             raise ExactArithmeticError("ragged matrix")
-        self.__dict__.update(shape=(len(rows), width), data=rows)
+        object.__setattr__(self, "shape", (len(rows), width))
+        object.__setattr__(self, "data", rows)
 
     @classmethod
     def from_columns(cls, rows: int, columns) -> "IntMatrix":
         """The ``rows x len(columns)`` matrix with these sparse columns."""
         self = object.__new__(cls)
         columns = tuple(tuple(column) for column in columns)
-        self.__dict__.update(shape=(rows, len(columns)), columns=columns)
+        object.__setattr__(self, "shape", (rows, len(columns)))
+        object.__setattr__(self, "columns", columns)
         return self
 
     @cached_property
@@ -382,9 +424,6 @@ class IntMatrix:
                 if x:
                     columns[j].append((i, x))
         return tuple(map(tuple, columns))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"IntMatrix is immutable; cannot set {name!r}")
 
     def __eq__(self, other):
         if other.__class__ is not IntMatrix:
@@ -465,8 +504,7 @@ class IntMatrix:
         return "\n".join(" ".join(str(x) for x in row) for row in self.data)
 
 
-@dataclass(frozen=True)
-class SnfDecomposition:
+class SnfDecomposition(Frozen):
     """Unimodular U and V with ``U * A * V == diag(factors)``, and the inverses.
 
     ``factors`` are the nonzero diagonal entries, positive and in the
@@ -476,11 +514,15 @@ class SnfDecomposition:
     nonzero entries it touches.
     """
 
-    U: IntMatrix
-    V: IntMatrix
-    U_inv: IntMatrix
-    V_inv: IntMatrix
-    factors: tuple
+    _fields = ("U", "V", "U_inv", "V_inv", "factors")
+
+    def __init__(self, U: IntMatrix, V: IntMatrix, U_inv: IntMatrix, V_inv: IntMatrix,
+                 factors: tuple):
+        object.__setattr__(self, "U", U)
+        object.__setattr__(self, "V", V)
+        object.__setattr__(self, "U_inv", U_inv)
+        object.__setattr__(self, "V_inv", V_inv)
+        object.__setattr__(self, "factors", factors)
 
     @property
     def rank(self) -> int:

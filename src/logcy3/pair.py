@@ -22,7 +22,6 @@ holds nothing on the pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations
 
 from logcy3.boundary import (
@@ -34,6 +33,7 @@ from logcy3.boundary import (
     marker_value,
 )
 from logcy3.exactnum import (
+    Frozen,
     GaussianRational,
     IntMatrix,
     MINUS_ONE,
@@ -54,32 +54,31 @@ class PairError(ValueError):
     """Raised when a blowup program is structurally invalid."""
 
 
-@dataclass(frozen=True)
-class PicVector:
+class PicVector(Frozen):
     """Integer coordinates of a divisor class in a tagged basis."""
 
-    coords: tuple
-    basis: str
+    _fields = ("coords", "basis")
 
     def __init__(self, coords, basis):
         object.__setattr__(self, "coords", tuple(int(x) for x in coords))
         object.__setattr__(self, "basis", str(basis))
 
 
-@dataclass(frozen=True)
-class PointBlowup:
+class PointBlowup(Frozen):
     """Blowup of an interior point of a 1-stratum.
 
     ``edge`` is the vertex pair of the stratum; ``coordinate`` is the point
     in the reference chart of the stratum's directed edge.
     """
 
-    edge: tuple
-    coordinate: GaussianRational
+    _fields = ("edge", "coordinate")
+
+    def __init__(self, edge: tuple, coordinate: GaussianRational):
+        object.__setattr__(self, "edge", edge)
+        object.__setattr__(self, "coordinate", coordinate)
 
 
-@dataclass(frozen=True)
-class CurveBlowup:
+class CurveBlowup(Frozen):
     """Blowup of a smooth rational curve inside a boundary component.
 
     ``curve_class`` is given in the basis the component has at the time of
@@ -87,9 +86,12 @@ class CurveBlowup:
     coordinates where the curve meets the shared 1-stratum.
     """
 
-    component: int
-    curve_class: tuple
-    points: tuple  # of (neighbor, (coordinates...))
+    _fields = ("component", "curve_class", "points")
+
+    def __init__(self, component: int, curve_class: tuple, points: tuple):
+        object.__setattr__(self, "component", component)
+        object.__setattr__(self, "curve_class", curve_class)
+        object.__setattr__(self, "points", points)  # of (neighbor, (coordinates...))
 
     def points_on(self, w: int):
         for neighbor, coords in self.points:

@@ -11,11 +11,10 @@ of the threefold Picard lattice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from logcy3.boundary import Marking
 from logcy3.exactnum import (
     ExactArithmeticError,
+    Frozen,
     GaussianRational,
     IntMatrix,
     power_product,
@@ -29,16 +28,18 @@ class PeriodConsistencyError(RuntimeError):
     """Raised when an internal period invariant fails (implementation bug)."""
 
 
-@dataclass(frozen=True)
-class PeriodCharacter:
+class PeriodCharacter(Frozen):
     """A multiplicative character on a lattice, stored on a fixed basis.
 
     ``basis`` holds the basis vectors (as integer tuples in the ambient
     coordinates) and ``values`` the corresponding nonzero values in Q(i).
     """
 
-    basis: tuple
-    values: tuple
+    _fields = ("basis", "values")
+
+    def __init__(self, basis: tuple, values: tuple):
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "values", values)
 
     def is_trivial(self) -> bool:
         return all(v.is_one() for v in self.values)

@@ -11,11 +11,10 @@ re-checked independently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from logcy3.boundary import Marking
-from logcy3.exactnum import ExactArithmeticError, IntMatrix, power_product, snf
+from logcy3.exactnum import ExactArithmeticError, Frozen, IntMatrix, power_product, snf
 from logcy3.pair import CurveBlowup, LogCY3Pair, PairError, PicVector, PointBlowup
 from logcy3.periods import (
     edge_matching_map,
@@ -32,8 +31,12 @@ from logcy3.toric import (
 )
 
 
-class CorrespondenceError(ValueError):
-    """Raised for a malformed correspondence between two pairs."""
+class CorrespondenceError(PairError):
+    """Raised for a malformed correspondence between two pairs.
+
+    A ``PairError``, so a caller that reports malformed pairs reports it
+    without importing this module.
+    """
 
 
 class ReconstructionError(ValueError):
@@ -201,8 +204,7 @@ def complexity(pair: LogCY3Pair, decomposition) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Correspondence:
+class Correspondence(Frozen):
     """A proposed matching of two pairs.
 
     ``vertex_map`` is the bijection of dual-complex vertices,
@@ -210,10 +212,19 @@ class Correspondence:
     lattice maps are derived from these; explicit overrides may be supplied.
     """
 
-    vertex_map: tuple  # of (vertex, image vertex)
-    step_map: tuple
-    mu: IntMatrix = None
-    mu_components: tuple = ()  # of (vertex, IntMatrix)
+    _fields = ("vertex_map", "step_map", "mu", "mu_components")
+
+    def __init__(
+        self,
+        vertex_map: tuple,  # of (vertex, image vertex)
+        step_map: tuple,
+        mu: IntMatrix = None,
+        mu_components: tuple = (),  # of (vertex, IntMatrix)
+    ):
+        object.__setattr__(self, "vertex_map", vertex_map)
+        object.__setattr__(self, "step_map", step_map)
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "mu_components", mu_components)
 
     @staticmethod
     def identity(pair: LogCY3Pair) -> "Correspondence":
@@ -235,13 +246,15 @@ class Correspondence:
         return None
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Frozen):
     """Outcome of the decision procedure with a re-checkable certificate."""
 
-    kind: str  # "isomorphic" | "distinct"
-    reason: str
-    certificate: dict = field(default_factory=dict)
+    _fields = ("kind", "reason", "certificate")
+
+    def __init__(self, kind: str, reason: str, certificate: dict):
+        object.__setattr__(self, "kind", kind)  # "isomorphic" | "distinct"
+        object.__setattr__(self, "reason", reason)
+        object.__setattr__(self, "certificate", certificate)
 
     @property
     def is_isomorphic(self) -> bool:

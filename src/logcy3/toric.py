@@ -18,11 +18,12 @@ integer elimination is needed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import permutations
 from math import gcd
 from types import MappingProxyType
+
+from logcy3.exactnum import Frozen
 
 
 class FanError(ValueError):
@@ -94,8 +95,7 @@ def _orient(cone: tuple, d: int, global_sign: int) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Fan3:
+class Fan3(Frozen):
     """A smooth complete fan in a rank-3 lattice.
 
     ``orientation`` is a reference datum ``(triangle, sign)``: the ordered
@@ -105,9 +105,7 @@ class Fan3:
     when there is no max cone.
     """
 
-    rays: tuple
-    max_cones: tuple
-    orientation: tuple = None
+    _fields = ("rays", "max_cones", "orientation")
 
     # Derived data (the cone set, the walls, the determinant and oriented
     # ordering of each max cone, the cones, link and dual frame at each ray,
@@ -310,8 +308,7 @@ def _trace_link(fan: Fan3, v: int):
     return tuple(cycle)
 
 
-@dataclass(frozen=True)
-class DualComplex:
+class DualComplex(Frozen):
     """The dual complex of the boundary: a coherently oriented S^2 triangulation.
 
     Edges carry a chosen direction; for a directed edge (v, w) the two
@@ -319,9 +316,13 @@ class DualComplex:
     (``positive_triangle``) and the one traversing it negatively.
     """
 
-    vertices: tuple
-    edges: tuple  # directed pairs (v, w)
-    triangles: tuple  # positively oriented ordered triples
+    _fields = ("vertices", "edges", "triangles")
+
+    def __init__(self, vertices: tuple, edges: tuple, triangles: tuple):
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "edges", edges)  # directed pairs (v, w)
+        # positively oriented ordered triples
+        object.__setattr__(self, "triangles", triangles)
 
     @staticmethod
     def from_fan(fan: Fan3, edge_orientations=None) -> "DualComplex":
@@ -402,8 +403,7 @@ def _reduce_ray_vector(coeffs, seed, dual, rays, basis) -> tuple:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class ToricPicBasis:
+class ToricPicBasis(Frozen):
     """Basis of Pic of the toric threefold: ray divisors outside a seed cone.
 
     The three seed-cone rays form a lattice basis, so their divisor classes
@@ -411,17 +411,19 @@ class ToricPicBasis:
     an integer vector on the remaining rays.
     """
 
-    fan: Fan3
-    seed: tuple
-    basis_rays: tuple
-    _dual: tuple = field(repr=False)
+    _fields = ("fan", "seed", "basis_rays")
+
+    def __init__(self, fan: Fan3, seed: tuple, basis_rays: tuple):
+        object.__setattr__(self, "fan", fan)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "basis_rays", basis_rays)
+        # The dual rows of the seed rays follow from the fan and the seed.
+        object.__setattr__(self, "_dual", _inverse_unimodular([fan.rays[i] for i in seed]))
 
     @staticmethod
     def of(fan: Fan3) -> "ToricPicBasis":
         seed = fan.max_cones[0]
-        basis_rays = tuple(v for v in range(fan.n_rays) if v not in seed)
-        dual = _inverse_unimodular([fan.rays[i] for i in seed])
-        return ToricPicBasis(fan, seed, basis_rays, dual)
+        return ToricPicBasis(fan, seed, tuple(v for v in range(fan.n_rays) if v not in seed))
 
     @property
     def rank(self) -> int:
@@ -539,8 +541,7 @@ class TripleIntersection:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Fan2:
+class Fan2(Frozen):
     """A smooth complete fan in the rank-2 quotient lattice of a boundary ray.
 
     ``rays`` are listed in the cyclic order induced by the global orientation
@@ -552,16 +553,16 @@ class Fan2:
     seed rays 0 and 1 are held once read.
     """
 
-    vertex: int
-    rays: tuple
-    labels: tuple
-    wall_coefficients: tuple = field(init=False, repr=False, compare=False)
+    _fields = ("vertex", "rays", "labels")
 
-    def __post_init__(self):
+    def __init__(self, vertex: int, rays: tuple, labels: tuple):
+        object.__setattr__(self, "vertex", vertex)
+        object.__setattr__(self, "rays", rays)
+        object.__setattr__(self, "labels", labels)
         object.__setattr__(
             self,
             "wall_coefficients",
-            tuple(_solve_wall_coefficient(self.rays, i) for i in range(len(self.rays))),
+            tuple(_solve_wall_coefficient(rays, i) for i in range(len(rays))),
         )
 
     @property
@@ -689,8 +690,7 @@ def star_surface(fan: Fan3, v: int) -> Fan2:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class ToricLayer:
+class ToricLayer(Frozen):
     """The fan-only part of every pair built on one fan.
 
     ``tensor`` maps sorted basis index triples to the nonzero cubic entries
@@ -708,11 +708,24 @@ class ToricLayer:
     image dicts.
     """
 
-    basis: ToricPicBasis
-    tensor: dict
-    surfaces: tuple
-    restriction: tuple
-    canonical: tuple
+    _fields = ("basis", "tensor", "surfaces", "restriction", "canonical")
+    # One layer per fan, compared and hashed by identity.
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(
+        self,
+        basis: ToricPicBasis,
+        tensor: dict,
+        surfaces: tuple,
+        restriction: tuple,
+        canonical: tuple,
+    ):
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "tensor", tensor)
+        object.__setattr__(self, "surfaces", surfaces)
+        object.__setattr__(self, "restriction", restriction)
+        object.__setattr__(self, "canonical", canonical)
 
 
 def toric_layer(fan: Fan3) -> ToricLayer:
@@ -891,8 +904,7 @@ def edge_reference_character(fan: Fan3, complex_: DualComplex, edge):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ToricIntersectionData:
+class ToricIntersectionData(Frozen):
     """The divisor-level data that determines a toric pair combinatorially.
 
     ``cones`` are the vertex triples with triple product 1, ``wall_curves``
@@ -901,9 +913,12 @@ class ToricIntersectionData:
     the sorted pair order.
     """
 
-    n_vertices: int
-    cones: frozenset
-    wall_curves: dict
+    _fields = ("n_vertices", "cones", "wall_curves")
+
+    def __init__(self, n_vertices: int, cones: frozenset, wall_curves: dict):
+        object.__setattr__(self, "n_vertices", n_vertices)
+        object.__setattr__(self, "cones", cones)
+        object.__setattr__(self, "wall_curves", wall_curves)
 
     @staticmethod
     def of_fan(fan: Fan3) -> "ToricIntersectionData":

@@ -2,10 +2,13 @@
 
 import contextlib
 import copy
+import hashlib
 import importlib.resources
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 
 import pytest
@@ -155,6 +158,49 @@ class TestValidate:
         assert main(["--json", "validate", str(path)]) == 1
         assert json.loads(capsys.readouterr().out)["results"]["status"] == "invalid"
 
+    @pytest.mark.parametrize(
+        "old, new, diagnostic",
+        [
+            (b'"coordinate": "2"', b'"coordinate": "\xff"', "document: not UTF-8 text at byte "),
+            (b'"lattice_rank": 3', b'"lattice_rank": ' + b"[" * 10**5 + b"]" * 10**5,
+             "document: nested too deeply"),
+            (b'"lattice_rank": 3', b'"lattice_rank": 3' + b"0" * 5000,
+             "document: integer literal too long"),
+            (b'"coordinate": "2"', b'"coordinate": "' + b"9" * 5000 + b'"',
+             "blowups[1]: Gaussian rational with too many digits"),
+        ],
+        ids=["not-utf8", "nested-too-deep", "integer-too-long", "coordinate-too-long"],
+    )
+    def test_malformed_bytes_are_diagnosed(self, old, new, diagnostic, tmp_path, capsys):
+        with open(bundled_path("p3-mixed"), "rb") as handle:
+            data = handle.read()
+        assert old in data
+        data = data.replace(old, new, 1)
+        if diagnostic.endswith("byte "):
+            diagnostic += str(data.index(b"\xff"))
+        path = tmp_path / "bad.pair.json"
+        path.write_bytes(data)
+        assert main(["--json", "validate", str(path)]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["results"] == {"status": "invalid", "diagnostic": diagnostic}
+        assert report["inputs"] == {"file": hashlib.sha256(data).hexdigest()}
+        assert main(["invariants", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {diagnostic}\n"
+
+    def test_each_input_is_read_once(self, monkeypatch, capsys):
+        opened, real_open = [], open
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(str(file))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", counting_open)
+        path = bundled_path("p3-mixed")
+        assert main(["--json", "compare", path, path]) == 0
+        assert opened == [path, path]
+
     def test_partial_marking_is_invalid_for_every_command(self, tmp_path, capsys):
         with open(bundled_path("p3-conic"), encoding="utf-8") as handle:
             doc = documents.loads(handle.read())
@@ -280,7 +326,7 @@ class TestCompare:
 
     def test_mismatched_shapes_error(self, capsys):
         assert main(["compare", bundled_path("p3"), bundled_path("p111")]) == 2
-        assert "error:" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: vertex map is not a bijection of components\n"
 
     def test_explicit_correspondence(self, tmp_path, capsys):
         from logcy3.fixtures import pair_fixtures
@@ -303,9 +349,9 @@ class TestCompare:
     )
     def test_malformed_correspondence_is_an_error(self, field, value, tmp_path, capsys):
         path = bundled_path("p3")
-        doc = documents.correspondence_to_document(
-            Correspondence.identity(documents.load_pair(path)[0])
-        )
+        with open(path, "rb") as handle:
+            pair, _ = documents.pair_from_document(documents.loads(handle.read()))
+        doc = documents.correspondence_to_document(Correspondence.identity(pair))
         doc[field] = value
         corr_path = tmp_path / "bad.corr.json"
         corr_path.write_text(documents.dumps(doc), encoding="utf-8")
@@ -317,7 +363,7 @@ class TestCompare:
         def broken(*args):
             raise ZeroDivisionError("integer division\nor modulo by zero")
 
-        monkeypatch.setattr("logcy3.cli.decide_isomorphism", broken)
+        monkeypatch.setattr("logcy3.torelli.decide_isomorphism", broken)
         path = bundled_path("p3")
         assert main(["compare", path, path]) == 2
         err = capsys.readouterr().err
@@ -332,3 +378,42 @@ class TestOracleCheck:
         assert "period_paths: agree" in out
         assert "point_subdivision: agree" in out
         assert "curve_subdivision: agree" in out
+
+
+# ``python -m logcy3.cli ARGS``, which imports ``logcy3.cli`` through runpy
+# as ``-m`` does, and writes the names in ``sys.modules`` at exit to stderr.
+_AS_MAIN = (
+    "import atexit, runpy, sys\n"
+    "atexit.register(lambda: print(*sorted(sys.modules), file=sys.stderr))\n"
+    "runpy.run_module('logcy3.cli', run_name='__main__', alter_sys=True)\n"
+)
+
+
+def run_fresh(*args):
+    """The CLI in a fresh interpreter: the finished process and its modules."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(documents.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-c", _AS_MAIN, *args],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    return done, set(done.stderr.split())
+
+
+class TestFreshInterpreter:
+    def test_validate_loads_only_what_it_runs(self):
+        path = bundled_path("p3-mixed")
+        done, modules = run_fresh("--json", "validate", path)
+        assert done.returncode == 0
+        assert json.loads(done.stdout)["results"]["status"] == "ok"
+        assert "logcy3.documents" in modules
+        unused = {"logcy3.periods", "logcy3.torelli", "logcy3.oracle", "dataclasses", "inspect"}
+        assert modules & unused == set()
+        # The subcommands that need the comparison code still import it.
+        done, modules = run_fresh("--json", "compare", path, path)
+        assert done.returncode == 0
+        assert json.loads(done.stdout)["results"]["verdict"] == "isomorphic"
+        assert {"logcy3.periods", "logcy3.torelli"} <= modules

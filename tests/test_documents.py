@@ -165,6 +165,28 @@ class TestPairDocuments:
             loads("{\n  broken\n}")
 
     @pytest.mark.parametrize(
+        "old, new, diagnostic",
+        [
+            (b'"coordinate": "2"', b'"coordinate": "\xff"', "not UTF-8 text at byte"),
+            (b'"lattice_rank": 3', b'"lattice_rank": ' + b"[" * 10**5 + b"]" * 10**5,
+             "nested too deeply"),
+            (b'"lattice_rank": 3', b'"lattice_rank": 3' + b"0" * 5000, "integer literal too long"),
+        ],
+        ids=["not-utf8", "nested-too-deep", "integer-too-long"],
+    )
+    def test_malformed_bytes_rejected(self, old, new, diagnostic):
+        data = bundled_text("p3-mixed").encode("utf-8")
+        assert old in data
+        with pytest.raises(DocumentError, match=f"^document: {diagnostic}"):
+            loads(data.replace(old, new, 1))
+
+    def test_bytes_read_as_text(self):
+        text = bundled_text("p3-mixed")
+        assert loads(text.encode("utf-8")) == loads(text)
+        with pytest.raises(DocumentError, match="^line 3: "):
+            loads(b"{\r\n\r  broken\r\n}")
+
+    @pytest.mark.parametrize(
         "old, new, key",
         [
             ('"coordinate": "2",', '"coordinate": "2", "coordinate": "3",', "coordinate"),
