@@ -4,14 +4,16 @@ Each boundary component of a pair is a smooth toric surface blown up at
 interior points of its boundary cycle.  This module holds the component
 lattice (toric classes plus exceptional classes), restriction of classes
 to the boundary cycle, markings of the 1-strata, and the per-component
-period character, read off each component's degree table; the section
-ratios on each boundary edge are the reference for the oracle and tests.
+period character, read off each component's degree table.  The section
+ratios on each boundary edge are the reference the tests check the tables
+against, and the cocycle oracle reads its section values from them.
 
 Coordinate conventions, fixed once for the whole package:
 
 * every 1-stratum has a single *reference chart*, the identification
   attached to the head of its directed edge; all stored coordinates
-  (blowup points, markings, cycle divisors) are reference coordinates;
+  (blowup points, markings, restrictions to the cycle) are reference
+  coordinates;
 * the tail component sees the inverse coordinate;
 * the distinguished marker point has coordinate -1 in either chart.
 """
@@ -50,34 +52,6 @@ class ExceptionalClass(Frozen):
         object.__setattr__(self, "neighbor", neighbor)
         object.__setattr__(self, "coordinate", coordinate)
         object.__setattr__(self, "step", step)
-
-
-class CycleDivisor(Frozen):
-    """A formal Z-combination of interior points of the boundary cycle.
-
-    ``edges`` maps each neighbor vertex to a tuple of (reference coordinate,
-    multiplicity) entries.  Used to represent restrictions of component
-    classes to the cycle.
-    """
-
-    _fields = ("edges",)
-
-    def __init__(self, edges: tuple):  # of (neighbor, ((coordinate, multiplicity), ...))
-        object.__setattr__(self, "edges", edges)
-
-    @staticmethod
-    def build(per_edge: dict) -> "CycleDivisor":
-        items = []
-        for w in sorted(per_edge):
-            entries = [(q, m) for q, m in per_edge[w] if m != 0]
-            items.append((w, tuple(entries)))
-        return CycleDivisor(tuple(items))
-
-    def on_edge(self, w: int):
-        for neighbor, entries in self.edges:
-            if neighbor == w:
-                return entries
-        return ()
 
 
 class Marking(Frozen):
@@ -243,12 +217,14 @@ class LooijengaComponent(Frozen):
 # ---------------------------------------------------------------------------
 
 
-def restrict_to_cycle(c: LooijengaComponent, vec) -> CycleDivisor:
+def restrict_to_cycle(c: LooijengaComponent, vec) -> dict:
     """Restrict a component class to its boundary cycle.
 
-    A toric class of degree d on an edge restricts to d times the marker
-    point; an exceptional class restricts to its blowup point with
-    multiplicity 1.
+    The result maps each neighbour to the ``(reference coordinate,
+    multiplicity)`` entries on the edge toward it, with no zero
+    multiplicity.  A toric class of degree d on an edge restricts to d
+    times the marker point; an exceptional class restricts to its blowup
+    point with multiplicity 1.
     """
     vt, ve = c.split(vec)
     per_edge: dict = {w: [] for w in c.neighbors}
@@ -260,7 +236,7 @@ def restrict_to_cycle(c: LooijengaComponent, vec) -> CycleDivisor:
     for coeff, exc in zip(ve, c.excs):
         if coeff:
             per_edge[exc.neighbor].append((exc.coordinate, coeff))
-    return CycleDivisor.build(per_edge)
+    return {w: tuple(entries) for w, entries in per_edge.items()}
 
 
 def section_ratio(points, marking_point: GaussianRational) -> GaussianRational:
@@ -298,9 +274,7 @@ def component_marked_period(
     divisor = restrict_to_cycle(c, vec)
     factors = []
     for w in c.neighbors:
-        points = [
-            (c.side_coordinate(w, q), m) for q, m in divisor.on_edge(w)
-        ]
+        points = [(c.side_coordinate(w, q), m) for q, m in divisor[w]]
         p = c.side_coordinate(w, marking.point(c.vertex, w))
         factors.append(section_ratio(points, p))
     return product(factors)

@@ -15,9 +15,9 @@ Two oracles live here:
 
 from __future__ import annotations
 
-from logcy3.boundary import Marking, restrict_to_cycle
-from logcy3.exactnum import GaussianRational, MINUS_ONE, ONE, symmetric_trilinear
-from logcy3.pair import LogCY3Pair, PairError, PointBlowup
+from logcy3.boundary import Marking, restrict_to_cycle, section_ratio
+from logcy3.exactnum import GaussianRational, ONE, symmetric_trilinear
+from logcy3.pair import LogCY3Pair, PairError, PointBlowup, curve_blowup_entries
 from logcy3.toric import Fan3, TripleIntersection, star_subdivide
 
 
@@ -35,11 +35,6 @@ def split_boundary_vector(pair: LogCY3Pair, flat) -> dict:
         v: tuple(flat[offsets[v]: offsets[v] + pair.components[v].rank])
         for v in sorted(pair.components)
     }
-
-
-def restrict_raw(pair: LogCY3Pair, y_class) -> dict:
-    """Per-component coordinate tuples of a threefold class's boundary restriction."""
-    return split_boundary_vector(pair, pair.restrict(y_class))
 
 
 # ---------------------------------------------------------------------------
@@ -70,27 +65,17 @@ def point_subdivision_check(fan: Fan3, cone):
 def curve_subdivision_check(fan: Fan3, wall):
     """Check the curve-blowup tensor rules against a 1-stratum blowup.
 
-    The center is the invariant curve of the wall; the blowup rules (tensor
-    entries from degrees against the curve class and from the adjunction
-    degree of its normal bundle) must match the star-subdivided fan.
+    The center is the invariant curve of the wall; the entries the build's
+    own rule (:func:`~logcy3.pair.curve_blowup_entries`) adds for it must
+    match the star-subdivided fan.
     """
     v, w = tuple(wall)
     sub = star_subdivide(fan, (v, w))
     base_pair = LogCY3Pair.build(fan)
     comp = base_pair.components[v]
     curve = comp.base.ray_class(comp.base.ray_of_neighbor(w))
-    rank = base_pair.pic_rank
-    tensor = dict(base_pair._tensor)
-    e_index = rank
-    k_dot_c = comp.intersection(
-        restrict_raw(base_pair, base_pair.canonical)[v], curve
-    )
-    for a in range(rank):
-        unit = tuple(1 if i == a else 0 for i in range(rank))
-        a_dot_c = comp.intersection(restrict_raw(base_pair, unit)[v], curve)
-        if a_dot_c:
-            tensor[(a, e_index, e_index)] = -a_dot_c
-    tensor[(e_index, e_index, e_index)] = k_dot_c + 2
+    tensor = base_pair.cubic_entries()
+    tensor.update(curve_blowup_entries(base_pair, v, curve))
 
     def blowup_triple(x, y, z):
         return symmetric_trilinear(tensor, x, y, z)
@@ -106,7 +91,6 @@ def _compare_tensors(pair: LogCY3Pair, sub: Fan3, center):
 
 def _compare_against(sub: Fan3, center, base_pair, triple_fn):
     table = TripleIntersection(sub)
-    n_old = base_pair.fan.n_rays
     new_index = sub.n_rays - 1
 
     def mapped(u):
@@ -134,20 +118,7 @@ def _compare_against(sub: Fan3, center, base_pair, triple_fn):
 # ---------------------------------------------------------------------------
 
 
-def _boundary_value_at_zero(points, marking_point):
-    """f(0) for ``f(z) = prod (z - q)**a / (z - p)**d`` with d the total degree."""
-    degree = 0
-    value = ONE
-    for q, mult in points:
-        degree += mult
-        if mult:
-            value = value * ((-q) ** mult)
-    return value * ((-marking_point) ** (-degree))
-
-
-def cocycle_period(
-    pair: LogCY3Pair, flat, marking: Marking = None, flip_orientation: bool = False
-) -> GaussianRational:
+def cocycle_period(pair: LogCY3Pair, flat, marking: Marking = None) -> GaussianRational:
     """Period of a matching class computed as a product over triangles.
 
     For each (component, edge) flag, the explicit section of the restricted
@@ -156,10 +127,9 @@ def cocycle_period(
     the product of section values with sign +1 at each flag's 0-end and -1
     at its infinity-end.  The product over all triangles telescopes to the
     period; computing it triangle by triangle is an independent consistency
-    path through the orientation data.
-
-    ``flip_orientation`` deliberately swaps the two ends; it exposes the
-    sign sensitivity of the construction for classes of nontrivial period.
+    path through the orientation data.  The section values are those of
+    :func:`~logcy3.boundary.section_ratio`; the triangle walk is this
+    path's own.
     """
     if marking is None:
         marking = pair.markers()
@@ -170,9 +140,9 @@ def cocycle_period(
         comp = pair.components[u]
         divisor = restrict_to_cycle(comp, per_component[u])
         for w in comp.neighbors:
-            points = [(comp.side_coordinate(w, q), m) for q, m in divisor.on_edge(w)]
+            points = [(comp.side_coordinate(w, q), m) for q, m in divisor[w]]
             p = comp.side_coordinate(w, marking.point(u, w))
-            flag_values[(u, w)] = _boundary_value_at_zero(points, p)
+            flag_values[(u, w)] = section_ratio(points, p)
     value = ONE
     for tri in pair.complex.triangles:
         alpha = ONE
@@ -181,9 +151,6 @@ def cocycle_period(
             # The directed flag (u, w) occurs positively in this triangle:
             # this corner is the 0-end of u's chart on the edge, and the
             # infinity-end of w's chart, which contributes f(inf)**(-1) = 1.
-            factor = flag_values[(u, w)]
-            if flip_orientation:
-                factor = factor.inverse()
-            alpha = alpha * factor
+            alpha = alpha * flag_values[(u, w)]
         value = value * alpha
     return value

@@ -100,6 +100,31 @@ class CurveBlowup(Frozen):
         return ()
 
 
+def curve_blowup_entries(pair: "LogCY3Pair", v: int, curve) -> dict:
+    """The nonzero cubic entries that blowing up a curve in component ``v`` adds.
+
+    ``pair`` is read as it stands before the step, and ``curve`` is a class
+    of its component ``v``.  The exceptional class E takes the next index
+    e.  Each class a meets the curve in ``a.C``, its restriction image on
+    ``v`` dotted with the curve's intersection vector (reading 0 past the
+    image's end), and gets ``(a, e, e) = -a.C``; then ``E^3 = K.C + 2``, as
+    the curve is smooth and rational.  The build and the subdivision oracle
+    both run this rule.
+    """
+    e_index = len(pair._restriction)
+    vector = pair.components[v].intersection_vector(curve)
+    entries = {}
+    k_dot_c = 0
+    for a, images in enumerate(pair._restriction):
+        a_dot_c = sum(x * y for x, y in zip(images.get(v, ()), vector) if x)
+        if a_dot_c:
+            entries[(a, e_index, e_index)] = -a_dot_c
+            k_dot_c += pair.canonical[a] * a_dot_c
+    if k_dot_c + 2:
+        entries[(e_index, e_index, e_index)] = k_dot_c + 2
+    return entries
+
+
 class LogCY3Pair:
     """A validated pair with all derived caches.
 
@@ -143,7 +168,7 @@ class LogCY3Pair:
     def _build_toric_layer(self):
         # The fan holds the layer; copy the tensor the program extends, share
         # the restriction images, and give each component this pair's edge
-        # orientations.
+        # orientations.  The tensor stores its nonzero entries only.
         layer = toric_layer(self.fan)
         self.toric_basis = layer.basis
         self._tensor = dict(layer.tensor)
@@ -217,17 +242,7 @@ class LogCY3Pair:
                 )
             for q in coords:
                 self._check_new_coordinate(k, v, w, q)
-        # Intersection numbers against the current basis: each image on v
-        # dotted with the curve's intersection vector, reading 0 past its end.
-        e_index = self.toric_basis.rank + k
-        vector = comp.intersection_vector(curve)
-        k_dot_c = 0
-        for a, images in enumerate(self._restriction):
-            a_dot_c = sum(x * y for x, y in zip(images.get(v, ()), vector) if x)
-            if a_dot_c:
-                self._tensor[(a, e_index, e_index)] = -a_dot_c
-                k_dot_c += self.canonical[a] * a_dot_c
-        self._tensor[(e_index, e_index, e_index)] = k_dot_c + 2
+        self._tensor.update(curve_blowup_entries(self, v, curve))
         self.canonical = self.canonical + (1,)
         # The period of E's restriction (a global class, hence trivial on the
         # boundary lattice) must be exactly 1.  At the markers it is 1 on
@@ -295,7 +310,7 @@ class LogCY3Pair:
 
     def cubic_entries(self) -> dict:
         """The nonzero entries of the cubic tensor, under sorted index triples."""
-        return {key: value for key, value in self._tensor.items() if value}
+        return dict(self._tensor)
 
     def entries_ending_at(self, index: int) -> tuple:
         """The nonzero stored entries ``((i, j, index), value)``, ``i <= j <= index``.
@@ -310,8 +325,7 @@ class LogCY3Pair:
     def _entries_by_last_index(self):
         groups = [[] for _ in range(self.pic_rank)]
         for key, value in self._tensor.items():
-            if value:
-                groups[key[2]].append((key, value))
+            groups[key[2]].append((key, value))
         return tuple(tuple(group) for group in groups)
 
     def pulled_back_cubic(self, mu: IntMatrix) -> dict:
@@ -329,8 +343,6 @@ class LogCY3Pair:
         rows = [tuple((i, x) for i, x in enumerate(row) if x) for row in mu.data]
         pulled: dict = {}
         for key, value in self._tensor.items():
-            if not value:
-                continue
             for a, b, c in set(permutations(key)):
                 for i, x in rows[a]:
                     for j, y in rows[b]:
@@ -354,10 +366,6 @@ class LogCY3Pair:
         if len(coords) != len(self._restriction):
             raise PairError("class length does not match the Picard rank")
         return coords
-
-    def restrict(self, y_class):
-        """Boundary restriction as one flat vector in the boundary lattice."""
-        return self.restriction_matrix().apply(self._as_y_coords(y_class))
 
     def restriction_matrix(self) -> IntMatrix:
         """Matrix of the restriction map, boundary lattice by threefold basis."""

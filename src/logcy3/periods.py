@@ -45,15 +45,6 @@ class PeriodCharacter(Frozen):
         return all(v.is_one() for v in self.values)
 
 
-def boundary_basis_labels(pair: LogCY3Pair):
-    """Flat basis labels of the boundary lattice: (vertex, local index)."""
-    labels = []
-    for comp in pair.boundary_components():
-        for i in range(comp.rank):
-            labels.append((comp.vertex, i))
-    return labels
-
-
 def edge_matching_map(pair: LogCY3Pair) -> IntMatrix:
     """The degree-difference map from the boundary lattice to the edge lattice.
 
@@ -158,12 +149,12 @@ def edge_cokernel_report(pair: LogCY3Pair):
     ell = edge_matching_map(pair)
     gamma = wedge_map(pair)
     composed = gamma * ell
-    toric_columns = [
-        j
-        for j, (v, i) in enumerate(boundary_basis_labels(pair))
-        if i < pair.components[v].base.rank
-    ]
-    composition_zero = not any(composed.columns[j] for j in toric_columns)
+    offsets, _ = pair.component_offsets()
+    composition_zero = not any(
+        composed.columns[offsets[v] + i]
+        for v, comp in pair.components.items()
+        for i in range(comp.base.rank)
+    )
     free_rank, torsion = edge_matching_snf(pair).cokernel()
     return free_rank, torsion, composition_zero
 

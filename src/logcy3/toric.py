@@ -125,6 +125,11 @@ class Fan3(Frozen):
             orientation = (tuple(orientation[0]), int(orientation[1]))
         object.__setattr__(self, "orientation", orientation)
 
+    def __reduce__(self):
+        # The derived data (the walls are a read-only mapping) is left
+        # behind; a copy recomputes it on first use.
+        return type(self), (self.rays, self.max_cones, self.orientation)
+
     # -- basic queries -------------------------------------------------------
 
     @property

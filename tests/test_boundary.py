@@ -60,8 +60,8 @@ class TestSectionRatio:
 
 
 def degree(divisor, w):
-    """The degree of a cycle divisor on the edge towards w."""
-    return sum(m for _, m in divisor.on_edge(w))
+    """The degree of a cycle restriction on the edge towards w."""
+    return sum(m for _, m in divisor[w])
 
 
 class TestRestriction:
@@ -70,7 +70,7 @@ class TestRestriction:
         for vec in comp.basis_vectors():
             divisor = restrict_to_cycle(comp, vec)
             for w in comp.neighbors:
-                for q, _ in divisor.on_edge(w):
+                for q, _ in divisor[w]:
                     assert q == MINUS_ONE
                 assert degree(divisor, w) == comp.degree_on_edge(vec, w)
 
@@ -81,10 +81,10 @@ class TestRestriction:
         vec = comp.exceptional_vector(0)
         divisor = restrict_to_cycle(comp, vec)
         exc = comp.excs[0]
-        assert divisor.on_edge(exc.neighbor) == ((exc.coordinate, 1),)
+        assert divisor[exc.neighbor] == ((exc.coordinate, 1),)
         for w in comp.neighbors:
             if w != exc.neighbor:
-                assert divisor.on_edge(w) == ()
+                assert divisor[w] == ()
 
     def test_degrees_sum_like_anticanonical(self, pairs):
         comp = pairs["p3-conic"].components[0]

@@ -1,5 +1,7 @@
 """Tests for blowup-program pairs: cubic tensor, restriction, validation."""
 
+import copy
+import pickle
 import random
 import re
 import sys
@@ -37,7 +39,7 @@ from logcy3.fixtures import (
     toric_fixture_fans,
     triple_line_fan,
 )
-from logcy3.oracle import restrict_raw
+from logcy3.oracle import split_boundary_vector
 from logcy3.pair import (
     CurveBlowup,
     LogCY3Pair,
@@ -45,6 +47,8 @@ from logcy3.pair import (
     PointBlowup,
     validate_pair,
 )
+from logcy3.periods import quotient_character, unmarked_period
+from logcy3.torelli import decide_isomorphism
 from logcy3.toric import (
     DualComplex,
     Fan2,
@@ -404,7 +408,9 @@ class TableCheckedPair(LogCY3Pair):
             if a_dot_c:
                 self._tensor[(a, e_index, e_index)] = -a_dot_c
                 k_dot_c += self.canonical[a] * a_dot_c
-        self._tensor[(e_index, e_index, e_index)] = k_dot_c + 2
+        # The tensor stores its nonzero entries only.
+        if k_dot_c + 2:
+            self._tensor[(e_index, e_index, e_index)] = k_dot_c + 2
         self.canonical = self.canonical + (1,)
         images = {v: curve}
         for w in comp.neighbors:
@@ -745,9 +751,10 @@ class TestToricLayer:
                 )
                 for images in pair._restriction
             ]
-            assert pair.restriction_matrix().data == tuple(zip(*columns))
+            matrix = pair.restriction_matrix()
+            assert matrix.data == tuple(zip(*columns))
             assert [
-                pair.restrict(_unit(pair.pic_rank, a)) for a in range(pair.pic_rank)
+                matrix.apply(_unit(pair.pic_rank, a)) for a in range(pair.pic_rank)
             ] == columns
 
 
@@ -953,16 +960,22 @@ class TestCubicForm:
             pairs["p3"].cubic_form((1, 0), (1,), (1,))
 
 
+def restricted_exceptional(pair):
+    """The first exceptional class's restriction, one tuple per component."""
+    flat = pair.restriction_matrix().apply(pair.exceptional_class(0).coords)
+    return split_boundary_vector(pair, flat)
+
+
 class TestRestriction:
     def test_point_exceptional_hits_both_endpoints(self, pairs):
         pair = pairs["p3-point"]
-        raw = restrict_raw(pair, pair.exceptional_class(0))
+        raw = restricted_exceptional(pair)
         assert raw[0] == (0, 1) and raw[1] == (0, 1)
         assert raw[2] == (0,) and raw[3] == (0,)
 
     def test_curve_exceptional_restriction(self, pairs):
         pair = pairs["p3-conic"]
-        raw = restrict_raw(pair, pair.exceptional_class(0))
+        raw = restricted_exceptional(pair)
         # On the host component the restriction is the curve class itself.
         assert raw[3] == (2,)
         # On each met neighbor: the sum of the new exceptional classes.
@@ -980,6 +993,29 @@ class TestRestriction:
             basis, saturated = pairs[name].k_image()
             assert len(basis) == expected
             assert saturated
+
+
+class TestCopies:
+    def test_bundled_pairs_deepcopy_and_pickle(self, pairs):
+        for name, pair in pairs.items():
+            verdict = decide_isomorphism(pair, pair)
+            assert copy.deepcopy(pair.fan) == pair.fan
+            copies = [copy.deepcopy(pair)] + [
+                pickle.loads(pickle.dumps(pair, protocol))
+                for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+            ]
+            for other in copies:
+                # A copied fan holds its fields only, and derives the rest
+                # on first use; its walls are read-only again.
+                assert set(vars(other.fan)) == {"rays", "max_cones", "orientation"}
+                assert other.fan == pair.fan, name
+                with pytest.raises(TypeError):
+                    other.fan.walls()[frozenset()] = ()
+                again = decide_isomorphism(other, pair)
+                assert again.is_isomorphic, name
+                assert again.certificate == verdict.certificate, name
+                assert unmarked_period(other) == unmarked_period(pair)
+                assert quotient_character(other) == quotient_character(pair)
 
 
 class TestHeldMarkers:

@@ -8,7 +8,7 @@ for every field shown.
 
 import pytest
 
-from logcy3.boundary import CycleDivisor, ExceptionalClass, LooijengaComponent, Marking
+from logcy3.boundary import ExceptionalClass, LooijengaComponent, Marking
 from logcy3.exactnum import GaussianRational, IntMatrix, SnfDecomposition
 from logcy3.pair import CurveBlowup, PicVector, PointBlowup
 from logcy3.periods import PeriodCharacter
@@ -50,13 +50,6 @@ CASES = [
         ("neighbor", "coordinate", "step"),
         True,
         "ExceptionalClass(neighbor=1, coordinate=GaussianRational('2'), step=0)",
-    ),
-    (
-        CycleDivisor,
-        lambda: CycleDivisor(((1, ((G(2), 1),)),)),
-        ("edges",),
-        True,
-        "CycleDivisor(edges=((1, ((GaussianRational('2'), 1),)),))",
     ),
     (
         Marking,
