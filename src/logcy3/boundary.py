@@ -155,23 +155,13 @@ class LooijengaComponent(Frozen):
         return tuple(vec[: self.base.rank]), tuple(vec[self.base.rank:])
 
     def intersection_vector(self, b) -> tuple:
-        """``b``'s degree on each toric basis ray, then ``-b_e`` per (-1)-class."""
+        """``b``'s degree on each toric basis ray, then ``-b_e`` per (-1)-class.
+
+        The intersection form: ``a.b`` is ``a`` dotted with this vector.
+        """
         bt, be = self.split(b)
         degrees = tuple(self.base.degree_on_ray(bt, i) for i in self.base.basis_indices)
         return degrees + tuple(-x for x in be)
-
-    def intersection(self, a, b) -> int:
-        """The intersection form: ``a`` dotted with ``b``'s intersection vector."""
-        self.split(a)
-        return sum(x * y for x, y in zip(a, self.intersection_vector(b)) if x)
-
-    def degree_on_edge(self, vec, w: int) -> int:
-        """Intersection of a class with the (strict-transform) edge divisor."""
-        vt, ve = self.split(vec)
-        ray = self.base.ray_of_neighbor(w)
-        return self.base.degree_on_ray(vt, ray) + sum(
-            c for c, exc in zip(ve, self.excs) if exc.neighbor == w
-        )
 
     @cached_property
     def degree_table(self) -> tuple:
@@ -179,22 +169,27 @@ class LooijengaComponent(Frozen):
 
         Entry ``i`` lists the ``(neighbor, degree)`` pairs of basis class
         ``i`` with a nonzero degree on the edge toward ``neighbor``: at most
-        three for a toric class (its own ray and the two adjacent ones), and
+        three for a toric class (its own ray and the two adjacent ones), held
+        on the star surface (:attr:`~logcy3.toric.Fan2.degree_rows`), and
         ``(exc.neighbor, 1)`` for an exceptional class.  Computed on first
         use and then held on the component.
         """
-        base = self.base
-        n = base.n_rays
-        rows = []
-        for b in base.basis_indices:
-            entries = []
-            for ray in sorted({(b - 1) % n, b, (b + 1) % n}):
-                d = base.pairing(b, ray)
-                if d:
-                    entries.append((base.labels[ray], d))
-            rows.append(tuple(entries))
-        rows.extend(((exc.neighbor, 1),) for exc in self.excs)
-        return tuple(rows)
+        return self.base.degree_rows + tuple(((exc.neighbor, 1),) for exc in self.excs)
+
+    def edge_degrees(self, vec) -> dict:
+        """A class's degree on each (strict-transform) edge divisor, by neighbour.
+
+        One pass over the degree table, the nonzero coordinates only; the
+        neighbours come in ``neighbors`` order.
+        """
+        if len(vec) != self.rank:
+            raise BoundaryError("class length does not match component rank")
+        degrees = dict.fromkeys(self.base.labels, 0)
+        for x, entries in zip(vec, self.degree_table):
+            if x:
+                for w, d in entries:
+                    degrees[w] += x * d
+        return degrees
 
     def anticanonical(self):
         """The boundary cycle class (the anticanonical class of the component)."""
@@ -280,65 +275,38 @@ def component_marked_period(
     return product(factors)
 
 
-def marker_ratios(c: LooijengaComponent, marking: Marking) -> dict:
-    """-1/p per neighbour, with p the marking point of its edge in this chart."""
-    ratios = {}
-    for w in c.neighbors:
-        p = marking.point(c.vertex, w)
-        if p.is_zero():
-            raise BoundaryError("marking point on a 0-stratum")
-        ratios[w] = MINUS_ONE / c.side_coordinate(w, p)
-    return ratios
-
-
 def marker_value(c: LooijengaComponent, exc: ExceptionalClass) -> GaussianRational:
     """An exceptional class's marked period at the markers: -(its point here)."""
     return -c.side_coordinate(exc.neighbor, exc.coordinate)
-
-
-def exceptional_character(
-    c: LooijengaComponent, exc: ExceptionalClass, ratios: dict
-) -> GaussianRational:
-    """Marked period value of an exceptional class of the component.
-
-    ``ratios`` are the component's :func:`marker_ratios`: the class
-    restricts to its own point, whose coordinate over p is the value.
-    """
-    return marker_value(c, exc) * ratios[exc.neighbor]
 
 
 def component_character_table(c: LooijengaComponent, marking: Marking) -> tuple:
     """Marked period values of the component's basis classes, in basis order.
 
     The values of :func:`component_marked_period` on the unit vectors, read
-    off the degree table.  With p the marking point of an edge in this
-    component's chart, a toric class of degree d on the edge restricts to d
-    times the marker point -1 and contributes ``(-1/p)**d``; an exceptional
-    class contributes its own coordinate over p on its edge.
+    off the degree table.  With q the marking point of an edge in reference
+    coordinates, this component's chart sees p = q at the head of the edge
+    and p = 1/q at the tail.  A toric class of degree d on the edge
+    restricts to d times the marker point -1 and contributes ``(-1/p)**d``,
+    that is ``(-1/q)**d`` at the head and ``(-q)**d`` at the tail; an
+    exceptional class at reference point x contributes its own coordinate
+    over p, ``x/q`` at the head and ``q/x`` at the tail.  The head sides
+    are read by ray index, the marking once per edge.
     """
-    ratios = marker_ratios(c, marking)
+    ratios = {}
+    points = {}
+    for w, head in zip(c.base.labels, c.head_sides):
+        q = marking.point(c.vertex, w)
+        if q.is_zero():
+            raise BoundaryError("marking point on a 0-stratum")
+        ratios[w] = -q.inverse() if head else -q
+        points[w] = (q, head)
     values = [
         power_product_of((ratios[w], d) for w, d in edges)
         for edges in c.degree_table[: c.base.rank]
     ]
-    values.extend(exceptional_character(c, exc, ratios) for exc in c.excs)
+    for exc in c.excs:
+        q, head = points[exc.neighbor]
+        x = exc.coordinate
+        values.append(x / q if head else q / x)
     return tuple(values)
-
-
-def adjunction_check(c: LooijengaComponent, vec):
-    """Gate for smooth rational curve classes: C^2 + K.C = -2, C.D_e >= 0.
-
-    Returns ``None`` if ok, else a diagnostic string.
-    """
-    self_int = c.intersection(vec, vec)
-    k_dot = -c.intersection(vec, c.anticanonical())
-    if self_int + k_dot != -2:
-        return (
-            f"adjunction failed: C^2 + K.C = {self_int} + {k_dot} = "
-            f"{self_int + k_dot}, expected -2"
-        )
-    for w in c.neighbors:
-        d = c.degree_on_edge(vec, w)
-        if d < 0:
-            return f"negative boundary degree {d} on edge toward {w}"
-    return None

@@ -15,8 +15,9 @@ arbitrary-precision integer matrices.  This module supplies both layers:
   integer linear solving, and the solution in Q(i) of a character system
   on the columns, ``h(A e_j) = t_j``, or a relation among the columns
   that the targets break;
-* :func:`symmetric_trilinear` -- a symmetric tensor, stored sparsely,
-  evaluated at three vectors;
+* :func:`dot` and :func:`symmetric_trilinear` -- the dot product of two
+  integer vectors, and a symmetric tensor, stored sparsely, evaluated at
+  three;
 * :func:`nth_root` -- exact n-th roots in Q(i), when they exist, found
   without factoring: integer n-th roots by Newton's iteration, one
   Gaussian gcd and one power check.  Of several roots it returns the one
@@ -29,9 +30,10 @@ reduces once with a single three-way ``gcd`` (none when ``d`` is 1).
 Powers and products of powers share one kernel, :func:`power_product_of`,
 which raises each factor in Z[i] and reduces the running triple once per
 factor.  Text is read and written straight from the triple.  ``Fraction``
-appears only at the edges: the constructor's non-integer arguments and the
-read-only ``re``, ``im`` and ``norm()`` views, so no hot path builds a
-``Fraction``.
+appears only at the edges: the constructor's non-integer arguments, the
+coercion of a ``Fraction`` operand and the read-only ``re``, ``im`` and
+``norm()`` views, so no hot path builds a ``Fraction``, and ``fractions``
+is imported only where one is made.
 
 Everything here is immutable and pure.  :class:`Frozen` is the one base of
 the package's immutable values.
@@ -41,7 +43,6 @@ from __future__ import annotations
 
 import re as _regex
 from functools import cached_property
-from fractions import Fraction
 from math import gcd, lcm
 from operator import attrgetter
 
@@ -116,6 +117,8 @@ class GaussianRational(Frozen):
         if type(re) is int and type(im) is int:
             a, b, d = re, im, 1
         else:
+            from fractions import Fraction
+
             re, im = Fraction(re), Fraction(im)
             # Both parts are reduced, so over their least common denominator
             # the triple is already in lowest terms.
@@ -163,14 +166,20 @@ class GaussianRational(Frozen):
 
     @property
     def re(self) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(self._a, self._d)
 
     @property
     def im(self) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(self._b, self._d)
 
     def norm(self) -> Fraction:
         """The field norm ``re**2 + im**2``."""
+        from fractions import Fraction
+
         a, b, d = self._a, self._b, self._d
         return Fraction(a * a + b * b, d * d)
 
@@ -291,7 +300,11 @@ def _ratio_text(n: int, d: int) -> str:
 def _coerce(x) -> GaussianRational:
     if isinstance(x, GaussianRational):
         return x
-    if isinstance(x, (int, Fraction)):
+    if isinstance(x, int):
+        return GaussianRational(x)
+    from fractions import Fraction
+
+    if isinstance(x, Fraction):
         return GaussianRational(x)
     raise TypeError(f"cannot coerce {x!r} to GaussianRational")
 
@@ -357,6 +370,11 @@ def power_product(values, exponents) -> GaussianRational:
     return power_product_of(zip(values, exponents, strict=True))
 
 
+def dot(a, b) -> int:
+    """The integer dot product of two vectors, over the nonzero entries of ``a``."""
+    return sum(x * y for x, y in zip(a, b) if x)
+
+
 def symmetric_trilinear(tensor: dict, a, b, c) -> int:
     """The trilinear form of a symmetric tensor at three integer vectors.
 
@@ -401,7 +419,13 @@ class IntMatrix(Frozen):
 
     @classmethod
     def from_columns(cls, rows: int, columns) -> "IntMatrix":
-        """The ``rows x len(columns)`` matrix with these sparse columns."""
+        """The ``rows x len(columns)`` matrix with these sparse columns.
+
+        Each column lists its nonzero ``(row, value)`` entries in increasing
+        row order, the order every matrix of this module keeps: the columns
+        read off the rows, a product's, a transpose's and the transforms of
+        :func:`snf` are sorted so.  The caller keeps it; it is not checked.
+        """
         self = object.__new__(cls)
         columns = tuple(tuple(column) for column in columns)
         object.__setattr__(self, "shape", (rows, len(columns)))
@@ -454,7 +478,7 @@ class IntMatrix(Frozen):
             for k, y in column:
                 for i, x in left[k]:
                     image[i] = image.get(i, 0) + x * y
-            product_columns.append(tuple((i, x) for i, x in image.items() if x))
+            product_columns.append(tuple((i, x) for i, x in sorted(image.items()) if x))
         return IntMatrix.from_columns(self.rows, product_columns)
 
     def transpose(self) -> "IntMatrix":
@@ -619,8 +643,9 @@ def snf(A: IntMatrix) -> SnfDecomposition:
     ``src -= c * column dst`` on ``U_inv``, column ``dst += c * column src``
     on ``V`` is row ``src -= c * row dst`` on ``V_inv``, and a swap or a
     negation is the same swap or negation there.  All four are held as
-    sparse vectors, so a step costs the nonzero entries it moves; ``U`` and
-    ``V_inv``, built as rows, are transposed once at the end.
+    sparse vectors, so a step costs the nonzero entries it moves.  At the
+    end ``U`` and ``V_inv``, built as rows, are transposed, which sorts
+    their columns, and the columns of ``V`` and ``U_inv`` are sorted once.
     """
     m, n = A.shape
     a = [list(r) for r in A.data]
@@ -730,8 +755,8 @@ def snf(A: IntMatrix) -> SnfDecomposition:
     # diagonal entries are the first t.
     return SnfDecomposition(
         IntMatrix.from_columns(m, [row.items() for row in u]).transpose(),
-        IntMatrix.from_columns(n, [column.items() for column in v]),
-        IntMatrix.from_columns(m, [column.items() for column in u_inv]),
+        IntMatrix.from_columns(n, [sorted(column.items()) for column in v]),
+        IntMatrix.from_columns(m, [sorted(column.items()) for column in u_inv]),
         IntMatrix.from_columns(n, [row.items() for row in v_inv]).transpose(),
         tuple(a[i][i] for i in range(t)),
     )

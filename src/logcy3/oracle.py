@@ -75,7 +75,7 @@ def curve_subdivision_check(fan: Fan3, wall):
     comp = base_pair.components[v]
     curve = comp.base.ray_class(comp.base.ray_of_neighbor(w))
     tensor = base_pair.cubic_entries()
-    tensor.update(curve_blowup_entries(base_pair, v, curve))
+    tensor.update(curve_blowup_entries(base_pair, v, comp.intersection_vector(curve)))
 
     def blowup_triple(x, y, z):
         return symmetric_trilinear(tensor, x, y, z)

@@ -28,7 +28,6 @@ from logcy3.boundary import (
     ExceptionalClass,
     LooijengaComponent,
     Marking,
-    adjunction_check,
     component_character_table,
     marker_value,
 )
@@ -37,6 +36,7 @@ from logcy3.exactnum import (
     GaussianRational,
     IntMatrix,
     MINUS_ONE,
+    dot,
     power_product_of,
     snf,
     symmetric_trilinear,
@@ -100,23 +100,23 @@ class CurveBlowup(Frozen):
         return ()
 
 
-def curve_blowup_entries(pair: "LogCY3Pair", v: int, curve) -> dict:
+def curve_blowup_entries(pair: "LogCY3Pair", v: int, vector) -> dict:
     """The nonzero cubic entries that blowing up a curve in component ``v`` adds.
 
-    ``pair`` is read as it stands before the step, and ``curve`` is a class
-    of its component ``v``.  The exceptional class E takes the next index
-    e.  Each class a meets the curve in ``a.C``, its restriction image on
-    ``v`` dotted with the curve's intersection vector (reading 0 past the
-    image's end), and gets ``(a, e, e) = -a.C``; then ``E^3 = K.C + 2``, as
-    the curve is smooth and rational.  The build and the subdivision oracle
-    both run this rule.
+    ``pair`` is read as it stands before the step, and ``vector`` is the
+    curve's intersection vector on its component ``v``
+    (:meth:`~logcy3.boundary.LooijengaComponent.intersection_vector`).  The
+    exceptional class E takes the next index e.  Each class a meets the
+    curve in ``a.C``, its restriction image on ``v`` dotted with the vector
+    (reading 0 past the image's end), and gets ``(a, e, e) = -a.C``; then
+    ``E^3 = K.C + 2``, as the curve is smooth and rational.  The build and
+    the subdivision oracle both run this rule.
     """
     e_index = len(pair._restriction)
-    vector = pair.components[v].intersection_vector(curve)
     entries = {}
     k_dot_c = 0
     for a, images in enumerate(pair._restriction):
-        a_dot_c = sum(x * y for x, y in zip(images.get(v, ()), vector) if x)
+        a_dot_c = dot(images.get(v, ()), vector)
         if a_dot_c:
             entries[(a, e_index, e_index)] = -a_dot_c
             k_dot_c += pair.canonical[a] * a_dot_c
@@ -226,15 +226,26 @@ class LogCY3Pair:
                 f"step {k}: curve class length {len(curve)} does not match "
                 f"component rank {comp.rank}"
             )
-        diag = adjunction_check(comp, curve)
-        if diag is not None:
-            raise PairError(f"step {k}: {diag}")
+        # A smooth rational curve has C^2 + K.C = -2 and meets no edge
+        # negatively.  One intersection vector gives C^2, K.C (the
+        # anticanonical class is -K) and the tensor entries.
+        vector = comp.intersection_vector(curve)
+        self_int = dot(curve, vector)
+        k_dot = -dot(comp.anticanonical(), vector)
+        if self_int + k_dot != -2:
+            raise PairError(
+                f"step {k}: adjunction failed: C^2 + K.C = {self_int} + {k_dot} = "
+                f"{self_int + k_dot}, expected -2"
+            )
+        degrees = comp.edge_degrees(curve)
+        for w, d in degrees.items():
+            if d < 0:
+                raise PairError(f"step {k}: negative boundary degree {d} on edge toward {w}")
         declared = {w for w, _ in step.points}
-        if not declared <= set(comp.neighbors):
+        if not declared <= degrees.keys():
             raise PairError(f"step {k}: points on a non-adjacent vertex")
-        for w in comp.neighbors:
+        for w, need in degrees.items():
             coords = step.points_on(w)
-            need = comp.degree_on_edge(curve, w)
             if len(coords) != need:
                 raise PairError(
                     f"step {k}: {len(coords)} intersection points on edge "
@@ -242,28 +253,29 @@ class LogCY3Pair:
                 )
             for q in coords:
                 self._check_new_coordinate(k, v, w, q)
-        self._tensor.update(curve_blowup_entries(self, v, curve))
+        self._tensor.update(curve_blowup_entries(self, v, vector))
         self.canonical = self.canonical + (1,)
         # The period of E's restriction (a global class, hence trivial on the
         # boundary lattice) must be exactly 1.  At the markers it is 1 on
-        # every toric class, so only v's exceptional classes (with the
-        # curve's coordinates) and the classes this step adds count.
+        # every toric class, so only v's exceptional classes the curve meets
+        # (with the curve's coordinates) and the classes this step adds count.
         factors = [
             (marker_value(comp, exc), x)
             for exc, x in zip(comp.excs, curve[comp.base.rank:])
+            if x
         ]
         # Neighbors gain one exceptional class per intersection point.
         images = {v: curve}
-        for w in comp.neighbors:
-            coords = step.points_on(w)
-            if not coords:
+        for w, need in degrees.items():
+            if not need:
                 continue
+            coords = step.points_on(w)
             old_rank = self.components[w].rank
             for q in coords:
                 exc = ExceptionalClass(v, q, k)
                 self.components[w] = self.components[w].with_exceptional(exc)
                 factors.append((marker_value(self.components[w], exc), 1))
-            images[w] = (0,) * old_rank + (1,) * len(coords)
+            images[w] = (0,) * old_rank + (1,) * need
         self._restriction.append(images)
         scalar = power_product_of(factors)
         if not scalar.is_one():
@@ -340,7 +352,7 @@ class LogCY3Pair:
         """
         if mu.rows != len(self._restriction):
             raise PairError("class length does not match the Picard rank")
-        rows = [tuple((i, x) for i, x in enumerate(row) if x) for row in mu.data]
+        rows = mu.transpose().columns
         pulled: dict = {}
         for key, value in self._tensor.items():
             for a, b, c in set(permutations(key)):
@@ -371,7 +383,12 @@ class LogCY3Pair:
         """Matrix of the restriction map, boundary lattice by threefold basis."""
         offsets, total = self.component_offsets()
         columns = [
-            [(offsets[v] + i, x) for v in images for i, x in enumerate(images[v]) if x]
+            [
+                (offsets[v] + i, x)
+                for v in sorted(images)
+                for i, x in enumerate(images[v])
+                if x
+            ]
             for images in self._restriction
         ]
         return IntMatrix.from_columns(total, columns)

@@ -62,7 +62,7 @@ def edge_matching_snf(pair: LogCY3Pair):
 
 def _build_edge_matching_map(pair: LogCY3Pair) -> IntMatrix:
     # Column n holds the nonzero edge degrees of basis class n, read off its
-    # component's degree table and signed as the rows require.
+    # component's degree table, signed as the rows require and sorted by row.
     edges = pair.complex.edges
     columns = []
     for comp in pair.boundary_components():
@@ -72,6 +72,7 @@ def _build_edge_matching_map(pair: LogCY3Pair) -> IntMatrix:
             for w, d in entries:
                 row = pair.complex.edge_index(u, w)
                 column.append((row, d if edges[row][0] == u else -d))
+            column.sort()
             columns.append(column)
     return IntMatrix.from_columns(len(edges), columns)
 

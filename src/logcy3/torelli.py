@@ -14,7 +14,14 @@ from __future__ import annotations
 from fractions import Fraction
 
 from logcy3.boundary import Marking
-from logcy3.exactnum import ExactArithmeticError, Frozen, IntMatrix, power_product, snf
+from logcy3.exactnum import (
+    ExactArithmeticError,
+    Frozen,
+    IntMatrix,
+    dot,
+    power_product_of,
+    snf,
+)
 from logcy3.pair import CurveBlowup, LogCY3Pair, PairError, PicVector, PointBlowup
 from logcy3.periods import (
     edge_matching_map,
@@ -295,12 +302,12 @@ def component_transport(
         raise CorrespondenceError(
             f"components {v} and {image_vertex} have different ranks"
         )
-    cols = []
+    columns = []
     for b in comp.base.basis_indices:
         neighbor = comp.base.labels[b]
         image_ray = comp2.base.ray_of_neighbor(corr.vertex(neighbor))
         toric = comp2.base.ray_class(image_ray)
-        cols.append(tuple(toric) + (0,) * len(comp2.excs))
+        columns.append([(i, x) for i, x in enumerate(toric) if x])
     positions2 = _step_exc_positions(other, image_vertex)
     for step, neighbor, n in _step_exc_positions(pair, v):
         target = (corr.step_map[step], corr.vertex(neighbor), n)
@@ -308,8 +315,8 @@ def component_transport(
             raise CorrespondenceError(
                 f"no matching exceptional for step {step} on component {v}"
             )
-        cols.append(comp2.exceptional_vector(positions2[target]))
-    return IntMatrix(list(zip(*cols)))
+        columns.append([(comp2.base.rank + positions2[target], 1)])
+    return IntMatrix.from_columns(comp2.rank, columns)
 
 
 def boundary_map(pair, other, corr, transports) -> IntMatrix:
@@ -348,14 +355,13 @@ def threefold_transport(
         return corr.mu
     if pair.pic_rank != other.pic_rank:
         raise CorrespondenceError("Picard ranks differ")
-    cols = []
-    for i, v in enumerate(pair.toric_basis.basis_rays):
+    columns = []
+    for v in pair.toric_basis.basis_rays:
         image = other.toric_basis.ray_class(corr.vertex(v))
-        cols.append(tuple(image) + (0,) * len(other.program))
+        columns.append([(i, x) for i, x in enumerate(image) if x])
     for k in range(len(pair.program)):
-        e_index = other.exceptional_index(corr.step_map[k])
-        cols.append(tuple(1 if i == e_index else 0 for i in range(other.pic_rank)))
-    return IntMatrix(list(zip(*cols)))
+        columns.append([(other.exceptional_index(corr.step_map[k]), 1)])
+    return IntMatrix.from_columns(other.pic_rank, columns)
 
 
 def _check_correspondence_shape(pair, other, corr):
@@ -371,6 +377,61 @@ def _check_correspondence_shape(pair, other, corr):
         raise CorrespondenceError("step map is not a bijection of program steps")
 
 
+def _isometry_failure(pair: LogCY3Pair, other: LogCY3Pair, corr: Correspondence):
+    """A distinct verdict for the first explicit component map that is no isometry.
+
+    Each map ``corr.mu_components`` gives for a component of the pair is
+    checked with integers alone, in O(rank**3): it must be square, of the
+    component's rank and the image component's; it must preserve the
+    intersection form, read through both components' intersection vectors;
+    and it must carry the anticanonical class to the image component's.
+    The certificate names the component, then the map's shape and the two
+    ranks, or the first pair of basis classes ``i <= j`` whose product
+    differs with both products, or the image of the anticanonical class
+    beside the image component's.  Returns ``None`` when every explicit map
+    passes.  Derived maps are isometries by construction and are not
+    checked.
+    """
+    for v in sorted(pair.components):
+        matrix = corr.component_override(v)
+        if matrix is None:
+            continue
+        comp = pair.components[v]
+        comp2 = other.components[corr.vertex(v)]
+        r = comp.rank
+        certificate = {"check": "component_isometry", "component": v}
+        if matrix.shape != (r, r) or comp2.rank != r:
+            certificate.update(shape=matrix.shape, ranks=(r, comp2.rank))
+            return Verdict(
+                "distinct",
+                f"the map of component {v} is not square of the component's rank",
+                certificate,
+            )
+        images = [matrix.column(j) for j in range(r)]
+        met = [comp2.intersection_vector(image) for image in images]
+        form = [comp.intersection_vector(unit) for unit in comp.basis_vectors()]
+        for i in range(r):
+            for j in range(i, r):
+                values = (form[j][i], dot(images[i], met[j]))
+                if values[0] != values[1]:
+                    certificate.update(classes=(i, j), values=values)
+                    return Verdict(
+                        "distinct",
+                        f"the map of component {v} does not preserve the "
+                        "intersection form",
+                        certificate,
+                    )
+        image = matrix.apply(comp.anticanonical())
+        if image != comp2.anticanonical():
+            certificate.update(anticanonical=(image, comp2.anticanonical()))
+            return Verdict(
+                "distinct",
+                f"the map of component {v} does not carry the anticanonical class",
+                certificate,
+            )
+    return None
+
+
 def decide_isomorphism(
     pair: LogCY3Pair, other: LogCY3Pair, corr: Correspondence = None
 ) -> Verdict:
@@ -378,6 +439,11 @@ def decide_isomorphism(
     if corr is None:
         corr = Correspondence.identity(pair)
     _check_correspondence_shape(pair, other, corr)
+    # Explicit component maps are checked with integers before anything
+    # else, so that no exponent is taken from a map that is no isometry.
+    failure = _isometry_failure(pair, other, corr)
+    if failure is not None:
+        return failure
 
     # (i) Dual complexes must match under the vertex bijection.
     cones = {frozenset(corr.vertex(i) for i in c) for c in pair.fan.cone_set()}
@@ -431,9 +497,7 @@ def decide_isomorphism(
                 f"contraction types differ at steps {k} and {k2}",
                 {"check": "contraction_type", "triples": (triple1, triple2)},
             )
-        e_index2 = other.exceptional_index(k2)
-        e_unit2 = tuple(int(i == e_index2) for i in range(r))
-        if mu.column(pair.exceptional_index(k)) != e_unit2:
+        if mu.columns[pair.exceptional_index(k)] != ((other.exceptional_index(k2), 1),):
             return Verdict(
                 "distinct",
                 f"exceptional classes of steps {k} and {k2} do not correspond",
@@ -472,40 +536,40 @@ def decide_isomorphism(
         )
 
     # (v) Compare exact periods on the matching lattice.  This pair's side
-    # is its held matching values.  The boundary map is built once; the
-    # other pair's edge-matching map is composed with it and its character
-    # table pulled back along it, so a class is only transported itself as
-    # the witness of a distinct verdict.
+    # is its held matching values.  The matching generators are the held
+    # kernel's sparse columns: one sparse product moves them all through the
+    # boundary map, and every image is checked against the other pair's
+    # edge-matching map, with integers, before any period is taken.  Then
+    # each image is valued on the other pair's character table, one power
+    # product over its nonzero entries, generator by generator, so a
+    # distinct verdict stops at its witness.
     boundary = boundary_map(pair, other, corr, transports)
     matching2 = edge_matching_map(other)
     if boundary.rows != matching2.cols:
         # As the other pair's edge-matching map fails on such an image.
         raise ExactArithmeticError("vector length mismatch")
-    # The matching generators are the held kernel's sparse columns, so one
-    # sparse product gives every image at once.
-    kernel = matching_kernel(pair)
-    images = (matching2 * boundary * kernel).columns
-    pulled = boundary.pull_back(other.character_table(other.markers()))
+    moved = boundary * matching_kernel(pair)
+    if any((matching2 * moved).columns):
+        raise CorrespondenceError(
+            "transported matching class violates the edge-matching condition"
+        )
+    table2 = other.character_table(other.markers())
     transcript = []
-    generators = zip(matching_lattice(pair), images, matching_values(pair))
-    for gen, image, value in generators:
-        if image:
-            raise CorrespondenceError(
-                "transported matching class violates the edge-matching condition"
-            )
-        value2 = power_product(pulled, gen)
+    generators = zip(matching_lattice(pair), moved.columns, matching_values(pair))
+    for j, (gen, image, value) in enumerate(generators):
+        value2 = power_product_of((table2[i], x) for i, x in image)
         if value != value2:
             return Verdict(
                 "distinct",
                 "periods disagree on a matching class",
                 {
                     "check": "period",
-                    "witness": tuple(gen),
-                    "witness_image": boundary.apply(gen),
+                    "witness": gen,
+                    "witness_image": moved.column(j),
                     "values": (str(value), str(value2)),
                 },
             )
-        transcript.append((tuple(gen), str(value)))
+        transcript.append((gen, str(value)))
     return Verdict(
         "isomorphic",
         "combinatorics, cubic form, program and periods all match",
@@ -535,11 +599,16 @@ def marking_transporter(
     first pair, ``("complex_only", witness)`` when a solution exists over
     the full torus but requires roots missing from Q(i), or
     ``("unsolvable", relation)`` with a violated multiplicative relation
-    (the expected outcome when the unmarked periods differ).
+    (the expected outcome when the unmarked periods differ).  An explicit
+    component map that is no isometry gives ``("component_isometry",
+    certificate)``, the certificate :func:`decide_isomorphism` gives.
     """
     if corr is None:
         corr = Correspondence.identity(pair)
     _check_correspondence_shape(pair, other, corr)
+    failure = _isometry_failure(pair, other, corr)
+    if failure is not None:
+        return "component_isometry", failure.certificate
     if marking is None:
         marking = pair.markers()
     if marking_other is None:

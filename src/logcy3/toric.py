@@ -555,7 +555,8 @@ class Fan2(Frozen):
     component and that neighbour.  ``wall_coefficients[i]`` is the c with
     u_{i-1} + u_{i+1} = c * u_i, solved once on construction, which raises
     ``FanError`` if some relation has no integer c.  The dual rows of the
-    seed rays 0 and 1 are held once read.
+    seed rays 0 and 1, the anticanonical class and the degree rows of the
+    basis classes are held once read.
     """
 
     _fields = ("vertex", "rays", "labels")
@@ -646,7 +647,30 @@ class Fan2(Frozen):
             if b >= 2
         )
 
-    def anticanonical(self):
+    @cached_property
+    def degree_rows(self) -> tuple:
+        """The nonzero ``(label, degree)`` pairs of each basis class, held.
+
+        Row ``b - 2`` lists the degrees of D_b on its own ray and the two
+        adjacent ones, the only rays it meets, where they are nonzero.
+        """
+        n = self.n_rays
+        rows = []
+        for b in self.basis_indices:
+            entries = []
+            for ray in sorted({(b - 1) % n, b, (b + 1) % n}):
+                d = self.pairing(b, ray)
+                if d:
+                    entries.append((self.labels[ray], d))
+            rows.append(tuple(entries))
+        return tuple(rows)
+
+    def anticanonical(self) -> tuple:
+        """The class of the boundary cycle, the sum of the ray divisors, held."""
+        return self._anticanonical
+
+    @cached_property
+    def _anticanonical(self) -> tuple:
         return self.reduce_ray_vector([1] * self.n_rays)
 
 

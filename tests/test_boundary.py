@@ -1,17 +1,21 @@
 """Tests for boundary components, cycle restriction, and section ratios."""
 
+import random
+
 import pytest
 
 from logcy3.boundary import (
     BoundaryError,
     Marking,
-    adjunction_check,
+    component_character_table,
     component_marked_period,
     restrict_to_cycle,
     section_ratio,
 )
 from logcy3.exactnum import GaussianRational, I, MINUS_ONE, ONE
 from logcy3.fixtures import pair_fixtures
+from logcy3.pair import CurveBlowup, validate_pair
+from test_pair import solved_curve_step
 
 
 @pytest.fixture(scope="module")
@@ -72,7 +76,7 @@ class TestRestriction:
             for w in comp.neighbors:
                 for q, _ in divisor[w]:
                     assert q == MINUS_ONE
-                assert degree(divisor, w) == comp.degree_on_edge(vec, w)
+                assert degree(divisor, w) == comp.edge_degrees(vec)[w]
 
     def test_exceptional_class_restricts_to_its_point(self, pairs):
         pair = pairs["p3-point"]
@@ -91,7 +95,7 @@ class TestRestriction:
         anti = comp.anticanonical()
         divisor = restrict_to_cycle(comp, anti)
         for w in comp.neighbors:
-            assert degree(divisor, w) == comp.degree_on_edge(anti, w)
+            assert degree(divisor, w) == comp.edge_degrees(anti)[w]
 
 
 class TestComponentPeriod:
@@ -160,21 +164,57 @@ class TestMarkingHash:
         assert {a: 1}[b] == 1
 
 
+
 class TestAdjunction:
+    """A build's curve gate: C^2 + K.C = -2 on a class of the component."""
+
+    def outcome(self, pair, step):
+        return validate_pair(pair.fan, [step], pair._orientations())
+
     def test_conic_class_accepted(self, pairs):
         # Degree-2 rational curve class on a projective plane component.
-        comp = pairs["p3"].components[3]
-        assert adjunction_check(comp, (2,)) is None
+        pair = pairs["p3"]
+        assert self.outcome(pair, solved_curve_step(pair, 3, (2,), 101)) is None
 
     def test_line_class_accepted(self, pairs):
-        comp = pairs["p3"].components[0]
-        assert adjunction_check(comp, (1,)) is None
+        pair = pairs["p3"]
+        assert self.outcome(pair, solved_curve_step(pair, 0, (1,), 101)) is None
 
     def test_cubic_rejected(self, pairs):
-        comp = pairs["p3"].components[0]
-        diagnostic = adjunction_check(comp, (3,))
+        diagnostic = self.outcome(pairs["p3"], CurveBlowup(0, (3,), ()))
         assert diagnostic is not None and "adjunction failed" in diagnostic
 
     def test_zero_class_rejected(self, pairs):
-        comp = pairs["p3"].components[0]
-        assert adjunction_check(comp, (0,)) is not None
+        assert self.outcome(pairs["p3"], CurveBlowup(0, (0,), ())) is not None
+
+class TestCharacterTableAgainstSectionRatios:
+    def test_random_markings_on_the_bundled_pairs(self, pairs):
+        # Each table entry against the section-ratio period of its unit
+        # vector, at markings off the markers; exceptional classes sit on
+        # both the head and the tail side of their edges.
+        rng = random.Random(21)
+        sides = set()
+        for pair in pairs.values():
+            for _ in range(3):
+                marking = Marking.build(
+                    {
+                        key: GaussianRational(rng.randint(1, 9), rng.randint(-4, 4))
+                        for key in pair.edge_keys()
+                    }
+                )
+                for comp in pair.boundary_components():
+                    expected = tuple(
+                        component_marked_period(comp, marking, unit)
+                        for unit in comp.basis_vectors()
+                    )
+                    assert component_character_table(comp, marking) == expected
+                    sides.update(comp.is_head(exc.neighbor) for exc in comp.excs)
+        assert sides == {True, False}
+
+    def test_a_zero_marking_point_is_rejected(self, pairs):
+        pair = pairs["p3-point"]
+        points = tuple((frozenset(key), GaussianRational(2)) for key in pair.edge_keys())
+        zero = Marking(((points[0][0], GaussianRational(0)),) + points[1:])
+        comp = next(c for c in pair.boundary_components() if c.vertex in points[0][0])
+        with pytest.raises(BoundaryError, match="marking point on a 0-stratum"):
+            component_character_table(comp, zero)

@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -343,6 +344,43 @@ class TestCompare:
         assert main(["compare", path, path, str(corr_path)]) == 0
 
     @pytest.mark.parametrize(
+        "name, rows, values",
+        [
+            # Toric class 0 of component 0 to itself plus N (e_a - e_b), the
+            # two exceptional classes the conic makes on edge 0-3: it keeps
+            # the edge matching, but its square moves by -2 N**2.
+            (
+                "p3-mixed",
+                [[1, 0, 0, 0], [10**6, 1, 0, 0], [-(10**6), 0, 1, 0], [0, 0, 0, 1]],
+                [1, 1 - 2 * 10**12],
+            ),
+            # Toric class 0 to itself plus N e, which breaks the edge matching.
+            ("p3-point", [[1, 0], [10**8, 1]], [1, 1 - 10**16]),
+        ],
+    )
+    def test_explicit_map_that_is_no_isometry(self, name, rows, values, tmp_path, capsys):
+        path = bundled_path(name)
+        with open(path, "rb") as handle:
+            pair, _ = documents.pair_from_document(documents.loads(handle.read()))
+        doc = documents.correspondence_to_document(Correspondence.identity(pair))
+        doc["mu_components"] = {"0": rows}
+        corr_path = tmp_path / "skew.corr.json"
+        corr_path.write_text(documents.dumps(doc), encoding="utf-8")
+        start = time.perf_counter()
+        assert main(["--json", "compare", path, path, str(corr_path)]) == 1
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        results = json.loads(captured.out)["results"]
+        assert results["verdict"] == "distinct"
+        assert results["certificate"] == {
+            "check": "component_isometry",
+            "component": 0,
+            "classes": [0, 0],
+            "values": values,
+        }
+
+    @pytest.mark.parametrize(
         "field, value",
         [("vertex_map", [[0, 0], [1, 1], [2, 2], [3, 3]]), ("step_map", ["0"])],
         ids=["vertex-map-list", "step-map-not-int"],
@@ -410,7 +448,15 @@ class TestFreshInterpreter:
         assert done.returncode == 0
         assert json.loads(done.stdout)["results"]["status"] == "ok"
         assert "logcy3.documents" in modules
-        unused = {"logcy3.periods", "logcy3.torelli", "logcy3.oracle", "dataclasses", "inspect"}
+        unused = {
+            "logcy3.periods",
+            "logcy3.torelli",
+            "logcy3.oracle",
+            "dataclasses",
+            "inspect",
+            "fractions",
+            "decimal",
+        }
         assert modules & unused == set()
         # The subcommands that need the comparison code still import it.
         done, modules = run_fresh("--json", "compare", path, path)

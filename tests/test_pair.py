@@ -17,7 +17,6 @@ from logcy3.boundary import (
     ExceptionalClass,
     LooijengaComponent,
     Marking,
-    adjunction_check,
     component_character_table,
     component_marked_period,
 )
@@ -26,6 +25,7 @@ from logcy3.exactnum import (
     I,
     IntMatrix,
     MINUS_ONE,
+    dot,
     kernel_basis,
     power_product,
     product,
@@ -250,7 +250,7 @@ def solved_curve_step(pair, v, curve, start):
     points = {
         w: [GaussianRational(start + 7 * w + t) for t in range(d)]
         for w in comp.neighbors
-        if (d := comp.degree_on_edge(curve, w))
+        if (d := reference_edge_degree(comp, curve, w))
     }
 
     def value(side, other, q):
@@ -307,7 +307,7 @@ def through_point_program(fan, edge_orientations, before):
                 continue
             divisor = comp.base.ray_class(ray) + (0,) * len(comp.excs)
             for j, exc in enumerate(comp.excs):
-                if comp.degree_on_edge(divisor, exc.neighbor) > 0:
+                if reference_edge_degree(comp, divisor, exc.neighbor) > 0:
                     curve = list(divisor)
                     curve[comp.base.rank + j] = -1
                     step = solved_curve_step(pair, comp.vertex, tuple(curve), 301)
@@ -361,6 +361,33 @@ def reference_intersection(comp, a, b):
     return toric - sum(x * y for x, y in zip(ae, be))
 
 
+def reference_edge_degree(comp, vec, w):
+    """A class's degree on the edge toward w: its ray's degree plus the
+    coefficients of the exceptional classes on that edge."""
+    vt, ve = comp.split(vec)
+    ray = comp.base.labels.index(w)
+    return reference_degree_on_ray(comp.base, vt, ray) + sum(
+        c for c, exc in zip(ve, comp.excs) if exc.neighbor == w
+    )
+
+
+def reference_adjunction(comp, vec):
+    """The curve gate, ``C^2 + K.C = -2`` and no negative edge degree,
+    summed ray by ray; ``None`` if ok, else the build's diagnostic."""
+    self_int = reference_intersection(comp, vec, vec)
+    k_dot = -reference_intersection(comp, vec, comp.anticanonical())
+    if self_int + k_dot != -2:
+        return (
+            f"adjunction failed: C^2 + K.C = {self_int} + {k_dot} = "
+            f"{self_int + k_dot}, expected -2"
+        )
+    for w in comp.neighbors:
+        d = reference_edge_degree(comp, vec, w)
+        if d < 0:
+            return f"negative boundary degree {d} on edge toward {w}"
+    return None
+
+
 class TableCheckedPair(LogCY3Pair):
     """Pairs whose curve steps run the table-based check, the reference.
 
@@ -382,7 +409,7 @@ class TableCheckedPair(LogCY3Pair):
                 f"step {k}: curve class length {len(curve)} does not match "
                 f"component rank {comp.rank}"
             )
-        diag = adjunction_check(comp, curve)
+        diag = reference_adjunction(comp, curve)
         if diag is not None:
             raise PairError(f"step {k}: {diag}")
         declared = {w for w, _ in step.points}
@@ -390,7 +417,7 @@ class TableCheckedPair(LogCY3Pair):
             raise PairError(f"step {k}: points on a non-adjacent vertex")
         for w in comp.neighbors:
             coords = step.points_on(w)
-            need = comp.degree_on_edge(curve, w)
+            need = reference_edge_degree(comp, curve, w)
             if len(coords) != need:
                 raise PairError(
                     f"step {k}: {len(coords)} intersection points on edge "
@@ -847,7 +874,7 @@ class TestCurveStepAgainstTheTables:
         classes = st.lists(st.integers(-5, 5), min_size=comp.rank, max_size=comp.rank)
         a, b = data.draw(classes), data.draw(classes)
         assume(any(a[comp.base.rank:]) and any(b[comp.base.rank:]))
-        assert comp.intersection(a, b) == reference_intersection(comp, a, b)
+        assert dot(a, comp.intersection_vector(b)) == reference_intersection(comp, a, b)
         assert comp.intersection_vector(b) == tuple(
             reference_intersection(comp, unit, b) for unit in comp.basis_vectors()
         )
@@ -893,7 +920,7 @@ class TestCurveStepCost:
             monkeypatch.setattr(
                 Fan2, "pairing", counting(calls, "pairing", Fan2.pairing)
             )
-            comp.intersection(dense, dense)
+            comp.intersection_vector(dense)
             intersection = calls["pairing"]
             LogCY3Pair.build(fan, [step])
             monkeypatch.undo()
@@ -1029,14 +1056,14 @@ class TestHeldMarkers:
             )
 
     def test_a_build_holds_nothing_and_reads_no_marking(self, monkeypatch):
-        calls = {"component_character_table": 0, "marker_ratios": 0}
-        for name in calls:
-            original = getattr(boundary, name)
-            counted = counting(calls, name, original)
-            for module_name, module in list(sys.modules.items()):
-                if module_name.split(".")[0] == "logcy3":
-                    if vars(module).get(name) is original:
-                        monkeypatch.setattr(module, name, counted)
+        calls = {"component_character_table": 0, "point": 0}
+        original = boundary.component_character_table
+        counted = counting(calls, "component_character_table", original)
+        for module_name, module in list(sys.modules.items()):
+            if module_name.split(".")[0] == "logcy3":
+                if vars(module).get("component_character_table") is original:
+                    monkeypatch.setattr(module, "component_character_table", counted)
+        monkeypatch.setattr(Marking, "point", counting(calls, "point", Marking.point))
         fan = conic_ladder_fan(12)
         builds = [
             (pair.fan, pair.program, pair._orientations())
@@ -1045,7 +1072,131 @@ class TestHeldMarkers:
         for fan, program, edges in builds:
             pair = LogCY3Pair.build(fan, program, edges)
             assert pair._held == {}
-        assert calls == {"component_character_table": 0, "marker_ratios": 0}
+        assert calls == {"component_character_table": 0, "point": 0}
+
+
+def curve_points(*entries):
+    """A curve step's points from ``(neighbour, (coordinates...))`` entries."""
+    return tuple((w, tuple(GaussianRational(q) for q in qs)) for w, qs in entries)
+
+
+class TestCurveStepDiagnostics:
+    """Every curve-step ``PairError`` text, pinned on projective space.
+
+    Component 3 is a plane with neighbours 1, 0, 2 and component 0 one
+    with neighbours 1, 2, 3; the line class H has H.H = 1 and K = -3H.
+    """
+
+    @pytest.mark.parametrize(
+        "program, text",
+        [
+            ([CurveBlowup(9, (2,), ())], "step 0: no component 9"),
+            (
+                [CurveBlowup(3, (2, 0), ())],
+                "step 0: curve class length 2 does not match component rank 1",
+            ),
+            (
+                [CurveBlowup(3, (3,), ())],
+                "step 0: adjunction failed: C^2 + K.C = 9 + -9 = 0, expected -2",
+            ),
+            (
+                [CurveBlowup(3, (0,), ())],
+                "step 0: adjunction failed: C^2 + K.C = 0 + 0 = 0, expected -2",
+            ),
+            (
+                # H - e1 - e2 is the edge toward 0 through both points:
+                # adjunction holds, and it meets its own edge in -1.
+                [
+                    PointBlowup((0, 3), GaussianRational(2)),
+                    PointBlowup((0, 3), GaussianRational(3)),
+                    CurveBlowup(3, (1, -1, -1), ()),
+                ],
+                "step 2: negative boundary degree -1 on edge toward 0",
+            ),
+            (
+                [CurveBlowup(3, (2,), curve_points((1, (2, 3)), (3, (4,))))],
+                "step 0: points on a non-adjacent vertex",
+            ),
+            (
+                [CurveBlowup(3, (2,), curve_points((1, (2, 3)), (0, (5,)), (2, (11, 13))))],
+                "step 0: 1 intersection points on edge toward 0, class degree is 2",
+            ),
+            (
+                [CurveBlowup(3, (2,), curve_points((1, (2, 3)), (0, (5, 7)), (2, (11, 13))))],
+                "step 0: curve boundary data inconsistent with class restriction "
+                "(period obstruction 1/30030)",
+            ),
+            (
+                [CurveBlowup(0, (1,), curve_points((1, (2,)), (2, (3,)), (3, (5,))))],
+                "step 0: curve boundary data inconsistent with class restriction "
+                "(period obstruction -30)",
+            ),
+        ],
+        ids=[
+            "no-component", "class-length", "cubic", "zero-class", "negative-degree",
+            "non-adjacent", "point-count", "conic-period", "line-period",
+        ],
+    )
+    def test_diagnostic_text(self, program, text):
+        fan = projective_space_fan()
+        assert validate_pair(fan, program) == text
+        assert build_outcome(TableCheckedPair, fan, program, None) == text
+
+
+class TestCurveStepReadsOnce:
+    def test_one_intersection_vector_per_curve_step(self, monkeypatch):
+        # A build takes each curve's intersection vector once, and reads
+        # no degree on a ray outside it: the edge degrees come from the
+        # degree table.  Marker values are taken only for the exceptional
+        # classes the curve meets and for those the step adds.
+        fan = conic_ladder_fan(12)
+        builds = [
+            (pair.fan, pair.program, pair._orientations())
+            for pair in pair_fixtures().values()
+        ] + [(fan, conic_ladder(fan, 8), None)]
+        # Curves in components that already hold exceptional classes.
+        for fan in ALIAS_FANS[:4]:
+            builds.append((fan, curve_program(fan, None, 6, 2), None))
+            through = through_point_program(fan, None, 5)
+            if through is not None:
+                builds.append((fan, through, None))
+        calls = {"intersection_vector": 0, "stray degree_on_ray": 0, "marker_value": 0}
+        inside = []
+        intersection_vector = LooijengaComponent.intersection_vector
+        degree_on_ray = Fan2.degree_on_ray
+
+        def counted_vector(comp, b):
+            calls["intersection_vector"] += 1
+            inside.append(b)
+            try:
+                return intersection_vector(comp, b)
+            finally:
+                inside.pop()
+
+        def counted_degree(base, vec, i):
+            if not inside:
+                calls["stray degree_on_ray"] += 1
+            return degree_on_ray(base, vec, i)
+
+        monkeypatch.setattr(LooijengaComponent, "intersection_vector", counted_vector)
+        monkeypatch.setattr(Fan2, "degree_on_ray", counted_degree)
+        monkeypatch.setattr(
+            pair_module,
+            "marker_value",
+            counting(calls, "marker_value", boundary.marker_value),
+        )
+        expected = {"intersection_vector": 0, "stray degree_on_ray": 0, "marker_value": 0}
+        for fan, program, edges in builds:
+            pair = LogCY3Pair.build(fan, program, edges)
+            for step in program:
+                if isinstance(step, CurveBlowup):
+                    rank = pair.components[step.component].base.rank
+                    expected["intersection_vector"] += 1
+                    expected["marker_value"] += sum(
+                        1 for x in step.curve_class[rank:] if x
+                    ) + sum(len(coords) for _, coords in step.points)
+        assert expected["intersection_vector"] >= 10
+        assert calls == expected
 
 
 class TestProgramValidation:

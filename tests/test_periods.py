@@ -29,6 +29,7 @@ from logcy3.periods import (
     edge_scaling_character,
     evaluate_boundary_character,
     marked_period,
+    matching_kernel,
     matching_lattice,
     matching_values,
     quotient_character,
@@ -37,6 +38,7 @@ from logcy3.periods import (
     wedge_map,
 )
 from logcy3.torelli import classify_contraction
+from test_pair import reference_edge_degree
 
 
 @pytest.fixture(scope="module")
@@ -240,11 +242,11 @@ def dense_degree(pair, u, i, w):
     """Degree of basis class i of component u on the edge toward w."""
     comp = pair.components[u]
     unit = tuple(1 if j == i else 0 for j in range(comp.rank))
-    return comp.degree_on_edge(unit, w)
+    return reference_edge_degree(comp, unit, w)
 
 
 class TestSparseDegreeTable:
-    """The degree table against dense unit vectors through ``degree_on_edge``."""
+    """The degree table against dense unit vectors, degrees summed ray by ray."""
 
     @pytest.fixture(scope="class")
     def cases(self, pairs):
@@ -495,3 +497,25 @@ class TestHeldMatchingValues:
         reads.clear()
         quotient_character(pair)
         assert reads == [pair.markers()]
+
+
+def in_index_order(matrix):
+    """Whether every sparse column lists its rows in increasing order."""
+    return all(
+        all(a[0] < b[0] for a, b in zip(column, column[1:])) for column in matrix.columns
+    )
+
+
+class TestSortedColumns:
+    def test_transforms_kernel_and_products_keep_index_order(self, pairs):
+        for pair in [*pairs.values(), scaling_pair(2, 8)]:
+            ell = edge_matching_map(pair)
+            restriction = pair.restriction_matrix()
+            assert in_index_order(ell) and in_index_order(restriction)
+            for matrix in (ell, restriction):
+                dec = snf(matrix)
+                for transform in (dec.U, dec.V, dec.U_inv, dec.V_inv):
+                    assert in_index_order(transform)
+            kernel = matching_kernel(pair)
+            assert in_index_order(kernel)
+            assert in_index_order(ell.transpose() * ell * kernel)

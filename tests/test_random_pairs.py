@@ -12,7 +12,10 @@ checked here holds in any basis of the matching lattice:
 * the curve and point subdivision checks agree on a drawn wall and cone;
 * a pair is isomorphic to itself and to a torus translate, whose markings
   the transporter aligns: for each boundary basis class e,
-  ``value(pair, e) * scaling(e) == value(translate, e)``.
+  ``value(pair, e) * scaling(e) == value(translate, e)``;
+* at a random marking off the markers, each component's character table
+  equals the section-ratio period of its unit vectors, at the head and the
+  tail of every edge.
 
 Run ``pytest --hypothesis-profile=default`` for fresh draws.
 """
@@ -20,7 +23,8 @@ Run ``pytest --hypothesis-profile=default`` for fresh draws.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logcy3.exactnum import GaussianRational
+from logcy3.boundary import Marking, component_character_table, component_marked_period
+from logcy3.exactnum import MINUS_ONE, GaussianRational
 from logcy3.fixtures import projective_space_fan, triple_line_fan
 from logcy3.oracle import cocycle_period, curve_subdivision_check, point_subdivision_check
 from logcy3.pair import LogCY3Pair, PairError, PointBlowup
@@ -88,3 +92,23 @@ def test_random_pairs(case):
         marked_period(pair).values, scaling, marked_period(moved).values, strict=True
     ):
         assert value * scale == value2
+
+
+@settings(max_examples=30, deadline=None)
+@given(random_cases(), st.data())
+def test_random_character_tables(case, data):
+    fan, program, _, _, _ = case
+    try:
+        pair = LogCY3Pair.build(fan, program)
+    except (PairError, FanError):
+        return
+    off_markers = coordinates.filter(lambda q: q != MINUS_ONE)
+    marking = Marking.build({key: data.draw(off_markers) for key in pair.edge_keys()})
+    sides = set()
+    for comp in pair.boundary_components():
+        expected = tuple(
+            component_marked_period(comp, marking, unit) for unit in comp.basis_vectors()
+        )
+        assert component_character_table(comp, marking) == expected
+        sides.update(comp.head_sides)
+    assert sides == {True, False}

@@ -2,8 +2,11 @@
 
 import random
 from fractions import Fraction
+from time import perf_counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logcy3 import boundary, exactnum, pair as pair_module, periods, toric, torelli
 from logcy3.boundary import Marking
@@ -41,6 +44,7 @@ from logcy3.torelli import (
     recognize_contraction_type,
     reconstruct_fan,
 )
+from test_pair import reference_intersection
 
 
 def identity_matrix(n):
@@ -401,19 +405,57 @@ def dense_transports(pair, other, corr):
     }
 
 
+def reference_isometry_failure(pair, other, corr):
+    """The certificate of the first explicit component map that is no isometry.
+
+    The map must be square of both components' rank, preserve the
+    intersection form, summed ray by ray on dense images, and carry the
+    anticanonical class to the image component's; ``None`` if every
+    explicit map passes.
+    """
+    for v in sorted(pair.components):
+        matrix = corr.component_override(v)
+        if matrix is None:
+            continue
+        comp, comp2 = pair.components[v], other.components[corr.vertex(v)]
+        r = comp.rank
+        certificate = {"check": "component_isometry", "component": v}
+        if matrix.shape != (r, r) or comp2.rank != r:
+            return {**certificate, "shape": matrix.shape, "ranks": (r, comp2.rank)}
+        units = list(comp.basis_vectors())
+        images = [matrix.apply(unit) for unit in units]
+        for i in range(r):
+            for j in range(i, r):
+                values = (
+                    reference_intersection(comp, units[i], units[j]),
+                    reference_intersection(comp2, images[i], images[j]),
+                )
+                if values[0] != values[1]:
+                    return {**certificate, "classes": (i, j), "values": values}
+        image = matrix.apply(comp.anticanonical())
+        if image != comp2.anticanonical():
+            return {**certificate, "anticanonical": (image, comp2.anticanonical())}
+    return None
+
+
 def dense_period_step(pair, other, corr):
-    """Step (v) with one dense transport per matching class (the reference)."""
+    """Step (v) with one dense transport per matching class (the reference).
+
+    Every image is checked against the edge-matching condition before any
+    period is compared.
+    """
     transports = dense_transports(pair, other, corr)
     markers = Marking.markers(pair.edge_keys())
     markers2 = Marking.markers(other.edge_keys())
     ell2 = periods.edge_matching_map(other)
+    generators = matching_lattice(pair)
+    images = [dense_image(pair, other, corr, transports, gen) for gen in generators]
+    if any(any(ell2.apply(image)) for image in images):
+        raise CorrespondenceError(
+            "transported matching class violates the edge-matching condition"
+        )
     transcript = []
-    for gen in matching_lattice(pair):
-        image = dense_image(pair, other, corr, transports, gen)
-        if any(ell2.apply(image)):
-            raise CorrespondenceError(
-                "transported matching class violates the edge-matching condition"
-            )
+    for gen, image in zip(generators, images):
         value = evaluate_boundary_character(pair, markers, gen)
         value2 = evaluate_boundary_character(other, markers2, image)
         if value != value2:
@@ -440,7 +482,10 @@ def dense_targets(pair, other, corr, marking, marking_other):
 
 
 def dense_transporter(pair, other, corr, marking, marking_other):
-    """Marking transport on the dense targets."""
+    """Marking transport on the dense targets, after the isometry check."""
+    failure = reference_isometry_failure(pair, other, corr)
+    if failure is not None:
+        return "component_isometry", failure
     targets = dense_targets(pair, other, corr, marking, marking_other)
     return periods.edge_matching_snf(pair).solve_over_gaussian_torus(targets)
 
@@ -502,6 +547,19 @@ def seeded_marking(pair, rng):
     )
 
 
+def exceptional_permutation(comp, rng):
+    """The identity on the toric classes, a shuffle of the exceptional ones.
+
+    Every exceptional class squares to -1, meets no other basis class and
+    has the coefficient -1 in the anticanonical class, so the map is an
+    isometry; moving a class to another edge breaks the edge matching.
+    """
+    order = list(range(comp.base.rank, comp.rank))
+    rng.shuffle(order)
+    columns = [[(i, 1)] for i in range(comp.base.rank)] + [[(i, 1)] for i in order]
+    return IntMatrix.from_columns(comp.rank, columns)
+
+
 def with_override(pair, v, matrix):
     identity = Correspondence.identity(pair)
     return Correspondence(identity.vertex_map, identity.step_map, None, ((v, matrix),))
@@ -522,6 +580,11 @@ class TestSparseBoundaryTransport:
 
     def assert_decide_matches(self, pair, other, corr):
         verdict = outcome(decide_isomorphism, pair, other, corr)
+        failure = reference_isometry_failure(pair, other, corr)
+        if failure is not None:
+            assert isinstance(verdict, torelli.Verdict)
+            assert (verdict.kind, verdict.certificate) == ("distinct", failure)
+            return "component_isometry"
         expected = outcome(dense_period_step, pair, other, corr)
         if not isinstance(verdict, torelli.Verdict):
             assert verdict == expected
@@ -554,21 +617,28 @@ class TestSparseBoundaryTransport:
         assert {"period", "complete"} <= set(checks)
 
     def test_component_overrides(self, pairs):
-        # Unimodular overrides of the right shape break the edge-matching
-        # condition or the periods; both paths must fail alike.  Transport
-        # checks no edge matching, so it solves with any of them.
+        # A random unimodular override of the right shape is rarely an
+        # isometry, and decide and transport reject it before any period.
+        # A shuffle of the exceptional classes is one: across edges it
+        # breaks the edge-matching condition, and within an edge or as the
+        # identity it reaches the periods.  Both paths must agree on each;
+        # transport checks no edge matching, so it solves with any isometry.
         rng = random.Random(7)
         checks = []
         for pair in [*pairs.values(), scaling_pair(1, 4)]:
             markers = Marking.markers(pair.edge_keys())
             for v in sorted(pair.components):
-                matrix = random_unimodular(pair.components[v].rank, rng, 3)
-                corr = with_override(pair, v, matrix)
-                checks.append(self.assert_decide_matches(pair, pair, corr))
-                assert marking_transporter(
-                    pair, pair, corr, markers, markers
-                ) == dense_transporter(pair, pair, corr, markers, markers)
-        assert "error" in checks and "complete" in checks
+                comp = pair.components[v]
+                for matrix in (
+                    random_unimodular(comp.rank, rng, 3),
+                    exceptional_permutation(comp, rng),
+                ):
+                    corr = with_override(pair, v, matrix)
+                    checks.append(self.assert_decide_matches(pair, pair, corr))
+                    assert marking_transporter(
+                        pair, pair, corr, markers, markers
+                    ) == dense_transporter(pair, pair, corr, markers, markers)
+        assert {"component_isometry", "error", "period", "complete"} <= set(checks)
 
     def test_transport_matches_the_dense_targets(self, cases):
         rng = random.Random(3)
@@ -587,40 +657,90 @@ class TestSparseBoundaryTransport:
                 statuses.add(result[0])
         assert {"solved", "unsolvable"} <= statuses
 
+    def test_negation_keeps_the_form_but_not_the_anticanonical_class(self, pairs):
+        pair = pairs["p3-mixed"]
+        comp = pair.components[0]
+        corr = with_override(pair, 0, IntMatrix.from_columns(
+            comp.rank, [[(i, -1)] for i in range(comp.rank)]
+        ))
+        anticanonical = comp.anticanonical()
+        certificate = {
+            "check": "component_isometry",
+            "component": 0,
+            "anticanonical": (tuple(-x for x in anticanonical), anticanonical),
+        }
+        assert reference_isometry_failure(pair, pair, corr) == certificate
+        verdict = decide_isomorphism(pair, pair, corr)
+        assert (verdict.kind, verdict.certificate) == ("distinct", certificate)
+        assert marking_transporter(pair, pair, corr) == ("component_isometry", certificate)
+
     @pytest.mark.parametrize("shape", ["wide", "tall", "short"])
     def test_wrong_shape_overrides(self, pairs, shape):
+        # A map of the wrong shape is no isometry: decide and transport name
+        # its shape before anything is applied, a short one with no rows
+        # keeping its width.
         for name, pair in [*pairs.items(), ("scaling", scaling_pair(1, 4))]:
-            curve_components = {
-                step.component
-                for step in pair.program
-                if isinstance(step, pair_module.CurveBlowup)
-            }
             for v in sorted(pair.components):
                 r = pair.components[v].rank
                 rows, cols = {
                     "wide": (r, r + 1), "tall": (r + 1, r), "short": (r - 1, r)
                 }[shape]
                 corr = with_override(pair, v, zero_matrix(rows, cols))
+                certificate = {
+                    "check": "component_isometry",
+                    "component": v,
+                    "shape": (rows, cols),
+                    "ranks": (r, r),
+                }
                 markers = (
                     Marking.markers(pair.edge_keys()),
                     Marking.markers(pair.edge_keys()),
                 )
                 sparse = outcome(marking_transporter, pair, pair, corr, *markers)
                 assert sparse == outcome(dense_transporter, pair, pair, corr, *markers)
-                if shape == "wide":
-                    assert sparse == (ExactArithmeticError, "vector length mismatch")
-                else:
-                    # A short override with no rows keeps its width, so it
-                    # reaches the row-count check as well.
-                    assert sparse == (PairError, "boundary vector length mismatch")
-                self.assert_decide_matches(pair, pair, corr)
-                if v not in curve_components:
-                    # A curve step in v compares the transported curve class
-                    # first, so only there can the verdict come before step (v).
-                    assert outcome(decide_isomorphism, pair, pair, corr) == (
-                        ExactArithmeticError,
-                        "vector length mismatch",
-                    )
+                assert sparse == ("component_isometry", certificate)
+                verdict = decide_isomorphism(pair, pair, corr)
+                assert (verdict.kind, verdict.certificate) == ("distinct", certificate)
+                assert self.assert_decide_matches(pair, pair, corr) == "component_isometry"
+
+
+BUNDLED = pair_fixtures()
+
+
+@st.composite
+def large_overrides(draw):
+    """A bundled pair and one component map with entries up to 10**12.
+
+    Either a dense draw or the identity with one entry moved by up to
+    10**12, as the ROADMAP's two slow inputs were.
+    """
+    pair = BUNDLED[draw(st.sampled_from(sorted(BUNDLED)))]
+    v = draw(st.sampled_from(sorted(pair.components)))
+    r = pair.components[v].rank
+    entries = st.integers(-(10**12), 10**12)
+    if draw(st.booleans()):
+        rows = draw(st.lists(st.lists(entries, min_size=r, max_size=r), min_size=r, max_size=r))
+    else:
+        rows = [[int(i == j) for j in range(r)] for i in range(r)]
+        i, j = draw(st.integers(0, r - 1)), draw(st.integers(0, r - 1))
+        rows[i][j] += draw(entries)
+    return pair, with_override(pair, v, IntMatrix(rows))
+
+
+@settings(max_examples=60, deadline=None)
+@given(large_overrides())
+def test_large_overrides_answer_quickly(case):
+    # The isometry check answers with integers before any exponent is
+    # taken, so no entry size makes decide or transport slow.
+    pair, corr = case
+    failure = reference_isometry_failure(pair, pair, corr)
+    start = perf_counter()
+    verdict = outcome(decide_isomorphism, pair, pair, corr)
+    transport = outcome(marking_transporter, pair, pair, corr)
+    assert perf_counter() - start < 1.0
+    if failure is not None:
+        assert (verdict.kind, verdict.certificate) == ("distinct", failure)
+        assert transport == ("component_isometry", failure)
 
 
 class TestTransportOnTheColumns:
@@ -700,9 +820,24 @@ class TestHeldMatchingValuesInDecide:
         assert {check["check"] for _, _, check in fresh} >= {"complete", "period"}
         assert fresh == self.verdicts(report_first=True)
 
-    def test_self_decide_makes_one_power_product_per_generator(self, power_products):
+    def test_self_decide_makes_one_power_product_per_generator(self, monkeypatch):
+        # Under the identity the boundary map is the identity, so each
+        # generator is valued on the table over its own nonzero entries.
+        calls = []
+        original = torelli.power_product_of
+
+        def recorded(factors):
+            factors = tuple(factors)
+            calls.append(factors)
+            return original(factors)
+
+        monkeypatch.setattr(torelli, "power_product_of", recorded)
         for pair in [scaling_pair(2, 8), *pair_fixtures().values()]:
             unmarked_period(pair)
-            power_products.clear()
+            table = pair.character_table(pair.markers())
+            calls.clear()
             assert decide_isomorphism(pair, pair).kind == "isomorphic"
-            assert power_products == [tuple(gen) for gen in matching_lattice(pair)]
+            assert calls == [
+                tuple((table[i], x) for i, x in column)
+                for column in periods.matching_kernel(pair).columns
+            ]

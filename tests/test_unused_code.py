@@ -27,7 +27,6 @@ PUBLIC_API = (
     "reconstruct_fan",
     "torus_translate",
     # Accessors of the number, fan, pair and period types.
-    "basis_vectors",
     "canonical_class",
     "canonical_form",
     "conjugate",
