@@ -54,16 +54,37 @@ class ExactArithmeticError(ValueError):
 class Frozen:
     """An immutable value: its attributes are set once, when it is made.
 
-    Setting or deleting an attribute raises ``AttributeError``.  The
-    constructor gets past that with ``object.__setattr__`` (or, on a class
-    with slots, each slot's own setter), and values derived on first use
-    (``cached_property``) go straight into the instance ``__dict__``.  A
-    subclass names in ``_fields`` the attributes that ``==``, ``hash`` and
-    ``repr`` read, in order: two values are equal when they have the same
-    class and equal fields, and hash as the tuple of their fields.
+    Setting or deleting an attribute raises ``AttributeError``.  A subclass
+    names in ``_fields`` the attributes that the constructor stores and
+    ``==``, ``hash`` and ``repr`` read, in order: two values are equal when
+    they have the same class and equal fields, and hash as the tuple of
+    their fields.  A subclass that checks, converts or defaults its input
+    has its own constructor, which hands the fields on to this one; values
+    derived on construction are stored with ``object.__setattr__``, and
+    those derived on first use (``cached_property``) go straight into the
+    instance ``__dict__``.
     """
 
     __slots__ = ()
+
+    def __init__(self, *values, **named):
+        """Store the fields ``_fields`` names, by position, then by keyword.
+
+        A missing, extra, unknown or repeated field raises ``TypeError``.  It
+        needs an instance ``__dict__``: a subclass with slots stores its own.
+        """
+        fields = self._fields
+        if named or len(values) != len(fields):
+            rest = fields[len(values):]
+            if len(values) > len(fields) or named.keys() != set(rest):
+                raise TypeError(
+                    f"{type(self).__name__} takes the fields {fields}; got "
+                    f"{len(values)} by position and {tuple(named)} by keyword"
+                )
+            values += tuple(named[name] for name in rest)
+        # One by one: filling ``vars(self)`` makes every later read ~3x slower.
+        for name, value in zip(fields, values):
+            object.__setattr__(self, name, value)
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -539,14 +560,6 @@ class SnfDecomposition(Frozen):
     """
 
     _fields = ("U", "V", "U_inv", "V_inv", "factors")
-
-    def __init__(self, U: IntMatrix, V: IntMatrix, U_inv: IntMatrix, V_inv: IntMatrix,
-                 factors: tuple):
-        object.__setattr__(self, "U", U)
-        object.__setattr__(self, "V", V)
-        object.__setattr__(self, "U_inv", U_inv)
-        object.__setattr__(self, "V_inv", V_inv)
-        object.__setattr__(self, "factors", factors)
 
     @property
     def rank(self) -> int:

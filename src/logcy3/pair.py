@@ -60,8 +60,7 @@ class PicVector(Frozen):
     _fields = ("coords", "basis")
 
     def __init__(self, coords, basis):
-        object.__setattr__(self, "coords", tuple(int(x) for x in coords))
-        object.__setattr__(self, "basis", str(basis))
+        super().__init__(tuple(int(x) for x in coords), str(basis))
 
 
 class PointBlowup(Frozen):
@@ -73,25 +72,17 @@ class PointBlowup(Frozen):
 
     _fields = ("edge", "coordinate")
 
-    def __init__(self, edge: tuple, coordinate: GaussianRational):
-        object.__setattr__(self, "edge", edge)
-        object.__setattr__(self, "coordinate", coordinate)
-
 
 class CurveBlowup(Frozen):
     """Blowup of a smooth rational curve inside a boundary component.
 
     ``curve_class`` is given in the basis the component has at the time of
     this step; ``points`` lists, per adjacent vertex, the reference
-    coordinates where the curve meets the shared 1-stratum.
+    coordinates where the curve meets the shared 1-stratum, as a tuple of
+    (neighbor, (coordinates...)).
     """
 
     _fields = ("component", "curve_class", "points")
-
-    def __init__(self, component: int, curve_class: tuple, points: tuple):
-        object.__setattr__(self, "component", component)
-        object.__setattr__(self, "curve_class", curve_class)
-        object.__setattr__(self, "points", points)  # of (neighbor, (coordinates...))
 
     def points_on(self, w: int):
         for neighbor, coords in self.points:

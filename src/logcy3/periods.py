@@ -37,10 +37,6 @@ class PeriodCharacter(Frozen):
 
     _fields = ("basis", "values")
 
-    def __init__(self, basis: tuple, values: tuple):
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "values", values)
-
     def is_trivial(self) -> bool:
         return all(v.is_one() for v in self.values)
 

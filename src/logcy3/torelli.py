@@ -12,6 +12,7 @@ re-checked independently.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 
 from logcy3.boundary import Marking
 from logcy3.exactnum import (
@@ -214,24 +215,17 @@ def complexity(pair: LogCY3Pair, decomposition) -> Fraction:
 class Correspondence(Frozen):
     """A proposed matching of two pairs.
 
-    ``vertex_map`` is the bijection of dual-complex vertices,
-    ``step_map[k]`` the index of the step matched with step k.  The induced
-    lattice maps are derived from these; explicit overrides may be supplied.
+    ``vertex_map`` is the bijection of dual-complex vertices, as a tuple of
+    (vertex, image vertex), and ``step_map[k]`` the index of the step matched
+    with step k.  The induced lattice maps are derived from these; explicit
+    overrides may be supplied: ``mu`` on the threefold, and ``mu_components``
+    as a tuple of (vertex, IntMatrix).
     """
 
     _fields = ("vertex_map", "step_map", "mu", "mu_components")
 
-    def __init__(
-        self,
-        vertex_map: tuple,  # of (vertex, image vertex)
-        step_map: tuple,
-        mu: IntMatrix = None,
-        mu_components: tuple = (),  # of (vertex, IntMatrix)
-    ):
-        object.__setattr__(self, "vertex_map", vertex_map)
-        object.__setattr__(self, "step_map", step_map)
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "mu_components", mu_components)
+    def __init__(self, vertex_map, step_map, mu: IntMatrix = None, mu_components=()):
+        super().__init__(vertex_map, step_map, mu, mu_components)
 
     @staticmethod
     def identity(pair: LogCY3Pair) -> "Correspondence":
@@ -240,28 +234,29 @@ class Correspondence(Frozen):
             tuple(range(len(pair.program))),
         )
 
+    @cached_property
+    def _images(self) -> dict:
+        # Held once read; reversed, so the first image listed for a vertex wins.
+        return dict(reversed(self.vertex_map))
+
+    @cached_property
+    def _overrides(self) -> dict:
+        return dict(reversed(self.mu_components))
+
     def vertex(self, v: int) -> int:
-        for a, b in self.vertex_map:
-            if a == v:
-                return b
-        raise CorrespondenceError(f"vertex {v} not in correspondence")
+        try:
+            return self._images[v]
+        except KeyError:
+            raise CorrespondenceError(f"vertex {v} not in correspondence") from None
 
     def component_override(self, v: int):
-        for a, m in self.mu_components:
-            if a == v:
-                return m
-        return None
+        return self._overrides.get(v)
 
 
 class Verdict(Frozen):
-    """Outcome of the decision procedure with a re-checkable certificate."""
+    """A decision's ``kind``, "isomorphic" or "distinct", with a re-checkable certificate."""
 
     _fields = ("kind", "reason", "certificate")
-
-    def __init__(self, kind: str, reason: str, certificate: dict):
-        object.__setattr__(self, "kind", kind)  # "isomorphic" | "distinct"
-        object.__setattr__(self, "reason", reason)
-        object.__setattr__(self, "certificate", certificate)
 
     @property
     def is_isomorphic(self) -> bool:
@@ -323,26 +318,19 @@ def boundary_map(pair, other, corr, transports) -> IntMatrix:
     """The correspondence's boundary map, from the pair's boundary lattice.
 
     Column ``j`` is the image of the pair's boundary basis class ``j``:
-    column ``j`` of its component's transport, placed at the start of the
-    image component's block.  The blocks follow the other pair's components
-    in order, each as long as its transport has rows, so a map of the right
-    shape places them at ``other.component_offsets()``; a caller checks the
-    map's row count against the other pair's boundary rank.  A transport
-    with the wrong number of columns raises ``ExactArithmeticError``, as
-    applying it would.
+    column ``j`` of its component's transport, placed at the offset of the
+    image component's block in the other pair's boundary lattice.  Every
+    transport is square, of both components' rank: a derived one raises
+    ``CorrespondenceError`` unless the two ranks are equal, and an explicit
+    one reaches here only after :func:`_isometry_failure` has found it
+    square of both ranks.  So the blocks tile the other pair's boundary
+    lattice, and the map has its rank as rows.
     """
-    start_of = {}
-    length = 0
-    source_of = {corr.vertex(v): v for v in transports}
-    for u in sorted(other.components):
-        start_of[source_of[u]] = length
-        length += transports[source_of[u]].rows
+    offsets, length = other.component_offsets()
     columns = []
     for v in sorted(pair.components):
-        matrix, start = transports[v], start_of[v]
-        if matrix.cols != pair.components[v].rank:
-            raise ExactArithmeticError("vector length mismatch")
-        for column in matrix.columns:
+        start = offsets[corr.vertex(v)]
+        for column in transports[v].columns:
             columns.append([(start + i, c) for i, c in column])
     return IntMatrix.from_columns(length, columns)
 
@@ -364,17 +352,19 @@ def threefold_transport(
     return IntMatrix.from_columns(other.pic_rank, columns)
 
 
-def _check_correspondence_shape(pair, other, corr):
-    sources = [a for a, _ in corr.vertex_map]
-    targets = [b for _, b in corr.vertex_map]
-    if sorted(sources) != sorted(pair.components) or sorted(targets) != sorted(
-        other.components
-    ):
+def _checked_correspondence(pair, other, corr):
+    """The correspondence to compare through (``None`` is the identity), and
+    :func:`_isometry_failure`'s verdict; no bijection raises ``CorrespondenceError``.
+    """
+    if corr is None:
+        corr = Correspondence.identity(pair)
+    vertices = [sorted(pair.components), sorted(other.components)]
+    if [sorted(side) for side in zip(*corr.vertex_map)] != vertices:
         raise CorrespondenceError("vertex map is not a bijection of components")
-    if sorted(corr.step_map) != list(range(len(other.program))) or len(
-        corr.step_map
-    ) != len(pair.program):
+    steps = corr.step_map
+    if len(steps) != len(pair.program) or sorted(steps) != list(range(len(other.program))):
         raise CorrespondenceError("step map is not a bijection of program steps")
+    return corr, _isometry_failure(pair, other, corr)
 
 
 def _isometry_failure(pair: LogCY3Pair, other: LogCY3Pair, corr: Correspondence):
@@ -436,12 +426,9 @@ def decide_isomorphism(
     pair: LogCY3Pair, other: LogCY3Pair, corr: Correspondence = None
 ) -> Verdict:
     """Run the full decision pipeline and return a verdict with certificate."""
-    if corr is None:
-        corr = Correspondence.identity(pair)
-    _check_correspondence_shape(pair, other, corr)
     # Explicit component maps are checked with integers before anything
     # else, so that no exponent is taken from a map that is no isometry.
-    failure = _isometry_failure(pair, other, corr)
+    corr, failure = _checked_correspondence(pair, other, corr)
     if failure is not None:
         return failure
 
@@ -544,12 +531,8 @@ def decide_isomorphism(
     # product over its nonzero entries, generator by generator, so a
     # distinct verdict stops at its witness.
     boundary = boundary_map(pair, other, corr, transports)
-    matching2 = edge_matching_map(other)
-    if boundary.rows != matching2.cols:
-        # As the other pair's edge-matching map fails on such an image.
-        raise ExactArithmeticError("vector length mismatch")
     moved = boundary * matching_kernel(pair)
-    if any((matching2 * moved).columns):
+    if any((edge_matching_map(other) * moved).columns):
         raise CorrespondenceError(
             "transported matching class violates the edge-matching condition"
         )
@@ -603,10 +586,7 @@ def marking_transporter(
     component map that is no isometry gives ``("component_isometry",
     certificate)``, the certificate :func:`decide_isomorphism` gives.
     """
-    if corr is None:
-        corr = Correspondence.identity(pair)
-    _check_correspondence_shape(pair, other, corr)
-    failure = _isometry_failure(pair, other, corr)
+    corr, failure = _checked_correspondence(pair, other, corr)
     if failure is not None:
         return "component_isometry", failure.certificate
     if marking is None:
@@ -619,9 +599,6 @@ def marking_transporter(
     table = pair.character_table(marking)
     boundary = boundary_map(pair, other, corr, transports)
     table2 = other.character_table(marking_other)
-    if boundary.rows != len(table2):
-        # As the other pair's character fails on such an image.
-        raise PairError("boundary vector length mismatch")
     # target j is the other pair's period of the image of basis class j
     # over this pair's period of the class.
     targets = [

@@ -115,15 +115,13 @@ class Fan3(Frozen):
     # see the three fields only.
 
     def __init__(self, rays, max_cones, orientation=None):
-        object.__setattr__(self, "rays", tuple(tuple(int(x) for x in r) for r in rays))
-        object.__setattr__(
-            self, "max_cones", tuple(tuple(int(i) for i in c) for c in max_cones)
-        )
-        if orientation is None and self.max_cones:
-            orientation = (self.max_cones[0], 1)
+        rays = tuple(tuple(int(x) for x in r) for r in rays)
+        max_cones = tuple(tuple(int(i) for i in c) for c in max_cones)
+        if orientation is None and max_cones:
+            orientation = (max_cones[0], 1)
         if orientation is not None:
             orientation = (tuple(orientation[0]), int(orientation[1]))
-        object.__setattr__(self, "orientation", orientation)
+        super().__init__(rays, max_cones, orientation)
 
     def __reduce__(self):
         # The derived data (the walls are a read-only mapping) is left
@@ -319,15 +317,11 @@ class DualComplex(Frozen):
     Edges carry a chosen direction; for a directed edge (v, w) the two
     incident triangles split into the one traversing v -> w positively
     (``positive_triangle``) and the one traversing it negatively.
+    ``edges`` holds directed pairs (v, w), and ``triangles`` positively
+    oriented ordered triples.
     """
 
     _fields = ("vertices", "edges", "triangles")
-
-    def __init__(self, vertices: tuple, edges: tuple, triangles: tuple):
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "edges", edges)  # directed pairs (v, w)
-        # positively oriented ordered triples
-        object.__setattr__(self, "triangles", triangles)
 
     @staticmethod
     def from_fan(fan: Fan3, edge_orientations=None) -> "DualComplex":
@@ -419,9 +413,7 @@ class ToricPicBasis(Frozen):
     _fields = ("fan", "seed", "basis_rays")
 
     def __init__(self, fan: Fan3, seed: tuple, basis_rays: tuple):
-        object.__setattr__(self, "fan", fan)
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "basis_rays", basis_rays)
+        super().__init__(fan, seed, basis_rays)
         # The dual rows of the seed rays follow from the fan and the seed.
         object.__setattr__(self, "_dual", _inverse_unimodular([fan.rays[i] for i in seed]))
 
@@ -562,9 +554,7 @@ class Fan2(Frozen):
     _fields = ("vertex", "rays", "labels")
 
     def __init__(self, vertex: int, rays: tuple, labels: tuple):
-        object.__setattr__(self, "vertex", vertex)
-        object.__setattr__(self, "rays", rays)
-        object.__setattr__(self, "labels", labels)
+        super().__init__(vertex, rays, labels)
         object.__setattr__(
             self,
             "wall_coefficients",
@@ -741,20 +731,6 @@ class ToricLayer(Frozen):
     # One layer per fan, compared and hashed by identity.
     __eq__ = object.__eq__
     __hash__ = object.__hash__
-
-    def __init__(
-        self,
-        basis: ToricPicBasis,
-        tensor: dict,
-        surfaces: tuple,
-        restriction: tuple,
-        canonical: tuple,
-    ):
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "tensor", tensor)
-        object.__setattr__(self, "surfaces", surfaces)
-        object.__setattr__(self, "restriction", restriction)
-        object.__setattr__(self, "canonical", canonical)
 
 
 def toric_layer(fan: Fan3) -> ToricLayer:
@@ -943,11 +919,6 @@ class ToricIntersectionData(Frozen):
     """
 
     _fields = ("n_vertices", "cones", "wall_curves")
-
-    def __init__(self, n_vertices: int, cones: frozenset, wall_curves: dict):
-        object.__setattr__(self, "n_vertices", n_vertices)
-        object.__setattr__(self, "cones", cones)
-        object.__setattr__(self, "wall_curves", wall_curves)
 
     @staticmethod
     def of_fan(fan: Fan3) -> "ToricIntersectionData":

@@ -13,6 +13,10 @@ checked here holds in any basis of the matching lattice:
 * a pair is isomorphic to itself and to a torus translate, whose markings
   the transporter aligns: for each boundary basis class e,
   ``value(pair, e) * scaling(e) == value(translate, e)``;
+* a pair is isomorphic to its relabelling under a drawn permutation of the
+  rays, with the cones, orientation datum, edge orientations and point
+  steps carried along, through the permutation's correspondence: the
+  transcript is the unmarked period, and the transporter solves;
 * at a random marking off the markers, each component's character table
   equals the section-ratio period of its unit vectors, at the head and the
   tail of every edge.
@@ -34,8 +38,8 @@ from logcy3.periods import (
     marked_period,
     unmarked_period,
 )
-from logcy3.torelli import decide_isomorphism, marking_transporter
-from logcy3.toric import FanError
+from logcy3.torelli import Correspondence, decide_isomorphism, marking_transporter
+from logcy3.toric import Fan3, FanError
 from test_pair import ladder_fans
 
 BASES = (projective_space_fan(), triple_line_fan())
@@ -61,9 +65,29 @@ def random_cases(draw):
     return fan, program, wall, cone, torus_element
 
 
+def relabelled(pair, sigma):
+    """The pair with ray i renamed ``sigma[i]``, and everything carried along."""
+    fan = pair.fan
+    rays = [None] * fan.n_rays
+    for i, ray in enumerate(fan.rays):
+        rays[sigma[i]] = ray
+    triangle, sign = fan.orientation
+    fan2 = Fan3(
+        rays,
+        [tuple(sigma[i] for i in cone) for cone in fan.max_cones],
+        (tuple(sigma[i] for i in triangle), sign),
+    )
+    program = [
+        PointBlowup(tuple(sigma[v] for v in step.edge), step.coordinate)
+        for step in pair.program
+    ]
+    edges = [(sigma[v], sigma[w]) for v, w in pair.complex.edges]
+    return LogCY3Pair.build(fan2, program, edges)
+
+
 @settings(max_examples=30, deadline=None)
-@given(random_cases())
-def test_random_pairs(case):
+@given(random_cases(), st.data())
+def test_random_pairs(case, data):
     fan, program, wall, cone, torus_element = case
     assert curve_subdivision_check(fan, wall) is None
     assert point_subdivision_check(fan, cone) is None
@@ -92,6 +116,15 @@ def test_random_pairs(case):
         marked_period(pair).values, scaling, marked_period(moved).values, strict=True
     ):
         assert value * scale == value2
+
+    sigma = data.draw(st.permutations(range(pair.fan.n_rays)))
+    corr = Correspondence(tuple(enumerate(sigma)), tuple(range(len(pair.program))))
+    other = relabelled(pair, sigma)
+    verdict = decide_isomorphism(pair, other, corr)
+    assert verdict.is_isomorphic
+    transcript = verdict.certificate["period_transcript"]
+    assert [value for _, value in transcript] == [str(v) for v in unmarked.values]
+    assert marking_transporter(pair, other, corr)[0] == "solved"
 
 
 @settings(max_examples=30, deadline=None)

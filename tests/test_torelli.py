@@ -209,6 +209,25 @@ class TestDecision:
             decide_isomorphism(pairs["p3"], pairs["p111"])
 
 
+class TestCorrespondenceLookup:
+    def test_first_listed_image_wins(self):
+        # As a scan of the list answered; the lookups are held once read.
+        corr = Correspondence(((0, 2), (1, 1), (0, 3)), ())
+        assert (corr.vertex(0), corr.vertex(1)) == (2, 1)
+        assert "_images" in vars(corr) and corr == Correspondence(corr.vertex_map, ())
+
+    def test_missing_vertex(self):
+        corr = Correspondence(((0, 0),), ())
+        with pytest.raises(CorrespondenceError, match=r"^vertex 5 not in correspondence$"):
+            corr.vertex(5)
+
+    def test_component_override(self):
+        first, second = identity_matrix(2), zero_matrix(2, 2)
+        corr = Correspondence(((0, 0), (1, 1)), (), None, ((1, first), (1, second)))
+        assert corr.component_override(0) is None
+        assert corr.component_override(1) is first
+
+
 class TestMarkingTransporter:
     def test_identity_is_solved(self, pairs):
         status, scalars = marking_transporter(pairs["p3-conic"], pairs["p3-conic"])
@@ -625,6 +644,7 @@ class TestSparseBoundaryTransport:
         # transport checks no edge matching, so it solves with any isometry.
         rng = random.Random(7)
         checks = []
+        isometries = 0
         for pair in [*pairs.values(), scaling_pair(1, 4)]:
             markers = Marking.markers(pair.edge_keys())
             for v in sorted(pair.components):
@@ -635,10 +655,19 @@ class TestSparseBoundaryTransport:
                 ):
                     corr = with_override(pair, v, matrix)
                     checks.append(self.assert_decide_matches(pair, pair, corr))
+                    if torelli._isometry_failure(pair, pair, corr) is None:
+                        # Every block is square, so the blocks tile the
+                        # other pair's boundary lattice.
+                        transports = dense_transports(pair, pair, corr)
+                        boundary = torelli.boundary_map(pair, pair, corr, transports)
+                        rank = pair.component_offsets()[1]
+                        assert boundary.shape == (rank, rank)
+                        isometries += 1
                     assert marking_transporter(
                         pair, pair, corr, markers, markers
                     ) == dense_transporter(pair, pair, corr, markers, markers)
         assert {"component_isometry", "error", "period", "complete"} <= set(checks)
+        assert isometries
 
     def test_transport_matches_the_dense_targets(self, cases):
         rng = random.Random(3)

@@ -219,3 +219,30 @@ def test_numbers_and_matrices_share_the_guard(value):
             setattr(value, name, None)
         with pytest.raises(AttributeError, match="is immutable"):
             delattr(value, name)
+
+
+# The cases whose class stores its fields with Frozen's own constructor.
+GENERIC = [case for case in CASES if "__init__" not in vars(case[0])]
+
+
+@pytest.mark.parametrize(
+    "cls, make, fields", [case[:3] for case in GENERIC], ids=[case[0].__name__ for case in GENERIC]
+)
+def test_generic_constructor(cls, make, fields):
+    a = make()
+    values = tuple(getattr(a, name) for name in fields)
+    by_keyword = cls(**dict(zip(fields, values)))
+    mixed = cls(*values[:1], **dict(zip(fields[1:], values[1:])))
+    for b in (by_keyword, mixed):
+        assert type(b) is cls and tuple(getattr(b, name) for name in fields) == values
+        # One layer is held per fan; layers compare by identity.
+        assert (b == a) is (cls is not ToricLayer)
+    wrong = {
+        "missing": lambda: cls(*values[:-1]),
+        "extra": lambda: cls(*values, None),
+        "unknown": lambda: cls(*values, other=None),
+        "repeated": lambda: cls(*values, **{fields[0]: values[0]}),
+    }
+    for build in wrong.values():
+        with pytest.raises(TypeError, match=rf"^{cls.__name__} takes the fields"):
+            build()
