@@ -566,6 +566,7 @@ class SnfDecomposition(Frozen):
         return len(self.factors)
 
     def invariant_factors(self) -> tuple:
+        """The ``factors`` field, kept for the sympy gate in ``benchmarks/checks.py``."""
         return self.factors
 
     def kernel(self):
@@ -799,7 +800,7 @@ def invert_unimodular(A: IntMatrix) -> IntMatrix:
     dec = snf(A)
     if dec.rank < A.rows:
         raise ExactArithmeticError("matrix is singular")
-    if any(d != 1 for d in dec.invariant_factors()):
+    if any(d != 1 for d in dec.factors):
         raise ExactArithmeticError("matrix is not unimodular")
     return dec.V * dec.U
 

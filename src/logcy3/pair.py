@@ -431,7 +431,7 @@ class LogCY3Pair:
         matrix = self.restriction_matrix()
         dec = snf(matrix)
         basis = tuple(matrix.apply(dec.V.column(j)) for j in range(dec.rank))
-        return basis, all(d == 1 for d in dec.invariant_factors())
+        return basis, all(d == 1 for d in dec.factors)
 
     def truncated(self, steps: int) -> "LogCY3Pair":
         """The pair given by the first ``steps`` program entries."""

@@ -21,6 +21,7 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import permutations
 from math import gcd
+from operator import mul
 from types import MappingProxyType
 
 from logcy3.exactnum import Frozen
@@ -38,28 +39,19 @@ def _det3(a, b, c) -> int:
     )
 
 
-def _primitive(vec) -> bool:
-    g = gcd(gcd(abs(vec[0]), abs(vec[1])), abs(vec[2]))
-    return g == 1
-
-
 def _inverse_unimodular(cols):
     """Inverse of a 3x3 integer matrix with det +-1, given by columns."""
     a, b, c = cols
     d = _det3(a, b, c)
-    if abs(d) != 1:
+    if d != 1 and d != -1:
         raise FanError("matrix is not unimodular")
-    # Adjugate / det, rows of the inverse.
-    m = [[a[0], b[0], c[0]], [a[1], b[1], c[1]], [a[2], b[2], c[2]]]
-    cof = [
-        [
-            (m[(i + 1) % 3][(j + 1) % 3] * m[(i + 2) % 3][(j + 2) % 3]
-             - m[(i + 1) % 3][(j + 2) % 3] * m[(i + 2) % 3][(j + 1) % 3])
-            for i in range(3)
-        ]
-        for j in range(3)
-    ]
-    return tuple(tuple(x * d for x in row) for row in cof)
+    # Adjugate / det, and 1 / d == d: the rows are b x c, c x a and a x b, times d.
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = a, b, c
+    return (
+        ((b1 * c2 - b2 * c1) * d, (b2 * c0 - b0 * c2) * d, (b0 * c1 - b1 * c0) * d),
+        ((c1 * a2 - c2 * a1) * d, (c2 * a0 - c0 * a2) * d, (c0 * a1 - c1 * a0) * d),
+        ((a1 * b2 - a2 * b1) * d, (a2 * b0 - a0 * b2) * d, (a0 * b1 - a1 * b0) * d),
+    )
 
 
 def _dual_frame(fan: Fan3, cone, v: int):
@@ -68,18 +60,19 @@ def _dual_frame(fan: Fan3, cone, v: int):
     The first row pairs 1 with n_v; the other two vanish on n_v, so they
     project N onto the quotient lattice N / Z n_v.
     """
-    frame = [v] + [i for i in cone if i != v]
-    return _inverse_unimodular([fan.rays[i] for i in frame])
+    a, b, c = cone
+    a, b, c = (a, b, c) if v == a else (b, a, c) if v == b else (c, a, b)
+    return _inverse_unimodular((fan.rays[a], fan.rays[b], fan.rays[c]))
 
 
 def _vertex_frame(fan: Fan3, v: int) -> tuple:
     """The dual frame of the first max cone at v; every vertex's is held."""
     return fan._held(
         "_frames",
-        lambda: tuple(
+        lambda: tuple([
             _dual_frame(fan, fan.max_cones[at[0]], u)
             for u, at in enumerate(_cones_at(fan))
-        ),
+        ]),
     )[v]
 
 
@@ -115,8 +108,8 @@ class Fan3(Frozen):
     # see the three fields only.
 
     def __init__(self, rays, max_cones, orientation=None):
-        rays = tuple(tuple(int(x) for x in r) for r in rays)
-        max_cones = tuple(tuple(int(i) for i in c) for c in max_cones)
+        rays = tuple([tuple(map(int, r)) for r in rays])
+        max_cones = tuple([tuple(map(int, c)) for c in max_cones])
         if orientation is None and max_cones:
             orientation = (max_cones[0], 1)
         if orientation is not None:
@@ -158,10 +151,10 @@ class Fan3(Frozen):
 
     def _compute_walls(self):
         flanks: dict = {}
-        for cone in self.max_cones:
-            for k in range(3):
-                wall = frozenset((cone[k], cone[(k + 1) % 3]))
-                flanks.setdefault(wall, []).append(cone[(k + 2) % 3])
+        for a, b, c in self.max_cones:
+            flanks.setdefault(frozenset((a, b)), []).append(c)
+            flanks.setdefault(frozenset((b, c)), []).append(a)
+            flanks.setdefault(frozenset((c, a)), []).append(b)
         return MappingProxyType({wall: tuple(a) for wall, a in flanks.items()})
 
     # -- orientation ---------------------------------------------------------
@@ -212,10 +205,10 @@ def validate_fan(fan: Fan3):
 
 
 def _diagnose_fan(fan: Fan3):
-    n = fan.n_rays
+    n, rays = fan.n_rays, fan.rays
     seen = set()
-    for i, ray in enumerate(fan.rays):
-        if ray == (0, 0, 0) or not _primitive(ray):
+    for i, ray in enumerate(rays):
+        if gcd(*ray) != 1:
             return f"non-primitive ray {i}: {ray}"
         if ray in seen:
             return f"duplicate ray {i}: {ray}"
@@ -225,11 +218,13 @@ def _diagnose_fan(fan: Fan3):
     used = set()
     dets = []
     for cone in fan.max_cones:
-        if len(set(cone)) != 3 or any(i < 0 or i >= n for i in cone):
+        if len(set(cone)) != 3 or min(cone) < 0 or max(cone) >= n:
             return f"bad cone {cone}"
-        dets.append(_det3(*(fan.rays[i] for i in cone)))
-        if abs(dets[-1]) != 1:
+        a, b, c = cone
+        d = _det3(rays[a], rays[b], rays[c])
+        if d != 1 and d != -1:
             return f"non-smooth cone {cone}"
+        dets.append(d)
         used.update(cone)
     # The links and the orientation check below orient each cone by these
     # determinants; none is taken twice.
@@ -270,7 +265,7 @@ def _cones_at(fan: Fan3) -> tuple:
     def compute():
         at = [[] for _ in range(fan.n_rays)]
         for k, cone in enumerate(fan.max_cones):
-            for i in set(cone):
+            for i in cone:
                 at[i].append(k)
         return tuple(map(tuple, at))
 
@@ -280,23 +275,24 @@ def _cones_at(fan: Fan3) -> tuple:
 def _link_cycle(fan: Fan3, v: int):
     """The link of v as a cyclically ordered tuple, or None; every link is held."""
     return fan._held(
-        "_links", lambda: tuple(_trace_link(fan, u) for u in range(fan.n_rays))
+        "_links", lambda: tuple([_trace_link(fan, u) for u in range(fan.n_rays)])
     )[v]
 
 
 def _trace_link(fan: Fan3, v: int):
     succ = {}
-    count = 0
     oriented = fan.oriented_triangles()
-    for k in _cones_at(fan)[v]:
-        count += 1
-        tri = oriented[k]
-        i = tri.index(v)
-        a, b = tri[(i + 1) % 3], tri[(i + 2) % 3]
+    at = _cones_at(fan)[v]
+    for k in at:
+        a, b, c = oriented[k]  # a, b become the two rays after v, in order
+        if v == a:
+            a, b = b, c
+        elif v == b:
+            a, b = c, a
         if a in succ:
             return None
         succ[a] = b
-    if not succ or len(succ) != count:
+    if not succ or len(succ) != len(at):
         return None
     start = next(iter(succ))
     cycle = [start]
@@ -388,18 +384,17 @@ def _reduce_ray_vector(coeffs, seed, dual, rays, basis) -> tuple:
     The seed rays form a lattice basis with dual rows ``dual``: row k pairs
     1 with the ray of ``seed[k]`` and 0 with the other seed rays.  Each
     seed divisor D_s is traded for the linearly equivalent -sum <m_s, n_v>
-    D_v, which lies on the basis rays; the pairings are accumulated one
-    nonzero entry of m_s at a time.  Serves the threefold and its star
-    surfaces alike.
+    D_v, which lies on the basis rays, so basis ray v gets coeffs[v] -
+    <m, n_v> for the one character m = sum coeffs[s] * m_s.  Serves the
+    threefold and its star surfaces alike.
     """
-    out = [coeffs[v] for v in basis]
-    for s, m in zip(seed, dual):
+    m = [0] * len(dual)
+    for s, row in zip(seed, dual):
         if c := coeffs[s]:
-            for t, x in enumerate(m):
-                if x:
-                    k = c * x
-                    out = [y - k * rays[v][t] for y, v in zip(out, basis)]
-    return tuple(out)
+            m = [x + c * y for x, y in zip(m, row)]
+    if any(m):
+        return tuple([coeffs[v] - sum(map(mul, m, rays[v])) for v in basis])
+    return tuple([coeffs[v] for v in basis])
 
 
 class ToricPicBasis(Frozen):
@@ -558,7 +553,7 @@ class Fan2(Frozen):
         object.__setattr__(
             self,
             "wall_coefficients",
-            tuple(_solve_wall_coefficient(rays, i) for i in range(len(rays))),
+            tuple([_solve_wall_coefficient(rays, i) for i in range(len(rays))]),
         )
 
     @property
@@ -585,13 +580,13 @@ class Fan2(Frozen):
 
         Only D_i . D_i and the products D_i . D_{i+1} = 1 of neighbouring
         rays are nonzero, and a complete fan has at least three rays, so
-        the sum is ``sum c_i^2 (D_i^2) + 2 sum c_i c_{i+1}``.
+        the sum is ``sum c_i^2 (D_i^2) + 2 sum c_{i-1} c_i``.
         """
-        k = self.n_rays
-        return sum(
-            c * (c * self.self_intersection(i) + 2 * coeffs[(i + 1) % k])
-            for i, c in enumerate(coeffs)
-        )
+        total, prev = 0, coeffs[-1]
+        for c, w in zip(coeffs, self.wall_coefficients, strict=True):
+            total += c * (2 * prev - w * c)
+            prev = c
+        return total
 
     # -- Picard basis --------------------------------------------------------
 
@@ -618,13 +613,14 @@ class Fan2(Frozen):
         return _reduce_ray_vector(coeffs, (0, 1), self._dual, self.rays, basis)
 
     def ray_class(self, i: int):
-        """The class of D_i; past the two seeds it is a unit basis vector."""
-        coeffs = [0] * self.n_rays
-        coeffs[i] = 1
+        """The class of D_i: a unit vector, or -<m_i, u_b> on ray b for a seed."""
         if i < 2:
-            return self.reduce_ray_vector(coeffs)
+            p, q = self._dual[i]
+            return tuple([-p * x - q * y for x, y in self.rays[2:]])
         self._dual  # a seed off a lattice basis raises for every ray
-        return tuple(coeffs[2:])
+        coeffs = [0] * self.rank
+        coeffs[i - 2] = 1
+        return tuple(coeffs)
 
     def degree_on_ray(self, vec, i: int) -> int:
         """Degree of a basis-coordinate class on D_i, read off rays i and i +- 1."""
@@ -665,22 +661,13 @@ class Fan2(Frozen):
 
 
 def _solve_wall_coefficient(rays, i: int) -> int:
-    k = len(rays)
-    u_prev, u, u_next = rays[(i - 1) % k], rays[i], rays[(i + 1) % k]
-    s = (u_prev[0] + u_next[0], u_prev[1] + u_next[1])
-    for c in _candidate_multiples(s, u):
-        if (c * u[0], c * u[1]) == s:
-            return c
+    """The c with u_{i-1} + u_{i+1} = c * u_i, read off a nonzero entry of u_i."""
+    (a, b), (x, y), (p, q) = rays[i - 1], rays[i], rays[(i + 1) % len(rays)]
+    s, t = a + p, b + q
+    c = s // x if x else t // y if y else 0
+    if c * x == s and c * y == t:
+        return c
     raise FanError(f"rays around index {i} are not a smooth 2d fan")
-
-
-def _candidate_multiples(s, u):
-    if u[0] != 0 and s[0] % u[0] == 0:
-        yield s[0] // u[0]
-    if u[1] != 0 and s[1] % u[1] == 0:
-        yield s[1] // u[1]
-    if s == (0, 0):
-        yield 0
 
 
 def star_surface(fan: Fan3, v: int) -> Fan2:
@@ -693,15 +680,17 @@ def star_surface(fan: Fan3, v: int) -> Fan2:
     if (diag := validate_fan(fan)) is not None:
         raise FanError(diag)
     cycle = _link_cycle(fan, v)
-    proj = _vertex_frame(fan, v)[1:]
-    rays = []
+    _, (a, b, c), (p, q, r) = _vertex_frame(fan, v)
+    images = []
     for w in cycle:
-        img = tuple(sum(r[t] * fan.rays[w][t] for t in range(3)) for r in proj)
-        rays.append(img)
-    for u, un in zip(rays, rays[1:] + rays[:1]):
-        if abs(u[0] * un[1] - u[1] * un[0]) != 1:
+        x, y, z = fan.rays[w]
+        images.append((a * x + b * y + c * z, p * x + q * y + r * z))
+    s, t = images[-1]
+    for x, y in images:
+        if s * y - t * x not in (1, -1):
             raise FanError(f"star surface of {v} is not smooth")
-    return Fan2(v, tuple(rays), tuple(cycle))  # solves the 2d wall relations
+        s, t = x, y
+    return Fan2(v, tuple(images), cycle)  # solves the 2d wall relations
 
 
 # ---------------------------------------------------------------------------
@@ -743,7 +732,7 @@ def _compute_toric_layer(fan: Fan3) -> ToricLayer:
         raise FanError(diag)
     basis = ToricPicBasis.of(fan)
     index = {ray: i for i, ray in enumerate(basis.basis_rays)}
-    surfaces = tuple(star_surface(fan, v) for v in range(fan.n_rays))
+    surfaces = tuple([star_surface(fan, v) for v in range(fan.n_rays)])
     # The cubic entries are read off the star surfaces: a max cone gives 1,
     # D_w^2 . D_v is the self-intersection of ray w in the surface of v, and
     # D_v^3 is the square there of D_v's normal class (below).  No 3d wall
@@ -752,9 +741,9 @@ def _compute_toric_layer(fan: Fan3) -> ToricLayer:
     # oriented, so the apexes p and q lie on opposite sides of the wall and
     # both carry coefficient 1.
     entries = [
-        (tuple(sorted(index[ray] for ray in cone)), 1)
-        for cone in fan.max_cones
-        if all(ray in index for ray in cone)
+        (tuple(sorted((index[a], index[b], index[c]))), 1)
+        for a, b, c in fan.max_cones
+        if a in index and b in index and c in index
     ]
     # D_w restricts to D_v as the curve D_v . D_w when w is a neighbour
     # (never the zero class), to zero when w misses v, and D_v itself
@@ -762,21 +751,23 @@ def _compute_toric_layer(fan: Fan3) -> ToricLayer:
     # <m, n_v> = 1; that normal class can be zero.
     restriction = [{} for _ in basis.basis_rays]
     for v, base in enumerate(surfaces):
+        i = index.get(v)
         for ray, w in enumerate(base.labels):
-            if w in index:
-                restriction[index[w]][v] = base.ray_class(ray)
-                if v in index:
-                    key = tuple(sorted((index[w], index[w], index[v])))
+            if (j := index.get(w)) is not None:
+                restriction[j][v] = base.ray_class(ray)
+                if i is not None:
+                    key = (j, j, i) if j < i else (i, j, j)
                     entries.append((key, base.self_intersection(ray)))
-        if v in index:
-            m = _vertex_frame(fan, v)[0]
-            normal = [-sum(x * y for x, y in zip(m, fan.rays[w])) for w in base.labels]
+        if i is not None:
+            a, b, c = _vertex_frame(fan, v)[0]
+            link_rays = map(fan.rays.__getitem__, base.labels)
+            normal = [-a * x - b * y - c * z for x, y, z in link_rays]
             image = base.reduce_ray_vector(normal)
             if any(image):
-                restriction[index[v]][v] = image
-            entries.append(((index[v],) * 3, base.square(normal)))
+                restriction[i][v] = image
+            entries.append(((i, i, i), base.square(normal)))
     tensor = {key: value for key, value in sorted(entries) if value}
-    canonical = tuple(-x for x in basis.anticanonical())
+    canonical = tuple([-x for x in basis.anticanonical()])
     return ToricLayer(basis, tensor, surfaces, tuple(restriction), canonical)
 
 
@@ -830,14 +821,17 @@ def canonical_form(fan: Fan3):
 
 def _frame_map(inverse, frame):
     """The matrix sending the columns whose inverse is given to ``frame``."""
-    return [
-        [sum(frame[k][r] * inverse[k][c] for k in range(3)) for c in range(3)]
-        for r in range(3)
-    ]
+    (p0, p1, p2), (q0, q1, q2), (r0, r1, r2) = inverse
+    return tuple([
+        (a * p0 + b * q0 + c * r0, a * p1 + b * q1 + c * r1, a * p2 + b * q2 + c * r2)
+        for a, b, c in zip(*frame)
+    ])
 
 
 def _apply3(m, vec):
-    return tuple(sum(m[r][c] * vec[c] for c in range(3)) for r in range(3))
+    (a, b, c), (d, e, f), (g, h, i) = m
+    x, y, z = vec
+    return (a * x + b * y + c * z, d * x + e * y + f * z, g * x + h * y + i * z)
 
 
 def fan_isomorphism(f: Fan3, g: Fan3):
@@ -861,7 +855,7 @@ def fan_isomorphism(f: Fan3, g: Fan3):
                 frozenset(index_of[images[f.rays[i]]] for i in c) for c in f.cone_set()
             }
             if mapped == g_cones:
-                return tuple(tuple(row) for row in m)
+                return m
     return None
 
 
@@ -880,7 +874,7 @@ def toric_model_map(f: Fan3, g: Fan3, vertex):
     for v in range(f.n_rays):
         if _apply3(m, f.rays[v]) != g.rays[vertex(v)]:
             return None
-    return tuple(tuple(row) for row in m)
+    return m
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ checked here holds in any basis of the matching lattice:
 Run ``pytest --hypothesis-profile=default`` for fresh draws.
 """
 
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from logcy3.boundary import Marking, component_character_table, component_marked_period
@@ -85,7 +85,14 @@ def relabelled(pair, sigma):
     return LogCY3Pair.build(fan2, program, edges)
 
 
-@settings(max_examples=30, deadline=None)
+# No shrink phase: a failure reports the drawn example at once, where
+# shrinking it, each step rebuilding pairs and running decides and
+# transports, took minutes.
+@settings(
+    max_examples=30,
+    deadline=None,
+    phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.target),
+)
 @given(random_cases(), st.data())
 def test_random_pairs(case, data):
     fan, program, wall, cone, torus_element = case
