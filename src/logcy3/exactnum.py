@@ -11,7 +11,9 @@ arbitrary-precision integer matrices.  This module supplies both layers:
   columns;
 * :func:`snf` -- Smith normal form: four sparse unimodular transforms and
   the invariant factors, the inverses built step by step alongside the
-  transforms, plus kernels, cokernels, coordinates in the basis of ``V``,
+  transforms, on a working matrix of sparse rows with the set of rows that
+  hold each column, read off the input's columns and never made dense,
+  plus kernels, cokernels, coordinates in the basis of ``V``,
   integer linear solving, and the solution in Q(i) of a character system
   on the columns, ``h(A e_j) = t_j``, or a relation among the columns
   that the targets break;
@@ -637,9 +639,7 @@ class SnfDecomposition(Frozen):
 
 
 def _add_sparse(dst: dict, src: dict, c: int):
-    """``dst += c * src`` on vectors held as ``{index: nonzero entry}``."""
-    if not c:
-        return
+    """``dst += c * src``, ``c`` nonzero, on vectors held as ``{index: nonzero entry}``."""
     for k, y in src.items():
         x = dst.get(k, 0) + c * y
         if x:
@@ -651,6 +651,15 @@ def _add_sparse(dst: dict, src: dict, c: int):
 def snf(A: IntMatrix) -> SnfDecomposition:
     """Smith normal form over Z with transforms, by exact row/column reduction.
 
+    The pivot is the first entry of least absolute value in row-major order
+    of the trailing block; the column below it is cleared, then the row
+    right of it, swapping in a nonzero remainder, and a pivot that does not
+    divide the block has the first offending row added to its own.
+
+    The working matrix is held as sparse rows ``{column: nonzero}``, read
+    off ``A``'s columns, with the set of rows that hold each column, so a
+    row step walks the source row's nonzeros, a column step the rows in the
+    source column's set, and a swap relabels only the entries it moves.
     The inverses of the transforms are built alongside, each elementary
     step by its inverse (Dumas, Saunders and Villard, J. Symbolic Comput. 32
     (2001) 71-99): row ``dst += c * row src`` on ``U`` is column
@@ -662,97 +671,144 @@ def snf(A: IntMatrix) -> SnfDecomposition:
     their columns, and the columns of ``V`` and ``U_inv`` are sorted once.
     """
     m, n = A.shape
-    a = [list(r) for r in A.data]
+    a = [{} for _ in range(m)]  # rows of the working matrix, nonzeros only
+    holding = [set() for _ in range(n)]  # per column, the rows with a nonzero
+    for j, column in enumerate(A.columns):
+        for i, x in column:
+            if x:
+                a[i][j] = x
+                holding[j].add(i)
     u = [{i: 1} for i in range(m)]  # rows
     u_inv = [{i: 1} for i in range(m)]  # columns
     v = [{j: 1} for j in range(n)]  # columns
     v_inv = [{j: 1} for j in range(n)]  # rows
     t = 0
 
-    def holding():
-        # The rows of a with a nonzero entry in column t.  Rows above t are
-        # zero right of the diagonal, and the column steps only combine
-        # columns from t on, so they walk the rows from t on.
-        return [row for row in a[t:] if row[t]]
-
     def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
+        ri, rj = a[i], a[j]
+        for k in ri:
+            if k not in rj:
+                rows = holding[k]
+                rows.remove(i)
+                rows.add(j)
+        for k in rj:
+            if k not in ri:
+                rows = holding[k]
+                rows.remove(j)
+                rows.add(i)
+        a[i], a[j] = rj, ri
         u[i], u[j] = u[j], u[i]
         u_inv[i], u_inv[j] = u_inv[j], u_inv[i]
 
     def swap_cols(i, j):
-        for row in a[t:]:
-            row[i], row[j] = row[j], row[i]
+        hi, hj = holding[i], holding[j]
+        for r in hi:
+            row = a[r]
+            x = row.pop(i)
+            if r in hj:
+                row[i] = row[j]
+            row[j] = x
+        for r in hj:
+            if r not in hi:
+                row = a[r]
+                row[i] = row.pop(j)
+        holding[i], holding[j] = hj, hi
         v[i], v[j] = v[j], v[i]
         v_inv[i], v_inv[j] = v_inv[j], v_inv[i]
 
     def add_row(dst, src, c):
-        # row[dst] += c * row[src]
-        a[dst] = [x + c * y for x, y in zip(a[dst], a[src])]
+        # row[dst] += c * row[src]; c is never 0.
+        row = a[dst]
+        for k, y in a[src].items():
+            x = row.get(k)
+            if x is None:
+                row[k] = c * y
+                holding[k].add(dst)
+            else:
+                x += c * y
+                if x:
+                    row[k] = x
+                else:
+                    del row[k]
+                    holding[k].remove(dst)
         _add_sparse(u[dst], u[src], c)
         _add_sparse(u_inv[src], u_inv[dst], -c)
 
-    def add_col(dst, src, c, rows):
-        # rows: those of a with a nonzero entry in column src
-        for row in rows:
-            row[dst] += c * row[src]
+    def add_col(dst, src, c):
+        # column[dst] += c * column[src]; c is never 0.
+        rows = holding[dst]
+        for r in holding[src]:
+            row = a[r]
+            x = row.get(dst)
+            if x is None:
+                row[dst] = c * row[src]
+                rows.add(r)
+            else:
+                x += c * row[src]
+                if x:
+                    row[dst] = x
+                else:
+                    del row[dst]
+                    rows.remove(r)
         _add_sparse(v[dst], v[src], c)
         _add_sparse(v_inv[src], v_inv[dst], -c)
 
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = {k: -x for k, x in u[i].items()}
-        u_inv[i] = {k: -x for k, x in u_inv[i].items()}
-
     while t < min(m, n):
         # Locate a pivot of minimal absolute value in the trailing block: the
-        # first one in row-major order.  No nonzero entry is below 1, so the
-        # scan stops at the first entry of absolute value 1.
-        pivot = None
-        best = None
+        # first one in row-major order.  Rows above t and columns left of t
+        # are done, so the rows from t on hold only trailing entries; a row's
+        # ties go to its least column.  No nonzero entry is below 1, so the
+        # scan stops after the first row that holds a unit.
+        best = 0
         for i in range(t, m):
-            for j in range(t, n):
-                if a[i][j] != 0 and (best is None or abs(a[i][j]) < best):
-                    best = abs(a[i][j])
-                    pivot = (i, j)
-                    if best == 1:
-                        break
+            for j, x in a[i].items():
+                if x < 0:
+                    x = -x
+                if not best or x < best or (x == best and i == pivot_row and j < pivot_col):
+                    best, pivot_row, pivot_col = x, i, j
             if best == 1:
                 break
-        if pivot is None:
+        if not best:
             break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
+        if pivot_row != t:
+            swap_rows(t, pivot_row)
+        if pivot_col != t:
+            swap_cols(t, pivot_col)
 
         while True:
             # Clear column t below the pivot, then row t right of the pivot.
+            # A step changes only its own row or column and a swap trades it
+            # with the pivot's, so the rows below and the columns to the
+            # right that are still to come hold what they held at the start.
             dirty = False
-            for i in range(t + 1, m):
-                if a[i][t] != 0:
+            for i in sorted(holding[t]):
+                if i > t:
                     q = a[i][t] // a[t][t]
-                    add_row(i, t, -q)
-                    if a[i][t] != 0:
+                    if q:
+                        add_row(i, t, -q)
+                    if t in a[i]:
                         swap_rows(t, i)
                         dirty = True
-            rows = holding()
-            for j in range(t + 1, n):
-                if a[t][j] != 0:
-                    q = a[t][j] // a[t][t]
-                    add_col(j, t, -q, rows)
-                    if a[t][j] != 0:
+            row_t = a[t]
+            for j in sorted(row_t):
+                if j > t:
+                    q = row_t[j] // row_t[t]
+                    if q:
+                        add_col(j, t, -q)
+                    if j in row_t:
                         swap_cols(t, j)
-                        rows = holding()
                         dirty = True
             if dirty:
                 continue
             # Enforce divisibility of the trailing block by the pivot; a unit
-            # divides everything.
-            if abs(a[t][t]) == 1:
+            # divides everything, and so does a zero entry.
+            p = row_t[t]
+            if p == 1 or p == -1:
                 break
             offender = None
             for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if a[i][j] % a[t][t] != 0:
+                for x in a[i].values():
+                    if x % p:
                         offender = i
                         break
                 if offender is not None:
@@ -761,8 +817,13 @@ def snf(A: IntMatrix) -> SnfDecomposition:
                 break
             add_row(t, offender, 1)
 
-        if a[t][t] < 0:
-            negate_row(t)
+        if row_t[t] < 0:
+            # Row t holds only the pivot; negate it, and U's row and U_inv's
+            # column, in place.
+            row_t[t] = -row_t[t]
+            for vector in (u[t], u_inv[t]):
+                for k in vector:
+                    vector[k] = -vector[k]
         t += 1
 
     # The loop stops at the first empty trailing block, so the nonzero

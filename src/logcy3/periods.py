@@ -128,10 +128,14 @@ def _wedge(a, b):
 
 def wedge_map(pair: LogCY3Pair) -> IntMatrix:
     """Edge lattice to second exterior power of the cocharacter lattice."""
-    cols = []
-    for v, w in pair.complex.edges:
-        cols.append(_wedge(pair.fan.rays[v], pair.fan.rays[w]))
-    return IntMatrix(list(zip(*cols)))
+    rays = pair.fan.rays
+    return IntMatrix.from_columns(
+        3,
+        [
+            [(i, x) for i, x in enumerate(_wedge(rays[v], rays[w])) if x]
+            for v, w in pair.complex.edges
+        ],
+    )
 
 
 def edge_cokernel_report(pair: LogCY3Pair):
@@ -141,17 +145,19 @@ def edge_cokernel_report(pair: LogCY3Pair):
     annihilates the degree vectors of toric component classes (the
     composition flag checks exactly those columns); exceptional classes map
     onto wedge tensors instead, which is what cuts the quotient lattice
-    down for non-toric pairs.
+    down for non-toric pairs.  Only the toric columns are composed.
     """
     ell = edge_matching_map(pair)
-    gamma = wedge_map(pair)
-    composed = gamma * ell
     offsets, _ = pair.component_offsets()
-    composition_zero = not any(
-        composed.columns[offsets[v] + i]
-        for v, comp in pair.components.items()
-        for i in range(comp.base.rank)
+    toric = IntMatrix.from_columns(
+        ell.rows,
+        [
+            ell.columns[offsets[v] + i]
+            for v, comp in pair.components.items()
+            for i in range(comp.base.rank)
+        ],
     )
+    composition_zero = not any((wedge_map(pair) * toric).columns)
     free_rank, torsion = edge_matching_snf(pair).cokernel()
     return free_rank, torsion, composition_zero
 

@@ -7,6 +7,7 @@ import importlib.resources
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -311,6 +312,42 @@ class TestPeriods:
         main(["periods", bundled_path("p3-mixed")])
         second = capsys.readouterr().out
         assert first == second
+
+
+def with_keys_moved(node, rng):
+    """The JSON value with every object's keys in another, drawn order."""
+    if isinstance(node, list):
+        return [with_keys_moved(child, rng) for child in node]
+    if not isinstance(node, dict):
+        return node
+    keys = list(node)
+    rng.shuffle(keys)
+    if keys == list(node):
+        keys = keys[1:] + keys[:1]
+    return {key: with_keys_moved(node[key], rng) for key in keys}
+
+
+class TestKeyOrder:
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_reports_do_not_read_the_key_order(self, name, tmp_path, capsys):
+        # Only the inputs' sha256, which is of the file's bytes, may differ.
+        data = importlib.resources.files("logcy3").joinpath(f"data/{name}")
+        original = str(data)
+        moved = with_keys_moved(json.loads(data.read_bytes()), random.Random(name))
+        path = tmp_path / name
+        path.write_text(json.dumps(moved, indent=2), encoding="utf-8")
+        digests = [
+            hashlib.sha256(p.read_bytes()).hexdigest() for p in (data, path)
+        ]
+        assert digests[0] != digests[1]
+        for command in ("validate", "invariants", "periods", "compare"):
+            reports = []
+            for file in (original, str(path)):
+                files = [file, file] if command == "compare" else [file]
+                assert main(["--json", command, *files]) == 0
+                reports.append(capsys.readouterr().out)
+            assert digests[1] in reports[1]
+            assert reports[1].replace(digests[1], digests[0]) == reports[0]
 
 
 class TestCompare:

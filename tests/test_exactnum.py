@@ -598,6 +598,83 @@ class TestSmithNormalFormSteps:
                 check_against_reference(a)
 
 
+def check_in_row_order(a):
+    """The reference's steps, and every column of the four transforms in row order."""
+    check_against_reference(a)
+    dec = snf(a)
+    for transform in (dec.U, dec.V, dec.U_inv, dec.V_inv):
+        for column in transform.columns:
+            rows = [i for i, _ in column]
+            assert rows == sorted(set(rows))
+
+
+def sparse_matrix(seed):
+    """A seeded sparse matrix of 8 to 12 rows, most of whose entries are not units."""
+    rng = random.Random(seed)
+    m, n = rng.randint(8, 12), rng.randint(3, 6)
+    return IntMatrix.from_columns(
+        m,
+        [
+            [(i, rng.choice((1, -1, 2, -2, 3, -3))) for i in range(m) if rng.random() < 0.3]
+            for _ in range(n)
+        ],
+    )
+
+
+class TestSmithNormalFormStepsOnSparseMatrices:
+    """The reference's steps on sparse matrices, and on those the reports factor."""
+
+    def test_rows_cleared_in_row_order(self):
+        # Remainders below a pivot are swapped into its row as the rows come,
+        # in increasing order; with more than eight rows a set of row
+        # indices need not iterate in that order.
+        for seed in range(100):
+            check_in_row_order(sparse_matrix(seed))
+
+    def test_quotient_inclusions_of_bundled_pairs(self, monkeypatch):
+        from logcy3 import periods
+        from logcy3.fixtures import pair_fixtures
+
+        inclusions = []
+        for pair in pair_fixtures().values():
+            ell = periods.edge_matching_snf(pair)
+            factored = []
+            monkeypatch.setattr(periods, "snf", lambda a: factored.append(a) or snf(a))
+            periods.quotient_character(pair)
+            monkeypatch.undo()
+            assert ell is periods.edge_matching_snf(pair)
+            # One inclusion of the image of restriction into the matching
+            # lattice, where that lattice is not zero.
+            assert len(factored) == (1 if periods.matching_lattice(pair) else 0)
+            inclusions += factored
+        assert len(inclusions) == 8
+        for a in inclusions:
+            check_in_row_order(a)
+
+    def test_a_twenty_ray_curve_pair(self):
+        from logcy3.fixtures import scaling_pair
+        from logcy3.periods import edge_matching_map
+
+        pair = scaling_pair(16, 3)
+        assert pair.fan.n_rays == 20
+        ell, restriction = edge_matching_map(pair), pair.restriction_matrix()
+        assert ell.shape == (len(pair.complex.edges), restriction.rows)
+        for a in (ell, restriction):
+            check_in_row_order(a)
+
+    def test_the_input_is_never_made_dense(self):
+        from logcy3.fixtures import scaling_pair
+        from logcy3.periods import edge_matching_map
+
+        a = IntMatrix.from_columns(3, [((0, 2), (2, -4)), (), ((1, 6),), ((0, 3), (1, 1))])
+        assert snf(a).factors == (1, 2, 36)
+        assert "data" not in vars(a)
+        pair = scaling_pair(2, 8)
+        for matrix in (edge_matching_map(pair), pair.restriction_matrix()):
+            snf(matrix)
+            assert "data" not in vars(matrix)
+
+
 class TestWidthAndCoordinates:
     def test_a_matrix_with_no_rows_keeps_its_width(self):
         empty = zero(0, 3)

@@ -161,6 +161,28 @@ class TestCokernel:
             gamma = wedge_map(pair)
             assert (gamma.rows, gamma.cols) == (3, len(pair.complex.edges))
 
+    def test_composition_flag_reads_the_full_product(self, pairs):
+        # The flag composes the wedge map with the toric columns only; it is
+        # the full product's verdict on those columns.
+        assert len(pairs) == 8
+        for pair in pairs.values():
+            composed = wedge_map(pair) * edge_matching_map(pair)
+            offsets, _ = pair.component_offsets()
+            full = not any(
+                composed.columns[offsets[v] + i]
+                for v, comp in pair.components.items()
+                for i in range(comp.base.rank)
+            )
+            assert edge_cokernel_report(pair)[2] == full
+            # The wedge map is the dense one of the edge rays.
+            rays = pair.fan.rays
+            assert wedge_map(pair).data == tuple(
+                zip(*(
+                    (a[0] * b[1] - a[1] * b[0], a[0] * b[2] - a[2] * b[0], a[1] * b[2] - a[2] * b[1])
+                    for a, b in ((rays[v], rays[w]) for v, w in pair.complex.edges)
+                ))
+            )
+
 
 class TestPeriodCharacters:
     def test_toric_triviality(self, pairs):

@@ -19,7 +19,10 @@ checked here holds in any basis of the matching lattice:
   transcript is the unmarked period, and the transporter solves;
 * at a random marking off the markers, each component's character table
   equals the section-ratio period of its unit vectors, at the head and the
-  tail of every edge.
+  tail of every edge;
+* the toric block of the edge-matching map, its columns of the toric
+  component classes, has rank ``edges - 3``, and every generator of its
+  kernel has period one, under the markers and under a second marking.
 
 Run ``pytest --hypothesis-profile=default`` for fresh draws.
 """
@@ -28,11 +31,13 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from logcy3.boundary import Marking, component_character_table, component_marked_period
-from logcy3.exactnum import MINUS_ONE, GaussianRational
+from logcy3.exactnum import MINUS_ONE, GaussianRational, IntMatrix, power_product_of, snf
 from logcy3.fixtures import projective_space_fan, triple_line_fan
 from logcy3.oracle import cocycle_period, curve_subdivision_check, point_subdivision_check
 from logcy3.pair import LogCY3Pair, PairError, PointBlowup
 from logcy3.periods import (
+    _alternative_marking,
+    edge_matching_map,
     edge_scaling_character,
     evaluate_boundary_character,
     marked_period,
@@ -152,3 +157,29 @@ def test_random_character_tables(case, data):
         assert component_character_table(comp, marking) == expected
         sides.update(comp.head_sides)
     assert sides == {True, False}
+
+
+@settings(
+    max_examples=20,
+    deadline=None,
+    phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.target),
+)
+@given(random_cases())
+def test_toric_block_kernel_has_period_one(case):
+    fan, program, _, _, _ = case
+    try:
+        pair = LogCY3Pair.build(fan, program)
+    except (PairError, FanError):
+        return
+    ell = edge_matching_map(pair)
+    offsets, _ = pair.component_offsets()
+    toric = [
+        offsets[v] + i for v, comp in pair.components.items() for i in range(comp.base.rank)
+    ]
+    dec = snf(IntMatrix.from_columns(ell.rows, [ell.columns[n] for n in toric]))
+    assert dec.rank == len(pair.complex.edges) - 3
+    tables = [pair.character_table(m) for m in (pair.markers(), _alternative_marking(pair))]
+    for column in dec.V.columns[dec.rank:]:
+        assert column
+        for table in tables:
+            assert power_product_of((table[toric[j]], x) for j, x in column).is_one()
