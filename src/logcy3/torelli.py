@@ -5,8 +5,8 @@ that the supplied correspondence preserves the cubic form, peels the blowup
 programs step by step (classifying each contraction against the divisorial
 contraction table), compares the base toric models up to unimodular
 equivalence, and finally compares the exact period characters on the
-matching lattice.  Every verdict carries a certificate that can be
-re-checked independently.
+matching lattice.  Every verdict carries a certificate naming the check
+that decided it, with its witness.
 """
 
 from __future__ import annotations
@@ -254,7 +254,7 @@ class Correspondence(Frozen):
 
 
 class Verdict(Frozen):
-    """A decision's ``kind``, "isomorphic" or "distinct", with a re-checkable certificate."""
+    """A decision's ``kind``, "isomorphic" or "distinct", with its certificate."""
 
     _fields = ("kind", "reason", "certificate")
 
