@@ -277,7 +277,6 @@ def quotient_character(pair: LogCY3Pair):
     :func:`matching_values` over its column of ``U_inv``; only the image
     vectors are evaluated on the character table itself.
     """
-    generators = matching_lattice(pair)
     table = pair.character_table(pair.markers())
     k_basis, _ = pair.k_image()
     for gen in k_basis:
@@ -285,8 +284,6 @@ def quotient_character(pair: LogCY3Pair):
             raise PeriodConsistencyError(
                 "period is nontrivial on a restricted global class"
             )
-    if not generators:
-        return PeriodCharacter((), ()), ()
     factored = edge_matching_snf(pair)
     rank = factored.rank
     columns = []
@@ -297,10 +294,10 @@ def quotient_character(pair: LogCY3Pair):
                 "restricted global class outside the matching lattice"
             )
         columns.append([(i, x) for i, x in enumerate(coordinates[rank:]) if x])
-    s = len(generators)
+    kernel = matching_kernel(pair)
+    s = kernel.cols
     dec = snf(IntMatrix.from_columns(s, columns))  # s x t inclusion
     _, torsion = dec.cokernel()
-    kernel = matching_kernel(pair)
     held = matching_values(pair)
     basis = []
     values = []

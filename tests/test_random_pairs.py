@@ -7,6 +7,7 @@ checked here holds in any basis of the matching lattice:
 
 * a build succeeds, or fails with a diagnostic ``PairError`` or ``FanError``;
 * the tensor stores its nonzero entries only;
+* each step's kind fixes its contraction type: 2 for a point, 1 for a curve;
 * the markers' period is one on the restriction of every threefold class;
 * the cocycle path equals the unmarked period on every matching generator;
 * the curve and point subdivision checks agree on a drawn wall and cone;
@@ -43,7 +44,12 @@ from logcy3.periods import (
     marked_period,
     unmarked_period,
 )
-from logcy3.torelli import Correspondence, decide_isomorphism, marking_transporter
+from logcy3.torelli import (
+    Correspondence,
+    classify_contraction,
+    decide_isomorphism,
+    marking_transporter,
+)
 from logcy3.toric import Fan3, FanError
 from test_pair import ladder_fans
 
@@ -109,6 +115,9 @@ def test_random_pairs(case, data):
         assert str(exc)
         return
     assert all(pair.cubic_entries().values())
+    for k, step in enumerate(pair.program):
+        kind = 2 if isinstance(step, PointBlowup) else 1
+        assert classify_contraction(pair, k)[0] == kind
     restriction = pair.restriction_matrix()
     for a in range(pair.pic_rank):
         image = restriction.column(a)

@@ -20,11 +20,13 @@ from logcy3.exactnum import (
 from logcy3.fixtures import (
     pair_fixtures,
     perturbed_conic_pair,
+    projective_space_fan,
     scaling_pair,
     toric_fixture_fans,
+    triple_line_fan,
 )
 from logcy3.oracle import split_boundary_vector
-from logcy3.pair import LogCY3Pair, PairError
+from logcy3.pair import LogCY3Pair, PairError, PointBlowup
 from logcy3.periods import (
     edge_cokernel_report,
     evaluate_boundary_character,
@@ -115,6 +117,11 @@ class TestContractionTypes:
                     recognize_contraction_type(triple),
                     triple,
                 )
+                # The step's kind fixes its type: 2 for a point, 1 for a curve.
+                step = pair.program[k]
+                assert classify_contraction(pair, k)[0] == (
+                    2 if isinstance(step, PointBlowup) else 1
+                )
 
 
 class TestReconstruction:
@@ -203,6 +210,25 @@ class TestDecision:
         verdict = decide_isomorphism(pairs["p3-point"], pairs["p3-conic"])
         assert verdict.kind == "distinct"
         assert verdict.certificate["check"] == "cubic_form"
+        # Swapping rays 0 and 2 of (P^1)^3 takes the cone (1, 2, 4) to
+        # (1, 0, 4), which is none; swapping two points on one edge under
+        # the identity mu leaves their exceptional classes unmatched.
+        lines = LogCY3Pair.build(triple_line_fan())
+        swap = {0: 2, 2: 0}
+        vertices = tuple((v, swap.get(v, v)) for v in range(lines.fan.n_rays))
+        points = LogCY3Pair.build(
+            projective_space_fan(),
+            [PointBlowup((0, 1), g("2")), PointBlowup((0, 1), g("3"))],
+        )
+        steps = Correspondence(
+            tuple((v, v) for v in range(4)), (1, 0), identity_matrix(points.pic_rank)
+        )
+        for pair, corr, check in [
+            (lines, Correspondence(vertices, ()), {"check": "dual_complex"}),
+            (points, steps, {"check": "exceptional_match", "steps": (1, 0)}),
+        ]:
+            verdict = decide_isomorphism(pair, pair, corr)
+            assert (verdict.kind, verdict.certificate) == ("distinct", check)
 
     def test_shape_mismatch_raises(self, pairs):
         with pytest.raises(CorrespondenceError):
