@@ -194,17 +194,16 @@ def _stringify(value):
 
 def cmd_oracle_check(args):
     from logcy3.oracle import cocycle_period, curve_subdivision_check, point_subdivision_check
-    from logcy3.periods import evaluate_boundary_character, matching_lattice
+    from logcy3.periods import matching_lattice, matching_values
 
     inputs = {}
     pair, _ = _load(documents.pair_from_document, args.file, "file", inputs)
     discrepancies = []
-    # Two computation paths for the period of every matching generator.
-    markers = pair.markers()
+    # Two computation paths for the period of every matching generator: the
+    # held values the periods report prints, and the triangle walk.
     checked = 0
-    for gen in matching_lattice(pair):
-        direct = evaluate_boundary_character(pair, markers, gen)
-        via_triangles = cocycle_period(pair, gen, markers)
+    for gen, direct in zip(matching_lattice(pair), matching_values(pair)):
+        via_triangles = cocycle_period(pair, gen)
         checked += 1
         if direct != via_triangles:
             discrepancies.append(

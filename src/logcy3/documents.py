@@ -246,23 +246,25 @@ def correspondence_from_document(doc: dict):
         raise DocumentError("document: not a correspondence document")
     if _field(doc, "version", "document") != FORMAT_VERSION:
         raise DocumentError("document: unsupported version")
-    entries = _expect(_field(doc, "vertex_map", "document"), dict, "vertex_map").items()
-    vertex_map = tuple(
-        sorted(
-            (_vertex_key(a, "vertex_map"), _integer(b, f"vertex_map[{a}]"))
-            for a, b in entries
-        )
-    )
+    vertex_map = _by_vertex(_field(doc, "vertex_map", "document"), "vertex_map", _integer)
     step_map = _integers(_field(doc, "step_map", "document"), "step_map")
     mu = _matrix(doc["mu"], "mu") if "mu" in doc else None
-    components = _expect(doc.get("mu_components", {}), dict, "mu_components").items()
-    mu_components = tuple(
-        sorted(
-            (_vertex_key(v, "mu_components"), _matrix(rows, f"mu_components[{v}]"))
-            for v, rows in components
-        )
+    mu_components = _by_vertex(doc.get("mu_components", {}), "mu_components", _matrix)
+    return Correspondence(
+        tuple(sorted(vertex_map.items())), step_map, mu, tuple(sorted(mu_components.items()))
     )
-    return Correspondence(vertex_map, step_map, mu, mu_components)
+
+
+def _by_vertex(value, context, read) -> dict:
+    """An object keyed by vertex, each value ``read(value, field)``; a vertex
+    named twice (``"0"`` and ``"00"``) is an error."""
+    entries = {}
+    for key, item in _expect(value, dict, context).items():
+        vertex = _vertex_key(key, context)
+        if vertex in entries:
+            raise DocumentError(f"{context}: vertex {vertex} listed twice")
+        entries[vertex] = read(item, f"{context}[{key}]")
+    return entries
 
 
 def _matrix(value, context) -> IntMatrix:

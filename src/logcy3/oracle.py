@@ -6,7 +6,12 @@ Two oracles live here:
   point, or a 1-stratum curve) has a purely toric model, the star
   subdivision of the fan; the blowup rules for the cubic tensor must
   reproduce the subdivided fan's tensor entry by entry under the standard
-  basis identification (pullbacks plus exceptional class);
+  basis identification (pullbacks plus exceptional class).  The blowup
+  tensor is pulled back once along that identification, through
+  :func:`~logcy3.pair.pull_back_tensor` as decide step (ii) pulls back, and
+  compared with the wall-relation tensor on the pulled-back keys and the
+  triples a toric tensor can hold, so a check costs time linear in the
+  rays;
 * the cocycle period path: the period of a matching class can also be
   computed as a product over oriented triangles of local comparison
   scalars of the explicit sections; this must agree with the per-component
@@ -16,8 +21,8 @@ Two oracles live here:
 from __future__ import annotations
 
 from logcy3.boundary import Marking, restrict_to_cycle, section_ratio
-from logcy3.exactnum import GaussianRational, ONE, symmetric_trilinear
-from logcy3.pair import LogCY3Pair, PairError, PointBlowup, curve_blowup_entries
+from logcy3.exactnum import GaussianRational, IntMatrix, ONE
+from logcy3.pair import LogCY3Pair, PairError, PointBlowup, curve_blowup_entries, pull_back_tensor
 from logcy3.toric import Fan3, TripleIntersection, star_subdivide
 
 
@@ -42,12 +47,6 @@ def split_boundary_vector(pair: LogCY3Pair, flat) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _ray_class_with_exc(pair: LogCY3Pair, u: int, exc_coeff: int):
-    """Threefold class ``(pullback of D_u) + exc_coeff * E`` in the blown-up basis."""
-    toric = pair.toric_basis.ray_class(u)
-    return tuple(toric) + (exc_coeff,)
-
-
 def point_subdivision_check(fan: Fan3, cone):
     """Check the point-blowup tensor against the subdivided fan's tensor.
 
@@ -59,7 +58,7 @@ def point_subdivision_check(fan: Fan3, cone):
     # Any interior point has the same cubic data; use a generic coordinate.
     edge = tuple(sorted(cone[:2]))
     pair = LogCY3Pair.build(fan, [PointBlowup(edge, GaussianRational(2))])
-    return _compare_tensors(pair, sub, set(cone))
+    return _compare_against(sub, set(cone), pair, pair.cubic_entries())
 
 
 def curve_subdivision_check(fan: Fan3, wall):
@@ -76,40 +75,36 @@ def curve_subdivision_check(fan: Fan3, wall):
     curve = comp.base.ray_class(comp.base.ray_of_neighbor(w))
     tensor = base_pair.cubic_entries()
     tensor.update(curve_blowup_entries(base_pair, v, comp.intersection_vector(curve)))
-
-    def blowup_triple(x, y, z):
-        return symmetric_trilinear(tensor, x, y, z)
-
-    return _compare_against(sub, {v, w}, base_pair, blowup_triple)
+    return _compare_against(sub, {v, w}, base_pair, tensor)
 
 
-def _compare_tensors(pair: LogCY3Pair, sub: Fan3, center):
-    return _compare_against(
-        sub, center, pair, lambda x, y, z: pair.cubic_form(x, y, z)
-    )
-
-
-def _compare_against(sub: Fan3, center, base_pair, triple_fn):
-    table = TripleIntersection(sub)
+def _compare_against(sub: Fan3, center, base_pair, tensor):
+    # Ray divisor u of the subdivided fan is the pullback of D_u, less E on
+    # the center; the new ray is E, the class after the toric ones.
+    basis = base_pair.toric_basis
     new_index = sub.n_rays - 1
-
-    def mapped(u):
-        if u == new_index:
-            toric = (0,) * base_pair.toric_basis.rank
-            return toric + (1,)
-        return _ray_class_with_exc(base_pair, u, -1 if u in center else 0)
-
-    classes = [mapped(u) for u in range(sub.n_rays)]
-    for i in range(sub.n_rays):
-        for j in range(i, sub.n_rays):
-            for k in range(j, sub.n_rays):
-                expected = table.ray_triple(i, j, k)
-                got = triple_fn(classes[i], classes[j], classes[k])
-                if expected != got:
-                    return (
-                        f"cubic mismatch at rays ({i}, {j}, {k}): "
-                        f"subdivided fan gives {expected}, blowup rules give {got}"
-                    )
+    columns = []
+    for u in range(new_index):
+        column = [(a, x) for a, x in enumerate(basis.ray_class(u)) if x]
+        columns.append(column + [(basis.rank, -1)] if u in center else column)
+    columns.append([(basis.rank, 1)])
+    pulled = pull_back_tensor(tensor, IntMatrix.from_columns(basis.rank + 1, columns))
+    # Off the pulled-back keys and the triples a toric tensor can hold (the
+    # max cones, (a, a, b) and (a, b, b) on a wall, (i, i, i)), both are 0.
+    support = set(pulled)
+    support.update(tuple(sorted(cone)) for cone in sub.max_cones)
+    for wall in sub.walls():
+        a, b = sorted(wall)
+        support.update(((a, a, b), (a, b, b)))
+    support.update((i, i, i) for i in range(sub.n_rays))
+    table = TripleIntersection(sub)
+    for key in sorted(support):
+        expected, got = table.ray_triple(*key), pulled.get(key, 0)
+        if expected != got:
+            return (
+                f"cubic mismatch at rays {key}: "
+                f"subdivided fan gives {expected}, blowup rules give {got}"
+            )
     return None
 
 

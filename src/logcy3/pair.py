@@ -116,6 +116,32 @@ def curve_blowup_entries(pair: "LogCY3Pair", v: int, vector) -> dict:
     return entries
 
 
+def pull_back_tensor(tensor: dict, mu: IntMatrix) -> dict:
+    """The nonzero entries of a symmetric cubic tensor pulled back along ``mu``.
+
+    ``tensor`` holds its nonzero entries under sorted triples of ``mu``'s
+    rows.  Entry ``(i, j, k)``, ``i <= j <= k``, is the tensor at columns i,
+    j and k of ``mu``, summed from the stored entries alone: each is spread
+    over its distinct index orders, and each order through the nonzero
+    entries of the matching rows of ``mu``, so a sparse ``mu`` costs time
+    linear in the stored entries.  Decide step (ii) and the subdivision
+    oracle both pull back through it.
+    """
+    rows = mu.transpose().columns
+    pulled: dict = {}
+    for key, value in tensor.items():
+        for a, b, c in set(permutations(key)):
+            for i, x in rows[a]:
+                for j, y in rows[b]:
+                    if j < i:
+                        continue
+                    for k, z in rows[c]:
+                        if k >= j:
+                            triple = (i, j, k)
+                            pulled[triple] = pulled.get(triple, 0) + value * x * y * z
+    return {key: value for key, value in pulled.items() if value}
+
+
 class LogCY3Pair:
     """A validated pair with all derived caches.
 
@@ -332,32 +358,10 @@ class LogCY3Pair:
         return tuple(tuple(group) for group in groups)
 
     def pulled_back_cubic(self, mu: IntMatrix) -> dict:
-        """The nonzero entries of the cubic form pulled back along ``mu``.
-
-        ``mu`` has one row per basis class of this pair.  Entry ``(i, j, k)``
-        with ``i <= j <= k`` is ``cubic_form(mu e_i, mu e_j, mu e_k)``.  It is
-        summed from the stored entries alone: each is spread over its
-        distinct index orders, and each order through the nonzero entries of
-        the matching rows of ``mu``, so a sparse ``mu`` costs time linear in
-        the stored entries.
-        """
+        """:func:`pull_back_tensor` of the cubic form; ``mu`` has one row per basis class."""
         if mu.rows != len(self._restriction):
             raise PairError("class length does not match the Picard rank")
-        rows = mu.transpose().columns
-        pulled: dict = {}
-        for key, value in self._tensor.items():
-            for a, b, c in set(permutations(key)):
-                for i, x in rows[a]:
-                    for j, y in rows[b]:
-                        if j < i:
-                            continue
-                        for k, z in rows[c]:
-                            if k >= j:
-                                triple = (i, j, k)
-                                pulled[triple] = (
-                                    pulled.get(triple, 0) + value * x * y * z
-                                )
-        return {key: value for key, value in pulled.items() if value}
+        return pull_back_tensor(self._tensor, mu)
 
     def _as_y_coords(self, x):
         if isinstance(x, PicVector):

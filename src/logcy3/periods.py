@@ -223,22 +223,19 @@ def unmarked_period(pair: LogCY3Pair) -> PeriodCharacter:
 def edge_scaling_character(pair: LogCY3Pair, lambdas) -> PeriodCharacter:
     """The character moving the marked period under a marking rescaling.
 
-    ``lambdas`` assigns a nonzero scalar to every edge (list in the order of
-    the dual complex edges, or a mapping from frozenset edge keys).  The
-    value on a boundary basis class is the product over edges of the scalar
-    raised to the degree difference of the class across that edge.
+    ``lambdas`` lists a nonzero scalar for every edge, in the order of the
+    dual complex edges.  The value on a boundary basis class is the product
+    over edges of the scalar raised to the degree difference of the class
+    across that edge.
     """
     values = edge_matching_map(pair).pull_back(_edge_scalars(pair, lambdas))
     return PeriodCharacter(_unit_basis(len(values)), values)
 
 
 def _edge_scalars(pair: LogCY3Pair, lambdas):
-    if isinstance(lambdas, dict):
-        scalars = [lambdas[frozenset(e)] for e in pair.complex.edges]
-    else:
-        scalars = list(lambdas)
-        if len(scalars) != len(pair.complex.edges):
-            raise PairError("one scalar per edge required")
+    scalars = list(lambdas)
+    if len(scalars) != len(pair.complex.edges):
+        raise PairError("one scalar per edge required")
     for s in scalars:
         if s.is_zero():
             raise ExactArithmeticError("edge scalars must be nonzero")
@@ -246,7 +243,11 @@ def _edge_scalars(pair: LogCY3Pair, lambdas):
 
 
 def scale_marking(pair: LogCY3Pair, marking: Marking, lambdas) -> Marking:
-    """Multiply each marking point by the edge scalar, in reference charts."""
+    """Multiply each marking point by its edge's scalar, in reference charts.
+
+    ``lambdas`` lists one nonzero scalar per edge, in the order of the dual
+    complex edges, as :func:`edge_scaling_character` reads it.
+    """
     scalars = _edge_scalars(pair, lambdas)
     values = {}
     for (v, w), lam in zip(pair.complex.edges, scalars):

@@ -115,11 +115,11 @@ def classify_contraction(pair: LogCY3Pair, step: int):
 # ---------------------------------------------------------------------------
 
 
-def reconstruct_fan(data: ToricIntersectionData, seed=None) -> Fan3:
+def reconstruct_fan(data: ToricIntersectionData) -> Fan3:
     """Rebuild a fan, up to unimodular equivalence, from intersection data.
 
-    One cone is seeded with the standard basis; all other rays are placed
-    by propagating the wall relation
+    The least cone is seeded with the standard basis; all other rays are
+    placed by propagating the wall relation
     ``v_apex + c1 * v_x + c2 * v_y + v_other = 0`` across walls, where the
     coefficients are the self-intersections of the wall curve inside the
     two adjacent components.  Inconsistent data raises
@@ -136,11 +136,7 @@ def reconstruct_fan(data: ToricIntersectionData, seed=None) -> Fan3:
             raise ReconstructionError(
                 f"wall {sorted(wall)} lies in {len(incident)} cones, expected 2"
             )
-    if seed is None:
-        seed = min(cones)
-    seed = tuple(sorted(seed))
-    if seed not in cones:
-        raise ReconstructionError("seed is not a cone of the data")
+    seed = min(cones)
     rays = {seed[0]: (1, 0, 0), seed[1]: (0, 1, 0), seed[2]: (0, 0, 1)}
     placed = {frozenset(seed)}
     queue = [seed]
@@ -276,6 +272,14 @@ def _step_exc_positions(pair: LogCY3Pair, v: int):
         counters[key] = n + 1
         positions[(exc.step, exc.neighbor, n)] = idx
     return positions
+
+
+def _step_place(step, vertex):
+    """Where a step sits, its vertices read through ``vertex``: a point step's
+    edge, or the neighbours a curve step's points lie on, with their counts."""
+    if isinstance(step, PointBlowup):
+        return frozenset(map(vertex, step.edge))
+    return {vertex(w): len(step.points_on(w)) for w, _ in step.points if step.points_on(w)}
 
 
 def component_transport(
@@ -463,10 +467,8 @@ def decide_isomorphism(
             },
         )
 
-    # (iii) Peel the programs step by step.
-    transports = {
-        v: component_transport(pair, other, corr, v) for v in sorted(pair.components)
-    }
+    # (iii) Peel the programs step by step.  Once every matched step sits
+    # at the corresponding place, every derived component transport exists.
     for k in range(len(pair.program) - 1, -1, -1):
         k2 = corr.step_map[k]
         step, step2 = pair.program[k], other.program[k2]
@@ -490,15 +492,26 @@ def decide_isomorphism(
                 f"exceptional classes of steps {k} and {k2} do not correspond",
                 {"check": "exceptional_match", "steps": (k, k2)},
             )
+        if isinstance(step, CurveBlowup) and step2.component != corr.vertex(step.component):
+            return Verdict(
+                "distinct",
+                f"curve steps {k} and {k2} sit in non-corresponding components",
+                {"check": "curve_component", "steps": (k, k2)},
+            )
+        if _step_place(step, corr.vertex) != _step_place(step2, lambda v: v):
+            return Verdict(
+                "distinct",
+                f"steps {k} and {k2} sit at non-corresponding places",
+                {"check": "step_place", "steps": (k, k2)},
+            )
+    transports = {
+        v: component_transport(pair, other, corr, v) for v in sorted(pair.components)
+    }
+    for k in range(len(pair.program) - 1, -1, -1):
+        step, k2 = pair.program[k], corr.step_map[k]
         if isinstance(step, CurveBlowup):
-            v = step.component
-            v2 = corr.vertex(v)
-            if step2.component != v2:
-                return Verdict(
-                    "distinct",
-                    f"curve steps {k} and {k2} sit in non-corresponding components",
-                    {"check": "curve_component", "steps": (k, k2)},
-                )
+            step2 = other.program[k2]
+            v, v2 = step.component, step2.component
             curve = tuple(step.curve_class) + (0,) * (
                 pair.components[v].rank - len(step.curve_class)
             )

@@ -417,6 +417,28 @@ class TestCompare:
             "values": values,
         }
 
+    def test_matched_step_at_another_place_is_distinct(self, tmp_path, capsys):
+        # Exit 1, a verdict: a bijection of valid documents is no error.
+        from logcy3.exactnum import GaussianRational
+        from logcy3.fixtures import projective_space_fan
+        from logcy3.pair import LogCY3Pair, PointBlowup
+
+        points = [PointBlowup((0, 1), GaussianRational(2)), PointBlowup((2, 3), GaussianRational(3))]
+        pair = LogCY3Pair.build(projective_space_fan(), points)
+        path = tmp_path / "points.pair.json"
+        path.write_text(documents.dumps(documents.pair_to_document(pair)), encoding="utf-8")
+        swapped = Correspondence(Correspondence.identity(pair).vertex_map, (1, 0))
+        corr_path = tmp_path / "swapped.corr.json"
+        corr_path.write_text(
+            documents.dumps(documents.correspondence_to_document(swapped)), encoding="utf-8"
+        )
+        assert main(["--json", "compare", str(path), str(path), str(corr_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        results = json.loads(captured.out)["results"]
+        assert results["verdict"] == "distinct"
+        assert results["certificate"] == {"check": "step_place", "steps": [1, 0]}
+
     @pytest.mark.parametrize(
         "field, value",
         [("vertex_map", [[0, 0], [1, 1], [2, 2], [3, 3]]), ("step_map", ["0"])],
@@ -433,6 +455,19 @@ class TestCompare:
         assert main(["compare", path, path, str(corr_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {field}") and err.count("\n") == 1
+
+    def test_vertex_mapped_twice_is_a_document_error(self, tmp_path, capsys):
+        path = bundled_path("p3-point")
+        with open(path, "rb") as handle:
+            pair, _ = documents.pair_from_document(documents.loads(handle.read()))
+        doc = documents.correspondence_to_document(Correspondence.identity(pair))
+        identity = [[int(i == j) for j in range(2)] for i in range(2)]
+        doc["mu_components"] = {"0": identity, "00": identity}
+        corr_path = tmp_path / "twice.corr.json"
+        corr_path.write_text(documents.dumps(doc), encoding="utf-8")
+        assert main(["--json", "compare", path, path, str(corr_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: mu_components: vertex 0 listed twice\n"
 
     def test_unexpected_exception_is_an_error(self, monkeypatch, capsys):
         def broken(*args):

@@ -228,6 +228,18 @@ class TestCorrespondenceDocuments:
         with pytest.raises(DocumentError, match="not a correspondence"):
             correspondence_from_document({"format": "logcy3-pair", "version": 1})
 
+    @pytest.mark.parametrize("field", ["vertex_map", "mu_components"])
+    def test_vertex_listed_twice(self, field):
+        # "0" and "00" name one vertex; a second map of it must not reach
+        # the comparison, where two maps of one vertex cannot be ordered.
+        corr = Correspondence(
+            ((0, 0), (1, 1), (2, 2), (3, 3)), (0,), None, ((0, IntMatrix([[1]])),)
+        )
+        doc = loads(dumps(correspondence_to_document(corr)))
+        doc[field]["00"] = doc[field]["0"]
+        with pytest.raises(DocumentError, match=re.escape(f"{field}: vertex 0 listed twice")):
+            correspondence_from_document(doc)
+
     @pytest.mark.parametrize(
         "malform, path",
         [

@@ -46,7 +46,7 @@ from logcy3.torelli import (
     recognize_contraction_type,
     reconstruct_fan,
 )
-from test_pair import reference_intersection
+from test_pair import curve_program, reference_intersection
 
 
 def identity_matrix(n):
@@ -233,6 +233,40 @@ class TestDecision:
     def test_shape_mismatch_raises(self, pairs):
         with pytest.raises(CorrespondenceError):
             decide_isomorphism(pairs["p3"], pairs["p111"])
+
+    def test_steps_at_other_places_are_distinct(self, pairs):
+        """A matched step on another stratum is a ``step_place`` verdict.
+
+        Each correspondence is a bijection, so each pair of documents gets a
+        verdict; building the component transports before the steps were
+        compared raised ``CorrespondenceError`` on all four.  The curve sits
+        in component 0 of (P^1)^3 and meets the neighbours 4 and 5, which
+        swapping the y and z axes takes to 2 and 3.
+        """
+        fan = projective_space_fan()
+        first = LogCY3Pair.build(fan, [PointBlowup((0, 1), g("2")), PointBlowup((2, 3), g("3"))])
+        second = LogCY3Pair.build(fan, [PointBlowup((0, 1), g("2")), PointBlowup((1, 2), g("3"))])
+        mixed = pairs["p3-mixed"]
+        curve = LogCY3Pair.build(triple_line_fan(), curve_program(triple_line_fan(), None, 0, 0))
+        swap = {2: 4, 4: 2, 3: 5, 5: 3}
+        cases = [
+            (first, second, None, ("step_place", (1, 1))),
+            (first, first, Correspondence(tuple((v, v) for v in range(4)), (1, 0)),
+             ("step_place", (1, 0))),
+            (mixed, mixed,
+             Correspondence(Correspondence.identity(mixed).vertex_map, (1, 0, 2),
+                            identity_matrix(mixed.pic_rank)),
+             ("step_kind", (1, 0))),
+            (curve, curve,
+             Correspondence(tuple((v, swap.get(v, v)) for v in range(6)), (0,),
+                            identity_matrix(curve.pic_rank)),
+             ("step_place", (0, 0))),
+        ]
+        for pair, other, corr, (check, steps) in cases:
+            verdict = decide_isomorphism(pair, other, corr)
+            assert (verdict.kind, verdict.certificate) == (
+                "distinct", {"check": check, "steps": steps}
+            )
 
 
 class TestCorrespondenceLookup:
