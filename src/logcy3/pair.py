@@ -308,6 +308,8 @@ class LogCY3Pair:
         return self.toric_basis.rank + len(self.program)
 
     def exceptional_index(self, step: int) -> int:
+        if not 0 <= step < len(self.program):
+            raise PairError(f"no step {step}")
         return self.toric_basis.rank + step
 
     def exceptional_class(self, step: int) -> PicVector:
@@ -334,7 +336,7 @@ class LogCY3Pair:
 
     def cubic_form(self, a, b, c) -> int:
         """The triple intersection product of three threefold classes."""
-        va, vb, vc = (self._as_y_coords(x) for x in (a, b, c))
+        va, vb, vc = (self.as_y_coords(x) for x in (a, b, c))
         return symmetric_trilinear(self._tensor, va, vb, vc)
 
     def cubic_entries(self) -> dict:
@@ -363,7 +365,9 @@ class LogCY3Pair:
             raise PairError("class length does not match the Picard rank")
         return pull_back_tensor(self._tensor, mu)
 
-    def _as_y_coords(self, x):
+    def as_y_coords(self, x) -> tuple:
+        """The coordinates of a threefold class: a ``PicVector`` in the ``Y``
+        basis or a sequence, either of the Picard rank, or ``PairError``."""
         if isinstance(x, PicVector):
             if x.basis != "Y":
                 raise PairError(f"expected a threefold class, got basis {x.basis!r}")

@@ -23,7 +23,7 @@ from logcy3.exactnum import (
     power_product_of,
     snf,
 )
-from logcy3.pair import CurveBlowup, LogCY3Pair, PairError, PicVector, PointBlowup
+from logcy3.pair import CurveBlowup, LogCY3Pair, PairError, PointBlowup
 from logcy3.periods import (
     edge_matching_map,
     edge_matching_snf,
@@ -89,8 +89,6 @@ def classify_contraction(pair: LogCY3Pair, step: int):
     to the step's exceptional index, and its canonical class is ``K`` with
     every later coordinate set to zero.
     """
-    if not 0 <= step < len(pair.program):
-        raise PairError(f"no step {step}")
     e_index = pair.exceptional_index(step)
     k = pair.canonical
     # The extremal curve lies in E; pullbacks meet it trivially and E meets
@@ -188,7 +186,8 @@ def complexity(pair: LogCY3Pair, decomposition) -> Fraction:
     """``3 + (rank of the span of the classes) - (sum of the weights)``.
 
     ``decomposition`` is an iterable of (weight, class) entries with
-    nonnegative rational weights and threefold classes.
+    nonnegative rational weights and threefold classes, each read as
+    :meth:`~logcy3.pair.LogCY3Pair.cubic_form` reads its arguments.
     """
     weights = []
     classes = []
@@ -196,9 +195,8 @@ def complexity(pair: LogCY3Pair, decomposition) -> Fraction:
         weight = Fraction(weight)
         if weight < 0:
             raise PairError("decomposition weights must be nonnegative")
-        coords = cls.coords if isinstance(cls, PicVector) else tuple(cls)
         weights.append(weight)
-        classes.append(coords)
+        classes.append(pair.as_y_coords(cls))
     r = snf(IntMatrix(classes)).rank if classes else 0
     return Fraction(3) + r - sum(weights, Fraction(0))
 
@@ -289,7 +287,9 @@ def component_transport(
 
     Toric basis classes map through the vertex bijection; exceptional
     classes map to the matched step's exceptional on the matched edge, in
-    order of occurrence.
+    order of occurrence.  It exists once the structural checks have passed
+    (:func:`_checked_correspondence`, :func:`_step_place_failure`): then
+    both components have the same toric rank and the same exceptionals.
     """
     override = corr.component_override(v)
     if override is not None:
@@ -297,10 +297,6 @@ def component_transport(
     comp = pair.components[v]
     image_vertex = corr.vertex(v)
     comp2 = other.components[image_vertex]
-    if comp.rank != comp2.rank:
-        raise CorrespondenceError(
-            f"components {v} and {image_vertex} have different ranks"
-        )
     columns = []
     for b in comp.base.basis_indices:
         neighbor = comp.base.labels[b]
@@ -310,10 +306,6 @@ def component_transport(
     positions2 = _step_exc_positions(other, image_vertex)
     for step, neighbor, n in _step_exc_positions(pair, v):
         target = (corr.step_map[step], corr.vertex(neighbor), n)
-        if target not in positions2:
-            raise CorrespondenceError(
-                f"no matching exceptional for step {step} on component {v}"
-            )
         columns.append([(comp2.base.rank + positions2[target], 1)])
     return IntMatrix.from_columns(comp2.rank, columns)
 
@@ -323,12 +315,7 @@ def boundary_map(pair, other, corr, transports) -> IntMatrix:
 
     Column ``j`` is the image of the pair's boundary basis class ``j``:
     column ``j`` of its component's transport, placed at the offset of the
-    image component's block in the other pair's boundary lattice.  Every
-    transport is square, of both components' rank: a derived one raises
-    ``CorrespondenceError`` unless the two ranks are equal, and an explicit
-    one reaches here only after :func:`_isometry_failure` has found it
-    square of both ranks.  So the blocks tile the other pair's boundary
-    lattice, and the map has its rank as rows.
+    image component's block in the other pair's boundary lattice.
     """
     offsets, length = other.component_offsets()
     columns = []
@@ -345,8 +332,6 @@ def threefold_transport(
     """The induced map on threefold Picard lattices."""
     if corr.mu is not None:
         return corr.mu
-    if pair.pic_rank != other.pic_rank:
-        raise CorrespondenceError("Picard ranks differ")
     columns = []
     for v in pair.toric_basis.basis_rays:
         image = other.toric_basis.ray_class(corr.vertex(v))
@@ -358,8 +343,8 @@ def threefold_transport(
 
 def _checked_correspondence(pair, other, corr):
     """The correspondence to compare through (``None`` is the identity), and
-    :func:`_isometry_failure`'s verdict; no bijection raises ``CorrespondenceError``.
-    """
+    :func:`_isometry_failure`'s or else step (i)'s dual-complex verdict; no
+    bijection raises ``CorrespondenceError``."""
     if corr is None:
         corr = Correspondence.identity(pair)
     vertices = [sorted(pair.components), sorted(other.components)]
@@ -368,7 +353,43 @@ def _checked_correspondence(pair, other, corr):
     steps = corr.step_map
     if len(steps) != len(pair.program) or sorted(steps) != list(range(len(other.program))):
         raise CorrespondenceError("step map is not a bijection of program steps")
-    return corr, _isometry_failure(pair, other, corr)
+    failure = _isometry_failure(pair, other, corr)
+    cones = {frozenset(map(corr.vertex, c)) for c in pair.fan.cone_set()}
+    if failure is None and cones != other.fan.cone_set():
+        failure = Verdict(
+            "distinct",
+            "dual complexes do not match under the vertex bijection",
+            {"check": "dual_complex"},
+        )
+    return corr, failure
+
+
+def _step_place_failure(pair, other, corr):
+    """Step (iii)'s structural half, from the last step: a distinct verdict for
+    the first matched step of another kind, a curve step in a non-corresponding
+    component, or a step at another place; ``None`` when every step matches."""
+    for k in range(len(pair.program) - 1, -1, -1):
+        k2 = corr.step_map[k]
+        step, step2 = pair.program[k], other.program[k2]
+        if type(step) is not type(step2):
+            return Verdict(
+                "distinct",
+                f"steps {k} and {k2} have different kinds",
+                {"check": "step_kind", "steps": (k, k2)},
+            )
+        if isinstance(step, CurveBlowup) and step2.component != corr.vertex(step.component):
+            return Verdict(
+                "distinct",
+                f"curve steps {k} and {k2} sit in non-corresponding components",
+                {"check": "curve_component", "steps": (k, k2)},
+            )
+        if _step_place(step, corr.vertex) != _step_place(step2, lambda v: v):
+            return Verdict(
+                "distinct",
+                f"steps {k} and {k2} sit at non-corresponding places",
+                {"check": "step_place", "steps": (k, k2)},
+            )
+    return None
 
 
 def _isometry_failure(pair: LogCY3Pair, other: LogCY3Pair, corr: Correspondence):
@@ -430,20 +451,11 @@ def decide_isomorphism(
     pair: LogCY3Pair, other: LogCY3Pair, corr: Correspondence = None
 ) -> Verdict:
     """Run the full decision pipeline and return a verdict with certificate."""
-    # Explicit component maps are checked with integers before anything
-    # else, so that no exponent is taken from a map that is no isometry.
+    # Explicit component maps are checked with integers first, so no exponent
+    # is taken from a map that is no isometry; then (i) the dual complexes.
     corr, failure = _checked_correspondence(pair, other, corr)
     if failure is not None:
         return failure
-
-    # (i) Dual complexes must match under the vertex bijection.
-    cones = {frozenset(corr.vertex(i) for i in c) for c in pair.fan.cone_set()}
-    if cones != other.fan.cone_set():
-        return Verdict(
-            "distinct",
-            "dual complexes do not match under the vertex bijection",
-            {"check": "dual_complex"},
-        )
 
     # (ii) The induced threefold map must preserve the cubic form: the
     # tensor of the other pair, pulled back through mu, must equal this
@@ -469,15 +481,15 @@ def decide_isomorphism(
 
     # (iii) Peel the programs step by step.  Once every matched step sits
     # at the corresponding place, every derived component transport exists.
+    failure = _step_place_failure(pair, other, corr)
+    if failure is not None:
+        return failure
+    transports = {
+        v: component_transport(pair, other, corr, v) for v in sorted(pair.components)
+    }
     for k in range(len(pair.program) - 1, -1, -1):
         k2 = corr.step_map[k]
         step, step2 = pair.program[k], other.program[k2]
-        if type(step) is not type(step2):
-            return Verdict(
-                "distinct",
-                f"steps {k} and {k2} have different kinds",
-                {"check": "step_kind", "steps": (k, k2)},
-            )
         type1, triple1 = classify_contraction(pair, k)
         type2, triple2 = classify_contraction(other, k2)
         if type1 != type2:
@@ -492,25 +504,7 @@ def decide_isomorphism(
                 f"exceptional classes of steps {k} and {k2} do not correspond",
                 {"check": "exceptional_match", "steps": (k, k2)},
             )
-        if isinstance(step, CurveBlowup) and step2.component != corr.vertex(step.component):
-            return Verdict(
-                "distinct",
-                f"curve steps {k} and {k2} sit in non-corresponding components",
-                {"check": "curve_component", "steps": (k, k2)},
-            )
-        if _step_place(step, corr.vertex) != _step_place(step2, lambda v: v):
-            return Verdict(
-                "distinct",
-                f"steps {k} and {k2} sit at non-corresponding places",
-                {"check": "step_place", "steps": (k, k2)},
-            )
-    transports = {
-        v: component_transport(pair, other, corr, v) for v in sorted(pair.components)
-    }
-    for k in range(len(pair.program) - 1, -1, -1):
-        step, k2 = pair.program[k], corr.step_map[k]
         if isinstance(step, CurveBlowup):
-            step2 = other.program[k2]
             v, v2 = step.component, step2.component
             curve = tuple(step.curve_class) + (0,) * (
                 pair.components[v].rank - len(step.curve_class)
@@ -595,13 +589,17 @@ def marking_transporter(
     first pair, ``("complex_only", witness)`` when a solution exists over
     the full torus but requires roots missing from Q(i), or
     ``("unsolvable", relation)`` with a violated multiplicative relation
-    (the expected outcome when the unmarked periods differ).  An explicit
-    component map that is no isometry gives ``("component_isometry",
-    certificate)``, the certificate :func:`decide_isomorphism` gives.
+    (the expected outcome when the unmarked periods differ), once the
+    structural checks shared with :func:`decide_isomorphism` pass; the first
+    that fails gives ``(check, certificate)`` with decide's certificate:
+    ``component_isometry``, ``dual_complex``, ``step_kind``,
+    ``curve_component`` or ``step_place``.
     """
     corr, failure = _checked_correspondence(pair, other, corr)
+    if failure is None:
+        failure = _step_place_failure(pair, other, corr)
     if failure is not None:
-        return "component_isometry", failure.certificate
+        return failure.certificate["check"], failure.certificate
     if marking is None:
         marking = pair.markers()
     if marking_other is None:

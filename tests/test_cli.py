@@ -456,6 +456,25 @@ class TestCompare:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {field}") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "mu, shape",
+        [([[1, 0, 0], [0, 1, 0]], "2 x 3"), ([[1, 0], [0, 1], [0, 0]], "3 x 2"), ([], "0 x 0")],
+        ids=["columns", "rows", "empty"],
+    )
+    def test_mu_of_another_shape_is_a_document_error(self, mu, shape, tmp_path, capsys):
+        # The pair has Picard rank 2, so mu must be 2 x 2: a document error,
+        # on one line, and not the catch-all's.
+        path = bundled_path("p3-point")
+        with open(path, "rb") as handle:
+            pair, _ = documents.pair_from_document(documents.loads(handle.read()))
+        doc = documents.correspondence_to_document(Correspondence.identity(pair))
+        doc["mu"] = mu
+        corr_path = tmp_path / "shape.corr.json"
+        corr_path.write_text(documents.dumps(doc), encoding="utf-8")
+        assert main(["--json", "compare", path, path, str(corr_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: mu: expected a 2 x 2 matrix, got {shape}\n"
+
     def test_vertex_mapped_twice_is_a_document_error(self, tmp_path, capsys):
         path = bundled_path("p3-point")
         with open(path, "rb") as handle:

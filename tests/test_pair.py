@@ -986,6 +986,14 @@ class TestCubicForm:
         with pytest.raises(PairError, match="length"):
             pairs["p3"].cubic_form((1, 0), (1,), (1,))
 
+    def test_exceptional_class_of_a_missing_step_rejected(self, pairs):
+        pair = pairs["p3-point"]
+        assert pair.exceptional_class(0).coords == (0, 1)
+        for step in (1, 5, -1):
+            for read in (pair.exceptional_class, pair.exceptional_index):
+                with pytest.raises(PairError, match=rf"^no step {step}$"):
+                    read(step)
+
 
 def restricted_exceptional(pair):
     """The first exceptional class's restriction, one tuple per component."""

@@ -18,6 +18,9 @@ checked here holds in any basis of the matching lattice:
   rays, with the cones, orientation datum, edge orientations and point
   steps carried along, through the permutation's correspondence: the
   transcript is the unmarked period, and the transporter solves;
+* through a drawn permutation of its steps, a pair against itself gets a
+  structural verdict (``step_place`` for points on other walls) that is
+  also the transporter's result, or both get past the step checks;
 * at a random marking off the markers, each component's character table
   equals the section-ratio period of its unit vectors, at the head and the
   tail of every edge;
@@ -146,6 +149,20 @@ def test_random_pairs(case, data):
     transcript = verdict.certificate["period_transcript"]
     assert [value for _, value in transcript] == [str(v) for v in unmarked.values]
     assert marking_transporter(pair, other, corr)[0] == "solved"
+
+    # The pair against itself through a drawn permutation of its steps: a
+    # structural verdict is also the transporter's status and result, and
+    # otherwise both get past step (iii).
+    tau = data.draw(st.permutations(range(len(pair.program))))
+    corr = Correspondence(Correspondence.identity(pair).vertex_map, tuple(tau))
+    verdict = decide_isomorphism(pair, pair, corr)
+    status, result = marking_transporter(pair, pair, corr)
+    check = verdict.certificate["check"]
+    if check in ("step_kind", "curve_component", "step_place"):
+        assert (status, result) == (check, verdict.certificate)
+    else:
+        assert check in ("period", "complete")
+        assert status in ("solved", "complex_only", "unsolvable")
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,6 +1,7 @@
 """Tests for contraction types, fan reconstruction, and the decision procedure."""
 
 import random
+import re
 from fractions import Fraction
 from time import perf_counter
 
@@ -26,7 +27,7 @@ from logcy3.fixtures import (
     triple_line_fan,
 )
 from logcy3.oracle import split_boundary_vector
-from logcy3.pair import LogCY3Pair, PairError, PointBlowup
+from logcy3.pair import LogCY3Pair, PairError, PicVector, PointBlowup
 from logcy3.periods import (
     edge_cokernel_report,
     evaluate_boundary_character,
@@ -168,6 +169,20 @@ class TestComplexity:
         decomposition = [(Fraction(1, 2), (1,)), (Fraction(3, 2), (1,))]
         assert complexity(pair, decomposition) == Fraction(2)
 
+    def test_classes_are_read_as_threefold_classes(self, pairs):
+        # As cubic_form reads them: a class of another length, or one in
+        # the toric basis, is no threefold class of the pair.
+        pair = pairs["p3-point"]
+        for cls, message in [
+            ((1, 0, 0, 0, 5), "class length does not match the Picard rank"),
+            (PicVector((1, 0), "toric"), "expected a threefold class, got basis 'toric'"),
+        ]:
+            with pytest.raises(PairError, match=f"^{re.escape(message)}$"):
+                complexity(pair, [(1, cls)])
+            with pytest.raises(PairError, match=f"^{re.escape(message)}$"):
+                pair.cubic_form(cls, cls, cls)
+        assert complexity(pair, [(1, PicVector((1, 0), "Y"))]) == 3
+
 
 class TestDecision:
     def test_self_comparison(self, pairs):
@@ -288,7 +303,47 @@ class TestCorrespondenceLookup:
         assert corr.component_override(1) is first
 
 
+def structural_failures(pairs):
+    """Five bijections of valid documents that fail a structural check, with
+    their certificates: the four matched steps at other places of
+    ``test_steps_at_other_places_are_distinct``, and (P^1)^3 under the swap
+    of rays 0 and 2, whose dual complexes do not match."""
+    fan = projective_space_fan()
+    first = LogCY3Pair.build(fan, [PointBlowup((0, 1), g("2")), PointBlowup((2, 3), g("3"))])
+    second = LogCY3Pair.build(fan, [PointBlowup((0, 1), g("2")), PointBlowup((1, 2), g("3"))])
+    mixed = pairs["p3-mixed"]
+    curve = LogCY3Pair.build(triple_line_fan(), curve_program(triple_line_fan(), None, 0, 0))
+    lines = LogCY3Pair.build(triple_line_fan())
+    swap_yz = {2: 4, 4: 2, 3: 5, 5: 3}
+    swap_02 = {0: 2, 2: 0}
+    return [
+        (first, second, None, {"check": "step_place", "steps": (1, 1)}),
+        (first, first, Correspondence(tuple((v, v) for v in range(4)), (1, 0)),
+         {"check": "step_place", "steps": (1, 0)}),
+        (mixed, mixed,
+         Correspondence(Correspondence.identity(mixed).vertex_map, (1, 0, 2),
+                        identity_matrix(mixed.pic_rank)),
+         {"check": "step_kind", "steps": (1, 0)}),
+        (curve, curve,
+         Correspondence(tuple((v, swap_yz.get(v, v)) for v in range(6)), (0,),
+                        identity_matrix(curve.pic_rank)),
+         {"check": "step_place", "steps": (0, 0)}),
+        (lines, lines, Correspondence(tuple((v, swap_02.get(v, v)) for v in range(6)), ()),
+         {"check": "dual_complex"}),
+    ]
+
+
 class TestMarkingTransporter:
+    def test_structural_failure_is_decides_certificate(self, pairs):
+        # The transporter runs decide's structural checks and returns the
+        # failing check with decide's certificate.
+        for pair, other, corr, certificate in structural_failures(pairs):
+            verdict = decide_isomorphism(pair, other, corr)
+            assert (verdict.kind, verdict.certificate) == ("distinct", certificate)
+            assert marking_transporter(pair, other, corr) == (
+                certificate["check"], certificate
+            )
+
     def test_identity_is_solved(self, pairs):
         status, scalars = marking_transporter(pairs["p3-conic"], pairs["p3-conic"])
         assert status == "solved"
