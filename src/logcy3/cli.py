@@ -166,12 +166,6 @@ def cmd_compare(args):
         corr = _load(
             documents.correspondence_from_document, args.correspondence, "correspondence", inputs
         )
-        # A mu of another shape is a document error, not an arithmetic one.
-        expected = (other.pic_rank, pair.pic_rank)
-        if corr.mu is not None and corr.mu.shape != expected:
-            raise DocumentError(
-                "mu: expected a {} x {} matrix, got {} x {}".format(*expected, *corr.mu.shape)
-            )
     else:
         corr = Correspondence.identity(pair)
     verdict = decide_isomorphism(pair, other, corr)

@@ -1,12 +1,12 @@
 """Deciding isomorphism of pairs by reduction to a common toric model.
 
-The pipeline matches the combinatorics of the two dual complexes, checks
-that the supplied correspondence preserves the cubic form, peels the blowup
-programs step by step (classifying each contraction against the divisorial
-contraction table), compares the base toric models up to unimodular
-equivalence, and finally compares the exact period characters on the
-matching lattice.  Every verdict carries a certificate naming the check
-that decided it, with its witness.
+The pipeline checks the supplied correspondence against both pairs once,
+with integers (explicit component maps must be isometries that keep edge
+degrees, and the dual complexes must match), checks that it preserves the
+cubic form, peels the blowup programs step by step, compares the base toric
+models up to unimodular equivalence, and finally compares the exact period
+characters on the matching lattice.  Every verdict carries a certificate
+naming the check that decided it, with its witness.
 """
 
 from __future__ import annotations
@@ -15,22 +15,9 @@ from fractions import Fraction
 from functools import cached_property
 
 from logcy3.boundary import Marking
-from logcy3.exactnum import (
-    ExactArithmeticError,
-    Frozen,
-    IntMatrix,
-    dot,
-    power_product_of,
-    snf,
-)
+from logcy3.exactnum import Frozen, IntMatrix, dot, power_product_of, snf
 from logcy3.pair import CurveBlowup, LogCY3Pair, PairError, PointBlowup
-from logcy3.periods import (
-    edge_matching_map,
-    edge_matching_snf,
-    matching_kernel,
-    matching_lattice,
-    matching_values,
-)
+from logcy3.periods import edge_matching_snf, matching_kernel, matching_lattice, matching_values
 from logcy3.toric import (
     Fan3,
     ToricIntersectionData,
@@ -287,9 +274,10 @@ def component_transport(
 
     Toric basis classes map through the vertex bijection; exceptional
     classes map to the matched step's exceptional on the matched edge, in
-    order of occurrence.  It exists once the structural checks have passed
-    (:func:`_checked_correspondence`, :func:`_step_place_failure`): then
-    both components have the same toric rank and the same exceptionals.
+    order of occurrence.  It holds only once the structural checks have
+    passed (:func:`_checked_correspondence`, :func:`_step_place_failure`):
+    then both components have the same toric rank and the same exceptionals,
+    and an explicit map keeps edges; before, a call may raise ``KeyError``.
     """
     override = corr.component_override(v)
     if override is not None:
@@ -315,7 +303,8 @@ def boundary_map(pair, other, corr, transports) -> IntMatrix:
 
     Column ``j`` is the image of the pair's boundary basis class ``j``:
     column ``j`` of its component's transport, placed at the offset of the
-    image component's block in the other pair's boundary lattice.
+    image component's block in the other pair's boundary lattice.  It
+    holds, as :func:`component_transport` does, only under the checks.
     """
     offsets, length = other.component_offsets()
     columns = []
@@ -329,7 +318,8 @@ def boundary_map(pair, other, corr, transports) -> IntMatrix:
 def threefold_transport(
     pair: LogCY3Pair, other: LogCY3Pair, corr: Correspondence
 ) -> IntMatrix:
-    """The induced map on threefold Picard lattices."""
+    """The induced map on threefold Picard lattices, or the explicit ``mu``;
+    it holds, as :func:`component_transport` does, only under the checks."""
     if corr.mu is not None:
         return corr.mu
     columns = []
@@ -343,8 +333,9 @@ def threefold_transport(
 
 def _checked_correspondence(pair, other, corr):
     """The correspondence to compare through (``None`` is the identity), and
-    :func:`_isometry_failure`'s or else step (i)'s dual-complex verdict; no
-    bijection raises ``CorrespondenceError``."""
+    :func:`_component_map_failure`'s or else step (i)'s dual-complex verdict;
+    no bijection, a ``mu_components`` key for no vertex of the pair or a
+    ``mu`` of another shape raises ``CorrespondenceError``."""
     if corr is None:
         corr = Correspondence.identity(pair)
     vertices = [sorted(pair.components), sorted(other.components)]
@@ -353,7 +344,17 @@ def _checked_correspondence(pair, other, corr):
     steps = corr.step_map
     if len(steps) != len(pair.program) or sorted(steps) != list(range(len(other.program))):
         raise CorrespondenceError("step map is not a bijection of program steps")
-    failure = _isometry_failure(pair, other, corr)
+    for v, _ in corr.mu_components:
+        if v not in pair.components:
+            raise CorrespondenceError(
+                f"mu_components: vertex {v} is not a component of the first pair"
+            )
+    expected = (other.pic_rank, pair.pic_rank)
+    if corr.mu is not None and corr.mu.shape != expected:
+        raise CorrespondenceError(
+            "mu: expected a {} x {} matrix, got {} x {}".format(*expected, *corr.mu.shape)
+        )
+    failure = _component_map_failure(pair, other, corr)
     cones = {frozenset(map(corr.vertex, c)) for c in pair.fan.cone_set()}
     if failure is None and cones != other.fan.cone_set():
         failure = Verdict(
@@ -392,20 +393,23 @@ def _step_place_failure(pair, other, corr):
     return None
 
 
-def _isometry_failure(pair: LogCY3Pair, other: LogCY3Pair, corr: Correspondence):
-    """A distinct verdict for the first explicit component map that is no isometry.
+def _component_map_failure(pair: LogCY3Pair, other: LogCY3Pair, corr: Correspondence):
+    """A distinct verdict for the first explicit component map that is no
+    isometry or moves an edge.
 
     Each map ``corr.mu_components`` gives for a component of the pair is
     checked with integers alone, in O(rank**3): it must be square, of the
     component's rank and the image component's; it must preserve the
     intersection form, read through both components' intersection vectors;
-    and it must carry the anticanonical class to the image component's.
-    The certificate names the component, then the map's shape and the two
-    ranks, or the first pair of basis classes ``i <= j`` whose product
-    differs with both products, or the image of the anticanonical class
-    beside the image component's.  Returns ``None`` when every explicit map
-    passes.  Derived maps are isometries by construction and are not
-    checked.
+    it must carry the anticanonical class to the image component's; and, as
+    an isomorphism of pairs keeps each double curve, it must keep each basis
+    class's edge degrees, by neighbour through the vertex map.  The
+    certificate names the component, then the map's shape and the two ranks,
+    or the first classes ``i <= j`` whose product differs with both products,
+    or the anticanonical image beside the image component's class, or
+    (``component_edges``) the first class that moves with both degree maps.
+    Returns ``None`` when every explicit map passes; derived maps pass by
+    construction and are not checked.
     """
     for v in sorted(pair.components):
         matrix = corr.component_override(v)
@@ -444,6 +448,17 @@ def _isometry_failure(pair: LogCY3Pair, other: LogCY3Pair, corr: Correspondence)
                 f"the map of component {v} does not carry the anticanonical class",
                 certificate,
             )
+        for i, (unit, image) in enumerate(zip(comp.basis_vectors(), images)):
+            degrees = {corr.vertex(w): d for w, d in comp.edge_degrees(unit).items()}
+            degrees2 = comp2.edge_degrees(image)
+            if degrees != degrees2:
+                certificate.update({"check": "component_edges", "class": i})
+                certificate["degrees"] = (degrees, degrees2)
+                return Verdict(
+                    "distinct",
+                    f"the map of component {v} moves the edge degrees of class {i}",
+                    certificate,
+                )
     return None
 
 
@@ -452,7 +467,7 @@ def decide_isomorphism(
 ) -> Verdict:
     """Run the full decision pipeline and return a verdict with certificate."""
     # Explicit component maps are checked with integers first, so no exponent
-    # is taken from a map that is no isometry; then (i) the dual complexes.
+    # is taken from a map that breaks them; then (i) the dual complexes.
     corr, failure = _checked_correspondence(pair, other, corr)
     if failure is not None:
         return failure
@@ -461,9 +476,6 @@ def decide_isomorphism(
     # tensor of the other pair, pulled back through mu, must equal this
     # pair's.  The witness is the least differing triple i <= j <= k.
     mu = threefold_transport(pair, other, corr)
-    r = pair.pic_rank
-    if mu.cols != r:
-        raise ExactArithmeticError("vector length mismatch")
     left = pair.cubic_entries()
     right = other.pulled_back_cubic(mu)
     differing = [t for t in left.keys() | right.keys() if left.get(t) != right.get(t)]
@@ -480,7 +492,8 @@ def decide_isomorphism(
         )
 
     # (iii) Peel the programs step by step.  Once every matched step sits
-    # at the corresponding place, every derived component transport exists.
+    # at the corresponding place, every derived component transport exists;
+    # a matched step has the same kind, so its contraction has the same type.
     failure = _step_place_failure(pair, other, corr)
     if failure is not None:
         return failure
@@ -490,14 +503,6 @@ def decide_isomorphism(
     for k in range(len(pair.program) - 1, -1, -1):
         k2 = corr.step_map[k]
         step, step2 = pair.program[k], other.program[k2]
-        type1, triple1 = classify_contraction(pair, k)
-        type2, triple2 = classify_contraction(other, k2)
-        if type1 != type2:
-            return Verdict(
-                "distinct",
-                f"contraction types differ at steps {k} and {k2}",
-                {"check": "contraction_type", "triples": (triple1, triple2)},
-            )
         if mu.columns[pair.exceptional_index(k)] != ((other.exceptional_index(k2), 1),):
             return Verdict(
                 "distinct",
@@ -532,17 +537,13 @@ def decide_isomorphism(
     # (v) Compare exact periods on the matching lattice.  This pair's side
     # is its held matching values.  The matching generators are the held
     # kernel's sparse columns: one sparse product moves them all through the
-    # boundary map, and every image is checked against the other pair's
-    # edge-matching map, with integers, before any period is taken.  Then
-    # each image is valued on the other pair's character table, one power
-    # product over its nonzero entries, generator by generator, so a
-    # distinct verdict stops at its witness.
+    # boundary map, into the other pair's matching lattice, since every
+    # component transport keeps edge degrees.  Then each image is valued on
+    # the other pair's character table, one power product over its nonzero
+    # entries, generator by generator, so a distinct verdict stops at its
+    # witness.
     boundary = boundary_map(pair, other, corr, transports)
     moved = boundary * matching_kernel(pair)
-    if any((edge_matching_map(other) * moved).columns):
-        raise CorrespondenceError(
-            "transported matching class violates the edge-matching condition"
-        )
     table2 = other.character_table(other.markers())
     transcript = []
     generators = zip(matching_lattice(pair), moved.columns, matching_values(pair))
@@ -592,8 +593,8 @@ def marking_transporter(
     (the expected outcome when the unmarked periods differ), once the
     structural checks shared with :func:`decide_isomorphism` pass; the first
     that fails gives ``(check, certificate)`` with decide's certificate:
-    ``component_isometry``, ``dual_complex``, ``step_kind``,
-    ``curve_component`` or ``step_place``.
+    ``component_isometry``, ``component_edges``, ``dual_complex``,
+    ``step_kind``, ``curve_component`` or ``step_place``.
     """
     corr, failure = _checked_correspondence(pair, other, corr)
     if failure is None:

@@ -475,6 +475,46 @@ class TestCompare:
         err = capsys.readouterr().err
         assert err == f"error: mu: expected a 2 x 2 matrix, got {shape}\n"
 
+    @staticmethod
+    def swapped_files(tmp_path, key):
+        """P^3 with points on the edges (0, 1) and (0, 2), and the identity
+        with a map under ``key`` that swaps component 0's exceptional classes."""
+        from logcy3.exactnum import GaussianRational
+        from logcy3.fixtures import projective_space_fan
+        from logcy3.pair import LogCY3Pair, PointBlowup
+
+        points = [PointBlowup((0, 1), GaussianRational(2)), PointBlowup((0, 2), GaussianRational(3))]
+        pair = LogCY3Pair.build(projective_space_fan(), points)
+        path = tmp_path / "points.pair.json"
+        path.write_text(documents.dumps(documents.pair_to_document(pair)), encoding="utf-8")
+        doc = documents.correspondence_to_document(Correspondence.identity(pair))
+        doc["mu_components"] = {key: [[1, 0, 0], [0, 0, 1], [0, 1, 0]]}
+        corr_path = tmp_path / "swapped.corr.json"
+        corr_path.write_text(documents.dumps(doc), encoding="utf-8")
+        return str(path), str(corr_path)
+
+    def test_map_that_moves_an_edge_is_distinct(self, tmp_path, capsys):
+        # The swap is an isometry that keeps the anticanonical class, so
+        # only the edge check sees it: a verdict, exit 1.
+        path, corr_path = self.swapped_files(tmp_path, "0")
+        assert main(["--json", "compare", path, path, corr_path]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        results = json.loads(captured.out)["results"]
+        assert results["verdict"] == "distinct"
+        assert results["certificate"] == {
+            "check": "component_edges",
+            "component": 0,
+            "class": 1,
+            "degrees": [{"1": 1, "2": 0, "3": 0}, {"1": 0, "2": 1, "3": 0}],
+        }
+
+    def test_map_for_a_missing_vertex_is_an_error(self, tmp_path, capsys):
+        path, corr_path = self.swapped_files(tmp_path, "9")
+        assert main(["--json", "compare", path, path, corr_path]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: mu_components: vertex 9 is not a component of the first pair\n"
+
     def test_vertex_mapped_twice_is_a_document_error(self, tmp_path, capsys):
         path = bundled_path("p3-point")
         with open(path, "rb") as handle:

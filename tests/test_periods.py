@@ -121,9 +121,10 @@ class TestEdgeMatchingMap:
             assert decide_isomorphism(pair, other).is_isomorphic
             assert marking_transporter(pair, other)[0] == "solved"
         assert times("map", pair) == 1
-        # A verdict composes the other pair's edge-matching map with the
-        # boundary map: it is built once, and never densified or factored.
-        assert times("map", other) == 1
+        # No verdict or transport builds the other pair's edge-matching map:
+        # the correspondence is checked against both pairs before step (v),
+        # so the boundary map carries matching classes to matching classes.
+        assert times("map", other) == 0
         assert "data" not in vars(edge_matching_map(other))
         assert times("snf", edge_matching_map(other)) == 0
         assert times("snf", edge_matching_map(pair)) == 1

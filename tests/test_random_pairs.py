@@ -21,6 +21,17 @@ checked here holds in any basis of the matching lattice:
 * through a drawn permutation of its steps, a pair against itself gets a
   structural verdict (``step_place`` for points on other walls) that is
   also the transporter's result, or both get past the step checks;
+* through an explicit map of a drawn component that shuffles its
+  exceptional classes, the same holds: ``component_edges`` exactly when a
+  class moves to another edge, and otherwise a verdict on the periods;
+  a map for a vertex the pair lacks raises ``CorrespondenceError``;
+* wherever a correspondence gets past the structural checks, the boundary
+  map carries the edge-matching map's rows to the image edges, signed, so
+  it carries the matching lattice into the partner's;
+* with one point coordinate moved by 3/2, decide says ``distinct`` at
+  ``period`` exactly when the transporter finds no torus element, with a
+  witness in the matching lattice whose image is in the partner's and whose
+  two values differ; otherwise the move is a torus translate, ``complete``;
 * at a random marking off the markers, each component's character table
   equals the section-ratio period of its unit vectors, at the head and the
   tail of every edge;
@@ -31,6 +42,7 @@ checked here holds in any basis of the matching lattice:
 Run ``pytest --hypothesis-profile=default`` for fresh draws.
 """
 
+import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
@@ -49,12 +61,14 @@ from logcy3.periods import (
 )
 from logcy3.torelli import (
     Correspondence,
+    CorrespondenceError,
     classify_contraction,
     decide_isomorphism,
     marking_transporter,
 )
 from logcy3.toric import Fan3, FanError
 from test_pair import ladder_fans
+from test_torelli import assert_edge_rows_carried
 
 BASES = (projective_space_fan(), triple_line_fan())
 
@@ -130,9 +144,11 @@ def test_random_pairs(case, data):
     for gen, value in zip(unmarked.basis, unmarked.values):
         assert cocycle_period(pair, gen) == value
 
+    identity = Correspondence.identity(pair)
     assert decide_isomorphism(pair, pair).is_isomorphic
     moved = pair.torus_translate(torus_element)
     assert decide_isomorphism(pair, moved).is_isomorphic
+    assert_edge_rows_carried(pair, moved, identity)
     status, scalars = marking_transporter(pair, moved)
     assert status == "solved"
     scaling = edge_scaling_character(pair, scalars).values
@@ -149,6 +165,7 @@ def test_random_pairs(case, data):
     transcript = verdict.certificate["period_transcript"]
     assert [value for _, value in transcript] == [str(v) for v in unmarked.values]
     assert marking_transporter(pair, other, corr)[0] == "solved"
+    assert_edge_rows_carried(pair, other, corr)
 
     # The pair against itself through a drawn permutation of its steps: a
     # structural verdict is also the transporter's status and result, and
@@ -163,6 +180,63 @@ def test_random_pairs(case, data):
     else:
         assert check in ("period", "complete")
         assert status in ("solved", "complex_only", "unsolvable")
+
+    # An explicit map of a drawn component that fixes its toric classes and
+    # shuffles its exceptional ones: an isometry, which moves an edge
+    # exactly when a class goes to one on another edge.  The component is
+    # drawn among those with two exceptional classes or more, if any.
+    several = [v for v, comp in sorted(pair.components.items()) if len(comp.excs) > 1]
+    v = data.draw(st.sampled_from(several or sorted(pair.components)))
+    comp = pair.components[v]
+    base = comp.base.rank
+    order = data.draw(st.permutations(range(base, comp.rank)))
+    shuffle = IntMatrix.from_columns(comp.rank, [[(i, 1)] for i in [*range(base), *order]])
+    corr = Correspondence(identity.vertex_map, identity.step_map, None, ((v, shuffle),))
+    verdict = decide_isomorphism(pair, pair, corr)
+    status, result = marking_transporter(pair, pair, corr)
+    check = verdict.certificate["check"]
+    moves = any(
+        comp.excs[i - base].neighbor != comp.excs[j - base].neighbor
+        for i, j in enumerate(order, base)
+    )
+    if moves:
+        assert check == "component_edges"
+        assert (status, result) == (check, verdict.certificate)
+    else:
+        assert check in ("period", "complete")
+        assert (check == "period") == (status == "unsolvable")
+        assert_edge_rows_carried(pair, pair, corr)
+    missing = Correspondence(corr.vertex_map, corr.step_map, None, ((pair.fan.n_rays, shuffle),))
+    for function in (decide_isomorphism, marking_transporter):
+        with pytest.raises(CorrespondenceError, match="^mu_components: vertex"):
+            function(pair, pair, missing)
+
+    # One point coordinate moved by 3/2: a period verdict, or a translate.
+    if not pair.program:
+        return
+    k = data.draw(st.integers(0, len(pair.program) - 1))
+    program = list(pair.program)
+    step = program[k]
+    program[k] = PointBlowup(step.edge, step.coordinate * GaussianRational.parse("3/2"))
+    try:
+        other = LogCY3Pair.build(fan, program, [tuple(e) for e in pair.complex.edges])
+    except PairError:
+        return  # the moved point met another on its edge
+    verdict = decide_isomorphism(pair, other)
+    check = verdict.certificate["check"]
+    assert check in ("period", "complete")
+    assert (check == "period") == (marking_transporter(pair, other)[0] == "unsolvable")
+    if check == "period":
+        witness = verdict.certificate["witness"]
+        image = verdict.certificate["witness_image"]
+        assert not any(edge_matching_map(pair).apply(witness))
+        assert not any(edge_matching_map(other).apply(image))
+        values = (
+            evaluate_boundary_character(pair, pair.markers(), witness),
+            evaluate_boundary_character(other, other.markers(), image),
+        )
+        assert values[0] != values[1]
+        assert tuple(map(str, values)) == verdict.certificate["values"]
 
 
 @settings(max_examples=30, deadline=None)

@@ -284,6 +284,44 @@ class TestDecision:
             )
 
 
+def swapped_exceptionals():
+    """P^3 with points on the edges (0, 1) and (0, 2), and the identity with
+    an explicit map of component 0 that swaps its two exceptional classes:
+    an isometry that keeps the anticanonical class but moves both edges."""
+    pair = LogCY3Pair.build(
+        projective_space_fan(), [PointBlowup((0, 1), g("2")), PointBlowup((0, 2), g("3"))]
+    )
+    swap = IntMatrix.from_columns(3, [[(0, 1)], [(2, 1)], [(1, 1)]])
+    return pair, with_override(pair, 0, swap)
+
+
+class TestExplicitComponentMaps:
+    def test_map_that_moves_an_edge_is_distinct(self):
+        # Decide and transport name the first class that moves, with its
+        # degrees by image neighbour beside its image's.
+        pair, corr = swapped_exceptionals()
+        certificate = {
+            "check": "component_edges",
+            "component": 0,
+            "class": 1,
+            "degrees": ({1: 1, 2: 0, 3: 0}, {1: 0, 2: 1, 3: 0}),
+        }
+        verdict = decide_isomorphism(pair, pair, corr)
+        assert (verdict.kind, verdict.certificate) == ("distinct", certificate)
+        assert marking_transporter(pair, pair, corr) == ("component_edges", certificate)
+
+    def test_map_for_a_missing_vertex_raises(self):
+        pair, corr = swapped_exceptionals()
+        (_, swap), = corr.mu_components
+        missing = Correspondence(corr.vertex_map, corr.step_map, None, ((9, swap),))
+        for function in (decide_isomorphism, marking_transporter):
+            with pytest.raises(
+                CorrespondenceError,
+                match=r"^mu_components: vertex 9 is not a component of the first pair$",
+            ):
+                function(pair, pair, missing)
+
+
 class TestCorrespondenceLookup:
     def test_first_listed_image_wins(self):
         # As a scan of the list answered; the lookups are held once read.
@@ -458,14 +496,18 @@ class TestSparseCubicCheck:
         "shape, error", [("cols", ExactArithmeticError), ("rows", PairError)]
     )
     def test_wrong_shape_errors_are_unchanged(self, cases, shape, error):
+        # The triple loop fails on the map as it applies it; decide and
+        # transport reject its shape first, with the one rule for mu's shape.
         for pair in cases:
             r = pair.pic_rank
             mu = zero_matrix(r + 1, r) if shape == "rows" else zero_matrix(r, r + 1)
-            with pytest.raises(error) as dense:
+            with pytest.raises(error):
                 dense_cubic_check(pair, pair, mu)
-            with pytest.raises(error) as sparse:
-                decide_isomorphism(pair, pair, self.with_mu(pair, mu))
-            assert str(sparse.value) == str(dense.value)
+            message = "mu: expected a {} x {} matrix, got {} x {}".format(r, r, *mu.shape)
+            for function in (decide_isomorphism, marking_transporter):
+                with pytest.raises(CorrespondenceError) as raised:
+                    function(pair, pair, self.with_mu(pair, mu))
+                assert str(raised.value) == message
 
 
 def count_snf_calls(monkeypatch):
@@ -537,6 +579,29 @@ def dense_transports(pair, other, corr):
         v: torelli.component_transport(pair, other, corr, v)
         for v in sorted(pair.components)
     }
+
+
+def assert_edge_rows_carried(pair, other, corr):
+    """The other pair's edge-matching map after the boundary map is the pair's,
+    its rows carried to the image edges and signed by their directions.
+
+    So the boundary map carries the matching lattice, the kernel, into the
+    other pair's; decide relies on it once the correspondence is checked.
+    """
+    edges2 = other.complex.edges
+    rows = []
+    for a, b in pair.complex.edges:
+        row = other.complex.edge_index(corr.vertex(a), corr.vertex(b))
+        rows.append((row, 1 if edges2[row][0] == corr.vertex(a) else -1))
+    carried = IntMatrix.from_columns(
+        len(edges2),
+        [
+            sorted((rows[i][0], rows[i][1] * x) for i, x in column)
+            for column in periods.edge_matching_map(pair).columns
+        ],
+    )
+    boundary = torelli.boundary_map(pair, other, corr, dense_transports(pair, other, corr))
+    assert periods.edge_matching_map(other) * boundary == carried
 
 
 def reference_isometry_failure(pair, other, corr):
@@ -713,17 +778,16 @@ class TestSparseBoundaryTransport:
         return out
 
     def assert_decide_matches(self, pair, other, corr):
-        verdict = outcome(decide_isomorphism, pair, other, corr)
+        verdict = decide_isomorphism(pair, other, corr)
         failure = reference_isometry_failure(pair, other, corr)
         if failure is not None:
-            assert isinstance(verdict, torelli.Verdict)
             assert (verdict.kind, verdict.certificate) == ("distinct", failure)
             return "component_isometry"
+        # Decide names a map that moves an edge exactly where the dense step
+        # finds an image off the other pair's matching lattice.
         expected = outcome(dense_period_step, pair, other, corr)
-        if not isinstance(verdict, torelli.Verdict):
-            assert verdict == expected
-            return "error"
         check = verdict.certificate["check"]
+        assert (check == "component_edges") == (expected[0] is CorrespondenceError)
         if check == "period":
             assert ("distinct", verdict.certificate) == expected
         elif check == "complete":
@@ -750,16 +814,29 @@ class TestSparseBoundaryTransport:
         ]
         assert {"period", "complete"} <= set(checks)
 
+    def test_boundary_map_carries_the_edge_matching_rows(self, pairs):
+        # The property step (v) relies on, for derived maps: the bundled
+        # pairs against themselves and their torus translates, and the
+        # scaling family.
+        cases = [
+            *pairs.values(), scaling_pair(1, 4), scaling_pair(2, 8), scaling_pair(3, 6)
+        ]
+        for pair in cases:
+            corr = Correspondence.identity(pair)
+            for other in (pair, pair.torus_translate((g("2"), g("3"), I))):
+                assert_edge_rows_carried(pair, other, corr)
+
     def test_component_overrides(self, pairs):
         # A random unimodular override of the right shape is rarely an
         # isometry, and decide and transport reject it before any period.
-        # A shuffle of the exceptional classes is one: across edges it
-        # breaks the edge-matching condition, and within an edge or as the
-        # identity it reaches the periods.  Both paths must agree on each;
-        # transport checks no edge matching, so it solves with any isometry.
+        # A shuffle of the exceptional classes is one: across edges it moves
+        # an edge, which decide and transport name where the dense step finds
+        # an image off the matching lattice, and within an edge or as the
+        # identity it reaches the periods, with the edge-matching rows
+        # carried.  Both paths must agree on each.
         rng = random.Random(7)
         checks = []
-        isometries = 0
+        passed = 0
         for pair in [*pairs.values(), scaling_pair(1, 4)]:
             markers = Marking.markers(pair.edge_keys())
             for v in sorted(pair.components):
@@ -769,20 +846,19 @@ class TestSparseBoundaryTransport:
                     exceptional_permutation(comp, rng),
                 ):
                     corr = with_override(pair, v, matrix)
-                    checks.append(self.assert_decide_matches(pair, pair, corr))
-                    if torelli._isometry_failure(pair, pair, corr) is None:
-                        # Every block is square, so the blocks tile the
-                        # other pair's boundary lattice.
-                        transports = dense_transports(pair, pair, corr)
-                        boundary = torelli.boundary_map(pair, pair, corr, transports)
-                        rank = pair.component_offsets()[1]
-                        assert boundary.shape == (rank, rank)
-                        isometries += 1
-                    assert marking_transporter(
-                        pair, pair, corr, markers, markers
-                    ) == dense_transporter(pair, pair, corr, markers, markers)
-        assert {"component_isometry", "error", "period", "complete"} <= set(checks)
-        assert isometries
+                    check = self.assert_decide_matches(pair, pair, corr)
+                    checks.append(check)
+                    transport = marking_transporter(pair, pair, corr, markers, markers)
+                    if check == "component_edges":
+                        certificate = decide_isomorphism(pair, pair, corr).certificate
+                        assert transport == (check, certificate)
+                        continue
+                    assert transport == dense_transporter(pair, pair, corr, markers, markers)
+                    if check != "component_isometry":
+                        assert_edge_rows_carried(pair, pair, corr)
+                        passed += 1
+        assert {"component_isometry", "component_edges", "period", "complete"} <= set(checks)
+        assert passed
 
     def test_transport_matches_the_dense_targets(self, cases):
         rng = random.Random(3)
