@@ -44,6 +44,7 @@ the package's immutable values.
 from __future__ import annotations
 
 import re as _regex
+import sys
 from functools import cached_property
 from math import gcd, lcm
 from operator import attrgetter
@@ -312,12 +313,25 @@ def _reduced(a: int, b: int, d: int) -> GaussianRational:
 
 
 def _ratio_text(n: int, d: int) -> str:
-    """``n/d`` in lowest terms, as ``str(Fraction(n, d))`` writes it."""
+    """``n/d`` in lowest terms, as ``str(Fraction(n, d))`` writes it.
+
+    A period value can outgrow the interpreter's limit on the digits of an
+    integer it writes; then the limit is lifted for this one text and put
+    back, so that parsing input keeps it.
+    """
     if d != 1:
         g = gcd(n, d)
         if g != 1:
             n, d = n // g, d // g
-    return str(n) if d == 1 else f"{n}/{d}"
+    try:
+        return str(n) if d == 1 else f"{n}/{d}"
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return _ratio_text(n, d)
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 def _coerce(x) -> GaussianRational:

@@ -535,20 +535,16 @@ def decide_isomorphism(
         )
 
     # (v) Compare exact periods on the matching lattice.  This pair's side
-    # is its held matching values.  The matching generators are the held
-    # kernel's sparse columns: one sparse product moves them all through the
-    # boundary map, into the other pair's matching lattice, since every
-    # component transport keeps edge degrees.  Then each image is valued on
-    # the other pair's character table, one power product over its nonzero
-    # entries, generator by generator, so a distinct verdict stops at its
-    # witness.
+    # is its held matching values; the other's is its character table
+    # pulled back through the boundary map, as transport reads it, valued on
+    # each generator's nonzero entries, generator by generator, so a
+    # distinct verdict stops at its witness.
     boundary = boundary_map(pair, other, corr, transports)
-    moved = boundary * matching_kernel(pair)
-    table2 = other.character_table(other.markers())
+    pulled = boundary.pull_back(other.character_table(other.markers()))
     transcript = []
-    generators = zip(matching_lattice(pair), moved.columns, matching_values(pair))
-    for j, (gen, image, value) in enumerate(generators):
-        value2 = power_product_of((table2[i], x) for i, x in image)
+    generators = zip(matching_lattice(pair), matching_kernel(pair).columns, matching_values(pair))
+    for gen, column, value in generators:
+        value2 = power_product_of((pulled[i], x) for i, x in column)
         if value != value2:
             return Verdict(
                 "distinct",
@@ -556,7 +552,7 @@ def decide_isomorphism(
                 {
                     "check": "period",
                     "witness": gen,
-                    "witness_image": moved.column(j),
+                    "witness_image": boundary.apply(gen),
                     "values": (str(value), str(value2)),
                 },
             )
@@ -608,14 +604,12 @@ def marking_transporter(
     transports = {
         v: component_transport(pair, other, corr, v) for v in sorted(pair.components)
     }
-    table = pair.character_table(marking)
-    boundary = boundary_map(pair, other, corr, transports)
-    table2 = other.character_table(marking_other)
+    pulled = boundary_map(pair, other, corr, transports).pull_back(
+        other.character_table(marking_other)
+    )
     # target j is the other pair's period of the image of basis class j
     # over this pair's period of the class.
-    targets = [
-        value2 / value for value2, value in zip(boundary.pull_back(table2), table)
-    ]
+    targets = [p / t for p, t in zip(pulled, pair.character_table(marking))]
     # The scalars h on the edges solve h(ell e_j) = targets[j] on the columns
     # of the edge-matching map ell, read off its held factorization.
     return edge_matching_snf(pair).solve_over_gaussian_torus(targets)

@@ -528,6 +528,29 @@ class TestCompare:
         err = capsys.readouterr().err
         assert err == "error: mu_components: vertex 0 listed twice\n"
 
+    def test_base_models_that_differ_are_distinct(self, tmp_path, capsys):
+        # P^3 star-subdivided at (0, 1, 2), with vertices 3 and 4 swapped
+        # under the identity mu: the cones and the cubic form match, the
+        # base models do not.
+        from logcy3.fixtures import projective_space_fan
+        from logcy3.pair import LogCY3Pair
+        from logcy3.toric import star_subdivide
+
+        pair = LogCY3Pair.build(star_subdivide(projective_space_fan(), (0, 1, 2)))
+        path = tmp_path / "subdivided.pair.json"
+        path.write_text(documents.dumps(documents.pair_to_document(pair)), encoding="utf-8")
+        doc = documents.correspondence_to_document(Correspondence.identity(pair))
+        doc["vertex_map"] = {"0": 0, "1": 1, "2": 2, "3": 4, "4": 3}
+        doc["mu"] = [[1, 0], [0, 1]]
+        corr_path = tmp_path / "apexes.corr.json"
+        corr_path.write_text(documents.dumps(doc), encoding="utf-8")
+        assert main(["--json", "compare", str(path), str(path), str(corr_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        results = json.loads(captured.out)["results"]
+        assert results["verdict"] == "distinct"
+        assert results["certificate"] == {"check": "toric_model"}
+
     def test_unexpected_exception_is_an_error(self, monkeypatch, capsys):
         def broken(*args):
             raise ZeroDivisionError("integer division\nor modulo by zero")
@@ -537,6 +560,36 @@ class TestCompare:
         assert main(["compare", path, path]) == 2
         err = capsys.readouterr().err
         assert err == "error: ZeroDivisionError: integer division or modulo by zero\n"
+
+
+class TestLargeCoordinates:
+    def test_reports_write_values_past_the_digit_limit(self, tmp_path, capsys):
+        # Coordinates of 1,501 digits parse, but the period values they give
+        # have more digits than the interpreter writes by default: the
+        # reports write them all, and input keeps the limit.
+        from logcy3.exactnum import GaussianRational
+        from logcy3.fixtures import projective_space_fan
+        from logcy3.pair import LogCY3Pair, PointBlowup
+        from logcy3.toric import star_subdivide
+
+        fan = projective_space_fan()
+        while fan.n_rays < 8:
+            fan = star_subdivide(fan, fan.max_cones[-1])
+        walls = list(fan.walls())
+        program = [
+            PointBlowup(walls[k % len(walls)], GaussianRational(10**1500 + k + 2))
+            for k in range(9)
+        ]
+        path = tmp_path / "large.pair.json"
+        doc = documents.pair_to_document(LogCY3Pair.build(fan, program))
+        path.write_text(documents.dumps(doc), encoding="utf-8")
+        limit = sys.get_int_max_str_digits()
+        assert main(["--json", "periods", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert len(max(out.split(), key=len)) > limit
+        assert main(["--json", "compare", str(path), str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["results"]["verdict"] == "isomorphic"
+        assert sys.get_int_max_str_digits() == limit
 
 
 class TestOracleCheck:

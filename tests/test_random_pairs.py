@@ -205,6 +205,8 @@ def test_random_pairs(case, data):
     else:
         assert check in ("period", "complete")
         assert (check == "period") == (status == "unsolvable")
+        if check == "period":
+            assert result == verdict.certificate["witness"]
         assert_edge_rows_carried(pair, pair, corr)
     missing = Correspondence(corr.vertex_map, corr.step_map, None, ((pair.fan.n_rays, shuffle),))
     for function in (decide_isomorphism, marking_transporter):
@@ -229,6 +231,7 @@ def test_random_pairs(case, data):
     if check == "period":
         witness = verdict.certificate["witness"]
         image = verdict.certificate["witness_image"]
+        assert marking_transporter(pair, other) == ("unsolvable", witness)
         assert not any(edge_matching_map(pair).apply(witness))
         assert not any(edge_matching_map(other).apply(image))
         values = (

@@ -35,7 +35,7 @@ from logcy3.periods import (
     quotient_character,
     unmarked_period,
 )
-from logcy3.toric import ToricIntersectionData, fan_isomorphism
+from logcy3.toric import ToricIntersectionData, fan_isomorphism, star_subdivide
 from logcy3.torelli import (
     Correspondence,
     CorrespondenceError,
@@ -47,7 +47,7 @@ from logcy3.torelli import (
     recognize_contraction_type,
     reconstruct_fan,
 )
-from test_pair import curve_program, reference_intersection
+from test_pair import curve_program, reference_intersection, solved_curve_step
 
 
 def identity_matrix(n):
@@ -282,6 +282,35 @@ class TestDecision:
             assert (verdict.kind, verdict.certificate) == (
                 "distinct", {"check": check, "steps": steps}
             )
+
+    def test_base_models_that_differ_are_distinct(self):
+        # P^3 star-subdivided at (0, 1, 2), vertices 3 and 4 swapped: the
+        # cones match and the identity mu keeps the cubic form, but the
+        # identity frame cannot carry ray 3 to ray 4 = -(ray 3).  Transport
+        # compares no base models, so it solves.
+        pair = LogCY3Pair.build(star_subdivide(projective_space_fan(), (0, 1, 2)))
+        vertices = ((0, 0), (1, 1), (2, 2), (3, 4), (4, 3))
+        corr = Correspondence(vertices, (), identity_matrix(pair.pic_rank))
+        verdict = decide_isomorphism(pair, pair, corr)
+        assert (verdict.kind, verdict.certificate) == ("distinct", {"check": "toric_model"})
+        assert marking_transporter(pair, pair, corr)[0] == "solved"
+
+    def test_curve_classes_that_differ_are_distinct(self):
+        # Two points on edge (3, 0), then the curve (1, -1, 0) in component
+        # 3: a map of component 3 that swaps the two exceptional classes
+        # keeps edges, but moves the curve's class.  Transport compares no
+        # curve classes: it sees the periods the swap moves.
+        pre = LogCY3Pair.build(
+            projective_space_fan(), [PointBlowup((3, 0), g("2")), PointBlowup((3, 0), g("5"))]
+        )
+        pair = LogCY3Pair.build(pre.fan, [*pre.program, solved_curve_step(pre, 3, (1, -1, 0), 11)])
+        swap = IntMatrix.from_columns(3, [[(0, 1)], [(2, 1)], [(1, 1)]])
+        corr = with_override(pair, 3, swap)
+        verdict = decide_isomorphism(pair, pair, corr)
+        assert (verdict.kind, verdict.certificate) == (
+            "distinct", {"check": "curve_class", "steps": (2, 2)}
+        )
+        assert marking_transporter(pair, pair, corr)[0] == "unsolvable"
 
 
 def swapped_exceptionals():
@@ -807,6 +836,20 @@ class TestSparseBoundaryTransport:
                 image = dense_image(pair, other, corr, transports, unit)
                 assert column == tuple((i, x) for i, x in enumerate(image) if x)
 
+    def test_transport_breaks_the_relation_decide_names(self, cases):
+        # At the markers both read the pulled-back table, so decide's witness
+        # and transport's relation are the first kernel column it breaks.
+        checks = set()
+        for pair, other in cases:
+            verdict = decide_isomorphism(pair, other)
+            status, result = marking_transporter(pair, other)
+            check = verdict.certificate["check"]
+            checks.add(check)
+            assert (check == "period") == (status == "unsolvable")
+            if check == "period":
+                assert result == verdict.certificate["witness"]
+        assert checks == {"complete", "period"}
+
     def test_decide_matches_the_dense_period_step(self, cases):
         checks = [
             self.assert_decide_matches(pair, other, Correspondence.identity(pair))
@@ -1039,6 +1082,26 @@ class TestHeldMatchingValuesInDecide:
         fresh = self.verdicts(report_first=False)
         assert {check["check"] for _, _, check in fresh} >= {"complete", "period"}
         assert fresh == self.verdicts(report_first=True)
+
+    def test_decide_makes_no_matrix_product(self, monkeypatch):
+        # Step (v) pulls the other pair's table back and moves only a
+        # witness through the boundary map: self, translated and perturbed.
+        cases = [
+            (pair, other)
+            for name, pair in [*pair_fixtures().items(), ("scaling", scaling_pair(2, 8))]
+            for other in self.partners(name, pair)
+        ]
+        calls = []
+        original = IntMatrix.__mul__
+
+        def counted(left, right):
+            calls.append((left.shape, right.shape))
+            return original(left, right)
+
+        monkeypatch.setattr(IntMatrix, "__mul__", counted)
+        checks = {decide_isomorphism(pair, other).certificate["check"] for pair, other in cases}
+        assert checks == {"complete", "period"}
+        assert calls == []
 
     def test_self_decide_makes_one_power_product_per_generator(self, monkeypatch):
         # Under the identity the boundary map is the identity, so each
