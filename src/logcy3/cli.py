@@ -175,11 +175,7 @@ def cmd_compare(args):
         "certificate": _stringify(verdict.certificate),
     }
     _emit(_report("compare", inputs, results), args.json)
-    if verdict.kind == "isomorphic":
-        return OK
-    if verdict.kind == "distinct":
-        return DIAGNOSTIC
-    return ERROR
+    return OK if verdict.is_isomorphic else DIAGNOSTIC
 
 
 def _stringify(value):

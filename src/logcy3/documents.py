@@ -67,12 +67,22 @@ def _parse_coordinate(text, context) -> GaussianRational:
     return value
 
 
+def _coordinate_text(value, context) -> str:
+    """The text of a coordinate, parsed back as a reader parses it, so a
+    document is never written with a value it would be refused for."""
+    text = str(value)
+    _parse_coordinate(text, context)
+    return text
+
+
 # ---------------------------------------------------------------------------
 # Pair documents
 # ---------------------------------------------------------------------------
 
 
 def pair_to_document(pair: LogCY3Pair, marking: Marking = None) -> dict:
+    """The document of a pair, with a marking if one is given; a coordinate
+    that :func:`pair_from_document` would refuse raises ``DocumentError``."""
     doc = {
         "format": PAIR_FORMAT,
         "version": FORMAT_VERSION,
@@ -84,29 +94,30 @@ def pair_to_document(pair: LogCY3Pair, marking: Marking = None) -> dict:
             "sign": pair.fan.orientation[1],
         },
         "edge_orientations": [list(e) for e in pair.complex.edges],
-        "blowups": [_step_to_document(step) for step in pair.program],
+        "blowups": [_step_to_document(s, f"blowups[{i}]") for i, s in enumerate(pair.program)],
     }
     if marking is not None:
-        doc["markings"] = {
-            "-".join(str(v) for v in sorted(key)): str(coord)
-            for key, coord in marking.points
-        }
+        doc["markings"] = markings = {}
+        for key, coord in marking.points:
+            name = "-".join(str(v) for v in sorted(key))
+            markings[name] = _coordinate_text(coord, f"markings[{name}]")
     return doc
 
 
-def _step_to_document(step) -> dict:
+def _step_to_document(step, context: str) -> dict:
     if isinstance(step, PointBlowup):
         return {
             "kind": "point",
             "edge": list(step.edge),
-            "coordinate": str(step.coordinate),
+            "coordinate": _coordinate_text(step.coordinate, f"{context}.coordinate"),
         }
     return {
         "kind": "curve",
         "component": step.component,
         "curve_class": list(step.curve_class),
         "points": {
-            str(w): [str(q) for q in coords] for w, coords in step.points
+            str(w): [_coordinate_text(q, f"{context}.points[{w}]") for q in coords]
+            for w, coords in step.points
         },
     }
 

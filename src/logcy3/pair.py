@@ -22,8 +22,6 @@ holds nothing on the pair.
 
 from __future__ import annotations
 
-from itertools import permutations
-
 from logcy3.boundary import (
     ExceptionalClass,
     LooijengaComponent,
@@ -122,15 +120,20 @@ def pull_back_tensor(tensor: dict, mu: IntMatrix) -> dict:
     ``tensor`` holds its nonzero entries under sorted triples of ``mu``'s
     rows.  Entry ``(i, j, k)``, ``i <= j <= k``, is the tensor at columns i,
     j and k of ``mu``, summed from the stored entries alone: each is spread
-    over its distinct index orders, and each order through the nonzero
-    entries of the matching rows of ``mu``, so a sparse ``mu`` costs time
-    linear in the stored entries.  Decide step (ii) and the subdivision
-    oracle both pull back through it.
+    over its distinct index orders (one when all three indices are equal,
+    its three rotations when two are, else all six), and each order through
+    the nonzero entries of the matching rows of ``mu``, so a sparse ``mu``
+    costs time linear in the stored entries.  Decide step (ii) and the
+    subdivision oracle both pull back through it.
     """
     rows = mu.transpose().columns
     pulled: dict = {}
     for key, value in tensor.items():
-        for a, b, c in set(permutations(key)):
+        a, b, c = key
+        orders = (key,) if a == c else (key, (b, c, a), (c, a, b))
+        if a < b < c:
+            orders += ((b, a, c), (a, c, b), (c, b, a))
+        for a, b, c in orders:
             for i, x in rows[a]:
                 for j, y in rows[b]:
                     if j < i:

@@ -6,7 +6,9 @@ degrees, and the dual complexes must match), checks that it preserves the
 cubic form, peels the blowup programs step by step, compares the base toric
 models up to unimodular equivalence, and finally compares the exact period
 characters on the matching lattice.  Every verdict carries a certificate
-naming the check that decided it, with its witness.
+naming the check that decided it, with its witness.  Marking transport runs
+the same checks before the periods, and where one fails it returns that
+check's certificate.
 """
 
 from __future__ import annotations
@@ -274,10 +276,10 @@ def component_transport(
 
     Toric basis classes map through the vertex bijection; exceptional
     classes map to the matched step's exceptional on the matched edge, in
-    order of occurrence.  It holds only once the structural checks have
-    passed (:func:`_checked_correspondence`, :func:`_step_place_failure`):
-    then both components have the same toric rank and the same exceptionals,
-    and an explicit map keeps edges; before, a call may raise ``KeyError``.
+    order of occurrence.  It holds only once :func:`_matched` has passed
+    the first pass of step (iii): then both components have the same toric
+    rank and the same exceptionals, and an explicit map keeps edges; before,
+    a call may raise ``KeyError``.
     """
     override = corr.component_override(v)
     if override is not None:
@@ -329,68 +331,6 @@ def threefold_transport(
     for k in range(len(pair.program)):
         columns.append([(other.exceptional_index(corr.step_map[k]), 1)])
     return IntMatrix.from_columns(other.pic_rank, columns)
-
-
-def _checked_correspondence(pair, other, corr):
-    """The correspondence to compare through (``None`` is the identity), and
-    :func:`_component_map_failure`'s or else step (i)'s dual-complex verdict;
-    no bijection, a ``mu_components`` key for no vertex of the pair or a
-    ``mu`` of another shape raises ``CorrespondenceError``."""
-    if corr is None:
-        corr = Correspondence.identity(pair)
-    vertices = [sorted(pair.components), sorted(other.components)]
-    if [sorted(side) for side in zip(*corr.vertex_map)] != vertices:
-        raise CorrespondenceError("vertex map is not a bijection of components")
-    steps = corr.step_map
-    if len(steps) != len(pair.program) or sorted(steps) != list(range(len(other.program))):
-        raise CorrespondenceError("step map is not a bijection of program steps")
-    for v, _ in corr.mu_components:
-        if v not in pair.components:
-            raise CorrespondenceError(
-                f"mu_components: vertex {v} is not a component of the first pair"
-            )
-    expected = (other.pic_rank, pair.pic_rank)
-    if corr.mu is not None and corr.mu.shape != expected:
-        raise CorrespondenceError(
-            "mu: expected a {} x {} matrix, got {} x {}".format(*expected, *corr.mu.shape)
-        )
-    failure = _component_map_failure(pair, other, corr)
-    cones = {frozenset(map(corr.vertex, c)) for c in pair.fan.cone_set()}
-    if failure is None and cones != other.fan.cone_set():
-        failure = Verdict(
-            "distinct",
-            "dual complexes do not match under the vertex bijection",
-            {"check": "dual_complex"},
-        )
-    return corr, failure
-
-
-def _step_place_failure(pair, other, corr):
-    """Step (iii)'s structural half, from the last step: a distinct verdict for
-    the first matched step of another kind, a curve step in a non-corresponding
-    component, or a step at another place; ``None`` when every step matches."""
-    for k in range(len(pair.program) - 1, -1, -1):
-        k2 = corr.step_map[k]
-        step, step2 = pair.program[k], other.program[k2]
-        if type(step) is not type(step2):
-            return Verdict(
-                "distinct",
-                f"steps {k} and {k2} have different kinds",
-                {"check": "step_kind", "steps": (k, k2)},
-            )
-        if isinstance(step, CurveBlowup) and step2.component != corr.vertex(step.component):
-            return Verdict(
-                "distinct",
-                f"curve steps {k} and {k2} sit in non-corresponding components",
-                {"check": "curve_component", "steps": (k, k2)},
-            )
-        if _step_place(step, corr.vertex) != _step_place(step2, lambda v: v):
-            return Verdict(
-                "distinct",
-                f"steps {k} and {k2} sit at non-corresponding places",
-                {"check": "step_place", "steps": (k, k2)},
-            )
-    return None
 
 
 def _component_map_failure(pair: LogCY3Pair, other: LogCY3Pair, corr: Correspondence):
@@ -462,15 +402,45 @@ def _component_map_failure(pair: LogCY3Pair, other: LogCY3Pair, corr: Correspond
     return None
 
 
-def decide_isomorphism(
-    pair: LogCY3Pair, other: LogCY3Pair, corr: Correspondence = None
-) -> Verdict:
-    """Run the full decision pipeline and return a verdict with certificate."""
+def _matched(pair: LogCY3Pair, other: LogCY3Pair, corr: Correspondence):
+    """Decide's steps (i)-(iv), which transport runs too: the distinct verdict
+    of the first check that fails, or else the toric model map and the
+    boundary map that step (v) and transport compare periods through.
+
+    ``None`` is the identity correspondence; no bijection, a
+    ``mu_components`` key for no vertex of the pair or a ``mu`` of another
+    shape raises ``CorrespondenceError``.
+    """
+    if corr is None:
+        corr = Correspondence.identity(pair)
+    vertices = [sorted(pair.components), sorted(other.components)]
+    if [sorted(side) for side in zip(*corr.vertex_map)] != vertices:
+        raise CorrespondenceError("vertex map is not a bijection of components")
+    steps = corr.step_map
+    if len(steps) != len(pair.program) or sorted(steps) != list(range(len(other.program))):
+        raise CorrespondenceError("step map is not a bijection of program steps")
+    for v, _ in corr.mu_components:
+        if v not in pair.components:
+            raise CorrespondenceError(
+                f"mu_components: vertex {v} is not a component of the first pair"
+            )
+    expected = (other.pic_rank, pair.pic_rank)
+    if corr.mu is not None and corr.mu.shape != expected:
+        raise CorrespondenceError(
+            "mu: expected a {} x {} matrix, got {} x {}".format(*expected, *corr.mu.shape)
+        )
+
     # Explicit component maps are checked with integers first, so no exponent
     # is taken from a map that breaks them; then (i) the dual complexes.
-    corr, failure = _checked_correspondence(pair, other, corr)
+    failure = _component_map_failure(pair, other, corr)
     if failure is not None:
         return failure
+    if {frozenset(map(corr.vertex, c)) for c in pair.fan.cone_set()} != other.fan.cone_set():
+        return Verdict(
+            "distinct",
+            "dual complexes do not match under the vertex bijection",
+            {"check": "dual_complex"},
+        )
 
     # (ii) The induced threefold map must preserve the cubic form: the
     # tensor of the other pair, pulled back through mu, must equal this
@@ -494,9 +464,27 @@ def decide_isomorphism(
     # (iii) Peel the programs step by step.  Once every matched step sits
     # at the corresponding place, every derived component transport exists;
     # a matched step has the same kind, so its contraction has the same type.
-    failure = _step_place_failure(pair, other, corr)
-    if failure is not None:
-        return failure
+    for k in range(len(pair.program) - 1, -1, -1):
+        k2 = corr.step_map[k]
+        step, step2 = pair.program[k], other.program[k2]
+        if type(step) is not type(step2):
+            return Verdict(
+                "distinct",
+                f"steps {k} and {k2} have different kinds",
+                {"check": "step_kind", "steps": (k, k2)},
+            )
+        if isinstance(step, CurveBlowup) and step2.component != corr.vertex(step.component):
+            return Verdict(
+                "distinct",
+                f"curve steps {k} and {k2} sit in non-corresponding components",
+                {"check": "curve_component", "steps": (k, k2)},
+            )
+        if _step_place(step, corr.vertex) != _step_place(step2, lambda v: v):
+            return Verdict(
+                "distinct",
+                f"steps {k} and {k2} sit at non-corresponding places",
+                {"check": "step_place", "steps": (k, k2)},
+            )
     transports = {
         v: component_transport(pair, other, corr, v) for v in sorted(pair.components)
     }
@@ -533,13 +521,23 @@ def decide_isomorphism(
             "under the vertex bijection",
             {"check": "toric_model"},
         )
+    return frame_map, boundary_map(pair, other, corr, transports)
+
+
+def decide_isomorphism(
+    pair: LogCY3Pair, other: LogCY3Pair, corr: Correspondence = None
+) -> Verdict:
+    """Run the full decision pipeline and return a verdict with certificate."""
+    matched = _matched(pair, other, corr)
+    if isinstance(matched, Verdict):
+        return matched
+    frame_map, boundary = matched
 
     # (v) Compare exact periods on the matching lattice.  This pair's side
     # is its held matching values; the other's is its character table
     # pulled back through the boundary map, as transport reads it, valued on
     # each generator's nonzero entries, generator by generator, so a
     # distinct verdict stops at its witness.
-    boundary = boundary_map(pair, other, corr, transports)
     pulled = boundary.pull_back(other.character_table(other.markers()))
     transcript = []
     generators = zip(matching_lattice(pair), matching_kernel(pair).columns, matching_values(pair))
@@ -582,31 +580,22 @@ def marking_transporter(
 ):
     """Solve for per-edge scalars aligning the two marked periods.
 
-    Returns ``("solved", scalars)`` with one Q(i)* value per edge of the
-    first pair, ``("complex_only", witness)`` when a solution exists over
-    the full torus but requires roots missing from Q(i), or
-    ``("unsolvable", relation)`` with a violated multiplicative relation
-    (the expected outcome when the unmarked periods differ), once the
-    structural checks shared with :func:`decide_isomorphism` pass; the first
-    that fails gives ``(check, certificate)`` with decide's certificate:
-    ``component_isometry``, ``component_edges``, ``dual_complex``,
-    ``step_kind``, ``curve_component`` or ``step_place``.
+    Transport runs decide's steps (i)-(iv) first, so decide's verdict fixes
+    its outcome.  A check that fails there gives ``(check, certificate)``
+    with decide's certificate.  Otherwise it returns ``("solved", scalars)``
+    with one Q(i)* value per edge of the first pair, ``("complex_only",
+    witness)`` when a solution exists over the full torus but requires roots
+    missing from Q(i), or ``("unsolvable", relation)`` with a violated
+    multiplicative relation.  At the markers, the default markings, decide's
+    ``complete`` gives ``solved`` or ``complex_only``, and its ``period``
+    gives ``("unsolvable", witness)`` with decide's witness.
     """
-    corr, failure = _checked_correspondence(pair, other, corr)
-    if failure is None:
-        failure = _step_place_failure(pair, other, corr)
-    if failure is not None:
-        return failure.certificate["check"], failure.certificate
-    if marking is None:
-        marking = pair.markers()
-    if marking_other is None:
-        marking_other = other.markers()
-    transports = {
-        v: component_transport(pair, other, corr, v) for v in sorted(pair.components)
-    }
-    pulled = boundary_map(pair, other, corr, transports).pull_back(
-        other.character_table(marking_other)
-    )
+    matched = _matched(pair, other, corr)
+    if isinstance(matched, Verdict):
+        return matched.certificate["check"], matched.certificate
+    marking = pair.markers() if marking is None else marking
+    marking_other = other.markers() if marking_other is None else marking_other
+    pulled = matched[1].pull_back(other.character_table(marking_other))
     # target j is the other pair's period of the image of basis class j
     # over this pair's period of the class.
     targets = [p / t for p, t in zip(pulled, pair.character_table(marking))]

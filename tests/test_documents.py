@@ -17,7 +17,8 @@ from logcy3.documents import (
     pair_to_document,
 )
 from logcy3.exactnum import GaussianRational, IntMatrix
-from logcy3.fixtures import pair_fixtures
+from logcy3.fixtures import pair_fixtures, projective_space_fan
+from logcy3.pair import LogCY3Pair, PointBlowup
 from logcy3.torelli import Correspondence
 
 BUNDLED = [
@@ -64,6 +65,24 @@ class TestPairDocuments:
         doc = pair_to_document(pair, marking)
         _, recovered = pair_from_document(loads(dumps(doc)))
         assert recovered == marking
+
+    def test_writer_refuses_what_the_reader_refuses(self):
+        # The reader keeps the interpreter's limit on the digits of an
+        # integer: the writer names the field of a value past it, and a
+        # document under it round-trips.
+        fan = projective_space_fan()
+        big = GaussianRational(10**5000)
+        pair = LogCY3Pair.build(fan, [PointBlowup((0, 1), big)])
+        with pytest.raises(DocumentError, match=r"^blowups\[0\]\.coordinate: .* too many digits$"):
+            pair_to_document(pair)
+        bare = LogCY3Pair.build(fan)
+        with pytest.raises(DocumentError, match=r"^markings\[\d+-\d+\]: .* too many digits$"):
+            pair_to_document(bare, Marking.build({key: big for key in bare.edge_keys()}))
+        value = GaussianRational(10**4000)
+        pair = LogCY3Pair.build(fan, [PointBlowup((0, 1), value)])
+        marking = Marking.build({key: value for key in pair.edge_keys()})
+        text = dumps(pair_to_document(pair, marking))
+        assert dumps(pair_to_document(*pair_from_document(loads(text)))) == text
 
     def test_wrong_format_rejected(self):
         with pytest.raises(DocumentError, match="not a pair document"):

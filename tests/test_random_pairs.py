@@ -11,6 +11,10 @@ checked here holds in any basis of the matching lattice:
 * the markers' period is one on the restriction of every threefold class;
 * the cocycle path equals the unmarked period on every matching generator;
 * the curve and point subdivision checks agree on a drawn wall and cone;
+* wherever decide and the transporter both run, decide's verdict fixes the
+  transporter's outcome: ``complete`` gives ``solved`` or ``complex_only``,
+  ``period`` gives ``unsolvable`` with decide's witness, and any other check
+  gives that check with decide's certificate;
 * a pair is isomorphic to itself and to a torus translate, whose markings
   the transporter aligns: for each boundary basis class e,
   ``value(pair, e) * scaling(e) == value(translate, e)``;
@@ -19,19 +23,21 @@ checked here holds in any basis of the matching lattice:
   steps carried along, through the permutation's correspondence: the
   transcript is the unmarked period, and the transporter solves;
 * through a drawn permutation of its steps, a pair against itself gets a
-  structural verdict (``step_place`` for points on other walls) that is
-  also the transporter's result, or both get past the step checks;
+  structural verdict (``step_place`` for points on other walls), or a
+  verdict on the periods;
 * through an explicit map of a drawn component that shuffles its
-  exceptional classes, the same holds: ``component_edges`` exactly when a
-  class moves to another edge, and otherwise a verdict on the periods;
-  a map for a vertex the pair lacks raises ``CorrespondenceError``;
+  exceptional classes, ``component_edges`` exactly when a class moves to
+  another edge, and otherwise a verdict on the periods; a map for a vertex
+  the pair lacks raises ``CorrespondenceError``;
+* through the identity ``mu`` with two drawn exceptional columns swapped,
+  ``exceptional_match`` at the later of the two steps;
 * wherever a correspondence gets past the structural checks, the boundary
   map carries the edge-matching map's rows to the image edges, signed, so
   it carries the matching lattice into the partner's;
 * with one point coordinate moved by 3/2, decide says ``distinct`` at
-  ``period`` exactly when the transporter finds no torus element, with a
-  witness in the matching lattice whose image is in the partner's and whose
-  two values differ; otherwise the move is a torus translate, ``complete``;
+  ``period``, with a witness in the matching lattice whose image is in the
+  partner's and whose two values differ; otherwise the move is a torus
+  translate, ``complete``;
 * at a random marking off the markers, each component's character table
   equals the section-ratio period of its unit vectors, at the head and the
   tail of every edge;
@@ -93,6 +99,21 @@ def random_cases(draw):
     return fan, program, wall, cone, torus_element
 
 
+def decided_and_transported(pair, other, corr=None):
+    """Decide's verdict and the transporter's result at the markers, after
+    asserting that the verdict fixes the result."""
+    verdict = decide_isomorphism(pair, other, corr)
+    status, result = marking_transporter(pair, other, corr)
+    check = verdict.certificate["check"]
+    if check == "complete":
+        assert status in ("solved", "complex_only")
+    elif check == "period":
+        assert (status, result) == ("unsolvable", verdict.certificate["witness"])
+    else:
+        assert (status, result) == (check, verdict.certificate)
+    return verdict, status, result
+
+
 def relabelled(pair, sigma):
     """The pair with ray i renamed ``sigma[i]``, and everything carried along."""
     fan = pair.fan
@@ -145,12 +166,12 @@ def test_random_pairs(case, data):
         assert cocycle_period(pair, gen) == value
 
     identity = Correspondence.identity(pair)
-    assert decide_isomorphism(pair, pair).is_isomorphic
+    assert decided_and_transported(pair, pair)[0].is_isomorphic
     moved = pair.torus_translate(torus_element)
-    assert decide_isomorphism(pair, moved).is_isomorphic
-    assert_edge_rows_carried(pair, moved, identity)
-    status, scalars = marking_transporter(pair, moved)
+    verdict, status, scalars = decided_and_transported(pair, moved)
+    assert verdict.is_isomorphic
     assert status == "solved"
+    assert_edge_rows_carried(pair, moved, identity)
     scaling = edge_scaling_character(pair, scalars).values
     for value, scale, value2 in zip(
         marked_period(pair).values, scaling, marked_period(moved).values, strict=True
@@ -160,26 +181,19 @@ def test_random_pairs(case, data):
     sigma = data.draw(st.permutations(range(pair.fan.n_rays)))
     corr = Correspondence(tuple(enumerate(sigma)), tuple(range(len(pair.program))))
     other = relabelled(pair, sigma)
-    verdict = decide_isomorphism(pair, other, corr)
+    verdict, status, _ = decided_and_transported(pair, other, corr)
     assert verdict.is_isomorphic
     transcript = verdict.certificate["period_transcript"]
     assert [value for _, value in transcript] == [str(v) for v in unmarked.values]
-    assert marking_transporter(pair, other, corr)[0] == "solved"
+    assert status == "solved"
     assert_edge_rows_carried(pair, other, corr)
 
     # The pair against itself through a drawn permutation of its steps: a
-    # structural verdict is also the transporter's status and result, and
-    # otherwise both get past step (iii).
+    # structural verdict, or both get past step (iii).
     tau = data.draw(st.permutations(range(len(pair.program))))
     corr = Correspondence(Correspondence.identity(pair).vertex_map, tuple(tau))
-    verdict = decide_isomorphism(pair, pair, corr)
-    status, result = marking_transporter(pair, pair, corr)
-    check = verdict.certificate["check"]
-    if check in ("step_kind", "curve_component", "step_place"):
-        assert (status, result) == (check, verdict.certificate)
-    else:
-        assert check in ("period", "complete")
-        assert status in ("solved", "complex_only", "unsolvable")
+    verdict, _, _ = decided_and_transported(pair, pair, corr)
+    assert verdict.certificate["check"] in ("step_place", "period", "complete")
 
     # An explicit map of a drawn component that fixes its toric classes and
     # shuffles its exceptional ones: an isometry, which moves an edge
@@ -192,26 +206,34 @@ def test_random_pairs(case, data):
     order = data.draw(st.permutations(range(base, comp.rank)))
     shuffle = IntMatrix.from_columns(comp.rank, [[(i, 1)] for i in [*range(base), *order]])
     corr = Correspondence(identity.vertex_map, identity.step_map, None, ((v, shuffle),))
-    verdict = decide_isomorphism(pair, pair, corr)
-    status, result = marking_transporter(pair, pair, corr)
-    check = verdict.certificate["check"]
+    check = decided_and_transported(pair, pair, corr)[0].certificate["check"]
     moves = any(
         comp.excs[i - base].neighbor != comp.excs[j - base].neighbor
         for i, j in enumerate(order, base)
     )
     if moves:
         assert check == "component_edges"
-        assert (status, result) == (check, verdict.certificate)
     else:
         assert check in ("period", "complete")
-        assert (check == "period") == (status == "unsolvable")
-        if check == "period":
-            assert result == verdict.certificate["witness"]
         assert_edge_rows_carried(pair, pair, corr)
     missing = Correspondence(corr.vertex_map, corr.step_map, None, ((pair.fan.n_rays, shuffle),))
     for function in (decide_isomorphism, marking_transporter):
         with pytest.raises(CorrespondenceError, match="^mu_components: vertex"):
             function(pair, pair, missing)
+
+    # The identity mu with the exceptional columns of two drawn steps
+    # swapped keeps the cubic form, as a point's exceptional class meets
+    # only itself, but not the exceptional classes: the later step fails.
+    if len(pair.program) > 1:
+        steps = st.integers(0, len(pair.program) - 1)
+        i, j = sorted(data.draw(st.lists(steps, min_size=2, max_size=2, unique=True)))
+        columns = [[(a, 1)] for a in range(pair.pic_rank)]
+        e_i, e_j = pair.exceptional_index(i), pair.exceptional_index(j)
+        columns[e_i], columns[e_j] = columns[e_j], columns[e_i]
+        mu = IntMatrix.from_columns(pair.pic_rank, columns)
+        corr = Correspondence(identity.vertex_map, identity.step_map, mu)
+        verdict = decided_and_transported(pair, pair, corr)[0]
+        assert verdict.certificate == {"check": "exceptional_match", "steps": (j, j)}
 
     # One point coordinate moved by 3/2: a period verdict, or a translate.
     if not pair.program:
@@ -224,14 +246,12 @@ def test_random_pairs(case, data):
         other = LogCY3Pair.build(fan, program, [tuple(e) for e in pair.complex.edges])
     except PairError:
         return  # the moved point met another on its edge
-    verdict = decide_isomorphism(pair, other)
+    verdict = decided_and_transported(pair, other)[0]
     check = verdict.certificate["check"]
     assert check in ("period", "complete")
-    assert (check == "period") == (marking_transporter(pair, other)[0] == "unsolvable")
     if check == "period":
         witness = verdict.certificate["witness"]
         image = verdict.certificate["witness_image"]
-        assert marking_transporter(pair, other) == ("unsolvable", witness)
         assert not any(edge_matching_map(pair).apply(witness))
         assert not any(edge_matching_map(other).apply(image))
         values = (

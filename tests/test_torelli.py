@@ -287,30 +287,29 @@ class TestDecision:
         # P^3 star-subdivided at (0, 1, 2), vertices 3 and 4 swapped: the
         # cones match and the identity mu keeps the cubic form, but the
         # identity frame cannot carry ray 3 to ray 4 = -(ray 3).  Transport
-        # compares no base models, so it solves.
+        # runs decide's checks up to the periods, so it returns the same.
         pair = LogCY3Pair.build(star_subdivide(projective_space_fan(), (0, 1, 2)))
         vertices = ((0, 0), (1, 1), (2, 2), (3, 4), (4, 3))
         corr = Correspondence(vertices, (), identity_matrix(pair.pic_rank))
         verdict = decide_isomorphism(pair, pair, corr)
         assert (verdict.kind, verdict.certificate) == ("distinct", {"check": "toric_model"})
-        assert marking_transporter(pair, pair, corr)[0] == "solved"
+        assert marking_transporter(pair, pair, corr) == ("toric_model", {"check": "toric_model"})
 
     def test_curve_classes_that_differ_are_distinct(self):
         # Two points on edge (3, 0), then the curve (1, -1, 0) in component
         # 3: a map of component 3 that swaps the two exceptional classes
-        # keeps edges, but moves the curve's class.  Transport compares no
-        # curve classes: it sees the periods the swap moves.
+        # keeps edges, but moves the curve's class.  Transport returns
+        # decide's certificate.
         pre = LogCY3Pair.build(
             projective_space_fan(), [PointBlowup((3, 0), g("2")), PointBlowup((3, 0), g("5"))]
         )
         pair = LogCY3Pair.build(pre.fan, [*pre.program, solved_curve_step(pre, 3, (1, -1, 0), 11)])
         swap = IntMatrix.from_columns(3, [[(0, 1)], [(2, 1)], [(1, 1)]])
         corr = with_override(pair, 3, swap)
+        certificate = {"check": "curve_class", "steps": (2, 2)}
         verdict = decide_isomorphism(pair, pair, corr)
-        assert (verdict.kind, verdict.certificate) == (
-            "distinct", {"check": "curve_class", "steps": (2, 2)}
-        )
-        assert marking_transporter(pair, pair, corr)[0] == "unsolvable"
+        assert (verdict.kind, verdict.certificate) == ("distinct", certificate)
+        assert marking_transporter(pair, pair, corr) == ("curve_class", certificate)
 
 
 def swapped_exceptionals():
@@ -371,10 +370,12 @@ class TestCorrespondenceLookup:
 
 
 def structural_failures(pairs):
-    """Five bijections of valid documents that fail a structural check, with
-    their certificates: the four matched steps at other places of
-    ``test_steps_at_other_places_are_distinct``, and (P^1)^3 under the swap
-    of rays 0 and 2, whose dual complexes do not match."""
+    """Six bijections of valid documents that fail a check before the
+    periods, with their certificates: the four matched steps at other places
+    of ``test_steps_at_other_places_are_distinct``, (P^1)^3 under the swap
+    of rays 0 and 2, whose dual complexes do not match, and points on (0, 1)
+    and (0, 2) under the identity mu with the two exceptional columns
+    swapped, which keeps the cubic form but not the exceptional classes."""
     fan = projective_space_fan()
     first = LogCY3Pair.build(fan, [PointBlowup((0, 1), g("2")), PointBlowup((2, 3), g("3"))])
     second = LogCY3Pair.build(fan, [PointBlowup((0, 1), g("2")), PointBlowup((1, 2), g("3"))])
@@ -383,6 +384,8 @@ def structural_failures(pairs):
     lines = LogCY3Pair.build(triple_line_fan())
     swap_yz = {2: 4, 4: 2, 3: 5, 5: 3}
     swap_02 = {0: 2, 2: 0}
+    points, _ = swapped_exceptionals()
+    swap_e = IntMatrix.from_columns(points.pic_rank, [[(0, 1)], [(2, 1)], [(1, 1)]])
     return [
         (first, second, None, {"check": "step_place", "steps": (1, 1)}),
         (first, first, Correspondence(tuple((v, v) for v in range(4)), (1, 0)),
@@ -397,13 +400,15 @@ def structural_failures(pairs):
          {"check": "step_place", "steps": (0, 0)}),
         (lines, lines, Correspondence(tuple((v, swap_02.get(v, v)) for v in range(6)), ()),
          {"check": "dual_complex"}),
+        (points, points, Correspondence(tuple((v, v) for v in range(4)), (0, 1), swap_e),
+         {"check": "exceptional_match", "steps": (1, 1)}),
     ]
 
 
 class TestMarkingTransporter:
     def test_structural_failure_is_decides_certificate(self, pairs):
-        # The transporter runs decide's structural checks and returns the
-        # failing check with decide's certificate.
+        # The transporter runs decide's checks up to the periods and returns
+        # the failing check with decide's certificate.
         for pair, other, corr, certificate in structural_failures(pairs):
             verdict = decide_isomorphism(pair, other, corr)
             assert (verdict.kind, verdict.certificate) == ("distinct", certificate)

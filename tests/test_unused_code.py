@@ -36,7 +36,6 @@ PUBLIC_API = (
     "exceptional_class",
     "fan_isomorphism",
     "im",
-    "is_isomorphic",
     "norm",
     "re",
     "scale_marking",
