@@ -157,17 +157,16 @@ def cmd_periods(args):
 
 
 def cmd_compare(args):
-    from logcy3.torelli import Correspondence, decide_isomorphism
+    from logcy3.torelli import decide_isomorphism
 
     inputs = {}
     pair, _ = _load(documents.pair_from_document, args.file_a, "file_a", inputs)
     other, _ = _load(documents.pair_from_document, args.file_b, "file_b", inputs)
+    corr = None  # the identity
     if args.correspondence:
         corr = _load(
             documents.correspondence_from_document, args.correspondence, "correspondence", inputs
         )
-    else:
-        corr = Correspondence.identity(pair)
     verdict = decide_isomorphism(pair, other, corr)
     results = {
         "verdict": verdict.kind,

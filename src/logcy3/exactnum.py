@@ -561,9 +561,6 @@ class IntMatrix(Frozen):
             column[i] = x
         return tuple(column)
 
-    def __str__(self) -> str:
-        return "\n".join(" ".join(str(x) for x in row) for row in self.data)
-
 
 class SnfDecomposition(Frozen):
     """Unimodular U and V with ``U * A * V == diag(factors)``, and the inverses.

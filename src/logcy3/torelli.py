@@ -76,7 +76,8 @@ def classify_contraction(pair: LogCY3Pair, step: int):
     and tensor entries whose largest index is that class.  So the pair
     truncated after the step has exactly the tensor entries with indices up
     to the step's exceptional index, and its canonical class is ``K`` with
-    every later coordinate set to zero.
+    every later coordinate set to zero.  A point step appends the coordinate 2
+    and one entry, ``(e, e, e) = 1``, a curve step the coordinate 1: type 2 or 1.
     """
     e_index = pair.exceptional_index(step)
     k = pair.canonical
@@ -91,10 +92,7 @@ def classify_contraction(pair: LogCY3Pair, step: int):
         for (i, j, _), value in pair.entries_ending_at(e_index)
     )
     triple = (e_dot_l, k_dot_l, e_k2)
-    mori_type = recognize_contraction_type(triple)
-    if mori_type is None:
-        raise PairError(f"step {step}: triple {triple} matches no contraction type")
-    return mori_type, triple
+    return recognize_contraction_type(triple), triple
 
 
 # ---------------------------------------------------------------------------

@@ -235,8 +235,7 @@ def _diagnose_fan(fan: Fan3):
             return f"non-smooth cone {cone}"
         dets.append(d)
         used.update(cone)
-    # The links and the orientation check below orient each cone by these
-    # determinants; none is taken twice.
+    # The links orient each cone by these determinants; none is taken twice.
     dets = tuple(dets)
     fan._held("_cone_dets", lambda: dets)
     if used != set(range(n)):
@@ -254,17 +253,7 @@ def _diagnose_fan(fan: Fan3):
     for v in range(n):
         if _link_cycle(fan, v) is None:
             return f"link of vertex {v} is not a cycle"
-    # Orientation datum must induce a coherent orientation: each wall gets
-    # opposite directions from its two oriented triangles.
-    directed = set()
-    for a, b, c in fan.oriented_triangles():
-        for e in ((a, b), (b, c), (c, a)):
-            if e in directed:
-                return f"incoherent orientation at edge {e}"
-            directed.add(e)
-    for e in directed:
-        if (e[1], e[0]) not in directed:
-            return f"incoherent orientation at edge {e}"
+    # Coherent: two cones orienting a wall (a, b) alike give b two successors in a's link.
     return None
 
 
@@ -301,8 +290,6 @@ def _trace_link(fan: Fan3, v: int):
         if a in succ:
             return None
         succ[a] = b
-    if not succ or len(succ) != len(at):
-        return None
     start = next(iter(succ))
     cycle = [start]
     cur = succ[start]
@@ -889,14 +876,13 @@ def fan_isomorphism(f: Fan3, g: Fan3):
 def toric_model_map(f: Fan3, g: Fan3, vertex):
     """The unimodular matrix sending each ray i of f to ray ``vertex(i)`` of g.
 
-    The matrix is fixed by the first max cone of f; ``None`` when either
-    frame of that cone is not unimodular or some ray misses its image.
+    For valid fans and a bijection ``vertex``: the matrix is fixed by the
+    first max cone of f, or ``None`` when some ray misses its image.  It hits
+    every ray of g, so a lattice basis (a max cone), so it is unimodular.
     """
     seed = f.max_cones[0]
     cols_f = [f.rays[i] for i in seed]
     cols_g = [g.rays[vertex(i)] for i in seed]
-    if abs(_det3(*cols_f)) != 1 or abs(_det3(*cols_g)) != 1:
-        return None
     m = _frame_map(_inverse_unimodular(cols_f), cols_g)
     for v in range(f.n_rays):
         if _apply3(m, f.rays[v]) != g.rays[vertex(v)]:

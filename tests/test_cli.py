@@ -439,6 +439,33 @@ class TestCompare:
         assert results["verdict"] == "distinct"
         assert results["certificate"] == {"check": "step_place", "steps": [1, 0]}
 
+    def test_curve_steps_in_other_components_are_distinct(self, tmp_path, capsys):
+        # A line in plane 3 against a line in plane 2: a verdict, exit 1.
+        from test_torelli import lines_in_two_planes
+
+        paths = []
+        for name, pair in zip(("plane3", "plane2"), lines_in_two_planes()):
+            paths.append(tmp_path / f"{name}.pair.json")
+            paths[-1].write_text(documents.dumps(documents.pair_to_document(pair)), encoding="utf-8")
+        assert main(["--json", "compare", *map(str, paths)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        results = json.loads(captured.out)["results"]
+        assert results["verdict"] == "distinct"
+        assert results["certificate"] == {"check": "curve_component", "steps": [0, 0]}
+
+    def test_step_map_that_is_no_bijection_is_an_error(self, tmp_path, capsys):
+        # The reader takes any list of integers; the pairs' programs refuse it.
+        path = bundled_path("p3-mixed")
+        with open(path, "rb") as handle:
+            pair, _ = documents.pair_from_document(documents.loads(handle.read()))
+        doc = documents.correspondence_to_document(Correspondence.identity(pair))
+        doc["step_map"] = [0, 0, 2]
+        corr_path = tmp_path / "repeated.corr.json"
+        corr_path.write_text(documents.dumps(doc), encoding="utf-8")
+        assert main(["compare", path, path, str(corr_path)]) == 2
+        assert capsys.readouterr().err == "error: step map is not a bijection of program steps\n"
+
     @pytest.mark.parametrize(
         "field, value",
         [("vertex_map", [[0, 0], [1, 1], [2, 2], [3, 3]]), ("step_map", ["0"])],

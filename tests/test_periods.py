@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from logcy3.boundary import BoundaryError, Marking, component_marked_period
 from logcy3 import exactnum
 from logcy3.exactnum import (
+    ExactArithmeticError,
     GaussianRational,
     IntMatrix,
     ONE,
@@ -19,7 +20,7 @@ from logcy3.exactnum import (
 )
 from logcy3.fixtures import pair_fixtures, scaling_pair
 from logcy3.oracle import cocycle_period
-from logcy3.pair import LogCY3Pair
+from logcy3.pair import LogCY3Pair, PairError
 from logcy3.periods import (
     PeriodConsistencyError,
     _alternative_marking,
@@ -225,6 +226,22 @@ class TestPeriodCharacters:
         for gen, expected in zip(generators, reference.values):
             assert evaluate_boundary_character(pair, marking, gen) == expected
 
+    def test_a_vector_of_another_length_is_an_error(self, pairs):
+        pair = pairs["p3-point"]
+        _, total = pair.component_offsets()
+        with pytest.raises(PairError, match="^boundary vector length mismatch$"):
+            evaluate_boundary_character(pair, pair.markers(), (0,) * (total + 1))
+
+    def test_a_held_value_the_second_marking_disagrees_with_is_an_error(
+        self, pairs, monkeypatch
+    ):
+        # Mutation: a wrong held value on the first matching generator.
+        pair = pairs["p3-conic"]
+        values = matching_values(pair)
+        monkeypatch.setitem(pair._held, "matching_values", (values[0] * 2, *values[1:]))
+        with pytest.raises(PeriodConsistencyError, match="depends on the marking"):
+            unmarked_period(pair)
+
     def test_multiplicativity(self, pairs):
         pair = pairs["p3-conic"]
         marking = Marking.markers(pair.edge_keys())
@@ -352,6 +369,23 @@ class TestMarkingTorsor:
                 value = value * (v ** coeff)
             assert value == ONE
 
+    @pytest.mark.parametrize(
+        "count, zero, error, message",
+        [
+            (-1, False, PairError, "one scalar per edge required"),
+            (0, True, ExactArithmeticError, "edge scalars must be nonzero"),
+        ],
+        ids=["one-short", "zero"],
+    )
+    def test_scalars_must_be_one_nonzero_per_edge(self, pairs, count, zero, error, message):
+        pair = pairs["p3-point"]
+        lambdas = [g("2")] * (len(pair.complex.edges) + count)
+        if zero:
+            lambdas[-1] = g("0")
+        for call in (edge_scaling_character, lambda p, ls: scale_marking(p, p.markers(), ls)):
+            with pytest.raises(error, match=f"^{message}$"):
+                call(pair, lambdas)
+
 
 class TestQuotient:
     def test_toric_quotients_are_trivial(self, pairs):
@@ -410,6 +444,19 @@ class TestQuotientFromTheHeldFactorization:
         for pair in cases:
             char, torsion = quotient_character(pair)
             assert (char.basis, char.values, torsion) == reference_quotient_character(pair)
+
+    def test_an_image_vector_of_nontrivial_period_is_an_error(self, pairs, monkeypatch):
+        # Mutation: a matching generator of value 5/7 at the markers, held
+        # as if it were a restricted global class.
+        pair = pairs["p3-conic"]
+        gen, value = next(
+            (gen, value)
+            for gen, value in zip(matching_lattice(pair), matching_values(pair))
+            if not value.is_one()
+        )
+        monkeypatch.setitem(pair._held, "k_image", ((gen,), True))
+        with pytest.raises(PeriodConsistencyError, match="nontrivial on a restricted global class"):
+            quotient_character(pair)
 
     def test_an_image_vector_off_the_matching_lattice_is_an_error(
         self, pairs, monkeypatch

@@ -10,10 +10,12 @@ without checking them.  These tests pin that:
   held verdict, sign and cone set equals what the whole-fan check finds on
   a fresh copy;
 * a chain runs the whole-fan check once, on its root;
-* an invalid parent is refused with its own diagnostic.
+* an invalid parent is refused with its own diagnostic, and a target that
+  is neither a max cone nor a wall with its own message.
 """
 
 import random
+import re
 
 import pytest
 
@@ -103,3 +105,18 @@ def test_an_invalid_parent_is_refused_before_the_star_check(parent):
     with pytest.raises(FanError, match="cannot subdivide an invalid fan") as exc:
         star_subdivide(parent, (0, 1, 2))
     assert diagnostic in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "target, message",
+    [
+        # x+ and x- of (P^1)^3 are opposite: they share no cone and no wall.
+        ((0, 1, 2), "(0, 1, 2) is not a max cone"),
+        ((0, 1), "(0, 1) is not a wall"),
+        ((0,), "target must be a wall or a max cone"),
+    ],
+    ids=["triple", "pair", "ray"],
+)
+def test_a_target_that_is_no_cone_or_wall_is_refused(target, message):
+    with pytest.raises(FanError, match=f"^{re.escape(message)}$"):
+        star_subdivide(triple_line_fan(), target)

@@ -150,6 +150,31 @@ class TestReconstruction:
                 ToricIntersectionData(data.n_vertices + 1, data.cones, data.wall_curves)
             )
 
+    def test_a_wall_in_one_cone_is_rejected(self):
+        data = ToricIntersectionData.of_fan(projective_space_fan())
+        cones = data.cones - {frozenset((1, 2, 3))}
+        with pytest.raises(ReconstructionError, match=r"^wall \[\d, \d\] lies in 1 cones, expected 2$"):
+            reconstruct_fan(ToricIntersectionData(4, cones, data.wall_curves))
+
+    def test_a_sphere_wound_twice_is_rejected(self):
+        # The suspension of an 8-cycle with every wall curve of square 0:
+        # each wall relation holds, and the cycle wraps twice around the
+        # axis of the two apexes, so its vertices 4 apart share a ray.
+        cycle = [(2 + i, 2 + (i + 1) % 8) for i in range(8)]
+        cones = frozenset(frozenset((apex, *edge)) for apex in (0, 1) for edge in cycle)
+        walls = [(apex, 2 + i) for apex in (0, 1) for i in range(8)] + cycle
+        data = ToricIntersectionData(10, cones, {tuple(sorted(w)): (0, 0) for w in walls})
+        with pytest.raises(ReconstructionError, match="^reconstructed data is not a smooth fan: duplicate ray"):
+            reconstruct_fan(data)
+
+    def test_a_curve_on_no_wall_is_rejected(self):
+        # x+ and x- of (P^1)^3 share no wall, so the rebuilt fan has no
+        # entry for them.
+        data = ToricIntersectionData.of_fan(triple_line_fan())
+        curves = {**data.wall_curves, (0, 1): (0, 0)}
+        with pytest.raises(ReconstructionError, match="^reconstructed fan does not reproduce"):
+            reconstruct_fan(ToricIntersectionData(6, data.cones, curves))
+
 
 class TestComplexity:
     def test_toric_boundary_decompositions(self, pairs):
@@ -168,6 +193,10 @@ class TestComplexity:
         pair = pairs["p3"]
         decomposition = [(Fraction(1, 2), (1,)), (Fraction(3, 2), (1,))]
         assert complexity(pair, decomposition) == Fraction(2)
+
+    def test_negative_weight_is_rejected(self, pairs):
+        with pytest.raises(PairError, match="^decomposition weights must be nonnegative$"):
+            complexity(pairs["p3"], [(1, (1,)), (Fraction(-1, 2), (1,))])
 
     def test_classes_are_read_as_threefold_classes(self, pairs):
         # As cubic_form reads them: a class of another length, or one in
@@ -283,6 +312,15 @@ class TestDecision:
                 "distinct", {"check": check, "steps": steps}
             )
 
+    def test_curve_steps_in_other_components_are_distinct(self):
+        # The cubic forms agree and both steps are curves, but the vertex
+        # map does not carry plane 3 to plane 2.
+        pair, other = lines_in_two_planes()
+        certificate = {"check": "curve_component", "steps": (0, 0)}
+        verdict = decide_isomorphism(pair, other)
+        assert (verdict.kind, verdict.certificate) == ("distinct", certificate)
+        assert marking_transporter(pair, other) == ("curve_component", certificate)
+
     def test_base_models_that_differ_are_distinct(self):
         # P^3 star-subdivided at (0, 1, 2), vertices 3 and 4 swapped: the
         # cones match and the identity mu keeps the cubic form, but the
@@ -310,6 +348,14 @@ class TestDecision:
         verdict = decide_isomorphism(pair, pair, corr)
         assert (verdict.kind, verdict.certificate) == ("distinct", certificate)
         assert marking_transporter(pair, pair, corr) == ("curve_class", certificate)
+
+
+def lines_in_two_planes():
+    """P^3 with a line in plane 3, and P^3 with a line in plane 2."""
+    base = LogCY3Pair.build(projective_space_fan())
+    return tuple(
+        LogCY3Pair.build(base.fan, [solved_curve_step(base, v, (1,), 2)]) for v in (3, 2)
+    )
 
 
 def swapped_exceptionals():

@@ -507,6 +507,13 @@ class TestFanIsomorphism:
     def test_distinct_fans(self, p3, p111):
         assert fan_isomorphism(p3, p111) is None
 
+    def test_subdivisions_with_the_same_counts_are_distinct(self, p3):
+        # Both have 5 rays and 6 cones, so every frame is tried; the ray of
+        # the cone subdivision lies in 3 cones, the wall's in 4.
+        at_cone, at_wall = star_subdivide(p3, (0, 1, 2)), star_subdivide(p3, (0, 1))
+        assert (at_cone.n_rays, len(at_cone.max_cones)) == (at_wall.n_rays, len(at_wall.max_cones))
+        assert fan_isomorphism(at_cone, at_wall) is None
+
 
 class TestToricModelMap:
     def test_identity_bijection(self):
