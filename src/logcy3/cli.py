@@ -182,9 +182,7 @@ def _stringify(value):
         return {str(k): _stringify(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_stringify(v) for v in value]
-    if isinstance(value, (int, str, bool)) or value is None:
-        return value
-    return str(value)
+    return value  # every other certificate value is an int, a str or None
 
 
 def cmd_oracle_check(args):
@@ -206,6 +204,7 @@ def cmd_oracle_check(args):
                 f"{direct} vs {via_triangles}"
             )
             break
+    period_paths = "disagree" if discrepancies else "agree"
     # Invariant-center blowup tensors against star subdivisions.
     fan = pair.fan
     point_diag = point_subdivision_check(fan, fan.max_cones[0])
@@ -216,7 +215,7 @@ def cmd_oracle_check(args):
     if curve_diag:
         discrepancies.append(f"curve blowup: {curve_diag}")
     results = {
-        "period_paths": "agree" if not discrepancies else "disagree",
+        "period_paths": period_paths,
         "generators_checked": checked,
         "point_subdivision": "agree" if not point_diag else "disagree",
         "curve_subdivision": "agree" if not curve_diag else "disagree",

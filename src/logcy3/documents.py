@@ -151,10 +151,7 @@ def pair_from_document(doc: dict):
         if sign not in (1, -1):
             raise DocumentError(f"orientation.sign: expected 1 or -1, got {sign!r}")
         orientation = (triangle, sign)
-    try:
-        fan = Fan3(rays, cones, orientation)
-    except (TypeError, ValueError) as exc:
-        raise DocumentError(f"fan: {exc}") from exc
+    fan = Fan3(rays, cones, orientation)
     program = [
         _step_from_document(entry, f"blowups[{i}]")
         for i, entry in enumerate(_expect(doc.get("blowups", []), list, "blowups"))

@@ -362,12 +362,6 @@ class LogCY3Pair:
             groups[key[2]].append((key, value))
         return tuple(tuple(group) for group in groups)
 
-    def pulled_back_cubic(self, mu: IntMatrix) -> dict:
-        """:func:`pull_back_tensor` of the cubic form; ``mu`` has one row per basis class."""
-        if mu.rows != len(self._restriction):
-            raise PairError("class length does not match the Picard rank")
-        return pull_back_tensor(self._tensor, mu)
-
     def as_y_coords(self, x) -> tuple:
         """The coordinates of a threefold class: a ``PicVector`` in the ``Y``
         basis or a sequence, either of the Picard rank, or ``PairError``."""

@@ -18,7 +18,7 @@ from functools import cached_property
 
 from logcy3.boundary import Marking
 from logcy3.exactnum import Frozen, IntMatrix, dot, power_product_of, snf
-from logcy3.pair import CurveBlowup, LogCY3Pair, PairError, PointBlowup
+from logcy3.pair import CurveBlowup, LogCY3Pair, PairError, PointBlowup, pull_back_tensor
 from logcy3.periods import edge_matching_snf, matching_kernel, matching_lattice, matching_values
 from logcy3.toric import (
     Fan3,
@@ -445,7 +445,7 @@ def _matched(pair: LogCY3Pair, other: LogCY3Pair, corr: Correspondence):
     # pair's.  The witness is the least differing triple i <= j <= k.
     mu = threefold_transport(pair, other, corr)
     left = pair.cubic_entries()
-    right = other.pulled_back_cubic(mu)
+    right = pull_back_tensor(other.cubic_entries(), mu)
     differing = [t for t in left.keys() | right.keys() if left.get(t) != right.get(t)]
     if differing:
         triple = min(differing)

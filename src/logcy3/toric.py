@@ -6,8 +6,8 @@ intersection tensor (read off those surfaces), the dual complex with its
 orientation data, and the chart character of each 1-stratum.  The fan-only
 part of a pair build, the :class:`ToricLayer`, is computed once per fan and
 held on it, as are the fan's walls, the oriented ordering of each max cone and
-the link and dual frame at each ray: validation, the star surfaces and the
-dual complex read each of them once.
+the link, dual frame and star surface at each ray: validation, the toric
+layer and the dual complex read each of them once.
 
 A star subdivision is the toric blowup behind every subdivided fan.  A star
 subdivision of a smooth complete fan at a max cone or a wall is smooth and
@@ -109,12 +109,12 @@ class Fan3(Frozen):
     _fields = ("rays", "max_cones", "orientation")
 
     # Derived data (the cone set, the walls, the determinant and oriented
-    # ordering of each max cone, the cones, link and dual frame at each ray,
-    # the global sign, the verdict of validate_fan, the toric layer and the
-    # dual complex with default edge orientations) is computed on first use
-    # and held on the instance; it is not a field, so equality and hashing
-    # see the three fields only.  A star subdivision's output holds its
-    # verdict, global sign and cone set from its construction.
+    # ordering of each max cone, the cones, link, dual frame and star surface
+    # at each ray, the global sign, the verdict of validate_fan, the toric
+    # layer and the dual complex with default edge orientations) is computed
+    # on first use and held on the instance; it is not a field, so equality
+    # and hashing see the three fields only.  A star subdivision's output
+    # holds its verdict, global sign and cone set from its construction.
 
     def __init__(self, rays, max_cones, orientation=None):
         rays = tuple([tuple(map(int, r)) for r in rays])
@@ -254,6 +254,13 @@ def _diagnose_fan(fan: Fan3):
         if _link_cycle(fan, v) is None:
             return f"link of vertex {v} is not a cycle"
     # Coherent: two cones orienting a wall (a, b) alike give b two successors in a's link.
+    # Each link is a unimodular loop: its n rays wind w times around the
+    # ray, and its wall coefficients sum to 3n - 12w (Poonen and
+    # Rodriguez-Villegas, "Lattice polygons and the number 12", 2000).
+    for surface in _star_surfaces(fan):
+        winding = (3 * surface.n_rays - sum(surface.wall_coefficients)) // 12
+        if winding != 1:
+            return f"link of vertex {surface.vertex} winds {winding} times around its ray"
     return None
 
 
@@ -290,12 +297,12 @@ def _trace_link(fan: Fan3, v: int):
         if a in succ:
             return None
         succ[a] = b
+    # Each wall lies in two cones and no key repeats, so succ permutes the
+    # link and the walk returns to its start.
     start = next(iter(succ))
     cycle = [start]
     cur = succ[start]
     while cur != start:
-        if cur not in succ or len(cycle) > len(succ):
-            return None
         cycle.append(cur)
         cur = succ[cur]
     if len(cycle) != len(succ):
@@ -672,6 +679,8 @@ def star_surface(fan: Fan3, v: int) -> Fan2:
     The quotient projection kills the ray of v: it is given by the two rows
     of the dual frame of a cone at v that vanish on n_v.  The cyclic order
     of the image rays follows the link of v in the oriented dual complex.
+    Validation builds every star surface once, to count how often each link
+    winds, and the fan holds them.
 
     The image is smooth, so it is not checked: consecutive link rays w, w'
     span a unimodular cone (v, w, w'), and n_v is (1, 0, 0) in the dual
@@ -679,13 +688,25 @@ def star_surface(fan: Fan3, v: int) -> Fan2:
     """
     if (diag := validate_fan(fan)) is not None:
         raise FanError(diag)
-    cycle = _link_cycle(fan, v)
-    _, (a, b, c), (p, q, r) = _vertex_frame(fan, v)
-    images = []
-    for w in cycle:
-        x, y, z = fan.rays[w]
-        images.append((a * x + b * y + c * z, p * x + q * y + r * z))
-    return Fan2(v, tuple(images), cycle)  # solves the 2d wall relations
+    return _star_surfaces(fan)[v]
+
+
+def _star_surfaces(fan: Fan3) -> tuple:
+    """The star surface of every ray, built on first use and held."""
+
+    def compute():
+        surfaces = []
+        for v in range(fan.n_rays):
+            cycle = _link_cycle(fan, v)
+            _, (a, b, c), (p, q, r) = _vertex_frame(fan, v)
+            images = []
+            for w in cycle:
+                x, y, z = fan.rays[w]
+                images.append((a * x + b * y + c * z, p * x + q * y + r * z))
+            surfaces.append(Fan2(v, tuple(images), cycle))  # solves the 2d wall relations
+        return tuple(surfaces)
+
+    return fan._held("_surfaces", compute)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 
 from logcy3.boundary import (
     BoundaryError,
+    ExceptionalClass,
     Marking,
     component_character_table,
     component_marked_period,
@@ -134,6 +135,24 @@ class TestComponentPeriod:
         comp = pair.components[0]
         with pytest.raises(BoundaryError, match="no point on edge"):
             component_marked_period(comp, marking, next(iter(comp.basis_vectors())))
+
+
+class TestComponentInputs:
+    def test_a_zero_point_cannot_mark(self):
+        with pytest.raises(BoundaryError, match="^marking point on a 0-stratum$"):
+            Marking.build({frozenset((0, 1)): GaussianRational(0)})
+
+    def test_an_exceptional_class_needs_an_adjacent_vertex(self, pairs):
+        # Vertices 0 and 1 of (P^1)^3 are opposite: they share no wall.
+        comp = pairs["p111"].components[0]
+        with pytest.raises(BoundaryError, match="^vertex 1 is not adjacent to component 0$"):
+            comp.with_exceptional(ExceptionalClass(1, g("2"), 0))
+
+    @pytest.mark.parametrize("method", ["split", "edge_degrees"])
+    def test_a_class_of_another_length_is_rejected(self, pairs, method):
+        comp = pairs["p3"].components[0]
+        with pytest.raises(BoundaryError, match="^class length does not match component rank$"):
+            getattr(comp, method)((0,) * (comp.rank + 1))
 
 
 class TestMarkingHash:

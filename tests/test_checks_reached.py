@@ -1,25 +1,32 @@
-"""Every check and raise of the decision and period stages is reached by a test.
+"""Every check and raise of the package is reached by a test.
 
-The rows are read from the source by AST: each ``return Verdict(...)`` and
-each ``raise`` in a function of ``torelli.py`` and ``periods.py``.  A row's
+The rows are read from the source by AST: each ``return Verdict(...)``,
+each ``raise`` and each diagnostic return of ``toric._diagnose_fan`` in a
+function of every module but ``fixtures.py`` and ``__init__.py``.  A row's
 key is ``(function, label, text)``: the label is the verdict's check name
 (the last ``"check": "<name>"`` literal of the function at or before the
-return) or the exception's class, and the text is the reason or message
-with each formatted field written ``{}``.  ``REACHED`` names the test that
-reaches each row, through ``decide_isomorphism``, ``marking_transporter``,
-the CLI or the row's own public function; the ``PeriodConsistencyError``
-rows are reached by mutation tests.  A new check or raise without a row
-fails here; ``tests/line_reach.py`` runs Tier-1 under a line trace and
-confirms that each named test executes its row.
+return), the exception's class (``raise`` for a bare re-raise) or
+``diagnostic``, and the text is the reason, message or diagnostic with each
+formatted field written ``{}``.  ``REACHED`` names the test that reaches
+each row, through ``decide_isomorphism``, ``marking_transporter``, the CLI
+or the row's own public function; the ``PeriodConsistencyError`` rows and
+the triple intersections' wall-relation check are reached by mutation
+tests that corrupt a held value.  A new check or raise without a row fails
+here; ``tests/line_reach.py`` runs Tier-1 under a line trace and confirms
+that each named test executes its row.
 """
 
 import ast
 from pathlib import Path
 
-import logcy3.periods
-import logcy3.torelli
+import logcy3
 
-MODULES = {"torelli": Path(logcy3.torelli.__file__), "periods": Path(logcy3.periods.__file__)}
+PACKAGE = Path(logcy3.__file__).parent
+MODULES = {
+    path.stem: path
+    for path in sorted(PACKAGE.glob("*.py"))
+    if path.stem not in ("__init__", "fixtures")
+}
 TESTS = Path(__file__).resolve().parent
 
 
@@ -29,8 +36,16 @@ def _text(node):
         return node.value
     if isinstance(node, ast.JoinedStr):
         return "".join(_text(part) if isinstance(part, ast.Constant) else "{}" for part in node.values)
-    # "...".format(...)
-    return _text(node.func.value)
+    if isinstance(node, ast.Call):  # "...".format(...)
+        return _text(node.func.value)
+    return "{}"  # a message held in a name
+
+
+def _raised(stmt):
+    """``(label, text)`` of a raise: the exception's class and message."""
+    if stmt.exc is None:
+        return "raise", ""  # re-raises the exception being handled
+    return stmt.exc.func.id, _text(stmt.exc.args[0])
 
 
 def _check_literals(node):
@@ -56,25 +71,31 @@ def _functions(tree):
 
 
 def entries():
-    """``{(function, label, text): (path, statement)}`` for both modules."""
+    """``{(function, label, text): (path, statement)}`` for every module."""
     found = {}
     for module, path in MODULES.items():
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for name, func in _functions(tree):
+            qualified = f"{module}.{name}"
             checks = _check_literals(func)
             for stmt in ast.walk(func):
                 if isinstance(stmt, ast.Raise):
-                    label, message = stmt.exc.func.id, stmt.exc.args[0]
+                    label, text = _raised(stmt)
+                elif not isinstance(stmt, ast.Return) or stmt.value is None:
+                    continue
                 elif (
-                    isinstance(stmt, ast.Return)
-                    and isinstance(stmt.value, ast.Call)
+                    isinstance(stmt.value, ast.Call)
                     and getattr(stmt.value.func, "id", None) == "Verdict"
                 ):
                     label = [check for line, check in checks if line <= stmt.end_lineno][-1]
-                    message = stmt.value.args[1]
+                    text = _text(stmt.value.args[1])
+                elif qualified == "toric._diagnose_fan" and not (
+                    isinstance(stmt.value, ast.Constant) and stmt.value.value is None
+                ):
+                    label, text = "diagnostic", _text(stmt.value)
                 else:
                     continue
-                key = (f"{module}.{name}", label, _text(message))
+                key = (qualified, label, text)
                 assert key not in found, f"two rows share the key {key}"
                 found[key] = (path, stmt)
     return found
@@ -82,7 +103,17 @@ def entries():
 
 TORELLI = "tests/test_torelli.py::"
 PERIODS = "tests/test_periods.py::"
-CLI = "tests/test_cli.py::TestCompare::"
+COMPARE = "tests/test_cli.py::TestCompare::"
+CLI = "tests/test_cli.py::"
+BOUNDARY = "tests/test_boundary.py::"
+DOCUMENTS = "tests/test_documents.py::"
+EXACTNUM = "tests/test_exactnum.py::"
+ORACLE = "tests/test_oracle.py::"
+PAIR = "tests/test_pair.py::"
+TORIC = "tests/test_toric.py::"
+KERNELS = "tests/test_toric_kernels.py::"
+STAR = "tests/test_star_subdivide.py::"
+VALUE_TYPES = "tests/test_value_types.py::"
 
 REACHED = {
     # torelli: fan reconstruction and complexity, through their own functions.
@@ -108,7 +139,7 @@ REACHED = {
         TORELLI + "TestSparseBoundaryTransport::test_wrong_shape_overrides[short]",
     ("torelli._component_map_failure", "component_isometry",
      "the map of component {} does not preserve the intersection form"):
-        CLI + "test_explicit_map_that_is_no_isometry[p3-point-rows1-values1]",
+        COMPARE + "test_explicit_map_that_is_no_isometry[p3-point-rows1-values1]",
     ("torelli._component_map_failure", "component_isometry",
      "the map of component {} does not carry the anticanonical class"):
         TORELLI + "TestSparseBoundaryTransport::"
@@ -118,14 +149,14 @@ REACHED = {
         TORELLI + "TestExplicitComponentMaps::test_map_that_moves_an_edge_is_distinct",
     # torelli: decide's steps (i)-(iv), shared with transport, and step (v).
     ("torelli._matched", "CorrespondenceError", "vertex map is not a bijection of components"):
-        CLI + "test_mismatched_shapes_error",
+        COMPARE + "test_mismatched_shapes_error",
     ("torelli._matched", "CorrespondenceError", "step map is not a bijection of program steps"):
-        CLI + "test_step_map_that_is_no_bijection_is_an_error",
+        COMPARE + "test_step_map_that_is_no_bijection_is_an_error",
     ("torelli._matched", "CorrespondenceError",
      "mu_components: vertex {} is not a component of the first pair"):
-        CLI + "test_map_for_a_missing_vertex_is_an_error",
+        COMPARE + "test_map_for_a_missing_vertex_is_an_error",
     ("torelli._matched", "CorrespondenceError", "mu: expected a {} x {} matrix, got {} x {}"):
-        CLI + "test_mu_of_another_shape_is_a_document_error[columns]",
+        COMPARE + "test_mu_of_another_shape_is_a_document_error[columns]",
     ("torelli._matched", "dual_complex", "dual complexes do not match under the vertex bijection"):
         TORELLI + "TestMarkingTransporter::test_structural_failure_is_decides_certificate",
     ("torelli._matched", "cubic_form", "cubic forms disagree under the correspondence"):
@@ -134,9 +165,9 @@ REACHED = {
         TORELLI + "TestMarkingTransporter::test_structural_failure_is_decides_certificate",
     ("torelli._matched", "curve_component",
      "curve steps {} and {} sit in non-corresponding components"):
-        CLI + "test_curve_steps_in_other_components_are_distinct",
+        COMPARE + "test_curve_steps_in_other_components_are_distinct",
     ("torelli._matched", "step_place", "steps {} and {} sit at non-corresponding places"):
-        CLI + "test_matched_step_at_another_place_is_distinct",
+        COMPARE + "test_matched_step_at_another_place_is_distinct",
     ("torelli._matched", "exceptional_match",
      "exceptional classes of steps {} and {} do not correspond"):
         TORELLI + "TestMarkingTransporter::test_structural_failure_is_decides_certificate",
@@ -144,12 +175,12 @@ REACHED = {
         TORELLI + "TestDecision::test_curve_classes_that_differ_are_distinct",
     ("torelli._matched", "toric_model",
      "base toric models are not unimodularly equivalent under the vertex bijection"):
-        CLI + "test_base_models_that_differ_are_distinct",
+        COMPARE + "test_base_models_that_differ_are_distinct",
     ("torelli.decide_isomorphism", "period", "periods disagree on a matching class"):
-        CLI + "test_distinct_pair",
+        COMPARE + "test_distinct_pair",
     ("torelli.decide_isomorphism", "complete",
      "combinatorics, cubic form, program and periods all match"):
-        CLI + "test_self_comparison",
+        COMPARE + "test_self_comparison",
     # periods: inputs, through their own functions.
     ("periods.evaluate_boundary_character", "PairError", "boundary vector length mismatch"):
         PERIODS + "TestPeriodCharacters::test_a_vector_of_another_length_is_an_error",
@@ -170,6 +201,252 @@ REACHED = {
      "restricted global class outside the matching lattice"):
         PERIODS + "TestQuotientFromTheHeldFactorization::"
         "test_an_image_vector_off_the_matching_lattice_is_an_error",
+    # boundary: inputs, through their own functions.
+    ("boundary.Marking.build", "BoundaryError", "marking point on a 0-stratum"):
+        BOUNDARY + "TestComponentInputs::test_a_zero_point_cannot_mark",
+    ("boundary.Marking.point", "BoundaryError", "marking has no point on edge {}"):
+        BOUNDARY + "TestComponentPeriod::test_marking_must_cover_edge",
+    ("boundary.LooijengaComponent.with_exceptional", "BoundaryError",
+     "vertex {} is not adjacent to component {}"):
+        BOUNDARY + "TestComponentInputs::test_an_exceptional_class_needs_an_adjacent_vertex",
+    ("boundary.LooijengaComponent.split", "BoundaryError",
+     "class length does not match component rank"):
+        BOUNDARY + "TestComponentInputs::test_a_class_of_another_length_is_rejected[split]",
+    ("boundary.LooijengaComponent.edge_degrees", "BoundaryError",
+     "class length does not match component rank"):
+        BOUNDARY + "TestComponentInputs::test_a_class_of_another_length_is_rejected[edge_degrees]",
+    ("boundary.section_ratio", "BoundaryError", "marking point on a 0-stratum"):
+        BOUNDARY + "TestSectionRatio::test_zero_stratum_rejected",
+    ("boundary.section_ratio", "BoundaryError", "divisor supported on a 0-stratum"):
+        BOUNDARY + "TestSectionRatio::test_zero_stratum_rejected",
+    ("boundary.component_character_table", "BoundaryError", "marking point on a 0-stratum"):
+        BOUNDARY + "TestCharacterTableAgainstSectionRatios::test_a_zero_marking_point_is_rejected",
+    # documents: malformed documents, through the readers or the CLI.
+    ("documents._field", "DocumentError", "{}: missing field {}"):
+        DOCUMENTS + "TestPairDocuments::test_missing_field_rejected",
+    ("documents._expect", "DocumentError", "{}: expected {}, got {}"):
+        DOCUMENTS + "TestCorrespondenceDocuments::"
+        "test_malformed_shape_rejected_with_field_path[vertex-map-list]",
+    ("documents._integer", "DocumentError", "{}: expected an integer, got {}"):
+        DOCUMENTS + "TestCorrespondenceDocuments::"
+        "test_malformed_shape_rejected_with_field_path[step-map-entry]",
+    ("documents._integers", "DocumentError", "{}: expected {} entries, got {}"):
+        DOCUMENTS + "TestPairDocuments::test_malformed_shape_rejected_with_field_path[short-ray]",
+    ("documents._vertex_key", "DocumentError", "{}: bad vertex key {}"):
+        DOCUMENTS + "TestCorrespondenceDocuments::"
+        "test_malformed_shape_rejected_with_field_path[vertex-map-key]",
+    ("documents._parse_coordinate", "DocumentError", "{}: {}"):
+        DOCUMENTS + "TestPairDocuments::test_bad_coordinate_rejected",
+    ("documents.pair_from_document", "DocumentError", "document: not a pair document"):
+        DOCUMENTS + "TestPairDocuments::test_wrong_format_rejected",
+    ("documents.pair_from_document", "DocumentError", "document: unsupported version"):
+        DOCUMENTS + "TestPairDocuments::test_unsupported_version_rejected",
+    ("documents.pair_from_document", "DocumentError", "document: lattice_rank must be 3"):
+        DOCUMENTS + "TestPairDocuments::test_lattice_rank_other_than_three_rejected",
+    ("documents.pair_from_document", "DocumentError", "orientation.sign: expected 1 or -1, got {}"):
+        DOCUMENTS + "TestPairDocuments::test_orientation_sign_must_be_a_unit[0]",
+    ("documents.pair_from_document", "DocumentError", "pair: {}"):
+        DOCUMENTS + "TestPairDocuments::test_invalid_program_rejected",
+    ("documents.pair_from_document", "DocumentError", "orientation.triangle[{}]: no vertex {}"):
+        CLI + "TestValidate::"
+        "test_malformed_fields_are_diagnosed[orientation-vertex-out-of-range]",
+    ("documents._marking_from_document", "DocumentError", "markings: no point on edge {}"):
+        DOCUMENTS + "TestPairDocuments::test_marking_must_cover_each_edge_once[missing-edge]",
+    ("documents._marking_from_document", "DocumentError", "markings: {} is not an edge"):
+        DOCUMENTS + "TestPairDocuments::test_marking_must_cover_each_edge_once[non-edge]",
+    ("documents._marking_from_document", "DocumentError", "markings: edge {} listed twice"):
+        DOCUMENTS + "TestPairDocuments::test_marking_must_cover_each_edge_once[duplicate-edge]",
+    ("documents._marking_from_document", "DocumentError",
+     "markings[{}]: marking point on a 0-stratum"):
+        DOCUMENTS + "TestPairDocuments::test_marking_must_cover_each_edge_once[zero-point]",
+    ("documents._marking_from_document", "DocumentError", "markings: bad edge key {}"):
+        DOCUMENTS + "TestPairDocuments::test_marking_must_cover_each_edge_once[bad-key]",
+    ("documents._step_from_document", "DocumentError", "{}: unknown blowup kind {}"):
+        DOCUMENTS + "TestPairDocuments::test_unknown_blowup_kind_rejected",
+    ("documents._step_from_document", "DocumentError", "{}.points: vertex {} listed twice"):
+        DOCUMENTS + "TestPairDocuments::test_curve_point_vertex_listed_twice",
+    ("documents.correspondence_from_document", "DocumentError",
+     "document: not a correspondence document"):
+        DOCUMENTS + "TestCorrespondenceDocuments::test_wrong_format_rejected",
+    ("documents.correspondence_from_document", "DocumentError", "document: unsupported version"):
+        DOCUMENTS + "TestCorrespondenceDocuments::test_unsupported_version_rejected",
+    ("documents._by_vertex", "DocumentError", "{}: vertex {} listed twice"):
+        DOCUMENTS + "TestCorrespondenceDocuments::test_vertex_listed_twice[vertex_map]",
+    ("documents._matrix", "DocumentError", "{}: {}"):
+        DOCUMENTS + "TestCorrespondenceDocuments::"
+        "test_malformed_shape_rejected_with_field_path[mu-ragged]",
+    ("documents._unique_keys", "DocumentError", "duplicate key {}"):
+        DOCUMENTS + "TestPairDocuments::test_repeated_key_rejected[top-level]",
+    ("documents.loads", "DocumentError", "document: top level must be an object"):
+        DOCUMENTS + "TestPairDocuments::test_top_level_must_be_an_object[list]",
+    ("documents.loads", "DocumentError", "line {}: {}"):
+        DOCUMENTS + "TestPairDocuments::test_malformed_json_reports_line",
+    ("documents.loads", "DocumentError", "document: nested too deeply"):
+        DOCUMENTS + "TestPairDocuments::test_malformed_bytes_rejected[nested-too-deep]",
+    ("documents.loads", "raise", ""):
+        DOCUMENTS + "TestPairDocuments::test_repeated_key_rejected[top-level]",
+    ("documents.loads", "DocumentError", "document: integer literal too long"):
+        DOCUMENTS + "TestPairDocuments::test_malformed_bytes_rejected[integer-too-long]",
+    ("documents.loads", "DocumentError", "document: not UTF-8 text at byte {}"):
+        DOCUMENTS + "TestPairDocuments::test_malformed_bytes_rejected[not-utf8]",
+    # exactnum: inputs of the value types and lattice routines.
+    ("exactnum.Frozen.__init__", "TypeError",
+     "{} takes the fields {}; got {} by position and {} by keyword"):
+        VALUE_TYPES + "test_generic_constructor[PointBlowup]",
+    ("exactnum.Frozen.__setattr__", "AttributeError", "{} is immutable; cannot set {}"):
+        EXACTNUM + "TestAgainstFractionPairs::test_immutable",
+    ("exactnum.Frozen.__delattr__", "AttributeError", "{} is immutable; cannot delete {}"):
+        EXACTNUM + "TestAgainstFractionPairs::test_immutable",
+    ("exactnum.GaussianRational.parse", "ExactArithmeticError",
+     "cannot parse Gaussian rational {}"):
+        EXACTNUM + "TestGaussianRational::test_parse_rejects_garbage",
+    ("exactnum.GaussianRational.parse", "ExactArithmeticError",
+     "zero denominator in Gaussian rational {}"):
+        EXACTNUM + "TestGaussianRational::test_parse_rejects_garbage",
+    ("exactnum.GaussianRational.parse", "ExactArithmeticError",
+     "Gaussian rational with too many digits"):
+        EXACTNUM + "TestGaussianRational::test_parse_rejects_garbage",
+    ("exactnum.GaussianRational.__truediv__", "ExactArithmeticError", "division by zero in Q(i)"):
+        EXACTNUM + "TestAgainstFractionPairs::test_binary_operations",
+    ("exactnum.GaussianRational.inverse", "ExactArithmeticError", "division by zero in Q(i)"):
+        EXACTNUM + "TestGaussianRational::test_zero_inverse_rejected",
+    ("exactnum._coerce", "TypeError", "cannot coerce {} to GaussianRational"):
+        EXACTNUM + "TestGaussianRational::test_an_operand_of_another_type_is_rejected",
+    ("exactnum.power_product_of", "ExactArithmeticError", "division by zero in Q(i)"):
+        EXACTNUM + "TestPowerProductKernel::test_zero_to_a_negative_power_is_rejected",
+    ("exactnum.IntMatrix.__init__", "ExactArithmeticError", "ragged matrix"):
+        DOCUMENTS + "TestCorrespondenceDocuments::"
+        "test_malformed_shape_rejected_with_field_path[mu-ragged]",
+    ("exactnum.IntMatrix.__mul__", "ExactArithmeticError", "matrix dimension mismatch"):
+        EXACTNUM + "TestTwoForms::test_products_need_matching_shapes",
+    ("exactnum.IntMatrix.apply", "ExactArithmeticError", "vector length mismatch"):
+        TORELLI + "TestSparseCubicCheck::"
+        "test_wrong_shape_errors_are_unchanged[cols-ExactArithmeticError]",
+    ("exactnum.IntMatrix.pull_back", "ExactArithmeticError", "vector length mismatch"):
+        EXACTNUM + "TestTwoForms::test_shapes_without_entries",
+    ("exactnum.SnfDecomposition.solve_over_gaussian_torus", "ExactArithmeticError",
+     "one target per column required"):
+        EXACTNUM + "TestTorusSolvability::test_zero_target_rejected",
+    ("exactnum.SnfDecomposition.solve_over_gaussian_torus", "ExactArithmeticError",
+     "targets must be nonzero"):
+        EXACTNUM + "TestTorusSolvability::test_zero_target_rejected",
+    ("exactnum.invert_unimodular", "ExactArithmeticError", "matrix is not square"):
+        EXACTNUM + "TestKernelAndCokernel::test_invert_unimodular_rejects[non-square]",
+    ("exactnum.invert_unimodular", "ExactArithmeticError", "matrix is singular"):
+        EXACTNUM + "TestKernelAndCokernel::test_invert_unimodular_rejects[singular]",
+    ("exactnum.invert_unimodular", "ExactArithmeticError", "matrix is not unimodular"):
+        EXACTNUM + "TestKernelAndCokernel::test_invert_unimodular_rejects[determinant-2]",
+    ("exactnum.nth_root", "ExactArithmeticError", "root order must be positive"):
+        EXACTNUM + "TestNthRoot::test_inputs_without_roots_are_rejected[order-0]",
+    ("exactnum.nth_root", "ExactArithmeticError", "no roots of zero in Q(i)*"):
+        EXACTNUM + "TestNthRoot::test_inputs_without_roots_are_rejected[zero]",
+    # oracle: inputs, through their own functions.
+    ("oracle.split_boundary_vector", "PairError", "boundary vector length mismatch"):
+        ORACLE + "TestSplitBoundaryVector::test_a_vector_of_another_length_is_rejected",
+    # pair: programs and classes, through the build and its methods.
+    ("pair.LogCY3Pair.__init__", "TypeError", "use LogCY3Pair.build"):
+        PAIR + "TestBuild::test_the_constructor_points_to_build",
+    ("pair.LogCY3Pair.build", "PairError", "invalid fan: {}"):
+        PAIR + "TestBuild::test_invalid_fan_rejected",
+    ("pair.LogCY3Pair.build", "PairError", "unknown step kind at index {}"):
+        PAIR + "TestProgramValidation::test_unknown_step_kind_rejected",
+    ("pair.LogCY3Pair._check_new_coordinate", "PairError",
+     "step {}: coordinate must be a Gaussian rational"):
+        PAIR + "TestProgramValidation::test_coordinate_that_is_no_gaussian_rational_rejected",
+    ("pair.LogCY3Pair._check_new_coordinate", "PairError", "step {}: blowup point on a 0-stratum"):
+        PAIR + "TestBuild::test_validate_pair_reports",
+    ("pair.LogCY3Pair._check_new_coordinate", "PairError",
+     "step {}: coordinate {} already used on edge {} (infinitely-near centers rejected)"):
+        PAIR + "TestProgramValidation::test_repeated_coordinate_rejected",
+    ("pair.LogCY3Pair._apply_point", "PairError", "step {}: {} is not an edge"):
+        PAIR + "TestProgramValidation::test_point_off_edge_rejected",
+    ("pair.LogCY3Pair._apply_curve", "PairError", "step {}: no component {}"):
+        PAIR + "TestCurveStepDiagnostics::test_diagnostic_text[no-component]",
+    ("pair.LogCY3Pair._apply_curve", "PairError",
+     "step {}: curve class length {} does not match component rank {}"):
+        PAIR + "TestCurveStepDiagnostics::test_diagnostic_text[class-length]",
+    ("pair.LogCY3Pair._apply_curve", "PairError",
+     "step {}: adjunction failed: C^2 + K.C = {} + {} = {}, expected -2"):
+        PAIR + "TestProgramValidation::test_non_curve_class_rejected",
+    ("pair.LogCY3Pair._apply_curve", "PairError", "step {}: points on a non-adjacent vertex"):
+        PAIR + "TestProgramValidation::test_non_adjacent_points_rejected",
+    ("pair.LogCY3Pair._apply_curve", "PairError",
+     "step {}: curve boundary data inconsistent with class restriction (period obstruction {})"):
+        PAIR + "TestProgramValidation::test_inconsistent_curve_data_rejected",
+    ("pair.LogCY3Pair._apply_curve", "PairError",
+     "step {}: negative boundary degree {} on edge toward {}"):
+        PAIR + "TestCurveStepDiagnostics::test_diagnostic_text[negative-degree]",
+    ("pair.LogCY3Pair._apply_curve", "PairError",
+     "step {}: {} intersection points on edge toward {}, class degree is {}"):
+        PAIR + "TestProgramValidation::test_wrong_point_count_rejected",
+    ("pair.LogCY3Pair.exceptional_index", "PairError", "no step {}"):
+        PAIR + "TestCubicForm::test_exceptional_class_of_a_missing_step_rejected",
+    ("pair.LogCY3Pair.as_y_coords", "PairError", "class length does not match the Picard rank"):
+        PAIR + "TestCubicForm::test_length_mismatch_rejected",
+    ("pair.LogCY3Pair.as_y_coords", "PairError", "expected a threefold class, got basis {}"):
+        TORELLI + "TestComplexity::test_classes_are_read_as_threefold_classes",
+    ("pair.LogCY3Pair.torus_translate", "PairError", "torus element coordinates must be nonzero"):
+        PAIR + "TestTorusAction::test_zero_element_rejected",
+    # toric: fan validation, one row per diagnostic, and the public inputs; the
+    # wall relation's own check through a held verdict that hides a fold.
+    ("toric._inverse_unimodular", "FanError", "matrix is not unimodular"):
+        KERNELS + "TestInverseUnimodular::test_any_matrix",
+    ("toric.Fan3._compute_global_sign", "FanError", "degenerate orientation reference triangle"):
+        TORIC + "TestValidation::test_diagnostics_match_the_reference_check[4-rays]",
+    ("toric.Fan3._compute_global_sign", "FanError", "orientation reference is not a max cone"):
+        TORIC + "TestValidation::test_diagnostics_match_the_reference_check[5-rays0]",
+    ("toric._diagnose_fan", "diagnostic", "fan has no max cones"):
+        CLI + "TestValidate::test_fan_without_cones_is_invalid",
+    ("toric._diagnose_fan", "diagnostic", "unused ray"):
+        TORIC + "TestValidation::test_diagnostics_match_the_reference_check[4-rays]",
+    ("toric._diagnose_fan", "diagnostic", "duplicate max cone"):
+        TORIC + "TestValidation::test_diagnostics_match_the_reference_check[4-rays]",
+    ("toric._diagnose_fan", "diagnostic", "dual complex has Euler characteristic {}, expected 2"):
+        TORIC + "TestValidation::test_a_complex_that_is_no_sphere_is_rejected[disjoint]",
+    ("toric._diagnose_fan", "diagnostic", "non-primitive ray {}: {}"):
+        TORIC + "TestValidation::test_non_primitive_ray_rejected",
+    ("toric._diagnose_fan", "diagnostic", "duplicate ray {}: {}"):
+        TORIC + "TestValidation::test_duplicate_ray_rejected",
+    ("toric._diagnose_fan", "diagnostic", "bad cone {}"):
+        TORIC + "TestValidation::test_diagnostics_match_the_reference_check[4-rays]",
+    ("toric._diagnose_fan", "diagnostic", "non-smooth cone {}"):
+        TORIC + "TestValidation::test_diagnostics_match_the_reference_check[5-rays0]",
+    ("toric._diagnose_fan", "diagnostic", "wall with {} incident cone(s): {}"):
+        TORIC + "TestValidation::test_missing_cone_rejected",
+    ("toric._diagnose_fan", "diagnostic", "link of vertex {} is not a cycle"):
+        TORIC + "TestValidation::test_a_complex_that_is_no_sphere_is_rejected[pinched]",
+    ("toric._diagnose_fan", "diagnostic", "link of vertex {} winds {} times around its ray"):
+        TORIC + "TestValidation::test_a_complex_that_is_no_sphere_is_rejected[wound]",
+    ("toric.DualComplex.from_fan", "FanError", "edge orientation list does not match the walls"):
+        TORIC + "TestDualComplex::test_edge_orientations_must_cover_the_walls",
+    ("toric.DualComplex.from_fan", "FanError", "edge {} is oriented twice"):
+        CLI + "TestValidate::test_edge_oriented_twice_is_invalid[same]",
+    ("toric.DualComplex.edge_index", "FanError", "no edge between {} and {}"):
+        TORIC + "TestDualComplex::test_no_edge_between_opposite_vertices",
+    ("toric.DualComplex.positive_triangle", "FanError", "directed edge ({}, {}) not found"):
+        TORIC + "TestDualComplex::test_positive_triangle_matches_a_scan_of_the_triangles",
+    ("toric.TripleIntersection.__init__", "FanError", "{}"):
+        TORIC + "TestValidation::test_public_functions_reject_an_invalid_fan[triple-intersection]",
+    ("toric.TripleIntersection._wall_coefficient", "FanError", "broken wall relation at {}"):
+        TORIC + "TestTripleIntersection::test_a_held_verdict_that_hides_a_fold_is_caught",
+    ("toric.Fan2._dual", "FanError", "seed rays do not form a lattice basis"):
+        TORIC + "TestSeedReduction::test_a_surface_seed_off_a_lattice_basis_is_rejected",
+    ("toric.Fan2.degree_on_ray", "FanError", "class length does not match the surface rank"):
+        PAIR + "TestCurveStepAgainstTheTables::test_degree_on_ray_rejects_a_wrong_length",
+    ("toric._solve_wall_coefficient", "FanError", "rays around index {} are not a smooth 2d fan"):
+        KERNELS + "TestWallCoefficient::test_matches_the_candidate_multiples",
+    ("toric.star_surface", "FanError", "{}"):
+        TORIC + "TestValidation::test_public_functions_reject_an_invalid_fan[star-surface]",
+    ("toric._compute_toric_layer", "FanError", "{}"):
+        TORIC + "TestValidation::test_public_functions_reject_an_invalid_fan[toric-layer]",
+    ("toric.star_subdivide", "FanError", "cannot subdivide an invalid fan: {}"):
+        STAR + "test_an_invalid_parent_is_refused_before_the_star_check[non-smooth]",
+    ("toric.star_subdivide", "FanError", "target must be a wall or a max cone"):
+        TORIC + "TestStarSubdivision::test_missing_target_rejected",
+    ("toric.star_subdivide", "FanError", "{} is not a max cone"):
+        STAR + "test_a_target_that_is_no_cone_or_wall_is_refused[triple]",
+    ("toric.star_subdivide", "FanError", "{} is not a wall"):
+        STAR + "test_a_target_that_is_no_cone_or_wall_is_refused[pair]",
 }
 
 

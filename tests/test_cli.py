@@ -21,6 +21,7 @@ from logcy3 import documents
 from logcy3.cli import main
 from logcy3.fixtures import perturbed_conic_pair
 from logcy3.torelli import Correspondence
+from test_toric import wound_sphere_fan
 
 
 def bundled_path(name):
@@ -266,6 +267,18 @@ class TestValidate:
         assert results == {
             "status": "invalid",
             "diagnostic": "pair: invalid fan: fan has no max cones",
+        }
+
+    def test_a_sphere_wound_twice_is_invalid(self, tmp_path, capsys):
+        fan = wound_sphere_fan()
+        doc = {"format": "logcy3-pair", "version": 1, "rays": fan.rays, "cones": fan.max_cones}
+        path = tmp_path / "wound.pair.json"
+        path.write_text(documents.dumps(doc), encoding="utf-8")
+        assert main(["--json", "validate", str(path)]) == 1
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert results == {
+            "status": "invalid",
+            "diagnostic": "pair: invalid fan: link of vertex 0 winds 2 times around its ray",
         }
 
     def test_missing_file(self, capsys):
@@ -627,6 +640,40 @@ class TestOracleCheck:
         assert "period_paths: agree" in out
         assert "point_subdivision: agree" in out
         assert "curve_subdivision: agree" in out
+
+    def test_the_first_period_disagreement_stops_the_walk(self, monkeypatch, capsys):
+        from logcy3 import oracle
+        from logcy3.periods import matching_lattice, matching_values
+
+        cocycle_period = oracle.cocycle_period
+        monkeypatch.setattr(oracle, "cocycle_period", lambda pair, gen: -cocycle_period(pair, gen))
+        assert main(["--json", "oracle-check", bundled_path("p3-mixed")]) == 1
+        results = json.loads(capsys.readouterr().out)["results"]
+        with open(bundled_path("p3-mixed"), encoding="utf-8") as handle:
+            pair, _ = documents.pair_from_document(documents.loads(handle.read()))
+        gen, value = matching_lattice(pair)[0], matching_values(pair)[0]
+        assert len(matching_lattice(pair)) == 8
+        assert results == {
+            "period_paths": "disagree",
+            "generators_checked": 1,
+            "point_subdivision": "agree",
+            "curve_subdivision": "agree",
+            "discrepancies": [f"period paths disagree on {list(gen)}: {value} vs {-value}"],
+        }
+
+    @pytest.mark.parametrize("check", ["point", "curve"])
+    def test_a_subdivision_disagreement_is_reported(self, check, monkeypatch, capsys):
+        from logcy3 import oracle
+
+        monkeypatch.setattr(
+            oracle, f"{check}_subdivision_check", lambda fan, center: f"entry at {center}"
+        )
+        assert main(["--json", "oracle-check", bundled_path("p3")]) == 1
+        results = json.loads(capsys.readouterr().out)["results"]
+        center = {"point": (0, 1, 2), "curve": (0, 1)}[check]
+        assert results["period_paths"] == "agree"
+        assert results[f"{check}_subdivision"] == "disagree"
+        assert results["discrepancies"] == [f"{check} blowup: entry at {center}"]
 
 
 # ``python -m logcy3.cli ARGS``, which imports ``logcy3.cli`` through runpy

@@ -92,6 +92,31 @@ class TestPairDocuments:
         with pytest.raises(DocumentError, match="missing field"):
             pair_from_document({"format": "logcy3-pair", "version": 1})
 
+    def test_unsupported_version_rejected(self):
+        doc = loads(bundled_text("p3"))
+        doc["version"] = 2
+        with pytest.raises(DocumentError, match="^document: unsupported version$"):
+            pair_from_document(doc)
+
+    def test_unknown_blowup_kind_rejected(self):
+        doc = loads(bundled_text("p3-point"))
+        doc["blowups"][0]["kind"] = "line"
+        with pytest.raises(DocumentError, match="^blowups\\[0\\]: unknown blowup kind 'line'$"):
+            pair_from_document(doc)
+
+    def test_lattice_rank_other_than_three_rejected(self):
+        doc = loads(bundled_text("p3"))
+        doc["lattice_rank"] = 4
+        with pytest.raises(DocumentError, match="^document: lattice_rank must be 3$"):
+            pair_from_document(doc)
+
+    @pytest.mark.parametrize(
+        "text", ["[1, 2]", '"logcy3-pair"', "3"], ids=["list", "string", "number"]
+    )
+    def test_top_level_must_be_an_object(self, text):
+        with pytest.raises(DocumentError, match="^document: top level must be an object$"):
+            loads(text)
+
     def test_bad_coordinate_rejected(self):
         doc = loads(bundled_text("p3-point"))
         doc["blowups"][0]["coordinate"] = "1/0"
@@ -114,8 +139,9 @@ class TestPairDocuments:
             ({"0-9": "2"}, "markings: (0, 9) is not an edge"),
             ({"0-1": "2", "1-0": "3"}, "markings: edge (0, 1) listed twice"),
             ({"0-1": "0"}, "markings[0-1]: marking point on a 0-stratum"),
+            ({"0-x": "2"}, "markings: bad edge key '0-x'"),
         ],
-        ids=["missing-edge", "non-edge", "duplicate-edge", "zero-point"],
+        ids=["missing-edge", "non-edge", "duplicate-edge", "zero-point", "bad-key"],
     )
     def test_marking_must_cover_each_edge_once(self, markings, message):
         doc = loads(bundled_text("p3-conic"))
@@ -246,6 +272,13 @@ class TestCorrespondenceDocuments:
     def test_wrong_format_rejected(self):
         with pytest.raises(DocumentError, match="not a correspondence"):
             correspondence_from_document({"format": "logcy3-pair", "version": 1})
+
+    def test_unsupported_version_rejected(self):
+        corr = Correspondence(((0, 0), (1, 1), (2, 2), (3, 3)), (), None, ())
+        doc = loads(dumps(correspondence_to_document(corr)))
+        doc["version"] = 2
+        with pytest.raises(DocumentError, match="^document: unsupported version$"):
+            correspondence_from_document(doc)
 
     @pytest.mark.parametrize("field", ["vertex_map", "mu_components"])
     def test_vertex_listed_twice(self, field):

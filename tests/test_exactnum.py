@@ -191,6 +191,10 @@ class TestGaussianRational:
         with pytest.raises(ExactArithmeticError):
             GaussianRational(0).inverse()
 
+    def test_an_operand_of_another_type_is_rejected(self):
+        with pytest.raises(TypeError, match="^cannot coerce 1.5 to GaussianRational$"):
+            GaussianRational(1) + 1.5
+
     @given(nonzero_gaussians, nonzero_gaussians)
     def test_norm_multiplicative(self, a, b):
         assert (a * b).norm() == a.norm() * b.norm()
@@ -445,6 +449,14 @@ class TestTwoForms:
         assert transposed.data == tuple(
             tuple(a.data[i][j] for i in range(m)) for j in range(n)
         )
+
+    def test_products_need_matching_shapes(self):
+        row = IntMatrix([[1, 0]])
+        with pytest.raises(ExactArithmeticError, match="^matrix dimension mismatch$"):
+            row * row
+
+    def test_a_matrix_equals_no_other_type(self):
+        assert IntMatrix([[1, 0]]) != ((1, 0),)
 
     def test_shapes_without_entries(self):
         empty = IntMatrix.from_columns(3, [])
@@ -1017,6 +1029,19 @@ class TestTorusSolvability:
 
 
 class TestNthRoot:
+    @pytest.mark.parametrize(
+        "value, n, message",
+        [
+            ("4", 0, "root order must be positive"),
+            ("4", -2, "root order must be positive"),
+            ("0", 2, r"no roots of zero in Q\(i\)\*"),
+        ],
+        ids=["order-0", "negative-order", "zero"],
+    )
+    def test_inputs_without_roots_are_rejected(self, value, n, message):
+        with pytest.raises(ExactArithmeticError, match=f"^{message}$"):
+            nth_root(GaussianRational.parse(value), n)
+
     @pytest.mark.parametrize(
         "value, n, expected",
         [

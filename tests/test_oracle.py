@@ -18,7 +18,7 @@ from logcy3.oracle import (
     curve_subdivision_check,
     point_subdivision_check,
 )
-from logcy3.pair import LogCY3Pair, PointBlowup, curve_blowup_entries
+from logcy3.pair import LogCY3Pair, PairError, PointBlowup, curve_blowup_entries
 from logcy3.periods import matching_lattice, unmarked_period
 from logcy3.toric import TripleIntersection, star_subdivide
 from test_pair import ladder_fans
@@ -27,6 +27,14 @@ from test_pair import ladder_fans
 @pytest.fixture(scope="module")
 def pairs():
     return pair_fixtures()
+
+
+class TestSplitBoundaryVector:
+    def test_a_vector_of_another_length_is_rejected(self, pairs):
+        pair = pairs["p3-conic"]
+        _, total = pair.component_offsets()
+        with pytest.raises(PairError, match="^boundary vector length mismatch$"):
+            oracle.split_boundary_vector(pair, (0,) * (total + 1))
 
 
 class TestSubdivisionOracle:

@@ -85,6 +85,10 @@ class TestBuild:
         # The conic meets edges toward 0, 1, 2 twice each.
         assert [c.rank for c in pairs["p3-conic"].boundary_components()] == [3, 3, 3, 1]
 
+    def test_the_constructor_points_to_build(self):
+        with pytest.raises(TypeError, match="^use LogCY3Pair.build$"):
+            LogCY3Pair()
+
     def test_invalid_fan_rejected(self):
         from logcy3.toric import Fan3
 
@@ -1288,6 +1292,14 @@ class TestProgramValidation:
         assert not expected.is_one()
         scalar = re.search(r"period obstruction (.*)\)", diag).group(1)
         assert scalar == str(expected)
+
+    def test_unknown_step_kind_rejected(self):
+        assert validate_pair(self.fan, ["blow up (0, 1)"]) == "unknown step kind at index 0"
+
+    def test_coordinate_that_is_no_gaussian_rational_rejected(self):
+        assert validate_pair(self.fan, [PointBlowup((0, 1), 2)]) == (
+            "step 0: coordinate must be a Gaussian rational"
+        )
 
     def test_non_curve_class_rejected(self):
         program = [CurveBlowup(3, (3,), ())]

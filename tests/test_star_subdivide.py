@@ -60,6 +60,10 @@ def assert_held_data_is_the_whole_fan_check(out):
     assert held["_global_sign"] == fresh.global_sign()
     # The walls stay lazy: their order is read off the cones.
     assert list(out.walls()) == list(fresh.walls())
+    # The copy holds the star surfaces its check built; the output builds
+    # the same ones on first use.
+    surfaces = [toric.star_surface(out, v) for v in range(out.n_rays)]
+    assert surfaces == list(vars(fresh)["_surfaces"])
 
 
 def test_held_data_matches_the_whole_fan_check():

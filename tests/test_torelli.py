@@ -27,7 +27,7 @@ from logcy3.fixtures import (
     triple_line_fan,
 )
 from logcy3.oracle import split_boundary_vector
-from logcy3.pair import LogCY3Pair, PairError, PicVector, PointBlowup
+from logcy3.pair import LogCY3Pair, PairError, PicVector, PointBlowup, pull_back_tensor
 from logcy3.periods import (
     edge_cokernel_report,
     evaluate_boundary_character,
@@ -546,7 +546,7 @@ class TestSparseCubicCheck:
                     for j in range(i, r)
                     for k in range(j, r)
                 }
-                assert pair.pulled_back_cubic(mu) == {
+                assert pull_back_tensor(pair.cubic_entries(), mu) == {
                     t: v for t, v in dense.items() if v
                 }
 

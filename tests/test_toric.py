@@ -1,5 +1,6 @@
 """Tests for smooth complete fans, triple intersections, and chart characters."""
 
+import math
 import random
 from itertools import combinations
 from math import gcd
@@ -9,7 +10,7 @@ import pytest
 from logcy3.exactnum import MINUS_ONE
 from logcy3.fixtures import projective_space_fan, toric_fixture_fans, triple_line_fan
 from logcy3 import toric
-from logcy3.pair import LogCY3Pair
+from logcy3.pair import LogCY3Pair, PairError
 from logcy3.toric import (
     DualComplex,
     Fan3,
@@ -22,6 +23,7 @@ from logcy3.toric import (
     fan_isomorphism,
     star_subdivide,
     star_surface,
+    toric_layer,
     toric_model_map,
     validate_fan,
 )
@@ -73,6 +75,26 @@ def reference_link(fan, v):
     return tuple(cycle)
 
 
+def reference_winding(fan, v, cycle):
+    """How often the link of v winds around n_v, from the angles between
+    consecutive link rays seen along n_v, in floating point."""
+    n = fan.rays[v]
+    nn = sum(x * x for x in n)
+
+    def across(r):
+        # r projected onto the plane orthogonal to n, scaled by n . n
+        rn = sum(x * y for x, y in zip(r, n))
+        return [x * nn - y * rn for x, y in zip(r, n)]
+
+    points = [across(fan.rays[w]) for w in cycle]
+    total = 0.0
+    for p, q in zip(points, points[1:] + points[:1]):
+        cross = (p[1] * q[2] - p[2] * q[1], p[2] * q[0] - p[0] * q[2], p[0] * q[1] - p[1] * q[0])
+        sine = sum(c * x for c, x in zip(cross, n)) / math.sqrt(nn)
+        total += math.atan2(sine, sum(a * b for a, b in zip(p, q)))
+    return abs(round(total / (2 * math.pi)))
+
+
 def reference_diagnose_fan(fan):
     """The fan check with nothing held but the global sign: the reference."""
     n = fan.n_rays
@@ -116,7 +138,60 @@ def reference_diagnose_fan(fan):
     for e in directed:
         if (e[1], e[0]) not in directed:
             return f"incoherent orientation at edge {e}"
+    for v in range(n):
+        winding = reference_winding(fan, v, reference_link(fan, v))
+        if winding != 1:
+            return f"link of vertex {v} winds {winding} times around its ray"
     return None
+
+
+def wound_sphere_fan():
+    """Two apexes over an 8-cycle that goes twice around the z-axis: every
+    cone is unimodular, every wall lies in two cones and every link is a
+    cycle, but the cones cover the sphere twice."""
+    cycle = [(x, y, h) for h in (0, 1) for x, y in ((1, 0), (0, 1), (-1, 0), (0, -1))]
+    cones = [(apex, 2 + i, 2 + (i + 1) % 8) for apex in (0, 1) for i in range(8)]
+    return Fan3([(0, 0, 1), (0, 0, -1)] + cycle, cones)
+
+
+def wound_at_one_ray_fan():
+    """Seven rays and ten cones, met in a random corruption of a fixture
+    fan: only the link of vertex 1 winds twice."""
+    rays = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1), (-1, 0, 0), (-1, 1, 1), (1, -2, -2)]
+    cones = [
+        (4, 1, 2), (4, 1, 3), (4, 2, 3), (0, 2, 3), (1, 0, 3),
+        (5, 2, 0), (1, 5, 0), (6, 2, 5), (1, 6, 5), (1, 2, 6),
+    ]
+    return Fan3(rays, cones)
+
+
+def disjoint_spheres_fan():
+    """The fan of P^3 and its negative, side by side: two spheres."""
+    rays = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)]
+    cones = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
+    return Fan3(
+        rays + [tuple(-x for x in r) for r in rays],
+        cones + [tuple(i + 4 for i in c) for c in cones],
+    )
+
+
+def pinched_sphere_fan():
+    """P^3 and a second sphere through vertices 0 and 1 and the wall between
+    them: the link of vertex 0 is two cycles."""
+    rays = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1), (1, 1, -1), (-2, -2, 1), (1, 1, 0)]
+    cones = [
+        (0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3), (6, 1, 4),
+        (0, 6, 4), (6, 1, 5), (0, 6, 5), (0, 4, 5), (1, 4, 5),
+    ]
+    return Fan3(rays, cones)
+
+
+NOT_SPHERES = {
+    "wound": (wound_sphere_fan, "link of vertex 0 winds 2 times around its ray"),
+    "wound-at-one-ray": (wound_at_one_ray_fan, "link of vertex 1 winds 2 times around its ray"),
+    "disjoint": (disjoint_spheres_fan, "dual complex has Euler characteristic 4, expected 2"),
+    "pinched": (pinched_sphere_fan, "link of vertex 0 is not a cycle"),
+}
 
 
 def diagnosis(check, fan):
@@ -233,6 +308,42 @@ class TestValidation:
                 "diagnostic", "link of vertex 1 is not a cycle"
             )
 
+    @pytest.mark.parametrize("name", NOT_SPHERES)
+    def test_a_complex_that_is_no_sphere_is_rejected(self, name):
+        make, message = NOT_SPHERES[name]
+        assert validate_fan(make()) == message
+        assert diagnosis(reference_diagnose_fan, make()) == ("diagnostic", message)
+
+    def test_a_wound_link_is_rejected_by_the_build(self):
+        with pytest.raises(PairError, match="^invalid fan: link of vertex 0 winds 2 times"):
+            LogCY3Pair.build(wound_sphere_fan())
+
+    @pytest.mark.parametrize(
+        "fan", toric_fixture_fans().values(), ids=lambda fan: f"{fan.n_rays}-rays"
+    )
+    def test_every_link_winds_once(self, fan):
+        # The wall coefficients of a star surface with k rays sum to 3k - 12.
+        for v in range(fan.n_rays):
+            surface = star_surface(fan, v)
+            assert sum(surface.wall_coefficients) == 3 * surface.n_rays - 12
+            assert reference_winding(fan, v, surface.labels) == 1
+
+    def test_validation_builds_the_star_surfaces_the_layer_reads(self, p111):
+        assert validate_fan(p111) is None
+        held = p111.__dict__["_surfaces"]
+        for v, surface in enumerate(held):
+            assert star_surface(p111, v) is surface
+            assert toric_layer(p111).surfaces[v] is surface
+
+    @pytest.mark.parametrize(
+        "use",
+        [TripleIntersection, lambda fan: star_surface(fan, 0), toric_layer],
+        ids=["triple-intersection", "star-surface", "toric-layer"],
+    )
+    def test_public_functions_reject_an_invalid_fan(self, use):
+        with pytest.raises(FanError, match="^link of vertex 0 winds 2 times around its ray$"):
+            use(wound_sphere_fan())
+
     def test_held_walls_cannot_be_changed(self, p111):
         walls = p111.walls()
         wall = next(iter(walls))
@@ -286,6 +397,14 @@ class TestDualComplex:
                         assert complex_.positive_triangle(*edge) == expected
         with pytest.raises(FanError, match=r"^directed edge \(0, 0\) not found$"):
             p3.dual_complex().positive_triangle(0, 0)
+
+    def test_edge_orientations_must_cover_the_walls(self, p3):
+        with pytest.raises(FanError, match="^edge orientation list does not match the walls$"):
+            p3.dual_complex([(0, 1), (0, 2)])
+
+    def test_no_edge_between_opposite_vertices(self, p111):
+        with pytest.raises(FanError, match=r"^no edge between 0 and 1$"):
+            p111.dual_complex().edge_index(0, 1)
 
     def test_custom_edge_orientations(self, p3):
         flipped = [(w, v) for v, w in p3.dual_complex().edges]
@@ -354,6 +473,16 @@ class TestTripleIntersection:
         for (a, b), (taa, tbb) in data.wall_curves.items():
             assert taa == table.ray_triple(b, b, a)
             assert tbb == table.ray_triple(a, a, b)
+
+
+    def test_a_held_verdict_that_hides_a_fold_is_caught(self):
+        # Both cones on the wall (0, 1) lie on one side of it, so the wall
+        # relation gives the second apex coefficient +1.  Validation would
+        # reject the fan; the verdict held here says it is valid.
+        fan = Fan3([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 0, 1)], [(0, 1, 2), (0, 1, 3)])
+        fan._held("_diagnostic", lambda: None)
+        with pytest.raises(FanError, match=r"^broken wall relation at \[0, 1\]$"):
+            TripleIntersection(fan).ray_triple(0, 0, 1)
 
 
 class TestPicBasis:
