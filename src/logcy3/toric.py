@@ -744,11 +744,9 @@ def toric_layer(fan: Fan3) -> ToricLayer:
 
 
 def _compute_toric_layer(fan: Fan3) -> ToricLayer:
-    if (diag := validate_fan(fan)) is not None:
-        raise FanError(diag)
+    surfaces = tuple([star_surface(fan, v) for v in range(fan.n_rays)])
     basis = ToricPicBasis.of(fan)
     index = {ray: i for i, ray in enumerate(basis.basis_rays)}
-    surfaces = tuple([star_surface(fan, v) for v in range(fan.n_rays)])
     # The cubic entries are read off the star surfaces: a max cone gives 1,
     # D_w^2 . D_v is the self-intersection of ray w in the surface of v, and
     # D_v^3 is the square there of D_v's normal class (below).  No 3d wall

@@ -11,12 +11,12 @@ subprocess is not.  A statement that only such a call executes is listed in
 a listed statement that runs in this process, or whose test is not defined,
 is printed.
 
-It then reads the table of ``tests/test_checks_reached.py``, which names the
-test that reaches each check and raise of the package, and prints each row
-whose test ran without executing the row's statement.  The exit status is 1
-when pytest fails or anything is printed but the counts.  A full run takes
-about 65 s on a 2-vCPU x86-64 Xeon (CPython 3.11), three times the untraced
-suite, so pytest does not collect this file and Tier-1 does not run it.
+That the test a row of ``tests/test_checks_reached.py`` names executes the
+row's check is confirmed by ``tests/mutants.py``, which also shows that the
+test needs it.  The exit status is 1 when pytest fails or anything is
+printed but the count.  A full run takes about 60 s on a 2-vCPU x86-64 Xeon
+(CPython 3.11), three times the untraced suite, so pytest does not collect
+this file and Tier-1 does not run it.
 """
 
 import ast
@@ -59,39 +59,18 @@ def function_statements(tree):
 
 
 class LineTrace:
-    """A ``sys.settrace`` hook and pytest plugin: the lines of the package
-    that ran, and which test ran each watched one.
-
-    ``executed`` holds the executed lines by file, ``ran`` the node ids of
-    the tests run, and ``reached`` maps each watched ``(file, line)`` to the
-    node ids of the tests that executed it (``None`` outside a test).
-    """
+    """A ``sys.settrace`` hook: ``executed`` holds the lines of the package
+    that ran, by file."""
 
     def __init__(self):
         self.executed = {str(path): set() for path in PACKAGE.glob("*.py")}
-        self.ran = set()
-        self.reached = {}
-        self.current = None
-
-    def watch(self, keys):
-        self.reached.update((key, set()) for key in keys)
-
-    @pytest.hookimpl(hookwrapper=True)
-    def pytest_runtest_protocol(self, item, nextitem):
-        self.current = item.nodeid
-        self.ran.add(item.nodeid)
-        yield
-        self.current = None
 
     def __call__(self, frame, event, arg):
         return self._line if frame.f_code.co_filename in self.executed else None
 
     def _line(self, frame, event, arg):
         if event == "line":
-            key = (frame.f_code.co_filename, frame.f_lineno)
-            self.executed[key[0]].add(key[1])
-            if key in self.reached:
-                self.reached[key].add(self.current)
+            self.executed[frame.f_code.co_filename].add(frame.f_lineno)
         return self._line
 
 
@@ -101,15 +80,10 @@ def main(argv):
     # Traced from the first import, so calls made while the package loads count.
     sys.settrace(trace)
     try:
-        import test_checks_reached
-
-        rows = []
-        for key, (path, stmt) in test_checks_reached.entries().items():
-            rows.append((key, str(path), owned_lines(stmt), test_checks_reached.REACHED.get(key)))
-        trace.watch((path, line) for _, path, lines, _ in rows for line in lines)
-        code = pytest.main(["-q", "-p", "no:cacheprovider", *(argv or [str(TESTS)])], plugins=[trace])
+        code = pytest.main(["-q", "-p", "no:cacheprovider", *(argv or [str(TESTS)])])
     finally:
         sys.settrace(None)
+    from test_checks_reached import _defined
 
     missed = 0
     for filename in sorted(trace.executed):
@@ -122,20 +96,13 @@ def main(argv):
             test = SUBPROCESS_ONLY.get((name, line))
             if test is None and not executed:
                 print(f"{name}:{stmt.lineno}: {line}")
-            elif test is not None and (executed or not test_checks_reached._defined(test)):
+            elif test is not None and (executed or not _defined(test)):
                 print(f"{name}:{stmt.lineno}: {line}: not subprocess-only by {test}")
             else:
                 continue
             missed += 1
     print(f"{missed} statements executed by no test")
-
-    unreached = 0
-    for key, path, lines, test in rows:
-        by = set().union(*(trace.reached[(path, line)] for line in lines))
-        if test is None or (test in trace.ran and test not in by):
-            unreached += 1
-            print(f"table row {key}: not reached by {test}")
-    return 1 if code or missed or unreached else 0
+    return 1 if code or missed else 0
 
 
 if __name__ == "__main__":

@@ -12,14 +12,17 @@ each row, through ``decide_isomorphism``, ``marking_transporter``, the CLI
 or the row's own public function; the ``PeriodConsistencyError`` rows and
 the triple intersections' wall-relation check are reached by mutation
 tests that corrupt a held value.  A new check or raise without a row fails
-here; ``tests/line_reach.py`` runs Tier-1 under a line trace and confirms
-that each named test executes its row.
+here.  ``tests/mutants.py`` confirms that each named test needs its row: it
+replaces the row's statement with ``pass`` and runs the test, which must
+fail.  The last test here keeps that tool's mutation sound.
+``tests/line_reach.py`` confirms that every statement runs in some test.
 """
 
 import ast
 from pathlib import Path
 
 import logcy3
+from mutants import mutated
 
 PACKAGE = Path(logcy3.__file__).parent
 MODULES = {
@@ -175,7 +178,7 @@ REACHED = {
         TORELLI + "TestDecision::test_curve_classes_that_differ_are_distinct",
     ("torelli._matched", "toric_model",
      "base toric models are not unimodularly equivalent under the vertex bijection"):
-        COMPARE + "test_base_models_that_differ_are_distinct",
+        TORELLI + "TestDecision::test_derived_maps_that_move_the_new_ray_are_distinct",
     ("torelli.decide_isomorphism", "period", "periods disagree on a matching class"):
         COMPARE + "test_distinct_pair",
     ("torelli.decide_isomorphism", "complete",
@@ -437,8 +440,6 @@ REACHED = {
         KERNELS + "TestWallCoefficient::test_matches_the_candidate_multiples",
     ("toric.star_surface", "FanError", "{}"):
         TORIC + "TestValidation::test_public_functions_reject_an_invalid_fan[star-surface]",
-    ("toric._compute_toric_layer", "FanError", "{}"):
-        TORIC + "TestValidation::test_public_functions_reject_an_invalid_fan[toric-layer]",
     ("toric.star_subdivide", "FanError", "cannot subdivide an invalid fan: {}"):
         STAR + "test_an_invalid_parent_is_refused_before_the_star_check[non-smooth]",
     ("toric.star_subdivide", "FanError", "target must be a wall or a max cone"):
@@ -480,3 +481,15 @@ def test_every_check_name_labels_a_row():
 
 def test_each_row_names_a_defined_test():
     assert [node for node in set(REACHED.values()) if not _defined(node)] == []
+
+
+def test_each_mutant_replaces_only_its_row():
+    for key, (path, stmt) in entries().items():
+        source = path.read_text(encoding="utf-8")
+        mutant = mutated(source, stmt)
+        ast.parse(mutant)
+        before, after = source.splitlines(), mutant.splitlines()
+        assert len(after) == len(before), key
+        assert after[stmt.lineno - 1].endswith("pass"), key
+        changed = {n for n, (a, b) in enumerate(zip(before, after), 1) if a != b}
+        assert changed <= set(range(stmt.lineno, stmt.end_lineno + 1)), key

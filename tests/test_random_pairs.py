@@ -38,6 +38,10 @@ checked here holds in any basis of the matching lattice:
   ``period``, with a witness in the matching lattice whose image is in the
   partner's and whose two values differ; otherwise the move is a torus
   translate, ``complete``;
+* against the torus translate, the 3/2-moved partner and through the drawn
+  step permutation, the call with the two pairs swapped, under the inverse
+  vertex and step maps, gets a verdict of the same kind, and the
+  transporter solves it exactly when it solves the first call;
 * at a random marking off the markers, each component's character table
   equals the section-ratio period of its unit vectors, at the head and the
   tail of every edge;
@@ -74,7 +78,7 @@ from logcy3.torelli import (
 )
 from logcy3.toric import Fan3, FanError
 from test_pair import ladder_fans
-from test_torelli import assert_edge_rows_carried
+from test_torelli import assert_edge_rows_carried, inverse
 
 BASES = (projective_space_fan(), triple_line_fan())
 
@@ -112,6 +116,16 @@ def decided_and_transported(pair, other, corr=None):
     else:
         assert (status, result) == (check, verdict.certificate)
     return verdict, status, result
+
+
+def assert_swapped_agrees(pair, other, corr, verdict, status):
+    """Decide and transport on ``(other, pair)`` under the inverse vertex and
+    step maps agree with the call on ``(pair, other)`` that gave ``verdict``
+    and ``status``: the same verdict kind, and ``solved`` on both or neither."""
+    back = inverse(corr or Correspondence.identity(pair))
+    verdict_back, status_back, _ = decided_and_transported(other, pair, back)
+    assert verdict_back.kind == verdict.kind
+    assert (status_back == "solved") == (status == "solved")
 
 
 def relabelled(pair, sigma):
@@ -171,6 +185,7 @@ def test_random_pairs(case, data):
     verdict, status, scalars = decided_and_transported(pair, moved)
     assert verdict.is_isomorphic
     assert status == "solved"
+    assert_swapped_agrees(pair, moved, None, verdict, status)
     assert_edge_rows_carried(pair, moved, identity)
     scaling = edge_scaling_character(pair, scalars).values
     for value, scale, value2 in zip(
@@ -192,8 +207,9 @@ def test_random_pairs(case, data):
     # structural verdict, or both get past step (iii).
     tau = data.draw(st.permutations(range(len(pair.program))))
     corr = Correspondence(Correspondence.identity(pair).vertex_map, tuple(tau))
-    verdict, _, _ = decided_and_transported(pair, pair, corr)
+    verdict, status, _ = decided_and_transported(pair, pair, corr)
     assert verdict.certificate["check"] in ("step_place", "period", "complete")
+    assert_swapped_agrees(pair, pair, corr, verdict, status)
 
     # An explicit map of a drawn component that fixes its toric classes and
     # shuffles its exceptional ones: an isometry, which moves an edge
@@ -246,7 +262,8 @@ def test_random_pairs(case, data):
         other = LogCY3Pair.build(fan, program, [tuple(e) for e in pair.complex.edges])
     except PairError:
         return  # the moved point met another on its edge
-    verdict = decided_and_transported(pair, other)[0]
+    verdict, status, _ = decided_and_transported(pair, other)
+    assert_swapped_agrees(pair, other, None, verdict, status)
     check = verdict.certificate["check"]
     assert check in ("period", "complete")
     if check == "period":

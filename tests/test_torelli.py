@@ -139,7 +139,11 @@ class TestReconstruction:
         curves = dict(data.wall_curves)
         curves[wall] = (taa + 1, tbb)
         bad = ToricIntersectionData(data.n_vertices, data.cones, curves)
-        with pytest.raises(ReconstructionError):
+        placed = (
+            r"^wall relation at \[1, 2\] places vertex 3 at \(-1, -1, -1\), "
+            r"already placed at \(-1, -2, -1\)$"
+        )
+        with pytest.raises(ReconstructionError, match=placed):
             reconstruct_fan(bad)
 
     def test_disconnected_data_rejected(self):
@@ -332,6 +336,23 @@ class TestDecision:
         verdict = decide_isomorphism(pair, pair, corr)
         assert (verdict.kind, verdict.certificate) == ("distinct", {"check": "toric_model"})
         assert marking_transporter(pair, pair, corr) == ("toric_model", {"check": "toric_model"})
+
+    def test_derived_maps_that_move_the_new_ray_are_distinct(self):
+        # P^3 star-subdivided at the wall (0, 1), with derived maps: each
+        # vertex map below keeps the cones and the cubic form, but only
+        # those that fix the new ray 4 = ray 0 + ray 1 are the map of a
+        # lattice automorphism.  No explicit mu reaches the toric_model check.
+        pair = LogCY3Pair.build(star_subdivide(projective_space_fan(), (0, 1)))
+        certificate = {"check": "toric_model"}
+        for images in [(0, 1, 4, 2, 3), (0, 1, 4, 3, 2), (1, 0, 4, 2, 3), (1, 0, 4, 3, 2)]:
+            corr = Correspondence(tuple(enumerate(images)), ())
+            verdict = decide_isomorphism(pair, pair, corr)
+            assert (verdict.kind, verdict.certificate) == ("distinct", certificate)
+            assert marking_transporter(pair, pair, corr) == ("toric_model", certificate)
+        for images in [(0, 1, 2, 3, 4), (1, 0, 2, 3, 4)]:
+            corr = Correspondence(tuple(enumerate(images)), ())
+            assert decide_isomorphism(pair, pair, corr).certificate["check"] == "complete"
+            assert marking_transporter(pair, pair, corr)[0] == "solved"
 
     def test_curve_classes_that_differ_are_distinct(self):
         # Two points on edge (3, 0), then the curve (1, -1, 0) in component
