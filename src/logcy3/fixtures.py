@@ -1,24 +1,35 @@
-"""Bundled example fans and pairs used by tests, the CLI and the docs."""
+"""Bundled example fans and pairs used by tests, the CLI and the docs.
+
+The two root fans, projective space and the product of three lines, are
+held: each call returns the same instance, checked at most once per
+process, when first used.  A fan is an immutable value and all it holds is derived from
+its fields, so every chain of star subdivisions can start from the held
+root and the subdivisions are new fans.  A test that corrupts a held value
+does so on a fan of its own, never on a root returned here.
+"""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 
 from logcy3.exactnum import GaussianRational
 from logcy3.pair import CurveBlowup, LogCY3Pair, PointBlowup
 from logcy3.toric import Fan3, star_subdivide
 
 
+@cache
 def projective_space_fan() -> Fan3:
-    """The fan of the projective threefold on four coordinate hyperplanes."""
+    """The fan of the projective threefold on four coordinate hyperplanes, held."""
     return Fan3(
         rays=[(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)],
         max_cones=[(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)],
     )
 
 
+@cache
 def triple_line_fan() -> Fan3:
-    """The fan of the threefold product of three projective lines."""
+    """The fan of the threefold product of three projective lines, held."""
     return Fan3(
         rays=[
             (1, 0, 0), (-1, 0, 0),

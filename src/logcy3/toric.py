@@ -14,7 +14,8 @@ subdivision of a smooth complete fan at a max cone or a wall is smooth and
 complete (Fulton 1993, section 2.4; Cox, Little and Schenck, section 3.3),
 so :func:`star_subdivide` checks only its inputs, a valid parent (along a
 chain, a held verdict) and a target that is a max cone or a wall, and its
-output holds the verdict ``None``, the global sign and the cone set.  Fans
+output holds the verdict ``None``, the global sign and the cone set; it is
+built from its parent's normalized tuples, not normalized again.  Fans
 from documents, constructors, copies and pickles get the whole-fan check.
 
 Every max cone is smooth, so the rows of the inverse of its ray frame are
@@ -686,9 +687,14 @@ def star_surface(fan: Fan3, v: int) -> Fan2:
     span a unimodular cone (v, w, w'), and n_v is (1, 0, 0) in the dual
     frame, so the 2x2 determinant of their images is that cone's, +-1.
     """
+    return _checked_surfaces(fan)[v]
+
+
+def _checked_surfaces(fan: Fan3) -> tuple:
+    """The held star surface of every ray of a valid fan; else ``FanError``."""
     if (diag := validate_fan(fan)) is not None:
         raise FanError(diag)
-    return _star_surfaces(fan)[v]
+    return _star_surfaces(fan)
 
 
 def _star_surfaces(fan: Fan3) -> tuple:
@@ -744,7 +750,7 @@ def toric_layer(fan: Fan3) -> ToricLayer:
 
 
 def _compute_toric_layer(fan: Fan3) -> ToricLayer:
-    surfaces = tuple([star_surface(fan, v) for v in range(fan.n_rays)])
+    surfaces = _checked_surfaces(fan)
     basis = ToricPicBasis.of(fan)
     index = {ray: i for i, ray in enumerate(basis.basis_rays)}
     # The cubic entries are read off the star surfaces: a max cone gives 1,
@@ -803,7 +809,10 @@ def star_subdivide(fan: Fan3, target) -> Fan3:
     of the cone it replaces, so it is unimodular; determinant signs orient
     a complete simplicial fan coherently; and the re-anchored datum
     ``(cones[0], g * sign(det))`` induces the parent's global sign g.  The
-    output holds the verdict ``None``, g and its cone set.
+    output holds the verdict ``None``, g and its cone set, and is built
+    from the parent's normalized tuples without ``Fan3.__init__``'s
+    normalization.  A chain from a held fixture root checks that root once
+    per process.
     """
     if (diag := validate_fan(fan)) is not None:
         raise FanError(f"cannot subdivide an invalid fan: {diag}")
@@ -836,7 +845,9 @@ def star_subdivide(fan: Fan3, target) -> Fan3:
         d = _det3(*(rays[i] for i in anchor))
         orientation = (anchor, g * (1 if d > 0 else -1))
     cone_set = fan.cone_set().difference(old_star).union(new_star)
-    out = Fan3(rays, cones, orientation)
+    # The parent's tuples are normalized already, so __init__'s pass is skipped.
+    out = Fan3.__new__(Fan3)
+    Frozen.__init__(out, rays, tuple(cones), orientation)
     out._held("_diagnostic", lambda: None)
     out._held("_global_sign", lambda: g)
     out._held("_cone_set", lambda: cone_set)

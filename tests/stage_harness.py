@@ -15,11 +15,14 @@ size it prints one row:
 - ``perturbed``: decide against a fresh build with step 0's point moved by
   3/2, a ``period`` verdict, the pair's report held;
 - ``transport``: marking transport to a fresh torus translate, the pair's
-  report held.
+  report held;
+- ``chain``: the family's fan, subdivided from a fresh ``Fan3`` root (not
+  the held fixture root), so the one whole-fan check of the root is in it.
 
-Each cell is the best of five calls (three from 120 rays on), garbage
-collection off inside each call.  To compare two checkouts, run this file
-from each in turn, alternating, and compare cells within one machine.
+Each cell is the best of five calls (three from 120 rays on; a ``chain``
+cell, which is cheap, of fifteen), garbage collection off inside each
+call.  To compare two checkouts, run this file from each in turn,
+alternating, and compare cells within one machine.
 Pytest does not collect it.
 """
 
@@ -31,17 +34,28 @@ from logcy3.exactnum import GaussianRational, I
 from logcy3.fixtures import projective_space_fan
 from logcy3.pair import LogCY3Pair, PointBlowup
 from logcy3.periods import unmarked_period
-from logcy3.toric import star_subdivide
+from logcy3.toric import Fan3, star_subdivide
 from logcy3.torelli import decide_isomorphism, marking_transporter
 
 TRANSLATION = (GaussianRational(2), GaussianRational(3), I)
 
 
-def family(rays):
-    """The fan with ``rays`` rays and its point program."""
-    fan = projective_space_fan()
+def subdivided(root, rays):
+    """``root`` star-subdivided at its last max cone until it has ``rays`` rays."""
+    fan = root
     while fan.n_rays < rays:
         fan = star_subdivide(fan, fan.max_cones[-1])
+    return fan
+
+
+def fresh_root():
+    held = projective_space_fan()
+    return Fan3(held.rays, held.max_cones)
+
+
+def family(rays):
+    """The fan with ``rays`` rays and its point program."""
+    fan = subdivided(projective_space_fan(), rays)
     walls = list(fan.walls())
     program = [
         PointBlowup(walls[k % len(walls)], GaussianRational(k + 2, k % 3))
@@ -88,12 +102,13 @@ def stage_row(rays):
             decide_isomorphism, lambda: (pair, LogCY3Pair.build(fan, perturbed)), repeats
         ),
         "transport": best_ms(marking_transporter, translate, repeats),
+        "chain": best_ms(subdivided, lambda: (fresh_root(), rays), 15),
     }
 
 
 def main(argv):
     sizes = [int(a) for a in argv] or [12, 60, 120]
-    print("| rays | fresh | translate | perturbed | transport |")
+    print("| rays | fresh | translate | perturbed | transport | chain |")
     for rays in sizes:
         row = stage_row(rays)
         print(f"| {rays} | " + " | ".join(f"{row[k]:.2f}" for k in row) + " |", flush=True)

@@ -198,11 +198,12 @@ def count_snf_calls(monkeypatch, calls):
 
 
 def count_toric_calls(monkeypatch):
-    """Count calls of snf, star_surface and TripleIntersection from now on."""
-    calls = {"snf": 0, "star_surface": 0, "TripleIntersection": 0}
+    """Count calls of snf, the toric layer's build and TripleIntersection."""
+    calls = {"snf": 0, "_compute_toric_layer": 0, "TripleIntersection": 0}
     count_snf_calls(monkeypatch, calls)
     monkeypatch.setattr(
-        toric, "star_surface", counting(calls, "star_surface", toric.star_surface)
+        toric, "_compute_toric_layer",
+        counting(calls, "_compute_toric_layer", toric._compute_toric_layer),
     )
     monkeypatch.setattr(
         TripleIntersection, "__init__",
@@ -663,7 +664,9 @@ class TestToricLayer:
             LogCY3Pair.build(fan, program)
             calls = count_toric_calls(monkeypatch)
             pair = LogCY3Pair.build(fan, program)
-            assert calls == {"snf": 0, "star_surface": 0, "TripleIntersection": 0}
+            assert calls == {
+                "snf": 0, "_compute_toric_layer": 0, "TripleIntersection": 0
+            }
             monkeypatch.undo()
             assert pair.cubic_entries() == LogCY3Pair.build(
                 fresh_copy(fan), program

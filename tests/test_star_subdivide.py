@@ -2,18 +2,25 @@
 
 ``star_subdivide`` validates its parent (a held lookup along a chain) and
 its target, and holds the output's verdict, global sign and cone set
-without checking them.  These tests pin that:
+without checking them.  It builds the output from the parent's normalized
+tuples, skipping ``Fan3.__init__``'s normalization.  The fixture roots are
+held, so a chain from one of them checks that root once per process.
+These tests pin that:
 
 * on seeded chains of cone and wall subdivisions, and on explicit cones
   and walls (the reference cone, also under a datum of global sign -1, a
   wall of it, and the last cone and first wall of longer ladders), every
   held verdict, sign and cone set equals what the whole-fan check finds on
-  a fresh copy;
-* a chain runs the whole-fan check once, on its root;
+  a fresh copy, and every output is the value ``Fan3(...)`` makes of its
+  fields: equal, of exact ints, with the same hash and pickle;
+* a chain runs the whole-fan check once, on its root, and any number of
+  chains from the held roots run it at most once per root;
+* each held root holds what a fresh fan of the same data derives;
 * an invalid parent is refused with its own diagnostic, and a target that
   is neither a max cone nor a wall with its own message.
 """
 
+import pickle
 import random
 import re
 
@@ -86,11 +93,69 @@ def test_a_chain_checks_the_whole_fan_once_on_its_root(monkeypatch):
     checked = []
     check = toric._diagnose_fan
     monkeypatch.setattr(toric, "_diagnose_fan", lambda fan: checked.append(fan) or check(fan))
-    root = fan = projective_space_fan()
+    # A fresh root: the held fixture root may have been checked already.
+    root = fan = Fan3(P3.rays, P3.max_cones)
     while fan.n_rays < 60:
         fan = star_subdivide(fan, fan.max_cones[-1])
     assert validate_fan(fan) is None
     assert len(checked) == 1 and checked[0] is root
+
+
+def seeded_chains():
+    """Every fan of 100 seeded chains of 0 to 8 subdivisions from each root."""
+    for seed in range(100):
+        for base in BASES:
+            steps = random.Random(seed).randint(0, 8)
+            yield from ladder_fans(base, range(base.n_rays + 1, base.n_rays + steps + 1), seed)
+
+
+def test_the_held_roots_are_checked_at_most_once(monkeypatch):
+    assert projective_space_fan() is projective_space_fan()
+    assert triple_line_fan() is triple_line_fan()
+    checked = []
+    check = toric._diagnose_fan
+    monkeypatch.setattr(toric, "_diagnose_fan", lambda fan: checked.append(fan) or check(fan))
+    fans = list(seeded_chains())
+    assert len(fans) > 200 and all(validate_fan(fan) is None for fan in fans)
+    assert len(checked) <= 2
+    assert all(fan is projective_space_fan() or fan is triple_line_fan() for fan in checked)
+
+
+@pytest.mark.parametrize("root", [projective_space_fan, triple_line_fan])
+def test_a_held_root_holds_what_a_fresh_fan_derives(root):
+    held = root()
+    fresh = Fan3(held.rays, held.max_cones, held.orientation)
+    assert validate_fan(held) is None and validate_fan(fresh) is None
+    assert list(held.walls().items()) == list(fresh.walls().items())
+    assert held.cone_set() == fresh.cone_set()
+    assert held.global_sign() == fresh.global_sign()
+    assert held.oriented_triangles() == fresh.oriented_triangles()
+    for v in range(held.n_rays):
+        surface, other = toric.star_surface(held, v), toric.star_surface(fresh, v)
+        assert surface == other and surface.wall_coefficients == other.wall_coefficients
+    layer, other = toric.toric_layer(held), toric.toric_layer(fresh)
+    assert layer.tensor == other.tensor
+    assert layer.restriction == other.restriction
+
+
+def exact_ints(value):
+    """Whether ``value`` is an ``int`` or a tuple of such values, all exactly."""
+    if type(value) is tuple:
+        return all(exact_ints(x) for x in value)
+    return type(value) is int
+
+
+def test_a_child_is_the_value_the_constructor_makes():
+    outputs = list(seeded_chains())
+    for fan, target in EXPLICIT:
+        outputs.append(star_subdivide(fan, target(fan) if callable(target) else target))
+    for out in outputs:
+        fresh = Fan3(out.rays, out.max_cones, out.orientation)
+        assert out == fresh
+        fields = (out.rays, out.max_cones, out.orientation)
+        assert all(type(field) is tuple and exact_ints(field) for field in fields)
+        copy = pickle.loads(pickle.dumps(out))
+        assert copy == out and hash(copy) == hash(out) == hash(fresh)
 
 
 @pytest.mark.parametrize(

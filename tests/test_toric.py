@@ -344,6 +344,13 @@ class TestValidation:
         with pytest.raises(FanError, match="^link of vertex 0 winds 2 times around its ray$"):
             use(wound_sphere_fan())
 
+    @pytest.mark.parametrize(
+        "use", [toric_layer, ToricIntersectionData.of_fan], ids=["toric-layer", "intersection-data"]
+    )
+    def test_a_fan_without_rays_is_rejected_with_its_diagnostic(self, use):
+        with pytest.raises(FanError, match="^fan has no max cones$"):
+            use(Fan3([], []))
+
     def test_held_walls_cannot_be_changed(self, p111):
         walls = p111.walls()
         wall = next(iter(walls))
