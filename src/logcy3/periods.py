@@ -208,12 +208,16 @@ def unmarked_period(pair: LogCY3Pair) -> PeriodCharacter:
 
     On matching classes the per-edge degrees agree across the two sides, so
     the value does not depend on the marking.  The values are the held
-    :func:`matching_values` at the markers, asserted equal to a second
-    marking's character table pulled back along :func:`matching_kernel`.
+    :func:`matching_values` at the markers.  Per boundary basis class, a
+    second marking's table must be the markers' times the scaling character
+    at the ratio of the points on each edge, trivial on matching classes.
     """
     values = matching_values(pair)
-    other = pair.character_table(_alternative_marking(pair))
-    if matching_kernel(pair).pull_back(other) != values:
+    markers, other = pair.markers(), _alternative_marking(pair)
+    ratios = [other.point(v, w) / markers.point(v, w) for v, w in pair.complex.edges]
+    moved = edge_matching_map(pair).pull_back(ratios)
+    tables = zip(pair.character_table(markers), pair.character_table(other), moved)
+    if any(b != a * m for a, b, m in tables):
         raise PeriodConsistencyError(
             "period value depends on the marking on a matching class"
         )

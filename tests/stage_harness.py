@@ -5,9 +5,14 @@
 The family is the one the ROADMAP's stage tables time: projective space,
 star-subdivided at its last max cone until it has RAYS rays (default 12, 60
 and 120), with 6/5 as many point steps, step k on wall ``k % walls`` in
-``fan.walls()`` order at the coordinate ``(k + 2) + (k % 3) i``.  For each
-size it prints one row:
+``fan.walls()`` order, as a sorted vertex pair, at the coordinate
+``(k + 2) + (k % 3) i``.  :func:`family` builds it here for the tests too:
+``tests/test_golden_scale.py`` pins its 20-ray reports.  For each size it
+prints one row:
 
+- ``unmarked``: the unmarked period of a fresh build whose matching values
+  are held, so the cell times the second marking's table and the
+  marking-independence check;
 - ``fresh``: a self-compare of two fresh builds (every held value computed
   in the call);
 - ``translate``: decide against a fresh torus translate by ``(2, 3, i)``,
@@ -33,7 +38,7 @@ from time import perf_counter
 from logcy3.exactnum import GaussianRational, I
 from logcy3.fixtures import projective_space_fan
 from logcy3.pair import LogCY3Pair, PointBlowup
-from logcy3.periods import unmarked_period
+from logcy3.periods import matching_values, unmarked_period
 from logcy3.toric import Fan3, star_subdivide
 from logcy3.torelli import decide_isomorphism, marking_transporter
 
@@ -56,7 +61,7 @@ def fresh_root():
 def family(rays):
     """The fan with ``rays`` rays and its point program."""
     fan = subdivided(projective_space_fan(), rays)
-    walls = list(fan.walls())
+    walls = [tuple(sorted(w)) for w in fan.walls()]
     program = [
         PointBlowup(walls[k % len(walls)], GaussianRational(k + 2, k % 3))
         for k in range(rays * 6 // 5)
@@ -95,7 +100,13 @@ def stage_row(rays):
     def translate():
         return pair, build().torus_translate(TRANSLATION)
 
+    def held_values():
+        fresh = build()
+        matching_values(fresh)
+        return (fresh,)
+
     return {
+        "unmarked": best_ms(unmarked_period, held_values, repeats),
         "fresh": best_ms(decide_isomorphism, lambda: (build(), build()), repeats),
         "translate": best_ms(decide_isomorphism, translate, repeats),
         "perturbed": best_ms(
@@ -108,7 +119,7 @@ def stage_row(rays):
 
 def main(argv):
     sizes = [int(a) for a in argv] or [12, 60, 120]
-    print("| rays | fresh | translate | perturbed | transport | chain |")
+    print("| rays | unmarked | fresh | translate | perturbed | transport | chain |")
     for rays in sizes:
         row = stage_row(rays)
         print(f"| {rays} | " + " | ".join(f"{row[k]:.2f}" for k in row) + " |", flush=True)

@@ -11,7 +11,8 @@ formatted field written ``{}``.  ``REACHED`` names the test that reaches
 each row, through ``decide_isomorphism``, ``marking_transporter``, the CLI
 or the row's own public function; the ``PeriodConsistencyError`` rows and
 the triple intersections' wall-relation check are reached by mutation
-tests that corrupt a held value.  A new check or raise without a row fails
+tests that corrupt a held value or, for the unmarked period, the character
+table of one class.  A new check or raise without a row fails
 here.  ``tests/mutants.py`` confirms that each named test needs its row: it
 replaces the row's statement with ``pass`` and runs the test, which must
 fail.  The last test here keeps that tool's mutation sound.
@@ -195,8 +196,7 @@ REACHED = {
     # periods: internal invariants, through mutation tests.
     ("periods.unmarked_period", "PeriodConsistencyError",
      "period value depends on the marking on a matching class"):
-        PERIODS + "TestPeriodCharacters::"
-        "test_a_held_value_the_second_marking_disagrees_with_is_an_error",
+        PERIODS + "TestPeriodCharacters::test_a_class_in_the_other_chart_is_an_error",
     ("periods.quotient_character", "PeriodConsistencyError",
      "period is nontrivial on a restricted global class"):
         PERIODS + "TestQuotientFromTheHeldFactorization::"

@@ -6,8 +6,9 @@ five larger documents written with ``pair_to_document``, the exit code and
 the SHA-256 of the standard output of ``logcy3 --json periods``,
 ``invariants`` and ``compare f f``:
 
-* ``family-20``: projective space star-subdivided at its last max cone up
-  to 20 rays, with 24 points, ``walls[k % len(walls)]`` at ``k + 2 + (k % 3) i``;
+* ``family-20``: ``tests/stage_harness.py``'s scaling family at 20 rays:
+  projective space star-subdivided at its last max cone up to 20 rays, with
+  24 points, ``walls[k % len(walls)]`` at ``k + 2 + (k % 3) i``;
 * ``scaling-3-6``: ``scaling_pair(3, 6)``, whose conics make the Smith
   kernel basis differ from a Hermite form;
 * ``p111-ladder-16``: the product of three lines, subdivided alternately at
@@ -37,9 +38,10 @@ import pytest
 from logcy3.cli import main
 from logcy3.documents import dumps, pair_to_document
 from logcy3.exactnum import GaussianRational
-from logcy3.fixtures import projective_space_fan, scaling_pair, triple_line_fan
+from logcy3.fixtures import scaling_pair, triple_line_fan
 from logcy3.pair import LogCY3Pair, PointBlowup
 from logcy3.toric import star_subdivide
+from stage_harness import family
 
 DATA = pathlib.Path(__file__).parent / "data"
 GOLDEN = DATA / "golden_scale.json"
@@ -49,17 +51,6 @@ RANDOM_NAMES = ("scale_random_p111", "scale_random_p3")
 
 def _sorted_walls(fan):
     return sorted(tuple(sorted(w)) for w in fan.walls())
-
-
-def family_pair():
-    fan = projective_space_fan()
-    while fan.n_rays < 20:
-        fan = star_subdivide(fan, fan.max_cones[-1])
-    walls = [tuple(sorted(w)) for w in fan.walls()]
-    program = [
-        PointBlowup(walls[k % len(walls)], GaussianRational(k + 2, k % 3)) for k in range(24)
-    ]
-    return LogCY3Pair.build(fan, program)
 
 
 def p111_ladder_pair():
@@ -81,7 +72,7 @@ def p111_ladder_pair():
 def documents() -> dict:
     """Each document's text, by name."""
     docs = {
-        "family-20": dumps(pair_to_document(family_pair())),
+        "family-20": dumps(pair_to_document(LogCY3Pair.build(*family(20)))),
         "scaling-3-6": dumps(pair_to_document(scaling_pair(3, 6))),
         "p111-ladder-16": dumps(pair_to_document(p111_ladder_pair())),
     }

@@ -7,8 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logcy3.boundary import BoundaryError, Marking, component_marked_period
+from logcy3.boundary import (
+    BoundaryError,
+    LooijengaComponent,
+    Marking,
+    component_marked_period,
+)
 from logcy3 import exactnum
+from logcy3 import pair as pair_module
 from logcy3.exactnum import (
     ExactArithmeticError,
     GaussianRational,
@@ -39,6 +45,7 @@ from logcy3.periods import (
     wedge_map,
 )
 from logcy3.torelli import classify_contraction
+import stage_harness
 from test_pair import reference_edge_degree
 
 
@@ -232,15 +239,28 @@ class TestPeriodCharacters:
         with pytest.raises(PairError, match="^boundary vector length mismatch$"):
             evaluate_boundary_character(pair, pair.markers(), (0,) * (total + 1))
 
-    def test_a_held_value_the_second_marking_disagrees_with_is_an_error(
-        self, pairs, monkeypatch
-    ):
-        # Mutation: a wrong held value on the first matching generator.
-        pair = pairs["p3-conic"]
-        values = matching_values(pair)
-        monkeypatch.setitem(pair._held, "matching_values", (values[0] * 2, *values[1:]))
+    @pytest.mark.parametrize("kind", ["toric", "exceptional"])
+    def test_a_class_in_the_other_chart_is_an_error(self, pairs, monkeypatch, kind):
+        # Mutation: on every component, one class (the first toric or the
+        # first exceptional one) is valued with its first edge read in the
+        # other chart, at every marking.  On p3-point the two exceptional
+        # errors cancel on the matching kernel; the per-class check sees them.
+        original = pair_module.component_character_table
+
+        def swapped(c, marking):
+            table = original(c, marking)
+            index = 0 if kind == "toric" else c.base.rank
+            if index == c.rank:
+                return table
+            ray = c.base.ray_of_neighbor(c.degree_table[index][0][0])
+            heads = tuple(h != (k == ray) for k, h in enumerate(c.head_sides))
+            value = original(LooijengaComponent(c.base, c.excs, heads), marking)[index]
+            return table[:index] + (value,) + table[index + 1 :]
+
+        monkeypatch.setattr(pair_module, "component_character_table", swapped)
+        pair = pairs["p3-point"]
         with pytest.raises(PeriodConsistencyError, match="depends on the marking"):
-            unmarked_period(pair)
+            unmarked_period(LogCY3Pair.build(pair.fan, pair.program))
 
     def test_multiplicativity(self, pairs):
         pair = pairs["p3-conic"]
@@ -535,6 +555,14 @@ class TestHeldMatchingValues:
             assert matching_values(pair) is matching_values(pair)
             assert unmarked_period(pair).values == expected
 
+    def test_every_kernel_column_is_in_the_kernel_of_the_edge_matching_map(self, cases):
+        # unmarked_period checks marking independence per boundary class,
+        # which shows it on the matching lattice only given this.
+        family = [LogCY3Pair.build(*stage_harness.family(rays)) for rays in (20, 60)]
+        for pair in [*cases, *family]:
+            assert matching_kernel(pair).cols
+            assert not any((edge_matching_map(pair) * matching_kernel(pair)).columns)
+
     def test_quotient_values_are_the_direct_evaluation_of_their_lifts(self, cases):
         for pair in cases:
             markers = Marking.markers(pair.edge_keys())
@@ -562,8 +590,9 @@ class TestHeldMatchingValues:
         monkeypatch.setattr(LogCY3Pair, "character_table", counted)
         pair = scaling_pair(2, 8)
         unmarked_period(pair)
-        # The markers' table for the held values, and the second marking's.
-        assert reads == [pair.markers(), _alternative_marking(pair)]
+        # The markers' table for the held values, then the two tables that
+        # the per-class check compares, the markers' one held.
+        assert reads == [pair.markers(), pair.markers(), _alternative_marking(pair)]
         reads.clear()
         quotient_character(pair)
         assert reads == [pair.markers()]

@@ -9,6 +9,7 @@ checked here holds in any basis of the matching lattice:
 * the tensor stores its nonzero entries only;
 * each step's kind fixes its contraction type: 2 for a point, 1 for a curve;
 * the markers' period is one on the restriction of every threefold class;
+* every matching kernel column lies in the kernel of the edge-matching map;
 * the cocycle path equals the unmarked period on every matching generator;
 * the curve and point subdivision checks agree on a drawn wall and cone;
 * wherever decide and the transporter both run, decide's verdict fixes the
@@ -67,6 +68,7 @@ from logcy3.periods import (
     edge_scaling_character,
     evaluate_boundary_character,
     marked_period,
+    matching_kernel,
     unmarked_period,
 )
 from logcy3.torelli import (
@@ -175,6 +177,7 @@ def test_random_pairs(case, data):
         image = restriction.column(a)
         assert evaluate_boundary_character(pair, pair.markers(), image).is_one()
 
+    assert not any((edge_matching_map(pair) * matching_kernel(pair)).columns)
     unmarked = unmarked_period(pair)
     for gen, value in zip(unmarked.basis, unmarked.values):
         assert cocycle_period(pair, gen) == value
