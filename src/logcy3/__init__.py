@@ -5,7 +5,7 @@ Everything is computed exactly: coordinates live in the multiplicative
 group of Q(i), lattice computations use arbitrary-precision integers.
 """
 
-from logcy3.exactnum import GaussianRational, IntMatrix, SnfDecomposition
+from logcy3.gaussian import GaussianRational
 from logcy3.toric import Fan3, Fan2, DualComplex
 from logcy3.pair import LogCY3Pair, PointBlowup, CurveBlowup, PicVector
 
@@ -23,3 +23,12 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # The lattice types load ``exactnum`` on first use, so a validate does not.
+    if name in ("IntMatrix", "SnfDecomposition"):
+        from logcy3 import exactnum
+
+        return getattr(exactnum, name)
+    raise AttributeError(f"module 'logcy3' has no attribute {name!r}")

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from logcy3.exactnum import (
+from logcy3.gaussian import (
     ExactArithmeticError,
     Frozen,
     GaussianRational,

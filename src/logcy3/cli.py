@@ -1,15 +1,14 @@
 """Command-line surface: validation, invariants, periods, comparison, oracles.
 
 Exit codes: 0 for ok / isomorphic, 1 for a diagnostic / distinct verdict,
-2 for errors, including any unexpected exception (reported on one line).
-Reports are deterministic for identical inputs; ``--json`` switches to
-machine-readable output.
+2 for errors, including any unexpected exception (reported on one line) and
+an argument list that fits no line of the usage (reported with it).
+Reports are deterministic for identical inputs; ``--json``, before the
+subcommand, switches to machine-readable output.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import hashlib
 import json
 import sys
@@ -75,13 +74,13 @@ def _emit_tree(value, prefix):
 # ---------------------------------------------------------------------------
 
 
-def cmd_validate(args):
+def cmd_validate(as_json, file):
     inputs = {}
     try:
-        pair, _ = _load(documents.pair_from_document, args.file, "file", inputs)
+        pair, _ = _load(documents.pair_from_document, file, "file", inputs)
     except DocumentError as exc:
         report = _report("validate", inputs, {"status": "invalid", "diagnostic": str(exc)})
-        _emit(report, args.json)
+        _emit(report, as_json)
         return DIAGNOSTIC
     results = {
         "status": "ok",
@@ -89,11 +88,11 @@ def cmd_validate(args):
         "steps": len(pair.program),
         "warnings": list(pair.warnings),
     }
-    _emit(_report("validate", inputs, results), args.json)
+    _emit(_report("validate", inputs, results), as_json)
     return OK
 
 
-def cmd_invariants(args):
+def cmd_invariants(as_json, file):
     from logcy3.periods import (
         edge_cokernel_report,
         matching_lattice,
@@ -103,7 +102,7 @@ def cmd_invariants(args):
     from logcy3.torelli import classify_contraction
 
     inputs = {}
-    pair, _ = _load(documents.pair_from_document, args.file, "file", inputs)
+    pair, _ = _load(documents.pair_from_document, file, "file", inputs)
     lattice = matching_lattice(pair)
     k_basis, saturated = pair.k_image()
     free_rank, torsion, composed_zero = edge_cokernel_report(pair)
@@ -125,7 +124,7 @@ def cmd_invariants(args):
         "period_trivial": "yes" if period.is_trivial() else "no",
         "contractions": steps,
     }
-    _emit(_report("invariants", inputs, results), args.json)
+    _emit(_report("invariants", inputs, results), as_json)
     return OK
 
 
@@ -136,11 +135,11 @@ def _classes(character):
     ]
 
 
-def cmd_periods(args):
+def cmd_periods(as_json, file):
     from logcy3.periods import marked_period, quotient_character, unmarked_period
 
     inputs = {}
-    pair, marking = _load(documents.pair_from_document, args.file, "file", inputs)
+    pair, marking = _load(documents.pair_from_document, file, "file", inputs)
     if marking is None:
         marking = pair.markers()
     marked = marked_period(pair, marking)
@@ -152,20 +151,20 @@ def cmd_periods(args):
         "quotient": _classes(quotient),
         "quotient_torsion": list(quotient_torsion),
     }
-    _emit(_report("periods", inputs, results), args.json)
+    _emit(_report("periods", inputs, results), as_json)
     return OK
 
 
-def cmd_compare(args):
+def cmd_compare(as_json, file_a, file_b, correspondence=None):
     from logcy3.torelli import decide_isomorphism
 
     inputs = {}
-    pair, _ = _load(documents.pair_from_document, args.file_a, "file_a", inputs)
-    other, _ = _load(documents.pair_from_document, args.file_b, "file_b", inputs)
+    pair, _ = _load(documents.pair_from_document, file_a, "file_a", inputs)
+    other, _ = _load(documents.pair_from_document, file_b, "file_b", inputs)
     corr = None  # the identity
-    if args.correspondence:
+    if correspondence:
         corr = _load(
-            documents.correspondence_from_document, args.correspondence, "correspondence", inputs
+            documents.correspondence_from_document, correspondence, "correspondence", inputs
         )
     verdict = decide_isomorphism(pair, other, corr)
     results = {
@@ -173,7 +172,7 @@ def cmd_compare(args):
         "reason": verdict.reason,
         "certificate": _stringify(verdict.certificate),
     }
-    _emit(_report("compare", inputs, results), args.json)
+    _emit(_report("compare", inputs, results), as_json)
     return OK if verdict.is_isomorphic else DIAGNOSTIC
 
 
@@ -185,12 +184,12 @@ def _stringify(value):
     return value  # every other certificate value is an int, a str or None
 
 
-def cmd_oracle_check(args):
+def cmd_oracle_check(as_json, file):
     from logcy3.oracle import cocycle_period, curve_subdivision_check, point_subdivision_check
     from logcy3.periods import matching_lattice, matching_values
 
     inputs = {}
-    pair, _ = _load(documents.pair_from_document, args.file, "file", inputs)
+    pair, _ = _load(documents.pair_from_document, file, "file", inputs)
     discrepancies = []
     # Two computation paths for the period of every matching generator: the
     # held values the periods report prints, and the triangle walk.
@@ -221,7 +220,7 @@ def cmd_oracle_check(args):
         "curve_subdivision": "agree" if not curve_diag else "disagree",
         "discrepancies": discrepancies,
     }
-    _emit(_report("oracle-check", inputs, results), args.json)
+    _emit(_report("oracle-check", inputs, results), as_json)
     return OK if not discrepancies else DIAGNOSTIC
 
 
@@ -230,46 +229,61 @@ def cmd_oracle_check(args):
 # ---------------------------------------------------------------------------
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process."""
-    parser = argparse.ArgumentParser(
-        prog="logcy3",
-        description="Exact invariants and Torelli comparison for "
-        "log Calabi-Yau threefold pairs over toric models.",
-    )
-    parser.add_argument("--json", action="store_true", help="machine-readable output")
-    sub = parser.add_subparsers(dest="command", required=True)
+class UsageError(ValueError):
+    """An argument list that fits no line of the usage."""
 
-    p = sub.add_parser("validate", help="validate a pair file")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("invariants", help="lattice ranks and contraction data")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_invariants)
+# Each subcommand: its function, then its arguments; one in brackets may be
+# left out.  The usage text is read off this table.
+COMMANDS = {
+    "validate": (cmd_validate, "FILE"),
+    "invariants": (cmd_invariants, "FILE"),
+    "periods": (cmd_periods, "FILE"),
+    "compare": (cmd_compare, "FILE_A", "FILE_B", "[CORRESPONDENCE]"),
+    "oracle-check": (cmd_oracle_check, "FILE"),
+}
+USAGE = "usage: " + "\n       ".join(
+    " ".join(("logcy3 [--json]", name, *arguments)) for name, (_, *arguments) in COMMANDS.items()
+)
 
-    p = sub.add_parser("periods", help="marked and unmarked period tables")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_periods)
 
-    p = sub.add_parser("compare", help="decide isomorphism of two pairs")
-    p.add_argument("file_a")
-    p.add_argument("file_b")
-    p.add_argument("correspondence", nargs="?", default=None)
-    p.set_defaults(func=cmd_compare)
-
-    p = sub.add_parser("oracle-check", help="run independent cross-checks")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_oracle_check)
-    return parser
+def _parse(argv):
+    """``(as_json, function, arguments)`` of an argument list, or ``UsageError``."""
+    as_json, words, rest = False, [], iter(argv)
+    for argument in rest:
+        if argument == "--":
+            words += rest  # every argument after it is positional, as ``-`` always is
+        elif argument == "--json" and not words:
+            as_json = True
+        elif argument.startswith("-") and argument != "-":
+            raise UsageError(f"unknown option {argument}")
+        else:
+            words.append(argument)
+    if not words:
+        raise UsageError("no subcommand given")
+    name, *arguments = words
+    if name not in COMMANDS:
+        raise UsageError(f"unknown subcommand {name}")
+    function, *names = COMMANDS[name]
+    required = [n for n in names if not n.startswith("[")]
+    if not len(required) <= len(arguments) <= len(names):
+        raise UsageError(f"{name} takes {' '.join(names)}; {len(arguments)} given")
+    return as_json, function, arguments
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    options = argv[: argv.index("--")] if "--" in argv else argv
+    if "-h" in options or "--help" in options:
+        print(USAGE)
+        return OK
     try:
-        return args.func(args)
+        as_json, function, arguments = _parse(argv)
+    except UsageError as exc:
+        print(f"error: {exc}\n{USAGE}", file=sys.stderr)
+        return ERROR
+    try:
+        return function(as_json, *arguments)
     except (DocumentError, PairError, OSError) as exc:  # CorrespondenceError is a PairError
         print(f"error: {exc}", file=sys.stderr)
         return ERROR

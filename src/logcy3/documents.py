@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 
 from logcy3.boundary import Marking
-from logcy3.exactnum import ExactArithmeticError, GaussianRational, IntMatrix
+from logcy3.gaussian import ExactArithmeticError, GaussianRational
 from logcy3.pair import CurveBlowup, LogCY3Pair, PairError, PointBlowup
 from logcy3.toric import Fan3, FanError
 
@@ -276,6 +276,8 @@ def _by_vertex(value, context, read) -> dict:
 
 
 def _matrix(value, context) -> IntMatrix:
+    from logcy3.exactnum import IntMatrix  # here, so that a pair document loads no lattice code
+
     rows = [
         _integers(row, f"{context}[{i}]")
         for i, row in enumerate(_expect(value, list, context))

@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 
-from logcy3.exactnum import GaussianRational
+from logcy3.gaussian import GaussianRational
 from logcy3.pair import CurveBlowup, LogCY3Pair, PointBlowup
 from logcy3.toric import Fan3, star_subdivide
 

@@ -21,7 +21,8 @@ Two oracles live here:
 from __future__ import annotations
 
 from logcy3.boundary import Marking, restrict_to_cycle, section_ratio
-from logcy3.exactnum import GaussianRational, IntMatrix, ONE
+from logcy3.exactnum import IntMatrix
+from logcy3.gaussian import GaussianRational, ONE
 from logcy3.pair import LogCY3Pair, PairError, PointBlowup, curve_blowup_entries, pull_back_tensor
 from logcy3.toric import Fan3, TripleIntersection, star_subdivide
 

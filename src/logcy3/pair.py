@@ -29,15 +29,8 @@ from logcy3.boundary import (
     component_character_table,
     marker_value,
 )
-from logcy3.exactnum import (
-    Frozen,
-    GaussianRational,
-    IntMatrix,
-    MINUS_ONE,
-    dot,
-    power_product_of,
-    snf,
-    symmetric_trilinear,
+from logcy3.gaussian import (
+    Frozen, GaussianRational, MINUS_ONE, dot, power_product_of, symmetric_trilinear,
 )
 from logcy3.toric import (
     Fan3,
@@ -377,6 +370,8 @@ class LogCY3Pair:
 
     def restriction_matrix(self) -> IntMatrix:
         """Matrix of the restriction map, boundary lattice by threefold basis."""
+        from logcy3.exactnum import IntMatrix  # here, so that a build loads no lattice code
+
         offsets, total = self.component_offsets()
         columns = [
             [
@@ -433,6 +428,8 @@ class LogCY3Pair:
         # The image is spanned by the restriction matrix applied to the
         # first ``rank`` sparse columns of V, and saturated iff every
         # invariant factor is 1.
+        from logcy3.exactnum import snf  # here, so that a build loads no lattice code
+
         matrix = self.restriction_matrix()
         dec = snf(matrix)
         basis = tuple(matrix.apply(dec.V.column(j)) for j in range(dec.rank))

@@ -12,14 +12,9 @@ of the threefold Picard lattice.
 from __future__ import annotations
 
 from logcy3.boundary import Marking
-from logcy3.exactnum import (
-    ExactArithmeticError,
-    Frozen,
-    GaussianRational,
-    IntMatrix,
-    power_product,
-    power_product_of,
-    snf,
+from logcy3.exactnum import IntMatrix, snf
+from logcy3.gaussian import (
+    ExactArithmeticError, Frozen, GaussianRational, power_product, power_product_of,
 )
 from logcy3.pair import LogCY3Pair, PairError
 

@@ -13,11 +13,11 @@ check's certificate.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property
 
 from logcy3.boundary import Marking
-from logcy3.exactnum import Frozen, IntMatrix, dot, power_product_of, snf
+from logcy3.exactnum import IntMatrix, snf
+from logcy3.gaussian import Frozen, dot, power_product_of
 from logcy3.pair import CurveBlowup, LogCY3Pair, PairError, PointBlowup, pull_back_tensor
 from logcy3.periods import edge_matching_snf, matching_kernel, matching_lattice, matching_values
 from logcy3.toric import (
@@ -176,6 +176,8 @@ def complexity(pair: LogCY3Pair, decomposition) -> Fraction:
     nonnegative rational weights and threefold classes, each read as
     :meth:`~logcy3.pair.LogCY3Pair.cubic_form` reads its arguments.
     """
+    from fractions import Fraction  # here, so that a comparison loads no ``fractions``
+
     weights = []
     classes = []
     for weight, cls in decomposition:

@@ -33,7 +33,7 @@ from math import gcd
 from operator import mul
 from types import MappingProxyType
 
-from logcy3.exactnum import Frozen
+from logcy3.gaussian import Frozen
 
 
 class FanError(ValueError):

@@ -11,7 +11,7 @@ import sys
 import pytest
 from hypothesis import settings
 
-from logcy3 import exactnum
+from logcy3 import gaussian
 
 settings.register_profile("derandomized", derandomize=True)
 settings.load_profile("derandomized")
@@ -21,11 +21,11 @@ settings.load_profile("derandomized")
 def power_products(monkeypatch):
     """The exponents of every ``power_product`` call, patched in every module.
 
-    Each module of the package that holds ``exactnum.power_product`` gets a
+    Each module of the package that holds ``gaussian.power_product`` gets a
     wrapper that records the exponent vector of each call, in call order.
     """
     calls = []
-    original = exactnum.power_product
+    original = gaussian.power_product
 
     def counted(values, exponents):
         calls.append(tuple(exponents))

@@ -1,6 +1,6 @@
 """Stage times of a comparison on the scaling family, in milliseconds.
 
-    PYTHONPATH=src python tests/stage_harness.py [RAYS ...]
+    PYTHONPATH=src python tests/stage_harness.py [RAYS ...] [cli]
 
 The family is the one the ROADMAP's stage tables time: projective space,
 star-subdivided at its last max cone until it has RAYS rays (default 12, 60
@@ -26,16 +26,29 @@ prints one row:
 
 Each cell is the best of five calls (three from 120 rays on; a ``chain``
 cell, which is cheap, of fifteen), garbage collection off inside each
-call.  To compare two checkouts, run this file from each in turn,
-alternating, and compare cells within one machine.
-Pytest does not collect it.
+call.
+
+The ``cli`` row, printed when ``cli`` is named, is the median wall time of
+``CLI_CALLS`` calls of ``python -m logcy3.cli --json SUBCOMMAND`` per
+subcommand, each in a fresh interpreter that imports the package this file
+imported, on the bundled ``p3-mixed.pair.json`` (``compare`` against
+itself); the subcommands take turns, so a drift of the machine reaches
+each alike.  The environment is passed on as it is, so the calls compile
+the package when ``PYTHONDONTWRITEBYTECODE`` is set, as a user's do.
+
+To compare two checkouts, run this file from each in turn, alternating,
+and compare cells within one machine.  Pytest does not collect it.
 """
 
 import gc
+import os
+import statistics
+import subprocess
 import sys
 from time import perf_counter
 
-from logcy3.exactnum import GaussianRational, I
+import logcy3
+from logcy3.gaussian import GaussianRational, I
 from logcy3.fixtures import projective_space_fan
 from logcy3.pair import LogCY3Pair, PointBlowup
 from logcy3.periods import matching_values, unmarked_period
@@ -43,6 +56,7 @@ from logcy3.toric import Fan3, star_subdivide
 from logcy3.torelli import decide_isomorphism, marking_transporter
 
 TRANSLATION = (GaussianRational(2), GaussianRational(3), I)
+CLI_CALLS = 21
 
 
 def subdivided(root, rays):
@@ -117,12 +131,45 @@ def stage_row(rays):
     }
 
 
+def cli_row():
+    """Median ms of fresh-interpreter CLI calls, per subcommand."""
+    package = os.path.dirname(os.path.abspath(logcy3.__file__))
+    path = os.path.join(package, "data", "p3-mixed.pair.json")
+    commands = {
+        "validate": [path],
+        "invariants": [path],
+        "periods": [path],
+        "compare": [path, path],
+        "oracle-check": [path],
+    }
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(package))
+    times = {name: [] for name in commands}
+    for _ in range(CLI_CALLS):
+        for name, files in commands.items():
+            start = perf_counter()
+            done = subprocess.run(
+                [sys.executable, "-m", "logcy3.cli", "--json", name, *files],
+                env=env,
+                capture_output=True,
+            )
+            times[name].append(perf_counter() - start)
+            assert done.returncode == 0, (name, done.stderr)
+    return {name: statistics.median(t) * 1000 for name, t in times.items()}
+
+
 def main(argv):
-    sizes = [int(a) for a in argv] or [12, 60, 120]
-    print("| rays | unmarked | fresh | translate | perturbed | transport | chain |")
+    sizes = [int(a) for a in argv if a != "cli"]
+    if not argv:
+        sizes = [12, 60, 120]
+    if sizes:
+        print("| rays | unmarked | fresh | translate | perturbed | transport | chain |")
     for rays in sizes:
         row = stage_row(rays)
         print(f"| {rays} | " + " | ".join(f"{row[k]:.2f}" for k in row) + " |", flush=True)
+    if "cli" in argv:
+        row = cli_row()
+        print("| cli | " + " | ".join(row) + " |")
+        print("| ms | " + " | ".join(f"{row[k]:.1f}" for k in row) + " |", flush=True)
 
 
 if __name__ == "__main__":

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from logcy3.boundary import Marking
-from logcy3.exactnum import GaussianRational, I, ONE
+from logcy3.gaussian import GaussianRational, I, ONE
 from logcy3.fixtures import (
     pair_fixtures,
     perturbed_conic_pair,

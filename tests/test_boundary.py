@@ -13,7 +13,7 @@ from logcy3.boundary import (
     restrict_to_cycle,
     section_ratio,
 )
-from logcy3.exactnum import GaussianRational, I, MINUS_ONE, ONE
+from logcy3.gaussian import GaussianRational, I, MINUS_ONE, ONE
 from logcy3.fixtures import pair_fixtures
 from logcy3.pair import CurveBlowup, validate_pair
 from test_pair import solved_curve_step

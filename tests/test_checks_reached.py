@@ -110,6 +110,7 @@ TORELLI = "tests/test_torelli.py::"
 PERIODS = "tests/test_periods.py::"
 COMPARE = "tests/test_cli.py::TestCompare::"
 CLI = "tests/test_cli.py::"
+USAGE = "tests/test_cli.py::TestUsage::"
 BOUNDARY = "tests/test_boundary.py::"
 DOCUMENTS = "tests/test_documents.py::"
 EXACTNUM = "tests/test_exactnum.py::"
@@ -293,31 +294,32 @@ REACHED = {
         DOCUMENTS + "TestPairDocuments::test_malformed_bytes_rejected[integer-too-long]",
     ("documents.loads", "DocumentError", "document: not UTF-8 text at byte {}"):
         DOCUMENTS + "TestPairDocuments::test_malformed_bytes_rejected[not-utf8]",
-    # exactnum: inputs of the value types and lattice routines.
-    ("exactnum.Frozen.__init__", "TypeError",
+    # gaussian: inputs of the value types and numbers.
+    ("gaussian.Frozen.__init__", "TypeError",
      "{} takes the fields {}; got {} by position and {} by keyword"):
         VALUE_TYPES + "test_generic_constructor[PointBlowup]",
-    ("exactnum.Frozen.__setattr__", "AttributeError", "{} is immutable; cannot set {}"):
+    ("gaussian.Frozen.__setattr__", "AttributeError", "{} is immutable; cannot set {}"):
         EXACTNUM + "TestAgainstFractionPairs::test_immutable",
-    ("exactnum.Frozen.__delattr__", "AttributeError", "{} is immutable; cannot delete {}"):
+    ("gaussian.Frozen.__delattr__", "AttributeError", "{} is immutable; cannot delete {}"):
         EXACTNUM + "TestAgainstFractionPairs::test_immutable",
-    ("exactnum.GaussianRational.parse", "ExactArithmeticError",
+    ("gaussian.GaussianRational.parse", "ExactArithmeticError",
      "cannot parse Gaussian rational {}"):
         EXACTNUM + "TestGaussianRational::test_parse_rejects_garbage",
-    ("exactnum.GaussianRational.parse", "ExactArithmeticError",
+    ("gaussian.GaussianRational.parse", "ExactArithmeticError",
      "zero denominator in Gaussian rational {}"):
         EXACTNUM + "TestGaussianRational::test_parse_rejects_garbage",
-    ("exactnum.GaussianRational.parse", "ExactArithmeticError",
+    ("gaussian.GaussianRational.parse", "ExactArithmeticError",
      "Gaussian rational with too many digits"):
         EXACTNUM + "TestGaussianRational::test_parse_rejects_garbage",
-    ("exactnum.GaussianRational.__truediv__", "ExactArithmeticError", "division by zero in Q(i)"):
+    ("gaussian.GaussianRational.__truediv__", "ExactArithmeticError", "division by zero in Q(i)"):
         EXACTNUM + "TestAgainstFractionPairs::test_binary_operations",
-    ("exactnum.GaussianRational.inverse", "ExactArithmeticError", "division by zero in Q(i)"):
+    ("gaussian.GaussianRational.inverse", "ExactArithmeticError", "division by zero in Q(i)"):
         EXACTNUM + "TestGaussianRational::test_zero_inverse_rejected",
-    ("exactnum._coerce", "TypeError", "cannot coerce {} to GaussianRational"):
+    ("gaussian._coerce", "TypeError", "cannot coerce {} to GaussianRational"):
         EXACTNUM + "TestGaussianRational::test_an_operand_of_another_type_is_rejected",
-    ("exactnum.power_product_of", "ExactArithmeticError", "division by zero in Q(i)"):
+    ("gaussian.power_product_of", "ExactArithmeticError", "division by zero in Q(i)"):
         EXACTNUM + "TestPowerProductKernel::test_zero_to_a_negative_power_is_rejected",
+    # exactnum: inputs of the lattice routines.
     ("exactnum.IntMatrix.__init__", "ExactArithmeticError", "ragged matrix"):
         DOCUMENTS + "TestCorrespondenceDocuments::"
         "test_malformed_shape_rejected_with_field_path[mu-ragged]",
@@ -344,6 +346,15 @@ REACHED = {
         EXACTNUM + "TestNthRoot::test_inputs_without_roots_are_rejected[order-0]",
     ("exactnum.nth_root", "ExactArithmeticError", "no roots of zero in Q(i)*"):
         EXACTNUM + "TestNthRoot::test_inputs_without_roots_are_rejected[zero]",
+    # cli: argument lists that fit no line of the usage.
+    ("cli._parse", "UsageError", "unknown option {}"):
+        USAGE + "test_malformed_argv_is_a_usage_error[unknown-option]",
+    ("cli._parse", "UsageError", "no subcommand given"):
+        USAGE + "test_malformed_argv_is_a_usage_error[empty]",
+    ("cli._parse", "UsageError", "unknown subcommand {}"):
+        USAGE + "test_malformed_argv_is_a_usage_error[unknown-subcommand]",
+    ("cli._parse", "UsageError", "{} takes {}; {} given"):
+        USAGE + "test_malformed_argv_is_a_usage_error[validate-two-files]",
     # oracle: inputs, through their own functions.
     ("oracle.split_boundary_vector", "PairError", "boundary vector length mismatch"):
         ORACLE + "TestSplitBoundaryVector::test_a_vector_of_another_length_is_rejected",

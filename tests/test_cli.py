@@ -12,13 +12,14 @@ import subprocess
 import sys
 import tempfile
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logcy3 import documents
-from logcy3.cli import main
+from logcy3.cli import USAGE, main
 from logcy3.fixtures import perturbed_conic_pair
 from logcy3.torelli import Correspondence
 from test_toric import wound_sphere_fan
@@ -432,8 +433,8 @@ class TestCompare:
 
     def test_matched_step_at_another_place_is_distinct(self, tmp_path, capsys):
         # Exit 1, a verdict: a bijection of valid documents is no error.
-        from logcy3.exactnum import GaussianRational
         from logcy3.fixtures import projective_space_fan
+        from logcy3.gaussian import GaussianRational
         from logcy3.pair import LogCY3Pair, PointBlowup
 
         points = [PointBlowup((0, 1), GaussianRational(2)), PointBlowup((2, 3), GaussianRational(3))]
@@ -519,8 +520,8 @@ class TestCompare:
     def swapped_files(tmp_path, key):
         """P^3 with points on the edges (0, 1) and (0, 2), and the identity
         with a map under ``key`` that swaps component 0's exceptional classes."""
-        from logcy3.exactnum import GaussianRational
         from logcy3.fixtures import projective_space_fan
+        from logcy3.gaussian import GaussianRational
         from logcy3.pair import LogCY3Pair, PointBlowup
 
         points = [PointBlowup((0, 1), GaussianRational(2)), PointBlowup((0, 2), GaussianRational(3))]
@@ -602,13 +603,84 @@ class TestCompare:
         assert err == "error: ZeroDivisionError: integer division or modulo by zero\n"
 
 
+class TestUsage:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ([], "no subcommand given"),
+            (["--json"], "no subcommand given"),
+            (["frobnicate", "F"], "unknown subcommand frobnicate"),
+            (["validate"], "validate takes FILE; 0 given"),
+            (["validate", "F", "F"], "validate takes FILE; 2 given"),
+            (["compare", "F"], "compare takes FILE_A FILE_B [CORRESPONDENCE]; 1 given"),
+            (["compare", *"FFFF"], "compare takes FILE_A FILE_B [CORRESPONDENCE]; 4 given"),
+            (["--bogus", "validate", "F"], "unknown option --bogus"),
+            (["validate", "--json", "F"], "unknown option --json"),
+        ],
+        ids=[
+            "empty",
+            "json-only",
+            "unknown-subcommand",
+            "validate-no-file",
+            "validate-two-files",
+            "compare-one-file",
+            "compare-four-files",
+            "unknown-option",
+            "json-after-the-subcommand",
+        ],
+    )
+    def test_malformed_argv_is_a_usage_error(self, argv, message, capsys):
+        path = bundled_path("p3")
+        assert main([path if a == "F" else a for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n{USAGE}\n"
+
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    def test_help_names_every_subcommand(self, flag, capsys):
+        assert main([flag]) == 0
+        out = capsys.readouterr().out
+        assert out == f"{USAGE}\n"
+        for name in ("validate", "invariants", "periods", "compare", "oracle-check"):
+            assert f"logcy3 [--json] {name} " in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--json", "validate", "--", "-p3.pair.json"],
+            ["--json", "--", "validate", "-p3.pair.json"],
+            ["--json", "--json", "validate", "-"],
+        ],
+        ids=["dashes-after-the-subcommand", "dashes-before-it", "json-twice-and-a-dash"],
+    )
+    def test_a_file_may_start_with_a_dash(self, argv, tmp_path, monkeypatch, capsys):
+        assert main(["--json", "validate", bundled_path("p3")]) == 0
+        expected = capsys.readouterr().out
+        data = Path(bundled_path("p3")).read_bytes()
+        for name in ("-p3.pair.json", "-"):
+            (tmp_path / name).write_bytes(data)
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 0
+        assert capsys.readouterr() == (expected, "")
+
+    def test_help_before_the_dashes_only(self, tmp_path, monkeypatch, capsys):
+        (tmp_path / "-h").write_bytes(Path(bundled_path("p3")).read_bytes())
+        monkeypatch.chdir(tmp_path)
+        assert main(["validate", "--", "-h"]) == 0
+        assert capsys.readouterr().out.startswith("command: validate\n")
+
+    def test_the_readme_shows_the_usage(self):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        assert f"```text\n{USAGE}\n```" in readme.read_text(encoding="utf-8")
+
+
 class TestLargeCoordinates:
     def test_reports_write_values_past_the_digit_limit(self, tmp_path, capsys):
         # Coordinates of 1,501 digits parse, but the period values they give
         # have more digits than the interpreter writes by default: the
         # reports write them all, and input keeps the limit.
-        from logcy3.exactnum import GaussianRational
         from logcy3.fixtures import projective_space_fan
+        from logcy3.gaussian import GaussianRational
         from logcy3.pair import LogCY3Pair, PointBlowup
         from logcy3.toric import star_subdivide
 
@@ -716,8 +788,38 @@ class TestFreshInterpreter:
             "decimal",
         }
         assert modules & unused == set()
-        # The subcommands that need the comparison code still import it.
+        # No lattice code, and no argument parser but the command table.
+        assert modules & {"logcy3.exactnum", "argparse"} == set()
+        # The subcommands that need the comparison code still import it,
+        # and no more than it runs.
         done, modules = run_fresh("--json", "compare", path, path)
         assert done.returncode == 0
         assert json.loads(done.stdout)["results"]["verdict"] == "isomorphic"
         assert {"logcy3.periods", "logcy3.torelli"} <= modules
+        assert modules & {"argparse", "fractions"} == set()
+        done, modules = run_fresh("--json", "invariants", path)
+        assert done.returncode == 0
+        assert json.loads(done.stdout)["command"] == "invariants"
+        assert modules & {"argparse", "fractions"} == set()
+
+    def test_the_package_loads_the_lattice_types_on_first_use(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(documents.__file__)))
+        probe = (
+            "import sys, logcy3\n"
+            "print('logcy3.exactnum' in sys.modules)\n"
+            "from logcy3 import IntMatrix, SnfDecomposition\n"
+            "from logcy3.exactnum import IntMatrix as held, SnfDecomposition as snf_held\n"
+            "print(IntMatrix is held and SnfDecomposition is snf_held)\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert (done.returncode, done.stdout) == (0, "False\nTrue\n")
+        # In this process too, so that ``tests/line_reach.py`` sees ``__getattr__`` run.
+        from logcy3 import IntMatrix, SnfDecomposition, exactnum
+
+        assert (IntMatrix, SnfDecomposition) == (exactnum.IntMatrix, exactnum.SnfDecomposition)

@@ -16,7 +16,8 @@ from logcy3.documents import (
     pair_from_document,
     pair_to_document,
 )
-from logcy3.exactnum import GaussianRational, IntMatrix
+from logcy3.exactnum import IntMatrix
+from logcy3.gaussian import GaussianRational
 from logcy3.fixtures import pair_fixtures, projective_space_fan
 from logcy3.pair import LogCY3Pair, PointBlowup
 from logcy3.torelli import Correspondence

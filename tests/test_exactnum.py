@@ -14,17 +14,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logcy3.exactnum import (
-    ExactArithmeticError,
-    GaussianRational,
     IntMatrix,
     invert_unimodular,
     kernel_basis,
     nth_root,
-    power_product,
-    power_product_of,
     snf,
     solve_integer,
 )
+from logcy3.gaussian import ExactArithmeticError, GaussianRational, power_product, power_product_of
 
 gaussians = st.builds(
     GaussianRational,

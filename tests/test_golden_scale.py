@@ -37,7 +37,7 @@ import pytest
 
 from logcy3.cli import main
 from logcy3.documents import dumps, pair_to_document
-from logcy3.exactnum import GaussianRational
+from logcy3.gaussian import GaussianRational
 from logcy3.fixtures import scaling_pair, triple_line_fan
 from logcy3.pair import LogCY3Pair, PointBlowup
 from logcy3.toric import star_subdivide

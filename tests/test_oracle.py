@@ -6,7 +6,7 @@ import pytest
 
 from logcy3 import oracle
 from logcy3 import pair as pair_module
-from logcy3.exactnum import GaussianRational, symmetric_trilinear
+from logcy3.gaussian import GaussianRational, symmetric_trilinear
 from logcy3.fixtures import (
     pair_fixtures,
     projective_space_fan,

@@ -20,18 +20,8 @@ from logcy3.boundary import (
     component_character_table,
     component_marked_period,
 )
-from logcy3.exactnum import (
-    GaussianRational,
-    I,
-    IntMatrix,
-    MINUS_ONE,
-    dot,
-    kernel_basis,
-    power_product,
-    product,
-    snf,
-    solve_integer,
-)
+from logcy3.exactnum import IntMatrix, kernel_basis, snf, solve_integer
+from logcy3.gaussian import GaussianRational, I, MINUS_ONE, dot, power_product, product
 from logcy3.fixtures import (
     conic_program,
     pair_fixtures,

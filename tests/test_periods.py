@@ -15,15 +15,8 @@ from logcy3.boundary import (
 )
 from logcy3 import exactnum
 from logcy3 import pair as pair_module
-from logcy3.exactnum import (
-    ExactArithmeticError,
-    GaussianRational,
-    IntMatrix,
-    ONE,
-    invert_unimodular,
-    power_product,
-    snf,
-)
+from logcy3.exactnum import IntMatrix, invert_unimodular, snf
+from logcy3.gaussian import ExactArithmeticError, GaussianRational, ONE, power_product
 from logcy3.fixtures import pair_fixtures, scaling_pair
 from logcy3.oracle import cocycle_period
 from logcy3.pair import LogCY3Pair, PairError

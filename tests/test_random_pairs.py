@@ -58,7 +58,8 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from logcy3.boundary import Marking, component_character_table, component_marked_period
-from logcy3.exactnum import MINUS_ONE, GaussianRational, IntMatrix, power_product_of, snf
+from logcy3.exactnum import IntMatrix, snf
+from logcy3.gaussian import MINUS_ONE, GaussianRational, power_product_of
 from logcy3.fixtures import projective_space_fan, triple_line_fan
 from logcy3.oracle import cocycle_period, curve_subdivision_check, point_subdivision_check
 from logcy3.pair import LogCY3Pair, PairError, PointBlowup

@@ -11,13 +11,8 @@ from hypothesis import strategies as st
 
 from logcy3 import boundary, exactnum, pair as pair_module, periods, toric, torelli
 from logcy3.boundary import Marking
-from logcy3.exactnum import (
-    ExactArithmeticError,
-    GaussianRational,
-    I,
-    IntMatrix,
-    power_product,
-)
+from logcy3.exactnum import IntMatrix
+from logcy3.gaussian import ExactArithmeticError, GaussianRational, I, power_product
 from logcy3.fixtures import (
     pair_fixtures,
     perturbed_conic_pair,

@@ -7,7 +7,7 @@ from math import gcd
 
 import pytest
 
-from logcy3.exactnum import MINUS_ONE
+from logcy3.gaussian import MINUS_ONE
 from logcy3.fixtures import projective_space_fan, toric_fixture_fans, triple_line_fan
 from logcy3 import toric
 from logcy3.pair import LogCY3Pair, PairError

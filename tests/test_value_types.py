@@ -9,7 +9,8 @@ for every field shown.
 import pytest
 
 from logcy3.boundary import ExceptionalClass, LooijengaComponent, Marking
-from logcy3.exactnum import GaussianRational, IntMatrix, SnfDecomposition
+from logcy3.exactnum import IntMatrix, SnfDecomposition
+from logcy3.gaussian import GaussianRational
 from logcy3.pair import CurveBlowup, PicVector, PointBlowup
 from logcy3.periods import PeriodCharacter
 from logcy3.torelli import Correspondence, Verdict
