@@ -300,7 +300,7 @@ def component_transport(
     return IntMatrix.from_columns(comp2.rank, columns)
 
 
-def boundary_map(pair, other, corr, transports) -> IntMatrix:
+def _boundary_map(pair, other, corr, transports) -> IntMatrix:
     """The correspondence's boundary map, from the pair's boundary lattice.
 
     Column ``j`` is the image of the pair's boundary basis class ``j``:
@@ -521,7 +521,7 @@ def _matched(pair: LogCY3Pair, other: LogCY3Pair, corr: Correspondence):
             "under the vertex bijection",
             {"check": "toric_model"},
         )
-    return frame_map, boundary_map(pair, other, corr, transports)
+    return frame_map, _boundary_map(pair, other, corr, transports)
 
 
 def decide_isomorphism(

@@ -21,16 +21,11 @@ survivor.  A full run takes about 105 s on a 2-vCPU x86-64 Xeon (CPython
 3.11), so pytest does not collect this file and Tier-1 does not run it.
 """
 
-import os
-import shutil
 import subprocess
 import sys
-import tempfile
 import time
-from pathlib import Path
 
-TESTS = Path(__file__).resolve().parent
-ROOT = TESTS.parent
+import child
 
 # The child runs pytest, then prints the file it imported the package from.
 _CHILD = (
@@ -58,10 +53,8 @@ def mutated(source: str, stmt) -> str:
     return "".join(lines)
 
 
-def _run(tests, env, **kwargs):
-    return subprocess.run(
-        [sys.executable, "-c", _CHILD, *tests], cwd=ROOT, env=env, timeout=TIMEOUT_S, **kwargs
-    )
+def _run(tree, tests, **kwargs):
+    return child.run(tree, _CHILD, tests, timeout=TIMEOUT_S, **kwargs)
 
 
 def main():
@@ -72,31 +65,22 @@ def main():
         (key, path, stmt, test_checks_reached.REACHED[key])
         for key, (path, stmt) in test_checks_reached.entries().items()
     ]
-    with tempfile.TemporaryDirectory(prefix=".mutants-", dir=ROOT) as tmp:
-        package = Path(tmp) / "logcy3"
-        shutil.copytree(
-            test_checks_reached.PACKAGE, package, ignore=shutil.ignore_patterns("__pycache__")
-        )
-        # No bytecode: two mutants of one file written within a second can
-        # share a size and a whole-second mtime, and a cached one would pass
-        # for the other.
-        env = dict(os.environ, PYTHONPATH=tmp, PYTHONDONTWRITEBYTECODE="1")
-        done = _run(sorted({test for *_, test in rows}), env, capture_output=True, text=True)
-        lines = done.stdout.splitlines()
-        imported = Path(lines[-1]) if lines else None
-        if done.returncode or imported != package / "__init__.py":
+    with child.package_tree(".mutants-") as tree:
+        done = _run(tree, sorted({test for *_, test in rows}), capture_output=True, text=True)
+        failure = child.failure(done, tree)
+        if failure:
             print(done.stdout, done.stderr, sep="")
-            print(f"the unmutated run exited {done.returncode} and imported {imported}")
+            print(f"the unmutated run {failure}")
             return 1
 
         survivors = 0
         for key, path, stmt, test in rows:
-            target = package / path.name
+            target = tree / "logcy3" / path.name
             source = target.read_text(encoding="utf-8")
             target.write_text(mutated(source, stmt), encoding="utf-8")
             try:
                 quiet = dict(stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-                killed = _run([test], env, **quiet).returncode != 0
+                killed = _run(tree, [test], **quiet).returncode != 0
             except subprocess.TimeoutExpired:
                 killed = True
             finally:

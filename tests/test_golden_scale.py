@@ -26,22 +26,20 @@ document, so the report can be regenerated and diffed.  Re-record
 deliberately with ``PYTHONPATH=src python tests/test_golden_scale.py``.
 """
 
-import contextlib
 import hashlib
-import io
 import json
 import pathlib
 import tempfile
 
 import pytest
 
-from logcy3.cli import main
 from logcy3.documents import dumps, pair_to_document
 from logcy3.gaussian import GaussianRational
 from logcy3.fixtures import scaling_pair, triple_line_fan
 from logcy3.pair import LogCY3Pair, PointBlowup
 from logcy3.toric import star_subdivide
 from stage_harness import family
+from test_golden_reports import run_report
 
 DATA = pathlib.Path(__file__).parent / "data"
 GOLDEN = DATA / "golden_scale.json"
@@ -81,13 +79,11 @@ def documents() -> dict:
     return docs
 
 
-def run_report(command, path):
+def digest(command, path):
     """Exit code and output digest of ``logcy3 --json <command> <path>``."""
-    files = [path, path] if command == "compare" else [path]
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = main(["--json", command, *files])
-    return {"exit": code, "sha256": hashlib.sha256(out.getvalue().encode()).hexdigest()}
+    report = run_report(command, path)
+    sha256 = hashlib.sha256(report["stdout"].encode()).hexdigest()
+    return {"exit": report["exit"], "sha256": sha256}
 
 
 def write_documents(directory) -> dict:
@@ -104,7 +100,7 @@ def record():
     with tempfile.TemporaryDirectory() as directory:
         paths = write_documents(directory)
         digests = {
-            f"{c} {n}": run_report(c, path) for c in COMMANDS for n, (path, _) in paths.items()
+            f"{c} {n}": digest(c, path) for c in COMMANDS for n, (path, _) in paths.items()
         }
     GOLDEN.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n", encoding="utf-8")
 
@@ -128,7 +124,7 @@ def test_every_document_is_recorded(golden, written):
 def test_report_digest_is_unchanged(golden, written, command, name):
     path, text = written[name]
     files = f"{path} {path}" if command == "compare" else path
-    assert run_report(command, path) == golden[f"{command} {name}"], (
+    assert digest(command, path) == golden[f"{command} {name}"], (
         f"report changed: logcy3 --json {command} {files}\ndocument {name}:\n{text}"
     )
 

@@ -696,7 +696,7 @@ def assert_edge_rows_carried(pair, other, corr):
             for column in periods.edge_matching_map(pair).columns
         ],
     )
-    boundary = torelli.boundary_map(pair, other, corr, dense_transports(pair, other, corr))
+    boundary = torelli._boundary_map(pair, other, corr, dense_transports(pair, other, corr))
     assert periods.edge_matching_map(other) * boundary == carried
 
 
@@ -894,7 +894,7 @@ class TestSparseBoundaryTransport:
         for pair, other in cases:
             corr = Correspondence.identity(pair)
             transports = dense_transports(pair, other, corr)
-            boundary = torelli.boundary_map(pair, other, corr, transports)
+            boundary = torelli._boundary_map(pair, other, corr, transports)
             length = boundary.rows
             columns = boundary.columns
             assert length == len(other.character_table(Marking.markers(other.edge_keys())))
