@@ -20,14 +20,13 @@ Coordinate conventions, fixed once for the whole package:
 
 from __future__ import annotations
 
-from functools import cached_property
-
 from logcy3.gaussian import (
     ExactArithmeticError,
     Frozen,
     GaussianRational,
     MINUS_ONE,
     ONE,
+    held_property,
     power_product_of,
     product,
 )
@@ -81,7 +80,7 @@ class Marking(Frozen):
         """The distinguished marking: the point -1 on every edge."""
         return Marking.build({frozenset(e): MINUS_ONE for e in edge_keys})
 
-    @cached_property
+    @held_property
     def _hash(self) -> int:
         return hash(self.points)
 
@@ -89,7 +88,7 @@ class Marking(Frozen):
         # Held, so looking up a held table under a marking hashes no point.
         return self._hash
 
-    @cached_property
+    @held_property
     def _by_edge(self) -> dict:
         # Read once per marking; the first point listed on an edge wins.
         by_edge = {}
@@ -168,7 +167,7 @@ class LooijengaComponent(Frozen):
         degrees = tuple(self.base.degree_on_ray(bt, i) for i in self.base.basis_indices)
         return degrees + tuple(-x for x in be)
 
-    @cached_property
+    @held_property
     def degree_table(self) -> tuple:
         """The nonzero edge degrees of each basis class, in basis order.
 
@@ -205,11 +204,6 @@ class LooijengaComponent(Frozen):
             vec = [0] * self.rank
             vec[i] = 1
             yield tuple(vec)
-
-    def exceptional_vector(self, index: int):
-        vec = [0] * self.rank
-        vec[self.base.rank + index] = 1
-        return tuple(vec)
 
 
 # ---------------------------------------------------------------------------

@@ -45,11 +45,17 @@ def _integer(value, context) -> int:
 
 
 def _integers(value, context, length=None) -> tuple:
-    """A JSON list of integers, of the given length if one is given."""
+    """A JSON list of integers, of the given length if one is given.
+
+    An entry's field path is formatted only when the entry is refused.
+    """
     _expect(value, list, context)
     if length is not None and len(value) != length:
         raise DocumentError(f"{context}: expected {length} entries, got {value!r}")
-    return tuple(_integer(x, f"{context}[{i}]") for i, x in enumerate(value))
+    for i, x in enumerate(value):
+        if type(x) is not int:
+            _integer(x, f"{context}[{i}]")
+    return tuple(value)
 
 
 def _vertex_key(key, context) -> int:
@@ -206,13 +212,12 @@ def _step_from_document(entry: dict, context: str):
         per_vertex = _field(entry, "points", context)
         points = {}
         for w, coords in sorted(_expect(per_vertex, dict, f"{context}.points").items()):
-            _expect(coords, list, f"{context}.points[{w}]")
+            where = f"{context}.points[{w}]"
+            _expect(coords, list, where)
             vertex = _vertex_key(w, f"{context}.points")
             if vertex in points:
                 raise DocumentError(f"{context}.points: vertex {vertex} listed twice")
-            points[vertex] = tuple(
-                _parse_coordinate(q, f"{context}.points[{w}]") for q in coords
-            )
+            points[vertex] = tuple(_parse_coordinate(q, where) for q in coords)
         return CurveBlowup(
             component=_integer(
                 _field(entry, "component", context), f"{context}.component"

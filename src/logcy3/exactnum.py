@@ -23,12 +23,11 @@ Everything here is immutable and pure.
 
 from __future__ import annotations
 
-from functools import cached_property
 from math import gcd
 
 from logcy3.gaussian import (
     ExactArithmeticError, Frozen, GaussianRational, ONE, MINUS_ONE, I, _reduced, _triple,
-    power_product_of,
+    held_property, power_product_of,
 )
 from logcy3.gaussian import product  # for benchmarks/inputs.py only; it moves with the benchmark
 
@@ -73,7 +72,7 @@ class IntMatrix(Frozen):
         object.__setattr__(self, "columns", columns)
         return self
 
-    @cached_property
+    @held_property
     def data(self) -> tuple:
         rows = [[0] * self.shape[1] for _ in range(self.shape[0])]
         for j, column in enumerate(self.columns):
@@ -81,7 +80,7 @@ class IntMatrix(Frozen):
                 rows[i][j] = x
         return tuple(map(tuple, rows))
 
-    @cached_property
+    @held_property
     def columns(self) -> tuple:
         columns = [[] for _ in range(self.shape[1])]
         for i, row in enumerate(self.data):

@@ -21,7 +21,8 @@ coercion of a ``Fraction`` operand and the read-only ``re``, ``im`` and
 is imported only where one is made.
 
 Everything here is immutable and pure.  :class:`Frozen` is the one base of
-the package's immutable values.  Reading a pair document and building a
+the package's immutable values, and :class:`held_property` holds what they
+derive on first use.  Reading a pair document and building a
 pair need only this module; the integer lattices are in
 :mod:`logcy3.exactnum`.
 """
@@ -46,10 +47,12 @@ class Frozen:
     ``==``, ``hash`` and ``repr`` read, in order: two values are equal when
     they have the same class and equal fields, and hash as the tuple of
     their fields.  A subclass that checks, converts or defaults its input
-    has its own constructor, which hands the fields on to this one; values
-    derived on construction are stored with ``object.__setattr__``, and
-    those derived on first use (``cached_property``) go straight into the
-    instance ``__dict__``.
+    has its own constructor, which hands the fields on to this one.  Values
+    derived on construction, and those derived on first use
+    (:class:`held_property`), are stored with ``object.__setattr__`` as
+    plain instance attributes.  Nothing reads the instance ``__dict__``:
+    reading it turns the instance's inline attributes into a real dict, and
+    every later attribute read of the instance is then about twice as slow.
     """
 
     __slots__ = ()
@@ -99,6 +102,32 @@ class Frozen:
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({fields})"
+
+
+class held_property:
+    """A value derived from an instance on first read, then held on it.
+
+    The first read computes the value and stores it as an instance
+    attribute of the same name, with ``object.__setattr__``, so a
+    :class:`Frozen` value can hold it; the attribute then shadows this
+    descriptor, which defines no ``__set__``, and later reads are plain
+    attribute reads.  Unlike ``functools.cached_property`` it never reads
+    the instance ``__dict__`` (see :class:`Frozen`).
+    """
+
+    def __init__(self, compute):
+        self.compute = compute
+        self.__doc__ = compute.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = self.compute(instance)
+        object.__setattr__(instance, self.name, value)
+        return value
 
 
 # ---------------------------------------------------------------------------

@@ -65,9 +65,10 @@ def point_subdivision_check(fan: Fan3, cone):
 def curve_subdivision_check(fan: Fan3, wall):
     """Check the curve-blowup tensor rules against a 1-stratum blowup.
 
-    The center is the invariant curve of the wall; the entries the build's
-    own rule (:func:`~logcy3.pair.curve_blowup_entries`) adds for it must
-    match the star-subdivided fan.
+    The center is the invariant curve of the wall; the entries that the
+    rule a pair's lattice data is derived with
+    (:func:`~logcy3.pair.curve_blowup_entries`) adds for it must match the
+    star-subdivided fan.
     """
     v, w = tuple(wall)
     sub = star_subdivide(fan, (v, w))

@@ -3,21 +3,26 @@
 A pair is a smooth complete toric threefold together with an ordered list
 of interior blowups: points on 1-strata of the boundary, or smooth rational
 curves inside a boundary component meeting the 1-strata transversely.
-Building a pair replays the program and caches everything downstream code
-needs: the threefold Picard basis (toric classes plus one exceptional class
-per step), the cubic intersection tensor, the boundary components as
-blown-up toric surfaces, and the restriction map to the boundary lattice.
-The toric layer (Picard basis, cubic tensor, star surfaces, toric
-restrictions and canonical class) is read off the fan's cones, walls and
-star surfaces once per fan and held on the fan, so every later pair on the
-same fan copies the tensor, shares the layer's restriction images, makes
-its components with its own edge orientations, and replays only its
-program.  Each step appends its own images and rewrites no earlier one
-(see :class:`~logcy3.toric.ToricLayer` for their format).
-A curve step checks its boundary data with one power product over the
-exceptional classes it touches, valued at the markers; the section-ratio
-path of :mod:`logcy3.boundary` is the reference for that value.  A build
-holds nothing on the pair.
+Building a pair checks the program and builds its boundary components as
+blown-up toric surfaces, and nothing more: the fan's verdict, each step's
+edge and coordinates (with the warning for a point at a marker), and for
+a curve step its class length, adjunction, boundary degrees, point counts
+and period obstruction.  A curve step checks its boundary data with one
+power product over the exceptional classes it touches, valued at the
+markers; the section-ratio path of :mod:`logcy3.boundary` is the reference
+for that value.  The build reads only the fan's held Picard basis and star
+surfaces, and holds nothing on the pair.
+
+The lattice data (the threefold Picard basis of toric classes plus one
+exceptional class per step, the cubic intersection tensor, the restriction
+images on the boundary components and the canonical class) is derived once,
+by its first reader, and then held on the pair.  It starts from the fan's
+toric layer (:class:`~logcy3.toric.ToricLayer`, computed on the first such
+read on the fan and held there, whose restriction images every pair on the
+fan shares) and replays what each step recorded in the build: for a point
+step the ranks its two components had before it, for a curve step its
+intersection vector and its images.  Each step appends its own images and
+tensor entries and rewrites no earlier one.
 """
 
 from __future__ import annotations
@@ -35,6 +40,8 @@ from logcy3.gaussian import (
 from logcy3.toric import (
     Fan3,
     FanError,
+    ToricPicBasis,
+    _star_surfaces,
     edge_reference_character,
     toric_layer,
     validate_fan,
@@ -82,17 +89,19 @@ class CurveBlowup(Frozen):
         return ()
 
 
-def curve_blowup_entries(pair: "LogCY3Pair", v: int, vector) -> dict:
+def curve_blowup_entries(pair, v: int, vector) -> dict:
     """The nonzero cubic entries that blowing up a curve in component ``v`` adds.
 
-    ``pair`` is read as it stands before the step, and ``vector`` is the
+    ``pair`` is a pair, or the lattice data of one being derived
+    (:class:`LatticeData`), read as it stands before the step: its
+    ``_restriction`` images and its ``canonical`` class.  ``vector`` is the
     curve's intersection vector on its component ``v``
     (:meth:`~logcy3.boundary.LooijengaComponent.intersection_vector`).  The
     exceptional class E takes the next index e.  Each class a meets the
     curve in ``a.C``, its restriction image on ``v`` dotted with the vector
     (reading 0 past the image's end), and gets ``(a, e, e) = -a.C``; then
-    ``E^3 = K.C + 2``, as the curve is smooth and rational.  The build and
-    the subdivision oracle both run this rule.
+    ``E^3 = K.C + 2``, as the curve is smooth and rational.  The derivation
+    of a pair's lattice data and the subdivision oracle both run this rule.
     """
     e_index = len(pair._restriction)
     entries = {}
@@ -105,6 +114,24 @@ def curve_blowup_entries(pair: "LogCY3Pair", v: int, vector) -> dict:
     if k_dot_c + 2:
         entries[(e_index, e_index, e_index)] = k_dot_c + 2
     return entries
+
+
+class LatticeData:
+    """A pair's cubic tensor, restriction images and canonical class.
+
+    ``tensor`` maps sorted index triples to the nonzero cubic entries;
+    ``_restriction[i]`` maps each component to basis class i's nonzero
+    image there, in the format of :class:`~logcy3.toric.ToricLayer`, whose
+    image dicts it shares; ``canonical`` is K in the Picard basis.  While
+    a pair's program is replayed, they describe the steps replayed so far,
+    which is how :func:`curve_blowup_entries` reads them; once derived,
+    they are held on the pair and never changed.
+    """
+
+    def __init__(self, tensor: dict, restriction: list, canonical):
+        self.tensor = tensor
+        self._restriction = restriction
+        self.canonical = canonical
 
 
 def pull_back_tensor(tensor: dict, mu: IntMatrix) -> dict:
@@ -143,8 +170,9 @@ class LogCY3Pair:
 
     Construct with :meth:`build`; instances are immutable in practice: after
     construction the only state that changes is the set of held derived
-    values (lattice maps, their factorizations, per-marking character
-    tables), each computed on first use and never changed afterwards.
+    values (the lattice data, lattice maps, their factorizations,
+    per-marking character tables), each computed on first use and never
+    changed afterwards.
     """
 
     def __init__(self):
@@ -152,6 +180,12 @@ class LogCY3Pair:
 
     @classmethod
     def build(cls, fan: Fan3, program=(), edge_orientations=None) -> "LogCY3Pair":
+        """Check a blowup program on ``fan`` and build its components.
+
+        Raises ``PairError`` with the first failed check.  The build
+        derives no lattice data: each step records only what its share of
+        the lattice data needs (see the module docstring).
+        """
         self = object.__new__(cls)
         diag = validate_fan(fan)
         if diag is not None:
@@ -160,11 +194,21 @@ class LogCY3Pair:
         self.program = tuple(program)
         self.complex = fan.dual_complex(edge_orientations)
         self.warnings = []
-        self._build_toric_layer()
+        self.toric_basis = ToricPicBasis.of(fan)
+        # The fan is valid, so its star surfaces are read unchecked; each
+        # component has this pair's edge orientations.
+        self.components = {}
+        for v, base in enumerate(_star_surfaces(fan)):
+            heads = tuple(
+                self.complex.directed_edge(v, w)[1] == v for w in base.labels
+            )
+            self.components[v] = LooijengaComponent(base, (), heads)
         # Held values are computed after the build; the build reads none.
         self._held = {}
         # The reference coordinates occupied on each edge, held for the build.
         self._occupied = {}
+        # What each step's share of the lattice data needs, in program order.
+        self._records = []
         for k, step in enumerate(self.program):
             if isinstance(step, PointBlowup):
                 self._apply_point(k, step)
@@ -177,22 +221,6 @@ class LogCY3Pair:
         return self
 
     # -- construction internals ---------------------------------------------
-
-    def _build_toric_layer(self):
-        # The fan holds the layer; copy the tensor the program extends, share
-        # the restriction images, and give each component this pair's edge
-        # orientations.  The tensor stores its nonzero entries only.
-        layer = toric_layer(self.fan)
-        self.toric_basis = layer.basis
-        self._tensor = dict(layer.tensor)
-        self._restriction = list(layer.restriction)
-        self.canonical = layer.canonical
-        self.components = {}
-        for v, base in enumerate(layer.surfaces):
-            heads = tuple(
-                self.complex.directed_edge(v, w)[1] == v for w in base.labels
-            )
-            self.components[v] = LooijengaComponent(base, (), heads)
 
     def _check_new_coordinate(self, k, v, w, q):
         if not isinstance(q, GaussianRational):
@@ -217,16 +245,11 @@ class LogCY3Pair:
         if not self.complex.has_edge(v, w):
             raise PairError(f"step {k}: {tuple(step.edge)} is not an edge")
         self._check_new_coordinate(k, v, w, step.coordinate)
-        e_index = self.toric_basis.rank + k
-        self._tensor[(e_index, e_index, e_index)] = 1
-        self.canonical = self.canonical + (2,)
-        images = {}
+        self._records.append((self.components[v].rank, self.components[w].rank))
         for u, other in ((v, w), (w, v)):
-            comp = self.components[u] = self.components[u].with_exceptional(
+            self.components[u] = self.components[u].with_exceptional(
                 ExceptionalClass(other, step.coordinate, k)
             )
-            images[u] = comp.exceptional_vector(len(comp.excs) - 1)
-        self._restriction.append(images)
 
     def _apply_curve(self, k: int, step: CurveBlowup):
         v = step.component
@@ -266,8 +289,6 @@ class LogCY3Pair:
                 )
             for q in coords:
                 self._check_new_coordinate(k, v, w, q)
-        self._tensor.update(curve_blowup_entries(self, v, vector))
-        self.canonical = self.canonical + (1,)
         # The period of E's restriction (a global class, hence trivial on the
         # boundary lattice) must be exactly 1.  At the markers it is 1 on
         # every toric class, so only v's exceptional classes the curve meets
@@ -289,7 +310,7 @@ class LogCY3Pair:
                 self.components[w] = self.components[w].with_exceptional(exc)
                 factors.append((marker_value(self.components[w], exc), 1))
             images[w] = (0,) * old_rank + (1,) * need
-        self._restriction.append(images)
+        self._records.append((vector, images))
         scalar = power_product_of(factors)
         if not scalar.is_one():
             raise PairError(
@@ -312,6 +333,16 @@ class LogCY3Pair:
         index = self.exceptional_index(step)
         return PicVector([int(a == index) for a in range(self.pic_rank)], "Y")
 
+    @property
+    def canonical(self) -> tuple:
+        """K in the Picard basis, from the held lattice data."""
+        return self._lattice().canonical
+
+    @property
+    def _restriction(self) -> list:
+        # Read by curve_blowup_entries, as it reads LatticeData.
+        return self._lattice()._restriction
+
     def canonical_class(self) -> PicVector:
         return PicVector(self.canonical, "Y")
 
@@ -333,11 +364,11 @@ class LogCY3Pair:
     def cubic_form(self, a, b, c) -> int:
         """The triple intersection product of three threefold classes."""
         va, vb, vc = (self.as_y_coords(x) for x in (a, b, c))
-        return symmetric_trilinear(self._tensor, va, vb, vc)
+        return symmetric_trilinear(self._lattice().tensor, va, vb, vc)
 
     def cubic_entries(self) -> dict:
         """The nonzero entries of the cubic tensor, under sorted index triples."""
-        return dict(self._tensor)
+        return dict(self._lattice().tensor)
 
     def entries_ending_at(self, index: int) -> tuple:
         """The nonzero stored entries ``((i, j, index), value)``, ``i <= j <= index``.
@@ -351,7 +382,7 @@ class LogCY3Pair:
 
     def _entries_by_last_index(self):
         groups = [[] for _ in range(self.pic_rank)]
-        for key, value in self._tensor.items():
+        for key, value in self._lattice().tensor.items():
             groups[key[2]].append((key, value))
         return tuple(tuple(group) for group in groups)
 
@@ -364,7 +395,7 @@ class LogCY3Pair:
             coords = x.coords
         else:
             coords = tuple(x)
-        if len(coords) != len(self._restriction):
+        if len(coords) != self.pic_rank:
             raise PairError("class length does not match the Picard rank")
         return coords
 
@@ -383,6 +414,34 @@ class LogCY3Pair:
             for images in self._restriction
         ]
         return IntMatrix.from_columns(total, columns)
+
+    def _lattice(self) -> LatticeData:
+        """The lattice data, derived by its first reader and then held."""
+        return self.held("lattice", LogCY3Pair._derive_lattice)
+
+    def _derive_lattice(self) -> LatticeData:
+        # The fan's toric layer, then each step's share in program order:
+        # a point's exceptional class E has E^3 = 1 and K-coordinate 2, and
+        # restricts to the new class on each end of its edge; a curve's
+        # entries come from curve_blowup_entries, its K-coordinate is 1.
+        layer = toric_layer(self.fan)
+        tensor = dict(layer.tensor)
+        data = LatticeData(tensor, list(layer.restriction), list(layer.canonical))
+        restriction, canonical = data._restriction, data.canonical
+        for step, record in zip(self.program, self._records):
+            e_index = len(restriction)
+            if isinstance(step, PointBlowup):
+                (v, w), (v_rank, w_rank) = step.edge, record
+                tensor[(e_index, e_index, e_index)] = 1
+                canonical.append(2)
+                restriction.append({v: (0,) * v_rank + (1,), w: (0,) * w_rank + (1,)})
+            else:
+                vector, images = record
+                tensor.update(curve_blowup_entries(data, step.component, vector))
+                canonical.append(1)
+                restriction.append(images)
+        data.canonical = tuple(canonical)
+        return data
 
     def held(self, key, compute):
         """The value ``compute(self)`` under ``key``, computed once per pair.

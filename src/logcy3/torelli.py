@@ -13,11 +13,9 @@ check's certificate.
 
 from __future__ import annotations
 
-from functools import cached_property
-
 from logcy3.boundary import Marking
 from logcy3.exactnum import IntMatrix, snf
-from logcy3.gaussian import Frozen, dot, power_product_of
+from logcy3.gaussian import Frozen, dot, held_property, power_product_of
 from logcy3.pair import CurveBlowup, LogCY3Pair, PairError, PointBlowup, pull_back_tensor
 from logcy3.periods import edge_matching_snf, matching_kernel, matching_lattice, matching_values
 from logcy3.toric import (
@@ -71,8 +69,8 @@ def classify_contraction(pair: LogCY3Pair, step: int):
 
     The triple is ``(E.l, K.l, E.K^2)`` for the extremal curve class l of
     the contraction, taken on the threefold just after the step.  It is
-    read off the pair itself: building replays the program in order, and
-    each step only appends its exceptional class, its canonical coordinate
+    read off the pair itself: its lattice data replays the program in order,
+    and each step only appends its exceptional class, its canonical coordinate
     and tensor entries whose largest index is that class.  So the pair
     truncated after the step has exactly the tensor entries with indices up
     to the step's exceptional index, and its canonical class is ``K`` with
@@ -217,12 +215,12 @@ class Correspondence(Frozen):
             tuple(range(len(pair.program))),
         )
 
-    @cached_property
+    @held_property
     def _images(self) -> dict:
         # Held once read; reversed, so the first image listed for a vertex wins.
         return dict(reversed(self.vertex_map))
 
-    @cached_property
+    @held_property
     def _overrides(self) -> dict:
         return dict(reversed(self.mu_components))
 

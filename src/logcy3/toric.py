@@ -3,9 +3,11 @@
 The fan is the source of every toric pair in this package: it carries the
 Picard presentation, the star surfaces of boundary components, the cubic
 intersection tensor (read off those surfaces), the dual complex with its
-orientation data, and the chart character of each 1-stratum.  The fan-only
-part of a pair build, the :class:`ToricLayer`, is computed once per fan and
-held on it, as are the fan's walls, the oriented ordering of each max cone and
+orientation data, and the chart character of each 1-stratum.  A pair
+build reads the fan's Picard basis and star surfaces only.  The fan-only
+part of a pair's lattice data, the :class:`ToricLayer`, is computed once per
+fan, when a pair's lattice data is first read, and held on it, as are the
+Picard basis, the fan's walls, the oriented ordering of each max cone and
 the link, dual frame and star surface at each ray: validation, the toric
 layer and the dual complex read each of them once.
 
@@ -27,13 +29,16 @@ integer elimination is needed.
 
 from __future__ import annotations
 
-from functools import cached_property
 from itertools import permutations
 from math import gcd
 from operator import mul
 from types import MappingProxyType
 
-from logcy3.gaussian import Frozen
+from logcy3.gaussian import Frozen, held_property
+
+
+# What Fan3._held reads for a value not held yet; None is a held verdict.
+_UNSET = object()
 
 
 class FanError(ValueError):
@@ -111,10 +116,10 @@ class Fan3(Frozen):
 
     # Derived data (the cone set, the walls, the determinant and oriented
     # ordering of each max cone, the cones, link, dual frame and star surface
-    # at each ray, the global sign, the verdict of validate_fan, the toric
-    # layer and the dual complex with default edge orientations) is computed
-    # on first use and held on the instance; it is not a field, so equality
-    # and hashing see the three fields only.  A star subdivision's output
+    # at each ray, the global sign, the verdict of validate_fan, the Picard
+    # basis, the toric layer and the dual complex with default edge
+    # orientations) is computed on first use and held on the instance; it is
+    # not a field, so equality and hashing see the three fields only.  A star subdivision's output
     # holds its verdict, global sign and cone set from its construction.
 
     def __init__(self, rays, max_cones, orientation=None):
@@ -138,13 +143,16 @@ class Fan3(Frozen):
         return len(self.rays)
 
     def _held(self, name, compute):
-        """The derived value ``name``, computed once and held on the fan."""
-        try:
-            return self.__dict__[name]
-        except KeyError:
+        """The derived value ``name``, computed once and held on the fan.
+
+        It is read as an attribute, never through ``__dict__`` (see
+        :class:`~logcy3.gaussian.Frozen`).
+        """
+        value = getattr(self, name, _UNSET)
+        if value is _UNSET:
             value = compute()
             object.__setattr__(self, name, value)
-            return value
+        return value
 
     def cone_set(self) -> frozenset:
         return self._held(
@@ -339,7 +347,7 @@ class DualComplex(Frozen):
             edges = tuple(walls)
         return DualComplex(tuple(range(fan.n_rays)), edges, fan.oriented_triangles())
 
-    @cached_property
+    @held_property
     def _edge_at(self) -> dict:
         # Read once per complex; the first edge listed on a wall wins.
         index = {}
@@ -359,7 +367,7 @@ class DualComplex(Frozen):
     def directed_edge(self, v: int, w: int):
         return self.edges[self.edge_index(v, w)]
 
-    @cached_property
+    @held_property
     def _triangle_at(self) -> dict:
         # Read once per complex; the first triangle listed on a directed
         # edge wins.
@@ -418,8 +426,12 @@ class ToricPicBasis(Frozen):
 
     @staticmethod
     def of(fan: Fan3) -> "ToricPicBasis":
+        """The basis with seed cone ``fan.max_cones[0]``, held on the fan."""
         seed = fan.max_cones[0]
-        return ToricPicBasis(fan, seed, tuple(v for v in range(fan.n_rays) if v not in seed))
+        return fan._held(
+            "_picard_basis",
+            lambda: ToricPicBasis(fan, seed, tuple(v for v in range(fan.n_rays) if v not in seed)),
+        )
 
     @property
     def rank(self) -> int:
@@ -602,7 +614,7 @@ class Fan2(Frozen):
     def rank(self) -> int:
         return self.n_rays - 2
 
-    @cached_property
+    @held_property
     def _dual(self) -> tuple:
         # Dual basis vectors m0, m1 of the seed rays 0, 1: <m_a, u_b> = delta.
         u0, u1 = self.rays[0], self.rays[1]
@@ -637,7 +649,7 @@ class Fan2(Frozen):
             if b >= 2
         )
 
-    @cached_property
+    @held_property
     def degree_rows(self) -> tuple:
         """The nonzero ``(label, degree)`` pairs of each basis class, held.
 
@@ -659,7 +671,7 @@ class Fan2(Frozen):
         """The class of the boundary cycle, the sum of the ray divisors, held."""
         return self._anticanonical
 
-    @cached_property
+    @held_property
     def _anticanonical(self) -> tuple:
         return self.reduce_ray_vector([1] * self.n_rays)
 
@@ -721,7 +733,7 @@ def _star_surfaces(fan: Fan3) -> tuple:
 
 
 class ToricLayer(Frozen):
-    """The fan-only part of every pair built on one fan.
+    """The fan-only part of the lattice data of every pair on one fan.
 
     ``tensor`` maps sorted basis index triples to the nonzero cubic entries
     of the toric classes, in ascending key order; ``surfaces[v]`` is the
@@ -734,8 +746,8 @@ class ToricLayer(Frozen):
     image was made; a pair's program appends one such dict per step, and
     the exceptional classes a component gains later read as 0 in every
     earlier image.  The layer is shared by all pairs on the fan and never
-    changed: a pair copies the tensor its program extends and shares the
-    image dicts.
+    changed: a pair's lattice data copies the tensor its program extends
+    and shares the image dicts.
     """
 
     _fields = ("basis", "tensor", "surfaces", "restriction", "canonical")

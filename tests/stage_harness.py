@@ -10,6 +10,9 @@ and 120), with 6/5 as many point steps, step k on wall ``k % walls`` in
 ``tests/test_golden_scale.py`` pins its 20-ray reports.  For each size it
 prints one row:
 
+- ``load``: :func:`~logcy3.documents.pair_from_document` on the family
+  pair's document, parsed untimed from its text, so each call reads the
+  fan into a fresh ``Fan3``: what ``logcy3 validate`` pays past the parse;
 - ``unmarked``: the unmarked period of a fresh build whose matching values
   are held, so the cell times the second marking's table and the
   marking-independence check;
@@ -48,6 +51,7 @@ import sys
 from time import perf_counter
 
 import logcy3
+from logcy3 import documents
 from logcy3.gaussian import GaussianRational, I
 from logcy3.fixtures import projective_space_fan
 from logcy3.pair import LogCY3Pair, PointBlowup
@@ -119,7 +123,9 @@ def stage_row(rays):
         matching_values(fresh)
         return (fresh,)
 
+    text = documents.dumps(documents.pair_to_document(pair))
     return {
+        "load": best_ms(documents.pair_from_document, lambda: (documents.loads(text),), repeats),
         "unmarked": best_ms(unmarked_period, held_values, repeats),
         "fresh": best_ms(decide_isomorphism, lambda: (build(), build()), repeats),
         "translate": best_ms(decide_isomorphism, translate, repeats),
@@ -162,7 +168,7 @@ def main(argv):
     if not argv:
         sizes = [12, 60, 120]
     if sizes:
-        print("| rays | unmarked | fresh | translate | perturbed | transport | chain |")
+        print("| rays | load | unmarked | fresh | translate | perturbed | transport | chain |")
     for rays in sizes:
         row = stage_row(rays)
         print(f"| {rays} | " + " | ".join(f"{row[k]:.2f}" for k in row) + " |", flush=True)

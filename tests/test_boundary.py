@@ -83,7 +83,7 @@ class TestRestriction:
         pair = pairs["p3-point"]
         comp = pair.components[0]
         assert len(comp.excs) == 1
-        vec = comp.exceptional_vector(0)
+        vec = list(comp.basis_vectors())[comp.base.rank]  # the exceptional class
         divisor = restrict_to_cycle(comp, vec)
         exc = comp.excs[0]
         assert divisor[exc.neighbor] == ((exc.coordinate, 1),)
@@ -112,7 +112,7 @@ class TestComponentPeriod:
         marking = Marking.markers(pair.edge_keys())
         comp = pair.components[0]
         a = next(iter(comp.basis_vectors()))
-        b = comp.exceptional_vector(0)
+        b = list(comp.basis_vectors())[comp.base.rank]  # the first exceptional class
         ab = tuple(x + y for x, y in zip(a, b))
         assert component_marked_period(comp, marking, ab) == component_marked_period(
             comp, marking, a

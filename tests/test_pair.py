@@ -1,6 +1,8 @@
 """Tests for blowup-program pairs: cubic tensor, restriction, validation."""
 
 import copy
+import json
+import pathlib
 import pickle
 import random
 import re
@@ -10,7 +12,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from logcy3 import exactnum, toric
+from logcy3 import cli, documents, exactnum, toric
 from logcy3 import pair as pair_module
 from logcy3 import boundary
 from logcy3.boundary import (
@@ -50,6 +52,8 @@ from logcy3.toric import (
     star_surface,
     toric_layer,
 )
+from stage_harness import family
+from test_golden_reports import NAMES, bundled
 
 
 @pytest.fixture(scope="module")
@@ -390,8 +394,38 @@ class TableCheckedPair(LogCY3Pair):
     component's rank and met with the curve by :func:`reference_intersection`;
     the period of the step's images is the product, over the components
     they name, of power products of each component's character table at
-    the markers.
+    the markers.  The reference keeps its lattice data eagerly: its tables
+    start from the toric layer, each step extends them as it is checked,
+    and they are held as the pair's lattice data, so the pair's lattice
+    reads return them.
     """
+
+    @classmethod
+    def build(cls, fan, program=(), edge_orientations=None):
+        pair = super().build(fan, program, edge_orientations)
+        pair._held["lattice"] = pair._tables()
+        return pair
+
+    def _tables(self):
+        """The eager tensor, images and canonical class of the steps so far."""
+        if not hasattr(self, "_eager"):
+            layer = toric_layer(self.fan)
+            self._eager = pair_module.LatticeData(
+                dict(layer.tensor), list(layer.restriction), layer.canonical
+            )
+        return self._eager
+
+    def _apply_point(self, k, step):
+        super()._apply_point(k, step)
+        tables = self._tables()
+        e_index = self.toric_basis.rank + k
+        tables.tensor[(e_index, e_index, e_index)] = 1
+        tables.canonical = tables.canonical + (2,)
+        # The new exceptional class on each end of the edge.
+        tables._restriction.append({
+            u: _unit(self.components[u].rank, self.components[u].rank - 1)
+            for u in step.edge
+        })
 
     def _apply_curve(self, k, step):
         v = step.component
@@ -420,20 +454,21 @@ class TableCheckedPair(LogCY3Pair):
                 )
             for q in coords:
                 self._check_new_coordinate(k, v, w, q)
+        tables = self._tables()
         e_index = self.toric_basis.rank + k
         k_dot_c = 0
-        for a, images in enumerate(self._restriction):
+        for a, images in enumerate(tables._restriction):
             if v not in images:
                 continue
             image = padded(images[v], comp.rank)
             a_dot_c = reference_intersection(comp, image, curve)
             if a_dot_c:
-                self._tensor[(a, e_index, e_index)] = -a_dot_c
-                k_dot_c += self.canonical[a] * a_dot_c
+                tables.tensor[(a, e_index, e_index)] = -a_dot_c
+                k_dot_c += tables.canonical[a] * a_dot_c
         # The tensor stores its nonzero entries only.
         if k_dot_c + 2:
-            self._tensor[(e_index, e_index, e_index)] = k_dot_c + 2
-        self.canonical = self.canonical + (1,)
+            tables.tensor[(e_index, e_index, e_index)] = k_dot_c + 2
+        tables.canonical = tables.canonical + (1,)
         images = {v: curve}
         for w in comp.neighbors:
             coords = step.points_on(w)
@@ -445,7 +480,7 @@ class TableCheckedPair(LogCY3Pair):
                     ExceptionalClass(v, q, k)
                 )
             images[w] = (0,) * old_rank + (1,) * len(coords)
-        self._restriction.append(images)
+        tables._restriction.append(images)
         markers = Marking.markers(self.edge_keys())
         scalar = product(
             power_product(component_character_table(self.components[u], markers), image)
@@ -503,9 +538,11 @@ def padded(image, rank):
 
 
 def layer_snapshot(pair):
-    """Copies of the parts of a pair that its toric layer seeds."""
+    """Copies of the parts of a pair that its toric layer seeds.
+
+    Reading them derives the pair's lattice data, if it is not held yet.
+    """
     return (
-        dict(pair._tensor),
         [dict(images) for images in pair._restriction],
         pair.canonical,
         pair.cubic_entries(),
@@ -547,7 +584,7 @@ class TestToricLayer:
     def test_closed_forms_match_the_dense_layer(self, fan):
         pair = LogCY3Pair.build(fan)
         tensor, restriction, canonical = dense_toric_layer(fan)
-        assert pair._tensor == tensor
+        assert pair.cubic_entries() == tensor
         # Only nonzero images are stored, so a stored zero image fails too.
         assert pair._restriction == [
             {v: image for v, image in images.items() if any(image)}
@@ -1078,6 +1115,76 @@ class TestHeldMarkers:
             pair = LogCY3Pair.build(fan, program, edges)
             assert pair._held == {}
         assert calls == {"component_character_table": 0, "point": 0}
+
+
+def count_lattice_work(monkeypatch):
+    """Count the toric layer's builds and the curve rule's calls.
+
+    The curve rule is counted through its module binding, the one the
+    derivation of a pair's lattice data calls.
+    """
+    calls = {"_compute_toric_layer": 0, "curve_blowup_entries": 0}
+    for module, name in ((toric, "_compute_toric_layer"), (pair_module, "curve_blowup_entries")):
+        monkeypatch.setattr(module, name, counting(calls, name, getattr(module, name)))
+    return calls
+
+
+def unread_documents():
+    """Each bundled file's text, and the family's at 20 rays, by name."""
+    texts = {name: pathlib.Path(bundled(name)).read_text(encoding="utf-8") for name in NAMES}
+    pair = LogCY3Pair.build(*family(20))
+    texts["family-20"] = documents.dumps(documents.pair_to_document(pair))
+    return [pytest.param(name, text, id=name) for name, text in texts.items()]
+
+
+class TestLatticeDataWaitsForItsFirstReader:
+    """A build checks; the tensor, images and canonical class wait for a reader."""
+
+    @pytest.mark.parametrize("name, text", unread_documents())
+    def test_validate_and_build_derive_none(self, monkeypatch, tmp_path, capsys, name, text):
+        path = tmp_path / f"{name}.pair.json"
+        path.write_text(text, encoding="utf-8")
+        loaded = []
+        load = documents.pair_from_document
+
+        def kept(doc):
+            loaded.append(load(doc))
+            return loaded[-1]
+
+        calls = count_lattice_work(monkeypatch)
+        monkeypatch.setattr(documents, "pair_from_document", kept)
+        assert cli.main(["--json", "validate", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["results"]["status"] == "ok"
+        (validated, _), = loaded
+        built = LogCY3Pair.build(
+            fresh_copy(validated.fan), validated.program, validated._orientations()
+        )
+        for pair in (validated, built):
+            assert not hasattr(pair.fan, "_toric_layer")
+            assert "lattice" not in pair._held
+        assert calls == {"_compute_toric_layer": 0, "curve_blowup_entries": 0}
+
+    @pytest.mark.parametrize("read", ["cubic_entries", "restriction_matrix"])
+    def test_the_first_read_derives_the_layer_once_per_fan(self, monkeypatch, read):
+        conic = conic_ladder_fan(12)
+        builds = [
+            (pair.fan, pair.program, pair._orientations()) for pair in pair_fixtures().values()
+        ] + [(*family(20), None), (conic, conic_ladder(conic, 8), None)]
+        for fan, program, edges in builds:
+            fan = fresh_copy(fan)
+            curves = sum(isinstance(step, CurveBlowup) for step in program)
+            calls = count_lattice_work(monkeypatch)
+            first = LogCY3Pair.build(fan, program, edges)
+            getattr(first, read)()
+            assert calls == {"_compute_toric_layer": 1, "curve_blowup_entries": curves}
+            getattr(first, read)()
+            second = LogCY3Pair.build(fan, program, edges)
+            assert second.cubic_entries() == first.cubic_entries()
+            assert calls == {"_compute_toric_layer": 1, "curve_blowup_entries": 2 * curves}
+            layer = toric_layer(fan)
+            for pair in (first, second):
+                assert all(a is b for a, b in zip(pair._restriction, layer.restriction))
+            monkeypatch.undo()
 
 
 def curve_points(*entries):

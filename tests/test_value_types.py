@@ -10,7 +10,7 @@ import pytest
 
 from logcy3.boundary import ExceptionalClass, LooijengaComponent, Marking
 from logcy3.exactnum import IntMatrix, SnfDecomposition
-from logcy3.gaussian import GaussianRational
+from logcy3.gaussian import Frozen, GaussianRational, held_property
 from logcy3.pair import CurveBlowup, PicVector, PointBlowup
 from logcy3.periods import PeriodCharacter
 from logcy3.torelli import Correspondence, Verdict
@@ -198,6 +198,25 @@ def test_marking_holds_its_hash():
     marking = Marking(((frozenset((0, 1)), G(-1)),))
     assert "_hash" not in vars(marking)
     assert hash(marking) == hash(marking.points) == vars(marking)["_hash"]
+
+
+def test_a_held_property_is_computed_once_and_held():
+    calls = []
+
+    class Value(Frozen):
+        _fields = ("x",)
+
+        @held_property
+        def double(self):
+            """Twice x."""
+            calls.append(self.x)
+            return 2 * self.x
+
+    value = Value(3)
+    assert value.double == value.double == 6 and calls == [3]
+    assert value == Value(3) and "double" not in repr(value)
+    # Read on the class, it is the descriptor, with its function's docstring.
+    assert Value.double.__doc__ == "Twice x."
 
 
 def test_derived_values_stay_out_of_equality():
