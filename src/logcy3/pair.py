@@ -19,10 +19,10 @@ images on the boundary components and the canonical class) is derived once,
 by its first reader, and then held on the pair.  It starts from the fan's
 toric layer (:class:`~logcy3.toric.ToricLayer`, computed on the first such
 read on the fan and held there, whose restriction images every pair on the
-fan shares) and replays what each step recorded in the build: for a point
-step the ranks its two components had before it, for a curve step its
-intersection vector and its images.  Each step appends its own images and
-tensor entries and rewrites no earlier one.
+fan shares) and replays what each step recorded in the build: its
+restriction images, and for a curve step its intersection vector.  Each
+step appends its own images and tensor entries and rewrites no earlier
+one.
 """
 
 from __future__ import annotations
@@ -245,7 +245,9 @@ class LogCY3Pair:
         if not self.complex.has_edge(v, w):
             raise PairError(f"step {k}: {tuple(step.edge)} is not an edge")
         self._check_new_coordinate(k, v, w, step.coordinate)
-        self._records.append((self.components[v].rank, self.components[w].rank))
+        # E restricts to the new class on each end of its edge.
+        images = {u: (0,) * self.components[u].rank + (1,) for u in (v, w)}
+        self._records.append((None, images))
         for u, other in ((v, w), (w, v)):
             self.components[u] = self.components[u].with_exceptional(
                 ExceptionalClass(other, step.coordinate, k)
@@ -421,25 +423,22 @@ class LogCY3Pair:
 
     def _derive_lattice(self) -> LatticeData:
         # The fan's toric layer, then each step's share in program order:
-        # a point's exceptional class E has E^3 = 1 and K-coordinate 2, and
-        # restricts to the new class on each end of its edge; a curve's
-        # entries come from curve_blowup_entries, its K-coordinate is 1.
+        # a point's exceptional class E has E^3 = 1 and K-coordinate 2; a
+        # curve's entries come from curve_blowup_entries, its K-coordinate
+        # is 1.  Each step's images were recorded in the build.
         layer = toric_layer(self.fan)
         tensor = dict(layer.tensor)
         data = LatticeData(tensor, list(layer.restriction), list(layer.canonical))
         restriction, canonical = data._restriction, data.canonical
-        for step, record in zip(self.program, self._records):
-            e_index = len(restriction)
+        for step, (vector, images) in zip(self.program, self._records):
             if isinstance(step, PointBlowup):
-                (v, w), (v_rank, w_rank) = step.edge, record
+                e_index = len(restriction)
                 tensor[(e_index, e_index, e_index)] = 1
                 canonical.append(2)
-                restriction.append({v: (0,) * v_rank + (1,), w: (0,) * w_rank + (1,)})
             else:
-                vector, images = record
                 tensor.update(curve_blowup_entries(data, step.component, vector))
                 canonical.append(1)
-                restriction.append(images)
+            restriction.append(images)
         data.canonical = tuple(canonical)
         return data
 
