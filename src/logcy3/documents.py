@@ -280,7 +280,7 @@ def _by_vertex(value, context, read) -> dict:
     return entries
 
 
-def _matrix(value, context) -> IntMatrix:
+def _matrix(value, context):
     from logcy3.exactnum import IntMatrix  # here, so that a pair document loads no lattice code
 
     rows = [

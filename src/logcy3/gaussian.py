@@ -202,18 +202,18 @@ class GaussianRational(Frozen):
     # -- accessors ----------------------------------------------------------
 
     @property
-    def re(self) -> Fraction:
+    def re(self):
         from fractions import Fraction
 
         return Fraction(self._a, self._d)
 
     @property
-    def im(self) -> Fraction:
+    def im(self):
         from fractions import Fraction
 
         return Fraction(self._b, self._d)
 
-    def norm(self) -> Fraction:
+    def norm(self):
         """The field norm ``re**2 + im**2``."""
         from fractions import Fraction
 

@@ -24,7 +24,7 @@ from logcy3.boundary import Marking, restrict_to_cycle, section_ratio
 from logcy3.exactnum import IntMatrix
 from logcy3.gaussian import GaussianRational, ONE
 from logcy3.pair import LogCY3Pair, PairError, PointBlowup, curve_blowup_entries, pull_back_tensor
-from logcy3.toric import Fan3, TripleIntersection, star_subdivide
+from logcy3.toric import Fan3, TripleIntersection, star_subdivide, toric_layer
 
 
 # ---------------------------------------------------------------------------
@@ -67,16 +67,21 @@ def curve_subdivision_check(fan: Fan3, wall):
 
     The center is the invariant curve of the wall; the entries that the
     rule a pair's lattice data is derived with
-    (:func:`~logcy3.pair.curve_blowup_entries`) adds for it must match the
-    star-subdivided fan.
+    (:func:`~logcy3.pair.curve_blowup_entries`) adds for it to the toric
+    pair's lattice data must match the star-subdivided fan.
     """
     v, w = tuple(wall)
     sub = star_subdivide(fan, (v, w))
     base_pair = LogCY3Pair.build(fan)
     comp = base_pair.components[v]
     curve = comp.base.ray_class(comp.base.ray_of_neighbor(w))
-    tensor = base_pair.cubic_entries()
-    tensor.update(curve_blowup_entries(base_pair, v, comp.intersection_vector(curve)))
+    layer = toric_layer(fan)
+    tensor = dict(layer.tensor)
+    tensor.update(
+        curve_blowup_entries(
+            layer.restriction, layer.canonical, v, comp.intersection_vector(curve)
+        )
+    )
     return _compare_against(sub, {v, w}, base_pair, tensor)
 
 

@@ -13,16 +13,16 @@ markers; the section-ratio path of :mod:`logcy3.boundary` is the reference
 for that value.  The build reads only the fan's held Picard basis and star
 surfaces, and holds nothing on the pair.
 
-The lattice data (the threefold Picard basis of toric classes plus one
-exceptional class per step, the cubic intersection tensor, the restriction
-images on the boundary components and the canonical class) is derived once,
-by its first reader, and then held on the pair.  It starts from the fan's
-toric layer (:class:`~logcy3.toric.ToricLayer`, computed on the first such
-read on the fan and held there, whose restriction images every pair on the
-fan shares) and replays what each step recorded in the build: its
-restriction images, and for a curve step its intersection vector.  Each
-step appends its own images and tensor entries and rewrites no earlier
-one.
+The lattice data (:class:`~logcy3.toric.LatticeData`: the cubic
+intersection tensor, the restriction images on the boundary components and
+the canonical class, in the threefold Picard basis of toric classes plus
+one exceptional class per step) is derived once, by its first reader, and
+then held on the pair.  It starts from the fan's toric layer, the lattice
+data of the empty program (computed on the first such read on the fan and
+held there, whose restriction images every pair on the fan shares), and
+replays what each step recorded in the build: its restriction images, and
+for a curve step its intersection vector.  Each step appends its own images
+and tensor entries and rewrites no earlier one.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from logcy3.gaussian import (
 from logcy3.toric import (
     Fan3,
     FanError,
+    LatticeData,
     ToricPicBasis,
     _star_surfaces,
     edge_reference_character,
@@ -89,13 +90,13 @@ class CurveBlowup(Frozen):
         return ()
 
 
-def curve_blowup_entries(pair, v: int, vector) -> dict:
+def curve_blowup_entries(restriction, canonical, v: int, vector) -> dict:
     """The nonzero cubic entries that blowing up a curve in component ``v`` adds.
 
-    ``pair`` is a pair, or the lattice data of one being derived
-    (:class:`LatticeData`), read as it stands before the step: its
-    ``_restriction`` images and its ``canonical`` class.  ``vector`` is the
-    curve's intersection vector on its component ``v``
+    ``restriction`` and ``canonical`` are the restriction images and the
+    canonical class of the lattice data before the step
+    (:class:`~logcy3.toric.LatticeData`).  ``vector`` is the curve's
+    intersection vector on its component ``v``
     (:meth:`~logcy3.boundary.LooijengaComponent.intersection_vector`).  The
     exceptional class E takes the next index e.  Each class a meets the
     curve in ``a.C``, its restriction image on ``v`` dotted with the vector
@@ -103,38 +104,20 @@ def curve_blowup_entries(pair, v: int, vector) -> dict:
     ``E^3 = K.C + 2``, as the curve is smooth and rational.  The derivation
     of a pair's lattice data and the subdivision oracle both run this rule.
     """
-    e_index = len(pair._restriction)
+    e_index = len(restriction)
     entries = {}
     k_dot_c = 0
-    for a, images in enumerate(pair._restriction):
+    for a, images in enumerate(restriction):
         a_dot_c = dot(images.get(v, ()), vector)
         if a_dot_c:
             entries[(a, e_index, e_index)] = -a_dot_c
-            k_dot_c += pair.canonical[a] * a_dot_c
+            k_dot_c += canonical[a] * a_dot_c
     if k_dot_c + 2:
         entries[(e_index, e_index, e_index)] = k_dot_c + 2
     return entries
 
 
-class LatticeData:
-    """A pair's cubic tensor, restriction images and canonical class.
-
-    ``tensor`` maps sorted index triples to the nonzero cubic entries;
-    ``_restriction[i]`` maps each component to basis class i's nonzero
-    image there, in the format of :class:`~logcy3.toric.ToricLayer`, whose
-    image dicts it shares; ``canonical`` is K in the Picard basis.  While
-    a pair's program is replayed, they describe the steps replayed so far,
-    which is how :func:`curve_blowup_entries` reads them; once derived,
-    they are held on the pair and never changed.
-    """
-
-    def __init__(self, tensor: dict, restriction: list, canonical):
-        self.tensor = tensor
-        self._restriction = restriction
-        self.canonical = canonical
-
-
-def pull_back_tensor(tensor: dict, mu: IntMatrix) -> dict:
+def pull_back_tensor(tensor: dict, mu) -> dict:
     """The nonzero entries of a symmetric cubic tensor pulled back along ``mu``.
 
     ``tensor`` holds its nonzero entries under sorted triples of ``mu``'s
@@ -196,12 +179,12 @@ class LogCY3Pair:
         self.warnings = []
         self.toric_basis = ToricPicBasis.of(fan)
         # The fan is valid, so its star surfaces are read unchecked; each
-        # component has this pair's edge orientations.
+        # component has this pair's edge orientations: v is the head of the
+        # edge toward w when (w, v) is a directed edge.
+        directed = set(self.complex.edges)
         self.components = {}
         for v, base in enumerate(_star_surfaces(fan)):
-            heads = tuple(
-                self.complex.directed_edge(v, w)[1] == v for w in base.labels
-            )
+            heads = tuple((w, v) in directed for w in base.labels)
             self.components[v] = LooijengaComponent(base, (), heads)
         # Held values are computed after the build; the build reads none.
         self._held = {}
@@ -340,11 +323,6 @@ class LogCY3Pair:
         """K in the Picard basis, from the held lattice data."""
         return self._lattice().canonical
 
-    @property
-    def _restriction(self) -> list:
-        # Read by curve_blowup_entries, as it reads LatticeData.
-        return self._lattice()._restriction
-
     def canonical_class(self) -> PicVector:
         return PicVector(self.canonical, "Y")
 
@@ -401,7 +379,7 @@ class LogCY3Pair:
             raise PairError("class length does not match the Picard rank")
         return coords
 
-    def restriction_matrix(self) -> IntMatrix:
+    def restriction_matrix(self):
         """Matrix of the restriction map, boundary lattice by threefold basis."""
         from logcy3.exactnum import IntMatrix  # here, so that a build loads no lattice code
 
@@ -413,7 +391,7 @@ class LogCY3Pair:
                 for i, x in enumerate(images[v])
                 if x
             ]
-            for images in self._restriction
+            for images in self._lattice().restriction
         ]
         return IntMatrix.from_columns(total, columns)
 
@@ -428,19 +406,20 @@ class LogCY3Pair:
         # is 1.  Each step's images were recorded in the build.
         layer = toric_layer(self.fan)
         tensor = dict(layer.tensor)
-        data = LatticeData(tensor, list(layer.restriction), list(layer.canonical))
-        restriction, canonical = data._restriction, data.canonical
+        restriction = list(layer.restriction)
+        canonical = list(layer.canonical)
         for step, (vector, images) in zip(self.program, self._records):
             if isinstance(step, PointBlowup):
                 e_index = len(restriction)
                 tensor[(e_index, e_index, e_index)] = 1
                 canonical.append(2)
             else:
-                tensor.update(curve_blowup_entries(data, step.component, vector))
+                tensor.update(
+                    curve_blowup_entries(restriction, canonical, step.component, vector)
+                )
                 canonical.append(1)
             restriction.append(images)
-        data.canonical = tuple(canonical)
-        return data
+        return LatticeData(tensor, tuple(restriction), tuple(canonical))
 
     def held(self, key, compute):
         """The value ``compute(self)`` under ``key``, computed once per pair.

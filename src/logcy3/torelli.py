@@ -167,12 +167,13 @@ def reconstruct_fan(data: ToricIntersectionData) -> Fan3:
 # ---------------------------------------------------------------------------
 
 
-def complexity(pair: LogCY3Pair, decomposition) -> Fraction:
+def complexity(pair: LogCY3Pair, decomposition):
     """``3 + (rank of the span of the classes) - (sum of the weights)``.
 
     ``decomposition`` is an iterable of (weight, class) entries with
     nonnegative rational weights and threefold classes, each read as
-    :meth:`~logcy3.pair.LogCY3Pair.cubic_form` reads its arguments.
+    :meth:`~logcy3.pair.LogCY3Pair.cubic_form` reads its arguments.  The
+    value is a ``Fraction``.
     """
     from fractions import Fraction  # here, so that a comparison loads no ``fractions``
 

@@ -4,9 +4,10 @@ The fan is the source of every toric pair in this package: it carries the
 Picard presentation, the star surfaces of boundary components, the cubic
 intersection tensor (read off those surfaces), the dual complex with its
 orientation data, and the chart character of each 1-stratum.  A pair
-build reads the fan's Picard basis and star surfaces only.  The fan-only
-part of a pair's lattice data, the :class:`ToricLayer`, is computed once per
-fan, when a pair's lattice data is first read, and held on it, as are the
+build reads the fan's Picard basis and star surfaces only.  The lattice
+data of a pair (:class:`LatticeData`) starts from the toric layer, the
+lattice data of the fan's empty program, which is computed once per fan,
+when a pair's lattice data is first read, and held on it, as are the
 Picard basis, the fan's walls, the oriented ordering of each max cone and
 the link, dual frame and star surface at each ray: validation, the toric
 layer and the dual complex read each of them once.
@@ -728,40 +729,40 @@ def _star_surfaces(fan: Fan3) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# The toric layer of a pair build, held per fan
+# Lattice data, and the toric layer held per fan
 # ---------------------------------------------------------------------------
 
 
-class ToricLayer(Frozen):
-    """The fan-only part of the lattice data of every pair on one fan.
+class LatticeData(Frozen):
+    """A pair's cubic tensor, restriction images and canonical class.
 
-    ``tensor`` maps sorted basis index triples to the nonzero cubic entries
-    of the toric classes, in ascending key order; ``surfaces[v]`` is the
-    star surface of vertex v;
-    ``canonical`` is K in the Picard basis.
+    ``tensor`` maps sorted basis index triples to the nonzero cubic
+    entries; ``canonical`` is K in the Picard basis.  ``restriction[i]``
+    maps a component v to the restriction of basis class i to v, in v's
+    basis, and names only the components where that image is nonzero.  An
+    image tuple has the rank its component had when the image was made: a
+    pair's program appends one such dict per step, and the exceptional
+    classes a component gains later read as 0 in every earlier image.
 
-    ``restriction[i]`` maps a component v to the restriction of basis class
-    i to v, in v's basis, and names only the components where that image
-    is nonzero.  An image tuple has the rank its component had when the
-    image was made; a pair's program appends one such dict per step, and
-    the exceptional classes a component gains later read as 0 in every
-    earlier image.  The layer is shared by all pairs on the fan and never
-    changed: a pair's lattice data copies the tensor its program extends
-    and shares the image dicts.
+    The toric layer of a fan (:func:`toric_layer`) is the lattice data of
+    its empty program, shared by all pairs on the fan: a pair's lattice
+    data copies the tensor its program extends and shares the image dicts.
+    Nothing changes a value once made.
     """
 
-    _fields = ("basis", "tensor", "surfaces", "restriction", "canonical")
-    # One layer per fan, compared and hashed by identity.
+    _fields = ("tensor", "restriction", "canonical")
+    # The tensor is a dict: values compare and hash by identity.
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
 
-def toric_layer(fan: Fan3) -> ToricLayer:
-    """The toric layer of ``fan``, computed on first use and held on the fan."""
+def toric_layer(fan: Fan3) -> LatticeData:
+    """The lattice data of ``fan``'s empty program, computed on first use
+    and held on the fan."""
     return fan._held("_toric_layer", lambda: _compute_toric_layer(fan))
 
 
-def _compute_toric_layer(fan: Fan3) -> ToricLayer:
+def _compute_toric_layer(fan: Fan3) -> LatticeData:
     surfaces = _checked_surfaces(fan)
     basis = ToricPicBasis.of(fan)
     index = {ray: i for i, ray in enumerate(basis.basis_rays)}
@@ -800,7 +801,7 @@ def _compute_toric_layer(fan: Fan3) -> ToricLayer:
             entries.append(((i, i, i), base.square(normal)))
     tensor = {key: value for key, value in sorted(entries) if value}
     canonical = tuple([-x for x in basis.anticanonical()])
-    return ToricLayer(basis, tensor, surfaces, tuple(restriction), canonical)
+    return LatticeData(tensor, tuple(restriction), canonical)
 
 
 # ---------------------------------------------------------------------------
@@ -971,7 +972,7 @@ class ToricIntersectionData(Frozen):
 
     @staticmethod
     def of_fan(fan: Fan3) -> "ToricIntersectionData":
-        surfaces = toric_layer(fan).surfaces
+        surfaces = _checked_surfaces(fan)
         cones = frozenset(frozenset(c) for c in fan.max_cones)
         wall_curves = {}
         for wall in fan.walls():

@@ -91,8 +91,13 @@ def curve_inputs(fan, wall):
     pair = LogCY3Pair.build(fan)
     comp = pair.components[v]
     curve = comp.base.ray_class(comp.base.ray_of_neighbor(w))
+    lattice = pair._lattice()
     tensor = pair.cubic_entries()
-    tensor.update(curve_blowup_entries(pair, v, comp.intersection_vector(curve)))
+    tensor.update(
+        curve_blowup_entries(
+            lattice.restriction, lattice.canonical, v, comp.intersection_vector(curve)
+        )
+    )
     return star_subdivide(fan, wall), {v, w}, pair, tensor
 
 
@@ -165,9 +170,9 @@ class TestTheCurveCheckRunsTheBuildsRule:
     def test_off_by_one_rule_fails_the_check_and_changes_a_build(self, pairs, monkeypatch):
         original = pair_module.curve_blowup_entries
 
-        def off_by_one(pair, v, curve):
-            entries = original(pair, v, curve)
-            e = len(pair.canonical)
+        def off_by_one(restriction, canonical, v, curve):
+            entries = original(restriction, canonical, v, curve)
+            e = len(canonical)
             entries[(e, e, e)] = entries.get((e, e, e), 0) + 1
             return entries
 

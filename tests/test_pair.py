@@ -40,11 +40,12 @@ from logcy3.pair import (
     validate_pair,
 )
 from logcy3.periods import quotient_character, unmarked_period
-from logcy3.torelli import decide_isomorphism
+from logcy3.torelli import decide_isomorphism, reconstruct_fan
 from logcy3.toric import (
     DualComplex,
     Fan2,
     Fan3,
+    ToricIntersectionData,
     ToricPicBasis,
     TripleIntersection,
     edge_reference_character,
@@ -394,35 +395,36 @@ class TableCheckedPair(LogCY3Pair):
     component's rank and met with the curve by :func:`reference_intersection`;
     the period of the step's images is the product, over the components
     they name, of power products of each component's character table at
-    the markers.  The reference keeps its lattice data eagerly: its tables
-    start from the toric layer, each step extends them as it is checked,
-    and they are held as the pair's lattice data, so the pair's lattice
-    reads return them.
+    the markers.  The reference keeps its lattice data eagerly, in its own
+    lists: its tables start from the toric layer, each step extends them as
+    it is checked, and the build holds them as the pair's lattice data, so
+    the pair's lattice reads return them.
     """
 
     @classmethod
     def build(cls, fan, program=(), edge_orientations=None):
         pair = super().build(fan, program, edge_orientations)
-        pair._held["lattice"] = pair._tables()
+        tensor, restriction, canonical = pair._tables()
+        pair._held["lattice"] = toric.LatticeData(tensor, tuple(restriction), tuple(canonical))
         return pair
 
     def _tables(self):
         """The eager tensor, images and canonical class of the steps so far."""
         if not hasattr(self, "_eager"):
             layer = toric_layer(self.fan)
-            self._eager = pair_module.LatticeData(
-                dict(layer.tensor), list(layer.restriction), layer.canonical
+            self._eager = (
+                dict(layer.tensor), list(layer.restriction), list(layer.canonical)
             )
         return self._eager
 
     def _apply_point(self, k, step):
         super()._apply_point(k, step)
-        tables = self._tables()
+        tensor, restriction, canonical = self._tables()
         e_index = self.toric_basis.rank + k
-        tables.tensor[(e_index, e_index, e_index)] = 1
-        tables.canonical = tables.canonical + (2,)
+        tensor[(e_index, e_index, e_index)] = 1
+        canonical.append(2)
         # The new exceptional class on each end of the edge.
-        tables._restriction.append({
+        restriction.append({
             u: _unit(self.components[u].rank, self.components[u].rank - 1)
             for u in step.edge
         })
@@ -454,21 +456,21 @@ class TableCheckedPair(LogCY3Pair):
                 )
             for q in coords:
                 self._check_new_coordinate(k, v, w, q)
-        tables = self._tables()
+        tensor, restriction, canonical = self._tables()
         e_index = self.toric_basis.rank + k
         k_dot_c = 0
-        for a, images in enumerate(tables._restriction):
+        for a, images in enumerate(restriction):
             if v not in images:
                 continue
             image = padded(images[v], comp.rank)
             a_dot_c = reference_intersection(comp, image, curve)
             if a_dot_c:
-                tables.tensor[(a, e_index, e_index)] = -a_dot_c
-                k_dot_c += tables.canonical[a] * a_dot_c
+                tensor[(a, e_index, e_index)] = -a_dot_c
+                k_dot_c += canonical[a] * a_dot_c
         # The tensor stores its nonzero entries only.
         if k_dot_c + 2:
-            tables.tensor[(e_index, e_index, e_index)] = k_dot_c + 2
-        tables.canonical = tables.canonical + (1,)
+            tensor[(e_index, e_index, e_index)] = k_dot_c + 2
+        canonical.append(1)
         images = {v: curve}
         for w in comp.neighbors:
             coords = step.points_on(w)
@@ -480,7 +482,7 @@ class TableCheckedPair(LogCY3Pair):
                     ExceptionalClass(v, q, k)
                 )
             images[w] = (0,) * old_rank + (1,) * len(coords)
-        tables._restriction.append(images)
+        restriction.append(images)
         markers = Marking.markers(self.edge_keys())
         scalar = product(
             power_product(component_character_table(self.components[u], markers), image)
@@ -499,7 +501,7 @@ def build_outcome(cls, fan, program, edges):
         pair = cls.build(fan, program, edges)
     except PairError as exc:
         return str(exc)
-    return pair.cubic_entries(), pair._restriction, pair.canonical, pair.warnings
+    return pair.cubic_entries(), pair._lattice().restriction, pair.canonical, pair.warnings
 
 
 def snf_star_surface(fan, v):
@@ -543,7 +545,7 @@ def layer_snapshot(pair):
     Reading them derives the pair's lattice data, if it is not held yet.
     """
     return (
-        [dict(images) for images in pair._restriction],
+        [dict(images) for images in pair._lattice().restriction],
         pair.canonical,
         pair.cubic_entries(),
         pair.restriction_matrix().data,
@@ -586,7 +588,7 @@ class TestToricLayer:
         tensor, restriction, canonical = dense_toric_layer(fan)
         assert pair.cubic_entries() == tensor
         # Only nonzero images are stored, so a stored zero image fails too.
-        assert pair._restriction == [
+        assert list(pair._lattice().restriction) == [
             {v: image for v, image in images.items() if any(image)}
             for images in restriction
         ]
@@ -793,8 +795,8 @@ class TestToricLayer:
         before = [dict(images) for images in layer.restriction]
         for program, edges in alias_builds(fan):
             pair = LogCY3Pair.build(shared, program, edges)
-            assert all(a is b for a, b in zip(pair._restriction, layer.restriction))
-            for images in pair._restriction:
+            assert all(a is b for a, b in zip(pair._lattice().restriction, layer.restriction))
+            for images in pair._lattice().restriction:
                 for v, image in images.items():
                     assert any(image)
                     assert len(image) <= pair.components[v].rank
@@ -810,7 +812,7 @@ class TestToricLayer:
                     for v, comp in sorted(pair.components.items())
                     for x in padded(images.get(v, ()), comp.rank)
                 )
-                for images in pair._restriction
+                for images in pair._lattice().restriction
             ]
             matrix = pair.restriction_matrix()
             assert matrix.data == tuple(zip(*columns))
@@ -1183,8 +1185,31 @@ class TestLatticeDataWaitsForItsFirstReader:
             assert calls == {"_compute_toric_layer": 1, "curve_blowup_entries": 2 * curves}
             layer = toric_layer(fan)
             for pair in (first, second):
-                assert all(a is b for a, b in zip(pair._restriction, layer.restriction))
+                assert all(a is b for a, b in zip(pair._lattice().restriction, layer.restriction))
             monkeypatch.undo()
+
+
+    def test_a_fan_reconstruction_derives_none(self, monkeypatch):
+        # The intersection data reads the held star surfaces; neither its
+        # extraction nor the round trip's own comparison builds a toric layer.
+        calls = count_lattice_work(monkeypatch)
+        fan = fresh_copy(projective_space_fan())
+        rebuilt = reconstruct_fan(ToricIntersectionData.of_fan(fan))
+        assert rebuilt.n_rays == fan.n_rays
+        assert calls == {"_compute_toric_layer": 0, "curve_blowup_entries": 0}
+
+
+@pytest.mark.parametrize("name, text", unread_documents())
+def test_a_build_reads_the_head_sides_off_the_edges(monkeypatch, name, text):
+    # Loading builds the pair; a second build on a fresh fan builds its own
+    # components.  Neither looks an edge up per wall.
+    calls = {"edge_index": 0}
+    monkeypatch.setattr(
+        DualComplex, "edge_index", counting(calls, "edge_index", DualComplex.edge_index)
+    )
+    pair, _ = documents.pair_from_document(documents.loads(text))
+    LogCY3Pair.build(fresh_copy(pair.fan), pair.program, pair._orientations())
+    assert calls == {"edge_index": 0}
 
 
 def curve_points(*entries):

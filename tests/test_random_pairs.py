@@ -2,11 +2,14 @@
 
 A pair is drawn over the projective threefold or the product of three
 projective lines, star-subdivided at seeded cones and walls, with point
-blowups on random walls at small Gaussian coordinates.  Every property
-checked here holds in any basis of the matching lattice:
+blowups on random walls at small Gaussian coordinates, and in some draws a
+curve blowup after them: a curve in a drawn component, in the class of a
+star-surface ray of nonnegative square, with its points solved so that
+its period is one.  Every property checked here holds in any basis of the
+matching lattice:
 
 * every drawn program builds: its walls are drawn first, then distinct
-  coordinates on each, then the order of its steps;
+  coordinates on each, then the order of its steps, then the curve;
 * the tensor stores its nonzero entries only;
 * each step's kind fixes its contraction type: 2 for a point, 1 for a curve;
 * the markers' period is one on the restriction of every threefold class;
@@ -21,22 +24,24 @@ checked here holds in any basis of the matching lattice:
   the transporter aligns: for each boundary basis class e,
   ``value(pair, e) * scaling(e) == value(translate, e)``;
 * a pair is isomorphic to its relabelling under a drawn permutation of the
-  rays, with the cones, orientation datum, edge orientations and point
-  steps carried along, through the permutation's correspondence: the
-  transcript is the unmarked period, and the transporter solves;
+  rays, with the cones (listed in reverse order), orientation datum, edge
+  orientations and steps carried along, each curve class rewritten in the
+  relabelled component's basis, through the permutation's correspondence:
+  the transcript is the unmarked period, and the transporter solves;
 * through a drawn permutation of its steps, a pair against itself gets a
-  structural verdict (``step_place`` for points on other walls), or a
-  verdict on the periods;
+  structural verdict (``step_place`` for points on other walls,
+  ``cubic_form`` when the curve's exceptional class goes to a point's), or
+  a verdict on the periods;
 * through an explicit map of a drawn component that shuffles its
   exceptional classes, ``component_edges`` exactly when a class moves to
   another edge, and otherwise a verdict on the periods; a map for a vertex
   the pair lacks raises ``CorrespondenceError``;
-* through the identity ``mu`` with two drawn exceptional columns swapped,
-  ``exceptional_match`` at the later of the two steps;
+* through the identity ``mu`` with the exceptional columns of two drawn
+  point steps swapped, ``exceptional_match`` at the later of the two;
 * wherever a correspondence gets past the structural checks, the boundary
   map carries the edge-matching map's rows to the image edges, signed, so
   it carries the matching lattice into the partner's;
-* with one point coordinate moved by 3/2, decide says ``distinct`` at
+* with the coordinate of a drawn point step moved by 3/2, decide says ``distinct`` at
   ``period``, with a witness in the matching lattice whose image is in the
   partner's and whose two values differ; otherwise the move is a torus
   translate, ``complete``;
@@ -63,7 +68,7 @@ from logcy3.exactnum import IntMatrix, snf
 from logcy3.gaussian import MINUS_ONE, GaussianRational, power_product_of
 from logcy3.fixtures import projective_space_fan, triple_line_fan
 from logcy3.oracle import cocycle_period, curve_subdivision_check, point_subdivision_check
-from logcy3.pair import LogCY3Pair, PairError, PointBlowup
+from logcy3.pair import CurveBlowup, LogCY3Pair, PairError, PointBlowup
 from logcy3.periods import (
     _alternative_marking,
     edge_matching_map,
@@ -80,8 +85,8 @@ from logcy3.torelli import (
     decide_isomorphism,
     marking_transporter,
 )
-from logcy3.toric import Fan3
-from test_pair import ladder_fans
+from logcy3.toric import Fan3, star_surface
+from test_pair import ladder_fans, solved_curve_step
 from test_torelli import assert_edge_rows_carried, inverse
 
 BASES = (projective_space_fan(), triple_line_fan())
@@ -93,17 +98,39 @@ coordinates = st.builds(
 GRID = [GaussianRational(a, b) for a in range(-3, 4) for b in range(-3, 4) if a or b]
 
 
+def drawn_curve_step(fan, program, rng):
+    """A curve after ``program``, in a component drawn by ``rng``.
+
+    Its class is that of a ray of nonnegative square in the component's
+    star surface, drawn among such rays, and a general member of the class
+    is a smooth rational curve; its points start at 101, off the drawn
+    coordinates, and are solved so that its period is one.
+    """
+    pair = LogCY3Pair.build(fan, program)
+    rays = {}
+    for comp in pair.boundary_components():
+        for ray in range(comp.base.n_rays):
+            if comp.base.self_intersection(ray) >= 0:
+                rays.setdefault(comp.vertex, []).append(ray)
+    v = rng.choice(sorted(rays))
+    comp = pair.components[v]
+    curve = comp.base.ray_class(rng.choice(rays[v])) + (0,) * len(comp.excs)
+    return solved_curve_step(pair, v, curve, 101)
+
+
 @st.composite
 def random_cases(draw):
-    """A subdivided fan, a point program, a wall, a cone and a torus element.
+    """A subdivided fan, a program, a wall, a cone and a torus element.
 
     The program's walls are drawn first, none to five of them, then one or
     two distinct coordinates on each, then the order of the steps, so every
-    drawn program builds; a program with no wall is the toric pair of the
-    subdivided fan.  The wall, cone and torus element come from one
-    drawn random generator: they are not in the pair's document, and
-    hypothesis, which varies the parts of a case drawn alike, would
-    otherwise repeat the document of a case with only them changed.
+    drawn point program builds; a program with no wall is the toric pair of
+    the subdivided fan.  In about one draw in three a curve step follows
+    (:func:`drawn_curve_step`).  Whether it does, where, and the wall, cone
+    and torus element come from one drawn random generator: the last three
+    are not in the pair's document, and hypothesis, which varies the parts
+    of a case drawn alike, would otherwise repeat the document of a case
+    with only them changed.
     """
     base = draw(st.sampled_from(BASES))
     size = draw(st.integers(base.n_rays, 16))
@@ -116,6 +143,8 @@ def random_cases(draw):
     ]
     program = draw(st.permutations(steps))
     rng = draw(st.randoms(use_true_random=True))
+    if rng.random() < 1 / 3:
+        program.append(drawn_curve_step(fan, program, rng))
     wall = rng.choice(walls)
     cone = rng.choice(fan.max_cones)
     torus_element = tuple(rng.choice(GRID) for _ in range(3))
@@ -147,8 +176,26 @@ def assert_swapped_agrees(pair, other, corr, verdict, status):
     assert (status_back == "solved") == (status == "solved")
 
 
+def rewritten(curve, base, base2, sigma):
+    """A class of the component with star surface ``base``, in the basis of
+    ``base2``, that surface with each ray label w renamed ``sigma[w]``.
+
+    The toric part goes through the ray divisors; the exceptional part is
+    kept, as the relabelled component gains its classes in the same order.
+    """
+    coeffs = dict.fromkeys(base2.labels, 0)
+    for x, ray in zip(curve, base.basis_indices):
+        coeffs[sigma[base.labels[ray]]] = x
+    toric = base2.reduce_ray_vector([coeffs[w] for w in base2.labels])
+    return tuple(toric) + tuple(curve[base.rank:])
+
+
 def relabelled(pair, sigma):
-    """The pair with ray i renamed ``sigma[i]``, and everything carried along."""
+    """The pair with ray i renamed ``sigma[i]``, and everything carried along.
+
+    The cones are listed in reverse order, so a link may start at another
+    ray and a component's basis change: each curve class is rewritten.
+    """
     fan = pair.fan
     rays = [None] * fan.n_rays
     for i, ray in enumerate(fan.rays):
@@ -156,13 +203,20 @@ def relabelled(pair, sigma):
     triangle, sign = fan.orientation
     fan2 = Fan3(
         rays,
-        [tuple(sigma[i] for i in cone) for cone in fan.max_cones],
+        [tuple(sigma[i] for i in cone) for cone in reversed(fan.max_cones)],
         (tuple(sigma[i] for i in triangle), sign),
     )
-    program = [
-        PointBlowup(tuple(sigma[v] for v in step.edge), step.coordinate)
-        for step in pair.program
-    ]
+    program = []
+    for step in pair.program:
+        if isinstance(step, PointBlowup):
+            program.append(PointBlowup(tuple(sigma[v] for v in step.edge), step.coordinate))
+        else:
+            v = step.component
+            curve = rewritten(
+                step.curve_class, pair.components[v].base, star_surface(fan2, sigma[v]), sigma
+            )
+            points = tuple((sigma[w], coords) for w, coords in step.points)
+            program.append(CurveBlowup(sigma[v], curve, points))
     edges = [(sigma[v], sigma[w]) for v, w in pair.complex.edges]
     return LogCY3Pair.build(fan2, program, edges)
 
@@ -220,11 +274,16 @@ def test_random_pairs(case, data):
     assert_edge_rows_carried(pair, other, corr)
 
     # The pair against itself through a drawn permutation of its steps: a
-    # structural verdict, or both get past step (iii).
+    # structural verdict, or both get past step (iii).  A curve's
+    # exceptional class meets a toric class, which a point's meets in 0, so
+    # moving the curve step changes the cubic form.
     tau = data.draw(st.permutations(range(len(pair.program))))
     corr = Correspondence(Correspondence.identity(pair).vertex_map, tuple(tau))
     verdict, status, _ = decided_and_transported(pair, pair, corr)
-    assert verdict.certificate["check"] in ("step_place", "period", "complete")
+    if any(tau[k] != k for k, step in enumerate(pair.program) if isinstance(step, CurveBlowup)):
+        assert verdict.certificate["check"] == "cubic_form"
+    else:
+        assert verdict.certificate["check"] in ("step_place", "period", "complete")
     assert_swapped_agrees(pair, pair, corr, verdict, status)
 
     # An explicit map of a drawn component that fixes its toric classes and
@@ -253,11 +312,12 @@ def test_random_pairs(case, data):
         with pytest.raises(CorrespondenceError, match="^mu_components: vertex"):
             function(pair, pair, missing)
 
-    # The identity mu with the exceptional columns of two drawn steps
+    # The identity mu with the exceptional columns of two drawn point steps
     # swapped keeps the cubic form, as a point's exceptional class meets
     # only itself, but not the exceptional classes: the later step fails.
-    if len(pair.program) > 1:
-        steps = st.integers(0, len(pair.program) - 1)
+    points = [k for k, step in enumerate(pair.program) if isinstance(step, PointBlowup)]
+    if len(points) > 1:
+        steps = st.sampled_from(points)
         i, j = sorted(data.draw(st.lists(steps, min_size=2, max_size=2, unique=True)))
         columns = [[(a, 1)] for a in range(pair.pic_rank)]
         e_i, e_j = pair.exceptional_index(i), pair.exceptional_index(j)
@@ -267,10 +327,11 @@ def test_random_pairs(case, data):
         verdict = decided_and_transported(pair, pair, corr)[0]
         assert verdict.certificate == {"check": "exceptional_match", "steps": (j, j)}
 
-    # One point coordinate moved by 3/2: a period verdict, or a translate.
-    if not pair.program:
+    # A drawn point step's coordinate moved by 3/2: a period verdict, or a
+    # translate.
+    if not points:
         return
-    k = data.draw(st.integers(0, len(pair.program) - 1))
+    k = data.draw(st.sampled_from(points))
     program = list(pair.program)
     step = program[k]
     program[k] = PointBlowup(step.edge, step.coordinate * GaussianRational.parse("3/2"))

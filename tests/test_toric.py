@@ -13,6 +13,7 @@ from logcy3 import toric
 from logcy3.pair import LogCY3Pair, PairError
 from logcy3.toric import (
     DualComplex,
+    Fan2,
     Fan3,
     FanError,
     ToricPicBasis,
@@ -328,12 +329,18 @@ class TestValidation:
             assert sum(surface.wall_coefficients) == 3 * surface.n_rays - 12
             assert reference_winding(fan, v, surface.labels) == 1
 
-    def test_validation_builds_the_star_surfaces_the_layer_reads(self, p111):
-        assert validate_fan(p111) is None
-        held = p111.__dict__["_surfaces"]
+    def test_validation_builds_the_star_surfaces_the_layer_reads(self, p111, monkeypatch):
+        fan = Fan3(p111.rays, p111.max_cones, p111.orientation)
+        assert validate_fan(fan) is None
+        held = fan.__dict__["_surfaces"]
         for v, surface in enumerate(held):
-            assert star_surface(p111, v) is surface
-            assert toric_layer(p111).surfaces[v] is surface
+            assert star_surface(fan, v) is surface
+        # The toric layer and the intersection data build no surface of their own.
+        built = []
+        monkeypatch.setattr(Fan2, "__init__", lambda self, *args: built.append(args))
+        toric_layer(fan)
+        ToricIntersectionData.of_fan(fan)
+        assert built == [] and fan.__dict__["_surfaces"] is held
 
     @pytest.mark.parametrize(
         "use",

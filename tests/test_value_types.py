@@ -18,8 +18,8 @@ from logcy3.toric import (
     DualComplex,
     Fan2,
     Fan3,
+    LatticeData,
     ToricIntersectionData,
-    ToricLayer,
     ToricPicBasis,
 )
 
@@ -145,12 +145,11 @@ CASES = [
         FAN2_REPR,
     ),
     (
-        ToricLayer,
-        lambda: ToricLayer(basis(), {(0, 0, 0): 1}, (fan2(),), ({0: (1,)},), (-4,)),
-        ("basis", "tensor", "surfaces", "restriction", "canonical"),
+        LatticeData,
+        lambda: LatticeData({(0, 0, 0): 1}, ({0: (1,)},), (-4,)),
+        ("tensor", "restriction", "canonical"),
         True,
-        f"ToricLayer(basis={BASIS_REPR}, tensor={{(0, 0, 0): 1}}, surfaces=({FAN2_REPR},), "
-        "restriction=({0: (1,)},), canonical=(-4,))",
+        "LatticeData(tensor={(0, 0, 0): 1}, restriction=({0: (1,)},), canonical=(-4,))",
     ),
     (
         ToricIntersectionData,
@@ -172,14 +171,14 @@ def test_value_type_parity(cls, make, fields, hashable, text):
     assert repr(a) == text
     values = tuple(getattr(a, name) for name in fields)
     assert values == tuple(getattr(b, name) for name in fields)
-    if cls is ToricLayer:
-        # One layer is held per fan; layers compare and hash by identity.
+    if cls is LatticeData:
+        # Lattice data holds a dict: values compare and hash by identity.
         assert a == a and a != b
         assert hash(a) == object.__hash__(a)
     else:
         assert a == b and not a != b
         assert a != values and (a == values) is False
-    if hashable and cls is not ToricLayer:
+    if hashable and cls is not LatticeData:
         assert hash(a) == hash(b)
         # Marking holds the hash of its points; the rest hash the field tuple.
         assert hash(a) == (hash(a.points) if cls is Marking else hash(values))
@@ -255,8 +254,8 @@ def test_generic_constructor(cls, make, fields):
     mixed = cls(*values[:1], **dict(zip(fields[1:], values[1:])))
     for b in (by_keyword, mixed):
         assert type(b) is cls and tuple(getattr(b, name) for name in fields) == values
-        # One layer is held per fan; layers compare by identity.
-        assert (b == a) is (cls is not ToricLayer)
+        # Lattice data compares by identity.
+        assert (b == a) is (cls is not LatticeData)
     wrong = {
         "missing": lambda: cls(*values[:-1]),
         "extra": lambda: cls(*values, None),
