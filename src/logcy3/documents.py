@@ -58,6 +58,22 @@ def _integers(value, context, length=None) -> tuple:
     return tuple(value)
 
 
+def _each(value, context, read) -> list:
+    """``read(entry)`` of each entry of the JSON list ``value``.
+
+    ``read`` names the fields of an entry it refuses relative to the entry
+    (``: ...``, ``[0]: ...``, ``.edge: ...``); the entry's own path
+    ``context[i]`` is put in front of that message only then.
+    """
+    entries = []
+    for i, entry in enumerate(_expect(value, list, context)):
+        try:
+            entries.append(read(entry))
+        except DocumentError as exc:
+            raise DocumentError(f"{context}[{i}]{exc}") from exc
+    return entries
+
+
 def _vertex_key(key, context) -> int:
     try:
         return int(key)
@@ -136,14 +152,8 @@ def pair_from_document(doc: dict):
         raise DocumentError("document: unsupported version")
     if doc.get("lattice_rank", 3) != 3:
         raise DocumentError("document: lattice_rank must be 3")
-    rays = [
-        _integers(ray, f"rays[{i}]", 3)
-        for i, ray in enumerate(_expect(_field(doc, "rays", "document"), list, "rays"))
-    ]
-    cones = [
-        _integers(cone, f"cones[{i}]", 3)
-        for i, cone in enumerate(_expect(_field(doc, "cones", "document"), list, "cones"))
-    ]
+    rays = _each(_field(doc, "rays", "document"), "rays", lambda ray: _integers(ray, "", 3))
+    cones = _each(_field(doc, "cones", "document"), "cones", lambda cone: _integers(cone, "", 3))
     orientation = None
     if "orientation" in doc:
         spec = _expect(doc["orientation"], dict, "orientation")
@@ -158,16 +168,12 @@ def pair_from_document(doc: dict):
             raise DocumentError(f"orientation.sign: expected 1 or -1, got {sign!r}")
         orientation = (triangle, sign)
     fan = Fan3(rays, cones, orientation)
-    program = [
-        _step_from_document(entry, f"blowups[{i}]")
-        for i, entry in enumerate(_expect(doc.get("blowups", []), list, "blowups"))
-    ]
+    program = _each(doc.get("blowups", []), "blowups", _step_from_document)
     edge_orientations = doc.get("edge_orientations")
     if edge_orientations is not None:
-        edge_orientations = [
-            _integers(e, f"edge_orientations[{i}]", 2)
-            for i, e in enumerate(_expect(edge_orientations, list, "edge_orientations"))
-        ]
+        edge_orientations = _each(
+            edge_orientations, "edge_orientations", lambda e: _integers(e, "", 2)
+        )
     try:
         pair = LogCY3Pair.build(fan, program, edge_orientations)
     except (PairError, FanError) as exc:
@@ -202,32 +208,33 @@ def _marking_from_document(value, pair: LogCY3Pair) -> Marking:
     return Marking.build(values)
 
 
-def _step_from_document(entry: dict, context: str):
-    kind = _field(_expect(entry, dict, context), "kind", context)
+def _step_from_document(entry: dict):
+    """A program step; its messages name fields relative to the step (see
+    :func:`_each`).  A curve's points are read in the order of their keys'
+    text and the step holds them by vertex."""
+    kind = _field(_expect(entry, dict, ""), "kind", "")
     if kind == "point":
-        edge = _integers(_field(entry, "edge", context), f"{context}.edge", 2)
-        coord = _parse_coordinate(_field(entry, "coordinate", context), context)
-        return PointBlowup(edge, coord)
+        edge = _integers(_field(entry, "edge", ""), ".edge", 2)
+        return PointBlowup(edge, _parse_coordinate(_field(entry, "coordinate", ""), ""))
     if kind == "curve":
-        per_vertex = _field(entry, "points", context)
+        parse = GaussianRational.parse
         points = {}
-        for w, coords in sorted(_expect(per_vertex, dict, f"{context}.points").items()):
-            where = f"{context}.points[{w}]"
-            _expect(coords, list, where)
-            vertex = _vertex_key(w, f"{context}.points")
+        for w, coords in sorted(_expect(_field(entry, "points", ""), dict, ".points").items()):
+            if not isinstance(coords, list):
+                _expect(coords, list, f".points[{w}]")
+            vertex = _vertex_key(w, ".points")
             if vertex in points:
-                raise DocumentError(f"{context}.points: vertex {vertex} listed twice")
-            points[vertex] = tuple(_parse_coordinate(q, where) for q in coords)
+                raise DocumentError(f".points: vertex {vertex} listed twice")
+            try:
+                points[vertex] = tuple([parse(str(q)) for q in coords])
+            except ExactArithmeticError as exc:
+                raise DocumentError(f".points[{w}]: {exc}") from exc
         return CurveBlowup(
-            component=_integer(
-                _field(entry, "component", context), f"{context}.component"
-            ),
-            curve_class=_integers(
-                _field(entry, "curve_class", context), f"{context}.curve_class"
-            ),
-            points=tuple(points.items()),
+            _integer(_field(entry, "component", ""), ".component"),
+            _integers(_field(entry, "curve_class", ""), ".curve_class"),
+            tuple(points.items()),
         )
-    raise DocumentError(f"{context}: unknown blowup kind {kind!r}")
+    raise DocumentError(f": unknown blowup kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -283,10 +290,7 @@ def _by_vertex(value, context, read) -> dict:
 def _matrix(value, context):
     from logcy3.exactnum import IntMatrix  # here, so that a pair document loads no lattice code
 
-    rows = [
-        _integers(row, f"{context}[{i}]")
-        for i, row in enumerate(_expect(value, list, context))
-    ]
+    rows = _each(value, context, lambda row: _integers(row, ""))
     try:
         return IntMatrix(rows)
     except ExactArithmeticError as exc:
@@ -303,12 +307,18 @@ def dumps(doc: dict) -> str:
 
 
 def _unique_keys(pairs) -> dict:
-    """A JSON object from its key-value pairs; a repeated key is an error."""
-    doc = {}
-    for key, value in pairs:
-        if key in doc:
-            raise DocumentError(f"duplicate key {json.dumps(key)}")
-        doc[key] = value
+    """A JSON object from its key-value pairs; a repeated key is an error.
+
+    The object is made in one call; only an object with fewer keys than
+    pairs is walked, for its first repeated key.
+    """
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise DocumentError(f"duplicate key {json.dumps(key)}")
+            seen.add(key)
     return doc
 
 

@@ -178,24 +178,31 @@ class GaussianRational(Frozen):
         Denominators of 1 may be omitted; a bare real part or a bare
         imaginary part (``i``, ``-i``, ``2*i``) is also accepted.
         """
-        s = text.replace(" ", "")
-        m = _IMAG_RE.match(s) or _FULL_RE.match(s)
-        if m is None:
-            raise ExactArithmeticError(f"cannot parse Gaussian rational {text!r}")
-        parts = m.groupdict()
+        s = text.replace(" ", "") if " " in text else text
+        # The full form starts with a digit after its sign, the bare
+        # imaginary part never does, so at most one of the two matches.
+        m = _FULL_RE.match(s)
+        if m is not None:
+            sr, re, re_d, si, im, im_d = m.groups()
+        else:
+            m = _IMAG_RE.match(s)
+            if m is None:
+                raise ExactArithmeticError(f"cannot parse Gaussian rational {text!r}")
+            sr = re = re_d = None
+            si, im, im_d = m.groups()
         # A part reads n / d; a missing real part is 0 and a bare i is 1.
         try:
-            a = int(parts.get("re") or 0)
-            p = int(parts.get("re_d") or 1)
-            b = int(parts["im"] or 1) if parts["si"] is not None else 0
-            q = int(parts["im_d"] or 1)
+            a = int(re or 0)
+            p = int(re_d or 1)
+            b = int(im or 1) if si is not None else 0
+            q = int(im_d or 1)
         except ValueError as exc:  # more digits than the interpreter converts
             raise ExactArithmeticError("Gaussian rational with too many digits") from exc
         if p == 0 or q == 0:
             raise ExactArithmeticError(f"zero denominator in Gaussian rational {text!r}")
-        if parts.get("sr") == "-":
+        if sr == "-":
             a = -a
-        if parts["si"] == "-":
+        if si == "-":
             b = -b
         return _reduced(a * q, b * p, p * q)
 

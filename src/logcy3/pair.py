@@ -8,10 +8,15 @@ blown-up toric surfaces, and nothing more: the fan's verdict, each step's
 edge and coordinates (with the warning for a point at a marker), and for
 a curve step its class length, adjunction, boundary degrees, point counts
 and period obstruction.  A curve step checks its boundary data with one
-power product over the exceptional classes it touches, valued at the
-markers; the section-ratio path of :mod:`logcy3.boundary` is the reference
-for that value.  The build reads only the fan's held Picard basis and star
-surfaces, and holds nothing on the pair.
+power product, valued at the markers: the exceptional classes of its own
+component that it meets, at their marker values, and each new point q as
+it is, q where the neighbour it is added to is the head of the edge and
+1/q where it is the tail, with one factor -1 when the step adds an odd
+number of points; the section-ratio path of :mod:`logcy3.boundary` is the
+reference for that value.  A step checks its coordinates once per edge,
+and a curve step copies each neighbour it meets once.  The build reads
+only the fan's held Picard basis and star surfaces, and holds nothing on
+the pair.
 
 The lattice data (:class:`~logcy3.toric.LatticeData`: the cubic
 intersection tensor, the restriction images on the boundary components and
@@ -26,6 +31,8 @@ and tensor entries and rewrites no earlier one.
 """
 
 from __future__ import annotations
+
+from operator import itemgetter
 
 from logcy3.boundary import (
     ExceptionalClass,
@@ -78,10 +85,17 @@ class CurveBlowup(Frozen):
     ``curve_class`` is given in the basis the component has at the time of
     this step; ``points`` lists, per adjacent vertex, the reference
     coordinates where the curve meets the shared 1-stratum, as a tuple of
-    (neighbor, (coordinates...)).
+    (neighbor, (coordinates...)) in ascending neighbour order, sorted once
+    here, so a step reads back from its document as it was made.
     """
 
     _fields = ("component", "curve_class", "points")
+
+    # Written out for speed, as LooijengaComponent's is; the reason is there.
+    def __init__(self, component, curve_class, points):
+        object.__setattr__(self, "component", component)
+        object.__setattr__(self, "curve_class", curve_class)
+        object.__setattr__(self, "points", tuple(sorted(points, key=itemgetter(0))))
 
     def points_on(self, w: int):
         for neighbor, coords in self.points:
@@ -184,7 +198,7 @@ class LogCY3Pair:
         directed = set(self.complex.edges)
         self.components = {}
         for v, base in enumerate(_star_surfaces(fan)):
-            heads = tuple((w, v) in directed for w in base.labels)
+            heads = tuple([(w, v) in directed for w in base.labels])
             self.components[v] = LooijengaComponent(base, (), heads)
         # Held values are computed after the build; the build reads none.
         self._held = {}
@@ -205,35 +219,42 @@ class LogCY3Pair:
 
     # -- construction internals ---------------------------------------------
 
-    def _check_new_coordinate(self, k, v, w, q):
-        if not isinstance(q, GaussianRational):
-            raise PairError(f"step {k}: coordinate must be a Gaussian rational")
-        if q.is_zero():
-            raise PairError(f"step {k}: blowup point on a 0-stratum")
-        occupied = self._occupied.setdefault(frozenset((v, w)), set())
-        if q in occupied:
-            raise PairError(
-                f"step {k}: coordinate {q} already used on edge "
-                f"{tuple(sorted((v, w)))} (infinitely-near centers rejected)"
-            )
-        if q == MINUS_ONE:
-            self.warnings.append(
-                f"step {k}: blowup point at the marker of edge "
-                f"{tuple(sorted((v, w)))}"
-            )
-        occupied.add(q)
+    def _check_new_coordinates(self, k, key, coords):
+        """Check step ``k``'s new points on the edge ``key``, in order, and hold them.
+
+        A point is inserted once: the set does not grow when it is taken.
+        """
+        occupied = self._occupied.setdefault(key, set())
+        for q in coords:
+            if not isinstance(q, GaussianRational):
+                raise PairError(f"step {k}: coordinate must be a Gaussian rational")
+            if q.is_zero():
+                raise PairError(f"step {k}: blowup point on a 0-stratum")
+            size = len(occupied)
+            occupied.add(q)
+            if len(occupied) == size:
+                raise PairError(
+                    f"step {k}: coordinate {q} already used on edge "
+                    f"{tuple(sorted(key))} (infinitely-near centers rejected)"
+                )
+            if q == MINUS_ONE:
+                self.warnings.append(
+                    f"step {k}: blowup point at the marker of edge {tuple(sorted(key))}"
+                )
 
     def _apply_point(self, k: int, step: PointBlowup):
         v, w = step.edge
-        if not self.complex.has_edge(v, w):
+        key = frozenset((v, w))
+        if not self.complex.has_edge(key):
             raise PairError(f"step {k}: {tuple(step.edge)} is not an edge")
-        self._check_new_coordinate(k, v, w, step.coordinate)
+        q = step.coordinate
+        self._check_new_coordinates(k, key, (q,))
         # E restricts to the new class on each end of its edge.
         images = {u: (0,) * self.components[u].rank + (1,) for u in (v, w)}
         self._records.append((None, images))
         for u, other in ((v, w), (w, v)):
-            self.components[u] = self.components[u].with_exceptional(
-                ExceptionalClass(other, step.coordinate, k)
+            self.components[u] = self.components[u].with_exceptionals(
+                (ExceptionalClass(other, q, k),)
             )
 
     def _apply_curve(self, k: int, step: CurveBlowup):
@@ -265,6 +286,7 @@ class LogCY3Pair:
         declared = {w for w, _ in step.points}
         if not declared <= degrees.keys():
             raise PairError(f"step {k}: points on a non-adjacent vertex")
+        met = []
         for w, need in degrees.items():
             coords = step.points_on(w)
             if len(coords) != need:
@@ -272,8 +294,9 @@ class LogCY3Pair:
                     f"step {k}: {len(coords)} intersection points on edge "
                     f"toward {w}, class degree is {need}"
                 )
-            for q in coords:
-                self._check_new_coordinate(k, v, w, q)
+            if need:
+                self._check_new_coordinates(k, frozenset((v, w)), coords)
+                met.append((w, coords))
         # The period of E's restriction (a global class, hence trivial on the
         # boundary lattice) must be exactly 1.  At the markers it is 1 on
         # every toric class, so only v's exceptional classes the curve meets
@@ -283,18 +306,21 @@ class LogCY3Pair:
             for exc, x in zip(comp.excs, curve[comp.base.rank:])
             if x
         ]
-        # Neighbors gain one exceptional class per intersection point.
+        # Neighbours gain one exceptional class per intersection point.  The
+        # class of a point q has the marker value -q on the head side of its
+        # edge and -1/q on the tail side: q or 1/q per point, and one -1
+        # when the step adds an odd number of points.
         images = {v: curve}
-        for w, need in degrees.items():
-            if not need:
-                continue
-            coords = step.points_on(w)
-            old_rank = self.components[w].rank
-            for q in coords:
-                exc = ExceptionalClass(v, q, k)
-                self.components[w] = self.components[w].with_exceptional(exc)
-                factors.append((marker_value(self.components[w], exc), 1))
-            images[w] = (0,) * old_rank + (1,) * need
+        for w, coords in met:
+            neighbor = self.components[w]
+            side = 1 if neighbor.is_head(v) else -1
+            factors += [(q, side) for q in coords]
+            self.components[w] = neighbor.with_exceptionals(
+                tuple([ExceptionalClass(v, q, k) for q in coords])
+            )
+            images[w] = (0,) * neighbor.rank + (1,) * len(coords)
+        if sum(degrees.values()) % 2:
+            factors.append((MINUS_ONE, 1))
         self._records.append((vector, images))
         scalar = power_product_of(factors)
         if not scalar.is_one():

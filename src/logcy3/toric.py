@@ -356,8 +356,9 @@ class DualComplex(Frozen):
             index.setdefault(frozenset(e), i)
         return index
 
-    def has_edge(self, v: int, w: int) -> bool:
-        return frozenset((v, w)) in self._edge_at
+    def has_edge(self, key: frozenset) -> bool:
+        """Whether the vertex pair ``key`` spans an edge."""
+        return key in self._edge_at
 
     def edge_index(self, v: int, w: int) -> int:
         try:
@@ -640,15 +641,18 @@ class Fan2(Frozen):
         return tuple(coeffs)
 
     def degree_on_ray(self, vec, i: int) -> int:
-        """Degree of a basis-coordinate class on D_i, read off rays i and i +- 1."""
+        """Degree of a basis-coordinate class on D_i, read off rays i and i +- 1.
+
+        A complete fan has at least three rays, so the three rays differ.
+        """
         if len(vec) != self.rank:
             raise FanError("class length does not match the surface rank")
         k = self.n_rays
-        return sum(
-            vec[b - 2] * self.pairing(b, i)
-            for b in {(i - 1) % k, i, (i + 1) % k}
-            if b >= 2
-        )
+        degree = 0
+        for b in ((i - 1) % k, i, (i + 1) % k):
+            if b >= 2:
+                degree += vec[b - 2] * self.pairing(b, i)
+        return degree
 
     @held_property
     def degree_rows(self) -> tuple:

@@ -21,8 +21,14 @@ imported its own tree.  The corpus has four groups:
   against itself, against its torus translate by ``(2, 3, i)``, and
   against each pair with one point coordinate moved by 3/2;
 * ``random`` (100 items): the first 100 derandomized draws of
-  ``tests/test_random_pairs.py``'s ``random_cases``, each pair's document
+  ``tests/random_draws.py``'s ``random_cases``, each pair's document
   text from ``pair_to_document``, or the build's error.
+
+Both sides import this checkout's ``child.py``, ``stage_harness.py``,
+``random_draws.py``, ``test_golden_reports.py`` and ``test_golden_scale.py``,
+so those modules may import from ``src/`` only names that the compared
+commit has too, and may import no other test module: a name new in
+``src/`` belongs in the test modules that need it.
 
 Prints, per group, its item count and the digest of each side, and, where
 a group differs, how many items differ and a unified diff of the first of
@@ -120,7 +126,7 @@ def random_documents() -> dict:
     from logcy3.documents import dumps, pair_to_document
     from logcy3.pair import LogCY3Pair, PairError
     from logcy3.toric import FanError
-    from test_random_pairs import random_cases
+    from random_draws import random_cases
 
     drawn = []
 

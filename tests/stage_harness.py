@@ -13,6 +13,9 @@ prints one row:
 - ``load``: :func:`~logcy3.documents.pair_from_document` on the family
   pair's document, parsed untimed from its text, so each call reads the
   fan into a fresh ``Fan3``: what ``logcy3 validate`` pays past the parse;
+- ``load conics``: the same on the document of :func:`conic_ladder` with
+  8 conics on :func:`conic_ladder_fan` of RAYS rays, where the curve
+  steps' points and period obstructions are most of the cost;
 - ``unmarked``: the unmarked period of a fresh build whose matching values
   are held, so the cell times the second marking's table and the
   marking-independence check;
@@ -58,6 +61,7 @@ from logcy3.pair import LogCY3Pair, PointBlowup
 from logcy3.periods import matching_values, unmarked_period
 from logcy3.toric import Fan3, star_subdivide
 from logcy3.torelli import decide_isomorphism, marking_transporter
+from random_draws import solved_curve_step
 
 TRANSLATION = (GaussianRational(2), GaussianRational(3), I)
 CLI_CALLS = 21
@@ -85,6 +89,24 @@ def family(rays):
         for k in range(rays * 6 // 5)
     ]
     return fan, program
+
+
+def conic_ladder_fan(rays):
+    """Projective space subdivided away from component 3, a plane throughout."""
+    fan = projective_space_fan()
+    while fan.n_rays < rays:
+        cone = next(c for c in reversed(fan.max_cones) if 3 not in c)
+        fan = star_subdivide(fan, cone)
+    return fan
+
+
+def conic_ladder(fan, steps):
+    """``steps`` conics in component 3, each solved to period one."""
+    program = []
+    for k in range(steps):
+        pair = LogCY3Pair.build(fan, program)
+        program.append(solved_curve_step(pair, 3, (2,), 1000 * (k + 1)))
+    return program
 
 
 def best_ms(call, prepare, repeats):
@@ -124,8 +146,15 @@ def stage_row(rays):
         return (fresh,)
 
     text = documents.dumps(documents.pair_to_document(pair))
+    conics = conic_ladder_fan(rays)
+    conic_text = documents.dumps(
+        documents.pair_to_document(LogCY3Pair.build(conics, conic_ladder(conics, 8)))
+    )
     return {
         "load": best_ms(documents.pair_from_document, lambda: (documents.loads(text),), repeats),
+        "load conics": best_ms(
+            documents.pair_from_document, lambda: (documents.loads(conic_text),), repeats
+        ),
         "unmarked": best_ms(unmarked_period, held_values, repeats),
         "fresh": best_ms(decide_isomorphism, lambda: (build(), build()), repeats),
         "translate": best_ms(decide_isomorphism, translate, repeats),
@@ -168,7 +197,10 @@ def main(argv):
     if not argv:
         sizes = [12, 60, 120]
     if sizes:
-        print("| rays | load | unmarked | fresh | translate | perturbed | transport | chain |")
+        print(
+            "| rays | load | load conics | unmarked | fresh | translate | perturbed "
+            "| transport | chain |"
+        )
     for rays in sizes:
         row = stage_row(rays)
         print(f"| {rays} | " + " | ".join(f"{row[k]:.2f}" for k in row) + " |", flush=True)

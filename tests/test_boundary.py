@@ -144,9 +144,11 @@ class TestComponentInputs:
 
     def test_an_exceptional_class_needs_an_adjacent_vertex(self, pairs):
         # Vertices 0 and 1 of (P^1)^3 are opposite: they share no wall.
+        # A batch is checked class by class, so the second class is refused.
         comp = pairs["p111"].components[0]
+        adjacent = ExceptionalClass(comp.neighbors[0], g("3"), 0)
         with pytest.raises(BoundaryError, match="^vertex 1 is not adjacent to component 0$"):
-            comp.with_exceptional(ExceptionalClass(1, g("2"), 0))
+            comp.with_exceptionals((adjacent, ExceptionalClass(1, g("2"), 0)))
 
     @pytest.mark.parametrize("method", ["split", "edge_degrees"])
     def test_a_class_of_another_length_is_rejected(self, pairs, method):

@@ -211,7 +211,7 @@ REACHED = {
         BOUNDARY + "TestComponentInputs::test_a_zero_point_cannot_mark",
     ("boundary.Marking.point", "BoundaryError", "marking has no point on edge {}"):
         BOUNDARY + "TestComponentPeriod::test_marking_must_cover_edge",
-    ("boundary.LooijengaComponent.with_exceptional", "BoundaryError",
+    ("boundary.LooijengaComponent.with_exceptionals", "BoundaryError",
      "vertex {} is not adjacent to component {}"):
         BOUNDARY + "TestComponentInputs::test_an_exceptional_class_needs_an_adjacent_vertex",
     ("boundary.LooijengaComponent.split", "BoundaryError",
@@ -266,10 +266,15 @@ REACHED = {
         DOCUMENTS + "TestPairDocuments::test_marking_must_cover_each_edge_once[zero-point]",
     ("documents._marking_from_document", "DocumentError", "markings: bad edge key {}"):
         DOCUMENTS + "TestPairDocuments::test_marking_must_cover_each_edge_once[bad-key]",
-    ("documents._step_from_document", "DocumentError", "{}: unknown blowup kind {}"):
+    ("documents._each", "DocumentError", "{}[{}]{}"):
+        DOCUMENTS + "TestPairDocuments::test_malformed_shape_rejected_with_field_path[short-ray]",
+    ("documents._step_from_document", "DocumentError", ": unknown blowup kind {}"):
         DOCUMENTS + "TestPairDocuments::test_unknown_blowup_kind_rejected",
-    ("documents._step_from_document", "DocumentError", "{}.points: vertex {} listed twice"):
+    ("documents._step_from_document", "DocumentError", ".points: vertex {} listed twice"):
         DOCUMENTS + "TestPairDocuments::test_curve_point_vertex_listed_twice",
+    ("documents._step_from_document", "DocumentError", ".points[{}]: {}"):
+        DOCUMENTS + "TestPairDocuments::"
+        "test_malformed_shape_rejected_with_field_path[curve-coordinate]",
     ("documents.correspondence_from_document", "DocumentError",
      "document: not a correspondence document"):
         DOCUMENTS + "TestCorrespondenceDocuments::test_wrong_format_rejected",
@@ -365,12 +370,12 @@ REACHED = {
         PAIR + "TestBuild::test_invalid_fan_rejected",
     ("pair.LogCY3Pair.build", "PairError", "unknown step kind at index {}"):
         PAIR + "TestProgramValidation::test_unknown_step_kind_rejected",
-    ("pair.LogCY3Pair._check_new_coordinate", "PairError",
+    ("pair.LogCY3Pair._check_new_coordinates", "PairError",
      "step {}: coordinate must be a Gaussian rational"):
         PAIR + "TestProgramValidation::test_coordinate_that_is_no_gaussian_rational_rejected",
-    ("pair.LogCY3Pair._check_new_coordinate", "PairError", "step {}: blowup point on a 0-stratum"):
+    ("pair.LogCY3Pair._check_new_coordinates", "PairError", "step {}: blowup point on a 0-stratum"):
         PAIR + "TestBuild::test_validate_pair_reports",
-    ("pair.LogCY3Pair._check_new_coordinate", "PairError",
+    ("pair.LogCY3Pair._check_new_coordinates", "PairError",
      "step {}: coordinate {} already used on edge {} (infinitely-near centers rejected)"):
         PAIR + "TestProgramValidation::test_repeated_coordinate_rejected",
     ("pair.LogCY3Pair._apply_point", "PairError", "step {}: {} is not an edge"):

@@ -19,8 +19,10 @@ from logcy3.documents import (
 from logcy3.exactnum import IntMatrix
 from logcy3.gaussian import GaussianRational
 from logcy3.fixtures import pair_fixtures, projective_space_fan
-from logcy3.pair import LogCY3Pair, PointBlowup
+from logcy3.pair import CurveBlowup, LogCY3Pair, PointBlowup
 from logcy3.torelli import Correspondence
+from random_draws import solved_curve_step
+from stage_harness import subdivided
 
 BUNDLED = [
     "p3",
@@ -51,6 +53,21 @@ class TestPairDocuments:
             assert pair.pic_rank == fixtures[name].pic_rank
             assert pair.program == fixtures[name].program
             assert dumps(pair_to_document(pair, marking)) == text
+
+    @pytest.mark.parametrize(
+        "v, curve, links", [(9, (0, 1), (8, 10)), (10, (0, 1), (9, 11)), (13, (1,), (12, 2, 1))]
+    )
+    def test_curve_points_read_back_past_vertex_nine(self, v, curve, links):
+        # A document keys a curve's points by the vertex's text, and "10"
+        # sorts before "8" as text; a step holds its points by vertex.
+        fan = subdivided(projective_space_fan(), 14)
+        step = solved_curve_step(LogCY3Pair.build(fan), v, curve, 101)
+        assert [w for w, _ in step.points] == sorted(links)
+        pair = LogCY3Pair.build(fan, [step])
+        read, _ = pair_from_document(loads(dumps(pair_to_document(pair))))
+        assert read.program == pair.program
+        linked = CurveBlowup(v, curve, tuple((w, step.points_on(w)) for w in links))
+        assert linked == step
 
     def test_serialization_is_deterministic(self):
         pair = pair_fixtures()["p3-conic"]
@@ -176,6 +193,14 @@ class TestPairDocuments:
             (lambda doc: doc["blowups"][1]["edge"].pop(), "blowups[1].edge"),
             (lambda doc: doc["blowups"][0].update(points=5), "blowups[0].points"),
             (
+                lambda doc: doc["blowups"][0]["points"].update({"1": "2"}),
+                "blowups[0].points[1]: expected a list, got '2'",
+            ),
+            (
+                lambda doc: doc["blowups"][0]["points"]["1"].__setitem__(0, "1/0"),
+                "blowups[0].points[1]: zero denominator in Gaussian rational '1/0'",
+            ),
+            (
                 lambda doc: doc["blowups"][0].update(curve_class=2),
                 "blowups[0].curve_class",
             ),
@@ -194,6 +219,8 @@ class TestPairDocuments:
             "point-key-x",
             "one-element-edge",
             "points-not-object",
+            "point-list-not-list",
+            "curve-coordinate",
             "curve-class-not-list",
             "step-not-object",
             "triangle-not-list",

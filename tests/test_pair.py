@@ -4,7 +4,6 @@ import copy
 import json
 import pathlib
 import pickle
-import random
 import re
 import sys
 
@@ -53,7 +52,10 @@ from logcy3.toric import (
     star_surface,
     toric_layer,
 )
-from stage_harness import family
+from random_draws import (
+    ladder_fans, reference_degree_on_ray, reference_edge_degree, solved_curve_step,
+)
+from stage_harness import conic_ladder, conic_ladder_fan, family
 from test_golden_reports import NAMES, bundled
 
 
@@ -150,21 +152,6 @@ def dense_toric_layer(fan):
     return tensor, restriction, canonical
 
 
-def ladder_fans(base, sizes, seed):
-    """Star subdivisions of ``base`` at seeded cones and walls, one per size."""
-    rng = random.Random(seed)
-    fan, out = base, []
-    for size in sizes:
-        while fan.n_rays < size:
-            if rng.random() < 0.5:
-                target = rng.choice(fan.max_cones)
-            else:
-                target = sorted(rng.choice(sorted(fan.walls(), key=sorted)))
-            fan = star_subdivide(fan, target)
-        out.append(fan)
-    return out
-
-
 LAYER_FANS = list(toric_fixture_fans().values()) + [
     fan
     for seed, base in enumerate((projective_space_fan(), triple_line_fan()))
@@ -237,38 +224,6 @@ def point_program(fan, steps):
     ]
 
 
-def solved_curve_step(pair, v, curve, start):
-    """A curve step in component v of ``pair`` whose period is one.
-
-    The points on each met edge are ``start + 7 w + t``.  At the markers a
-    toric class has the value 1 and a point q, seen from the component w
-    it is added to, the value -q when w is the head of the edge and -1/q
-    otherwise; an exceptional class of v takes its value from v's side.
-    The last point is solved so that the curve's period is one.
-    """
-    comp = pair.components[v]
-    points = {
-        w: [GaussianRational(start + 7 * w + t) for t in range(d)]
-        for w in comp.neighbors
-        if (d := reference_edge_degree(comp, curve, w))
-    }
-
-    def value(side, other, q):
-        head = pair.complex.directed_edge(side, other)[1] == side
-        return -q if head else -q.inverse()
-
-    own = power_product(
-        [value(v, exc.neighbor, exc.coordinate) for exc in comp.excs],
-        curve[comp.base.rank:],
-    )
-    last = max(points)
-    period = own * product(value(w, v, q) for w, qs in points.items() for q in qs)
-    target = value(last, v, points[last][-1]) / period
-    head = pair.complex.directed_edge(v, last)[1] == last
-    points[last][-1] = -target if head else (-target).inverse()
-    return CurveBlowup(v, curve, tuple((w, tuple(qs)) for w, qs in points.items()))
-
-
 def curve_program(fan, edge_orientations, before, after):
     """Points, then a curve in the class of a ray divisor D with D.D >= 0.
 
@@ -315,24 +270,6 @@ def through_point_program(fan, edge_orientations, before):
     return None
 
 
-def conic_ladder_fan(rays):
-    """Projective space subdivided away from component 3, a plane throughout."""
-    fan = projective_space_fan()
-    while fan.n_rays < rays:
-        cone = next(c for c in reversed(fan.max_cones) if 3 not in c)
-        fan = star_subdivide(fan, cone)
-    return fan
-
-
-def conic_ladder(fan, steps):
-    """``steps`` conics in component 3, each solved to period one."""
-    program = []
-    for k in range(steps):
-        pair = LogCY3Pair.build(fan, program)
-        program.append(solved_curve_step(pair, 3, (2,), 1000 * (k + 1)))
-    return program
-
-
 def moved_point(program):
     """The program with the first point of its first curve step moved."""
     k = next(k for k, step in enumerate(program) if isinstance(step, CurveBlowup))
@@ -341,13 +278,6 @@ def moved_point(program):
     moved = (w, (coords[0] + GaussianRational(1000),) + coords[1:])
     curve = CurveBlowup(step.component, step.curve_class, (moved, *rest))
     return program[:k] + [curve] + program[k + 1:]
-
-
-def reference_degree_on_ray(base, vec, i):
-    """A class's degree on D_i, every basis ray paired with D_i."""
-    return sum(
-        x * base.pairing(b, i) for x, b in zip(vec, base.basis_indices, strict=True)
-    )
 
 
 def reference_intersection(comp, a, b):
@@ -359,16 +289,6 @@ def reference_intersection(comp, a, b):
         for x, i in zip(at, comp.base.basis_indices, strict=True)
     )
     return toric - sum(x * y for x, y in zip(ae, be))
-
-
-def reference_edge_degree(comp, vec, w):
-    """A class's degree on the edge toward w: its ray's degree plus the
-    coefficients of the exceptional classes on that edge."""
-    vt, ve = comp.split(vec)
-    ray = comp.base.labels.index(w)
-    return reference_degree_on_ray(comp.base, vt, ray) + sum(
-        c for c, exc in zip(ve, comp.excs) if exc.neighbor == w
-    )
 
 
 def reference_adjunction(comp, vec):
@@ -455,7 +375,7 @@ class TableCheckedPair(LogCY3Pair):
                     f"toward {w}, class degree is {need}"
                 )
             for q in coords:
-                self._check_new_coordinate(k, v, w, q)
+                self._check_new_coordinates(k, frozenset((v, w)), (q,))
         tensor, restriction, canonical = self._tables()
         e_index = self.toric_basis.rank + k
         k_dot_c = 0
@@ -478,8 +398,8 @@ class TableCheckedPair(LogCY3Pair):
                 continue
             old_rank = self.components[w].rank
             for q in coords:
-                self.components[w] = self.components[w].with_exceptional(
-                    ExceptionalClass(v, q, k)
+                self.components[w] = self.components[w].with_exceptionals(
+                    (ExceptionalClass(v, q, k),)
                 )
             images[w] = (0,) * old_rank + (1,) * len(coords)
         restriction.append(images)
@@ -858,7 +778,7 @@ def components_with_exceptionals(draw):
     comp = LooijengaComponent(base, (), heads)
     for k in range(draw(st.integers(1, 4))):
         w = draw(st.sampled_from(base.labels))
-        comp = comp.with_exceptional(ExceptionalClass(w, GaussianRational(k + 2), k))
+        comp = comp.with_exceptionals((ExceptionalClass(w, GaussianRational(k + 2), k),))
     return comp
 
 
@@ -1280,24 +1200,38 @@ class TestCurveStepDiagnostics:
         assert build_outcome(TableCheckedPair, fan, program, None) == text
 
 
+def curve_builds():
+    """The bundled pairs, the 12-ray conic ladder with 8 conics, and curves
+    in components that already hold exceptional classes, some through one."""
+    fan = conic_ladder_fan(12)
+    builds = [
+        (pair.fan, pair.program, pair._orientations())
+        for pair in pair_fixtures().values()
+    ] + [(fan, conic_ladder(fan, 8), None)]
+    for fan in ALIAS_FANS[:4]:
+        builds.append((fan, curve_program(fan, None, 6, 2), None))
+        through = through_point_program(fan, None, 5)
+        if through is not None:
+            builds.append((fan, through, None))
+    return builds
+
+
 class TestCurveStepReadsOnce:
     def test_one_intersection_vector_per_curve_step(self, monkeypatch):
         # A build takes each curve's intersection vector once, and reads
         # no degree on a ray outside it: the edge degrees come from the
         # degree table.  Marker values are taken only for the exceptional
-        # classes the curve meets and for those the step adds.
-        fan = conic_ladder_fan(12)
-        builds = [
-            (pair.fan, pair.program, pair._orientations())
-            for pair in pair_fixtures().values()
-        ] + [(fan, conic_ladder(fan, 8), None)]
-        # Curves in components that already hold exceptional classes.
-        for fan in ALIAS_FANS[:4]:
-            builds.append((fan, curve_program(fan, None, 6, 2), None))
-            through = through_point_program(fan, None, 5)
-            if through is not None:
-                builds.append((fan, through, None))
-        calls = {"intersection_vector": 0, "stray degree_on_ray": 0, "marker_value": 0}
+        # classes of the curve's own component that it meets; the points a
+        # step adds enter its period as they are.  A component is built
+        # per vertex, then copied once per end of a point step's edge and
+        # once per edge a curve meets.  The counts are exact.
+        builds = curve_builds()
+        calls = {
+            "intersection_vector": 0,
+            "stray degree_on_ray": 0,
+            "marker_value": 0,
+            "LooijengaComponent": 0,
+        }
         inside = []
         intersection_vector = LooijengaComponent.intersection_vector
         degree_on_ray = Fan2.degree_on_ray
@@ -1322,18 +1256,49 @@ class TestCurveStepReadsOnce:
             "marker_value",
             counting(calls, "marker_value", boundary.marker_value),
         )
-        expected = {"intersection_vector": 0, "stray degree_on_ray": 0, "marker_value": 0}
+        monkeypatch.setattr(
+            LooijengaComponent,
+            "__init__",
+            counting(calls, "LooijengaComponent", LooijengaComponent.__init__),
+        )
+        expected = dict.fromkeys(calls, 0)
         for fan, program, edges in builds:
             pair = LogCY3Pair.build(fan, program, edges)
+            expected["LooijengaComponent"] += fan.n_rays
             for step in program:
-                if isinstance(step, CurveBlowup):
-                    rank = pair.components[step.component].base.rank
-                    expected["intersection_vector"] += 1
-                    expected["marker_value"] += sum(
-                        1 for x in step.curve_class[rank:] if x
-                    ) + sum(len(coords) for _, coords in step.points)
+                if isinstance(step, PointBlowup):
+                    expected["LooijengaComponent"] += 2
+                    continue
+                rank = pair.components[step.component].base.rank
+                expected["intersection_vector"] += 1
+                expected["marker_value"] += sum(1 for x in step.curve_class[rank:] if x)
+                expected["LooijengaComponent"] += sum(1 for _, coords in step.points if coords)
         assert expected["intersection_vector"] >= 10
+        assert expected["marker_value"] >= 2
         assert calls == expected
+
+    def test_a_document_parses_each_coordinate_once(self, monkeypatch):
+        # Each point coordinate, curve point and marking point of a
+        # document is parsed once, and nothing else is.
+        texts = []
+        for fan, program, edges in curve_builds():
+            pair = LogCY3Pair.build(fan, program, edges)
+            texts.append(documents.dumps(documents.pair_to_document(pair, pair.markers())))
+        calls = {"parse": 0}
+        monkeypatch.setattr(
+            GaussianRational, "parse", staticmethod(counting(calls, "parse", GaussianRational.parse))
+        )
+        expected = 0
+        for text in texts:
+            doc = documents.loads(text)
+            pair, marking = documents.pair_from_document(doc)
+            expected += len(marking.points) + sum(
+                1 if isinstance(step, PointBlowup)
+                else sum(len(coords) for _, coords in step.points)
+                for step in pair.program
+            )
+        assert expected >= 100
+        assert calls == {"parse": expected}
 
 
 class TestProgramValidation:
@@ -1408,7 +1373,7 @@ class TestProgramValidation:
         for w, points in coords.items():
             comp = components[w]
             for q in points:
-                comp = comp.with_exceptional(ExceptionalClass(3, q, 0))
+                comp = comp.with_exceptionals((ExceptionalClass(3, q, 0),))
             touched.append((comp, (0,) * comp.base.rank + (1,) * len(points)))
         markers = Marking.markers(toric_pair.edge_keys())
         expected = product(

@@ -12,9 +12,10 @@ from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "logcy3"
 
-# Built most often, so they keep a hand-written constructor, which is faster
+# Built most often, so it keeps a hand-written constructor, which is faster
 # than the generic one (the reason and measurement are in boundary.py).
-EXCEPTIONS = ("ExceptionalClass", "LooijengaComponent")
+# ExceptionalClass sets its slots through their descriptors instead.
+EXCEPTIONS = ("LooijengaComponent",)
 
 
 def _fields(node):

@@ -66,7 +66,6 @@ from hypothesis import strategies as st
 from logcy3.boundary import Marking, component_character_table, component_marked_period
 from logcy3.exactnum import IntMatrix, snf
 from logcy3.gaussian import MINUS_ONE, GaussianRational, power_product_of
-from logcy3.fixtures import projective_space_fan, triple_line_fan
 from logcy3.oracle import cocycle_period, curve_subdivision_check, point_subdivision_check
 from logcy3.pair import CurveBlowup, LogCY3Pair, PairError, PointBlowup
 from logcy3.periods import (
@@ -86,70 +85,8 @@ from logcy3.torelli import (
     marking_transporter,
 )
 from logcy3.toric import Fan3, star_surface
-from test_pair import ladder_fans, solved_curve_step
+from random_draws import coordinates, random_cases
 from test_torelli import assert_edge_rows_carried, inverse
-
-BASES = (projective_space_fan(), triple_line_fan())
-
-coordinates = st.builds(
-    GaussianRational, st.integers(-3, 3), st.integers(-3, 3)
-).filter(lambda q: not q.is_zero())
-# The values of ``coordinates``, for the torus elements.
-GRID = [GaussianRational(a, b) for a in range(-3, 4) for b in range(-3, 4) if a or b]
-
-
-def drawn_curve_step(fan, program, rng):
-    """A curve after ``program``, in a component drawn by ``rng``.
-
-    Its class is that of a ray of nonnegative square in the component's
-    star surface, drawn among such rays, and a general member of the class
-    is a smooth rational curve; its points start at 101, off the drawn
-    coordinates, and are solved so that its period is one.
-    """
-    pair = LogCY3Pair.build(fan, program)
-    rays = {}
-    for comp in pair.boundary_components():
-        for ray in range(comp.base.n_rays):
-            if comp.base.self_intersection(ray) >= 0:
-                rays.setdefault(comp.vertex, []).append(ray)
-    v = rng.choice(sorted(rays))
-    comp = pair.components[v]
-    curve = comp.base.ray_class(rng.choice(rays[v])) + (0,) * len(comp.excs)
-    return solved_curve_step(pair, v, curve, 101)
-
-
-@st.composite
-def random_cases(draw):
-    """A subdivided fan, a program, a wall, a cone and a torus element.
-
-    The program's walls are drawn first, none to five of them, then one or
-    two distinct coordinates on each, then the order of the steps, so every
-    drawn point program builds; a program with no wall is the toric pair of
-    the subdivided fan.  In about one draw in three a curve step follows
-    (:func:`drawn_curve_step`).  Whether it does, where, and the wall, cone
-    and torus element come from one drawn random generator: the last three
-    are not in the pair's document, and hypothesis, which varies the parts
-    of a case drawn alike, would otherwise repeat the document of a case
-    with only them changed.
-    """
-    base = draw(st.sampled_from(BASES))
-    size = draw(st.integers(base.n_rays, 16))
-    fan = ladder_fans(base, (size,), draw(st.integers(0, 2**16)))[0]
-    walls = sorted(tuple(sorted(wall)) for wall in fan.walls())
-    steps = [
-        PointBlowup(wall, q)
-        for wall in draw(st.lists(st.sampled_from(walls), max_size=5, unique=True))
-        for q in draw(st.lists(coordinates, min_size=1, max_size=2, unique=True))
-    ]
-    program = draw(st.permutations(steps))
-    rng = draw(st.randoms(use_true_random=True))
-    if rng.random() < 1 / 3:
-        program.append(drawn_curve_step(fan, program, rng))
-    wall = rng.choice(walls)
-    cone = rng.choice(fan.max_cones)
-    torus_element = tuple(rng.choice(GRID) for _ in range(3))
-    return fan, program, wall, cone, torus_element
-
 
 def decided_and_transported(pair, other, corr=None):
     """Decide's verdict and the transporter's result at the markers, after

@@ -42,7 +42,8 @@ from logcy3.torelli import (
     recognize_contraction_type,
     reconstruct_fan,
 )
-from test_pair import curve_program, reference_intersection, solved_curve_step
+from random_draws import solved_curve_step
+from test_pair import curve_program, reference_intersection
 
 
 def identity_matrix(n):
