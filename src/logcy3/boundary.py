@@ -273,21 +273,30 @@ def section_ratio(points, marking_point: GaussianRational) -> GaussianRational:
     return value * (marking_point ** (-degree))
 
 
+def flag_section_ratios(c: LooijengaComponent, marking: Marking, vec) -> dict:
+    """The section ratio of a class on each edge of the component, by neighbour.
+
+    The class is restricted to the cycle, and each edge's points and
+    marking point are read in this component's chart on it.
+    """
+    divisor = restrict_to_cycle(c, vec)
+    ratios = {}
+    for w in c.neighbors:
+        points = [(c.side_coordinate(w, q), m) for q, m in divisor[w]]
+        p = c.side_coordinate(w, marking.point(c.vertex, w))
+        ratios[w] = section_ratio(points, p)
+    return ratios
+
+
 def component_marked_period(
     c: LooijengaComponent, marking: Marking, vec
 ) -> GaussianRational:
     """The period character of the component at a class, for a given marking.
 
     The value is the product over boundary edges of the section ratios of
-    the restricted class, computed in this component's chart on each edge.
+    the restricted class (:func:`flag_section_ratios`).
     """
-    divisor = restrict_to_cycle(c, vec)
-    factors = []
-    for w in c.neighbors:
-        points = [(c.side_coordinate(w, q), m) for q, m in divisor[w]]
-        p = c.side_coordinate(w, marking.point(c.vertex, w))
-        factors.append(section_ratio(points, p))
-    return product(factors)
+    return product(flag_section_ratios(c, marking, vec).values())
 
 
 def marker_value(c: LooijengaComponent, exc: ExceptionalClass) -> GaussianRational:

@@ -111,8 +111,11 @@ class held_property:
     attribute of the same name, with ``object.__setattr__``, so a
     :class:`Frozen` value can hold it; the attribute then shadows this
     descriptor, which defines no ``__set__``, and later reads are plain
-    attribute reads.  Unlike ``functools.cached_property`` it never reads
-    the instance ``__dict__`` (see :class:`Frozen`).
+    attribute reads.  An attribute of that name set with
+    ``object.__setattr__`` before the first read is a held value too: it
+    shadows the descriptor, which never computes it.  Unlike
+    ``functools.cached_property`` it never reads the instance ``__dict__``
+    (see :class:`Frozen`).
     """
 
     def __init__(self, compute):

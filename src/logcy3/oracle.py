@@ -20,7 +20,7 @@ Two oracles live here:
 
 from __future__ import annotations
 
-from logcy3.boundary import Marking, restrict_to_cycle, section_ratio
+from logcy3.boundary import Marking, flag_section_ratios
 from logcy3.exactnum import IntMatrix
 from logcy3.gaussian import GaussianRational, ONE
 from logcy3.pair import LogCY3Pair, PairError, PointBlowup, curve_blowup_entries, pull_back_tensor
@@ -130,7 +130,7 @@ def cocycle_period(pair: LogCY3Pair, flat, marking: Marking = None) -> GaussianR
     at its infinity-end.  The product over all triangles telescopes to the
     period; computing it triangle by triangle is an independent consistency
     path through the orientation data.  The section values are those of
-    :func:`~logcy3.boundary.section_ratio`; the triangle walk is this
+    :func:`~logcy3.boundary.flag_section_ratios`; the triangle walk is this
     path's own.
     """
     if marking is None:
@@ -139,12 +139,8 @@ def cocycle_period(pair: LogCY3Pair, flat, marking: Marking = None) -> GaussianR
     # Section boundary values per flag (u, w): value at the 0-end triangle.
     flag_values = {}
     for u in sorted(pair.components):
-        comp = pair.components[u]
-        divisor = restrict_to_cycle(comp, per_component[u])
-        for w in comp.neighbors:
-            points = [(comp.side_coordinate(w, q), m) for q, m in divisor[w]]
-            p = comp.side_coordinate(w, marking.point(u, w))
-            flag_values[(u, w)] = section_ratio(points, p)
+        ratios = flag_section_ratios(pair.components[u], marking, per_component[u])
+        flag_values.update(((u, w), ratio) for w, ratio in ratios.items())
     value = ONE
     for tri in pair.complex.triangles:
         alpha = ONE

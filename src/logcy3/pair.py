@@ -49,7 +49,6 @@ from logcy3.toric import (
     FanError,
     LatticeData,
     ToricPicBasis,
-    _star_surfaces,
     edge_reference_character,
     toric_layer,
     validate_fan,
@@ -197,7 +196,7 @@ class LogCY3Pair:
         # edge toward w when (w, v) is a directed edge.
         directed = set(self.complex.edges)
         self.components = {}
-        for v, base in enumerate(_star_surfaces(fan)):
+        for v, base in enumerate(fan._surfaces):
             heads = tuple([(w, v) in directed for w in base.labels])
             self.components[v] = LooijengaComponent(base, (), heads)
         # Held values are computed after the build; the build reads none.

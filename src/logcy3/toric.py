@@ -6,11 +6,8 @@ intersection tensor (read off those surfaces), the dual complex with its
 orientation data, and the chart character of each 1-stratum.  A pair
 build reads the fan's Picard basis and star surfaces only.  The lattice
 data of a pair (:class:`LatticeData`) starts from the toric layer, the
-lattice data of the fan's empty program, which is computed once per fan,
-when a pair's lattice data is first read, and held on it, as are the
-Picard basis, the fan's walls, the oriented ordering of each max cone and
-the link, dual frame and star surface at each ray: validation, the toric
-layer and the dual complex read each of them once.
+lattice data of the fan's empty program, which is computed when a pair's
+lattice data is first read.
 
 A star subdivision is the toric blowup behind every subdivided fan.  A star
 subdivision of a smooth complete fan at a max cone or a wall is smooth and
@@ -36,10 +33,6 @@ from operator import mul
 from types import MappingProxyType
 
 from logcy3.gaussian import Frozen, held_property
-
-
-# What Fan3._held reads for a value not held yet; None is a held verdict.
-_UNSET = object()
 
 
 class FanError(ValueError):
@@ -80,17 +73,6 @@ def _dual_frame(fan: Fan3, cone, v: int):
     return _inverse_unimodular((fan.rays[a], fan.rays[b], fan.rays[c]))
 
 
-def _vertex_frame(fan: Fan3, v: int) -> tuple:
-    """The dual frame of the first max cone at v; every vertex's is held."""
-    return fan._held(
-        "_frames",
-        lambda: tuple([
-            _dual_frame(fan, fan.max_cones[at[0]], u)
-            for u, at in enumerate(_cones_at(fan))
-        ]),
-    )[v]
-
-
 def _orient(cone: tuple, d: int, global_sign: int) -> tuple:
     """The ordering of a cone with determinant d that is positively oriented."""
     if d * global_sign > 0:
@@ -115,14 +97,6 @@ class Fan3(Frozen):
 
     _fields = ("rays", "max_cones", "orientation")
 
-    # Derived data (the cone set, the walls, the determinant and oriented
-    # ordering of each max cone, the cones, link, dual frame and star surface
-    # at each ray, the global sign, the verdict of validate_fan, the Picard
-    # basis, the toric layer and the dual complex with default edge
-    # orientations) is computed on first use and held on the instance; it is
-    # not a field, so equality and hashing see the three fields only.  A star subdivision's output
-    # holds its verdict, global sign and cone set from its construction.
-
     def __init__(self, rays, max_cones, orientation=None):
         rays = tuple([tuple(map(int, r)) for r in rays])
         max_cones = tuple([tuple(map(int, c)) for c in max_cones])
@@ -143,32 +117,21 @@ class Fan3(Frozen):
     def n_rays(self) -> int:
         return len(self.rays)
 
-    def _held(self, name, compute):
-        """The derived value ``name``, computed once and held on the fan.
-
-        It is read as an attribute, never through ``__dict__`` (see
-        :class:`~logcy3.gaussian.Frozen`).
-        """
-        value = getattr(self, name, _UNSET)
-        if value is _UNSET:
-            value = compute()
-            object.__setattr__(self, name, value)
-        return value
+    @held_property
+    def _cone_set(self) -> frozenset:
+        """The max cones as frozen ray-index sets."""
+        return frozenset(frozenset(c) for c in self.max_cones)
 
     def cone_set(self) -> frozenset:
-        return self._held(
-            "_cone_set", lambda: frozenset(frozenset(c) for c in self.max_cones)
-        )
+        return self._cone_set
 
-    def walls(self):
+    @held_property
+    def _walls(self):
         """Read-only map from wall (frozen ray-index pair) to its apex tuple.
 
         The apexes are the third rays of the max cones on the wall, two on a
-        valid fan.  The map is held on the fan.
+        valid fan.
         """
-        return self._held("_walls", self._compute_walls)
-
-    def _compute_walls(self):
         flanks: dict = {}
         for a, b, c in self.max_cones:
             flanks.setdefault(frozenset((a, b)), []).append(c)
@@ -176,43 +139,108 @@ class Fan3(Frozen):
             flanks.setdefault(frozenset((c, a)), []).append(b)
         return MappingProxyType({wall: tuple(a) for wall, a in flanks.items()})
 
+    def walls(self):
+        """Read-only map from wall (frozen ray-index pair) to its apex tuple, held."""
+        return self._walls
+
+    @held_property
+    def _cones_at(self) -> tuple:
+        """The indices of the max cones containing each ray, ascending."""
+        at = [[] for _ in range(self.n_rays)]
+        for k, cone in enumerate(self.max_cones):
+            for i in cone:
+                at[i].append(k)
+        return tuple(map(tuple, at))
+
     # -- orientation ---------------------------------------------------------
 
-    def global_sign(self) -> int:
+    @held_property
+    def _global_sign(self) -> int:
         """Sign making det-ordering of the reference triangle match its datum."""
-        return self._held("_global_sign", self._compute_global_sign)
-
-    def _compute_global_sign(self) -> int:
         tri, sign = self.orientation
         d = _det3(*(self.rays[i] for i in tri))
         if d == 0:
             raise FanError("degenerate orientation reference triangle")
-        if frozenset(tri) not in self.cone_set():
+        if frozenset(tri) not in self._cone_set:
             raise FanError("orientation reference is not a max cone")
         return sign * (1 if d > 0 else -1)
+
+    def global_sign(self) -> int:
+        return self._global_sign
+
+    @held_property
+    def _cone_dets(self) -> tuple:
+        """The determinant of each max cone, in order."""
+        return tuple(_det3(*(self.rays[i] for i in c)) for c in self.max_cones)
 
     def oriented_triangle(self, cone):
         """The ordering of a max cone that is positively oriented."""
         cone = tuple(cone)
         return _orient(cone, _det3(*(self.rays[i] for i in cone)), self.global_sign())
 
+    @held_property
+    def _oriented(self) -> tuple:
+        """The positively oriented ordering of each max cone, in order."""
+        g = self._global_sign
+        return tuple(_orient(c, d, g) for c, d in zip(self.max_cones, self._cone_dets))
+
     def oriented_triangles(self) -> tuple:
         """The positively oriented ordering of each max cone, in order, held."""
-        return self._held("_oriented", self._compute_oriented_triangles)
+        return self._oriented
 
-    def _compute_oriented_triangles(self) -> tuple:
-        g = self.global_sign()
-        dets = self._held(
-            "_cone_dets",
-            lambda: tuple(_det3(*(self.rays[i] for i in c)) for c in self.max_cones),
-        )
-        return tuple(_orient(c, d, g) for c, d in zip(self.max_cones, dets))
+    @held_property
+    def _links(self) -> tuple:
+        """The link of each ray as a cyclically ordered tuple, or None."""
+        return tuple([_trace_link(self, v) for v in range(self.n_rays)])
+
+    @held_property
+    def _dual_complex(self) -> "DualComplex":
+        """The dual complex with default edge orientations."""
+        return DualComplex.from_fan(self)
 
     def dual_complex(self, edge_orientations=None) -> "DualComplex":
         """The dual complex; the one with default edge orientations is held."""
         if edge_orientations is None:
-            return self._held("_dual_complex", lambda: DualComplex.from_fan(self))
+            return self._dual_complex
         return DualComplex.from_fan(self, edge_orientations)
+
+    # -- validation and lattice data -----------------------------------------
+
+    @held_property
+    def _diagnostic(self):
+        """The verdict of :func:`validate_fan`."""
+        return _diagnose_fan(self)
+
+    @held_property
+    def _frames(self) -> tuple:
+        """The dual frame of the first max cone at each ray."""
+        return tuple([
+            _dual_frame(self, self.max_cones[at[0]], v) for v, at in enumerate(self._cones_at)
+        ])
+
+    @held_property
+    def _surfaces(self) -> tuple:
+        """The star surface of each ray, unchecked (see :func:`star_surface`)."""
+        surfaces = []
+        for v, cycle in enumerate(self._links):
+            _, (a, b, c), (p, q, r) = self._frames[v]
+            images = []
+            for w in cycle:
+                x, y, z = self.rays[w]
+                images.append((a * x + b * y + c * z, p * x + q * y + r * z))
+            surfaces.append(Fan2(v, tuple(images), cycle))  # solves the 2d wall relations
+        return tuple(surfaces)
+
+    @held_property
+    def _picard_basis(self) -> "ToricPicBasis":
+        """The Picard basis with seed cone ``max_cones[0]``."""
+        seed = self.max_cones[0]
+        return ToricPicBasis(self, seed, tuple(v for v in range(self.n_rays) if v not in seed))
+
+    @held_property
+    def _toric_layer(self) -> "LatticeData":
+        """The lattice data of the fan's empty program."""
+        return _compute_toric_layer(self)
 
 
 def validate_fan(fan: Fan3):
@@ -220,7 +248,7 @@ def validate_fan(fan: Fan3):
 
     The verdict is held on the fan, so each fan is checked once.
     """
-    return fan._held("_diagnostic", lambda: _diagnose_fan(fan))
+    return fan._diagnostic
 
 
 def _diagnose_fan(fan: Fan3):
@@ -246,8 +274,7 @@ def _diagnose_fan(fan: Fan3):
         dets.append(d)
         used.update(cone)
     # The links orient each cone by these determinants; none is taken twice.
-    dets = tuple(dets)
-    fan._held("_cone_dets", lambda: dets)
+    object.__setattr__(fan, "_cone_dets", tuple(dets))
     if used != set(range(n)):
         return "unused ray"
     if len(fan.cone_set()) != len(fan.max_cones):
@@ -261,44 +288,23 @@ def _diagnose_fan(fan: Fan3):
     if euler != 2:
         return f"dual complex has Euler characteristic {euler}, expected 2"
     for v in range(n):
-        if _link_cycle(fan, v) is None:
+        if fan._links[v] is None:
             return f"link of vertex {v} is not a cycle"
     # Coherent: two cones orienting a wall (a, b) alike give b two successors in a's link.
     # Each link is a unimodular loop: its n rays wind w times around the
     # ray, and its wall coefficients sum to 3n - 12w (Poonen and
     # Rodriguez-Villegas, "Lattice polygons and the number 12", 2000).
-    for surface in _star_surfaces(fan):
+    for surface in fan._surfaces:
         winding = (3 * surface.n_rays - sum(surface.wall_coefficients)) // 12
         if winding != 1:
             return f"link of vertex {surface.vertex} winds {winding} times around its ray"
     return None
 
 
-def _cones_at(fan: Fan3) -> tuple:
-    """The indices of the max cones containing each ray, ascending, held."""
-
-    def compute():
-        at = [[] for _ in range(fan.n_rays)]
-        for k, cone in enumerate(fan.max_cones):
-            for i in cone:
-                at[i].append(k)
-        return tuple(map(tuple, at))
-
-    return fan._held("_cones_at", compute)
-
-
-def _link_cycle(fan: Fan3, v: int):
-    """The link of v as a cyclically ordered tuple, or None; every link is held."""
-    return fan._held(
-        "_links", lambda: tuple([_trace_link(fan, u) for u in range(fan.n_rays)])
-    )[v]
-
-
 def _trace_link(fan: Fan3, v: int):
     succ = {}
     oriented = fan.oriented_triangles()
-    at = _cones_at(fan)[v]
-    for k in at:
+    for k in fan._cones_at[v]:
         a, b, c = oriented[k]  # a, b become the two rays after v, in order
         if v == a:
             a, b = b, c
@@ -429,11 +435,7 @@ class ToricPicBasis(Frozen):
     @staticmethod
     def of(fan: Fan3) -> "ToricPicBasis":
         """The basis with seed cone ``fan.max_cones[0]``, held on the fan."""
-        seed = fan.max_cones[0]
-        return fan._held(
-            "_picard_basis",
-            lambda: ToricPicBasis(fan, seed, tuple(v for v in range(fan.n_rays) if v not in seed)),
-        )
+        return fan._picard_basis
 
     @property
     def rank(self) -> int:
@@ -488,7 +490,7 @@ class TripleIntersection:
 
     def unit_character(self, i: int) -> tuple:
         """A character m with <m, n_i> = 1: the row dual to n_i in a cone at i."""
-        return _vertex_frame(self.fan, i)[0]
+        return self.fan._frames[i][0]
 
     def ray_triple(self, i: int, j: int, k: int) -> int:
         key = tuple(sorted((i, j, k)))
@@ -711,25 +713,7 @@ def _checked_surfaces(fan: Fan3) -> tuple:
     """The held star surface of every ray of a valid fan; else ``FanError``."""
     if (diag := validate_fan(fan)) is not None:
         raise FanError(diag)
-    return _star_surfaces(fan)
-
-
-def _star_surfaces(fan: Fan3) -> tuple:
-    """The star surface of every ray, built on first use and held."""
-
-    def compute():
-        surfaces = []
-        for v in range(fan.n_rays):
-            cycle = _link_cycle(fan, v)
-            _, (a, b, c), (p, q, r) = _vertex_frame(fan, v)
-            images = []
-            for w in cycle:
-                x, y, z = fan.rays[w]
-                images.append((a * x + b * y + c * z, p * x + q * y + r * z))
-            surfaces.append(Fan2(v, tuple(images), cycle))  # solves the 2d wall relations
-        return tuple(surfaces)
-
-    return fan._held("_surfaces", compute)
+    return fan._surfaces
 
 
 # ---------------------------------------------------------------------------
@@ -763,7 +747,7 @@ class LatticeData(Frozen):
 def toric_layer(fan: Fan3) -> LatticeData:
     """The lattice data of ``fan``'s empty program, computed on first use
     and held on the fan."""
-    return fan._held("_toric_layer", lambda: _compute_toric_layer(fan))
+    return fan._toric_layer
 
 
 def _compute_toric_layer(fan: Fan3) -> LatticeData:
@@ -796,7 +780,7 @@ def _compute_toric_layer(fan: Fan3) -> LatticeData:
                     key = (j, j, i) if j < i else (i, j, j)
                     entries.append((key, base.self_intersection(ray)))
         if i is not None:
-            a, b, c = _vertex_frame(fan, v)[0]
+            a, b, c = fan._frames[v][0]
             link_rays = map(fan.rays.__getitem__, base.labels)
             normal = [-a * x - b * y - c * z for x, y, z in link_rays]
             image = base.reduce_ray_vector(normal)
@@ -865,9 +849,9 @@ def star_subdivide(fan: Fan3, target) -> Fan3:
     # The parent's tuples are normalized already, so __init__'s pass is skipped.
     out = Fan3.__new__(Fan3)
     Frozen.__init__(out, rays, tuple(cones), orientation)
-    out._held("_diagnostic", lambda: None)
-    out._held("_global_sign", lambda: g)
-    out._held("_cone_set", lambda: cone_set)
+    object.__setattr__(out, "_diagnostic", None)
+    object.__setattr__(out, "_global_sign", g)
+    object.__setattr__(out, "_cone_set", cone_set)
     return out
 
 

@@ -1,6 +1,7 @@
 """Stage times of a comparison on the scaling family, in milliseconds.
 
     PYTHONPATH=src python tests/stage_harness.py [RAYS ...] [cli]
+    PYTHONPATH=src python tests/stage_harness.py COMMIT [RAYS ...] [cli] [--runs N] [--json PATH]
 
 The family is the one the ROADMAP's stage tables time: projective space,
 star-subdivided at its last max cone until it has RAYS rays (default 12, 60
@@ -40,19 +41,35 @@ subcommand, each in a fresh interpreter that imports the package this file
 imported, on the bundled ``p3-mixed.pair.json`` (``compare`` against
 itself); the subcommands take turns, so a drift of the machine reaches
 each alike.  The environment is passed on as it is, so the calls compile
-the package when ``PYTHONDONTWRITEBYTECODE`` is set, as a user's do.
+the package when ``PYTHONDONTWRITEBYTECODE`` is set, as a user's do; one
+untimed call first compiles it when they may write bytecode.
 
-To compare two checkouts, run this file from each in turn, alternating,
-and compare cells within one machine.  Pytest does not collect it.
+Named first, a COMMIT (anything but ``cli`` and a number; write a commit
+named by digits alone as ``DIGITS^{commit}``) gives a paired table of that
+commit's ``src/`` against the working one.  The commit's tree is
+extracted by :func:`child.package_tree`.  Per size, ``N`` child processes
+of each tree (default 10, at least 2) each print one row of the cells
+above, the trees taking turns at going first; with ``cli``, each round of
+calls runs both trees in turn, also alternating.  Per cell the table gives
+both medians, their ratio (working tree over commit), the number of pairs
+the working tree won, and the verdict of the 9-of-10 rule
+(:func:`compared`).  ``--json PATH`` writes the same table with every
+run.
+
+This file imports only ``src/`` names that every commit since
+``tests/differential.py`` was added has, since that tool imports it
+against older commits.  Pytest does not collect it.
 """
 
 import gc
+import json
 import os
 import statistics
 import subprocess
 import sys
 from time import perf_counter
 
+import child
 import logcy3
 from logcy3 import documents
 from logcy3.gaussian import GaussianRational, I
@@ -65,6 +82,14 @@ from random_draws import solved_curve_step
 
 TRANSLATION = (GaussianRational(2), GaussianRational(3), I)
 CLI_CALLS = 21
+RUNS = 10
+# A child prints its row as one line of JSON, then the file it imported
+# the package from (see child.py).
+_CHILD = (
+    "import sys, logcy3, stage_harness\n"
+    "stage_harness.child_row(int(sys.argv[1]))\n"
+    "print(logcy3.__file__)\n"
+)
 
 
 def subdivided(root, rays):
@@ -166,8 +191,18 @@ def stage_row(rays):
     }
 
 
-def cli_row():
-    """Median ms of fresh-interpreter CLI calls, per subcommand."""
+def child_row(rays):
+    """Print :func:`stage_row` as one line of JSON: a paired run's child."""
+    print(json.dumps(stage_row(rays)), flush=True)
+
+
+def cli_times(trees, rounds):
+    """``{tree: {subcommand: [ms, ...]}}`` of fresh-interpreter CLI calls.
+
+    Each round calls every subcommand once per tree, the trees in turn, and
+    the tree that goes first alternates between rounds.  ``tree`` is the
+    directory that holds a ``logcy3`` package.
+    """
     package = os.path.dirname(os.path.abspath(logcy3.__file__))
     path = os.path.join(package, "data", "p3-mixed.pair.json")
     commands = {
@@ -177,22 +212,128 @@ def cli_row():
         "compare": [path, path],
         "oracle-check": [path],
     }
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(package))
-    times = {name: [] for name in commands}
-    for _ in range(CLI_CALLS):
-        for name, files in commands.items():
-            start = perf_counter()
-            done = subprocess.run(
-                [sys.executable, "-m", "logcy3.cli", "--json", name, *files],
-                env=env,
-                capture_output=True,
+
+    def call(tree, name):
+        start = perf_counter()
+        done = subprocess.run(
+            [sys.executable, "-m", "logcy3.cli", "--json", name, *commands[name]],
+            env=dict(os.environ, PYTHONPATH=str(tree)),
+            capture_output=True,
+        )
+        assert done.returncode == 0, (name, done.stderr)
+        return (perf_counter() - start) * 1000
+
+    for tree in trees:
+        call(tree, "validate")
+    times = {tree: {name: [] for name in commands} for tree in trees}
+    for k in range(rounds):
+        for name in commands:
+            for tree in trees if k % 2 == 0 else trees[::-1]:
+                times[tree][name].append(call(tree, name))
+    return times
+
+
+def cli_row():
+    """Median ms of fresh-interpreter CLI calls, per subcommand."""
+    tree = os.path.dirname(os.path.dirname(os.path.abspath(logcy3.__file__)))
+    times = cli_times([tree], CLI_CALLS)[tree]
+    return {name: statistics.median(t) for name, t in times.items()}
+
+
+def compared(before, after):
+    """A cell of the paired table from the commit's and the working runs.
+
+    The verdict is the 9-of-10 rule's: ``faster`` (``slower``) when the
+    working tree wins (loses) at least 9 pairs of 10 and the medians differ
+    by more than the commit's interquartile range, else ``neither``.
+    """
+    old, new = statistics.median(before), statistics.median(after)
+    won = sum(a < b for a, b in zip(after, before))
+    lost = sum(a > b for a, b in zip(after, before))
+    q1, _, q3 = statistics.quantiles(before, n=4)
+    verdict = "neither"
+    if 10 * won >= 9 * len(before) and old - new > q3 - q1:
+        verdict = "faster"
+    elif 10 * lost >= 9 * len(before) and new - old > q3 - q1:
+        verdict = "slower"
+    return {
+        "commit_median_ms": old,
+        "src_median_ms": new,
+        "ratio": new / old,
+        "won": won,
+        "pairs": len(before),
+        "verdict": verdict,
+        "commit_ms": before,
+        "src_ms": after,
+    }
+
+
+def _child_row(tree, rays):
+    done = child.run(tree, _CHILD, [str(rays)], capture_output=True, text=True)
+    failure = child.failure(done, tree)
+    if failure:
+        raise SystemExit(f"{done.stderr}a {rays}-ray row on {tree} {failure}")
+    return json.loads(done.stdout.splitlines()[-2])
+
+
+def paired_table(commit, sizes, runs, cli):
+    """``{row: {cell: compared(...)}}`` of ``commit``'s tree against ``src/``."""
+    table = {}
+    with child.package_tree(".stage-", commit) as tree:
+        sides = (tree, child.SRC)
+        for rays in sizes:
+            rows = {side: [] for side in sides}
+            for k in range(runs):
+                for side in sides if k % 2 == 0 else sides[::-1]:
+                    rows[side].append(_child_row(side, rays))
+            table[str(rays)] = {
+                cell: compared([r[cell] for r in rows[tree]], [r[cell] for r in rows[child.SRC]])
+                for cell in rows[tree][0]
+            }
+        if cli:
+            times = cli_times(sides, runs)
+            table["cli"] = {
+                name: compared(times[tree][name], times[child.SRC][name]) for name in times[tree]
+            }
+    return table
+
+
+def print_paired(commit, table):
+    print(f"| row | cell | {commit} ms | src ms | ratio | won | verdict |")
+    print("|---|---|---|---|---|---|---|")
+    for row, cells in table.items():
+        for cell, c in cells.items():
+            print(
+                f"| {row} | {cell} | {c['commit_median_ms']:.2f} | {c['src_median_ms']:.2f} "
+                f"| {c['ratio']:.3f} | {c['won']}/{c['pairs']} | {c['verdict']} |",
+                flush=True,
             )
-            times[name].append(perf_counter() - start)
-            assert done.returncode == 0, (name, done.stderr)
-    return {name: statistics.median(t) * 1000 for name, t in times.items()}
+
+
+def _option(argv, name, default):
+    """The value after ``name`` in ``argv``, removed from it, or ``default``."""
+    if name not in argv:
+        return default
+    i = argv.index(name)
+    value = argv[i + 1]
+    del argv[i: i + 2]
+    return value
 
 
 def main(argv):
+    argv = list(argv)
+    json_path = _option(argv, "--json", None)
+    runs = int(_option(argv, "--runs", RUNS))
+    if argv and argv[0] != "cli" and not argv[0].isdigit():
+        commit, argv = argv[0], argv[1:]
+        sizes = [int(a) for a in argv if a != "cli"] or [12, 60, 120]
+        table = paired_table(commit, sizes, runs, "cli" in argv)
+        print_paired(commit, table)
+        if json_path:
+            with open(json_path, "w", encoding="utf-8") as f:
+                json.dump({"commit": commit, "runs": runs, "rows": table}, f, indent=1)
+                f.write("\n")
+        return
     sizes = [int(a) for a in argv if a != "cli"]
     if not argv:
         sizes = [12, 60, 120]

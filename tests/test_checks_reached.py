@@ -411,9 +411,9 @@ REACHED = {
     # wall relation's own check through a held verdict that hides a fold.
     ("toric._inverse_unimodular", "FanError", "matrix is not unimodular"):
         KERNELS + "TestInverseUnimodular::test_any_matrix",
-    ("toric.Fan3._compute_global_sign", "FanError", "degenerate orientation reference triangle"):
+    ("toric.Fan3._global_sign", "FanError", "degenerate orientation reference triangle"):
         TORIC + "TestValidation::test_diagnostics_match_the_reference_check[4-rays]",
-    ("toric.Fan3._compute_global_sign", "FanError", "orientation reference is not a max cone"):
+    ("toric.Fan3._global_sign", "FanError", "orientation reference is not a max cone"):
         TORIC + "TestValidation::test_diagnostics_match_the_reference_check[5-rays0]",
     ("toric._diagnose_fan", "diagnostic", "fan has no max cones"):
         CLI + "TestValidate::test_fan_without_cones_is_invalid",

@@ -8,10 +8,12 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import tempfile
 import time
+from functools import cache
 from pathlib import Path
 
 import pytest
@@ -117,6 +119,82 @@ class TestValidateFuzz:
             assert code == 2
             lines = err.getvalue().splitlines()
             assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@cache
+def bundled_pair(name):
+    """The pair of a bundled file, loaded once."""
+    with open(bundled_path(name), "rb") as handle:
+        return documents.pair_from_document(documents.loads(handle.read()))[0]
+
+
+def small_matrix(draw, rows, columns):
+    """A rows x columns matrix with entries in -1..1."""
+    return [[draw(st.integers(-1, 1)) for _ in range(columns)] for _ in range(rows)]
+
+
+def unimodular_block(draw, n):
+    """A product of up to four elementary n x n matrices, sometimes row-permuted."""
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(draw(st.integers(0, 4)) if n > 1 else 0):
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        k = draw(st.sampled_from([-2, -1, 1, 2]))
+        rows[i] = [a + k * b for a, b in zip(rows[i], rows[j])]
+    return draw(st.permutations(rows)) if draw(st.booleans()) else rows
+
+
+@st.composite
+def mutated_correspondences(draw):
+    """A bundled pair's name and its identity correspondence, changed in one way."""
+    name = draw(st.sampled_from(BUNDLED)).removesuffix(".pair.json")
+    pair = bundled_pair(name)
+    doc = documents.correspondence_to_document(Correspondence.identity(pair))
+    vertices, steps, n = sorted(pair.components), len(pair.program), pair.pic_rank
+    kind = draw(st.sampled_from(["block", "block shape", "vertex map", "step map", "mu"]))
+    if kind == "block":
+        v = draw(st.sampled_from(vertices))
+        doc["mu_components"] = {str(v): unimodular_block(draw, pair.components[v].rank)}
+    elif kind == "block shape":
+        v = draw(st.sampled_from(vertices))
+        r = pair.components[v].rank
+        shape = draw(st.sampled_from([(r + 1, r), (r, r + 1), (r - 1, r), (0, 0)]))
+        doc["mu_components"] = {str(v): small_matrix(draw, *shape)}
+    elif kind == "vertex map":
+        doc["vertex_map"] = dict(zip(map(str, vertices), draw(st.permutations(vertices))))
+    elif kind == "step map":
+        step_map = draw(st.sampled_from([list(range(steps - 1)), list(range(steps + 1))]))
+        if steps and draw(st.booleans()):  # the right length, one step out of range
+            step_map = list(range(steps))
+            step_map[draw(st.integers(0, steps - 1))] = draw(st.sampled_from([-1, steps]))
+        doc["step_map"] = step_map
+    else:
+        doc["mu"] = small_matrix(draw, *draw(st.sampled_from([(n, n), (n + 1, n), (n, n - 1)])))
+    return name, doc
+
+
+class TestCompareFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(mutated_correspondences())
+    def test_mutated_correspondences_get_a_verdict_or_one_error_line(self, case):
+        name, doc = case
+        with tempfile.TemporaryDirectory() as tmp:
+            corr = os.path.join(tmp, "mutant.corr.json")
+            with open(corr, "w", encoding="utf-8") as handle:
+                json.dump(doc, handle)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                path = bundled_path(name)
+                code = main(["--json", "compare", path, path, corr])
+        if code in (0, 1):
+            results = json.loads(out.getvalue())["results"]
+            assert results["verdict"] == ("isomorphic" if code == 0 else "distinct")
+            assert err.getvalue() == ""
+        else:
+            assert code == 2
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: ")
+            # The catch-all names the exception's class: "error: <Type>: ...".
+            assert not re.match(r"error: [A-Z]\w*: ", lines[0]), lines[0]
 
 
 class TestValidate:

@@ -429,7 +429,7 @@ def snf_star_surface(fan, v):
     dec = snf(IntMatrix([[x] for x in fan.rays[v]]))
     assert dec.factors == (1,)
     proj = dec.U.data[1:]
-    cycle = toric._link_cycle(fan, v)
+    cycle = fan._links[v]
     rays = tuple(
         tuple(sum(r[t] * fan.rays[w][t] for t in range(3)) for r in proj)
         for w in cycle
@@ -657,7 +657,7 @@ class TestToricLayer:
         # orientation reference.
         fan = fresh_copy(next(fan for fan in LAYER_FANS if fan.n_rays == rays))
         calls = {
-            "TripleIntersection": 0, "_compute_walls": 0,
+            "TripleIntersection": 0, "_walls": 0,
             "_det3": 0, "_inverse_unimodular": 0,
         }
         monkeypatch.setattr(
@@ -665,8 +665,7 @@ class TestToricLayer:
             counting(calls, "TripleIntersection", TripleIntersection.__init__),
         )
         monkeypatch.setattr(
-            Fan3, "_compute_walls",
-            counting(calls, "_compute_walls", Fan3._compute_walls),
+            Fan3._walls, "compute", counting(calls, "_walls", Fan3._walls.compute)
         )
         for name in ("_det3", "_inverse_unimodular"):
             monkeypatch.setattr(
@@ -674,7 +673,7 @@ class TestToricLayer:
             )
         LogCY3Pair.build(fan, point_program(fan, 4))
         assert calls["TripleIntersection"] == 0
-        assert calls["_compute_walls"] == 1
+        assert calls["_walls"] == 1
         assert calls["_det3"] - calls["_inverse_unimodular"] == (
             len(fan.max_cones) + 1
         )
@@ -1082,7 +1081,7 @@ class TestLatticeDataWaitsForItsFirstReader:
             fresh_copy(validated.fan), validated.program, validated._orientations()
         )
         for pair in (validated, built):
-            assert not hasattr(pair.fan, "_toric_layer")
+            assert "_toric_layer" not in vars(pair.fan)
             assert "lattice" not in pair._held
         assert calls == {"_compute_toric_layer": 0, "curve_blowup_entries": 0}
 

@@ -7,10 +7,11 @@ from math import gcd
 
 import pytest
 
-from logcy3.gaussian import MINUS_ONE
+from logcy3.gaussian import MINUS_ONE, held_property
 from logcy3.fixtures import projective_space_fan, toric_fixture_fans, triple_line_fan
 from logcy3 import toric
 from logcy3.pair import LogCY3Pair, PairError
+from logcy3.periods import marked_period, quotient_character, unmarked_period
 from logcy3.toric import (
     DualComplex,
     Fan2,
@@ -28,8 +29,10 @@ from logcy3.toric import (
     toric_model_map,
     validate_fan,
 )
+from logcy3.torelli import decide_isomorphism
 
-from test_pair import ALIAS_FANS
+from stage_harness import family
+from test_pair import ALIAS_FANS, fresh_copy
 
 
 @pytest.fixture
@@ -494,7 +497,7 @@ class TestTripleIntersection:
         # relation gives the second apex coefficient +1.  Validation would
         # reject the fan; the verdict held here says it is valid.
         fan = Fan3([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 0, 1)], [(0, 1, 2), (0, 1, 3)])
-        fan._held("_diagnostic", lambda: None)
+        object.__setattr__(fan, "_diagnostic", None)
         with pytest.raises(FanError, match=r"^broken wall relation at \[0, 1\]$"):
             TripleIntersection(fan).ray_triple(0, 0, 1)
 
@@ -721,3 +724,64 @@ class TestIntersectionData:
         data = ToricIntersectionData.of_fan(p3)
         # A line inside a plane of the tetrahedral boundary has square 1.
         assert data.self_intersection_in(0, 1) == 1
+
+
+# ---------------------------------------------------------------------------
+# Values a fan derives, held once
+# ---------------------------------------------------------------------------
+
+HELD_ON_A_FAN = (
+    "_cone_set", "_walls", "_cones_at", "_global_sign", "_cone_dets", "_oriented",
+    "_links", "_dual_complex", "_diagnostic", "_frames", "_surfaces", "_picard_basis",
+    "_toric_layer",
+)
+# What star_subdivide holds on its output from its construction.
+SEEDED_BY_A_SUBDIVISION = ("_diagnostic", "_global_sign", "_cone_set")
+
+
+def count_held_computations(monkeypatch, fan):
+    """Count, by name, the held values of ``fan`` that are computed."""
+    counts = dict.fromkeys(HELD_ON_A_FAN, 0)
+    for name in HELD_ON_A_FAN:
+        held = vars(Fan3)[name]
+
+        def counted(instance, name=name, compute=held.compute):
+            if instance is fan:
+                counts[name] += 1
+            return compute(instance)
+
+        monkeypatch.setattr(held, "compute", counted)
+    return counts
+
+
+def read_everything(fan, program):
+    """Validation, a build, the lattice read, a periods report and a self-decide."""
+    assert validate_fan(fan) is None
+    pair = LogCY3Pair.build(fan, program)
+    pair.cubic_entries()
+    marked_period(pair, pair.markers())
+    unmarked_period(pair)
+    quotient_character(pair)
+    assert decide_isomorphism(pair, LogCY3Pair.build(fan, program)).is_isomorphic
+
+
+class TestHeldValues:
+    def test_a_fan_holds_what_it_derives_with_held_property(self):
+        held = {name for name, value in vars(Fan3).items() if isinstance(value, held_property)}
+        assert held == set(HELD_ON_A_FAN)
+
+    def test_each_value_is_computed_at_most_once(self, monkeypatch):
+        fan, program = family(20)
+        fan = fresh_copy(fan)
+        counts = count_held_computations(monkeypatch, fan)
+        read_everything(fan, program)
+        # Validation holds the determinants it reads; nothing computes them.
+        assert counts == {**dict.fromkeys(HELD_ON_A_FAN, 1), "_cone_dets": 0}
+
+    def test_a_subdivision_computes_none_of_the_values_it_holds(self, monkeypatch):
+        parent, program = family(20)
+        fan = star_subdivide(fresh_copy(parent), parent.max_cones[-1])
+        counts = count_held_computations(monkeypatch, fan)
+        read_everything(fan, program)
+        assert all(counts[name] == 0 for name in SEEDED_BY_A_SUBDIVISION), counts
+        assert max(counts.values()) == 1, counts
