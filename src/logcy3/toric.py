@@ -3,11 +3,16 @@
 The fan is the source of every toric pair in this package: it carries the
 Picard presentation, the star surfaces of boundary components, the cubic
 intersection tensor (read off those surfaces), the dual complex with its
-orientation data, and the chart character of each 1-stratum.  A pair
-build reads the fan's Picard basis and star surfaces only.  The lattice
-data of a pair (:class:`LatticeData`) starts from the toric layer, the
-lattice data of the fan's empty program, which is computed when a pair's
-lattice data is first read.
+orientation data, and the chart character of each 1-stratum.  One pass
+over the oriented cones gives each ray's link and first max cone; it
+accepts a valid fan, and the links give the star surfaces and the dual
+complex's edges.  The wall map and the cone set are built only for their
+own readers: a refused fan's first fault, star subdivision, the triple
+intersections and the decision procedure.  A pair build reads the fan's
+Picard basis and star surfaces only.  The lattice data of a pair
+(:class:`LatticeData`) starts from the toric layer, the lattice data of
+the fan's empty program, which is computed when a pair's lattice data is
+first read.
 
 A star subdivision is the toric blowup behind every subdivided fan.  A star
 subdivision of a smooth complete fan at a max cone or a wall is smooth and
@@ -107,8 +112,7 @@ class Fan3(Frozen):
         super().__init__(rays, max_cones, orientation)
 
     def __reduce__(self):
-        # The derived data (the walls are a read-only mapping) is left
-        # behind; a copy recomputes it on first use.
+        # The derived data is left behind; a copy recomputes it on first use.
         return type(self), (self.rays, self.max_cones, self.orientation)
 
     # -- basic queries -------------------------------------------------------
@@ -127,11 +131,8 @@ class Fan3(Frozen):
 
     @held_property
     def _walls(self):
-        """Read-only map from wall (frozen ray-index pair) to its apex tuple.
-
-        The apexes are the third rays of the max cones on the wall, two on a
-        valid fan.
-        """
+        """Read-only map from wall (frozen ray-index pair) to the third rays
+        of the max cones on it, two on a valid fan."""
         flanks: dict = {}
         for a, b, c in self.max_cones:
             flanks.setdefault(frozenset((a, b)), []).append(c)
@@ -143,15 +144,6 @@ class Fan3(Frozen):
         """Read-only map from wall (frozen ray-index pair) to its apex tuple, held."""
         return self._walls
 
-    @held_property
-    def _cones_at(self) -> tuple:
-        """The indices of the max cones containing each ray, ascending."""
-        at = [[] for _ in range(self.n_rays)]
-        for k, cone in enumerate(self.max_cones):
-            for i in cone:
-                at[i].append(k)
-        return tuple(map(tuple, at))
-
     # -- orientation ---------------------------------------------------------
 
     @held_property
@@ -161,7 +153,7 @@ class Fan3(Frozen):
         d = _det3(*(self.rays[i] for i in tri))
         if d == 0:
             raise FanError("degenerate orientation reference triangle")
-        if frozenset(tri) not in self._cone_set:
+        if frozenset(tri) not in map(frozenset, self.max_cones):
             raise FanError("orientation reference is not a max cone")
         return sign * (1 if d > 0 else -1)
 
@@ -189,9 +181,14 @@ class Fan3(Frozen):
         return self._oriented
 
     @held_property
+    def _link_pass(self) -> tuple:
+        """The links and the first max cone at each ray (see :func:`_trace_links`)."""
+        return _trace_links(self)
+
+    @held_property
     def _links(self) -> tuple:
         """The link of each ray as a cyclically ordered tuple, or None."""
-        return tuple([_trace_link(self, v) for v in range(self.n_rays)])
+        return self._link_pass[0]
 
     @held_property
     def _dual_complex(self) -> "DualComplex":
@@ -214,21 +211,18 @@ class Fan3(Frozen):
     @held_property
     def _frames(self) -> tuple:
         """The dual frame of the first max cone at each ray."""
-        return tuple([
-            _dual_frame(self, self.max_cones[at[0]], v) for v, at in enumerate(self._cones_at)
-        ])
+        return tuple([_dual_frame(self, cone, v) for v, cone in enumerate(self._link_pass[1])])
 
     @held_property
     def _surfaces(self) -> tuple:
         """The star surface of each ray, unchecked (see :func:`star_surface`)."""
-        surfaces = []
-        for v, cycle in enumerate(self._links):
-            _, (a, b, c), (p, q, r) = self._frames[v]
-            images = []
-            for w in cycle:
-                x, y, z = self.rays[w]
-                images.append((a * x + b * y + c * z, p * x + q * y + r * z))
-            surfaces.append(Fan2(v, tuple(images), cycle))  # solves the 2d wall relations
+        rays, surfaces = self.rays, []
+        for v, (cycle, (_, (a, b, c), (p, q, r))) in enumerate(zip(self._links, self._frames)):
+            images = tuple([
+                (a * x + b * y + c * z, p * x + q * y + r * z)
+                for x, y, z in map(rays.__getitem__, cycle)
+            ])
+            surfaces.append(Fan2(v, images, cycle))  # solves the 2d wall relations
         return tuple(surfaces)
 
     @held_property
@@ -246,13 +240,19 @@ class Fan3(Frozen):
 def validate_fan(fan: Fan3):
     """Check all Fan3 invariants; return ``None`` if ok, else a diagnostic.
 
-    The verdict is held on the fan, so each fan is checked once.
+    The diagnostics come in this order: a ray not primitive, a ray twice,
+    no max cone, a cone not of three ray indices, a cone not unimodular, a
+    ray in no cone, a cone twice, a wall not in two cones, an Euler
+    characteristic not 2, a link not a cycle, a link not winding once.
+    A bad orientation datum (a degenerate reference triangle, or one that
+    is no max cone) raises ``FanError`` after the Euler check, where the
+    links are first needed.  The verdict is held, so a fan is checked once.
     """
     return fan._diagnostic
 
 
 def _diagnose_fan(fan: Fan3):
-    n, rays = fan.n_rays, fan.rays
+    n, rays, cones = fan.n_rays, fan.rays, fan.max_cones
     seen = set()
     for i, ray in enumerate(rays):
         if gcd(*ray) != 1:
@@ -260,70 +260,78 @@ def _diagnose_fan(fan: Fan3):
         if ray in seen:
             return f"duplicate ray {i}: {ray}"
         seen.add(ray)
-    if not fan.max_cones:
+    if not cones:
         return "fan has no max cones"
-    used = set()
-    dets = []
-    for cone in fan.max_cones:
-        if len(set(cone)) != 3 or min(cone) < 0 or max(cone) >= n:
+    used, dets, indices = set(), [], set(range(n))
+    for cone in cones:
+        if len(vertices := {*cone}) != 3 or not vertices <= indices:
             return f"bad cone {cone}"
         a, b, c = cone
         d = _det3(rays[a], rays[b], rays[c])
         if d != 1 and d != -1:
             return f"non-smooth cone {cone}"
         dets.append(d)
-        used.update(cone)
+        used |= vertices
     # The links orient each cone by these determinants; none is taken twice.
     object.__setattr__(fan, "_cone_dets", tuple(dets))
-    if used != set(range(n)):
+    if used != indices:
         return "unused ray"
-    if len(fan.cone_set()) != len(fan.max_cones):
-        return "duplicate max cone"
-    flanks = fan.walls()
-    for wall, apexes in flanks.items():
-        if len(apexes) != 2:
-            return f"wall with {'one' if len(apexes) == 1 else len(apexes)} incident cone(s): {sorted(wall)}"
-    # Dual complex must triangulate the 2-sphere.
-    euler = n - len(flanks) + len(fan.max_cones)
-    if euler != 2:
-        return f"dual complex has Euler characteristic {euler}, expected 2"
-    for v in range(n):
-        if fan._links[v] is None:
-            return f"link of vertex {v} is not a cycle"
-    # Coherent: two cones orienting a wall (a, b) alike give b two successors in a's link.
+    # The link pass accepts the fan when no successor key repeats (3 per cone),
+    # each walk is one cycle and n - keys / 2 + cones == 2: then each key w of
+    # v has v among its keys, and the checks that name a refusal's fault pass.
+    try:
+        links = fan._links
+    except FanError:  # a bad orientation datum raises below, after the Euler check
+        links = (None,)
+    if None in links or sum(map(len, links)) != 3 * len(cones) or 2 * n - len(cones) != 4:
+        if len(fan.cone_set()) != len(cones):
+            return "duplicate max cone"
+        flanks = fan.walls()
+        for wall, apexes in flanks.items():
+            if len(apexes) != 2:
+                return f"wall with {'one' if len(apexes) == 1 else len(apexes)} incident cone(s): {sorted(wall)}"
+        euler = n - len(flanks) + len(cones)
+        if euler != 2:
+            return f"dual complex has Euler characteristic {euler}, expected 2"
+        # With every wall in two cones, a key repeats only where a walk fails.
+        return f"link of vertex {fan._links.index(None)} is not a cycle"
     # Each link is a unimodular loop: its n rays wind w times around the
     # ray, and its wall coefficients sum to 3n - 12w (Poonen and
     # Rodriguez-Villegas, "Lattice polygons and the number 12", 2000).
     for surface in fan._surfaces:
-        winding = (3 * surface.n_rays - sum(surface.wall_coefficients)) // 12
+        winding = (3 * len(surface.rays) - sum(surface.wall_coefficients)) // 12
         if winding != 1:
             return f"link of vertex {surface.vertex} winds {winding} times around its ray"
     return None
 
 
-def _trace_link(fan: Fan3, v: int):
-    succ = {}
-    oriented = fan.oriented_triangles()
-    for k in fan._cones_at[v]:
-        a, b, c = oriented[k]  # a, b become the two rays after v, in order
-        if v == a:
-            a, b = b, c
-        elif v == b:
-            a, b = c, a
-        if a in succ:
-            return None
-        succ[a] = b
-    # Each wall lies in two cones and no key repeats, so succ permutes the
-    # link and the walk returns to its start.
-    start = next(iter(succ))
-    cycle = [start]
-    cur = succ[start]
-    while cur != start:
-        cycle.append(cur)
-        cur = succ[cur]
-    if len(cycle) != len(succ):
-        return None
-    return tuple(cycle)
+def _trace_links(fan: Fan3) -> tuple:
+    """The link of each ray, or None, and the first max cone at each ray.
+
+    One pass over the oriented cones: (p, q, r) records q -> r in p's
+    successor table, r -> p in q's and p -> q in r's.  A link is the walk
+    from its table's first key, which the ray's first cone gave; it is None
+    unless the walk returns to that key after visiting every key once.
+    """
+    n = fan.n_rays
+    tables = [{} for _ in range(n)]
+    firsts = [None] * n
+    for cone, (p, q, r) in zip(fan.max_cones, fan.oriented_triangles()):
+        tables[p][q] = r
+        tables[q][r] = p
+        tables[r][p] = q
+        firsts[p] = firsts[p] or cone
+        firsts[q] = firsts[q] or cone
+        firsts[r] = firsts[r] or cone
+    links = []
+    for table in tables:
+        cur = start = next(iter(table))
+        cycle = [start]
+        for _ in range(len(table) - 1):
+            cur = table.get(cur)
+            cycle.append(cur)
+        links.append(tuple(cycle) if table.get(cur) == start and cycle.count(start) == 1 else None)
+    return tuple(links), tuple(firsts)
 
 
 class DualComplex(Frozen):
@@ -340,19 +348,20 @@ class DualComplex(Frozen):
 
     @staticmethod
     def from_fan(fan: Fan3, edge_orientations=None) -> "DualComplex":
-        walls = sorted(tuple(sorted(w)) for w in fan.walls())
+        """The dual complex of a valid fan, else ``FanError``; edges read off the links."""
+        if (diag := validate_fan(fan)) is not None:
+            raise FanError(diag)
+        edges = sorted([(v, w) for v, link in enumerate(fan._links) for w in link if w > v])
         if edge_orientations is not None:
             chosen = {}
             for e in edge_orientations:
                 if frozenset(e) in chosen:
                     raise FanError(f"edge {tuple(sorted(e))} is oriented twice")
                 chosen[frozenset(e)] = tuple(e)
-            if set(chosen) != {frozenset(w) for w in walls}:
+            if set(chosen) != {frozenset(w) for w in edges}:
                 raise FanError("edge orientation list does not match the walls")
-            edges = tuple(chosen[frozenset(w)] for w in walls)
-        else:
-            edges = tuple(walls)
-        return DualComplex(tuple(range(fan.n_rays)), edges, fan.oriented_triangles())
+            edges = [chosen[frozenset(w)] for w in edges]
+        return DualComplex(tuple(range(fan.n_rays)), tuple(edges), fan.oriented_triangles())
 
     @held_property
     def _edge_at(self) -> dict:
@@ -482,10 +491,6 @@ class TripleIntersection:
         self.fan = fan
         self._cones = fan.cone_set()
         self._walls = fan.walls()
-        self._neighbours = {i: [] for i in range(fan.n_rays)}
-        for a, b in self._walls:
-            self._neighbours[a].append(b)
-            self._neighbours[b].append(a)
         self._cache: dict = {}
 
     def unit_character(self, i: int) -> tuple:
@@ -527,7 +532,7 @@ class TripleIntersection:
         # D_i . D_i . D_v vanishes unless v is a wall neighbour of i.
         m = self.unit_character(i)
         total = 0
-        for v in self._neighbours[i]:
+        for v in self.fan._links[i]:
             pairing = sum(m[t] * self.fan.rays[v][t] for t in range(3))
             if pairing:
                 total -= pairing * self.ray_triple(i, i, v)
@@ -569,12 +574,11 @@ class Fan2(Frozen):
     _fields = ("vertex", "rays", "labels")
 
     def __init__(self, vertex: int, rays: tuple, labels: tuple):
-        super().__init__(vertex, rays, labels)
-        object.__setattr__(
-            self,
-            "wall_coefficients",
-            tuple([_solve_wall_coefficient(rays, i) for i in range(len(rays))]),
-        )
+        object.__setattr__(self, "vertex", vertex)
+        object.__setattr__(self, "rays", rays)
+        object.__setattr__(self, "labels", labels)
+        coefficients = tuple([_solve_wall_coefficient(rays, i) for i in range(len(rays))])
+        object.__setattr__(self, "wall_coefficients", coefficients)
 
     @property
     def n_rays(self) -> int:
@@ -771,7 +775,7 @@ def _compute_toric_layer(fan: Fan3) -> LatticeData:
     # through the linear equivalence D_v ~ -sum <m, n_w> D_w for m with
     # <m, n_v> = 1; that normal class can be zero.
     restriction = [{} for _ in basis.basis_rays]
-    for v, base in enumerate(surfaces):
+    for v, (base, frame) in enumerate(zip(surfaces, fan._frames)):
         i = index.get(v)
         for ray, w in enumerate(base.labels):
             if (j := index.get(w)) is not None:
@@ -780,7 +784,7 @@ def _compute_toric_layer(fan: Fan3) -> LatticeData:
                     key = (j, j, i) if j < i else (i, j, j)
                     entries.append((key, base.self_intersection(ray)))
         if i is not None:
-            a, b, c = fan._frames[v][0]
+            a, b, c = frame[0]
             link_rays = map(fan.rays.__getitem__, base.labels)
             normal = [-a * x - b * y - c * z for x, y, z in link_rays]
             image = base.reduce_ray_vector(normal)
@@ -809,11 +813,8 @@ def star_subdivide(fan: Fan3, target) -> Fan3:
     relative interior, where no ray lies; each new cone has the determinant
     of the cone it replaces, so it is unimodular; determinant signs orient
     a complete simplicial fan coherently; and the re-anchored datum
-    ``(cones[0], g * sign(det))`` induces the parent's global sign g.  The
-    output holds the verdict ``None``, g and its cone set, and is built
-    from the parent's normalized tuples without ``Fan3.__init__``'s
-    normalization.  A chain from a held fixture root checks that root once
-    per process.
+    ``(cones[0], g * sign(det))`` induces the parent's global sign g, which
+    the output holds with the verdict ``None`` and its cone set.
     """
     if (diag := validate_fan(fan)) is not None:
         raise FanError(f"cannot subdivide an invalid fan: {diag}")
@@ -961,7 +962,6 @@ class ToricIntersectionData(Frozen):
     @staticmethod
     def of_fan(fan: Fan3) -> "ToricIntersectionData":
         surfaces = _checked_surfaces(fan)
-        cones = frozenset(frozenset(c) for c in fan.max_cones)
         wall_curves = {}
         for wall in fan.walls():
             a, b = sorted(wall)
@@ -970,7 +970,7 @@ class ToricIntersectionData(Frozen):
                 surfaces[a].self_intersection(surfaces[a].ray_of_neighbor(b)),
                 surfaces[b].self_intersection(surfaces[b].ray_of_neighbor(a)),
             )
-        return ToricIntersectionData(fan.n_rays, cones, wall_curves)
+        return ToricIntersectionData(fan.n_rays, fan.cone_set(), wall_curves)
 
     def self_intersection_in(self, component: int, other: int) -> int:
         a, b = sorted((component, other))

@@ -17,9 +17,21 @@ prints one row:
 - ``load conics``: the same on the document of :func:`conic_ladder` with
   8 conics on :func:`conic_ladder_fan` of RAYS rays, where the curve
   steps' points and period obstructions are most of the cost;
+- ``fan``: a build with the empty program on a fresh ``Fan3`` of the
+  family's rays, cones and orientation: the whole-fan check, the dual
+  complex and the star surfaces, and nothing else;
+- ``build``: a build of the family pair on its held, checked fan;
+- ``marked``: the markers' marked period of a fresh build;
+- ``snf``: the Smith normal form of a fresh build's edge-matching map,
+  the map included;
+- ``values``: the matching values of a fresh build whose matching kernel
+  and markers' table are held: the pull-back alone;
 - ``unmarked``: the unmarked period of a fresh build whose matching values
   are held, so the cell times the second marking's table and the
   marking-independence check;
+- ``k_image``: the image of restriction of a fresh build;
+- ``quotient``: the quotient character of a fresh build whose matching
+  values and k-image are held;
 - ``fresh``: a self-compare of two fresh builds (every held value computed
   in the call);
 - ``translate``: decide against a fresh torus translate by ``(2, 3, i)``,
@@ -75,7 +87,14 @@ from logcy3 import documents
 from logcy3.gaussian import GaussianRational, I
 from logcy3.fixtures import projective_space_fan
 from logcy3.pair import LogCY3Pair, PointBlowup
-from logcy3.periods import matching_values, unmarked_period
+from logcy3.periods import (
+    edge_matching_snf,
+    marked_period,
+    matching_kernel,
+    matching_values,
+    quotient_character,
+    unmarked_period,
+)
 from logcy3.toric import Fan3, star_subdivide
 from logcy3.torelli import decide_isomorphism, marking_transporter
 from random_draws import solved_curve_step
@@ -165,9 +184,23 @@ def stage_row(rays):
     def translate():
         return pair, build().torus_translate(TRANSLATION)
 
+    def built():
+        return (build(),)
+
+    def factored():
+        fresh = build()
+        matching_kernel(fresh)
+        marked_period(fresh, fresh.markers())
+        return (fresh,)
+
     def held_values():
         fresh = build()
         matching_values(fresh)
+        return (fresh,)
+
+    def held_image():
+        fresh, = held_values()
+        fresh.k_image()
         return (fresh,)
 
     text = documents.dumps(documents.pair_to_document(pair))
@@ -180,7 +213,16 @@ def stage_row(rays):
         "load conics": best_ms(
             documents.pair_from_document, lambda: (documents.loads(conic_text),), repeats
         ),
+        "fan": best_ms(
+            LogCY3Pair.build, lambda: (Fan3(fan.rays, fan.max_cones, fan.orientation),), repeats
+        ),
+        "build": best_ms(build, lambda: (), repeats),
+        "marked": best_ms(lambda p: marked_period(p, p.markers()), built, repeats),
+        "snf": best_ms(edge_matching_snf, built, repeats),
+        "values": best_ms(matching_values, factored, repeats),
         "unmarked": best_ms(unmarked_period, held_values, repeats),
+        "k_image": best_ms(LogCY3Pair.k_image, built, repeats),
+        "quotient": best_ms(quotient_character, held_image, repeats),
         "fresh": best_ms(decide_isomorphism, lambda: (build(), build()), repeats),
         "translate": best_ms(decide_isomorphism, translate, repeats),
         "perturbed": best_ms(
@@ -337,13 +379,10 @@ def main(argv):
     sizes = [int(a) for a in argv if a != "cli"]
     if not argv:
         sizes = [12, 60, 120]
-    if sizes:
-        print(
-            "| rays | load | load conics | unmarked | fresh | translate | perturbed "
-            "| transport | chain |"
-        )
-    for rays in sizes:
+    for i, rays in enumerate(sizes):
         row = stage_row(rays)
+        if i == 0:
+            print("| rays | " + " | ".join(row) + " |")
         print(f"| {rays} | " + " | ".join(f"{row[k]:.2f}" for k in row) + " |", flush=True)
     if "cli" in argv:
         row = cli_row()

@@ -437,6 +437,8 @@ REACHED = {
         TORIC + "TestValidation::test_a_complex_that_is_no_sphere_is_rejected[pinched]",
     ("toric._diagnose_fan", "diagnostic", "link of vertex {} winds {} times around its ray"):
         TORIC + "TestValidation::test_a_complex_that_is_no_sphere_is_rejected[wound]",
+    ("toric.DualComplex.from_fan", "FanError", "{}"):
+        TORIC + "TestValidation::test_public_functions_reject_an_invalid_fan[dual-complex]",
     ("toric.DualComplex.from_fan", "FanError", "edge orientation list does not match the walls"):
         TORIC + "TestDualComplex::test_edge_orientations_must_cover_the_walls",
     ("toric.DualComplex.from_fan", "FanError", "edge {} is oriented twice"):

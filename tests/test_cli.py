@@ -197,6 +197,87 @@ class TestCompareFuzz:
             assert not re.match(r"error: [A-Z]\w*: ", lines[0]), lines[0]
 
 
+GAUSSIAN_RATIONALS = ("0", "2", "-3", "1/2", "0+1*i", "3+1*i", "-5/7-2/3*i", "4-1*i", "-1")
+
+
+@st.composite
+def shifted_documents(draw):
+    """A bundled pair document changed in one way that keeps its shape.
+
+    A ray entry moves by one, two entries of a cone swap, a cone vertex
+    becomes another, or a point coordinate becomes another Gaussian
+    rational or one of many digits.  Returns the bundled name and the
+    changed document.
+    """
+    name = draw(st.sampled_from(BUNDLED))
+    data = importlib.resources.files("logcy3").joinpath("data")
+    doc = json.loads(data.joinpath(name).read_text(encoding="utf-8"))
+    coordinates = [
+        path
+        for path, value in node_paths(doc)
+        if path[0] in ("blowups", "markings") and isinstance(value, str) and path[-1] != "kind"
+    ]
+    kinds = ["ray", "cone swap", "cone vertex"] + (["coordinate", "digits"] if coordinates else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "ray":
+        ray = draw(st.sampled_from(doc["rays"]))
+        ray[draw(st.integers(0, 2))] += draw(st.sampled_from([-1, 1]))
+    elif kind == "cone swap":
+        cone = draw(st.sampled_from(doc["cones"]))
+        i, j = draw(st.lists(st.integers(0, 2), min_size=2, max_size=2, unique=True))
+        cone[i], cone[j] = cone[j], cone[i]
+    elif kind == "cone vertex":
+        cone = draw(st.sampled_from(doc["cones"]))
+        cone[draw(st.integers(0, 2))] = draw(st.integers(0, len(doc["rays"]) - 1))
+    else:
+        path = draw(st.sampled_from(coordinates))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if kind == "coordinate":
+            parent[path[-1]] = draw(st.sampled_from(GAUSSIAN_RATIONALS))
+        else:
+            digits = "".join(draw(st.lists(st.sampled_from("0123456789"), min_size=40, max_size=200)))
+            parent[path[-1]] = draw(st.sampled_from(["", "-"])) + "7" + digits
+    return name, doc
+
+
+def assert_a_report_or_one_error_line(code, out, err):
+    if code in (0, 1):
+        assert json.loads(out)["results"] and err == ""
+    else:
+        assert code == 2
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        # The catch-all names the exception's class: "error: <Type>: ...".
+        assert not re.match(r"error: [A-Z]\w*: ", lines[0]), lines[0]
+
+
+class TestPairDocumentFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(shifted_documents())
+    def test_documents_that_look_valid_get_a_report_or_one_error_line(self, case):
+        name, doc = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "shifted.pair.json")
+            with open(path, "w", encoding="utf-8") as handle:
+                json.dump(doc, handle)
+            original = bundled_path(name.removesuffix(".pair.json"))
+            calls = [["validate", path]]
+            for args in calls:
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main(["--json", *args])
+                assert_a_report_or_one_error_line(code, out.getvalue(), err.getvalue())
+                if args[0] == "validate" and code == 0:
+                    calls += [
+                        ["invariants", path],
+                        ["periods", path],
+                        ["compare", path, original],
+                        ["compare", original, path],
+                    ]
+
+
 class TestValidate:
     def test_ok(self, capsys):
         assert main(["validate", bundled_path("p3-conic")]) == 0

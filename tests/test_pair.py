@@ -644,36 +644,37 @@ class TestToricLayer:
             LogCY3Pair.build(fresh_copy(fan))
             monkeypatch.undo()
             counts[rays] = calls
-            # One solve per ray of each star surface: two per wall.
-            assert calls["_solve_wall_coefficient"] == 2 * len(fan.walls())
+            # One solve per ray of each star surface: one per link entry.
+            assert calls["_solve_wall_coefficient"] == sum(map(len, fan._links))
         for name in ("_solve_wall_coefficient", "edges"):
             assert 0 < counts[60][name] <= 4 * counts[20][name], (name, counts)
 
     @pytest.mark.parametrize("rays", (12, 20))
     def test_first_build_reads_the_fan_once(self, monkeypatch, rays):
-        # No TripleIntersection, one walls() computation, and one
-        # determinant per max cone for validation and orientation: every
-        # other determinant inverts a dual frame, plus one for the
+        # No TripleIntersection, one link pass and no wall map or cone set,
+        # and one determinant per max cone for validation and orientation:
+        # every other determinant inverts a dual frame, plus one for the
         # orientation reference.
-        fan = fresh_copy(next(fan for fan in LAYER_FANS if fan.n_rays == rays))
+        ladder = next(fan for fan in LAYER_FANS if fan.n_rays == rays)
+        fan, program = fresh_copy(ladder), point_program(ladder, 4)
         calls = {
-            "TripleIntersection": 0, "_walls": 0,
+            "TripleIntersection": 0, "_link_pass": 0, "_walls": 0, "_cone_set": 0,
             "_det3": 0, "_inverse_unimodular": 0,
         }
         monkeypatch.setattr(
             TripleIntersection, "__init__",
             counting(calls, "TripleIntersection", TripleIntersection.__init__),
         )
-        monkeypatch.setattr(
-            Fan3._walls, "compute", counting(calls, "_walls", Fan3._walls.compute)
-        )
+        for name in ("_link_pass", "_walls", "_cone_set"):
+            held = vars(Fan3)[name]
+            monkeypatch.setattr(held, "compute", counting(calls, name, held.compute))
         for name in ("_det3", "_inverse_unimodular"):
             monkeypatch.setattr(
                 toric, name, counting(calls, name, getattr(toric, name))
             )
-        LogCY3Pair.build(fan, point_program(fan, 4))
+        LogCY3Pair.build(fan, program)
         assert calls["TripleIntersection"] == 0
-        assert calls["_walls"] == 1
+        assert (calls["_link_pass"], calls["_walls"], calls["_cone_set"]) == (1, 0, 0)
         assert calls["_det3"] - calls["_inverse_unimodular"] == (
             len(fan.max_cones) + 1
         )
@@ -683,13 +684,16 @@ class TestToricLayer:
         self, monkeypatch, rays
     ):
         fan = next(fan for fan in LAYER_FANS if fan.n_rays == rays)
-        calls = {"_dual_frame": 0, "_trace_link": 0}
+        calls = {"_dual_frame": 0, "_trace_links": 0}
         for name in calls:
             monkeypatch.setattr(
                 toric, name, counting(calls, name, getattr(toric, name))
             )
-        LogCY3Pair.build(fresh_copy(fan), point_program(fan, 4))
-        assert calls == {"_dual_frame": rays, "_trace_link": rays}
+        pair = LogCY3Pair.build(fresh_copy(fan), point_program(fan, 4))
+        # One pass traces every link.
+        assert calls == {"_dual_frame": rays, "_trace_links": 1}
+        assert len(pair.fan._links) == len(pair.fan._frames) == rays
+        assert None not in pair.fan._links
 
     @pytest.mark.parametrize("fan", ALIAS_FANS, ids=lambda fan: f"{fan.n_rays}-rays")
     def test_builds_on_one_fan_do_not_share_what_they_change(self, fan):

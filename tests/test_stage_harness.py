@@ -4,7 +4,10 @@ import json
 
 import stage_harness
 
-CELLS = ["load", "load conics", "unmarked", "fresh", "translate", "perturbed", "transport", "chain"]
+CELLS = [
+    "load", "load conics", "fan", "build", "marked", "snf", "values", "unmarked", "k_image",
+    "quotient", "fresh", "translate", "perturbed", "transport", "chain",
+]
 
 
 def test_a_child_prints_one_row_of_the_cells(capsys):

@@ -2,11 +2,15 @@
 
 import math
 import random
+from functools import cache
 from itertools import combinations
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from logcy3 import documents
 from logcy3.gaussian import MINUS_ONE, held_property
 from logcy3.fixtures import projective_space_fan, toric_fixture_fans, triple_line_fan
 from logcy3 import toric
@@ -190,11 +194,19 @@ def pinched_sphere_fan():
     return Fan3(rays, cones)
 
 
+def doubled_spheres_fan():
+    """Two disjoint spheres with four cones listed twice: every successor
+    table is one cycle and 2n - cones == 4, but keys repeat."""
+    fan = disjoint_spheres_fan()
+    return Fan3(fan.rays, fan.max_cones + fan.max_cones[:4])
+
+
 NOT_SPHERES = {
     "wound": (wound_sphere_fan, "link of vertex 0 winds 2 times around its ray"),
     "wound-at-one-ray": (wound_at_one_ray_fan, "link of vertex 1 winds 2 times around its ray"),
     "disjoint": (disjoint_spheres_fan, "dual complex has Euler characteristic 4, expected 2"),
     "pinched": (pinched_sphere_fan, "link of vertex 0 is not a cycle"),
+    "doubled": (doubled_spheres_fan, "duplicate max cone"),
 }
 
 
@@ -255,6 +267,57 @@ def broken_fans(fan, rng):
     return out
 
 
+def folded_fans(fan, rng):
+    """Corruptions that a fan's successor tables alone would misname.
+
+    The ordered checks name the first fault of each; the successor tables
+    see only a repeated key or a walk that is no cycle.
+    """
+    rays, cones, (tri, sign) = list(fan.rays), list(fan.max_cones), fan.orientation
+    k = rng.randrange(len(cones))
+    a, b, c = cones[k]
+    # The other cone on the wall (a, b), and the fan without both.
+    j, other = next((j, o) for j, o in enumerate(cones) if j != k and {a, b} < set(o))
+    d = next(i for i in other if i not in (a, b))
+    both_gone = [cone for i, cone in enumerate(cones) if i not in (j, k)]
+    # n_d + n_a lies on d's side of the wall: the cone (a, b, d + a) orients
+    # the wall as (a, b, d) does.
+    fold = tuple(x + y for x, y in zip(rays[d], rays[a]))
+    folded_rays = rays if fold in rays else rays + [fold]
+    folded = cones[:k] + [(a, b, folded_rays.index(fold))] + cones[k + 1:]
+    third = next(
+        (
+            x
+            for x in rng.sample(range(len(rays)), len(rays))
+            if abs(toric._det3(rays[a], rays[b], rays[x])) == 1
+            and frozenset((a, b, x)) not in fan.cone_set()
+        ),
+        c,
+    )
+    off_cone = next(
+        (
+            t
+            for t in combinations(rng.sample(range(len(rays)), len(rays)), 3)
+            if toric._det3(*(rays[i] for i in t)) and frozenset(t) not in fan.cone_set()
+        )
+    )
+    # The first four fail a cone or wall check before the datum is read.
+    return {
+        "cone reversed": Fan3(folded_rays, folded, (tri, sign)),
+        "duplicate across a wall": Fan3(rays, cones[:k] + [other] + cones[k + 1:], (tri, sign)),
+        "third cone on a wall": Fan3(rays, cones + [(a, b, third)], (tri, sign)),
+        "wall without cones": Fan3(rays, both_gone, (tri, sign)),
+        "reference not a cone": Fan3(rays, cones, (off_cone, sign)),
+        "degenerate reference, one-cone wall": Fan3(rays, cones[:k] + cones[k + 1:], ((a, a, b), sign)),
+        "reference not a cone, one-cone wall": Fan3(rays, cones[:k] + cones[k + 1:], (off_cone, sign)),
+    }
+
+
+@cache
+def family_fan(rays):
+    return family(rays)[0]
+
+
 @pytest.fixture
 def p111():
     return triple_line_fan()
@@ -312,6 +375,17 @@ class TestValidation:
                 "diagnostic", "link of vertex 1 is not a cycle"
             )
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(12, 60), st.integers(0, 2**32 - 1), st.booleans())
+    def test_refusals_match_the_reference_check(self, rays, seed, folded):
+        # Corrupted family fans: the kinds of broken_fans, and faults whose
+        # first diagnostic the successor tables alone would misname.
+        fan, rng = family_fan(rays), random.Random(seed)
+        cases = folded_fans(fan, rng) if folded else broken_fans(fan, rng)
+        name = rng.choice(sorted(cases))
+        said = diagnosis(toric._diagnose_fan, cases[name])
+        assert said == diagnosis(reference_diagnose_fan, cases[name]), name
+
     @pytest.mark.parametrize("name", NOT_SPHERES)
     def test_a_complex_that_is_no_sphere_is_rejected(self, name):
         make, message = NOT_SPHERES[name]
@@ -347,8 +421,8 @@ class TestValidation:
 
     @pytest.mark.parametrize(
         "use",
-        [TripleIntersection, lambda fan: star_surface(fan, 0), toric_layer],
-        ids=["triple-intersection", "star-surface", "toric-layer"],
+        [TripleIntersection, lambda fan: star_surface(fan, 0), toric_layer, Fan3.dual_complex],
+        ids=["triple-intersection", "star-surface", "toric-layer", "dual-complex"],
     )
     def test_public_functions_reject_an_invalid_fan(self, use):
         with pytest.raises(FanError, match="^link of vertex 0 winds 2 times around its ray$"):
@@ -731,7 +805,7 @@ class TestIntersectionData:
 # ---------------------------------------------------------------------------
 
 HELD_ON_A_FAN = (
-    "_cone_set", "_walls", "_cones_at", "_global_sign", "_cone_dets", "_oriented",
+    "_cone_set", "_walls", "_link_pass", "_global_sign", "_cone_dets", "_oriented",
     "_links", "_dual_complex", "_diagnostic", "_frames", "_surfaces", "_picard_basis",
     "_toric_layer",
 )
@@ -776,7 +850,19 @@ class TestHeldValues:
         counts = count_held_computations(monkeypatch, fan)
         read_everything(fan, program)
         # Validation holds the determinants it reads; nothing computes them.
-        assert counts == {**dict.fromkeys(HELD_ON_A_FAN, 1), "_cone_dets": 0}
+        # The wall map waits for a reader, and these stages have none.
+        assert counts == {**dict.fromkeys(HELD_ON_A_FAN, 1), "_cone_dets": 0, "_walls": 0}
+
+    def test_a_document_load_builds_no_wall_map_or_cone_set(self, monkeypatch):
+        fan, program = family(20)
+        text = documents.dumps(documents.pair_to_document(LogCY3Pair.build(fan, program)))
+        passes = []
+        trace = toric._trace_links
+        monkeypatch.setattr(toric, "_trace_links", lambda fan: passes.append(fan) or trace(fan))
+        pair, _ = documents.pair_from_document(documents.loads(text))
+        held = vars(pair.fan)
+        assert "_walls" not in held and "_cone_set" not in held
+        assert passes == [pair.fan] and len(held["_links"]) == 20
 
     def test_a_subdivision_computes_none_of_the_values_it_holds(self, monkeypatch):
         parent, program = family(20)
