@@ -4,10 +4,12 @@
   nonzero entries of its columns; it holds each form once built, and
   applies, multiplies, transposes and pulls characters back on the
   columns;
-* :func:`snf` -- Smith normal form: four sparse unimodular transforms and
-  the invariant factors, the inverses built step by step alongside the
-  transforms, on a working matrix of sparse rows with the set of rows that
-  hold each column, read off the input's columns and never made dense,
+* :func:`snf` -- Smith normal form: the invariant factors and the
+  elimination's elementary steps, on a working matrix of sparse rows with
+  the set of rows that hold each column, read off the input's columns and
+  never made dense; each of the four sparse unimodular transforms is built
+  from the steps by its first reader, and the torus solve pulls back
+  through the row steps without building ``U``,
   plus kernels, cokernels, coordinates in the basis of ``V``,
   integer linear solving, and the solution in Q(i) of a character system
   on the columns, ``h(A e_j) = t_j``, or a relation among the columns
@@ -166,16 +168,41 @@ class IntMatrix(Frozen):
 
 
 class SnfDecomposition(Frozen):
-    """Unimodular U and V with ``U * A * V == diag(factors)``, and the inverses.
+    """Unimodular U and V with ``U * A * V == diag(factors)``, kept as their steps.
 
     ``factors`` are the nonzero diagonal entries, positive and in the
     divisibility chain d1 | d2 | ... ; the rest of the diagonal is zero.
-    All four transforms are held as sparse columns, so reading a kernel
-    vector, a lift, coordinates or a character's power products costs the
-    nonzero entries it touches.
+    ``shape`` is that of ``A``.  The elimination's elementary steps are
+    kept in order, those on rows in ``row_steps`` and those on columns in
+    ``column_steps``, each a triple ``(i, j, c)``: for ``i != j`` it adds
+    ``c`` times line ``j`` to line ``i`` when ``c`` is nonzero and swaps
+    the two lines when ``c`` is 0, and ``(t, t, -1)`` negates line ``t``.
+    ``U`` is the product of the row steps, ``V`` that of the column steps,
+    and each of ``U``, ``V``, ``U_inv`` and ``V_inv`` is built by its first
+    reader, replaying its steps on the identity (the product form of the
+    inverse: Dantzig and Orchard-Hays, Math. Tables Aids Comput. 8 (1954)
+    64-67), and then held as sparse columns, so reading a kernel vector, a
+    lift, coordinates or a character's power products costs the nonzero
+    entries it touches.
     """
 
-    _fields = ("U", "V", "U_inv", "V_inv", "factors")
+    _fields = ("shape", "row_steps", "column_steps", "factors")
+
+    @held_property
+    def U(self) -> IntMatrix:
+        return _replayed(self.shape[0], self.row_steps, inverse=False, as_rows=True)
+
+    @held_property
+    def V(self) -> IntMatrix:
+        return _replayed(self.shape[1], self.column_steps, inverse=False, as_rows=False)
+
+    @held_property
+    def U_inv(self) -> IntMatrix:
+        return _replayed(self.shape[0], self.row_steps, inverse=True, as_rows=False)
+
+    @held_property
+    def V_inv(self) -> IntMatrix:
+        return _replayed(self.shape[1], self.column_steps, inverse=True, as_rows=True)
 
     @property
     def rank(self) -> int:
@@ -187,7 +214,7 @@ class SnfDecomposition(Frozen):
 
     def kernel(self):
         """A basis of the saturated integer kernel of ``A`` (column vectors)."""
-        return [self.V.column(j) for j in range(self.rank, self.V.rows)]
+        return [self.V.column(j) for j in range(self.rank, self.shape[1])]
 
     def coordinates(self, x) -> tuple:
         """The coordinates ``V_inv x`` of ``x`` in the basis of ``V``'s columns.
@@ -199,7 +226,7 @@ class SnfDecomposition(Frozen):
 
     def cokernel(self):
         """Free rank and torsion invariant factors of ``Z^rows / im(A)``."""
-        return self.U.rows - self.rank, tuple(d for d in self.factors if d > 1)
+        return self.shape[0] - self.rank, tuple(d for d in self.factors if d > 1)
 
     def solve(self, b):
         """An integer solution ``x`` of ``A x = b``, or ``None``.
@@ -209,7 +236,7 @@ class SnfDecomposition(Frozen):
         ub = self.U.apply(tuple(b))
         if any(ub[self.rank :]):
             return None
-        y = [0] * self.V.rows
+        y = [0] * self.shape[1]
         for i, d in enumerate(self.factors):
             if ub[i] % d != 0:
                 return None
@@ -224,7 +251,9 @@ class SnfDecomposition(Frozen):
         ``prod(targets[j] ** a[j]) == 1``; the columns of ``V`` from the
         rank on span those relations.  Otherwise ``h`` is read off the
         factorization: with ``s_i = prod(targets[j] ** V[j, i])`` and
-        ``y_i ** d_i == s_i``, ``h(e_r) = prod(y_i ** U[i, r])``.
+        ``y_i ** d_i == s_i``, ``h(e_r) = prod(y_i ** U[i, r])``, that is
+        ``y`` pulled back through each row step, the last first, so ``U``
+        is never built.
 
         Returns ``("solved", values)`` with one Q(i)* value per row,
         ``("complex_only", (d, s))`` when the system is solvable over the
@@ -233,23 +262,33 @@ class SnfDecomposition(Frozen):
         break, which certifies that no solution exists.
         """
         targets = list(targets)
-        if len(targets) != self.V.rows:
+        n = self.shape[1]
+        if len(targets) != n:
             raise ExactArithmeticError("one target per column required")
         for tval in targets:
             if tval.is_zero():
                 raise ExactArithmeticError("targets must be nonzero")
         columns = self.V.columns
-        for k in range(self.rank, self.V.rows):
+        for k in range(self.rank, n):
             if not power_product_of((targets[j], x) for j, x in columns[k]).is_one():
                 return "unsolvable", self.V.column(k)
-        y = [ONE] * self.U.rows
+        y = [ONE] * self.shape[0]
         for i, d in enumerate(self.factors):
             s = power_product_of((targets[j], x) for j, x in columns[i])
             root = nth_root(s, d)
             if root is None:
                 return "complex_only", (d, s)
             y[i] = root
-        return "solved", list(self.U.pull_back(y))
+        # Pulled back through a step, y changes only where the step reads:
+        # row dst += c * row src multiplies y[src] by y[dst] ** c.
+        for dst, src, c in reversed(self.row_steps):
+            if dst == src:
+                y[dst] = y[dst].inverse()
+            elif c:
+                y[src] = power_product_of(((y[src], 1), (y[dst], c)))
+            else:
+                y[dst], y[src] = y[src], y[dst]
+        return "solved", y
 
 
 def _add_sparse(dst: dict, src: dict, c: int):
@@ -262,8 +301,36 @@ def _add_sparse(dst: dict, src: dict, c: int):
             del dst[k]
 
 
+def _replayed(size: int, steps, inverse: bool, as_rows: bool) -> IntMatrix:
+    """The ``size x size`` identity with these steps applied to its lines, in order.
+
+    Forward, a step acts on the lines as it reads.  For the inverse each
+    step is replaced by its inverse on the other lines, as the order of the
+    steps requires (Dumas, Saunders and Villard, J. Symbolic Comput. 32
+    (2001) 71-99): line ``i += c * line j`` becomes line ``j -= c * line i``,
+    and a swap or a negation is the same swap or negation.  The lines are
+    the matrix's rows when ``as_rows`` holds (``U``, ``V_inv``), else its
+    columns (``V``, ``U_inv``).
+    """
+    lines = [{i: 1} for i in range(size)]
+    for i, j, c in steps:
+        if i == j:
+            line = lines[i]
+            for k in line:
+                line[k] = -line[k]
+        elif not c:
+            lines[i], lines[j] = lines[j], lines[i]
+        elif inverse:
+            _add_sparse(lines[j], lines[i], -c)
+        else:
+            _add_sparse(lines[i], lines[j], c)
+    if as_rows:  # the transpose sorts the columns
+        return IntMatrix.from_columns(size, [line.items() for line in lines]).transpose()
+    return IntMatrix.from_columns(size, [sorted(line.items()) for line in lines])
+
+
 def snf(A: IntMatrix) -> SnfDecomposition:
-    """Smith normal form over Z with transforms, by exact row/column reduction.
+    """Smith normal form over Z with its steps, by exact row/column reduction.
 
     The pivot is the first entry of least absolute value in row-major order
     of the trailing block; the column below it is cleared, then the row
@@ -274,15 +341,9 @@ def snf(A: IntMatrix) -> SnfDecomposition:
     off ``A``'s columns, with the set of rows that hold each column, so a
     row step walks the source row's nonzeros, a column step the rows in the
     source column's set, and a swap relabels only the entries it moves.
-    The inverses of the transforms are built alongside, each elementary
-    step by its inverse (Dumas, Saunders and Villard, J. Symbolic Comput. 32
-    (2001) 71-99): row ``dst += c * row src`` on ``U`` is column
-    ``src -= c * column dst`` on ``U_inv``, column ``dst += c * column src``
-    on ``V`` is row ``src -= c * row dst`` on ``V_inv``, and a swap or a
-    negation is the same swap or negation there.  All four are held as
-    sparse vectors, so a step costs the nonzero entries it moves.  At the
-    end ``U`` and ``V_inv``, built as rows, are transposed, which sorts
-    their columns, and the columns of ``V`` and ``U_inv`` are sorted once.
+    Each step is appended to the row or the column log and nothing else is
+    done for the transforms: :class:`SnfDecomposition` builds each of them
+    from its log when it is first read.
     """
     m, n = A.shape
     a = [{} for _ in range(m)]  # rows of the working matrix, nonzeros only
@@ -292,10 +353,8 @@ def snf(A: IntMatrix) -> SnfDecomposition:
             if x:
                 a[i][j] = x
                 holding[j].add(i)
-    u = [{i: 1} for i in range(m)]  # rows
-    u_inv = [{i: 1} for i in range(m)]  # columns
-    v = [{j: 1} for j in range(n)]  # columns
-    v_inv = [{j: 1} for j in range(n)]  # rows
+    row_steps = []
+    column_steps = []
     t = 0
 
     def swap_rows(i, j):
@@ -311,8 +370,7 @@ def snf(A: IntMatrix) -> SnfDecomposition:
                 rows.remove(j)
                 rows.add(i)
         a[i], a[j] = rj, ri
-        u[i], u[j] = u[j], u[i]
-        u_inv[i], u_inv[j] = u_inv[j], u_inv[i]
+        row_steps.append((i, j, 0))
 
     def swap_cols(i, j):
         hi, hj = holding[i], holding[j]
@@ -327,8 +385,7 @@ def snf(A: IntMatrix) -> SnfDecomposition:
                 row = a[r]
                 row[i] = row.pop(j)
         holding[i], holding[j] = hj, hi
-        v[i], v[j] = v[j], v[i]
-        v_inv[i], v_inv[j] = v_inv[j], v_inv[i]
+        column_steps.append((i, j, 0))
 
     def add_row(dst, src, c):
         # row[dst] += c * row[src]; c is never 0.
@@ -345,8 +402,7 @@ def snf(A: IntMatrix) -> SnfDecomposition:
                 else:
                     del row[k]
                     holding[k].remove(dst)
-        _add_sparse(u[dst], u[src], c)
-        _add_sparse(u_inv[src], u_inv[dst], -c)
+        row_steps.append((dst, src, c))
 
     def add_col(dst, src, c):
         # column[dst] += c * column[src]; c is never 0.
@@ -364,8 +420,7 @@ def snf(A: IntMatrix) -> SnfDecomposition:
                 else:
                     del row[dst]
                     rows.remove(r)
-        _add_sparse(v[dst], v[src], c)
-        _add_sparse(v_inv[src], v_inv[dst], -c)
+        column_steps.append((dst, src, c))
 
     while t < min(m, n):
         # Locate a pivot of minimal absolute value in the trailing block: the
@@ -432,22 +487,15 @@ def snf(A: IntMatrix) -> SnfDecomposition:
             add_row(t, offender, 1)
 
         if row_t[t] < 0:
-            # Row t holds only the pivot; negate it, and U's row and U_inv's
-            # column, in place.
+            # Row t holds only the pivot; negate it in place.
             row_t[t] = -row_t[t]
-            for vector in (u[t], u_inv[t]):
-                for k in vector:
-                    vector[k] = -vector[k]
+            row_steps.append((t, t, -1))
         t += 1
 
     # The loop stops at the first empty trailing block, so the nonzero
     # diagonal entries are the first t.
     return SnfDecomposition(
-        IntMatrix.from_columns(m, [row.items() for row in u]).transpose(),
-        IntMatrix.from_columns(n, [sorted(column.items()) for column in v]),
-        IntMatrix.from_columns(m, [sorted(column.items()) for column in u_inv]),
-        IntMatrix.from_columns(n, [row.items() for row in v_inv]).transpose(),
-        tuple(a[i][i] for i in range(t)),
+        A.shape, tuple(row_steps), tuple(column_steps), tuple(a[i][i] for i in range(t))
     )
 
 

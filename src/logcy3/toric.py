@@ -264,7 +264,7 @@ def _diagnose_fan(fan: Fan3):
         return "fan has no max cones"
     used, dets, indices = set(), [], set(range(n))
     for cone in cones:
-        if len(vertices := {*cone}) != 3 or not vertices <= indices:
+        if len(cone) != 3 or len(vertices := {*cone}) != 3 or not vertices <= indices:
             return f"bad cone {cone}"
         a, b, c = cone
         d = _det3(rays[a], rays[b], rays[c])

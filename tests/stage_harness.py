@@ -22,8 +22,12 @@ prints one row:
   complex and the star surfaces, and nothing else;
 - ``build``: a build of the family pair on its held, checked fan;
 - ``marked``: the markers' marked period of a fresh build;
-- ``snf``: the Smith normal form of a fresh build's edge-matching map,
-  the map included;
+- ``snf``: the matching kernel of a fresh build: the Smith normal form of
+  its edge-matching map, the map included, and the ``V`` the kernel is
+  read off.  The factorization keeps its steps and builds each transform
+  on first read, so the elimination alone would leave out the ``V`` that
+  every report reads; commits that built all four transforms inside the
+  factorization pay for them here;
 - ``values``: the matching values of a fresh build whose matching kernel
   and markers' table are held: the pull-back alone;
 - ``unmarked``: the unmarked period of a fresh build whose matching values
@@ -31,7 +35,9 @@ prints one row:
   marking-independence check;
 - ``k_image``: the image of restriction of a fresh build;
 - ``quotient``: the quotient character of a fresh build whose matching
-  values and k-image are held;
+  values and k-image are held; it builds the factorization's ``V_inv``,
+  which commits that built every transform inside the factorization paid
+  for in the ``snf`` cell;
 - ``fresh``: a self-compare of two fresh builds (every held value computed
   in the call);
 - ``translate``: decide against a fresh torus translate by ``(2, 3, i)``,
@@ -88,7 +94,6 @@ from logcy3.gaussian import GaussianRational, I
 from logcy3.fixtures import projective_space_fan
 from logcy3.pair import LogCY3Pair, PointBlowup
 from logcy3.periods import (
-    edge_matching_snf,
     marked_period,
     matching_kernel,
     matching_values,
@@ -218,7 +223,7 @@ def stage_row(rays):
         ),
         "build": best_ms(build, lambda: (), repeats),
         "marked": best_ms(lambda p: marked_period(p, p.markers()), built, repeats),
-        "snf": best_ms(edge_matching_snf, built, repeats),
+        "snf": best_ms(matching_kernel, built, repeats),
         "values": best_ms(matching_values, factored, repeats),
         "unmarked": best_ms(unmarked_period, held_values, repeats),
         "k_image": best_ms(LogCY3Pair.k_image, built, repeats),

@@ -278,6 +278,68 @@ class TestPairDocumentFuzz:
                     ]
 
 
+BAD_VERTEX_KEYS = ("x", "", " ", "1.5", "0x1", "-", "1e2", "[0]")
+
+
+@st.composite
+def restructured_correspondences(draw):
+    """A bundled pair's name and its identity correspondence, broken in its JSON.
+
+    The document may first carry an identity ``mu`` and an identity
+    ``mu_components`` block, so those have nodes to break too.  Then one
+    key is dropped, one value becomes one of another type, one
+    ``vertex_map`` key becomes a string that is not an integer, or a list
+    is nested where an object belongs.
+    """
+    name = draw(st.sampled_from(BUNDLED)).removesuffix(".pair.json")
+    pair = bundled_pair(name)
+    doc = documents.correspondence_to_document(Correspondence.identity(pair))
+    if draw(st.booleans()):
+        v = draw(st.sampled_from(sorted(pair.components)))
+        n, r = pair.pic_rank, pair.components[v].rank
+        doc["mu"] = [[int(i == j) for j in range(n)] for i in range(n)]
+        doc["mu_components"] = {str(v): [[int(i == j) for j in range(r)] for i in range(r)]}
+    kind = draw(st.sampled_from(["drop", "retype", "vertex key", "nest"]))
+    if kind == "vertex key":
+        key = draw(st.sampled_from(sorted(doc["vertex_map"])))
+        doc["vertex_map"][draw(st.sampled_from(BAD_VERTEX_KEYS))] = doc["vertex_map"].pop(key)
+        return name, doc
+    holder = {"document": doc}
+    paths = list(node_paths(holder))  # the document itself first
+    if kind == "drop":
+        paths = paths[1:]
+    elif kind == "nest":
+        paths = [(path, value) for path, value in paths if isinstance(value, dict)]
+    path = draw(st.sampled_from([path for path, _ in paths]))
+    parent = holder
+    for key in path[:-1]:
+        parent = parent[key]
+    key, value = path[-1], parent[path[-1]]
+    if kind == "drop":
+        del parent[key]
+    elif kind == "retype":
+        parent[key] = draw(st.sampled_from([x for x in ODD_VALUES if type(x) is not type(value)]))
+    else:
+        parent[key] = draw(st.sampled_from([[value], list(value.items()), list(value.values())]))
+    return name, holder["document"]
+
+
+class TestCorrespondenceDocumentFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(restructured_correspondences())
+    def test_restructured_correspondences_get_a_verdict_or_one_error_line(self, case):
+        name, doc = case
+        with tempfile.TemporaryDirectory() as tmp:
+            corr = os.path.join(tmp, "restructured.corr.json")
+            with open(corr, "w", encoding="utf-8") as handle:
+                json.dump(doc, handle)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                path = bundled_path(name)
+                code = main(["--json", "compare", path, path, corr])
+        assert_a_report_or_one_error_line(code, out.getvalue(), err.getvalue())
+
+
 class TestValidate:
     def test_ok(self, capsys):
         assert main(["validate", bundled_path("p3-conic")]) == 0

@@ -1025,6 +1025,143 @@ class TestTorusSolvability:
         assert status == "unsolvable" and relation is not None
 
 
+def solved_through_u(dec, targets):
+    """The solve's tail as it read when the factorization held ``U``.
+
+    Relations and roots on the sparse columns of ``V``, then the roots
+    pulled back through ``U`` itself, ``h(e_r) = prod(y_i ** U[i, r])``.
+    """
+    columns = dec.V.columns
+    for k in range(dec.rank, dec.V.rows):
+        if not power_product_of((targets[j], x) for j, x in columns[k]).is_one():
+            return "unsolvable", dec.V.column(k)
+    y = [GaussianRational(1)] * dec.U.rows
+    for i, d in enumerate(dec.factors):
+        s = power_product_of((targets[j], x) for j, x in columns[i])
+        root = nth_root(s, d)
+        if root is None:
+            return "complex_only", (d, s)
+        y[i] = root
+    return "solved", list(dec.U.pull_back(y))
+
+
+def same_solve(dec, targets):
+    """Assert that the solve gives the triples of :func:`solved_through_u`; return its status."""
+    status, answer = dec.solve_over_gaussian_torus(targets)
+    expected_status, expected = solved_through_u(dec, targets)
+    assert status == expected_status
+    if status == "solved":
+        assert list(map(triple, answer)) == list(map(triple, expected))
+    elif status == "complex_only":
+        assert answer[0] == expected[0] and triple(answer[1]) == triple(expected[1])
+    else:
+        assert answer == expected
+    return status
+
+
+SMALL_VALUES = [GaussianRational(x, y) for x, y in ((2, 0), (1, 1), (1, -1), (3, 0), (0, 1))]
+
+
+class TestRowStepsPulledBackInReverse:
+    """The solve pulls its roots back through the row steps, last first, not through ``U``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_matrices(max_dim=3, max_entry=2), st.data())
+    def test_same_values_as_the_pull_back_through_u(self, a, data):
+        # Targets of a point are solvable over the torus; one bent target
+        # breaks a relation when there is one; drawn targets may do either.
+        small = st.sampled_from(SMALL_VALUES)
+        point = data.draw(st.lists(small, min_size=a.rows, max_size=a.rows))
+        solvable = values_on_columns(a, point)
+        drawn = data.draw(st.lists(small, min_size=a.cols, max_size=a.cols))
+        dec = snf(a)
+        for targets in (solvable, [solvable[0] * 2] + solvable[1:], drawn):
+            same_solve(dec, targets)
+
+    @pytest.mark.parametrize(
+        "rows, targets, status",
+        [
+            ([[-1]], ["5"], "solved"),
+            ([[-2, 0], [0, 3]], ["4", "-8"], "solved"),
+            ([[2]], ["2"], "complex_only"),
+            ([[1, 1]], ["2", "3"], "unsolvable"),
+        ],
+        ids=["negated-unit", "negated-pivot", "complex-only", "unsolvable"],
+    )
+    def test_each_outcome(self, rows, targets, status):
+        dec = snf(IntMatrix(rows))
+        if rows[0][0] < 0:  # the pivot of row 0 is negated, so the inverse branch runs
+            assert (0, 0, -1) in dec.row_steps
+        assert same_solve(dec, [GaussianRational.parse(t) for t in targets]) == status
+
+    def test_held_edge_matching_factorizations_of_bundled_pairs(self):
+        from logcy3.documents import loads, pair_from_document
+        from logcy3.periods import edge_matching_map, edge_matching_snf
+
+        data = importlib.resources.files("logcy3").joinpath("data")
+        paths = [e for e in data.iterdir() if e.name.endswith(".pair.json")]
+        assert len(paths) == 8
+        statuses = set()
+        for path in paths:
+            pair = pair_from_document(loads(path.read_bytes()))[0]
+            ell, dec = edge_matching_map(pair), edge_matching_snf(pair)
+            point = [GaussianRational(k + 2, k % 3) for k in range(ell.rows)]
+            targets = values_on_columns(ell, point)
+            for values in (targets, [targets[0] * 3] + targets[1:]):
+                statuses.add(same_solve(dec, values))
+        assert statuses == {"solved", "unsolvable"}
+
+
+class TestTransformsBuiltByTheirReaders:
+    """A transform is built when it is first read, and the pipeline reads three."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        from logcy3.exactnum import SnfDecomposition
+
+        counts = dict.fromkeys(("U", "V", "U_inv", "V_inv"), 0)
+        for name in counts:
+            held = SnfDecomposition.__dict__[name]
+
+            def counted(dec, compute=held.compute, name=name):
+                counts[name] += 1
+                return compute(dec)
+
+            monkeypatch.setattr(held, "compute", counted)
+        return counts
+
+    def test_a_report_decide_and_transport_build_no_u(self, built):
+        from logcy3 import periods, torelli
+        from logcy3.documents import loads, pair_from_document
+        from logcy3.gaussian import I
+
+        data = importlib.resources.files("logcy3").joinpath("data/p3-mixed.pair.json")
+        pair = pair_from_document(loads(data.read_bytes()))[0]
+        periods.marked_period(pair, pair.markers())
+        periods.unmarked_period(pair)
+        periods.quotient_character(pair)
+        periods.edge_cokernel_report(pair)
+        pair.k_image()
+        assert torelli.decide_isomorphism(pair, pair).kind == "isomorphic"
+        translate = pair.torus_translate((GaussianRational(2), GaussianRational(3), I))
+        assert torelli.marking_transporter(pair, translate)[0] == "solved"
+        # V of the edge-matching map and of the restriction map, V_inv for
+        # the quotient's coordinates, U_inv for the lifts of its inclusion.
+        assert built == {"U": 0, "V": 2, "U_inv": 1, "V_inv": 1}
+
+    def test_a_rank_builds_none(self, built):
+        from logcy3 import torelli
+        from logcy3.fixtures import pair_fixtures
+
+        pair = pair_fixtures()["p3-mixed"]
+        for step in range(len(pair.program)):
+            torelli.classify_contraction(pair, step)
+        assert torelli.complexity(pair, [(1, pair.canonical), (1, pair.canonical)]) == 2
+        assert not any(built.values())
+        assert snf(IntMatrix([[2, 4], [6, 8]])).rank == 2
+        assert not any(built.values())
+
+
 class TestNthRoot:
     @pytest.mark.parametrize(
         "value, n, message",

@@ -117,7 +117,7 @@ def reference_diagnose_fan(fan):
         return "fan has no max cones"
     used = set()
     for cone in fan.max_cones:
-        if len(set(cone)) != 3 or any(i < 0 or i >= n for i in cone):
+        if len(cone) != 3 or len(set(cone)) != 3 or any(i < 0 or i >= n for i in cone):
             return f"bad cone {cone}"
         if abs(toric._det3(*(fan.rays[i] for i in cone))) != 1:
             return f"non-smooth cone {cone}"
@@ -385,6 +385,14 @@ class TestValidation:
         name = rng.choice(sorted(cases))
         said = diagnosis(toric._diagnose_fan, cases[name])
         assert said == diagnosis(reference_diagnose_fan, cases[name]), name
+
+    @pytest.mark.parametrize("cone", [(1, 1, 2, 3), (0, 1, 2, 3), (1, 2)])
+    def test_a_cone_not_of_three_entries_is_a_bad_cone(self, cone):
+        # Three distinct vertices among four entries are still a bad cone.
+        p3 = projective_space_fan()
+        fan = Fan3(p3.rays, p3.max_cones[:-1] + (cone,))
+        assert validate_fan(fan) == f"bad cone {cone}"
+        assert diagnosis(reference_diagnose_fan, fan) == ("diagnostic", f"bad cone {cone}")
 
     @pytest.mark.parametrize("name", NOT_SPHERES)
     def test_a_complex_that_is_no_sphere_is_rejected(self, name):

@@ -69,10 +69,10 @@ CASES = [
     ),
     (
         SnfDecomposition,
-        lambda: SnfDecomposition(*(IntMatrix([[1]]) for _ in range(4)), (1,)),
-        ("U", "V", "U_inv", "V_inv", "factors"),
+        lambda: SnfDecomposition((1, 1), ((0, 0, -1),), (), (1,)),
+        ("shape", "row_steps", "column_steps", "factors"),
         True,
-        f"SnfDecomposition(U={ONE}, V={ONE}, U_inv={ONE}, V_inv={ONE}, factors=(1,))",
+        "SnfDecomposition(shape=(1, 1), row_steps=((0, 0, -1),), column_steps=(), factors=(1,))",
     ),
     (
         PicVector,
