@@ -107,6 +107,15 @@ class Marking(Frozen):
             by_edge.setdefault(key, coord)
         return by_edge
 
+    def is_markers_on(self, edges) -> bool:
+        """Whether the point on every edge ``(v, w)`` of ``edges`` is the marker -1.
+
+        The scan stops at the first edge whose point is not -1 or that has
+        no point, so a marking off the markers costs one lookup.
+        """
+        by_edge = self._by_edge
+        return all(by_edge.get(frozenset(edge)) == MINUS_ONE for edge in edges)
+
     def point(self, v: int, w: int) -> GaussianRational:
         key = frozenset((v, w))
         try:
@@ -300,7 +309,13 @@ def component_marked_period(
 
 
 def marker_value(c: LooijengaComponent, exc: ExceptionalClass) -> GaussianRational:
-    """An exceptional class's marked period at the markers: -(its point here)."""
+    """An exceptional class's marked period at the markers: -(its point here).
+
+    That is -x at the head of its edge and -1/x at the tail, for the
+    reference point x.  At the markers every toric class has period 1, so
+    these values are the whole of the markers' character: a pair holds them
+    as its support (:meth:`~logcy3.pair.LogCY3Pair.marker_support`).
+    """
     return -c.side_coordinate(exc.neighbor, exc.coordinate)
 
 
@@ -316,6 +331,10 @@ def component_character_table(c: LooijengaComponent, marking: Marking) -> tuple:
     exceptional class at reference point x contributes its own coordinate
     over p, ``x/q`` at the head and ``q/x`` at the tail.  The head sides
     are read by ray index, the marking once per edge.
+
+    At the markers (q = -1) every toric value is 1 and each exceptional
+    value is its :func:`marker_value`, so a pair builds the markers' table
+    from those alone and reads this function for other markings only.
     """
     ratios = {}
     points = {}

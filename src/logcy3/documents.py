@@ -75,10 +75,18 @@ def _each(value, context, read) -> list:
 
 
 def _vertex_key(key, context) -> int:
+    """The vertex a key names, written as ``str`` writes the integer.
+
+    No spaces, sign ``+``, underscores, leading zeros or non-ASCII digits, so
+    distinct keys name distinct vertices.
+    """
     try:
-        return int(key)
-    except ValueError as exc:
-        raise DocumentError(f"{context}: bad vertex key {key!r}") from exc
+        vertex = int(key)
+    except ValueError:
+        vertex = None
+    if vertex is None or key != str(vertex):
+        raise DocumentError(f"{context}: bad vertex key {key!r}")
+    return vertex
 
 
 def _parse_coordinate(text, context) -> GaussianRational:
@@ -223,8 +231,6 @@ def _step_from_document(entry: dict):
             if not isinstance(coords, list):
                 _expect(coords, list, f".points[{w}]")
             vertex = _vertex_key(w, ".points")
-            if vertex in points:
-                raise DocumentError(f".points: vertex {vertex} listed twice")
             try:
                 points[vertex] = tuple([parse(str(q)) for q in coords])
             except ExactArithmeticError as exc:
@@ -276,14 +282,14 @@ def correspondence_from_document(doc: dict):
 
 
 def _by_vertex(value, context, read) -> dict:
-    """An object keyed by vertex, each value ``read(value, field)``; a vertex
-    named twice (``"0"`` and ``"00"``) is an error."""
+    """An object keyed by vertex, each value ``read(value, field)``.
+
+    A vertex cannot be named twice: the loader refuses a repeated key, and
+    :func:`_vertex_key` one that is not written as ``str`` writes it.
+    """
     entries = {}
     for key, item in _expect(value, dict, context).items():
-        vertex = _vertex_key(key, context)
-        if vertex in entries:
-            raise DocumentError(f"{context}: vertex {vertex} listed twice")
-        entries[vertex] = read(item, f"{context}[{key}]")
+        entries[_vertex_key(key, context)] = read(item, f"{context}[{key}]")
     return entries
 
 

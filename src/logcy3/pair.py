@@ -42,7 +42,7 @@ from logcy3.boundary import (
     marker_value,
 )
 from logcy3.gaussian import (
-    Frozen, GaussianRational, MINUS_ONE, dot, power_product_of, symmetric_trilinear,
+    Frozen, GaussianRational, MINUS_ONE, ONE, dot, power_product_of, symmetric_trilinear,
 )
 from logcy3.toric import (
     Fan3,
@@ -462,20 +462,53 @@ class LogCY3Pair:
         """The distinguished marking, the point -1 on every edge, held."""
         return self.held("markers", lambda pair: Marking.markers(pair.edge_keys()))
 
+    def marker_support(self) -> dict:
+        """The markers' character on the exceptional rows, held.
+
+        At the markers every toric class has period 1, so the character
+        lives on the exceptional classes: the map sends each exceptional
+        row of the boundary lattice, in flat order, to its
+        :func:`~logcy3.boundary.marker_value`, and leaves every toric row
+        out.  A reader multiplies over these rows only; the map must not
+        be changed.
+        """
+        return self.held("marker_support", LogCY3Pair._marker_support)
+
+    def _marker_support(self) -> dict:
+        support = {}
+        row = 0
+        for comp in self.boundary_components():
+            row += comp.base.rank
+            for exc in comp.excs:
+                support[row] = marker_value(comp, exc)
+                row += 1
+        return support
+
     def character_table(self, marking: Marking) -> tuple:
         """Marked period values of the boundary basis classes, in flat order.
 
-        Each value is read off its own component's degree table.  The
-        table of a marking is computed on first use and then held on the pair.
+        For a marking with the marker -1 on every edge, the table is 1 on
+        each toric row and the :meth:`marker_support` elsewhere, held once
+        for all such markings.  Otherwise each value is read off its own
+        component's degree table.  The table of a marking is computed on
+        first use and then held on the pair.
         """
-        return self.held(
-            ("character_table", marking),
-            lambda pair: tuple(
-                value
-                for comp in pair.boundary_components()
-                for value in component_character_table(comp, marking)
-            ),
+        return self.held(("character_table", marking), lambda pair: pair._table(marking))
+
+    def _table(self, marking: Marking) -> tuple:
+        if marking.is_markers_on(self.complex.edges):
+            return self.held("marker_table", LogCY3Pair._marker_table)
+        return tuple(
+            value
+            for comp in self.boundary_components()
+            for value in component_character_table(comp, marking)
         )
+
+    def _marker_table(self) -> tuple:
+        table = [ONE] * self.component_offsets()[1]
+        for row, value in self.marker_support().items():
+            table[row] = value
+        return tuple(table)
 
     def k_image(self):
         """Basis of the image of restriction, and whether it is saturated.

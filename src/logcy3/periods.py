@@ -14,7 +14,7 @@ from __future__ import annotations
 from logcy3.boundary import Marking
 from logcy3.exactnum import IntMatrix, snf
 from logcy3.gaussian import (
-    ExactArithmeticError, Frozen, GaussianRational, power_product, power_product_of,
+    ONE, ExactArithmeticError, Frozen, GaussianRational, power_product, power_product_of,
 )
 from logcy3.pair import LogCY3Pair, PairError
 
@@ -102,15 +102,28 @@ def _dense_generators(pair: LogCY3Pair) -> tuple:
 def matching_values(pair: LogCY3Pair) -> tuple:
     """The markers' period value on each :func:`matching_lattice` generator.
 
-    The markers' character table pulled back along :func:`matching_kernel`,
-    computed on first use and held on the pair; the unmarked period, the
-    quotient and the decision procedure all read them from here.
+    Each :func:`matching_kernel` column valued on the pair's
+    :meth:`~logcy3.pair.LogCY3Pair.marker_support` by :func:`support_value`,
+    over its exceptional entries only, as every toric class has period 1 at
+    the markers.  Computed on first use and held on the pair; the unmarked
+    period, the quotient and the decision procedure all read them from here.
     """
     return pair.held("matching_values", _matching_values)
 
 
 def _matching_values(pair: LogCY3Pair) -> tuple:
-    return matching_kernel(pair).pull_back(pair.character_table(pair.markers()))
+    support = pair.marker_support()
+    return tuple(support_value(support, column) for column in matching_kernel(pair).columns)
+
+
+def support_value(support: dict, column) -> GaussianRational:
+    """A character that is 1 off ``support``, valued at a sparse column.
+
+    ``support`` maps rows to values and ``column`` lists ``(row, entry)``
+    pairs; the value is the power product over the rows in the support,
+    and a row left out contributes exactly 1.
+    """
+    return power_product_of((support[i], x) for i, x in column if i in support)
 
 
 def _wedge(a, b):
@@ -205,14 +218,16 @@ def unmarked_period(pair: LogCY3Pair) -> PeriodCharacter:
     the value does not depend on the marking.  The values are the held
     :func:`matching_values` at the markers.  Per boundary basis class, a
     second marking's table must be the markers' times the scaling character
-    at the ratio of the points on each edge, trivial on matching classes.
+    at the ratio of the points on each edge, trivial on matching classes;
+    the markers' value is read off the support, 1 on a toric class.
     """
     values = matching_values(pair)
-    markers, other = pair.markers(), _alternative_marking(pair)
-    ratios = [other.point(v, w) / markers.point(v, w) for v, w in pair.complex.edges]
+    support, other = pair.marker_support(), _alternative_marking(pair)
+    # The markers' point is -1 on every edge, so the ratio is -(other's point).
+    ratios = [-other.point(v, w) for v, w in pair.complex.edges]
     moved = edge_matching_map(pair).pull_back(ratios)
-    tables = zip(pair.character_table(markers), pair.character_table(other), moved)
-    if any(b != a * m for a, b, m in tables):
+    table = pair.character_table(other)
+    if any(b != support.get(n, ONE) * m for n, (b, m) in enumerate(zip(table, moved))):
         raise PeriodConsistencyError(
             "period value depends on the marking on a matching class"
         )
@@ -275,12 +290,13 @@ def quotient_character(pair: LogCY3Pair):
     lattice, the one Smith normal form this computes.  The character is
     multiplicative, so a lift's value is the power product of the held
     :func:`matching_values` over its column of ``U_inv``; only the image
-    vectors are evaluated on the character table itself.
+    vectors are evaluated on the markers' character itself, over the rows
+    of the pair's :meth:`~logcy3.pair.LogCY3Pair.marker_support`.
     """
-    table = pair.character_table(pair.markers())
+    support = pair.marker_support()
     k_basis, _ = pair.k_image()
     for gen in k_basis:
-        if not power_product(table, gen).is_one():
+        if not power_product_of((value, gen[i]) for i, value in support.items()).is_one():
             raise PeriodConsistencyError(
                 "period is nontrivial on a restricted global class"
             )

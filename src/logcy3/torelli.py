@@ -17,7 +17,9 @@ from logcy3.boundary import Marking
 from logcy3.exactnum import IntMatrix, snf
 from logcy3.gaussian import Frozen, dot, held_property, power_product_of
 from logcy3.pair import CurveBlowup, LogCY3Pair, PairError, PointBlowup, pull_back_tensor
-from logcy3.periods import edge_matching_snf, matching_kernel, matching_lattice, matching_values
+from logcy3.periods import (
+    edge_matching_snf, matching_kernel, matching_lattice, matching_values, support_value,
+)
 from logcy3.toric import (
     Fan3,
     ToricIntersectionData,
@@ -523,25 +525,54 @@ def _matched(pair: LogCY3Pair, other: LogCY3Pair, corr: Correspondence):
     return frame_map, _boundary_map(pair, other, corr, transports)
 
 
+def _pulled_support(boundary: IntMatrix, support: dict) -> dict:
+    """The markers' character of the other pair pulled back through ``boundary``,
+    where it is not 1.
+
+    Column ``j`` is valued over its rows in the other pair's support alone:
+    a single row with entry 1 gives that row's value, any other mix one
+    power product.  A column that meets no support row, or whose value is
+    1, is left out, so the result is a support too.
+    """
+    pulled = {}
+    for j, column in enumerate(boundary.columns):
+        factors = [(support[i], x) for i, x in column if i in support]
+        if not factors:
+            continue
+        value, x = factors[0]
+        if len(factors) > 1 or x != 1:
+            value = power_product_of(factors)
+        if not value.is_one():
+            pulled[j] = value
+    return pulled
+
+
 def decide_isomorphism(
     pair: LogCY3Pair, other: LogCY3Pair, corr: Correspondence = None
 ) -> Verdict:
-    """Run the full decision pipeline and return a verdict with certificate."""
+    """Run the full decision pipeline and return a verdict with certificate.
+
+    Step (v) compares the markers' periods, which are 1 on every toric
+    class: the other pair's support is pulled back through the boundary
+    map over its support rows, and each matching generator is valued over
+    its entries in the pulled support only.  This is exact for any ``mu``
+    or ``mu_components``, as a row left out contributes exactly 1, and it
+    builds neither the other pair's markers nor its character table.
+    """
     matched = _matched(pair, other, corr)
     if isinstance(matched, Verdict):
         return matched
     frame_map, boundary = matched
 
     # (v) Compare exact periods on the matching lattice.  This pair's side
-    # is its held matching values; the other's is its character table
-    # pulled back through the boundary map, as transport reads it, valued on
-    # each generator's nonzero entries, generator by generator, so a
-    # distinct verdict stops at its witness.
-    pulled = boundary.pull_back(other.character_table(other.markers()))
+    # is its held matching values; the other's is its support pulled back
+    # through the boundary map, valued on each generator's entries in it,
+    # generator by generator, so a distinct verdict stops at its witness.
+    pulled = _pulled_support(boundary, other.marker_support())
     transcript = []
     generators = zip(matching_lattice(pair), matching_kernel(pair).columns, matching_values(pair))
     for gen, column, value in generators:
-        value2 = power_product_of((pulled[i], x) for i, x in column)
+        value2 = support_value(pulled, column)
         if value != value2:
             return Verdict(
                 "distinct",

@@ -29,13 +29,18 @@ prints one row:
   every report reads; commits that built all four transforms inside the
   factorization pay for them here;
 - ``values``: the matching values of a fresh build whose matching kernel
-  and markers' table are held: the pull-back alone;
+  and markers' table are held: the pull-back alone.  Commits that hold the
+  markers' character as its support on the exceptional rows build the
+  table from the support, so the support is held here too, and the cell
+  times the power products over the kernel columns on both sides;
 - ``unmarked``: the unmarked period of a fresh build whose matching values
   are held, so the cell times the second marking's table and the
-  marking-independence check;
+  marking-independence check (the markers' values are held on both sides:
+  the table, or the support it was built from);
 - ``k_image``: the image of restriction of a fresh build;
 - ``quotient``: the quotient character of a fresh build whose matching
-  values and k-image are held; it builds the factorization's ``V_inv``,
+  values and k-image are held, and with the values the markers' table or
+  support that the image check reads; it builds the factorization's ``V_inv``,
   which commits that built every transform inside the factorization paid
   for in the ``snf`` cell;
 - ``fresh``: a self-compare of two fresh builds (every held value computed

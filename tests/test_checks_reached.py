@@ -270,8 +270,6 @@ REACHED = {
         DOCUMENTS + "TestPairDocuments::test_malformed_shape_rejected_with_field_path[short-ray]",
     ("documents._step_from_document", "DocumentError", ": unknown blowup kind {}"):
         DOCUMENTS + "TestPairDocuments::test_unknown_blowup_kind_rejected",
-    ("documents._step_from_document", "DocumentError", ".points: vertex {} listed twice"):
-        DOCUMENTS + "TestPairDocuments::test_curve_point_vertex_listed_twice",
     ("documents._step_from_document", "DocumentError", ".points[{}]: {}"):
         DOCUMENTS + "TestPairDocuments::"
         "test_malformed_shape_rejected_with_field_path[curve-coordinate]",
@@ -280,8 +278,6 @@ REACHED = {
         DOCUMENTS + "TestCorrespondenceDocuments::test_wrong_format_rejected",
     ("documents.correspondence_from_document", "DocumentError", "document: unsupported version"):
         DOCUMENTS + "TestCorrespondenceDocuments::test_unsupported_version_rejected",
-    ("documents._by_vertex", "DocumentError", "{}: vertex {} listed twice"):
-        DOCUMENTS + "TestCorrespondenceDocuments::test_vertex_listed_twice[vertex_map]",
     ("documents._matrix", "DocumentError", "{}: {}"):
         DOCUMENTS + "TestCorrespondenceDocuments::"
         "test_malformed_shape_rejected_with_field_path[mu-ragged]",

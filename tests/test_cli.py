@@ -788,7 +788,19 @@ class TestCompare:
         corr_path.write_text(documents.dumps(doc), encoding="utf-8")
         assert main(["--json", "compare", path, path, str(corr_path)]) == 2
         err = capsys.readouterr().err
-        assert err == "error: mu_components: vertex 0 listed twice\n"
+        assert err == "error: mu_components: bad vertex key '00'\n"
+
+    @pytest.mark.parametrize("key", [" 3 ", "+3", "0_3", "\u0663", "03", "00"])
+    def test_a_vertex_key_not_written_as_its_integer_is_refused(self, key, tmp_path, capsys):
+        path = bundled_path("p3-mixed")
+        with open(path, "rb") as handle:
+            pair, _ = documents.pair_from_document(documents.loads(handle.read()))
+        doc = documents.correspondence_to_document(Correspondence.identity(pair))
+        doc["vertex_map"][key] = doc["vertex_map"].pop("3" if key != "00" else "0")
+        corr_path = tmp_path / "key.corr.json"
+        corr_path.write_text(documents.dumps(doc), encoding="utf-8")
+        assert main(["--json", "compare", path, path, str(corr_path)]) == 2
+        assert capsys.readouterr().err == f"error: vertex_map: bad vertex key {key!r}\n"
 
     def test_base_models_that_differ_are_distinct(self, tmp_path, capsys):
         # P^3 star-subdivided at (0, 1, 2), with vertices 3 and 4 swapped

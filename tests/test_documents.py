@@ -36,6 +36,11 @@ BUNDLED = [
 ]
 
 
+# Keys that Python's ``int`` reads as vertex 3 (or 0) but that are not
+# written as ``str`` writes the integer: a document names a vertex one way.
+NON_CANONICAL_KEYS = [" 3 ", "+3", "0_3", "\u0663", "03", "00"]
+
+
 def bundled_text(name):
     return (
         importlib.resources.files("logcy3")
@@ -176,10 +181,20 @@ class TestPairDocuments:
             pair_from_document(doc)
 
     def test_curve_point_vertex_listed_twice(self):
+        # "01" would name vertex 1 a second time; it is no vertex key.
         doc = loads(bundled_text("p3-conic"))
         doc["blowups"][0]["points"]["01"] = ["11", "13"]
-        message = "blowups[0].points: vertex 1 listed twice"
+        message = "blowups[0].points: bad vertex key '01'"
         with pytest.raises(DocumentError, match=re.escape(message)):
+            pair_from_document(doc)
+
+    @pytest.mark.parametrize("key", NON_CANONICAL_KEYS)
+    def test_a_curve_point_key_not_written_as_its_integer_is_refused(self, key):
+        doc = loads(bundled_text("p3-conic"))
+        points = doc["blowups"][0]["points"]
+        points[key] = points.pop("1")
+        message = f"blowups[0].points: bad vertex key {key!r}"
+        with pytest.raises(DocumentError, match=f"^{re.escape(message)}$"):
             pair_from_document(doc)
 
     @pytest.mark.parametrize(
@@ -310,14 +325,26 @@ class TestCorrespondenceDocuments:
 
     @pytest.mark.parametrize("field", ["vertex_map", "mu_components"])
     def test_vertex_listed_twice(self, field):
-        # "0" and "00" name one vertex; a second map of it must not reach
-        # the comparison, where two maps of one vertex cannot be ordered.
+        # "00" would name vertex 0 a second time, and two maps of one vertex
+        # cannot be ordered: it is no vertex key.
         corr = Correspondence(
             ((0, 0), (1, 1), (2, 2), (3, 3)), (0,), None, ((0, IntMatrix([[1]])),)
         )
         doc = loads(dumps(correspondence_to_document(corr)))
         doc[field]["00"] = doc[field]["0"]
-        with pytest.raises(DocumentError, match=re.escape(f"{field}: vertex 0 listed twice")):
+        with pytest.raises(DocumentError, match=re.escape(f"{field}: bad vertex key '00'")):
+            correspondence_from_document(doc)
+
+    @pytest.mark.parametrize("field", ["vertex_map", "mu_components"])
+    @pytest.mark.parametrize("key", NON_CANONICAL_KEYS)
+    def test_a_key_not_written_as_its_integer_is_refused(self, field, key):
+        corr = Correspondence(
+            ((0, 0), (1, 1), (2, 2), (3, 3)), (0,), None, ((3, IntMatrix([[1]])),)
+        )
+        doc = loads(dumps(correspondence_to_document(corr)))
+        doc[field][key] = doc[field].pop("3")
+        message = f"{field}: bad vertex key {key!r}"
+        with pytest.raises(DocumentError, match=f"^{re.escape(message)}$"):
             correspondence_from_document(doc)
 
     @pytest.mark.parametrize(

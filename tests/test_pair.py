@@ -8,7 +8,7 @@ import re
 import sys
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from logcy3 import cli, documents, exactnum, toric
@@ -38,7 +38,7 @@ from logcy3.pair import (
     PointBlowup,
     validate_pair,
 )
-from logcy3.periods import quotient_character, unmarked_period
+from logcy3.periods import _alternative_marking, quotient_character, unmarked_period
 from logcy3.torelli import decide_isomorphism, reconstruct_fan
 from logcy3.toric import (
     DualComplex,
@@ -53,7 +53,8 @@ from logcy3.toric import (
     toric_layer,
 )
 from random_draws import (
-    ladder_fans, reference_degree_on_ray, reference_edge_degree, solved_curve_step,
+    ladder_fans, random_cases, reference_degree_on_ray, reference_edge_degree,
+    solved_curve_step,
 )
 from stage_harness import conic_ladder, conic_ladder_fan, family
 from test_golden_reports import NAMES, bundled
@@ -1040,6 +1041,87 @@ class TestHeldMarkers:
             pair = LogCY3Pair.build(fan, program, edges)
             assert pair._held == {}
         assert calls == {"component_character_table": 0, "point": 0}
+
+
+def support_table(pair):
+    """The dense table at the markers built from the support: 1 off it."""
+    table = [GaussianRational(1)] * pair.component_offsets()[1]
+    for row, value in pair.marker_support().items():
+        table[row] = value
+    return tuple(table)
+
+
+def assert_support_is_the_table(pair):
+    """The support's table is every component's table at the markers, and a
+    support value is 1 exactly when its blowup point is the marker."""
+    markers = Marking.markers(pair.edge_keys())
+    table = tuple(
+        value
+        for comp in pair.boundary_components()
+        for value in component_character_table(comp, markers)
+    )
+    assert support_table(pair) == table
+    assert pair.character_table(pair.markers()) == table
+    offsets, _ = pair.component_offsets()
+    rows = {}
+    for v, comp in pair.components.items():
+        for k, exc in enumerate(comp.excs):
+            rows[offsets[v] + comp.base.rank + k] = exc
+    support = pair.marker_support()
+    assert support.keys() == rows.keys()
+    for row, value in support.items():
+        assert value.is_one() == (rows[row].coordinate == MINUS_ONE)
+
+
+class TestMarkerSupportIsTheTable:
+    def test_on_the_fixed_corpus(self):
+        conics = conic_ladder_fan(12)
+        cases = [
+            *pair_fixtures().values(),
+            *(LogCY3Pair.build(*family(rays)) for rays in (20, 60)),
+            LogCY3Pair.build(conics, conic_ladder(conics, 8)),
+        ]
+        for pair in cases:
+            assert_support_is_the_table(pair)
+            assert not any(value.is_one() for value in pair.marker_support().values())
+
+    @settings(max_examples=40, deadline=None)
+    @given(random_cases())
+    def test_on_random_pairs(self, case):
+        fan, program, *_ = case
+        assert_support_is_the_table(LogCY3Pair.build(fan, program))
+
+    def test_the_markers_table_reads_no_component_table(self, monkeypatch):
+        calls = {"component_character_table": 0}
+        monkeypatch.setattr(
+            pair_module,
+            "component_character_table",
+            counting(calls, "component_character_table", component_character_table),
+        )
+        for pair in pair_fixtures().values():
+            assert pair.character_table(pair.markers()) == support_table(pair)
+            pair.character_table(_alternative_marking(pair))
+            assert calls == {"component_character_table": len(pair.components)}
+            calls["component_character_table"] = 0
+
+    def test_a_marking_off_the_markers_on_one_edge_reads_the_components(self, pairs):
+        pair = pairs["p3-mixed"]
+        keys = sorted(pair.edge_keys(), key=sorted)
+        points = dict.fromkeys(keys, MINUS_ONE)
+        points[keys[-1]] = GaussianRational(2)
+        marking = Marking.build(points)
+        assert not marking.is_markers_on(pair.complex.edges)
+        assert pair.character_table(marking) == tuple(
+            value
+            for comp in pair.boundary_components()
+            for value in component_character_table(comp, marking)
+        )
+        assert pair.character_table(marking) != pair.character_table(pair.markers())
+        # Every point the marker, but one edge unmarked: no table.
+        points[keys[-1]] = MINUS_ONE
+        del points[keys[0]]
+        with pytest.raises(boundary.BoundaryError, match="marking has no point on edge"):
+            pair.character_table(Marking.build(points))
 
 
 def count_lattice_work(monkeypatch):

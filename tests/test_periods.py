@@ -15,6 +15,7 @@ from logcy3.boundary import (
 )
 from logcy3 import exactnum
 from logcy3 import pair as pair_module
+from logcy3 import periods as periods_module
 from logcy3.exactnum import IntMatrix, invert_unimodular, snf
 from logcy3.gaussian import ExactArithmeticError, GaussianRational, ONE, power_product
 from logcy3.fixtures import pair_fixtures, scaling_pair
@@ -563,14 +564,33 @@ class TestHeldMatchingValues:
             for flat, value in zip(char.basis, char.values, strict=True):
                 assert value == evaluate_boundary_character(pair, markers, flat)
 
-    def test_quotient_evaluates_no_dense_lift(self, power_products):
+    def test_quotient_evaluates_no_dense_lift(self, power_products, monkeypatch):
+        calls = []
+        original = periods_module.power_product_of
+
+        def recorded(factors):
+            factors = tuple(factors)
+            calls.append(factors)
+            return original(factors)
+
+        monkeypatch.setattr(periods_module, "power_product_of", recorded)
         pair = scaling_pair(2, 8)
         unmarked_period(pair)
         power_products.clear()
+        calls.clear()
         char, _ = quotient_character(pair)
-        # Only the restricted global classes are evaluated on the table.
+        # Only the restricted global classes are evaluated on the markers'
+        # character, each over the support rows alone; the lifts are valued
+        # on the held matching values, and nothing on a dense table.
         assert char.values
-        assert power_products == [tuple(k) for k in pair.k_image()[0]]
+        assert power_products == []
+        support = pair.marker_support()
+        k_basis = pair.k_image()[0]
+        assert calls[: len(k_basis)] == [
+            tuple((value, k[i]) for i, value in support.items()) for k in k_basis
+        ]
+        held = matching_values(pair)
+        assert all(factors[0][0] in held for factors in calls[len(k_basis):] if factors)
 
     def test_each_stage_reads_its_table_once(self, monkeypatch):
         reads = []
@@ -583,12 +603,12 @@ class TestHeldMatchingValues:
         monkeypatch.setattr(LogCY3Pair, "character_table", counted)
         pair = scaling_pair(2, 8)
         unmarked_period(pair)
-        # The markers' table for the held values, then the two tables that
-        # the per-class check compares, the markers' one held.
-        assert reads == [pair.markers(), pair.markers(), _alternative_marking(pair)]
+        # The held values and the per-class check read the markers' support;
+        # the check reads the second marking's table once.
+        assert reads == [_alternative_marking(pair)]
         reads.clear()
         quotient_character(pair)
-        assert reads == [pair.markers()]
+        assert reads == []
 
 
 def in_index_order(matrix):

@@ -1172,8 +1172,9 @@ class TestHeldMatchingValuesInDecide:
         assert calls == []
 
     def test_self_decide_makes_one_power_product_per_generator(self, monkeypatch):
-        # Under the identity the boundary map is the identity, so each
-        # generator is valued on the table over its own nonzero entries.
+        # Under the identity the boundary map is the identity, so the pulled
+        # support is the support, taken over with no power product, and each
+        # generator is valued over its own exceptional entries.
         calls = []
         original = torelli.power_product_of
 
@@ -1182,13 +1183,69 @@ class TestHeldMatchingValuesInDecide:
             calls.append(factors)
             return original(factors)
 
-        monkeypatch.setattr(torelli, "power_product_of", recorded)
+        for module in (torelli, periods):
+            monkeypatch.setattr(module, "power_product_of", recorded)
         for pair in [scaling_pair(2, 8), *pair_fixtures().values()]:
             unmarked_period(pair)
-            table = pair.character_table(pair.markers())
+            support = pair.marker_support()
             calls.clear()
             assert decide_isomorphism(pair, pair).kind == "isomorphic"
             assert calls == [
-                tuple((table[i], x) for i, x in column)
+                tuple((support[i], x) for i, x in column if i in support)
                 for column in periods.matching_kernel(pair).columns
             ]
+
+    def test_decide_against_a_fresh_partner_reads_no_marking(self, monkeypatch):
+        # The partner's side of step (v) is its support: no character table,
+        # no marking point and no markers are built for it.
+        calls = {"component_character_table": 0, "point": 0, "markers": 0}
+        original = boundary.component_character_table
+
+        def counting(name, function):
+            def counted(*args):
+                calls[name] += 1
+                return function(*args)
+
+            return counted
+
+        monkeypatch.setattr(
+            pair_module, "component_character_table",
+            counting("component_character_table", original),
+        )
+        monkeypatch.setattr(Marking, "point", counting("point", Marking.point))
+        monkeypatch.setattr(
+            Marking, "markers", staticmethod(counting("markers", Marking.markers))
+        )
+        checks = set()
+        for name, pair in self.cases():
+            full_report(pair)
+            calls.update(component_character_table=0, point=0, markers=0)
+            for other in self.partners(name, pair)[1:]:
+                fresh = LogCY3Pair.build(other.fan, other.program, other._orientations())
+                checks.add(decide_isomorphism(pair, fresh).certificate["check"])
+                assert "markers" not in fresh._held
+            assert calls == {"component_character_table": 0, "point": 0, "markers": 0}
+        assert checks == {"complete", "period"}
+
+
+class TestPulledSupport:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_the_dense_pull_back_off_one(self, data):
+        # Columns mixing several support rows, entries other than 1, rows
+        # off the support and values whose product is 1 all occur.
+        rows = data.draw(st.integers(1, 6))
+        entries = st.lists(
+            st.tuples(st.integers(0, rows - 1), st.integers(-3, 3).filter(bool)),
+            max_size=4,
+            unique_by=lambda entry: entry[0],
+        )
+        columns = data.draw(st.lists(entries, max_size=6))
+        matrix = IntMatrix.from_columns(rows, [sorted(column) for column in columns])
+        values = st.sampled_from([g("1"), g("-1"), I, g("2"), g("1/2"), g("3-i")])
+        support = data.draw(st.dictionaries(st.integers(0, rows - 1), values))
+        table = tuple(support.get(i, g("1")) for i in range(rows))
+        dense = matrix.pull_back(table)
+        assert torelli._pulled_support(matrix, support) == {
+            j: value for j, value in enumerate(dense) if not value.is_one()
+        }
