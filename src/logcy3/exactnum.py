@@ -12,8 +12,9 @@
   through the row steps without building ``U``,
   plus kernels, cokernels, coordinates in the basis of ``V``,
   integer linear solving, and the solution in Q(i) of a character system
-  on the columns, ``h(A e_j) = t_j``, or a relation among the columns
-  that the targets break;
+  on the columns, ``h(A e_j) = t_j * shift(A e_j)`` with sparse targets
+  and a shift carried through the row steps, or a relation among the
+  columns that the targets break;
 * :func:`nth_root` -- exact n-th roots in Q(i), when they exist, found
   without factoring: integer n-th roots by Newton's iteration, one
   Gaussian gcd and one power check.  Of several roots it returns the one
@@ -243,14 +244,21 @@ class SnfDecomposition(Frozen):
             y[i] = ub[i] // d
         return self.V.apply(tuple(y))
 
-    def solve_over_gaussian_torus(self, targets):
-        """A character ``h`` on ``Z^rows`` with ``h(A e_j) == targets[j]``.
+    def solve_over_gaussian_torus(self, targets: dict, shift):
+        """A character ``h`` on ``Z^rows`` with ``h(A e_j) == t_j * shift(A e_j)``.
 
-        The complex torus is divisible, so the system is solvable exactly
-        when every integer relation ``a`` with ``A a = 0`` has
-        ``prod(targets[j] ** a[j]) == 1``; the columns of ``V`` from the
-        rank on span those relations.  Otherwise ``h`` is read off the
-        factorization: with ``s_i = prod(targets[j] ** V[j, i])`` and
+        ``targets`` maps columns to their nonzero targets ``t_j``, 1 on every
+        column it leaves out; ``shift`` lists one nonzero value per row, a
+        character whose pull-back along ``A`` multiplies the targets.  The
+        complex torus is divisible, so the system is solvable exactly when
+        every integer relation ``a`` with ``A a = 0`` has ``prod(t_j **
+        a[j]) == 1`` (the shift is 1 on relations); the columns of ``V``
+        from the rank on span them, and each is valued over its entries in
+        ``targets`` only.  Otherwise ``h`` is read off the factorization:
+        ``A V = U^-1 D``, so with ``s0_i = prod(t_j ** V[j, i])`` and ``mu =
+        shift o U^-1`` the shift pushed forward through the row steps (the
+        inverse of the pull-back below), ``s_i = s0_i * mu_i ** d_i`` is the
+        value of the shifted targets on column i of ``V``, exactly; with
         ``y_i ** d_i == s_i``, ``h(e_r) = prod(y_i ** U[i, r])``, that is
         ``y`` pulled back through each row step, the last first, so ``U``
         is never built.
@@ -261,20 +269,36 @@ class SnfDecomposition(Frozen):
         ``("unsolvable", relation)`` with the first relation the targets
         break, which certifies that no solution exists.
         """
-        targets = list(targets)
-        n = self.shape[1]
-        if len(targets) != n:
-            raise ExactArithmeticError("one target per column required")
-        for tval in targets:
-            if tval.is_zero():
-                raise ExactArithmeticError("targets must be nonzero")
+        rows, n = self.shape
+        mu = list(shift)
+        if len(mu) != rows:
+            raise ExactArithmeticError("one shift value per row required")
+        if not all(0 <= j < n for j in targets):
+            raise ExactArithmeticError("targets must be on columns of the matrix")
+        for value in (*targets.values(), *mu):
+            if value.is_zero():
+                raise ExactArithmeticError("targets and shift must be nonzero")
         columns = self.V.columns
         for k in range(self.rank, n):
-            if not power_product_of((targets[j], x) for j, x in columns[k]).is_one():
+            if not power_product_of(
+                (targets[j], x) for j, x in columns[k] if j in targets
+            ).is_one():
                 return "unsolvable", self.V.column(k)
-        y = [ONE] * self.shape[0]
+        # Pushed forward through a step, the inverse of the pull-back below:
+        # row dst += c * row src divides mu[src] by mu[dst] ** c, which a
+        # value of 1 leaves alone (the whole shift at the markers).
+        for dst, src, c in self.row_steps:
+            if dst == src:
+                mu[dst] = mu[dst].inverse()
+            elif not c:
+                mu[dst], mu[src] = mu[src], mu[dst]
+            elif not mu[dst].is_one():
+                mu[src] = power_product_of(((mu[src], 1), (mu[dst], -c)))
+        y = [ONE] * rows
         for i, d in enumerate(self.factors):
-            s = power_product_of((targets[j], x) for j, x in columns[i])
+            factors = [(targets[j], x) for j, x in columns[i] if j in targets]
+            factors.append((mu[i], d))
+            s = power_product_of(factors)
             root = nth_root(s, d)
             if root is None:
                 return "complex_only", (d, s)

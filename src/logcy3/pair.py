@@ -35,6 +35,7 @@ from __future__ import annotations
 from operator import itemgetter
 
 from logcy3.boundary import (
+    BoundaryError,
     ExceptionalClass,
     LooijengaComponent,
     Marking,
@@ -483,6 +484,26 @@ class LogCY3Pair:
                 support[row] = marker_value(comp, exc)
                 row += 1
         return support
+
+    def marking_ratios(self, marking: Marking) -> list:
+        """Minus the marking's point on each edge, in the order of the edges.
+
+        The ratio of the marking to the markers, which are -1 on every
+        edge: the :meth:`character_table` at the marking is the
+        :meth:`marker_support` (1 off it) times the edge-matching map's
+        pull-back of these ratios, class by class.  A marking with no
+        point, or the point 0, on an edge raises the error that its table
+        raises: the components' tables are read in order until one raises.
+        """
+        edges = self.complex.edges
+        try:
+            ratios = [-marking.point(v, w) for v, w in edges]
+        except BoundaryError:
+            ratios = []
+        if len(ratios) < len(edges) or any(r.is_zero() for r in ratios):
+            for comp in self.boundary_components():
+                component_character_table(comp, marking)
+        return ratios
 
     def character_table(self, marking: Marking) -> tuple:
         """Marked period values of the boundary basis classes, in flat order.

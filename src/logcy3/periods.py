@@ -223,9 +223,7 @@ def unmarked_period(pair: LogCY3Pair) -> PeriodCharacter:
     """
     values = matching_values(pair)
     support, other = pair.marker_support(), _alternative_marking(pair)
-    # The markers' point is -1 on every edge, so the ratio is -(other's point).
-    ratios = [-other.point(v, w) for v, w in pair.complex.edges]
-    moved = edge_matching_map(pair).pull_back(ratios)
+    moved = edge_matching_map(pair).pull_back(pair.marking_ratios(other))
     table = pair.character_table(other)
     if any(b != support.get(n, ONE) * m for n, (b, m) in enumerate(zip(table, moved))):
         raise PeriodConsistencyError(

@@ -250,16 +250,23 @@ class Verdict(Frozen):
 def _step_exc_positions(pair: LogCY3Pair, v: int):
     """Map (step, neighbor, occurrence index) -> exc index on component v.
 
-    The keys come in basis order.
+    The keys come in basis order.  Held on the pair for every component,
+    so decide and transport read this pair's positions once.
     """
-    positions = {}
-    counters: dict = {}
-    for idx, exc in enumerate(pair.components[v].excs):
-        key = (exc.step, exc.neighbor)
-        n = counters.get(key, 0)
-        counters[key] = n + 1
-        positions[(exc.step, exc.neighbor, n)] = idx
-    return positions
+    return pair.held("step_exc_positions", _exc_positions)[v]
+
+
+def _exc_positions(pair: LogCY3Pair) -> dict:
+    out = {}
+    for v, comp in pair.components.items():
+        positions = out[v] = {}
+        counters: dict = {}
+        for idx, exc in enumerate(comp.excs):
+            key = (exc.step, exc.neighbor)
+            n = counters.get(key, 0)
+            counters[key] = n + 1
+            positions[(exc.step, exc.neighbor, n)] = idx
+    return out
 
 
 def _step_place(step, vertex):
@@ -277,10 +284,12 @@ def component_transport(
 
     Toric basis classes map through the vertex bijection; exceptional
     classes map to the matched step's exceptional on the matched edge, in
-    order of occurrence.  It holds only once :func:`_matched` has passed
-    the first pass of step (iii): then both components have the same toric
-    rank and the same exceptionals, and an explicit map keeps edges; before,
-    a call may raise ``KeyError``.
+    order of occurrence.  It holds once :func:`_matched` has passed the
+    first pass of step (iii): then both components have the same rank and
+    the same exceptionals, and an explicit map keeps edges.  Before, a
+    derived map that cannot exist raises ``CorrespondenceError``: for
+    components of different ranks, or for an exceptional class whose matched
+    step has no class on the matched edge of the image component.
     """
     override = corr.component_override(v)
     if override is not None:
@@ -288,6 +297,11 @@ def component_transport(
     comp = pair.components[v]
     image_vertex = corr.vertex(v)
     comp2 = other.components[image_vertex]
+    rank = comp2.rank
+    if comp.rank != rank:
+        raise CorrespondenceError(
+            f"component {v} has rank {comp.rank}, its image {image_vertex} rank {rank}"
+        )
     columns = []
     for b in comp.base.basis_indices:
         neighbor = comp.base.labels[b]
@@ -297,8 +311,15 @@ def component_transport(
     positions2 = _step_exc_positions(other, image_vertex)
     for step, neighbor, n in _step_exc_positions(pair, v):
         target = (corr.step_map[step], corr.vertex(neighbor), n)
-        columns.append([(comp2.base.rank + positions2[target], 1)])
-    return IntMatrix.from_columns(comp2.rank, columns)
+        try:
+            position = positions2[target]
+        except KeyError:
+            raise CorrespondenceError(
+                f"the exceptional class of step {step} toward {neighbor} on component "
+                f"{v} has no image on component {image_vertex}"
+            ) from None
+        columns.append([(comp2.base.rank + position, 1)])
+    return IntMatrix.from_columns(rank, columns)
 
 
 def _boundary_map(pair, other, corr, transports) -> IntMatrix:
@@ -601,6 +622,42 @@ def decide_isomorphism(
 # ---------------------------------------------------------------------------
 
 
+def _edge_shift(pair, other, corr, marking, marking_other) -> list:
+    """The other marking over this one on each edge of the pair, carried to the
+    image edge: ``rho2(e') ** sigma / rho(e)``.
+
+    ``rho`` and ``rho2`` are the two markings'
+    :meth:`~logcy3.pair.LogCY3Pair.marking_ratios`, ``e'`` is the image of
+    edge ``e`` under the vertex map, and ``sigma`` is -1 where the other
+    pair directs ``e'`` against ``e``.  Under a correspondence that passes
+    :func:`_matched`, the other pair's edge-matching map after the boundary
+    map is the pair's with each row carried to its image edge, signed so,
+    and each table is its markers' support times its ratios pulled back
+    along the edge-matching map; so the other table pulled back over this
+    one is the support's ratio times this shift pulled back along the
+    pair's edge-matching map.  The other marking is read first.
+    """
+    ratios2 = other.marking_ratios(marking_other)
+    ratios = pair.marking_ratios(marking)
+    complex2 = other.complex
+    shift = []
+    for (v, w), ratio in zip(pair.complex.edges, ratios):
+        v2 = corr.vertex(v)
+        row = complex2.edge_index(v2, corr.vertex(w))
+        ratio2 = ratios2[row] if complex2.edges[row][0] == v2 else ratios2[row].inverse()
+        shift.append(ratio2 if ratio.is_one() else ratio2 / ratio)
+    return shift
+
+
+def _support_ratio(pulled: dict, support: dict) -> dict:
+    """The pulled support over this pair's support, where it is not 1."""
+    ratio = {j: value / support[j] if j in support else value for j, value in pulled.items()}
+    for j, value in support.items():
+        if j not in pulled:
+            ratio[j] = value.inverse()
+    return {j: value for j, value in ratio.items() if not value.is_one()}
+
+
 def marking_transporter(
     pair: LogCY3Pair,
     other: LogCY3Pair,
@@ -616,19 +673,30 @@ def marking_transporter(
     with one Q(i)* value per edge of the first pair, ``("complex_only",
     witness)`` when a solution exists over the full torus but requires roots
     missing from Q(i), or ``("unsolvable", relation)`` with a violated
-    multiplicative relation.  At the markers, the default markings, decide's
-    ``complete`` gives ``solved`` or ``complex_only``, and its ``period``
-    gives ``("unsolvable", witness)`` with decide's witness.
+    multiplicative relation.
+
+    A period at any marking is the markers' period times the torus
+    character of the marking's ratio to the markers, so transport values
+    the markers' supports, not the tables: its targets are the other
+    pair's support pulled back through the boundary map, as step (v) pulls
+    it, over this pair's support, and live on the exceptional rows; the
+    two markings enter only as the per-edge :func:`_edge_shift`, which the
+    solve carries through the row steps of the held factorization.  A
+    relation is valued over the targets alone, so ``unsolvable`` is step
+    (v)'s comparison: decide's ``complete`` gives ``solved`` or
+    ``complex_only``, and its ``period`` gives ``("unsolvable", witness)``
+    with decide's witness, at any markings.  No character table is built.
     """
+    corr = Correspondence.identity(pair) if corr is None else corr
     matched = _matched(pair, other, corr)
     if isinstance(matched, Verdict):
         return matched.certificate["check"], matched.certificate
     marking = pair.markers() if marking is None else marking
     marking_other = other.markers() if marking_other is None else marking_other
-    pulled = matched[1].pull_back(other.character_table(marking_other))
-    # target j is the other pair's period of the image of basis class j
-    # over this pair's period of the class.
-    targets = [p / t for p, t in zip(pulled, pair.character_table(marking))]
-    # The scalars h on the edges solve h(ell e_j) = targets[j] on the columns
-    # of the edge-matching map ell, read off its held factorization.
-    return edge_matching_snf(pair).solve_over_gaussian_torus(targets)
+    shift = _edge_shift(pair, other, corr, marking, marking_other)
+    pulled = _pulled_support(matched[1], other.marker_support())
+    # The scalars h on the edges solve h(ell e_j) = targets[j] * shift(ell e_j)
+    # on the columns of the edge-matching map ell, read off its held
+    # factorization.
+    targets = _support_ratio(pulled, pair.marker_support())
+    return edge_matching_snf(pair).solve_over_gaussian_torus(targets, shift)

@@ -9,7 +9,13 @@ Every correspondence a test passes to decide (or to the transporter, which
 runs the same checks first) is decided again when the test ends, and
 compared with :func:`reference_decide`, step (v) as a dense formula over
 every boundary row, so the support-only step is checked on the whole
-corpus the suite decides.
+corpus the suite decides.  Where the correspondence passes the checks
+before the periods, the other pair's edge-matching map after the boundary
+map must be the pair's with its rows carried to the image edges
+(:func:`assert_edge_rows_carried`), the identity that transport's shift
+rests on.  Every call of the transporter is answered again the same way,
+by :func:`reference_transport`: both markings' full tables and the dense
+targets, solved with no shift.
 """
 
 import sys
@@ -19,7 +25,8 @@ from hypothesis import settings
 
 from logcy3 import gaussian, torelli
 from logcy3.boundary import Marking, component_character_table
-from logcy3.periods import matching_kernel, matching_lattice
+from logcy3.exactnum import IntMatrix
+from logcy3.periods import edge_matching_map, edge_matching_snf, matching_kernel, matching_lattice
 
 settings.register_profile("derandomized", derandomize=True)
 settings.load_profile("derandomized")
@@ -46,14 +53,18 @@ def power_products(monkeypatch):
     return calls
 
 
-def dense_marker_table(pair):
-    """Every component's table at the markers, toric rows included."""
-    markers = Marking.markers(pair.edge_keys())
+def dense_table(pair, marking):
+    """Every component's table at the marking, toric rows included."""
     return tuple(
         value
         for comp in pair.boundary_components()
-        for value in component_character_table(comp, markers)
+        for value in component_character_table(comp, marking)
     )
+
+
+def dense_marker_table(pair):
+    """Every component's table at the markers, toric rows included."""
+    return dense_table(pair, Marking.markers(pair.edge_keys()))
 
 
 def reference_decide(pair, other, corr=None):
@@ -96,27 +107,90 @@ def reference_decide(pair, other, corr=None):
     )
 
 
-def _outcome(decide, pair, other, corr):
+def reference_transport(pair, other, corr=None, marking=None, marking_other=None):
+    """Transport on the dense targets: the other marking's full table pulled
+    back through the boundary map over this marking's full table, solved on
+    the held factorization with no shift.
+
+    The other pair's table is read first, so a marking without a point on
+    some edge raises for the other pair's marking first.
+    """
+    matched = torelli._matched(pair, other, corr)
+    if isinstance(matched, torelli.Verdict):
+        return matched.certificate["check"], matched.certificate
+    marking = pair.markers() if marking is None else marking
+    marking_other = other.markers() if marking_other is None else marking_other
+    pulled = matched[1].pull_back(dense_table(other, marking_other))
+    targets = [p / t for p, t in zip(pulled, dense_table(pair, marking))]
+    factored = edge_matching_snf(pair)
+    return factored.solve_over_gaussian_torus(
+        dict(enumerate(targets)), [gaussian.ONE] * factored.shape[0]
+    )
+
+
+def assert_edge_rows_carried(pair, other, corr, boundary):
+    """The other pair's edge-matching map after ``boundary`` is the pair's,
+    each row carried to the image edge and negated where the other pair
+    directs that edge the other way."""
+    corr = torelli.Correspondence.identity(pair) if corr is None else corr
+    edges2 = other.complex.edges
+    rows = []
+    for a, b in pair.complex.edges:
+        row = other.complex.edge_index(corr.vertex(a), corr.vertex(b))
+        rows.append((row, 1 if edges2[row][0] == corr.vertex(a) else -1))
+    carried = IntMatrix.from_columns(
+        len(edges2),
+        [
+            sorted((rows[i][0], rows[i][1] * x) for i, x in column)
+            for column in edge_matching_map(pair).columns
+        ],
+    )
+    assert edge_matching_map(other) * boundary == carried
+
+
+def _outcome(function, *args):
     try:
-        return decide(pair, other, corr)
+        return function(*args)
     except Exception as exc:  # both sides must raise alike
         return type(exc), str(exc)
 
 
 @pytest.fixture(autouse=True)
 def decided_against_the_reference():
-    """Record each correspondence checked in the test; at its end, decide
-    each again and compare with :func:`reference_decide`."""
+    """Record each correspondence checked in the test and each transport;
+    at its end, decide each correspondence again and compare with
+    :func:`reference_decide`, check the edge rows where it passes the checks
+    before the periods, and answer each transport again and compare with
+    :func:`reference_transport`.
+
+    The transporter is wrapped in every module that holds it, so a test
+    that imported the name is recorded too.
+    """
     seen = {}
+    transports = {}
     original = torelli._matched
+    transporter = torelli.marking_transporter
 
     def recorded(pair, other, corr):
         seen.setdefault((id(pair), id(other), corr), (pair, other, corr))
         return original(pair, other, corr)
 
+    def recorded_transport(pair, other, corr=None, marking=None, marking_other=None):
+        args = (pair, other, corr, marking, marking_other)
+        transports.setdefault((id(pair), id(other), corr, marking, marking_other), args)
+        return transporter(*args)
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(torelli, "_matched", recorded)
+        for module in list(sys.modules.values()):
+            if getattr(module, "marking_transporter", None) is transporter:
+                patch.setattr(module, "marking_transporter", recorded_transport)
         yield
     for pair, other, corr in seen.values():
         got = _outcome(torelli.decide_isomorphism, pair, other, corr)
         assert got == _outcome(reference_decide, pair, other, corr)
+        matched = _outcome(torelli._matched, pair, other, corr)
+        if isinstance(matched, tuple) and isinstance(matched[1], IntMatrix):
+            assert_edge_rows_carried(pair, other, corr, matched[1])
+    for args in transports.values():
+        assert _outcome(transporter, *args) == _outcome(reference_transport, *args)

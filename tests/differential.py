@@ -19,7 +19,9 @@ imported its own tree.  The corpus has four groups:
   transporter's outcome, through ``cli._stringify``, for each of the 8
   bundled pairs and ``tests/stage_harness.py``'s family at 20 and 60 rays
   against itself, against its torus translate by ``(2, 3, i)``, and
-  against each pair with one point coordinate moved by 3/2;
+  against each pair with one point coordinate moved by 3/2; the transport
+  at the markers, with the partner re-marked, and with both re-marked, each
+  re-marking a seeded point ``a + b i`` on every edge;
 * ``random`` (100 items): the first 100 derandomized draws of
   ``tests/random_draws.py``'s ``random_cases``, each pair's document
   text from ``pair_to_document``, or the build's error.
@@ -93,6 +95,8 @@ def bundled_pairs(names) -> dict:
 def verdicts(pairs) -> dict:
     """Decide and transport of each pair against itself, its translate and
     each one-point perturbation."""
+    import random
+
     from logcy3.cli import _stringify
     from logcy3.gaussian import GaussianRational
     from logcy3.pair import LogCY3Pair, PointBlowup
@@ -111,13 +115,32 @@ def verdicts(pairs) -> dict:
                 partners[f"perturbed {k}"] = LogCY3Pair.build(pair.fan, program, edges)
         for partner, other in partners.items():
             verdict = decide_isomorphism(pair, other)
+            rng = random.Random(f"{name} {partner}")
+            marking, marking_other = (remarked(side, rng) for side in (pair, other))
             items[f"{name} {partner}"] = {
                 "verdict": verdict.kind,
                 "reason": verdict.reason,
                 "certificate": _stringify(verdict.certificate),
                 "transport": _stringify(marking_transporter(pair, other)),
+                "transport, partner re-marked": _stringify(
+                    marking_transporter(pair, other, None, None, marking_other)
+                ),
+                "transport, both re-marked": _stringify(
+                    marking_transporter(pair, other, None, marking, marking_other)
+                ),
             }
     return items
+
+
+def remarked(pair, rng):
+    """A seeded marking of the pair: ``a + b i`` on every edge, ``a`` in 2..9
+    and ``b`` in -3..3."""
+    from logcy3.boundary import Marking
+    from logcy3.gaussian import GaussianRational
+
+    return Marking.build(
+        {key: GaussianRational(rng.randint(2, 9), rng.randint(-3, 3)) for key in pair.edge_keys()}
+    )
 
 
 def random_documents() -> dict:

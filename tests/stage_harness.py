@@ -51,6 +51,9 @@ prints one row:
   3/2, a ``period`` verdict, the pair's report held;
 - ``transport``: marking transport to a fresh torus translate, the pair's
   report held;
+- ``remark``: the same transport with the translate re-marked, a seeded
+  point ``a + b i`` (``a`` in 2..9, ``b`` in -3..3) on every edge, as the
+  benchmark's transport op re-marks its partner;
 - ``chain``: the family's fan, subdivided from a fresh ``Fan3`` root (not
   the held fixture root), so the one whole-fan check of the root is in it.
 
@@ -87,6 +90,7 @@ against older commits.  Pytest does not collect it.
 import gc
 import json
 import os
+import random
 import statistics
 import subprocess
 import sys
@@ -95,6 +99,7 @@ from time import perf_counter
 import child
 import logcy3
 from logcy3 import documents
+from logcy3.boundary import Marking
 from logcy3.gaussian import GaussianRational, I
 from logcy3.fixtures import projective_space_fan
 from logcy3.pair import LogCY3Pair, PointBlowup
@@ -213,6 +218,14 @@ def stage_row(rays):
         fresh.k_image()
         return (fresh,)
 
+    rng = random.Random(rays)
+    remarking = Marking.build(
+        {key: GaussianRational(rng.randint(2, 9), rng.randint(-3, 3)) for key in pair.edge_keys()}
+    )
+
+    def remarked(pair, other):
+        return marking_transporter(pair, other, marking_other=remarking)
+
     text = documents.dumps(documents.pair_to_document(pair))
     conics = conic_ladder_fan(rays)
     conic_text = documents.dumps(
@@ -239,6 +252,7 @@ def stage_row(rays):
             decide_isomorphism, lambda: (pair, LogCY3Pair.build(fan, perturbed)), repeats
         ),
         "transport": best_ms(marking_transporter, translate, repeats),
+        "remark": best_ms(remarked, translate, repeats),
         "chain": best_ms(subdivided, lambda: (fresh_root(), rays), 15),
     }
 

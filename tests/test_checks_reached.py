@@ -139,6 +139,13 @@ REACHED = {
         TORELLI + "TestComplexity::test_negative_weight_is_rejected",
     ("torelli.Correspondence.vertex", "CorrespondenceError", "vertex {} not in correspondence"):
         TORELLI + "TestCorrespondenceLookup::test_missing_vertex",
+    ("torelli.component_transport", "CorrespondenceError",
+     "component {} has rank {}, its image {} rank {}"):
+        TORELLI + "TestComponentTransportDiagnoses::test_a_component_of_another_rank_is_refused",
+    ("torelli.component_transport", "CorrespondenceError",
+     "the exceptional class of step {} toward {} on component {} has no image on component {}"):
+        TORELLI + "TestComponentTransportDiagnoses::"
+        "test_an_exceptional_class_without_an_image_is_refused",
     # torelli: explicit component maps, through decide.
     ("torelli._component_map_failure", "component_isometry",
      "the map of component {} is not square of the component's rank"):
@@ -332,10 +339,15 @@ REACHED = {
     ("exactnum.IntMatrix.pull_back", "ExactArithmeticError", "vector length mismatch"):
         EXACTNUM + "TestTwoForms::test_shapes_without_entries",
     ("exactnum.SnfDecomposition.solve_over_gaussian_torus", "ExactArithmeticError",
-     "one target per column required"):
-        EXACTNUM + "TestTorusSolvability::test_zero_target_rejected",
+     "one shift value per row required"):
+        EXACTNUM + "TestTorusSolvability::"
+        "test_targets_off_the_columns_and_a_short_shift_are_rejected",
     ("exactnum.SnfDecomposition.solve_over_gaussian_torus", "ExactArithmeticError",
-     "targets must be nonzero"):
+     "targets must be on columns of the matrix"):
+        EXACTNUM + "TestTorusSolvability::"
+        "test_targets_off_the_columns_and_a_short_shift_are_rejected",
+    ("exactnum.SnfDecomposition.solve_over_gaussian_torus", "ExactArithmeticError",
+     "targets and shift must be nonzero"):
         EXACTNUM + "TestTorusSolvability::test_zero_target_rejected",
     ("exactnum.invert_unimodular", "ExactArithmeticError", "matrix is not square"):
         EXACTNUM + "TestKernelAndCokernel::test_invert_unimodular_rejects[non-square]",

@@ -916,7 +916,7 @@ class TestPowerProductKernel:
         small = st.sampled_from([GaussianRational(x, y) for x, y in coordinates])
         targets = data.draw(st.lists(small, min_size=a.cols, max_size=a.cols))
         dec = snf(a)
-        status, answer = dec.solve_over_gaussian_torus(targets)
+        status, answer = dense_solve(dec, targets)
         expected_status, expected = reference_solve(dec, targets)
         assert status == expected_status
         if status == "solved":
@@ -933,6 +933,13 @@ class TestPowerProductKernel:
 # ---------------------------------------------------------------------------
 
 
+def dense_solve(dec, targets):
+    """The torus solve with a target on every column and no shift."""
+    return dec.solve_over_gaussian_torus(
+        dict(enumerate(targets)), [GaussianRational(1)] * dec.shape[0]
+    )
+
+
 def values_on_columns(a, h):
     """``h(A e_j)`` for each column j of ``a``."""
     return [power_product(h, a.column(j)) for j in range(a.cols)]
@@ -943,7 +950,7 @@ class TestTorusSolvability:
 
     def test_identity_always_solvable(self):
         targets = [GaussianRational(5), GaussianRational(0, 1)]
-        assert snf(identity(2)).solve_over_gaussian_torus(targets) == (
+        assert dense_solve(snf(identity(2)), targets) == (
             "solved",
             targets,
         )
@@ -951,20 +958,28 @@ class TestTorusSolvability:
     def test_forced_inconsistency(self):
         # Both columns are 1, so h(1) cannot be both 2 and 3.
         targets = [GaussianRational(2), GaussianRational(3)]
-        status, cert = snf(IntMatrix([[1, 1]])).solve_over_gaussian_torus(targets)
+        status, cert = dense_solve(snf(IntMatrix([[1, 1]])), targets)
         assert status == "unsolvable"
         assert IntMatrix([[1, 1]]).apply(cert) == (0,)
         assert not power_product(targets, cert).is_one()
 
     def test_divisibility_of_the_torus(self):
-        status, h = snf(IntMatrix([[2]])).solve_over_gaussian_torus([GaussianRational(4)])
+        status, h = dense_solve(snf(IntMatrix([[2]])), [GaussianRational(4)])
         assert status == "solved" and h == [GaussianRational(2)]
 
     def test_zero_target_rejected(self):
-        with pytest.raises(ExactArithmeticError, match="targets must be nonzero"):
-            snf(IntMatrix([[1]])).solve_over_gaussian_torus([GaussianRational(0)])
-        with pytest.raises(ExactArithmeticError, match="one target per column"):
-            snf(IntMatrix([[1, 0]])).solve_over_gaussian_torus([GaussianRational(2)])
+        one = [GaussianRational(1)]
+        with pytest.raises(ExactArithmeticError, match="targets and shift must be nonzero"):
+            snf(IntMatrix([[1]])).solve_over_gaussian_torus({0: GaussianRational(0)}, one)
+        with pytest.raises(ExactArithmeticError, match="targets and shift must be nonzero"):
+            snf(IntMatrix([[1]])).solve_over_gaussian_torus({}, [GaussianRational(0)])
+
+    def test_targets_off_the_columns_and_a_short_shift_are_rejected(self):
+        one = [GaussianRational(1)]
+        with pytest.raises(ExactArithmeticError, match="targets must be on columns of the matrix"):
+            snf(IntMatrix([[1, 0]])).solve_over_gaussian_torus({2: GaussianRational(2)}, one)
+        with pytest.raises(ExactArithmeticError, match="one shift value per row required"):
+            snf(IntMatrix([[1, 0]])).solve_over_gaussian_torus({}, one * 2)
 
     def test_unimodular_row_invariance(self):
         # A row operation W on A leaves the solvable systems alone: h solves
@@ -975,8 +990,8 @@ class TestTorusSolvability:
             [GaussianRational(2), GaussianRational(3), GaussianRational(6)],
             [GaussianRational(2), GaussianRational(8), GaussianRational(8)],
         ):
-            status, h = snf(a).solve_over_gaussian_torus(targets)
-            status2, h2 = snf(a2).solve_over_gaussian_torus(targets)
+            status, h = dense_solve(snf(a), targets)
+            status2, h2 = dense_solve(snf(a2), targets)
             assert status == status2
             if status == "solved":
                 assert values_on_columns(a, h) == values_on_columns(a2, h2) == targets
@@ -984,14 +999,12 @@ class TestTorusSolvability:
     def test_gaussian_solution_verifies(self):
         a = IntMatrix([[2, 0], [1, 1]])
         targets = [GaussianRational(24), GaussianRational(6)]
-        status, h = snf(a).solve_over_gaussian_torus(targets)
+        status, h = dense_solve(snf(a), targets)
         assert status == "solved"
         assert values_on_columns(a, h) == targets
 
     def test_gaussian_complex_only(self):
-        status, witness = snf(IntMatrix([[2]])).solve_over_gaussian_torus(
-            [GaussianRational(2)]
-        )
+        status, witness = dense_solve(snf(IntMatrix([[2]])), [GaussianRational(2)])
         assert status == "complex_only"
         assert witness[0] == 2
 
@@ -1007,20 +1020,20 @@ class TestTorusSolvability:
         point = data.draw(st.lists(small, min_size=a.rows, max_size=a.rows))
         targets = values_on_columns(a, point)
         dec = snf(a)
-        status, h = dec.solve_over_gaussian_torus(targets)
+        status, h = dense_solve(dec, targets)
         assert status in ("solved", "complex_only")
         if status == "solved":
             assert values_on_columns(a, h) == targets
         # Breaking one target breaks a relation, when there is one.
         bent = [targets[0] * GaussianRational(2)] + targets[1:]
-        status, relation = dec.solve_over_gaussian_torus(bent)
+        status, relation = dense_solve(dec, bent)
         if status == "unsolvable":
             assert not any(a.apply(relation))
             assert not power_product(bent, relation).is_one()
 
     def test_gaussian_unsolvable(self):
-        status, relation = snf(IntMatrix([[1, 1]])).solve_over_gaussian_torus(
-            [GaussianRational(2), GaussianRational(3)]
+        status, relation = dense_solve(
+            snf(IntMatrix([[1, 1]])), [GaussianRational(2), GaussianRational(3)]
         )
         assert status == "unsolvable" and relation is not None
 
@@ -1047,7 +1060,7 @@ def solved_through_u(dec, targets):
 
 def same_solve(dec, targets):
     """Assert that the solve gives the triples of :func:`solved_through_u`; return its status."""
-    status, answer = dec.solve_over_gaussian_torus(targets)
+    status, answer = dense_solve(dec, targets)
     expected_status, expected = solved_through_u(dec, targets)
     assert status == expected_status
     if status == "solved":
@@ -1110,6 +1123,48 @@ class TestRowStepsPulledBackInReverse:
             for values in (targets, [targets[0] * 3] + targets[1:]):
                 statuses.add(same_solve(dec, values))
         assert statuses == {"solved", "unsolvable"}
+
+
+class TestShiftCarriedThroughTheRowSteps:
+    """Solving sparse targets ``t`` with a shift is solving ``t`` times the
+    shift's pull-back along ``A`` with none: the same outcome, values,
+    witness or relation."""
+
+    def test_the_shift_is_the_dense_targets(self):
+        seen = set()
+
+        @settings(max_examples=80, deadline=None)
+        @given(small_matrices(max_dim=3, max_entry=2), st.data())
+        def check(a, data):
+            small = st.sampled_from(SMALL_VALUES)
+            drawn = data.draw(st.lists(small, min_size=a.cols, max_size=a.cols))
+            kept = data.draw(st.lists(st.booleans(), min_size=a.cols, max_size=a.cols))
+            targets = {j: t for j, (t, keep) in enumerate(zip(drawn, kept)) if keep}
+            # A shift value of 1 leaves the steps that read it alone.
+            with_one = st.sampled_from([GaussianRational(1), *SMALL_VALUES])
+            shift = data.draw(st.lists(with_one, min_size=a.rows, max_size=a.rows))
+            dense = [
+                targets.get(j, GaussianRational(1)) * power_product(shift, a.column(j))
+                for j in range(a.cols)
+            ]
+            dec = snf(a)
+            outcome = dec.solve_over_gaussian_torus(targets, shift)
+            assert outcome == dense_solve(dec, dense)
+            seen.add((outcome[0], any(d > 1 for d in dec.factors)))
+
+        check()
+        # The roots of s0 * mu ** d are taken where a factor exceeds 1.
+        assert {("solved", True), ("complex_only", True), ("unsolvable", False)} <= seen
+
+    def test_a_root_the_shift_completes(self):
+        # t = 1 and a shift of 2 on [[2]]: s = 1 * 2 ** 2 has the root 2; with
+        # the target 2 and no shift the root of 2 is not in Q(i).
+        two = GaussianRational(2)
+        dec = snf(IntMatrix([[2]]))
+        assert dec.solve_over_gaussian_torus({}, [two]) == ("solved", [two])
+        assert dec.solve_over_gaussian_torus({0: two}, [GaussianRational(1)]) == (
+            "complex_only", (2, two)
+        )
 
 
 class TestTransformsBuiltByTheirReaders:

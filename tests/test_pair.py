@@ -38,7 +38,9 @@ from logcy3.pair import (
     PointBlowup,
     validate_pair,
 )
-from logcy3.periods import _alternative_marking, quotient_character, unmarked_period
+from logcy3.periods import (
+    _alternative_marking, edge_matching_map, quotient_character, unmarked_period,
+)
 from logcy3.torelli import decide_isomorphism, reconstruct_fan
 from logcy3.toric import (
     DualComplex,
@@ -53,7 +55,7 @@ from logcy3.toric import (
     toric_layer,
 )
 from random_draws import (
-    ladder_fans, random_cases, reference_degree_on_ray, reference_edge_degree,
+    coordinates, ladder_fans, random_cases, reference_degree_on_ray, reference_edge_degree,
     solved_curve_step,
 )
 from stage_harness import conic_ladder, conic_ladder_fan, family
@@ -1122,6 +1124,51 @@ class TestMarkerSupportIsTheTable:
         del points[keys[0]]
         with pytest.raises(boundary.BoundaryError, match="marking has no point on edge"):
             pair.character_table(Marking.build(points))
+
+
+def assert_table_is_the_support_times_the_ratios(pair, marking):
+    """The marking identity transport rests on: a marking's table is the
+    markers' support times the edge-matching map's pull-back of minus the
+    marking's points, class by class."""
+    ratios = [-marking.point(v, w) for v, w in pair.complex.edges]
+    assert pair.marking_ratios(marking) == ratios
+    moved = edge_matching_map(pair).pull_back(ratios)
+    support = pair.marker_support()
+    table = pair.character_table(marking)
+    assert len(table) == len(moved)
+    for n, value in enumerate(table):
+        assert value == support.get(n, GaussianRational(1)) * moved[n]
+
+
+def drawn_marking(data, pair):
+    """A marking of the pair with a drawn point on every edge."""
+    points = data.draw(st.lists(coordinates, min_size=len(pair.complex.edges),
+                                max_size=len(pair.complex.edges)))
+    return Marking.build(dict(zip(pair.edge_keys(), points)))
+
+
+class TestTheMarkingIdentity:
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        conics = conic_ladder_fan(12)
+        return [
+            *pair_fixtures().values(),
+            LogCY3Pair.build(*family(20)),
+            LogCY3Pair.build(conics, conic_ladder(conics, 8)),
+        ]
+
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_on_the_fixed_corpus(self, corpus, data):
+        for pair in corpus:
+            assert_table_is_the_support_times_the_ratios(pair, drawn_marking(data, pair))
+
+    @settings(max_examples=30, deadline=None)
+    @given(random_cases(), st.data())
+    def test_on_random_pairs(self, case, data):
+        fan, program, *_ = case
+        pair = LogCY3Pair.build(fan, program)
+        assert_table_is_the_support_times_the_ratios(pair, drawn_marking(data, pair))
 
 
 def count_lattice_work(monkeypatch):

@@ -6,7 +6,7 @@ import stage_harness
 
 CELLS = [
     "load", "load conics", "fan", "build", "marked", "snf", "values", "unmarked", "k_image",
-    "quotient", "fresh", "translate", "perturbed", "transport", "chain",
+    "quotient", "fresh", "translate", "perturbed", "transport", "remark", "chain",
 ]
 
 

@@ -42,6 +42,7 @@ from logcy3.torelli import (
     recognize_contraction_type,
     reconstruct_fan,
 )
+from conftest import assert_edge_rows_carried as assert_rows_carried
 from random_draws import solved_curve_step
 from test_pair import curve_program, reference_intersection
 
@@ -679,26 +680,14 @@ def dense_transports(pair, other, corr):
 
 
 def assert_edge_rows_carried(pair, other, corr):
-    """The other pair's edge-matching map after the boundary map is the pair's,
-    its rows carried to the image edges and signed by their directions.
+    """The rows carried (``conftest.assert_edge_rows_carried``) through the
+    boundary map of the dense transports.
 
     So the boundary map carries the matching lattice, the kernel, into the
     other pair's; decide relies on it once the correspondence is checked.
     """
-    edges2 = other.complex.edges
-    rows = []
-    for a, b in pair.complex.edges:
-        row = other.complex.edge_index(corr.vertex(a), corr.vertex(b))
-        rows.append((row, 1 if edges2[row][0] == corr.vertex(a) else -1))
-    carried = IntMatrix.from_columns(
-        len(edges2),
-        [
-            sorted((rows[i][0], rows[i][1] * x) for i, x in column)
-            for column in periods.edge_matching_map(pair).columns
-        ],
-    )
     boundary = torelli._boundary_map(pair, other, corr, dense_transports(pair, other, corr))
-    assert periods.edge_matching_map(other) * boundary == carried
+    assert_rows_carried(pair, other, corr, boundary)
 
 
 def reference_isometry_failure(pair, other, corr):
@@ -783,7 +772,10 @@ def dense_transporter(pair, other, corr, marking, marking_other):
     if failure is not None:
         return "component_isometry", failure
     targets = dense_targets(pair, other, corr, marking, marking_other)
-    return periods.edge_matching_snf(pair).solve_over_gaussian_torus(targets)
+    factored = periods.edge_matching_snf(pair)
+    return factored.solve_over_gaussian_torus(
+        dict(enumerate(targets)), [GaussianRational(1)] * factored.shape[0]
+    )
 
 
 def transposed_transporter(pair, other, marking, marking_other):
@@ -1249,3 +1241,213 @@ class TestPulledSupport:
         assert torelli._pulled_support(matrix, support) == {
             j: value for j, value in enumerate(dense) if not value.is_one()
         }
+
+
+def reoriented(pair, flipped):
+    """The pair with the edges whose keys are in ``flipped`` directed the other way.
+
+    Every point on a flipped edge is written in the new reference chart,
+    as its inverse, so the result is the same pair under the identity, with
+    the rows of those edges negated in its edge-matching map.
+    """
+
+    def chart(v, w, q):
+        return q.inverse() if frozenset((v, w)) in flipped else q
+
+    program = []
+    for step in pair.program:
+        if isinstance(step, PointBlowup):
+            program.append(PointBlowup(step.edge, chart(*step.edge, step.coordinate)))
+        else:
+            points = tuple(
+                (w, tuple(chart(step.component, w, q) for q in coords))
+                for w, coords in step.points
+            )
+            program.append(pair_module.CurveBlowup(step.component, step.curve_class, points))
+    edges = [(w, v) if frozenset((v, w)) in flipped else (v, w) for v, w in pair.complex.edges]
+    return LogCY3Pair.build(pair.fan, program, edges)
+
+
+def carried(marking, images, flipped):
+    """The marking moved along the vertex map ``images`` and written in the
+    reference charts of a partner whose edges in ``flipped`` are reversed."""
+    moved = {}
+    for key, q in marking.points:
+        image = frozenset(images[v] for v in key)
+        moved[image] = q.inverse() if image in flipped else q
+    return Marking.build(moved)
+
+
+class TestTransportUnderRemarking:
+    """Transport at any two markings, on partners that direct edges the
+    other way or relabel the vertices, against the dense targets."""
+
+    def cases(self):
+        """(pair, other, corr, same): ``same`` carries a marking of the pair
+        to the same marking of the other pair, which is the pair reoriented
+        and relabelled, or is ``None`` for a perturbed partner."""
+        rng = random.Random(11)
+        out = []
+        for name, pair in [*pair_fixtures().items(), ("scaling", scaling_pair(2, 8))]:
+            keys = pair.edge_keys()
+            flipped = set(rng.sample(keys, len(keys) // 2))
+            identity = Correspondence.identity(pair)
+            images = {v: v for v in pair.components}
+            same = lambda m, images=images, flipped=flipped: carried(m, images, flipped)
+            out.append((pair, reoriented(pair, flipped), identity, same))
+            perturbed = perturbed_partner(name, pair)
+            if perturbed is not None:
+                out.append((pair, reoriented(perturbed, flipped), identity, None))
+        # Point programs on projective space, whose every vertex permutation
+        # is a symmetry of the fan, against the relabelled program.
+        fan = projective_space_fan()
+        for _ in range(4):
+            edges = [tuple(e) for e in fan.dual_complex().edges]
+            program = [
+                PointBlowup(rng.choice(edges), GaussianRational(rng.randint(2, 5), k))
+                for k in range(3)
+            ]
+            pair = LogCY3Pair.build(fan, program)
+            order = list(range(4))
+            rng.shuffle(order)
+            images = dict(enumerate(order))
+            relabelled = LogCY3Pair.build(
+                fan,
+                [PointBlowup(tuple(images[v] for v in s.edge), s.coordinate) for s in program],
+                [(images[v], images[w]) for v, w in pair.complex.edges],
+            )
+            flipped = set(rng.sample(relabelled.edge_keys(), 3))
+            corr = Correspondence(tuple(images.items()), tuple(range(len(program))))
+            same = lambda m, images=images, flipped=flipped: carried(m, images, flipped)
+            out.append((pair, reoriented(relabelled, flipped), corr, same))
+        return out
+
+    def test_transport_matches_the_dense_targets(self):
+        rng = random.Random(5)
+        statuses = []
+        for pair, other, corr, same in self.cases():
+            verdict = decide_isomorphism(pair, other, corr)
+            assert verdict.certificate["check"] in ("complete", "period")
+            marking = seeded_marking(pair, rng)
+            for markings in (
+                (pair.markers(), other.markers()),
+                (pair.markers(), seeded_marking(other, rng)),
+                (marking, seeded_marking(other, rng)),
+            ):
+                result = marking_transporter(pair, other, corr, *markings)
+                assert result == dense_transporter(pair, other, corr, *markings)
+                statuses.append(result[0])
+                if verdict.is_isomorphic:
+                    assert result[0] == "solved"
+                else:
+                    assert result == ("unsolvable", verdict.certificate["witness"])
+            if same is not None:
+                # The same marking on both sides: every target is 1.
+                ones = [GaussianRational(1)] * len(pair.complex.edges)
+                assert marking_transporter(pair, other, corr, marking, same(marking)) == (
+                    "solved", ones
+                )
+        assert set(statuses) == {"solved", "unsolvable"}
+
+    def test_a_marking_without_a_point_raises_as_the_table_does(self, pairs):
+        pair = pairs["p3-mixed"]
+        keys = sorted(pair.edge_keys(), key=sorted)
+        points = {key: GaussianRational(2, 1) for key in keys}
+        partial = Marking.build({key: q for key, q in points.items() if key not in keys[1:3]})
+        full = Marking.build(points)
+        zero = Marking(tuple((key, GaussianRational(0) if key == keys[2] else q)
+                             for key, q in full.points))
+        errors = {}
+        for broken in (partial, zero):
+            with pytest.raises(boundary.BoundaryError) as table:
+                pair.character_table(broken)
+            with pytest.raises(boundary.BoundaryError) as ratios:
+                pair.marking_ratios(broken)
+            errors[broken] = str(table.value)
+            assert str(ratios.value) == errors[broken]
+        assert errors == {
+            partial: "marking has no point on edge (0, 2)",
+            zero: "marking point on a 0-stratum",
+        }
+        # The other pair's marking is read first.
+        for markings, error in (
+            ((full, partial), errors[partial]),
+            ((full, zero), errors[zero]),
+            ((zero, partial), errors[partial]),
+            ((partial, zero), errors[zero]),
+        ):
+            with pytest.raises(boundary.BoundaryError, match=f"^{re.escape(error)}$"):
+                marking_transporter(pair, pair, None, *markings)
+        assert pair.marking_ratios(full) == [-GaussianRational(2, 1)] * len(keys)
+
+
+class TestTransportBuildsNoTable:
+    def test_a_transport_after_decide_reads_no_table(self, monkeypatch):
+        tables = []
+        original = boundary.component_character_table
+
+        def counted(comp, marking):
+            tables.append(marking)
+            return original(comp, marking)
+
+        monkeypatch.setattr(pair_module, "component_character_table", counted)
+        read = []
+        character_table = LogCY3Pair.character_table
+
+        def recorded(pair, marking):
+            read.append((pair, marking))
+            return character_table(pair, marking)
+
+        monkeypatch.setattr(LogCY3Pair, "character_table", recorded)
+        rng = random.Random(13)
+        statuses = set()
+        for name, pair in [*pair_fixtures().items(), ("scaling", scaling_pair(2, 8))]:
+            full_report(pair)
+            for other in filter(None, [
+                pair.torus_translate((g("2"), g("3"), I)), perturbed_partner(name, pair)
+            ]):
+                decide_isomorphism(pair, other)
+                tables.clear()
+                read.clear()
+                for marking in (None, seeded_marking(pair, rng)):
+                    result = marking_transporter(
+                        pair, other, None, marking, seeded_marking(other, rng)
+                    )
+                    statuses.add(result[0])
+                assert tables == []
+                assert [m for p, m in read if not m.is_markers_on(p.complex.edges)] == []
+        assert statuses == {"solved", "unsolvable"}
+
+    def test_the_exceptional_positions_are_held_on_the_pair(self, pairs):
+        pair = pairs["p3-mixed"]
+        for v in pair.components:
+            positions = torelli._step_exc_positions(pair, v)
+            assert torelli._step_exc_positions(pair, v) is positions
+            assert sorted(positions.values()) == list(range(len(pair.components[v].excs)))
+
+
+class TestComponentTransportDiagnoses:
+    """A derived component map that cannot exist is refused with a diagnostic.
+
+    Steps at other places fail decide's step (iii) before any transport is
+    built; a direct call names the component."""
+
+    def case(self):
+        fan = projective_space_fan()
+        pair = LogCY3Pair.build(fan, [PointBlowup((0, 1), g("2")), PointBlowup((2, 3), g("3"))])
+        other = LogCY3Pair.build(fan, [PointBlowup((0, 1), g("2")), PointBlowup((1, 2), g("3"))])
+        corr = Correspondence.identity(pair)
+        assert decide_isomorphism(pair, other, corr).certificate["check"] == "step_place"
+        assert torelli.component_transport(pair, other, corr, 0).shape == (2, 2)
+        return pair, other, corr
+
+    def test_a_component_of_another_rank_is_refused(self):
+        pair, other, corr = self.case()
+        with pytest.raises(CorrespondenceError, match="^component 1 has rank 2, its image 1 rank 3$"):
+            torelli.component_transport(pair, other, corr, 1)
+
+    def test_an_exceptional_class_without_an_image_is_refused(self):
+        pair, other, corr = self.case()
+        message = "^the exceptional class of step 1 toward 3 on component 2 has no image on component 2$"
+        with pytest.raises(CorrespondenceError, match=message):
+            torelli.component_transport(pair, other, corr, 2)
