@@ -70,7 +70,7 @@ class IntMatrix(Frozen):
         :func:`snf` are sorted so.  The caller keeps it; it is not checked.
         """
         self = object.__new__(cls)
-        columns = tuple(tuple(column) for column in columns)
+        columns = tuple(map(tuple, columns))
         object.__setattr__(self, "shape", (rows, len(columns)))
         object.__setattr__(self, "columns", columns)
         return self

@@ -89,12 +89,10 @@ def _compare_against(sub: Fan3, center, base_pair, tensor):
     # Ray divisor u of the subdivided fan is the pullback of D_u, less E on
     # the center; the new ray is E, the class after the toric ones.
     basis = base_pair.toric_basis
-    new_index = sub.n_rays - 1
     columns = []
-    for u in range(new_index):
-        column = [(a, x) for a, x in enumerate(basis.ray_class(u)) if x]
-        columns.append(column + [(basis.rank, -1)] if u in center else column)
-    columns.append([(basis.rank, 1)])
+    for u, column in enumerate(basis.sparse_classes):
+        columns.append(column + ((basis.rank, -1),) if u in center else column)
+    columns.append(((basis.rank, 1),))
     pulled = pull_back_tensor(tensor, IntMatrix.from_columns(basis.rank + 1, columns))
     # Off the pulled-back keys and the triples a toric tensor can hold (the
     # max cones, (a, a, b) and (a, b, b) on a wall, (i, i, i)), both are 0.

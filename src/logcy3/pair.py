@@ -140,10 +140,28 @@ def pull_back_tensor(tensor: dict, mu) -> dict:
     over its distinct index orders (one when all three indices are equal,
     its three rotations when two are, else all six), and each order through
     the nonzero entries of the matching rows of ``mu``, so a sparse ``mu``
-    costs time linear in the stored entries.  Decide step (ii) and the
-    subdivision oracle both pull back through it.
+    costs time linear in the stored entries.  When ``mu`` is a signed
+    relabelling (each row holds one entry, no two rows in one column, as
+    the derived map of a vertex bijection that keeps the seed cone is),
+    each stored entry instead moves to the one sorted triple of its rows'
+    columns, times their three entries: one step per stored entry.  Decide
+    step (ii) and the subdivision oracle both pull back through it.
     """
     rows = mu.transpose().columns
+    if all(len(row) == 1 for row in rows) and len({row[0][0] for row in rows}) == len(rows):
+        relabelled = {}
+        for (a, b, c), value in tensor.items():
+            (i, x), = rows[a]
+            (j, y), = rows[b]
+            (k, z), = rows[c]
+            if i > j:
+                i, j = j, i
+            if j > k:
+                j, k = k, j
+                if i > j:
+                    i, j = j, i
+            relabelled[(i, j, k)] = value * x * y * z
+        return relabelled
     pulled: dict = {}
     for key, value in tensor.items():
         a, b, c = key
@@ -359,7 +377,11 @@ class LogCY3Pair:
         return [self.components[v] for v in sorted(self.components)]
 
     def component_offsets(self):
-        """Start index of each component's block in the boundary lattice."""
+        """Start index of each component's block in the boundary lattice, and
+        the lattice's rank, held: the map must not be changed."""
+        return self.held("component_offsets", LogCY3Pair._component_offsets)
+
+    def _component_offsets(self):
         offsets = {}
         total = 0
         for v in sorted(self.components):

@@ -280,20 +280,33 @@ def _step_place(step, vertex):
 def component_transport(
     pair: LogCY3Pair, other: LogCY3Pair, corr: Correspondence, v: int
 ) -> IntMatrix:
-    """The induced map from Pic of component v to Pic of its image component.
-
-    Toric basis classes map through the vertex bijection; exceptional
-    classes map to the matched step's exceptional on the matched edge, in
-    order of occurrence.  It holds once :func:`_matched` has passed the
-    first pass of step (iii): then both components have the same rank and
-    the same exceptionals, and an explicit map keeps edges.  Before, a
-    derived map that cannot exist raises ``CorrespondenceError``: for
-    components of different ranks, or for an exceptional class whose matched
-    step has no class on the matched edge of the image component.
+    """The induced map from Pic of component v to Pic of its image component:
+    the explicit map if ``corr`` gives one, else the columns of
+    :func:`_derived_columns`, which :func:`_matched` places in the boundary
+    map directly.  It holds, and raises, as those columns do.
     """
     override = corr.component_override(v)
     if override is not None:
         return override
+    rank = other.components[corr.vertex(v)].rank
+    return IntMatrix.from_columns(rank, _derived_columns(pair, other, corr, v, 0))
+
+
+def _derived_columns(pair, other, corr, v: int, start: int) -> list:
+    """The sparse columns of the derived map of component v, each row index
+    offset by ``start``.
+
+    A toric basis class maps through the vertex bijection to the sparse
+    class of its image ray (:meth:`~logcy3.toric.Fan2.sparse_class`); an
+    exceptional class maps to the matched step's exceptional on the matched
+    edge, in order of occurrence, read off both pairs' held positions.  The
+    map holds once :func:`_matched` has passed the first pass of step (iii):
+    then both components have the same rank and the same exceptionals, and
+    an explicit map keeps edges.  Before, a derived map that cannot exist
+    raises ``CorrespondenceError``: for components of different ranks, or
+    for an exceptional class whose matched step has no class on the matched
+    edge of the image component.
+    """
     comp = pair.components[v]
     image_vertex = corr.vertex(v)
     comp2 = other.components[image_vertex]
@@ -302,15 +315,16 @@ def component_transport(
         raise CorrespondenceError(
             f"component {v} has rank {comp.rank}, its image {image_vertex} rank {rank}"
         )
-    columns = []
-    for b in comp.base.basis_indices:
-        neighbor = comp.base.labels[b]
-        image_ray = comp2.base.ray_of_neighbor(corr.vertex(neighbor))
-        toric = comp2.base.ray_class(image_ray)
-        columns.append([(i, x) for i, x in enumerate(toric) if x])
+    base2 = comp2.base
+    vertex = corr.vertex
+    ray_of = {w: ray for ray, w in enumerate(base2.labels)}
+    columns = [base2.sparse_class(ray_of[vertex(w)], start) for w in comp.base.labels[2:]]
+    if not comp.excs:
+        return columns
     positions2 = _step_exc_positions(other, image_vertex)
+    start += base2.rank
     for step, neighbor, n in _step_exc_positions(pair, v):
-        target = (corr.step_map[step], corr.vertex(neighbor), n)
+        target = (corr.step_map[step], vertex(neighbor), n)
         try:
             position = positions2[target]
         except KeyError:
@@ -318,40 +332,26 @@ def component_transport(
                 f"the exceptional class of step {step} toward {neighbor} on component "
                 f"{v} has no image on component {image_vertex}"
             ) from None
-        columns.append([(comp2.base.rank + position, 1)])
-    return IntMatrix.from_columns(rank, columns)
-
-
-def _boundary_map(pair, other, corr, transports) -> IntMatrix:
-    """The correspondence's boundary map, from the pair's boundary lattice.
-
-    Column ``j`` is the image of the pair's boundary basis class ``j``:
-    column ``j`` of its component's transport, placed at the offset of the
-    image component's block in the other pair's boundary lattice.  It
-    holds, as :func:`component_transport` does, only under the checks.
-    """
-    offsets, length = other.component_offsets()
-    columns = []
-    for v in sorted(pair.components):
-        start = offsets[corr.vertex(v)]
-        for column in transports[v].columns:
-            columns.append([(start + i, c) for i, c in column])
-    return IntMatrix.from_columns(length, columns)
+        columns.append(((start + position, 1),))
+    return columns
 
 
 def threefold_transport(
     pair: LogCY3Pair, other: LogCY3Pair, corr: Correspondence
 ) -> IntMatrix:
-    """The induced map on threefold Picard lattices, or the explicit ``mu``;
-    it holds, as :func:`component_transport` does, only under the checks."""
+    """The induced map on threefold Picard lattices, or the explicit ``mu``.
+
+    A toric basis class maps to the held sparse class of its image ray
+    (:attr:`~logcy3.toric.ToricPicBasis.sparse_classes`), step k's
+    exceptional class to the exceptional class of its matched step.  It
+    holds, as :func:`_derived_columns` does, only under the checks.
+    """
     if corr.mu is not None:
         return corr.mu
-    columns = []
-    for v in pair.toric_basis.basis_rays:
-        image = other.toric_basis.ray_class(corr.vertex(v))
-        columns.append([(i, x) for i, x in enumerate(image) if x])
-    for k in range(len(pair.program)):
-        columns.append([(other.exceptional_index(corr.step_map[k]), 1)])
+    classes = other.toric_basis.sparse_classes
+    columns = [classes[corr.vertex(v)] for v in pair.toric_basis.basis_rays]
+    rank = other.toric_basis.rank
+    columns += [((rank + k2, 1),) for k2 in corr.step_map]
     return IntMatrix.from_columns(other.pic_rank, columns)
 
 
@@ -429,6 +429,14 @@ def _matched(pair: LogCY3Pair, other: LogCY3Pair, corr: Correspondence):
     of the first check that fails, or else the toric model map and the
     boundary map that step (v) and transport compare periods through.
 
+    The pass reads held sparse data and copies no tensor: step (ii) pulls
+    the other pair's held cubic tensor back through ``mu`` and compares it
+    with this pair's by dict equality, and names the least differing triple
+    only when they differ.  The boundary map is built in one pass after step
+    (iv): each component's columns are derived at its image block's offset
+    (:func:`_derived_columns`), and a component map is made as a matrix only
+    where step (iii) carries a curve class through it.
+
     ``None`` is the identity correspondence; no bijection, a
     ``mu_components`` key for no vertex of the pair or a ``mu`` of another
     shape raises ``CorrespondenceError``.
@@ -466,13 +474,12 @@ def _matched(pair: LogCY3Pair, other: LogCY3Pair, corr: Correspondence):
 
     # (ii) The induced threefold map must preserve the cubic form: the
     # tensor of the other pair, pulled back through mu, must equal this
-    # pair's.  The witness is the least differing triple i <= j <= k.
+    # pair's held one.  The witness is the least differing triple i <= j <= k.
     mu = threefold_transport(pair, other, corr)
-    left = pair.cubic_entries()
-    right = pull_back_tensor(other.cubic_entries(), mu)
-    differing = [t for t in left.keys() | right.keys() if left.get(t) != right.get(t)]
-    if differing:
-        triple = min(differing)
+    left = pair._lattice().tensor
+    right = pull_back_tensor(other._lattice().tensor, mu)
+    if left != right:
+        triple = min(t for t in left.keys() | right.keys() if left.get(t) != right.get(t))
         return Verdict(
             "distinct",
             "cubic forms disagree under the correspondence",
@@ -484,8 +491,8 @@ def _matched(pair: LogCY3Pair, other: LogCY3Pair, corr: Correspondence):
         )
 
     # (iii) Peel the programs step by step.  Once every matched step sits
-    # at the corresponding place, every derived component transport exists;
-    # a matched step has the same kind, so its contraction has the same type.
+    # at the corresponding place, every derived component map exists; a
+    # matched step has the same kind, so its contraction has the same type.
     for k in range(len(pair.program) - 1, -1, -1):
         k2 = corr.step_map[k]
         step, step2 = pair.program[k], other.program[k2]
@@ -507,13 +514,15 @@ def _matched(pair: LogCY3Pair, other: LogCY3Pair, corr: Correspondence):
                 f"steps {k} and {k2} sit at non-corresponding places",
                 {"check": "step_place", "steps": (k, k2)},
             )
-    transports = {
-        v: component_transport(pair, other, corr, v) for v in sorted(pair.components)
-    }
+    # The component map of a curve step's component, made once where a
+    # curve class is carried through it.  Step k's exceptional index is
+    # ``e + k``, and that of the other pair's step k2 is ``e2 + k2``.
+    maps = {}
+    e, e2 = pair.toric_basis.rank, other.toric_basis.rank
     for k in range(len(pair.program) - 1, -1, -1):
         k2 = corr.step_map[k]
         step, step2 = pair.program[k], other.program[k2]
-        if mu.columns[pair.exceptional_index(k)] != ((other.exceptional_index(k2), 1),):
+        if mu.columns[e + k] != ((e2 + k2, 1),):
             return Verdict(
                 "distinct",
                 f"exceptional classes of steps {k} and {k2} do not correspond",
@@ -521,13 +530,15 @@ def _matched(pair: LogCY3Pair, other: LogCY3Pair, corr: Correspondence):
             )
         if isinstance(step, CurveBlowup):
             v, v2 = step.component, step2.component
+            if v not in maps:
+                maps[v] = component_transport(pair, other, corr, v)
             curve = tuple(step.curve_class) + (0,) * (
                 pair.components[v].rank - len(step.curve_class)
             )
             curve2 = tuple(step2.curve_class) + (0,) * (
                 other.components[v2].rank - len(step2.curve_class)
             )
-            if transports[v].apply(curve) != curve2:
+            if maps[v].apply(curve) != curve2:
                 return Verdict(
                     "distinct",
                     f"curve classes of steps {k} and {k2} do not correspond",
@@ -543,7 +554,18 @@ def _matched(pair: LogCY3Pair, other: LogCY3Pair, corr: Correspondence):
             "under the vertex bijection",
             {"check": "toric_model"},
         )
-    return frame_map, _boundary_map(pair, other, corr, transports)
+    # The boundary map in one pass: column j is the image of the pair's
+    # boundary class j, placed at the offset of the image component's block.
+    offsets, length = other.component_offsets()
+    columns = []
+    for v in sorted(pair.components):
+        start = offsets[corr.vertex(v)]
+        matrix = maps[v] if v in maps else corr.component_override(v)
+        if matrix is None:
+            columns += _derived_columns(pair, other, corr, v, start)
+        else:
+            columns += [tuple([(start + i, x) for i, x in column]) for column in matrix.columns]
+    return frame_map, IntMatrix.from_columns(length, columns)
 
 
 def _pulled_support(boundary: IntMatrix, support: dict) -> dict:

@@ -407,6 +407,11 @@ class DualComplex(Frozen):
 # ---------------------------------------------------------------------------
 
 
+def _nonzero(vector) -> tuple:
+    """The nonzero ``(index, value)`` entries of a vector: a sparse column."""
+    return tuple([(i, x) for i, x in enumerate(vector) if x])
+
+
 def _reduce_ray_vector(coeffs, seed, dual, rays, basis) -> tuple:
     """Coordinates of ``sum coeffs[v] * D_v`` on the divisors of ``basis``.
 
@@ -460,6 +465,17 @@ class ToricPicBasis(Frozen):
         coeffs = [0] * self.fan.n_rays
         coeffs[v] = 1
         return self.reduce_ray_vector(coeffs)
+
+    @held_property
+    def sparse_classes(self) -> tuple:
+        """The nonzero ``(coordinate, value)`` entries of each ray's class, by ray, held.
+
+        A basis ray's class is its unit column; only the three seed rays are
+        reduced, through :meth:`ray_class`.
+        """
+        seeds = {s: _nonzero(self.ray_class(s)) for s in self.seed}
+        index = {v: i for i, v in enumerate(self.basis_rays)}
+        return tuple([seeds[v] if v in seeds else ((index[v], 1),) for v in range(self.fan.n_rays)])
 
     def to_ray_vector(self, vec):
         """A ray-divisor representative of a basis vector."""
@@ -568,7 +584,8 @@ class Fan2(Frozen):
     u_{i-1} + u_{i+1} = c * u_i, solved once on construction, which raises
     ``FanError`` if some relation has no integer c.  The dual rows of the
     seed rays 0 and 1, the anticanonical class and the degree rows of the
-    basis classes are held once read.
+    basis classes and the sparse classes of the seed rays are held once
+    read.
     """
 
     _fields = ("vertex", "rays", "labels")
@@ -620,7 +637,7 @@ class Fan2(Frozen):
 
     @property
     def rank(self) -> int:
-        return self.n_rays - 2
+        return len(self.rays) - 2
 
     @held_property
     def _dual(self) -> tuple:
@@ -645,6 +662,22 @@ class Fan2(Frozen):
         coeffs = [0] * self.rank
         coeffs[i - 2] = 1
         return tuple(coeffs)
+
+    def sparse_class(self, i: int, start: int = 0) -> tuple:
+        """The nonzero ``(coordinate, value)`` entries of :meth:`ray_class`,
+        each coordinate offset by ``start``, as in a block of a larger lattice.
+
+        A basis ray's is the unit column ``((start + i - 2, 1),)``, built on
+        read; the two seed rays' are read off :meth:`ray_class` once and held.
+        """
+        if i >= 2:
+            return ((start + i - 2, 1),)
+        column = self._seed_classes[i]
+        return tuple([(start + b, x) for b, x in column]) if start else column
+
+    @held_property
+    def _seed_classes(self) -> tuple:
+        return (_nonzero(self.ray_class(0)), _nonzero(self.ray_class(1)))
 
     def degree_on_ray(self, vec, i: int) -> int:
         """Degree of a basis-coordinate class on D_i, read off rays i and i +- 1.

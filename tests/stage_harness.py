@@ -45,6 +45,9 @@ prints one row:
   for in the ``snf`` cell;
 - ``fresh``: a self-compare of two fresh builds (every held value computed
   in the call);
+- ``match``: decide's steps (i)-(iv) alone, ``torelli._matched``, against
+  a fresh torus translate by ``(2, 3, i)``, the pair's report held;
+  ``null`` on commits that have no ``_matched``;
 - ``translate``: decide against a fresh torus translate by ``(2, 3, i)``,
   the pair's report held;
 - ``perturbed``: decide against a fresh build with step 0's point moved by
@@ -98,7 +101,7 @@ from time import perf_counter
 
 import child
 import logcy3
-from logcy3 import documents
+from logcy3 import documents, torelli
 from logcy3.boundary import Marking
 from logcy3.gaussian import GaussianRational, I
 from logcy3.fixtures import projective_space_fan
@@ -226,6 +229,7 @@ def stage_row(rays):
     def remarked(pair, other):
         return marking_transporter(pair, other, marking_other=remarking)
 
+    matched = getattr(torelli, "_matched", None)
     text = documents.dumps(documents.pair_to_document(pair))
     conics = conic_ladder_fan(rays)
     conic_text = documents.dumps(
@@ -247,6 +251,9 @@ def stage_row(rays):
         "k_image": best_ms(LogCY3Pair.k_image, built, repeats),
         "quotient": best_ms(quotient_character, held_image, repeats),
         "fresh": best_ms(decide_isomorphism, lambda: (build(), build()), repeats),
+        "match": None if matched is None else best_ms(
+            matched, lambda: (*translate(), None), repeats
+        ),
         "translate": best_ms(decide_isomorphism, translate, repeats),
         "perturbed": best_ms(
             decide_isomorphism, lambda: (pair, LogCY3Pair.build(fan, perturbed)), repeats
@@ -342,6 +349,11 @@ def _child_row(tree, rays):
     return json.loads(done.stdout.splitlines()[-2])
 
 
+def _paired_cell(before, after):
+    """:func:`compared`, or ``None`` for a cell that a side cannot time."""
+    return None if None in before or None in after else compared(before, after)
+
+
 def paired_table(commit, sizes, runs, cli):
     """``{row: {cell: compared(...)}}`` of ``commit``'s tree against ``src/``."""
     table = {}
@@ -353,7 +365,7 @@ def paired_table(commit, sizes, runs, cli):
                 for side in sides if k % 2 == 0 else sides[::-1]:
                     rows[side].append(_child_row(side, rays))
             table[str(rays)] = {
-                cell: compared([r[cell] for r in rows[tree]], [r[cell] for r in rows[child.SRC]])
+                cell: _paired_cell([r[cell] for r in rows[tree]], [r[cell] for r in rows[child.SRC]])
                 for cell in rows[tree][0]
             }
         if cli:
@@ -369,6 +381,9 @@ def print_paired(commit, table):
     print("|---|---|---|---|---|---|---|")
     for row, cells in table.items():
         for cell, c in cells.items():
+            if c is None:
+                print(f"| {row} | {cell} | null | | | | |", flush=True)
+                continue
             print(
                 f"| {row} | {cell} | {c['commit_median_ms']:.2f} | {c['src_median_ms']:.2f} "
                 f"| {c['ratio']:.3f} | {c['won']}/{c['pairs']} | {c['verdict']} |",

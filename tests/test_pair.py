@@ -2,6 +2,7 @@
 
 import copy
 import json
+from itertools import permutations
 import pathlib
 import pickle
 import re
@@ -36,6 +37,7 @@ from logcy3.pair import (
     LogCY3Pair,
     PairError,
     PointBlowup,
+    pull_back_tensor,
     validate_pair,
 )
 from logcy3.periods import (
@@ -955,6 +957,112 @@ class TestCubicForm:
             for read in (pair.exceptional_class, pair.exceptional_index):
                 with pytest.raises(PairError, match=rf"^no step {step}$"):
                     read(step)
+
+
+def reference_pull_back(tensor, mu):
+    """The pulled-back tensor by brute force: the dense symmetric tensor
+    summed over every index triple, at every sorted triple of columns."""
+    r, m = mu.shape
+    dense = {(a, b, c): 0 for a in range(r) for b in range(r) for c in range(r)}
+    for key, value in tensor.items():
+        for order in permutations(key):
+            dense[order] = value
+    rows = mu.data
+    pulled = {}
+    for i in range(m):
+        for j in range(i, m):
+            for k in range(j, m):
+                value = sum(
+                    t * rows[a][i] * rows[b][j] * rows[c][k] for (a, b, c), t in dense.items() if t
+                )
+                if value:
+                    pulled[(i, j, k)] = value
+    return pulled
+
+
+@st.composite
+def sparse_tensors(draw, r):
+    """A symmetric cubic tensor on r indices: nonzero values under sorted triples."""
+    triples = [(a, b, c) for a in range(r) for b in range(a, r) for c in range(b, r)]
+    keys = draw(st.lists(st.sampled_from(triples), max_size=8, unique=True))
+    return {key: draw(st.integers(-5, 5).filter(bool)) for key in keys}
+
+
+@st.composite
+def relabellings(draw, values):
+    """An r x m matrix, r <= m, with one entry per row from ``values``, no two
+    rows in one column."""
+    r = draw(st.integers(1, 4))
+    m = draw(st.integers(r, 5))
+    columns = draw(st.permutations(range(m)))[:r]
+    rows = [[0] * m for _ in range(r)]
+    for row, column in zip(rows, columns):
+        row[column] = draw(st.sampled_from(values))
+    return IntMatrix(rows)
+
+
+@st.composite
+def shared_columns(draw):
+    """A relabelling with a second row moved onto the first row's column."""
+    mu = draw(relabellings((-1, 1, 2, -3)).filter(lambda mu: mu.rows >= 2))
+    rows = [list(row) for row in mu.data]
+    first, second = (next(j for j, x in enumerate(row) if x) for row in rows[:2])
+    rows[1][first], rows[1][second] = rows[1][second], 0
+    return IntMatrix(rows)
+
+
+@st.composite
+def zero_rows(draw):
+    """A relabelling with one row cleared."""
+    mu = draw(relabellings((-1, 1)))
+    rows = [list(row) for row in mu.data]
+    rows[draw(st.integers(0, mu.rows - 1))] = [0] * mu.cols
+    return IntMatrix(rows)
+
+
+def dense_matrices():
+    return st.integers(1, 3).flatmap(
+        lambda r: st.integers(1, 3).flatmap(
+            lambda m: st.lists(
+                st.lists(st.integers(-2, 2), min_size=m, max_size=m), min_size=r, max_size=r
+            )
+        )
+    ).map(IntMatrix)
+
+
+class TestPullBackTensor:
+    """``pull_back_tensor`` against the brute-force sum, on each kind of ``mu``:
+    the relabel path (one entry per row, columns distinct) and the spread."""
+
+    @staticmethod
+    def assert_matches(data, mu):
+        tensor = data.draw(sparse_tensors(mu.rows))
+        assert pull_back_tensor(tensor, mu) == reference_pull_back(tensor, mu)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), relabellings((-1, 1)))
+    def test_signed_permutations(self, data, mu):
+        self.assert_matches(data, mu)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data(), relabellings((2, -3, 5)))
+    def test_a_permutation_with_other_entries(self, data, mu):
+        self.assert_matches(data, mu)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data(), shared_columns())
+    def test_two_rows_on_one_column(self, data, mu):
+        self.assert_matches(data, mu)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data(), zero_rows())
+    def test_a_zero_row(self, data, mu):
+        self.assert_matches(data, mu)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data(), dense_matrices())
+    def test_a_dense_small_mu(self, data, mu):
+        self.assert_matches(data, mu)
 
 
 def restricted_exceptional(pair):

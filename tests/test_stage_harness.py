@@ -1,12 +1,13 @@
 """The paired stage table of ``tests/stage_harness.py``: its child row and its rule."""
 
 import json
+import types
 
 import stage_harness
 
 CELLS = [
     "load", "load conics", "fan", "build", "marked", "snf", "values", "unmarked", "k_image",
-    "quotient", "fresh", "translate", "perturbed", "transport", "remark", "chain",
+    "quotient", "fresh", "match", "translate", "perturbed", "transport", "remark", "chain",
 ]
 
 
@@ -16,6 +17,16 @@ def test_a_child_prints_one_row_of_the_cells(capsys):
     row = json.loads(line)
     assert list(row) == CELLS
     assert all(isinstance(ms, float) and ms > 0 for ms in row.values())
+
+
+def test_the_match_cell_reads_null_where_the_commit_has_no_matched(capsys, monkeypatch):
+    # The harness reads ``_matched`` off its ``torelli``; the ops it times
+    # are imported by name, so they run as they do on such a commit.
+    monkeypatch.setattr(stage_harness, "torelli", types.SimpleNamespace())
+    stage_harness.child_row(12)
+    row = json.loads(capsys.readouterr().out)
+    assert row["match"] is None
+    assert stage_harness._paired_cell([1.0, None], [1.0, 2.0]) is None
 
 
 def verdict(before, after):

@@ -44,6 +44,7 @@ from logcy3.torelli import (
 )
 from conftest import assert_edge_rows_carried as assert_rows_carried
 from random_draws import solved_curve_step
+from stage_harness import conic_ladder, conic_ladder_fan, family
 from test_pair import curve_program, reference_intersection
 
 
@@ -679,6 +680,19 @@ def dense_transports(pair, other, corr):
     }
 
 
+def dense_boundary_map(pair, other, corr):
+    """The boundary map of the dense transports, column by column: each unit
+    boundary vector through :func:`dense_image`."""
+    transports = dense_transports(pair, other, corr)
+    n = pair.component_offsets()[1]
+    columns = []
+    for j in range(n):
+        unit = tuple(1 if i == j else 0 for i in range(n))
+        image = dense_image(pair, other, corr, transports, unit)
+        columns.append([(i, x) for i, x in enumerate(image) if x])
+    return IntMatrix.from_columns(other.component_offsets()[1], columns)
+
+
 def assert_edge_rows_carried(pair, other, corr):
     """The rows carried (``conftest.assert_edge_rows_carried``) through the
     boundary map of the dense transports.
@@ -686,8 +700,7 @@ def assert_edge_rows_carried(pair, other, corr):
     So the boundary map carries the matching lattice, the kernel, into the
     other pair's; decide relies on it once the correspondence is checked.
     """
-    boundary = torelli._boundary_map(pair, other, corr, dense_transports(pair, other, corr))
-    assert_rows_carried(pair, other, corr, boundary)
+    assert_rows_carried(pair, other, corr, dense_boundary_map(pair, other, corr))
 
 
 def reference_isometry_failure(pair, other, corr):
@@ -884,17 +897,14 @@ class TestSparseBoundaryTransport:
         return check
 
     def test_columns_match_the_dense_transports(self, cases):
+        # The one pass of _matched places each column where the dense
+        # component transports carry its unit vector.
         for pair, other in cases:
             corr = Correspondence.identity(pair)
-            transports = dense_transports(pair, other, corr)
-            boundary = torelli._boundary_map(pair, other, corr, transports)
+            boundary = torelli._matched(pair, other, corr)[1]
             length = boundary.rows
-            columns = boundary.columns
             assert length == len(other.character_table(Marking.markers(other.edge_keys())))
-            for j, column in enumerate(columns):
-                unit = tuple(1 if i == j else 0 for i in range(len(columns)))
-                image = dense_image(pair, other, corr, transports, unit)
-                assert column == tuple((i, x) for i, x in enumerate(image) if x)
+            assert boundary.columns == dense_boundary_map(pair, other, corr).columns
 
     def test_transport_breaks_the_relation_decide_names(self, cases):
         # At the markers both read the pulled-back table, so decide's witness
@@ -1424,6 +1434,55 @@ class TestTransportBuildsNoTable:
             positions = torelli._step_exc_positions(pair, v)
             assert torelli._step_exc_positions(pair, v) is positions
             assert sorted(positions.values()) == list(range(len(pair.components[v].excs)))
+
+
+class TestMatchReadsHeldSparseColumns:
+    """On a fan whose sparse classes are held, decide and transport build no
+    dense ray class, and ``_matched`` derives each boundary-map column once."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"Fan2.ray_class": 0, "ToricPicBasis.ray_class": 0, "columns": []}
+        for cls in (toric.Fan2, toric.ToricPicBasis):
+            def counted(self, i, original=cls.ray_class, name=f"{cls.__name__}.ray_class"):
+                counts[name] += 1
+                return original(self, i)
+
+            monkeypatch.setattr(cls, "ray_class", counted)
+        derived = torelli._derived_columns
+
+        def recorded(pair, other, corr, v, start):
+            columns = derived(pair, other, corr, v, start)
+            counts["columns"].append((v, len(columns)))
+            return columns
+
+        monkeypatch.setattr(torelli, "_derived_columns", recorded)
+        return counts
+
+    @pytest.mark.parametrize("case", ["family-20", "family-60", "conics-12"])
+    def test_a_translate_decide_and_a_transport(self, counts, case):
+        kind, rays = case.split("-")
+        if kind == "family":
+            fan, program = family(int(rays))
+        else:
+            fan = conic_ladder_fan(int(rays))
+            program = conic_ladder(fan, 3)
+        # The fan holds its toric layer and every sparse class, the pair
+        # its lattice data and matching values.
+        pair = LogCY3Pair.build(fan, program)
+        assert decide_isomorphism(pair, pair).is_isomorphic
+        toric.ToricPicBasis.of(fan).sparse_classes
+        for surface in fan._surfaces:
+            surface.sparse_class(0)
+        counts.update({"Fan2.ray_class": 0, "ToricPicBasis.ray_class": 0, "columns": []})
+        blocks = sorted((v, comp.rank) for v, comp in pair.components.items())
+        translate = pair.torus_translate((g("2"), g("3"), I))
+        assert decide_isomorphism(pair, translate).is_isomorphic
+        assert sorted(counts["columns"]) == blocks
+        counts["columns"].clear()
+        assert marking_transporter(pair, translate)[0] == "solved"
+        assert sorted(counts["columns"]) == blocks
+        assert counts["Fan2.ray_class"] == counts["ToricPicBasis.ray_class"] == 0
 
 
 class TestComponentTransportDiagnoses:

@@ -35,6 +35,7 @@ from logcy3.toric import (
 )
 from logcy3.torelli import decide_isomorphism
 
+from random_draws import random_cases
 from stage_harness import family
 from test_pair import ALIAS_FANS, fresh_copy
 
@@ -661,6 +662,48 @@ class TestSeedReduction:
         surface = toric.Fan2(0, ((2, 0), (0, 2), (-2, 0), (0, -2)), (1, 2, 3, 4))
         with pytest.raises(FanError, match="seed rays do not form a lattice basis"):
             surface.ray_class(0)
+
+
+def nonzero(vector):
+    return tuple((i, x) for i, x in enumerate(vector) if x)
+
+
+def assert_sparse_classes_are_the_ray_classes(fan):
+    """Every ray's sparse class, on the threefold basis and on each star
+    surface, is the nonzero entries of its dense class, seed rays included;
+    a surface's, moved by a block offset, has each coordinate moved so."""
+    basis = ToricPicBasis.of(fan)
+    assert basis.sparse_classes == tuple(nonzero(basis.ray_class(v)) for v in range(fan.n_rays))
+    for v in range(fan.n_rays):
+        surface = star_surface(fan, v)
+        for i in range(surface.n_rays):
+            expected = nonzero(surface.ray_class(i))
+            assert surface.sparse_class(i) == expected
+            assert surface.sparse_class(i, 7) == tuple((7 + b, x) for b, x in expected)
+
+
+class TestSparseClasses:
+    """The sparse classes decide and transport read, against ``ray_class``."""
+
+    @pytest.mark.parametrize("name", sorted(toric_fixture_fans()))
+    def test_bundled_fans(self, name):
+        assert_sparse_classes_are_the_ray_classes(fresh_copy(toric_fixture_fans()[name]))
+
+    @pytest.mark.parametrize("rays", [20, 60])
+    def test_the_scaling_family(self, rays):
+        assert_sparse_classes_are_the_ray_classes(fresh_copy(family(rays)[0]))
+
+    @settings(max_examples=30, deadline=None)
+    @given(random_cases())
+    def test_random_fans(self, case):
+        assert_sparse_classes_are_the_ray_classes(case[0])
+
+    def test_only_the_seed_classes_are_held_on_a_surface(self, p111):
+        surface = star_surface(fresh_copy(p111), 0)
+        surface.sparse_class(2)
+        assert "_seed_classes" not in vars(surface)
+        surface.sparse_class(1)
+        assert len(vars(surface)["_seed_classes"]) == 2
 
 
 class TestStarSurface:
