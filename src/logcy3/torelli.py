@@ -644,9 +644,9 @@ def decide_isomorphism(
 # ---------------------------------------------------------------------------
 
 
-def _edge_shift(pair, other, corr, marking, marking_other) -> list:
+def _edge_shift(pair, other, corr, marking, marking_other) -> dict:
     """The other marking over this one on each edge of the pair, carried to the
-    image edge: ``rho2(e') ** sigma / rho(e)``.
+    image edge, ``rho2(e') ** sigma / rho(e)``, on the edges where it is not 1.
 
     ``rho`` and ``rho2`` are the two markings'
     :meth:`~logcy3.pair.LogCY3Pair.marking_ratios`, ``e'`` is the image of
@@ -657,17 +657,22 @@ def _edge_shift(pair, other, corr, marking, marking_other) -> list:
     and each table is its markers' support times its ratios pulled back
     along the edge-matching map; so the other table pulled back over this
     one is the support's ratio times this shift pulled back along the
-    pair's edge-matching map.  The other marking is read first.
+    pair's edge-matching map.  The other marking is read first; the pair's
+    markers have ratio 1 on every edge, so theirs are not read, and at the
+    markers on both sides the shift is empty.
     """
     ratios2 = other.marking_ratios(marking_other)
-    ratios = pair.marking_ratios(marking)
+    ratios = () if marking is pair.markers() else pair.marking_ratios(marking)
     complex2 = other.complex
-    shift = []
-    for (v, w), ratio in zip(pair.complex.edges, ratios):
+    shift = {}
+    for e, (v, w) in enumerate(pair.complex.edges):
         v2 = corr.vertex(v)
         row = complex2.edge_index(v2, corr.vertex(w))
-        ratio2 = ratios2[row] if complex2.edges[row][0] == v2 else ratios2[row].inverse()
-        shift.append(ratio2 if ratio.is_one() else ratio2 / ratio)
+        value = ratios2[row] if complex2.edges[row][0] == v2 else ratios2[row].inverse()
+        if ratios:
+            value = value / ratios[e]
+        if not value.is_one():
+            shift[e] = value
     return shift
 
 
@@ -702,10 +707,12 @@ def marking_transporter(
     the markers' supports, not the tables: its targets are the other
     pair's support pulled back through the boundary map, as step (v) pulls
     it, over this pair's support, and live on the exceptional rows; the
-    two markings enter only as the per-edge :func:`_edge_shift`, which the
-    solve carries through the row steps of the held factorization.  A
-    relation is valued over the targets alone, so ``unsolvable`` is step
-    (v)'s comparison: decide's ``complete`` gives ``solved`` or
+    two markings enter only as the per-edge :func:`_edge_shift`, a sparse
+    character on the edges where it is not 1, which the solve values on
+    the columns of the held factorization's ``U_inv`` (at the markers on
+    both sides it is empty, and ``U_inv`` is not built).  A relation is
+    valued over the targets alone, so ``unsolvable`` is step (v)'s
+    comparison: decide's ``complete`` gives ``solved`` or
     ``complex_only``, and its ``period`` gives ``("unsolvable", witness)``
     with decide's witness, at any markings.  No character table is built.
     """

@@ -15,7 +15,8 @@ map must be the pair's with its rows carried to the image edges
 (:func:`assert_edge_rows_carried`), the identity that transport's shift
 rests on.  Every call of the transporter is answered again the same way,
 by :func:`reference_transport`: both markings' full tables and the dense
-targets, solved with no shift.
+targets, solved with the empty shift ``{}``, so the solve reads no
+``U_inv`` and every marking enters through the targets.
 """
 
 import sys
@@ -110,7 +111,7 @@ def reference_decide(pair, other, corr=None):
 def reference_transport(pair, other, corr=None, marking=None, marking_other=None):
     """Transport on the dense targets: the other marking's full table pulled
     back through the boundary map over this marking's full table, solved on
-    the held factorization with no shift.
+    the held factorization with the empty shift.
 
     The other pair's table is read first, so a marking without a point on
     some edge raises for the other pair's marking first.
@@ -123,9 +124,7 @@ def reference_transport(pair, other, corr=None, marking=None, marking_other=None
     pulled = matched[1].pull_back(dense_table(other, marking_other))
     targets = [p / t for p, t in zip(pulled, dense_table(pair, marking))]
     factored = edge_matching_snf(pair)
-    return factored.solve_over_gaussian_torus(
-        dict(enumerate(targets)), [gaussian.ONE] * factored.shape[0]
-    )
+    return factored.solve_over_gaussian_torus(dict(enumerate(targets)), {})
 
 
 def assert_edge_rows_carried(pair, other, corr, boundary):

@@ -339,13 +339,13 @@ REACHED = {
     ("exactnum.IntMatrix.pull_back", "ExactArithmeticError", "vector length mismatch"):
         EXACTNUM + "TestTwoForms::test_shapes_without_entries",
     ("exactnum.SnfDecomposition.solve_over_gaussian_torus", "ExactArithmeticError",
-     "one shift value per row required"):
-        EXACTNUM + "TestTorusSolvability::"
-        "test_targets_off_the_columns_and_a_short_shift_are_rejected",
-    ("exactnum.SnfDecomposition.solve_over_gaussian_torus", "ExactArithmeticError",
      "targets must be on columns of the matrix"):
         EXACTNUM + "TestTorusSolvability::"
-        "test_targets_off_the_columns_and_a_short_shift_are_rejected",
+        "test_targets_off_the_columns_and_a_shift_off_the_rows_are_rejected",
+    ("exactnum.SnfDecomposition.solve_over_gaussian_torus", "ExactArithmeticError",
+     "shift must be on rows of the matrix"):
+        EXACTNUM + "TestTorusSolvability::"
+        "test_targets_off_the_columns_and_a_shift_off_the_rows_are_rejected",
     ("exactnum.SnfDecomposition.solve_over_gaussian_torus", "ExactArithmeticError",
      "targets and shift must be nonzero"):
         EXACTNUM + "TestTorusSolvability::test_zero_target_rejected",

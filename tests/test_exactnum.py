@@ -935,9 +935,7 @@ class TestPowerProductKernel:
 
 def dense_solve(dec, targets):
     """The torus solve with a target on every column and no shift."""
-    return dec.solve_over_gaussian_torus(
-        dict(enumerate(targets)), [GaussianRational(1)] * dec.shape[0]
-    )
+    return dec.solve_over_gaussian_torus(dict(enumerate(targets)), {})
 
 
 def values_on_columns(a, h):
@@ -968,18 +966,19 @@ class TestTorusSolvability:
         assert status == "solved" and h == [GaussianRational(2)]
 
     def test_zero_target_rejected(self):
-        one = [GaussianRational(1)]
+        zero = GaussianRational(0)
         with pytest.raises(ExactArithmeticError, match="targets and shift must be nonzero"):
-            snf(IntMatrix([[1]])).solve_over_gaussian_torus({0: GaussianRational(0)}, one)
+            snf(IntMatrix([[1]])).solve_over_gaussian_torus({0: zero}, {})
         with pytest.raises(ExactArithmeticError, match="targets and shift must be nonzero"):
-            snf(IntMatrix([[1]])).solve_over_gaussian_torus({}, [GaussianRational(0)])
+            snf(IntMatrix([[1]])).solve_over_gaussian_torus({}, {0: zero})
 
-    def test_targets_off_the_columns_and_a_short_shift_are_rejected(self):
-        one = [GaussianRational(1)]
+    def test_targets_off_the_columns_and_a_shift_off_the_rows_are_rejected(self):
+        two = GaussianRational(2)
         with pytest.raises(ExactArithmeticError, match="targets must be on columns of the matrix"):
-            snf(IntMatrix([[1, 0]])).solve_over_gaussian_torus({2: GaussianRational(2)}, one)
-        with pytest.raises(ExactArithmeticError, match="one shift value per row required"):
-            snf(IntMatrix([[1, 0]])).solve_over_gaussian_torus({}, one * 2)
+            snf(IntMatrix([[1, 0]])).solve_over_gaussian_torus({2: two}, {})
+        for row in (1, -1):
+            with pytest.raises(ExactArithmeticError, match="shift must be on rows of the matrix"):
+                snf(IntMatrix([[1, 0]])).solve_over_gaussian_torus({}, {row: two})
 
     def test_unimodular_row_invariance(self):
         # A row operation W on A leaves the solvable systems alone: h solves
@@ -1125,9 +1124,9 @@ class TestRowStepsPulledBackInReverse:
         assert statuses == {"solved", "unsolvable"}
 
 
-class TestShiftCarriedThroughTheRowSteps:
-    """Solving sparse targets ``t`` with a shift is solving ``t`` times the
-    shift's pull-back along ``A`` with none: the same outcome, values,
+class TestSparseShiftValuedOverUInv:
+    """Solving sparse targets ``t`` with a sparse shift is solving ``t`` times
+    the shift's pull-back along ``A`` with none: the same outcome, values,
     witness or relation."""
 
     def test_the_shift_is_the_dense_targets(self):
@@ -1140,11 +1139,14 @@ class TestShiftCarriedThroughTheRowSteps:
             drawn = data.draw(st.lists(small, min_size=a.cols, max_size=a.cols))
             kept = data.draw(st.lists(st.booleans(), min_size=a.cols, max_size=a.cols))
             targets = {j: t for j, (t, keep) in enumerate(zip(drawn, kept)) if keep}
-            # A shift value of 1 leaves the steps that read it alone.
+            # Rows may be left out of the shift, or be given the value 1.
             with_one = st.sampled_from([GaussianRational(1), *SMALL_VALUES])
-            shift = data.draw(st.lists(with_one, min_size=a.rows, max_size=a.rows))
+            values = data.draw(st.lists(with_one, min_size=a.rows, max_size=a.rows))
+            kept = data.draw(st.lists(st.booleans(), min_size=a.rows, max_size=a.rows))
+            shift = {r: v for r, (v, keep) in enumerate(zip(values, kept)) if keep}
+            dense_shift = [shift.get(r, GaussianRational(1)) for r in range(a.rows)]
             dense = [
-                targets.get(j, GaussianRational(1)) * power_product(shift, a.column(j))
+                targets.get(j, GaussianRational(1)) * power_product(dense_shift, a.column(j))
                 for j in range(a.cols)
             ]
             dec = snf(a)
@@ -1153,7 +1155,7 @@ class TestShiftCarriedThroughTheRowSteps:
             seen.add((outcome[0], any(d > 1 for d in dec.factors)))
 
         check()
-        # The roots of s0 * mu ** d are taken where a factor exceeds 1.
+        # The roots of the shifted products are taken where a factor exceeds 1.
         assert {("solved", True), ("complex_only", True), ("unsolvable", False)} <= seen
 
     def test_a_root_the_shift_completes(self):
@@ -1161,10 +1163,8 @@ class TestShiftCarriedThroughTheRowSteps:
         # the target 2 and no shift the root of 2 is not in Q(i).
         two = GaussianRational(2)
         dec = snf(IntMatrix([[2]]))
-        assert dec.solve_over_gaussian_torus({}, [two]) == ("solved", [two])
-        assert dec.solve_over_gaussian_torus({0: two}, [GaussianRational(1)]) == (
-            "complex_only", (2, two)
-        )
+        assert dec.solve_over_gaussian_torus({}, {0: two}) == ("solved", [two])
+        assert dec.solve_over_gaussian_torus({0: two}, {}) == ("complex_only", (2, two))
 
 
 class TestTransformsBuiltByTheirReaders:
@@ -1203,6 +1203,27 @@ class TestTransformsBuiltByTheirReaders:
         # V of the edge-matching map and of the restriction map, V_inv for
         # the quotient's coordinates, U_inv for the lifts of its inclusion.
         assert built == {"U": 0, "V": 2, "U_inv": 1, "V_inv": 1}
+
+    def test_a_re_marked_transport_builds_u_inv_once(self, built):
+        from logcy3 import torelli
+        from logcy3.boundary import Marking
+        from logcy3.documents import loads, pair_from_document
+        from logcy3.gaussian import I
+
+        data = importlib.resources.files("logcy3").joinpath("data/p3-mixed.pair.json")
+        pair = pair_from_document(loads(data.read_bytes()))[0]
+        translate = pair.torus_translate((GaussianRational(2), GaussianRational(3), I))
+        assert torelli.marking_transporter(pair, translate)[0] == "solved"
+        # At the markers on both sides the shift is empty: V only.
+        assert built == {"U": 0, "V": 1, "U_inv": 0, "V_inv": 0}
+        # A re-marked partner's shift is valued on the columns of U_inv,
+        # built by the first such transport and held for the next.
+        for k in (2, 3):
+            remarking = Marking.build(
+                {key: GaussianRational(k, 1) for key in translate.edge_keys()}
+            )
+            torelli.marking_transporter(pair, translate, marking_other=remarking)
+            assert built == {"U": 0, "V": 1, "U_inv": 1, "V_inv": 0}
 
     def test_a_rank_builds_none(self, built):
         from logcy3 import torelli

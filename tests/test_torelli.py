@@ -786,9 +786,7 @@ def dense_transporter(pair, other, corr, marking, marking_other):
         return "component_isometry", failure
     targets = dense_targets(pair, other, corr, marking, marking_other)
     factored = periods.edge_matching_snf(pair)
-    return factored.solve_over_gaussian_torus(
-        dict(enumerate(targets)), [GaussianRational(1)] * factored.shape[0]
-    )
+    return factored.solve_over_gaussian_torus(dict(enumerate(targets)), {})
 
 
 def transposed_transporter(pair, other, marking, marking_other):
@@ -1427,6 +1425,30 @@ class TestTransportBuildsNoTable:
                 assert tables == []
                 assert [m for p, m in read if not m.is_markers_on(p.complex.edges)] == []
         assert statuses == {"solved", "unsolvable"}
+
+    def test_the_markers_ratios_are_not_read(self, monkeypatch, pairs):
+        read = []
+        marking_ratios = LogCY3Pair.marking_ratios
+
+        def recorded(pair, marking):
+            read.append((pair, marking))
+            return marking_ratios(pair, marking)
+
+        monkeypatch.setattr(LogCY3Pair, "marking_ratios", recorded)
+        rng = random.Random(17)
+        pair = pairs["p3-mixed"]
+        other = pair.torus_translate((g("2"), g("3"), I))
+        remarking = seeded_marking(other, rng)
+        # At this pair's markers only the other marking's ratios are read.
+        for marking_other in (other.markers(), remarking):
+            read.clear()
+            marking_transporter(pair, other, None, None, marking_other)
+            assert [(p is other, m) for p, m in read] == [(True, marking_other)]
+        # A marking of this pair is read after the other's.
+        marking = seeded_marking(pair, rng)
+        read.clear()
+        marking_transporter(pair, other, None, marking, remarking)
+        assert [(p is other, m) for p, m in read] == [(True, remarking), (False, marking)]
 
     def test_the_exceptional_positions_are_held_on_the_pair(self, pairs):
         pair = pairs["p3-mixed"]
