@@ -12,9 +12,9 @@
   through the row steps without building ``U``,
   plus kernels, cokernels, coordinates in the basis of ``V``,
   integer linear solving, and the solution in Q(i) of a character system
-  on the columns, ``h(A e_j) = t_j * shift(A e_j)`` with sparse targets
-  and a sparse shift, valued on the columns of ``V`` and ``U_inv``, or a
-  relation among the columns that the targets break;
+  on the columns, ``h(A e_j) = t_j`` with sparse targets, valued on the
+  columns of ``V``, or a relation among the columns that the targets
+  break;
 * :func:`nth_root` -- exact n-th roots in Q(i), when they exist, found
   without factoring: integer n-th roots by Newton's iteration, one
   Gaussian gcd and one power check.  Of several roots it returns the one
@@ -244,24 +244,20 @@ class SnfDecomposition(Frozen):
             y[i] = ub[i] // d
         return self.V.apply(tuple(y))
 
-    def solve_over_gaussian_torus(self, targets: dict, shift: dict):
-        """A character ``h`` on ``Z^rows`` with ``h(A e_j) == t_j * shift(A e_j)``.
+    def solve_over_gaussian_torus(self, targets: dict):
+        """A character ``h`` on ``Z^rows`` with ``h(A e_j) == t_j`` on every column.
 
-        ``targets`` maps columns to their nonzero targets ``t_j`` and
-        ``shift`` rows to nonzero values, a character whose pull-back along
-        ``A`` multiplies the targets; each is 1 where it leaves a column or
-        row out.  The complex torus is divisible, so the system is solvable
-        exactly when every integer relation ``a`` with ``A a = 0`` has
-        ``prod(t_j ** a[j]) == 1`` (the shift is 1 on relations); the
-        columns of ``V`` from the rank on span them, and each is valued
-        over its entries in ``targets`` only.  Otherwise ``h`` is read off
-        the factorization: ``A V = U^-1 D``, so the shifted targets' value
-        on column i of ``V`` is ``s_i = prod(t_j ** V[j, i]) *
-        prod(shift_r ** (d_i * U_inv[r, i]))``, each product over the
-        entries that fall in its dict, and ``U_inv`` is built only for a
-        shift.  With ``y_i ** d_i == s_i``, ``h(e_r) = prod(y_i ** U[i,
-        r])``, that is ``y`` pulled back through each row step, the last
-        first, so ``U`` is never built.
+        ``targets`` maps columns to their nonzero targets ``t_j``, and is 1
+        where it leaves a column out.  The complex torus is divisible, so
+        the system is solvable exactly when every integer relation ``a``
+        with ``A a = 0`` has ``prod(t_j ** a[j]) == 1``; the columns of
+        ``V`` from the rank on span them, and each is valued over its
+        entries in ``targets`` only.  Otherwise ``h`` is read off the
+        factorization: ``A V = U^-1 D``, so the targets' value on column i
+        of ``V`` is ``s_i = prod(t_j ** V[j, i])``, over the entries that
+        fall in ``targets``.  With ``y_i ** d_i == s_i``, ``h(e_r) =
+        prod(y_i ** U[i, r])``, that is ``y`` pulled back through each row
+        step, the last first, so ``U`` is never built.
 
         Returns ``("solved", values)`` with one Q(i)* value per row,
         ``("complex_only", (d, s))`` when the system is solvable over the
@@ -272,11 +268,8 @@ class SnfDecomposition(Frozen):
         rows, n = self.shape
         if not all(0 <= j < n for j in targets):
             raise ExactArithmeticError("targets must be on columns of the matrix")
-        if not all(0 <= r < rows for r in shift):
-            raise ExactArithmeticError("shift must be on rows of the matrix")
-        for value in (*targets.values(), *shift.values()):
-            if value.is_zero():
-                raise ExactArithmeticError("targets and shift must be nonzero")
+        if any(value.is_zero() for value in targets.values()):
+            raise ExactArithmeticError("targets must be nonzero")
         columns = self.V.columns
         for k in range(self.rank, n):
             if not power_product_of(
@@ -285,10 +278,7 @@ class SnfDecomposition(Frozen):
                 return "unsolvable", self.V.column(k)
         y = [ONE] * rows
         for i, d in enumerate(self.factors):
-            factors = [(targets[j], x) for j, x in columns[i] if j in targets]
-            if shift:
-                factors += [(shift[r], d * x) for r, x in self.U_inv.columns[i] if r in shift]
-            s = power_product_of(factors)
+            s = power_product_of((targets[j], x) for j, x in columns[i] if j in targets)
             root = nth_root(s, d)
             if root is None:
                 return "complex_only", (d, s)

@@ -568,25 +568,30 @@ def _matched(pair: LogCY3Pair, other: LogCY3Pair, corr: Correspondence):
     return frame_map, IntMatrix.from_columns(length, columns)
 
 
-def _pulled_support(boundary: IntMatrix, support: dict) -> dict:
+def _pulled_support(pair, corr, boundary: IntMatrix, support: dict) -> dict:
     """The markers' character of the other pair pulled back through ``boundary``,
     where it is not 1.
 
     Column ``j`` is valued over its rows in the other pair's support alone:
     a single row with entry 1 gives that row's value, any other mix one
-    power product.  A column that meets no support row, or whose value is
-    1, is left out, so the result is a support too.
+    power product.  A derived block sends toric classes to toric rows,
+    which no support row meets, so only its exceptional columns are read,
+    and every column of an explicit map.  A column that meets no support
+    row, or whose value is 1, is left out, so the result is a support too.
     """
     pulled = {}
-    for j, column in enumerate(boundary.columns):
-        factors = [(support[i], x) for i, x in column if i in support]
-        if not factors:
-            continue
-        value, x = factors[0]
-        if len(factors) > 1 or x != 1:
-            value = power_product_of(factors)
-        if not value.is_one():
-            pulled[j] = value
+    explicit = {v for v, _ in corr.mu_components} if corr is not None else ()
+    for v, start in pair.component_offsets()[0].items():
+        comp = pair.components[v]
+        for j in range(start if v in explicit else start + comp.base.rank, start + comp.rank):
+            factors = [(support[i], x) for i, x in boundary.columns[j] if i in support]
+            if not factors:
+                continue
+            value, x = factors[0]
+            if len(factors) > 1 or x != 1:
+                value = power_product_of(factors)
+            if not value.is_one():
+                pulled[j] = value
     return pulled
 
 
@@ -611,7 +616,7 @@ def decide_isomorphism(
     # is its held matching values; the other's is its support pulled back
     # through the boundary map, valued on each generator's entries in it,
     # generator by generator, so a distinct verdict stops at its witness.
-    pulled = _pulled_support(boundary, other.marker_support())
+    pulled = _pulled_support(pair, corr, boundary, other.marker_support())
     transcript = []
     generators = zip(matching_lattice(pair), matching_kernel(pair).columns, matching_values(pair))
     for gen, column, value in generators:
@@ -706,15 +711,16 @@ def marking_transporter(
     character of the marking's ratio to the markers, so transport values
     the markers' supports, not the tables: its targets are the other
     pair's support pulled back through the boundary map, as step (v) pulls
-    it, over this pair's support, and live on the exceptional rows; the
-    two markings enter only as the per-edge :func:`_edge_shift`, a sparse
-    character on the edges where it is not 1, which the solve values on
-    the columns of the held factorization's ``U_inv`` (at the markers on
-    both sides it is empty, and ``U_inv`` is not built).  A relation is
-    valued over the targets alone, so ``unsolvable`` is step (v)'s
-    comparison: decide's ``complete`` gives ``solved`` or
-    ``complex_only``, and its ``period`` gives ``("unsolvable", witness)``
-    with decide's witness, at any markings.  No character table is built.
+    it, over this pair's support, and live on the exceptional rows.  If
+    ``h0`` solves the system at the markers, ``h0`` times the markings'
+    per-edge :func:`_edge_shift` solves it at the markings, both sides
+    being characters of the edge lattice; the shift lies in Q(i)*, so the
+    outcome, a ``complex_only`` witness included, is otherwise the
+    markers'.  A relation is valued over the targets alone, so
+    ``unsolvable`` is step (v)'s comparison: decide's ``complete`` gives
+    ``solved`` or ``complex_only``, and its ``period`` gives
+    ``("unsolvable", witness)`` with decide's witness, at any markings.
+    No character table is built.
     """
     corr = Correspondence.identity(pair) if corr is None else corr
     matched = _matched(pair, other, corr)
@@ -723,9 +729,11 @@ def marking_transporter(
     marking = pair.markers() if marking is None else marking
     marking_other = other.markers() if marking_other is None else marking_other
     shift = _edge_shift(pair, other, corr, marking, marking_other)
-    pulled = _pulled_support(matched[1], other.marker_support())
-    # The scalars h on the edges solve h(ell e_j) = targets[j] * shift(ell e_j)
-    # on the columns of the edge-matching map ell, read off its held
-    # factorization.
+    pulled = _pulled_support(pair, corr, matched[1], other.marker_support())
+    # The scalars h0 on the edges solve h0(ell e_j) = targets[j] on the
+    # columns of the edge-matching map ell, read off its held factorization.
     targets = _support_ratio(pulled, pair.marker_support())
-    return edge_matching_snf(pair).solve_over_gaussian_torus(targets, shift)
+    status, result = edge_matching_snf(pair).solve_over_gaussian_torus(targets)
+    if status != "solved":
+        return status, result
+    return status, [h * shift[e] if e in shift else h for e, h in enumerate(result)]

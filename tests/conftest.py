@@ -13,10 +13,14 @@ corpus the suite decides.  Where the correspondence passes the checks
 before the periods, the other pair's edge-matching map after the boundary
 map must be the pair's with its rows carried to the image edges
 (:func:`assert_edge_rows_carried`), the identity that transport's shift
-rests on.  Every call of the transporter is answered again the same way,
-by :func:`reference_transport`: both markings' full tables and the dense
-targets, solved with the empty shift ``{}``, so the solve reads no
-``U_inv`` and every marking enters through the targets.
+rests on, and the pulled support, which skips the toric columns of derived
+blocks, must be the full pull-back of the other pair's marker table
+(:func:`assert_pulled_support_is_the_full_walk`).  Every call of the
+transporter is answered again the same way, by
+:func:`reference_transport`: the dense solve at both pairs' full marker
+tables, times the markings' per-edge shift read off their points
+(:func:`dense_edge_shift`), and each solution it finds is checked on
+every boundary class against both markings' full tables.
 """
 
 import sys
@@ -27,7 +31,9 @@ from hypothesis import settings
 from logcy3 import gaussian, torelli
 from logcy3.boundary import Marking, component_character_table
 from logcy3.exactnum import IntMatrix
-from logcy3.periods import edge_matching_map, edge_matching_snf, matching_kernel, matching_lattice
+from logcy3.periods import (
+    edge_matching_map, edge_matching_snf, edge_scaling_character, matching_kernel, matching_lattice,
+)
 
 settings.register_profile("derandomized", derandomize=True)
 settings.load_profile("derandomized")
@@ -108,23 +114,60 @@ def reference_decide(pair, other, corr=None):
     )
 
 
-def reference_transport(pair, other, corr=None, marking=None, marking_other=None):
-    """Transport on the dense targets: the other marking's full table pulled
-    back through the boundary map over this marking's full table, solved on
-    the held factorization with the empty shift.
+def dense_edge_shift(pair, other, corr, marking, marking_other):
+    """Per edge ``(v, w)`` of the pair, the other marking's ratio to the
+    markers on the image edge over this marking's on ``(v, w)``.
 
-    The other pair's table is read first, so a marking without a point on
-    some edge raises for the other pair's marking first.
+    A ratio is minus the point, read off the marking through the vertex
+    map; the other pair's is inverted where it directs the image edge from
+    the image of ``w``.
+    """
+    corr = torelli.Correspondence.identity(pair) if corr is None else corr
+    directed = set(other.complex.edges)
+    shift = []
+    for v, w in pair.complex.edges:
+        v2, w2 = corr.vertex(v), corr.vertex(w)
+        ratio2 = -marking_other.point(v2, w2)
+        if (v2, w2) not in directed:
+            ratio2 = ratio2.inverse()
+        shift.append(ratio2 / -marking.point(v, w))
+    return shift
+
+
+def assert_transport_solves(pair, boundary, scalars, table, table_other):
+    """The scalars' edge-scaling character times the pair's table is the
+    other table pulled back through ``boundary``, on every boundary class."""
+    scaling = edge_scaling_character(pair, scalars).values
+    pulled = boundary.pull_back(table_other)
+    assert [s * t for s, t in zip(scaling, table)] == list(pulled)
+
+
+def reference_transport(pair, other, corr=None, marking=None, marking_other=None):
+    """Transport solved on the dense targets at the markers, times the shift.
+
+    The targets are the other pair's full marker table pulled back through
+    the boundary map over this pair's; a solution is multiplied edge by
+    edge by :func:`dense_edge_shift` and checked against both markings'
+    full tables.  The other marking's table is read first, so a marking
+    without a point on some edge raises for the other pair's marking first.
     """
     matched = torelli._matched(pair, other, corr)
     if isinstance(matched, torelli.Verdict):
         return matched.certificate["check"], matched.certificate
     marking = pair.markers() if marking is None else marking
     marking_other = other.markers() if marking_other is None else marking_other
-    pulled = matched[1].pull_back(dense_table(other, marking_other))
-    targets = [p / t for p, t in zip(pulled, dense_table(pair, marking))]
-    factored = edge_matching_snf(pair)
-    return factored.solve_over_gaussian_torus(dict(enumerate(targets)), {})
+    table_other = dense_table(other, marking_other)
+    table = dense_table(pair, marking)
+    boundary = matched[1]
+    pulled = boundary.pull_back(dense_marker_table(other))
+    targets = [p / t for p, t in zip(pulled, dense_marker_table(pair))]
+    status, result = edge_matching_snf(pair).solve_over_gaussian_torus(dict(enumerate(targets)))
+    if status != "solved":
+        return status, result
+    shift = dense_edge_shift(pair, other, corr, marking, marking_other)
+    scalars = [h * s for h, s in zip(result, shift)]
+    assert_transport_solves(pair, boundary, scalars, table, table_other)
+    return status, scalars
 
 
 def assert_edge_rows_carried(pair, other, corr, boundary):
@@ -147,6 +190,16 @@ def assert_edge_rows_carried(pair, other, corr, boundary):
     assert edge_matching_map(other) * boundary == carried
 
 
+def assert_pulled_support_is_the_full_walk(pair, other, corr, boundary):
+    """The pulled support, which reads only the exceptional columns of a
+    derived block, is the other pair's full marker table pulled back
+    through ``boundary``, where that is not 1."""
+    dense = boundary.pull_back(dense_marker_table(other))
+    assert torelli._pulled_support(pair, corr, boundary, other.marker_support()) == {
+        j: value for j, value in enumerate(dense) if not value.is_one()
+    }
+
+
 def _outcome(function, *args):
     try:
         return function(*args)
@@ -158,9 +211,9 @@ def _outcome(function, *args):
 def decided_against_the_reference():
     """Record each correspondence checked in the test and each transport;
     at its end, decide each correspondence again and compare with
-    :func:`reference_decide`, check the edge rows where it passes the checks
-    before the periods, and answer each transport again and compare with
-    :func:`reference_transport`.
+    :func:`reference_decide`, check the edge rows and the pulled support
+    where it passes the checks before the periods, and answer each
+    transport again and compare with :func:`reference_transport`.
 
     The transporter is wrapped in every module that holds it, so a test
     that imported the name is recorded too.
@@ -191,5 +244,6 @@ def decided_against_the_reference():
         matched = _outcome(torelli._matched, pair, other, corr)
         if isinstance(matched, tuple) and isinstance(matched[1], IntMatrix):
             assert_edge_rows_carried(pair, other, corr, matched[1])
+            assert_pulled_support_is_the_full_walk(pair, other, corr, matched[1])
     for args in transports.values():
         assert _outcome(transporter, *args) == _outcome(reference_transport, *args)

@@ -56,7 +56,10 @@ prints one row:
   report held;
 - ``remark``: the same transport with the translate re-marked, a seeded
   point ``a + b i`` (``a`` in 2..9, ``b`` in -3..3) on every edge, as the
-  benchmark's transport op re-marks its partner;
+  benchmark's transport op re-marks its partner (:func:`remarking`);
+- ``remark conics``: the same re-marked transport on the ``load conics``
+  pair, its report held, against a fresh torus translate, where the
+  curve steps make the edge-matching map's row steps many;
 - ``chain``: the family's fan, subdivided from a fresh ``Fan3`` root (not
   the held fixture root), so the one whole-fan check of the root is in it.
 
@@ -171,6 +174,16 @@ def conic_ladder(fan, steps):
     return program
 
 
+def remarking(pair, rays):
+    """The pair's marking with a point ``a + b i``, ``a`` in 2..9 and ``b`` in
+    -3..3, on every edge, drawn in edge order from a generator seeded by
+    ``rays``."""
+    rng = random.Random(rays)
+    return Marking.build(
+        {key: GaussianRational(rng.randint(2, 9), rng.randint(-3, 3)) for key in pair.edge_keys()}
+    )
+
+
 def best_ms(call, prepare, repeats):
     """Best wall time of ``call(*prepare())`` in ms, preparing untimed."""
     best = float("inf")
@@ -221,20 +234,16 @@ def stage_row(rays):
         fresh.k_image()
         return (fresh,)
 
-    rng = random.Random(rays)
-    remarking = Marking.build(
-        {key: GaussianRational(rng.randint(2, 9), rng.randint(-3, 3)) for key in pair.edge_keys()}
-    )
-
-    def remarked(pair, other):
-        return marking_transporter(pair, other, marking_other=remarking)
+    def remarked(pair, other, marking):
+        return marking_transporter(pair, other, marking_other=marking)
 
     matched = getattr(torelli, "_matched", None)
     text = documents.dumps(documents.pair_to_document(pair))
-    conics = conic_ladder_fan(rays)
-    conic_text = documents.dumps(
-        documents.pair_to_document(LogCY3Pair.build(conics, conic_ladder(conics, 8)))
-    )
+    conic_fan = conic_ladder_fan(rays)
+    conics = LogCY3Pair.build(conic_fan, conic_ladder(conic_fan, 8))
+    conic_text = documents.dumps(documents.pair_to_document(conics))
+    unmarked_period(conics)
+    family_remarking, conic_remarking = remarking(pair, rays), remarking(conics, rays)
     return {
         "load": best_ms(documents.pair_from_document, lambda: (documents.loads(text),), repeats),
         "load conics": best_ms(
@@ -259,7 +268,12 @@ def stage_row(rays):
             decide_isomorphism, lambda: (pair, LogCY3Pair.build(fan, perturbed)), repeats
         ),
         "transport": best_ms(marking_transporter, translate, repeats),
-        "remark": best_ms(remarked, translate, repeats),
+        "remark": best_ms(remarked, lambda: (*translate(), family_remarking), repeats),
+        "remark conics": best_ms(
+            remarked,
+            lambda: (conics, conics.torus_translate(TRANSLATION), conic_remarking),
+            repeats,
+        ),
         "chain": best_ms(subdivided, lambda: (fresh_root(), rays), 15),
     }
 

@@ -7,7 +7,8 @@ import stage_harness
 
 CELLS = [
     "load", "load conics", "fan", "build", "marked", "snf", "values", "unmarked", "k_image",
-    "quotient", "fresh", "match", "translate", "perturbed", "transport", "remark", "chain",
+    "quotient", "fresh", "match", "translate", "perturbed", "transport", "remark",
+    "remark conics", "chain",
 ]
 
 

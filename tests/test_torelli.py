@@ -3,6 +3,7 @@
 import random
 import re
 from fractions import Fraction
+from functools import cache
 from time import perf_counter
 
 import pytest
@@ -42,7 +43,11 @@ from logcy3.torelli import (
     recognize_contraction_type,
     reconstruct_fan,
 )
-from conftest import assert_edge_rows_carried as assert_rows_carried
+from conftest import (
+    assert_edge_rows_carried as assert_rows_carried,
+    assert_pulled_support_is_the_full_walk,
+    dense_edge_shift,
+)
 from random_draws import solved_curve_step
 from stage_harness import conic_ladder, conic_ladder_fan, family
 from test_pair import curve_program, reference_intersection
@@ -779,14 +784,29 @@ def dense_targets(pair, other, corr, marking, marking_other):
     return targets
 
 
+def shifted(pair, other, corr, markings, scalars):
+    """The markers' scalars times the markings' per-edge shift, checked on
+    the dense targets at the markings: their edge-scaling character is the
+    targets on every boundary class."""
+    shift = dense_edge_shift(pair, other, corr, *markings)
+    scalars = [h * s for h, s in zip(scalars, shift)]
+    targets = dense_targets(pair, other, corr, *markings)
+    assert list(periods.edge_scaling_character(pair, scalars).values) == targets
+    return scalars
+
+
 def dense_transporter(pair, other, corr, marking, marking_other):
-    """Marking transport on the dense targets, after the isometry check."""
+    """Marking transport after the isometry check: the dense targets at the
+    markers solved, a solution times the markings' shift."""
     failure = reference_isometry_failure(pair, other, corr)
     if failure is not None:
         return "component_isometry", failure
-    targets = dense_targets(pair, other, corr, marking, marking_other)
+    targets = dense_targets(pair, other, corr, pair.markers(), other.markers())
     factored = periods.edge_matching_snf(pair)
-    return factored.solve_over_gaussian_torus(dict(enumerate(targets)), {})
+    status, result = factored.solve_over_gaussian_torus(dict(enumerate(targets)))
+    if status != "solved":
+        return status, result
+    return status, shifted(pair, other, corr, (marking, marking_other), result)
 
 
 def transposed_transporter(pair, other, marking, marking_other):
@@ -795,11 +815,12 @@ def transposed_transporter(pair, other, marking, marking_other):
     The system was posed on the rows of the transposed edge-matching map,
     factored as ``V^T ell^T U^T``: the relations were the rows of ``V^T``
     past the rank, ``s_i`` the targets' product over row i of ``V^T``, and
-    scalar e the roots' product over row e of ``U^T``.
+    scalar e the roots' product over row e of ``U^T``.  The targets are the
+    markers' on both sides, and a solution is multiplied by the shift.
     """
     dec = periods.edge_matching_snf(pair)
     corr = Correspondence.identity(pair)
-    targets = dense_targets(pair, other, corr, marking, marking_other)
+    targets = dense_targets(pair, other, corr, pair.markers(), other.markers())
     relations = list(zip(*dec.V.data))  # rows of V^T
     scalar_rows = list(zip(*dec.U.data))  # rows of U^T
     for k in range(dec.rank, len(relations)):
@@ -812,7 +833,8 @@ def transposed_transporter(pair, other, marking, marking_other):
         if root is None:
             return "complex_only", (d, s)
         y[i] = root
-    return "solved", [power_product(y, row) for row in scalar_rows]
+    scalars = [power_product(y, row) for row in scalar_rows]
+    return "solved", shifted(pair, other, corr, (marking, marking_other), scalars)
 
 
 def outcome(function, *args):
@@ -1233,22 +1255,63 @@ class TestPulledSupport:
     @given(st.data())
     def test_the_dense_pull_back_off_one(self, data):
         # Columns mixing several support rows, entries other than 1, rows
-        # off the support and values whose product is 1 all occur.
+        # off the support and values whose product is 1 all occur.  Every
+        # column of a component with an explicit map is read, and only the
+        # exceptional columns of the others.
+        pair = BUNDLED["p3-mixed"]
+        explicit = data.draw(st.sets(st.sampled_from(sorted(pair.components))))
+        corr = Correspondence(
+            Correspondence.identity(pair).vertex_map,
+            tuple(range(len(pair.program))),
+            None,
+            tuple((v, identity_matrix(pair.components[v].rank)) for v in sorted(explicit)),
+        )
         rows = data.draw(st.integers(1, 6))
         entries = st.lists(
             st.tuples(st.integers(0, rows - 1), st.integers(-3, 3).filter(bool)),
             max_size=4,
             unique_by=lambda entry: entry[0],
         )
-        columns = data.draw(st.lists(entries, max_size=6))
+        offsets, n = pair.component_offsets()
+        columns = data.draw(st.lists(entries, min_size=n, max_size=n))
         matrix = IntMatrix.from_columns(rows, [sorted(column) for column in columns])
         values = st.sampled_from([g("1"), g("-1"), I, g("2"), g("1/2"), g("3-i")])
         support = data.draw(st.dictionaries(st.integers(0, rows - 1), values))
         table = tuple(support.get(i, g("1")) for i in range(rows))
         dense = matrix.pull_back(table)
-        assert torelli._pulled_support(matrix, support) == {
-            j: value for j, value in enumerate(dense) if not value.is_one()
+        read = {
+            j
+            for v, start in offsets.items()
+            for j in range(start, start + pair.components[v].rank)
+            if v in explicit or j >= start + pair.components[v].base.rank
         }
+        assert torelli._pulled_support(pair, corr, matrix, support) == {
+            j: value for j, value in enumerate(dense) if j in read and not value.is_one()
+        }
+
+    def test_the_exceptional_columns_give_the_full_walk(self, pairs):
+        # On correspondences that pass the checks before the periods, with
+        # and without explicit component maps, the toric columns left out
+        # of a derived block change nothing.
+        rng = random.Random(19)
+        checked = {"derived": 0, "explicit": 0}
+        for name, pair in [*pairs.items(), ("scaling", scaling_pair(2, 8))]:
+            partners = [pair, pair.torus_translate((g("2"), g("3"), I))]
+            partners += filter(None, [perturbed_partner(name, pair)])
+            corrs = [Correspondence.identity(pair)]
+            corrs += [
+                with_override(pair, v, matrix)
+                for v, comp in sorted(pair.components.items())
+                for matrix in (identity_matrix(comp.rank), exceptional_permutation(comp, rng))
+            ]
+            for other in partners:
+                for corr in corrs:
+                    matched = torelli._matched(pair, other, corr)
+                    if isinstance(matched, torelli.Verdict):
+                        continue
+                    assert_pulled_support_is_the_full_walk(pair, other, corr, matched[1])
+                    checked["explicit" if corr.mu_components else "derived"] += 1
+        assert all(checked.values())
 
 
 def reoriented(pair, flipped):
@@ -1387,6 +1450,61 @@ class TestTransportUnderRemarking:
             with pytest.raises(boundary.BoundaryError, match=f"^{re.escape(error)}$"):
                 marking_transporter(pair, pair, None, *markings)
         assert pair.marking_ratios(full) == [-GaussianRational(2, 1)] * len(keys)
+
+
+@cache
+def shift_cases():
+    """(pair, other, corr): the bundled pairs against themselves, a translate
+    and a perturbed partner, and the reoriented and relabelled partners of
+    :class:`TestTransportUnderRemarking`."""
+    out = []
+    for name, pair in BUNDLED.items():
+        partners = [pair, pair.torus_translate((g("2"), g("3"), I)), perturbed_partner(name, pair)]
+        out += [(pair, other, None) for other in partners if other is not None]
+    out += [(pair, other, corr) for pair, other, corr, _ in TestTransportUnderRemarking().cases()]
+    return out
+
+
+class TestTransportIsTheMarkersSolutionTimesTheShift:
+    """A torus character ``h0`` solves the system at the markers exactly when
+    ``h0`` times the markings' shift solves it at the two markings, and the
+    shift lies in Q(i)*: transport at any markings is the markers' outcome,
+    a solution multiplied edge by edge by the shift."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_the_transporter_is_the_markers_solution_times_the_shift(self, data):
+        pair, other, corr = data.draw(st.sampled_from(shift_cases()))
+        point = st.builds(GaussianRational, st.integers(1, 9), st.integers(-3, 3))
+
+        def marking(side):
+            n = len(side.edge_keys())
+            points = st.lists(point, min_size=n, max_size=n)
+            return data.draw(st.sampled_from([side.markers(), None]) | points.map(
+                lambda values: Marking.build(dict(zip(side.edge_keys(), values)))
+            ))
+
+        markings = marking(pair), marking(other)
+        at_markers = marking_transporter(pair, other, corr)
+        result = marking_transporter(pair, other, corr, *markings)
+        if at_markers[0] != "solved":
+            assert result == at_markers
+            return
+        shift = dense_edge_shift(
+            pair, other, corr, markings[0] or pair.markers(), markings[1] or other.markers()
+        )
+        assert result == ("solved", [h * s for h, s in zip(at_markers[1], shift)])
+
+    def test_a_root_the_shift_completes(self):
+        # On [[2]] the target 1 at the markers has the root 1, and a shift of
+        # 2 makes it 2, which solves the shifted target 1 * 2 ** 2; the
+        # target 2 alone needs a root of 2, which is not in Q(i).
+        two = g("2")
+        dec = exactnum.snf(IntMatrix([[2]]))
+        status, h0 = dec.solve_over_gaussian_torus({})
+        assert (status, h0) == ("solved", [g("1")])
+        assert dec.solve_over_gaussian_torus({0: two**2}) == ("solved", [h0[0] * two])
+        assert dec.solve_over_gaussian_torus({0: two}) == ("complex_only", (2, two))
 
 
 class TestTransportBuildsNoTable:
