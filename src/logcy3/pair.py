@@ -35,7 +35,6 @@ from __future__ import annotations
 from operator import itemgetter
 
 from logcy3.boundary import (
-    BoundaryError,
     ExceptionalClass,
     LooijengaComponent,
     Marking,
@@ -518,9 +517,10 @@ class LogCY3Pair:
         raises: the components' tables are read in order until one raises.
         """
         edges = self.complex.edges
+        by_edge = marking._by_edge
         try:
-            ratios = [-marking.point(v, w) for v, w in edges]
-        except BoundaryError:
+            ratios = [-by_edge[frozenset(edge)] for edge in edges]
+        except KeyError:
             ratios = []
         if len(ratios) < len(edges) or any(r.is_zero() for r in ratios):
             for comp in self.boundary_components():

@@ -54,14 +54,14 @@ def edge_matching_snf(pair: LogCY3Pair):
 def _build_edge_matching_map(pair: LogCY3Pair) -> IntMatrix:
     # Column n holds the nonzero edge degrees of basis class n, read off its
     # component's degree table, signed as the rows require and sorted by row.
-    edges = pair.complex.edges
+    edges, edge_at = pair.complex.edges, pair.complex._edge_at
     columns = []
     for comp in pair.boundary_components():
         u = comp.vertex
         for entries in comp.degree_table:
             column = []
             for w, d in entries:
-                row = pair.complex.edge_index(u, w)
+                row = edge_at[frozenset((u, w))]
                 column.append((row, d if edges[row][0] == u else -d))
             column.sort()
             columns.append(column)

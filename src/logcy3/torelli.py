@@ -213,10 +213,9 @@ class Correspondence(Frozen):
 
     @staticmethod
     def identity(pair: LogCY3Pair) -> "Correspondence":
-        return Correspondence(
-            tuple((v, v) for v in sorted(pair.components)),
-            tuple(range(len(pair.program))),
-        )
+        """The identity on the pair's components and steps, held on the pair,
+        so its decides and transports read one object's held images."""
+        return pair.held("identity_correspondence", _identity)
 
     @held_property
     def _images(self) -> dict:
@@ -235,6 +234,12 @@ class Correspondence(Frozen):
 
     def component_override(self, v: int):
         return self._overrides.get(v)
+
+
+def _identity(pair: LogCY3Pair) -> Correspondence:
+    return Correspondence(
+        tuple((v, v) for v in sorted(pair.components)), tuple(range(len(pair.program)))
+    )
 
 
 class Verdict(Frozen):
@@ -282,8 +287,7 @@ def component_transport(
 ) -> IntMatrix:
     """The induced map from Pic of component v to Pic of its image component:
     the explicit map if ``corr`` gives one, else the columns of
-    :func:`_derived_columns`, which :func:`_matched` places in the boundary
-    map directly.  It holds, and raises, as those columns do.
+    :func:`_derived_columns`.  It holds, and raises, as those columns do.
     """
     override = corr.component_override(v)
     if override is not None:
@@ -297,43 +301,55 @@ def _derived_columns(pair, other, corr, v: int, start: int) -> list:
     offset by ``start``.
 
     A toric basis class maps through the vertex bijection to the sparse
-    class of its image ray (:meth:`~logcy3.toric.Fan2.sparse_class`); an
-    exceptional class maps to the matched step's exceptional on the matched
-    edge, in order of occurrence, read off both pairs' held positions.  The
-    map holds once :func:`_matched` has passed the first pass of step (iii):
-    then both components have the same rank and the same exceptionals, and
-    an explicit map keeps edges.  Before, a derived map that cannot exist
-    raises ``CorrespondenceError``: for components of different ranks, or
-    for an exceptional class whose matched step has no class on the matched
-    edge of the image component.
+    class of its image ray (:meth:`~logcy3.toric.Fan2.sparse_class`), an
+    exceptional class to the unit column of its :func:`_exceptional_rows`
+    row.  It holds, and raises, as those rows do.
+    """
+    rows = _exceptional_rows(pair, other, corr, v)
+    base2 = other.components[corr.vertex(v)].base
+    images = corr._images
+    ray_of = {w: ray for ray, w in enumerate(base2.labels)}
+    columns = [
+        base2.sparse_class(ray_of[images[w]], start) for w in pair.components[v].base.labels[2:]
+    ]
+    return columns + [((start + row, 1),) for row in rows]
+
+
+def _exceptional_rows(pair, other, corr, v: int) -> list:
+    """The row, in the image component's block, of the image of each
+    exceptional class of component v, in basis order.
+
+    An exceptional class maps to the matched step's exceptional on the
+    matched edge, in order of occurrence, read off both pairs' held
+    positions.  The rows hold once :func:`_matched` has passed the first
+    pass of step (iii): then both components have the same rank and the
+    same exceptionals.  Before, a derived map that cannot exist raises
+    ``CorrespondenceError``: for components of different ranks, or for an
+    exceptional class whose matched step has no class on the matched edge
+    of the image component.
     """
     comp = pair.components[v]
     image_vertex = corr.vertex(v)
     comp2 = other.components[image_vertex]
-    rank = comp2.rank
-    if comp.rank != rank:
+    if comp.rank != comp2.rank:
         raise CorrespondenceError(
-            f"component {v} has rank {comp.rank}, its image {image_vertex} rank {rank}"
+            f"component {v} has rank {comp.rank}, its image {image_vertex} rank {comp2.rank}"
         )
-    base2 = comp2.base
-    vertex = corr.vertex
-    ray_of = {w: ray for ray, w in enumerate(base2.labels)}
-    columns = [base2.sparse_class(ray_of[vertex(w)], start) for w in comp.base.labels[2:]]
     if not comp.excs:
-        return columns
+        return []
     positions2 = _step_exc_positions(other, image_vertex)
-    start += base2.rank
+    base = comp2.base.rank
+    images, steps = corr._images, corr.step_map
+    rows = []
     for step, neighbor, n in _step_exc_positions(pair, v):
-        target = (corr.step_map[step], vertex(neighbor), n)
         try:
-            position = positions2[target]
+            rows.append(base + positions2[steps[step], images[neighbor], n])
         except KeyError:
             raise CorrespondenceError(
                 f"the exceptional class of step {step} toward {neighbor} on component "
                 f"{v} has no image on component {image_vertex}"
             ) from None
-        columns.append(((start + position, 1),))
-    return columns
+    return rows
 
 
 def threefold_transport(
@@ -370,13 +386,12 @@ def _component_map_failure(pair: LogCY3Pair, other: LogCY3Pair, corr: Correspond
     or the first classes ``i <= j`` whose product differs with both products,
     or the anticanonical image beside the image component's class, or
     (``component_edges``) the first class that moves with both degree maps.
-    Returns ``None`` when every explicit map passes; derived maps pass by
-    construction and are not checked.
+    Returns ``None`` when every explicit map passes, at once when there is
+    none; derived maps pass by construction and are not checked.
     """
-    for v in sorted(pair.components):
-        matrix = corr.component_override(v)
-        if matrix is None:
-            continue
+    overrides = corr._overrides
+    for v in sorted(overrides):
+        matrix = overrides[v]
         comp = pair.components[v]
         comp2 = other.components[corr.vertex(v)]
         r = comp.rank
@@ -426,16 +441,14 @@ def _component_map_failure(pair: LogCY3Pair, other: LogCY3Pair, corr: Correspond
 
 def _matched(pair: LogCY3Pair, other: LogCY3Pair, corr: Correspondence):
     """Decide's steps (i)-(iv), which transport runs too: the distinct verdict
-    of the first check that fails, or else the toric model map and the
-    boundary map that step (v) and transport compare periods through.
+    of the first check that fails, or else the toric model map.
 
     The pass reads held sparse data and copies no tensor: step (ii) pulls
     the other pair's held cubic tensor back through ``mu`` and compares it
     with this pair's by dict equality, and names the least differing triple
-    only when they differ.  The boundary map is built in one pass after step
-    (iv): each component's columns are derived at its image block's offset
-    (:func:`_derived_columns`), and a component map is made as a matrix only
-    where step (iii) carries a curve class through it.
+    only when they differ.  A component map is made as a matrix only where
+    step (iii) carries a curve class through it; the boundary map is left
+    to its readers (:func:`_pulled_support`, :func:`_boundary_map`).
 
     ``None`` is the identity correspondence; no bijection, a
     ``mu_components`` key for no vertex of the pair or a ``mu`` of another
@@ -461,11 +474,14 @@ def _matched(pair: LogCY3Pair, other: LogCY3Pair, corr: Correspondence):
         )
 
     # Explicit component maps are checked with integers first, so no exponent
-    # is taken from a map that breaks them; then (i) the dual complexes.
+    # is taken from a map that breaks them; then (i) the dual complexes.  The
+    # vertex map is a bijection of the components, so its held images answer
+    # every lookup below.
     failure = _component_map_failure(pair, other, corr)
     if failure is not None:
         return failure
-    if {frozenset(map(corr.vertex, c)) for c in pair.fan.cone_set()} != other.fan.cone_set():
+    vertex = corr._images.__getitem__
+    if {frozenset(map(vertex, c)) for c in pair.fan.cone_set()} != other.fan.cone_set():
         return Verdict(
             "distinct",
             "dual complexes do not match under the vertex bijection",
@@ -494,7 +510,7 @@ def _matched(pair: LogCY3Pair, other: LogCY3Pair, corr: Correspondence):
     # at the corresponding place, every derived component map exists; a
     # matched step has the same kind, so its contraction has the same type.
     for k in range(len(pair.program) - 1, -1, -1):
-        k2 = corr.step_map[k]
+        k2 = steps[k]
         step, step2 = pair.program[k], other.program[k2]
         if type(step) is not type(step2):
             return Verdict(
@@ -502,13 +518,13 @@ def _matched(pair: LogCY3Pair, other: LogCY3Pair, corr: Correspondence):
                 f"steps {k} and {k2} have different kinds",
                 {"check": "step_kind", "steps": (k, k2)},
             )
-        if isinstance(step, CurveBlowup) and step2.component != corr.vertex(step.component):
+        if isinstance(step, CurveBlowup) and step2.component != vertex(step.component):
             return Verdict(
                 "distinct",
                 f"curve steps {k} and {k2} sit in non-corresponding components",
                 {"check": "curve_component", "steps": (k, k2)},
             )
-        if _step_place(step, corr.vertex) != _step_place(step2, lambda v: v):
+        if _step_place(step, vertex) != _step_place(step2, lambda v: v):
             return Verdict(
                 "distinct",
                 f"steps {k} and {k2} sit at non-corresponding places",
@@ -520,7 +536,7 @@ def _matched(pair: LogCY3Pair, other: LogCY3Pair, corr: Correspondence):
     maps = {}
     e, e2 = pair.toric_basis.rank, other.toric_basis.rank
     for k in range(len(pair.program) - 1, -1, -1):
-        k2 = corr.step_map[k]
+        k2 = steps[k]
         step, step2 = pair.program[k], other.program[k2]
         if mu.columns[e + k] != ((e2 + k2, 1),):
             return Verdict(
@@ -546,7 +562,7 @@ def _matched(pair: LogCY3Pair, other: LogCY3Pair, corr: Correspondence):
                 )
 
     # (iv) Compare the base toric models through the vertex bijection.
-    frame_map = toric_model_map(pair.fan, other.fan, corr.vertex)
+    frame_map = toric_model_map(pair.fan, other.fan, vertex)
     if frame_map is None:
         return Verdict(
             "distinct",
@@ -554,37 +570,57 @@ def _matched(pair: LogCY3Pair, other: LogCY3Pair, corr: Correspondence):
             "under the vertex bijection",
             {"check": "toric_model"},
         )
-    # The boundary map in one pass: column j is the image of the pair's
-    # boundary class j, placed at the offset of the image component's block.
+    return frame_map
+
+
+def _boundary_map(pair, other, corr) -> IntMatrix:
+    """The boundary map of a correspondence that passes :func:`_matched`.
+
+    Column j is the image of the pair's boundary class j, placed at the
+    offset of the image component's block: an explicit map's column as
+    given, a derived block's from :func:`_derived_columns`.  Decide builds
+    it only for a ``period`` verdict's witness image.
+    """
     offsets, length = other.component_offsets()
     columns = []
     for v in sorted(pair.components):
         start = offsets[corr.vertex(v)]
-        matrix = maps[v] if v in maps else corr.component_override(v)
+        matrix = corr.component_override(v)
         if matrix is None:
             columns += _derived_columns(pair, other, corr, v, start)
         else:
             columns += [tuple([(start + i, x) for i, x in column]) for column in matrix.columns]
-    return frame_map, IntMatrix.from_columns(length, columns)
+    return IntMatrix.from_columns(length, columns)
 
 
-def _pulled_support(pair, corr, boundary: IntMatrix, support: dict) -> dict:
-    """The markers' character of the other pair pulled back through ``boundary``,
-    where it is not 1.
+def _pulled_support(pair, other, corr, support: dict) -> dict:
+    """The markers' character of the other pair pulled back through the
+    boundary map (:func:`_boundary_map`), where it is not 1.
 
-    Column ``j`` is valued over its rows in the other pair's support alone:
-    a single row with entry 1 gives that row's value, any other mix one
-    power product.  A derived block sends toric classes to toric rows,
-    which no support row meets, so only its exceptional columns are read,
-    and every column of an explicit map.  A column that meets no support
-    row, or whose value is 1, is left out, so the result is a support too.
+    Column ``j`` is valued over its rows in the other pair's support alone,
+    which holds exceptional rows only.  A derived block sends toric classes
+    to toric rows, so only its exceptional classes are read, each a single
+    row with entry 1 (:func:`_exceptional_rows`), which gives that row's
+    value.  Every column of an explicit map is read: a single row with
+    entry 1 gives that row's value, any other mix one power product.  A
+    column that meets no support row, or whose value is 1, is left out, so
+    the result is a support too.
     """
     pulled = {}
-    explicit = {v for v, _ in corr.mu_components} if corr is not None else ()
+    offsets2 = other.component_offsets()[0]
+    images, overrides = corr._images, corr._overrides
     for v, start in pair.component_offsets()[0].items():
-        comp = pair.components[v]
-        for j in range(start if v in explicit else start + comp.base.rank, start + comp.rank):
-            factors = [(support[i], x) for i, x in boundary.columns[j] if i in support]
+        start2 = offsets2[images[v]]
+        matrix = overrides.get(v)
+        if matrix is None:
+            first = start + pair.components[v].base.rank
+            for j, row in enumerate(_exceptional_rows(pair, other, corr, v), first):
+                value = support.get(start2 + row)
+                if value is not None and not value.is_one():
+                    pulled[j] = value
+            continue
+        for j, column in enumerate(matrix.columns, start):
+            factors = [(support[start2 + i], x) for i, x in column if start2 + i in support]
             if not factors:
                 continue
             value, x = factors[0]
@@ -607,16 +643,16 @@ def decide_isomorphism(
     or ``mu_components``, as a row left out contributes exactly 1, and it
     builds neither the other pair's markers nor its character table.
     """
-    matched = _matched(pair, other, corr)
-    if isinstance(matched, Verdict):
-        return matched
-    frame_map, boundary = matched
+    corr = Correspondence.identity(pair) if corr is None else corr
+    frame_map = _matched(pair, other, corr)
+    if isinstance(frame_map, Verdict):
+        return frame_map
 
     # (v) Compare exact periods on the matching lattice.  This pair's side
     # is its held matching values; the other's is its support pulled back
     # through the boundary map, valued on each generator's entries in it,
     # generator by generator, so a distinct verdict stops at its witness.
-    pulled = _pulled_support(pair, corr, boundary, other.marker_support())
+    pulled = _pulled_support(pair, other, corr, other.marker_support())
     transcript = []
     generators = zip(matching_lattice(pair), matching_kernel(pair).columns, matching_values(pair))
     for gen, column, value in generators:
@@ -628,7 +664,7 @@ def decide_isomorphism(
                 {
                     "check": "period",
                     "witness": gen,
-                    "witness_image": boundary.apply(gen),
+                    "witness_image": _boundary_map(pair, other, corr).apply(gen),
                     "values": (str(value), str(value2)),
                 },
             )
@@ -668,12 +704,13 @@ def _edge_shift(pair, other, corr, marking, marking_other) -> dict:
     """
     ratios2 = other.marking_ratios(marking_other)
     ratios = () if marking is pair.markers() else pair.marking_ratios(marking)
-    complex2 = other.complex
+    edges2, edge_at2 = other.complex.edges, other.complex._edge_at
+    images = corr._images
     shift = {}
     for e, (v, w) in enumerate(pair.complex.edges):
-        v2 = corr.vertex(v)
-        row = complex2.edge_index(v2, corr.vertex(w))
-        value = ratios2[row] if complex2.edges[row][0] == v2 else ratios2[row].inverse()
+        v2 = images[v]
+        row = edge_at2[frozenset((v2, images[w]))]
+        value = ratios2[row] if edges2[row][0] == v2 else ratios2[row].inverse()
         if ratios:
             value = value / ratios[e]
         if not value.is_one():
@@ -682,12 +719,17 @@ def _edge_shift(pair, other, corr, marking, marking_other) -> dict:
 
 
 def _support_ratio(pulled: dict, support: dict) -> dict:
-    """The pulled support over this pair's support, where it is not 1."""
-    ratio = {j: value / support[j] if j in support else value for j, value in pulled.items()}
+    """The pulled support over this pair's support, where it is not 1.
+
+    One pass over the support: a pulled value off it is kept as it is, and
+    is not 1.
+    """
+    ratio = dict(pulled)
     for j, value in support.items():
-        if j not in pulled:
-            ratio[j] = value.inverse()
-    return {j: value for j, value in ratio.items() if not value.is_one()}
+        value = ratio.pop(j) / value if j in ratio else value.inverse()
+        if not value.is_one():
+            ratio[j] = value
+    return ratio
 
 
 def marking_transporter(
@@ -729,9 +771,15 @@ def marking_transporter(
     marking = pair.markers() if marking is None else marking
     marking_other = other.markers() if marking_other is None else marking_other
     shift = _edge_shift(pair, other, corr, marking, marking_other)
-    pulled = _pulled_support(pair, corr, matched[1], other.marker_support())
+    pulled = _pulled_support(pair, other, corr, other.marker_support())
     # The scalars h0 on the edges solve h0(ell e_j) = targets[j] on the
     # columns of the edge-matching map ell, read off its held factorization.
+    # The solve's relation check values the kernel columns over these
+    # quotients.  Valuing them over ``pulled`` against the held matching
+    # values, as step (v) does, was slower (0.089 against 0.069 ms on a
+    # 12-ray point-ladder rung, 0.207 against 0.159 ms on a curve rung,
+    # CPython 3.11, x86-64): the pulled values carry the partner's digits,
+    # the quotients are torus values, and the roots need the quotients anyway.
     targets = _support_ratio(pulled, pair.marker_support())
     status, result = edge_matching_snf(pair).solve_over_gaussian_torus(targets)
     if status != "solved":

@@ -81,10 +81,10 @@ def reference_decide(pair, other, corr=None):
     other's table is pulled back through the boundary map, then each
     generator is valued over all its nonzero entries.
     """
-    matched = torelli._matched(pair, other, corr)
-    if isinstance(matched, torelli.Verdict):
-        return matched
-    frame_map, boundary = matched
+    frame_map = torelli._matched(pair, other, corr)
+    if isinstance(frame_map, torelli.Verdict):
+        return frame_map
+    boundary = torelli._boundary_map(pair, other, corr or torelli.Correspondence.identity(pair))
     kernel = matching_kernel(pair)
     values = kernel.pull_back(dense_marker_table(pair))
     pulled = boundary.pull_back(dense_marker_table(other))
@@ -158,7 +158,7 @@ def reference_transport(pair, other, corr=None, marking=None, marking_other=None
     marking_other = other.markers() if marking_other is None else marking_other
     table_other = dense_table(other, marking_other)
     table = dense_table(pair, marking)
-    boundary = matched[1]
+    boundary = torelli._boundary_map(pair, other, corr or torelli.Correspondence.identity(pair))
     pulled = boundary.pull_back(dense_marker_table(other))
     targets = [p / t for p, t in zip(pulled, dense_marker_table(pair))]
     status, result = edge_matching_snf(pair).solve_over_gaussian_torus(dict(enumerate(targets)))
@@ -191,11 +191,12 @@ def assert_edge_rows_carried(pair, other, corr, boundary):
 
 
 def assert_pulled_support_is_the_full_walk(pair, other, corr, boundary):
-    """The pulled support, which reads only the exceptional columns of a
+    """The pulled support, which reads only the exceptional classes of a
     derived block, is the other pair's full marker table pulled back
     through ``boundary``, where that is not 1."""
+    corr = torelli.Correspondence.identity(pair) if corr is None else corr
     dense = boundary.pull_back(dense_marker_table(other))
-    assert torelli._pulled_support(pair, corr, boundary, other.marker_support()) == {
+    assert torelli._pulled_support(pair, other, corr, other.marker_support()) == {
         j: value for j, value in enumerate(dense) if not value.is_one()
     }
 
@@ -241,9 +242,10 @@ def decided_against_the_reference():
     for pair, other, corr in seen.values():
         got = _outcome(torelli.decide_isomorphism, pair, other, corr)
         assert got == _outcome(reference_decide, pair, other, corr)
-        matched = _outcome(torelli._matched, pair, other, corr)
-        if isinstance(matched, tuple) and isinstance(matched[1], IntMatrix):
-            assert_edge_rows_carried(pair, other, corr, matched[1])
-            assert_pulled_support_is_the_full_walk(pair, other, corr, matched[1])
+        if isinstance(got, torelli.Verdict) and got.certificate["check"] in ("complete", "period"):
+            corr = torelli.Correspondence.identity(pair) if corr is None else corr
+            boundary = torelli._boundary_map(pair, other, corr)
+            assert_edge_rows_carried(pair, other, corr, boundary)
+            assert_pulled_support_is_the_full_walk(pair, other, corr, boundary)
     for args in transports.values():
         assert _outcome(transporter, *args) == _outcome(reference_transport, *args)

@@ -15,13 +15,16 @@ imported its own tree.  The corpus has four groups:
 * ``scale`` (20 items): ``tests/test_golden_scale.py``'s 5 documents, each
   document's text and its ``periods``, ``invariants`` and ``compare``
   reports through the same runner;
-* ``verdicts`` (119 items): decide's verdict, reason and certificate and the
+* ``verdicts`` (123 items): decide's verdict, reason and certificate and the
   transporter's outcome, through ``cli._stringify``, for each of the 8
   bundled pairs and ``tests/stage_harness.py``'s family at 20 and 60 rays
   against itself, against its torus translate by ``(2, 3, i)``, and
-  against each pair with one point coordinate moved by 3/2; the transport
-  at the markers, with the partner re-marked, and with both re-marked, each
-  re-marking a seeded point ``a + b i`` on every edge;
+  against each pair with one point coordinate moved by 3/2; and for
+  ``p3-point`` and ``p111-blowup-point``, each with the point steps of
+  ``RELABELLED`` appended, against their frame relabelling, whose vertex
+  and step maps are not the identity, and against its step 1 moved by 3/2;
+  the transport at the markers, with the partner re-marked, and with both
+  re-marked, each re-marking a seeded point ``a + b i`` on every edge;
 * ``random`` (100 items): the first 100 derandomized draws of
   ``tests/random_draws.py``'s ``random_cases``, each pair's document
   text from ``pair_to_document``, or the build's error.
@@ -51,6 +54,14 @@ import child
 
 FAMILY_RAYS = (20, 60)
 DRAWS = 100
+# Per bundled pair, the point steps appended before it is relabelled, so
+# the step map can reverse the program, and the new labels of its rays.
+RELABELLED = {
+    "p3-point": ((((1, 2), "3+i"), ((0, 3), "5"), ((2, 3), "7"), ((0, 1), "4")), (2, 0, 3, 1)),
+    "p111-blowup-point": (
+        (((2, 6), "2"), ((1, 2), "3+i"), ((0, 3), "5"), ((1, 4), "7")), (3, 5, 0, 6, 1, 4, 2)
+    ),
+}
 USAGE = "usage: PYTHONPATH=src python tests/differential.py <commit>"
 
 # The child prints the corpus as one line of JSON, then the file it
@@ -94,15 +105,14 @@ def bundled_pairs(names) -> dict:
 
 def verdicts(pairs) -> dict:
     """Decide and transport of each pair against itself, its translate and
-    each one-point perturbation."""
-    import random
-
-    from logcy3.cli import _stringify
+    each one-point perturbation, and of the ``RELABELLED`` pairs against
+    their relabelling and its perturbation."""
     from logcy3.gaussian import GaussianRational
     from logcy3.pair import LogCY3Pair, PointBlowup
-    from logcy3.torelli import decide_isomorphism, marking_transporter
+    from logcy3.torelli import Correspondence
     from stage_harness import TRANSLATION
 
+    moved_by = GaussianRational.parse("3/2")
     items = {}
     for name, pair in pairs.items():
         partners = {"self": pair, "translate": pair.torus_translate(TRANSLATION)}
@@ -110,26 +120,66 @@ def verdicts(pairs) -> dict:
         for k, step in enumerate(pair.program):
             if isinstance(step, PointBlowup):
                 program = list(pair.program)
-                moved = step.coordinate * GaussianRational.parse("3/2")
-                program[k] = PointBlowup(step.edge, moved)
+                program[k] = PointBlowup(step.edge, step.coordinate * moved_by)
                 partners[f"perturbed {k}"] = LogCY3Pair.build(pair.fan, program, edges)
         for partner, other in partners.items():
-            verdict = decide_isomorphism(pair, other)
-            rng = random.Random(f"{name} {partner}")
-            marking, marking_other = (remarked(side, rng) for side in (pair, other))
-            items[f"{name} {partner}"] = {
-                "verdict": verdict.kind,
-                "reason": verdict.reason,
-                "certificate": _stringify(verdict.certificate),
-                "transport": _stringify(marking_transporter(pair, other)),
-                "transport, partner re-marked": _stringify(
-                    marking_transporter(pair, other, None, None, marking_other)
-                ),
-                "transport, both re-marked": _stringify(
-                    marking_transporter(pair, other, None, marking, marking_other)
-                ),
-            }
+            items[f"{name} {partner}"] = _verdict_item(f"{name} {partner}", pair, other, None)
+    for name in [name for name in RELABELLED if name in pairs]:
+        points, sigma = RELABELLED[name]
+        pair = pairs[name]
+        program = [*pair.program, *(PointBlowup(e, GaussianRational.parse(q)) for e, q in points)]
+        pair = LogCY3Pair.build(pair.fan, program, [tuple(e) for e in pair.complex.edges])
+        corr = Correspondence(tuple(enumerate(sigma)), tuple(reversed(range(len(program)))))
+        perturbed = list(program)
+        perturbed[1] = PointBlowup(program[1].edge, program[1].coordinate * moved_by)
+        for partner, steps in (("relabelled", program), ("relabelled, perturbed 1", perturbed)):
+            other = relabelled(pair, sigma, steps[::-1])
+            items[f"{name} {partner}"] = _verdict_item(f"{name} {partner}", pair, other, corr)
     return items
+
+
+def _verdict_item(key, pair, other, corr) -> dict:
+    """Decide's verdict and the three transports, with markings seeded by ``key``."""
+    import random
+
+    from logcy3.cli import _stringify
+    from logcy3.torelli import decide_isomorphism, marking_transporter
+
+    verdict = decide_isomorphism(pair, other, corr)
+    rng = random.Random(key)
+    marking, marking_other = (remarked(side, rng) for side in (pair, other))
+    return {
+        "verdict": verdict.kind,
+        "reason": verdict.reason,
+        "certificate": _stringify(verdict.certificate),
+        "transport": _stringify(marking_transporter(pair, other, corr)),
+        "transport, partner re-marked": _stringify(
+            marking_transporter(pair, other, corr, None, marking_other)
+        ),
+        "transport, both re-marked": _stringify(
+            marking_transporter(pair, other, corr, marking, marking_other)
+        ),
+    }
+
+
+def relabelled(pair, sigma, program):
+    """``program``, a point program of the pair's fan, on the fan with ray
+    i renamed ``sigma[i]``, and with the pair's edge orientations."""
+    from logcy3.pair import LogCY3Pair, PointBlowup
+    from logcy3.toric import Fan3
+
+    fan = pair.fan
+    rays = [None] * fan.n_rays
+    for i, ray in enumerate(fan.rays):
+        rays[sigma[i]] = ray
+    triangle, sign = fan.orientation
+    fan2 = Fan3(
+        rays,
+        [tuple(sigma[i] for i in cone) for cone in fan.max_cones],
+        (tuple(sigma[i] for i in triangle), sign),
+    )
+    moved = [PointBlowup(tuple(sigma[v] for v in step.edge), step.coordinate) for step in program]
+    return LogCY3Pair.build(fan2, moved, [(sigma[v], sigma[w]) for v, w in pair.complex.edges])
 
 
 def remarked(pair, rng):

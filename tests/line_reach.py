@@ -14,9 +14,9 @@ is printed.
 That the test a row of ``tests/test_checks_reached.py`` names executes the
 row's check is confirmed by ``tests/mutants.py``, which also shows that the
 test needs it.  The exit status is 1 when pytest fails or anything is
-printed but the count.  A full run takes about 60 s on a 2-vCPU x86-64 Xeon
-(CPython 3.11), three times the untraced suite, so pytest does not collect
-this file and Tier-1 does not run it.
+printed but the count.  A full run takes about 105 s on a 2-vCPU x86-64
+Xeon (CPython 3.11), three times the untraced suite, so pytest does not
+collect this file and Tier-1 does not run it.
 """
 
 import ast

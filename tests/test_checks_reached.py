@@ -139,10 +139,10 @@ REACHED = {
         TORELLI + "TestComplexity::test_negative_weight_is_rejected",
     ("torelli.Correspondence.vertex", "CorrespondenceError", "vertex {} not in correspondence"):
         TORELLI + "TestCorrespondenceLookup::test_missing_vertex",
-    ("torelli._derived_columns", "CorrespondenceError",
+    ("torelli._exceptional_rows", "CorrespondenceError",
      "component {} has rank {}, its image {} rank {}"):
         TORELLI + "TestComponentTransportDiagnoses::test_a_component_of_another_rank_is_refused",
-    ("torelli._derived_columns", "CorrespondenceError",
+    ("torelli._exceptional_rows", "CorrespondenceError",
      "the exceptional class of step {} toward {} on component {} has no image on component {}"):
         TORELLI + "TestComponentTransportDiagnoses::"
         "test_an_exceptional_class_without_an_image_is_refused",

@@ -432,6 +432,14 @@ class TestCorrespondenceLookup:
         with pytest.raises(CorrespondenceError, match=r"^vertex 5 not in correspondence$"):
             corr.vertex(5)
 
+    def test_the_identity_is_held_on_the_pair(self, pairs):
+        for pair in pairs.values():
+            identity = Correspondence.identity(pair)
+            assert Correspondence.identity(pair) is identity
+            assert identity == Correspondence(
+                tuple((v, v) for v in sorted(pair.components)), tuple(range(len(pair.program)))
+            )
+
     def test_component_override(self):
         first, second = identity_matrix(2), zero_matrix(2, 2)
         corr = Correspondence(((0, 0), (1, 1)), (), None, ((1, first), (1, second)))
@@ -917,11 +925,12 @@ class TestSparseBoundaryTransport:
         return check
 
     def test_columns_match_the_dense_transports(self, cases):
-        # The one pass of _matched places each column where the dense
-        # component transports carry its unit vector.
+        # The boundary map places each column where the dense component
+        # transports carry its unit vector.
         for pair, other in cases:
             corr = Correspondence.identity(pair)
-            boundary = torelli._matched(pair, other, corr)[1]
+            assert not isinstance(torelli._matched(pair, other, corr), torelli.Verdict)
+            boundary = torelli._boundary_map(pair, other, corr)
             length = boundary.rows
             assert length == len(other.character_table(Marking.markers(other.edge_keys())))
             assert boundary.columns == dense_boundary_map(pair, other, corr).columns
@@ -1255,37 +1264,33 @@ class TestPulledSupport:
     @given(st.data())
     def test_the_dense_pull_back_off_one(self, data):
         # Columns mixing several support rows, entries other than 1, rows
-        # off the support and values whose product is 1 all occur.  Every
-        # column of a component with an explicit map is read, and only the
-        # exceptional columns of the others.
+        # off the support and values whose product is 1 all occur, in
+        # drawn explicit maps.  Every column of a component with an
+        # explicit map is read, and only the exceptional columns of the
+        # others.
         pair = BUNDLED["p3-mixed"]
         explicit = data.draw(st.sets(st.sampled_from(sorted(pair.components))))
-        corr = Correspondence(
-            Correspondence.identity(pair).vertex_map,
-            tuple(range(len(pair.program))),
-            None,
-            tuple((v, identity_matrix(pair.components[v].rank)) for v in sorted(explicit)),
-        )
-        rows = data.draw(st.integers(1, 6))
-        entries = st.lists(
-            st.tuples(st.integers(0, rows - 1), st.integers(-3, 3).filter(bool)),
-            max_size=4,
-            unique_by=lambda entry: entry[0],
-        )
+        entries = st.integers(-3, 3)
+        overrides = []
+        for v in sorted(explicit):
+            r = pair.components[v].rank
+            row = st.lists(entries, min_size=r, max_size=r)
+            rows = data.draw(st.lists(row, min_size=r, max_size=r))
+            overrides.append((v, IntMatrix(rows)))
+        identity = Correspondence.identity(pair)
+        corr = Correspondence(identity.vertex_map, identity.step_map, None, tuple(overrides))
         offsets, n = pair.component_offsets()
-        columns = data.draw(st.lists(entries, min_size=n, max_size=n))
-        matrix = IntMatrix.from_columns(rows, [sorted(column) for column in columns])
         values = st.sampled_from([g("1"), g("-1"), I, g("2"), g("1/2"), g("3-i")])
-        support = data.draw(st.dictionaries(st.integers(0, rows - 1), values))
-        table = tuple(support.get(i, g("1")) for i in range(rows))
-        dense = matrix.pull_back(table)
+        support = data.draw(st.dictionaries(st.integers(0, n - 1), values))
+        table = tuple(support.get(i, g("1")) for i in range(n))
+        dense = torelli._boundary_map(pair, pair, corr).pull_back(table)
         read = {
             j
             for v, start in offsets.items()
             for j in range(start, start + pair.components[v].rank)
             if v in explicit or j >= start + pair.components[v].base.rank
         }
-        assert torelli._pulled_support(pair, corr, matrix, support) == {
+        assert torelli._pulled_support(pair, pair, corr, support) == {
             j: value for j, value in enumerate(dense) if j in read and not value.is_one()
         }
 
@@ -1306,10 +1311,10 @@ class TestPulledSupport:
             ]
             for other in partners:
                 for corr in corrs:
-                    matched = torelli._matched(pair, other, corr)
-                    if isinstance(matched, torelli.Verdict):
+                    if isinstance(torelli._matched(pair, other, corr), torelli.Verdict):
                         continue
-                    assert_pulled_support_is_the_full_walk(pair, other, corr, matched[1])
+                    boundary = dense_boundary_map(pair, other, corr)
+                    assert_pulled_support_is_the_full_walk(pair, other, corr, boundary)
                     checked["explicit" if corr.mu_components else "derived"] += 1
         assert all(checked.values())
 
@@ -1578,25 +1583,26 @@ class TestTransportBuildsNoTable:
 
 class TestMatchReadsHeldSparseColumns:
     """On a fan whose sparse classes are held, decide and transport build no
-    dense ray class, and ``_matched`` derives each boundary-map column once."""
+    dense ray class, and derive a toric column (``Fan2.sparse_class``) only
+    for a component that carries a curve step, once per call; a ``period``
+    verdict's witness image is read off the whole boundary map."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
-        counts = {"Fan2.ray_class": 0, "ToricPicBasis.ray_class": 0, "columns": []}
+        counts = {"Fan2.ray_class": 0, "ToricPicBasis.ray_class": 0, "sparse_class": []}
         for cls in (toric.Fan2, toric.ToricPicBasis):
             def counted(self, i, original=cls.ray_class, name=f"{cls.__name__}.ray_class"):
                 counts[name] += 1
                 return original(self, i)
 
             monkeypatch.setattr(cls, "ray_class", counted)
-        derived = torelli._derived_columns
+        sparse_class = toric.Fan2.sparse_class
 
-        def recorded(pair, other, corr, v, start):
-            columns = derived(pair, other, corr, v, start)
-            counts["columns"].append((v, len(columns)))
-            return columns
+        def recorded(self, i, start=0):
+            counts["sparse_class"].append(self)
+            return sparse_class(self, i, start)
 
-        monkeypatch.setattr(torelli, "_derived_columns", recorded)
+        monkeypatch.setattr(toric.Fan2, "sparse_class", recorded)
         return counts
 
     @pytest.mark.parametrize("case", ["family-20", "family-60", "conics-12"])
@@ -1604,9 +1610,11 @@ class TestMatchReadsHeldSparseColumns:
         kind, rays = case.split("-")
         if kind == "family":
             fan, program = family(int(rays))
+            curved = set()
         else:
             fan = conic_ladder_fan(int(rays))
             program = conic_ladder(fan, 3)
+            curved = {3}
         # The fan holds its toric layer and every sparse class, the pair
         # its lattice data and matching values.
         pair = LogCY3Pair.build(fan, program)
@@ -1614,15 +1622,56 @@ class TestMatchReadsHeldSparseColumns:
         toric.ToricPicBasis.of(fan).sparse_classes
         for surface in fan._surfaces:
             surface.sparse_class(0)
-        counts.update({"Fan2.ray_class": 0, "ToricPicBasis.ray_class": 0, "columns": []})
-        blocks = sorted((v, comp.rank) for v, comp in pair.components.items())
+        counts.update({"Fan2.ray_class": 0, "ToricPicBasis.ray_class": 0, "sparse_class": []})
         translate = pair.torus_translate((g("2"), g("3"), I))
         assert decide_isomorphism(pair, translate).is_isomorphic
-        assert sorted(counts["columns"]) == blocks
-        counts["columns"].clear()
         assert marking_transporter(pair, translate)[0] == "solved"
-        assert sorted(counts["columns"]) == blocks
+        bases = [translate.components[v].base for v in sorted(curved)]
+        assert counts["sparse_class"] == 2 * [base for base in bases for _ in range(base.rank)]
         assert counts["Fan2.ray_class"] == counts["ToricPicBasis.ray_class"] == 0
+
+    def test_a_period_witness_image_is_the_dense_image(self, pairs):
+        # The image of the witness under the boundary map built column by
+        # column from the dense transports, toric rows included: against
+        # the bundled pairs' perturbed partners, and against a perturbed
+        # relabelling whose vertex and step maps are not the identity.
+        cases = [
+            (pair, perturbed_partner(name, pair), Correspondence.identity(pair))
+            for name, pair in pairs.items()
+            if perturbed_partner(name, pair) is not None
+        ]
+        fan = projective_space_fan()
+        points = [((0, 1), "2"), ((1, 2), "3+i"), ((0, 3), "5"), ((2, 3), "7"), ((0, 1), "4")]
+        program = [PointBlowup(edge, g(text)) for edge, text in points]
+        images = {0: 2, 1: 0, 2: 3, 3: 1}
+        moved = [
+            PointBlowup(tuple(images[v] for v in step.edge), step.coordinate * g("3/2") ** (k == 1))
+            for k, step in enumerate(program)
+        ]
+        pair = LogCY3Pair.build(fan, program)
+        relabelled = LogCY3Pair.build(
+            fan, moved[::-1], [(images[v], images[w]) for v, w in pair.complex.edges]
+        )
+        cases.append((pair, relabelled, Correspondence(tuple(images.items()), (4, 3, 2, 1, 0))))
+        toric_rows = 0
+        witnesses = []
+        for pair, other, corr in cases:
+            certificate = decide_isomorphism(pair, other, corr).certificate
+            if certificate["check"] != "period":
+                continue
+            witnesses.append(corr)
+            image = dense_image(
+                pair, other, corr, dense_transports(pair, other, corr), certificate["witness"]
+            )
+            assert certificate["witness_image"] == image
+            offsets = other.component_offsets()[0]
+            toric_rows += any(
+                image[start + i]
+                for v, start in offsets.items()
+                for i in range(other.components[v].base.rank)
+            )
+        assert witnesses[-1] is cases[-1][2] and len(witnesses) > 2
+        assert toric_rows
 
 
 class TestComponentTransportDiagnoses:
