@@ -26,8 +26,8 @@ from logcy3.gaussian import (
     GaussianRational,
     MINUS_ONE,
     ONE,
+    SparseCharacter,
     held_property,
-    power_product_of,
     product,
 )
 from logcy3.toric import Fan2
@@ -344,10 +344,7 @@ def component_character_table(c: LooijengaComponent, marking: Marking) -> tuple:
             raise BoundaryError("marking point on a 0-stratum")
         ratios[w] = -q.inverse() if head else -q
         points[w] = (q, head)
-    values = [
-        power_product_of((ratios[w], d) for w, d in edges)
-        for edges in c.degree_table[: c.base.rank]
-    ]
+    values = list(map(SparseCharacter(ratios).at, c.degree_table[: c.base.rank]))
     for exc in c.excs:
         q, head = points[exc.neighbor]
         x = exc.coordinate

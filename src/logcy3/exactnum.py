@@ -12,9 +12,9 @@
   through the row steps without building ``U``,
   plus kernels, cokernels, coordinates in the basis of ``V``,
   integer linear solving, and the solution in Q(i) of a character system
-  on the columns, ``h(A e_j) = t_j`` with sparse targets, valued on the
-  columns of ``V``, or a relation among the columns that the targets
-  break;
+  on the columns, ``h(A e_j) = t_j`` with targets held as a
+  :class:`~logcy3.gaussian.SparseCharacter`, valued on the columns of
+  ``V``, or a relation among the columns that the targets break;
 * :func:`nth_root` -- exact n-th roots in Q(i), when they exist, found
   without factoring: integer n-th roots by Newton's iteration, one
   Gaussian gcd and one power check.  Of several roots it returns the one
@@ -29,8 +29,8 @@ from __future__ import annotations
 from math import gcd
 
 from logcy3.gaussian import (
-    ExactArithmeticError, Frozen, GaussianRational, ONE, MINUS_ONE, I, _reduced, _triple,
-    held_property, power_product_of,
+    ExactArithmeticError, Frozen, GaussianRational, ONE, MINUS_ONE, I, SparseCharacter, _reduced,
+    _triple, held_property, power_product_of,
 )
 from logcy3.gaussian import product  # for benchmarks/inputs.py only; it moves with the benchmark
 
@@ -150,15 +150,14 @@ class IntMatrix(Frozen):
     def pull_back(self, values) -> tuple:
         """The character with these values on the rows, pulled back.
 
-        Entry ``j`` is ``prod(values[i] ** A[i, j])``, so ``power_product``
-        over the result at ``x`` is the character's value at ``A x``.
+        Entry ``j`` is ``prod(values[i] ** A[i, j])``, the values as a
+        :class:`~logcy3.gaussian.SparseCharacter` at column ``j``, so
+        ``power_product`` over the result at ``x`` is the character's value
+        at ``A x``.
         """
         if len(values) != self.rows:
             raise ExactArithmeticError("vector length mismatch")
-        return tuple(
-            power_product_of((values[i], x) for i, x in column)
-            for column in self.columns
-        )
+        return tuple(map(SparseCharacter(dict(enumerate(values))).at, self.columns))
 
     def column(self, j: int) -> tuple:
         """Column ``j`` as a dense tuple, read off the sparse columns."""
@@ -244,20 +243,20 @@ class SnfDecomposition(Frozen):
             y[i] = ub[i] // d
         return self.V.apply(tuple(y))
 
-    def solve_over_gaussian_torus(self, targets: dict):
+    def solve_over_gaussian_torus(self, targets: SparseCharacter):
         """A character ``h`` on ``Z^rows`` with ``h(A e_j) == t_j`` on every column.
 
-        ``targets`` maps columns to their nonzero targets ``t_j``, and is 1
-        where it leaves a column out.  The complex torus is divisible, so
-        the system is solvable exactly when every integer relation ``a``
-        with ``A a = 0`` has ``prod(t_j ** a[j]) == 1``; the columns of
-        ``V`` from the rank on span them, and each is valued over its
-        entries in ``targets`` only.  Otherwise ``h`` is read off the
-        factorization: ``A V = U^-1 D``, so the targets' value on column i
-        of ``V`` is ``s_i = prod(t_j ** V[j, i])``, over the entries that
-        fall in ``targets``.  With ``y_i ** d_i == s_i``, ``h(e_r) =
-        prod(y_i ** U[i, r])``, that is ``y`` pulled back through each row
-        step, the last first, so ``U`` is never built.
+        ``targets`` is a :class:`~logcy3.gaussian.SparseCharacter` on the
+        columns: it holds nonzero targets ``t_j``, and is 1 on every column
+        it leaves out.  The complex torus is divisible, so the system is
+        solvable exactly when every integer relation ``a`` with ``A a = 0``
+        has ``prod(t_j ** a[j]) == 1``; the columns of ``V`` from the rank
+        on span them, and each is valued at the targets.  Otherwise ``h``
+        is read off the factorization: ``A V = U^-1 D``, so the targets'
+        value on column i of ``V`` is ``s_i = prod(t_j ** V[j, i])``.  With
+        ``y_i ** d_i == s_i``, ``h(e_r) = prod(y_i ** U[i, r])``, that is
+        ``y`` pulled back through each row step, the last first, so ``U`` is
+        never built.
 
         Returns ``("solved", values)`` with one Q(i)* value per row,
         ``("complex_only", (d, s))`` when the system is solvable over the
@@ -266,19 +265,17 @@ class SnfDecomposition(Frozen):
         break, which certifies that no solution exists.
         """
         rows, n = self.shape
-        if not all(0 <= j < n for j in targets):
+        if not all(0 <= j < n for j in targets.values):
             raise ExactArithmeticError("targets must be on columns of the matrix")
-        if any(value.is_zero() for value in targets.values()):
+        if any(value.is_zero() for value in targets.values.values()):
             raise ExactArithmeticError("targets must be nonzero")
         columns = self.V.columns
         for k in range(self.rank, n):
-            if not power_product_of(
-                (targets[j], x) for j, x in columns[k] if j in targets
-            ).is_one():
+            if not targets.at(columns[k]).is_one():
                 return "unsolvable", self.V.column(k)
         y = [ONE] * rows
         for i, d in enumerate(self.factors):
-            s = power_product_of((targets[j], x) for j, x in columns[i] if j in targets)
+            s = targets.at(columns[i])
             root = nth_root(s, d)
             if root is None:
                 return "complex_only", (d, s)

@@ -4,6 +4,9 @@
 * :func:`power_product_of` -- ``prod(v ** e)`` over ``(v, e)`` pairs, the one
   kernel of every power and product of powers (:func:`product`,
   :func:`power_product` and ``**``);
+* :class:`SparseCharacter` -- a character held as ``{row: value}``, 1 on
+  every row it leaves out: valued at a sparse column (``at``) and divided
+  by another (``over``), the one place where such characters are read;
 * :func:`dot` and :func:`symmetric_trilinear` -- the dot product of two
   integer vectors, and a symmetric tensor, stored sparsely, evaluated at
   three.
@@ -428,6 +431,35 @@ def power_product(values, exponents) -> GaussianRational:
     same length (``ValueError`` otherwise).
     """
     return power_product_of(zip(values, exponents, strict=True))
+
+
+class SparseCharacter(Frozen):
+    """A character held by its values on some rows, 1 on every other row.
+
+    ``values`` maps rows to nonzero Gaussian rationals; a reader multiplies
+    over the held rows alone.  The map must not be changed.
+    """
+
+    _fields = ("values",)
+
+    def at(self, column) -> GaussianRational:
+        """The value at a sparse column of ``(row, entry)`` pairs: one power
+        product over its held rows, as a row left out contributes 1."""
+        values = self.values
+        return power_product_of((values[i], x) for i, x in column if i in values)
+
+    def over(self, other: "SparseCharacter") -> "SparseCharacter":
+        """This character over ``other``, row by row, where that is not 1.
+
+        One pass over ``other``'s rows: a value of this character off them
+        is kept as it is, so the quotient holds a 1 only where this does.
+        """
+        values = dict(self.values)
+        for j, value in other.values.items():
+            value = values.pop(j) / value if j in values else value.inverse()
+            if not value.is_one():
+                values[j] = value
+        return SparseCharacter(values)
 
 
 def dot(a, b) -> int:

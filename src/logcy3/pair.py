@@ -42,7 +42,8 @@ from logcy3.boundary import (
     marker_value,
 )
 from logcy3.gaussian import (
-    Frozen, GaussianRational, MINUS_ONE, ONE, dot, power_product_of, symmetric_trilinear,
+    Frozen, GaussianRational, MINUS_ONE, ONE, SparseCharacter, dot, power_product,
+    power_product_of, symmetric_trilinear,
 )
 from logcy3.toric import (
     Fan3,
@@ -484,19 +485,18 @@ class LogCY3Pair:
         """The distinguished marking, the point -1 on every edge, held."""
         return self.held("markers", lambda pair: Marking.markers(pair.edge_keys()))
 
-    def marker_support(self) -> dict:
-        """The markers' character on the exceptional rows, held.
+    def marker_support(self) -> SparseCharacter:
+        """The markers' character on the boundary lattice, held.
 
-        At the markers every toric class has period 1, so the character
-        lives on the exceptional classes: the map sends each exceptional
-        row of the boundary lattice, in flat order, to its
-        :func:`~logcy3.boundary.marker_value`, and leaves every toric row
-        out.  A reader multiplies over these rows only; the map must not
-        be changed.
+        At the markers every toric class has period 1, so the
+        :class:`~logcy3.gaussian.SparseCharacter` holds the exceptional
+        rows alone: each exceptional row of the boundary lattice, in flat
+        order, with its :func:`~logcy3.boundary.marker_value`, and no toric
+        row.  A reader multiplies over these rows only.
         """
         return self.held("marker_support", LogCY3Pair._marker_support)
 
-    def _marker_support(self) -> dict:
+    def _marker_support(self) -> SparseCharacter:
         support = {}
         row = 0
         for comp in self.boundary_components():
@@ -504,7 +504,7 @@ class LogCY3Pair:
             for exc in comp.excs:
                 support[row] = marker_value(comp, exc)
                 row += 1
-        return support
+        return SparseCharacter(support)
 
     def marking_ratios(self, marking: Marking) -> list:
         """Minus the marking's point on each edge, in the order of the edges.
@@ -549,7 +549,7 @@ class LogCY3Pair:
 
     def _marker_table(self) -> tuple:
         table = [ONE] * self.component_offsets()[1]
-        for row, value in self.marker_support().items():
+        for row, value in self.marker_support().values.items():
             table[row] = value
         return tuple(table)
 
@@ -595,7 +595,7 @@ class LogCY3Pair:
             frozenset((v, w)),
             lambda pair: edge_reference_character(pair.fan, pair.complex, (v, w)),
         )
-        return power_product_of(zip(torus_element, m, strict=True))
+        return power_product(torus_element, m)
 
     def torus_translate(self, torus_element) -> "LogCY3Pair":
         """The image of the pair under a torus translation of the boundary."""

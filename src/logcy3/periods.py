@@ -14,7 +14,7 @@ from __future__ import annotations
 from logcy3.boundary import Marking
 from logcy3.exactnum import IntMatrix, snf
 from logcy3.gaussian import (
-    ONE, ExactArithmeticError, Frozen, GaussianRational, power_product, power_product_of,
+    ONE, ExactArithmeticError, Frozen, GaussianRational, SparseCharacter, power_product,
 )
 from logcy3.pair import LogCY3Pair, PairError
 
@@ -102,28 +102,17 @@ def _dense_generators(pair: LogCY3Pair) -> tuple:
 def matching_values(pair: LogCY3Pair) -> tuple:
     """The markers' period value on each :func:`matching_lattice` generator.
 
-    Each :func:`matching_kernel` column valued on the pair's
-    :meth:`~logcy3.pair.LogCY3Pair.marker_support` by :func:`support_value`,
-    over its exceptional entries only, as every toric class has period 1 at
-    the markers.  Computed on first use and held on the pair; the unmarked
-    period, the quotient and the decision procedure all read them from here.
+    Each :func:`matching_kernel` column valued at the pair's
+    :meth:`~logcy3.pair.LogCY3Pair.marker_support`, over its exceptional
+    entries only, as every toric class has period 1 at the markers.
+    Computed on first use and held on the pair; the unmarked period, the
+    quotient and the decision procedure all read them from here.
     """
     return pair.held("matching_values", _matching_values)
 
 
 def _matching_values(pair: LogCY3Pair) -> tuple:
-    support = pair.marker_support()
-    return tuple(support_value(support, column) for column in matching_kernel(pair).columns)
-
-
-def support_value(support: dict, column) -> GaussianRational:
-    """A character that is 1 off ``support``, valued at a sparse column.
-
-    ``support`` maps rows to values and ``column`` lists ``(row, entry)``
-    pairs; the value is the power product over the rows in the support,
-    and a row left out contributes exactly 1.
-    """
-    return power_product_of((support[i], x) for i, x in column if i in support)
+    return tuple(map(pair.marker_support().at, matching_kernel(pair).columns))
 
 
 def _wedge(a, b):
@@ -222,7 +211,7 @@ def unmarked_period(pair: LogCY3Pair) -> PeriodCharacter:
     the markers' value is read off the support, 1 on a toric class.
     """
     values = matching_values(pair)
-    support, other = pair.marker_support(), _alternative_marking(pair)
+    support, other = pair.marker_support().values, _alternative_marking(pair)
     moved = edge_matching_map(pair).pull_back(pair.marking_ratios(other))
     table = pair.character_table(other)
     if any(b != support.get(n, ONE) * m for n, (b, m) in enumerate(zip(table, moved))):
@@ -286,15 +275,16 @@ def quotient_character(pair: LogCY3Pair):
     entries of ``V_inv k`` from the rank on, and the lifts are columns of
     the ``U_inv`` of the small inclusion of the image into the matching
     lattice, the one Smith normal form this computes.  The character is
-    multiplicative, so a lift's value is the power product of the held
-    :func:`matching_values` over its column of ``U_inv``; only the image
-    vectors are evaluated on the markers' character itself, over the rows
-    of the pair's :meth:`~logcy3.pair.LogCY3Pair.marker_support`.
+    multiplicative, so a lift's value is the held :func:`matching_values`,
+    as a character on the matching basis, at its column of ``U_inv``; only
+    the image vectors are valued at the markers' character itself, the
+    pair's :meth:`~logcy3.pair.LogCY3Pair.marker_support`, each over the
+    support's rows alone.
     """
     support = pair.marker_support()
     k_basis, _ = pair.k_image()
     for gen in k_basis:
-        if not power_product_of((value, gen[i]) for i, value in support.items()).is_one():
+        if not support.at((i, gen[i]) for i in support.values).is_one():
             raise PeriodConsistencyError(
                 "period is nontrivial on a restricted global class"
             )
@@ -312,13 +302,11 @@ def quotient_character(pair: LogCY3Pair):
     s = kernel.cols
     dec = snf(IntMatrix.from_columns(s, columns))  # s x t inclusion
     _, torsion = dec.cokernel()
-    held = matching_values(pair)
+    held = SparseCharacter(dict(enumerate(matching_values(pair))))
     basis = []
     values = []
     for i in range(dec.rank, s):
         # The lift's coefficients in the matching basis.
         basis.append(kernel.apply(dec.U_inv.column(i)))
-        values.append(
-            power_product_of((held[j], x) for j, x in dec.U_inv.columns[i])
-        )
+        values.append(held.at(dec.U_inv.columns[i]))
     return PeriodCharacter(tuple(basis), tuple(values)), torsion

@@ -15,10 +15,10 @@ from __future__ import annotations
 
 from logcy3.boundary import Marking
 from logcy3.exactnum import IntMatrix, snf
-from logcy3.gaussian import Frozen, dot, held_property, power_product_of
+from logcy3.gaussian import Frozen, SparseCharacter, dot, held_property
 from logcy3.pair import CurveBlowup, LogCY3Pair, PairError, PointBlowup, pull_back_tensor
 from logcy3.periods import (
-    edge_matching_snf, matching_kernel, matching_lattice, matching_values, support_value,
+    edge_matching_snf, matching_kernel, matching_lattice, matching_values,
 )
 from logcy3.toric import (
     Fan3,
@@ -593,7 +593,7 @@ def _boundary_map(pair, other, corr) -> IntMatrix:
     return IntMatrix.from_columns(length, columns)
 
 
-def _pulled_support(pair, other, corr, support: dict) -> dict:
+def _pulled_support(pair, other, corr, support: SparseCharacter) -> SparseCharacter:
     """The markers' character of the other pair pulled back through the
     boundary map (:func:`_boundary_map`), where it is not 1.
 
@@ -601,12 +601,12 @@ def _pulled_support(pair, other, corr, support: dict) -> dict:
     which holds exceptional rows only.  A derived block sends toric classes
     to toric rows, so only its exceptional classes are read, each a single
     row with entry 1 (:func:`_exceptional_rows`), which gives that row's
-    value.  Every column of an explicit map is read: a single row with
-    entry 1 gives that row's value, any other mix one power product.  A
-    column that meets no support row, or whose value is 1, is left out, so
-    the result is a support too.
+    value.  Every column of an explicit map is read, the support valued at
+    it over the offset rows.  A column whose value is 1 is left out, so
+    the result holds no 1.
     """
     pulled = {}
+    held = support.values
     offsets2 = other.component_offsets()[0]
     images, overrides = corr._images, corr._overrides
     for v, start in pair.component_offsets()[0].items():
@@ -615,20 +615,15 @@ def _pulled_support(pair, other, corr, support: dict) -> dict:
         if matrix is None:
             first = start + pair.components[v].base.rank
             for j, row in enumerate(_exceptional_rows(pair, other, corr, v), first):
-                value = support.get(start2 + row)
+                value = held.get(start2 + row)
                 if value is not None and not value.is_one():
                     pulled[j] = value
             continue
         for j, column in enumerate(matrix.columns, start):
-            factors = [(support[start2 + i], x) for i, x in column if start2 + i in support]
-            if not factors:
-                continue
-            value, x = factors[0]
-            if len(factors) > 1 or x != 1:
-                value = power_product_of(factors)
+            value = support.at((start2 + i, x) for i, x in column)
             if not value.is_one():
                 pulled[j] = value
-    return pulled
+    return SparseCharacter(pulled)
 
 
 def decide_isomorphism(
@@ -637,10 +632,11 @@ def decide_isomorphism(
     """Run the full decision pipeline and return a verdict with certificate.
 
     Step (v) compares the markers' periods, which are 1 on every toric
-    class: the other pair's support is pulled back through the boundary
-    map over its support rows, and each matching generator is valued over
-    its entries in the pulled support only.  This is exact for any ``mu``
-    or ``mu_components``, as a row left out contributes exactly 1, and it
+    class: the other pair's :meth:`~logcy3.pair.LogCY3Pair.marker_support`
+    is pulled back through the boundary map over its held rows, and the
+    pulled :class:`~logcy3.gaussian.SparseCharacter` is valued at each
+    matching generator's column.  This is exact for any ``mu`` or
+    ``mu_components``, as a row left out contributes exactly 1, and it
     builds neither the other pair's markers nor its character table.
     """
     corr = Correspondence.identity(pair) if corr is None else corr
@@ -656,7 +652,7 @@ def decide_isomorphism(
     transcript = []
     generators = zip(matching_lattice(pair), matching_kernel(pair).columns, matching_values(pair))
     for gen, column, value in generators:
-        value2 = support_value(pulled, column)
+        value2 = pulled.at(column)
         if value != value2:
             return Verdict(
                 "distinct",
@@ -718,20 +714,6 @@ def _edge_shift(pair, other, corr, marking, marking_other) -> dict:
     return shift
 
 
-def _support_ratio(pulled: dict, support: dict) -> dict:
-    """The pulled support over this pair's support, where it is not 1.
-
-    One pass over the support: a pulled value off it is kept as it is, and
-    is not 1.
-    """
-    ratio = dict(pulled)
-    for j, value in support.items():
-        value = ratio.pop(j) / value if j in ratio else value.inverse()
-        if not value.is_one():
-            ratio[j] = value
-    return ratio
-
-
 def marking_transporter(
     pair: LogCY3Pair,
     other: LogCY3Pair,
@@ -752,14 +734,15 @@ def marking_transporter(
     A period at any marking is the markers' period times the torus
     character of the marking's ratio to the markers, so transport values
     the markers' supports, not the tables: its targets are the other
-    pair's support pulled back through the boundary map, as step (v) pulls
-    it, over this pair's support, and live on the exceptional rows.  If
-    ``h0`` solves the system at the markers, ``h0`` times the markings'
-    per-edge :func:`_edge_shift` solves it at the markings, both sides
-    being characters of the edge lattice; the shift lies in Q(i)*, so the
-    outcome, a ``complex_only`` witness included, is otherwise the
-    markers'.  A relation is valued over the targets alone, so
-    ``unsolvable`` is step (v)'s comparison: decide's ``complete`` gives
+    pair's :meth:`~logcy3.pair.LogCY3Pair.marker_support` pulled back
+    through the boundary map, as step (v) pulls it, divided by this pair's
+    (:meth:`~logcy3.gaussian.SparseCharacter.over`), and live on the
+    exceptional rows.  If ``h0`` solves the system at the markers, ``h0``
+    times the markings' per-edge :func:`_edge_shift` solves it at the
+    markings, both sides being characters of the edge lattice; the shift
+    lies in Q(i)*, so the outcome, a ``complex_only`` witness included, is
+    otherwise the markers'.  A relation is valued over the targets alone,
+    so ``unsolvable`` is step (v)'s comparison: decide's ``complete`` gives
     ``solved`` or ``complex_only``, and its ``period`` gives
     ``("unsolvable", witness)`` with decide's witness, at any markings.
     No character table is built.
@@ -780,7 +763,7 @@ def marking_transporter(
     # 12-ray point-ladder rung, 0.207 against 0.159 ms on a curve rung,
     # CPython 3.11, x86-64): the pulled values carry the partner's digits,
     # the quotients are torus values, and the roots need the quotients anyway.
-    targets = _support_ratio(pulled, pair.marker_support())
+    targets = pulled.over(pair.marker_support())
     status, result = edge_matching_snf(pair).solve_over_gaussian_torus(targets)
     if status != "solved":
         return status, result

@@ -161,7 +161,8 @@ def reference_transport(pair, other, corr=None, marking=None, marking_other=None
     boundary = torelli._boundary_map(pair, other, corr or torelli.Correspondence.identity(pair))
     pulled = boundary.pull_back(dense_marker_table(other))
     targets = [p / t for p, t in zip(pulled, dense_marker_table(pair))]
-    status, result = edge_matching_snf(pair).solve_over_gaussian_torus(dict(enumerate(targets)))
+    targets = gaussian.SparseCharacter(dict(enumerate(targets)))
+    status, result = edge_matching_snf(pair).solve_over_gaussian_torus(targets)
     if status != "solved":
         return status, result
     shift = dense_edge_shift(pair, other, corr, marking, marking_other)
@@ -196,7 +197,7 @@ def assert_pulled_support_is_the_full_walk(pair, other, corr, boundary):
     through ``boundary``, where that is not 1."""
     corr = torelli.Correspondence.identity(pair) if corr is None else corr
     dense = boundary.pull_back(dense_marker_table(other))
-    assert torelli._pulled_support(pair, other, corr, other.marker_support()) == {
+    assert torelli._pulled_support(pair, other, corr, other.marker_support()).values == {
         j: value for j, value in enumerate(dense) if not value.is_one()
     }
 

@@ -21,7 +21,9 @@ from logcy3.exactnum import (
     snf,
     solve_integer,
 )
-from logcy3.gaussian import ExactArithmeticError, GaussianRational, power_product, power_product_of
+from logcy3.gaussian import (
+    ExactArithmeticError, GaussianRational, SparseCharacter, power_product, power_product_of,
+)
 
 gaussians = st.builds(
     GaussianRational,
@@ -928,6 +930,44 @@ class TestPowerProductKernel:
             assert tuple(answer) == tuple(expected)
 
 
+class TestSparseCharacter:
+    """A ``{row: value}`` character, 1 on every row it leaves out, against
+    its dense table."""
+
+    @settings(max_examples=80)
+    @given(st.integers(1, 6), st.data())
+    def test_at_is_the_power_product_over_the_dense_table(self, n, data):
+        rows = st.integers(0, n - 1)
+        values = data.draw(st.dictionaries(rows, nonzero_gaussians, max_size=n))
+        column = data.draw(
+            st.lists(st.tuples(rows, st.integers(-4, 4)), unique_by=lambda entry: entry[0])
+        )
+        table = [values.get(i, GaussianRational(1)) for i in range(n)]
+        exponents = [0] * n
+        for i, x in column:
+            exponents[i] = x
+        value = SparseCharacter(values).at(column)
+        assert triple(value) == triple(power_product(table, exponents))
+
+    @settings(max_examples=80)
+    @given(st.integers(1, 6), st.data())
+    def test_over_is_the_quotient_by_rows_with_ones_dropped(self, n, data):
+        # The dividend holds no 1, as every dividend in the package is a
+        # pulled support; the divisor may, and quotients of 1 occur.
+        one = GaussianRational(1)
+        rows = st.integers(0, n - 1)
+        parts = ((2, 0), (1, 1), (0, 1), (-1, 0), (Fraction(1, 2), 0), (3, -1))
+        off_one = st.sampled_from([GaussianRational(x, y) for x, y in parts])
+        a = data.draw(st.dictionaries(rows, off_one, max_size=n))
+        b = data.draw(st.dictionaries(rows, st.one_of(st.just(one), off_one), max_size=n))
+        held = dict(a)
+        quotients = {j: a.get(j, one) / b.get(j, one) for j in range(n)}
+        assert SparseCharacter(a).over(SparseCharacter(b)).values == {
+            j: q for j, q in quotients.items() if not q.is_one()
+        }
+        assert a == held
+
+
 # ---------------------------------------------------------------------------
 # Torus solvability
 # ---------------------------------------------------------------------------
@@ -935,7 +975,7 @@ class TestPowerProductKernel:
 
 def dense_solve(dec, targets):
     """The torus solve with a target on every column."""
-    return dec.solve_over_gaussian_torus(dict(enumerate(targets)))
+    return dec.solve_over_gaussian_torus(SparseCharacter(dict(enumerate(targets))))
 
 
 def values_on_columns(a, h):
@@ -968,13 +1008,13 @@ class TestTorusSolvability:
     def test_zero_target_rejected(self):
         zero = GaussianRational(0)
         with pytest.raises(ExactArithmeticError, match="targets must be nonzero"):
-            snf(IntMatrix([[1]])).solve_over_gaussian_torus({0: zero})
+            snf(IntMatrix([[1]])).solve_over_gaussian_torus(SparseCharacter({0: zero}))
 
     def test_targets_off_the_columns_are_rejected(self):
         two = GaussianRational(2)
         for column in (2, -1):
             with pytest.raises(ExactArithmeticError, match="targets must be on columns of the matrix"):
-                snf(IntMatrix([[1, 0]])).solve_over_gaussian_torus({column: two})
+                snf(IntMatrix([[1, 0]])).solve_over_gaussian_torus(SparseCharacter({column: two}))
 
     def test_unimodular_row_invariance(self):
         # A row operation W on A leaves the solvable systems alone: h solves

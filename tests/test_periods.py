@@ -13,9 +13,8 @@ from logcy3.boundary import (
     Marking,
     component_marked_period,
 )
-from logcy3 import exactnum
+from logcy3 import exactnum, gaussian
 from logcy3 import pair as pair_module
-from logcy3 import periods as periods_module
 from logcy3.exactnum import IntMatrix, invert_unimodular, snf
 from logcy3.gaussian import ExactArithmeticError, GaussianRational, ONE, power_product
 from logcy3.fixtures import pair_fixtures, scaling_pair
@@ -566,14 +565,14 @@ class TestHeldMatchingValues:
 
     def test_quotient_evaluates_no_dense_lift(self, power_products, monkeypatch):
         calls = []
-        original = periods_module.power_product_of
+        original = gaussian.power_product_of
 
         def recorded(factors):
             factors = tuple(factors)
             calls.append(factors)
             return original(factors)
 
-        monkeypatch.setattr(periods_module, "power_product_of", recorded)
+        monkeypatch.setattr(gaussian, "power_product_of", recorded)
         pair = scaling_pair(2, 8)
         unmarked_period(pair)
         power_products.clear()
@@ -584,7 +583,7 @@ class TestHeldMatchingValues:
         # on the held matching values, and nothing on a dense table.
         assert char.values
         assert power_products == []
-        support = pair.marker_support()
+        support = pair.marker_support().values
         k_basis = pair.k_image()[0]
         assert calls[: len(k_basis)] == [
             tuple((value, k[i]) for i, value in support.items()) for k in k_basis

@@ -55,17 +55,23 @@ matching lattice:
 * the toric block of the edge-matching map, its columns of the toric
   component classes, has rank ``edges - 3``, and every generator of its
   kernel has period one, under the markers and under a second marking.
+* on 300 point programs, each against its torus translate with, in every
+  other draw, one coordinate moved, decide's step (v) is the torus solve
+  for three unknowns on the steps' edge characters: ``period`` exactly
+  when it is ``unsolvable``, ``complete`` when it is ``solved`` or
+  ``complex_only``; at least 50 draws give ``period`` and one
+  ``complex_only``.
 
 Run ``pytest --hypothesis-profile=default`` for fresh draws.
 """
 
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 
 from logcy3.boundary import Marking, component_character_table, component_marked_period
 from logcy3.exactnum import IntMatrix, snf
-from logcy3.gaussian import MINUS_ONE, GaussianRational, power_product_of
+from logcy3.gaussian import MINUS_ONE, GaussianRational, SparseCharacter, power_product_of
 from logcy3.oracle import cocycle_period, curve_subdivision_check, point_subdivision_check
 from logcy3.pair import CurveBlowup, LogCY3Pair, PairError, PointBlowup
 from logcy3.periods import (
@@ -84,7 +90,7 @@ from logcy3.torelli import (
     decide_isomorphism,
     marking_transporter,
 )
-from logcy3.toric import Fan3, star_surface
+from logcy3.toric import Fan3, edge_reference_character, star_surface
 from random_draws import coordinates, random_cases
 from test_torelli import assert_edge_rows_carried, inverse
 
@@ -331,3 +337,56 @@ def test_toric_block_kernel_has_period_one(case):
         assert column
         for table in tables:
             assert power_product_of((table[toric[j]], x) for j, x in column).is_one()
+
+
+def torus_solve_status(pair, other):
+    """The outcome of solving for a torus element ``t`` with
+    ``t ** m_k == q2_k / q_k`` on every point step ``k``.
+
+    ``q_k`` and ``q2_k`` are the two programs' coordinates of step k and
+    ``m_k`` is the reference character of its edge, as
+    ``LogCY3Pair.torus_translate`` scales a coordinate: one column per
+    step, three unknowns, no lattice.
+    """
+    columns, ratios = [], {}
+    for k, (step, step2) in enumerate(zip(pair.program, other.program, strict=True)):
+        m = edge_reference_character(pair.fan, pair.complex, step.edge)
+        columns.append([(i, x) for i, x in enumerate(m) if x])
+        ratios[k] = step2.coordinate / step.coordinate
+    dec = snf(IntMatrix.from_columns(3, columns))
+    return dec.solve_over_gaussian_torus(SparseCharacter(ratios))[0]
+
+
+def test_step_v_is_the_torus_solve_on_point_programs():
+    # A draw's point steps, without its curve step, against their torus
+    # translate, with, in every other draw, one coordinate of the translate
+    # multiplied by 5.  No two coordinates on an edge can then agree: a
+    # drawn coordinate q has 1 <= |q| <= 3 * 2 ** 0.5 < 5.
+    outcomes = []
+
+    @settings(
+        max_examples=300,
+        deadline=None,
+        database=None,
+        phases=(Phase.generate,),
+        suppress_health_check=list(HealthCheck),
+    )
+    @given(random_cases(), st.integers(0, 15))
+    def compare(case, k):
+        fan, program, _, _, torus_element = case
+        pair = LogCY3Pair.build(fan, [step for step in program if isinstance(step, PointBlowup)])
+        moved = list(pair.torus_translate(torus_element).program)
+        if len(outcomes) % 2 and moved:
+            k %= len(moved)
+            moved[k] = PointBlowup(moved[k].edge, moved[k].coordinate * 5)
+        other = LogCY3Pair.build(fan, moved)
+        check = decide_isomorphism(pair, other).certificate["check"]
+        status = torus_solve_status(pair, other)
+        assert check in ("complete", "period")
+        assert (check == "period") == (status == "unsolvable")
+        outcomes.append((check, status))
+
+    compare()
+    assert len(outcomes) == 300
+    assert sum(check == "period" for check, _ in outcomes) >= 50
+    assert ("complete", "complex_only") in outcomes

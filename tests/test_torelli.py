@@ -10,10 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logcy3 import boundary, exactnum, pair as pair_module, periods, toric, torelli
+from logcy3 import boundary, exactnum, gaussian, pair as pair_module, periods, toric, torelli
 from logcy3.boundary import Marking
 from logcy3.exactnum import IntMatrix
-from logcy3.gaussian import ExactArithmeticError, GaussianRational, I, power_product
+from logcy3.gaussian import (
+    ExactArithmeticError, GaussianRational, I, SparseCharacter, power_product,
+)
 from logcy3.fixtures import (
     pair_fixtures,
     perturbed_conic_pair,
@@ -811,7 +813,7 @@ def dense_transporter(pair, other, corr, marking, marking_other):
         return "component_isometry", failure
     targets = dense_targets(pair, other, corr, pair.markers(), other.markers())
     factored = periods.edge_matching_snf(pair)
-    status, result = factored.solve_over_gaussian_torus(dict(enumerate(targets)))
+    status, result = factored.solve_over_gaussian_torus(SparseCharacter(dict(enumerate(targets))))
     if status != "solved":
         return status, result
     return status, shifted(pair, other, corr, (marking, marking_other), result)
@@ -1207,18 +1209,17 @@ class TestHeldMatchingValuesInDecide:
         # support is the support, taken over with no power product, and each
         # generator is valued over its own exceptional entries.
         calls = []
-        original = torelli.power_product_of
+        original = gaussian.power_product_of
 
         def recorded(factors):
             factors = tuple(factors)
             calls.append(factors)
             return original(factors)
 
-        for module in (torelli, periods):
-            monkeypatch.setattr(module, "power_product_of", recorded)
+        monkeypatch.setattr(gaussian, "power_product_of", recorded)
         for pair in [scaling_pair(2, 8), *pair_fixtures().values()]:
             unmarked_period(pair)
-            support = pair.marker_support()
+            support = pair.marker_support().values
             calls.clear()
             assert decide_isomorphism(pair, pair).kind == "isomorphic"
             assert calls == [
@@ -1290,7 +1291,7 @@ class TestPulledSupport:
             for j in range(start, start + pair.components[v].rank)
             if v in explicit or j >= start + pair.components[v].base.rank
         }
-        assert torelli._pulled_support(pair, pair, corr, support) == {
+        assert torelli._pulled_support(pair, pair, corr, SparseCharacter(support)).values == {
             j: value for j, value in enumerate(dense) if j in read and not value.is_one()
         }
 
@@ -1506,10 +1507,11 @@ class TestTransportIsTheMarkersSolutionTimesTheShift:
         # target 2 alone needs a root of 2, which is not in Q(i).
         two = g("2")
         dec = exactnum.snf(IntMatrix([[2]]))
-        status, h0 = dec.solve_over_gaussian_torus({})
+        status, h0 = dec.solve_over_gaussian_torus(SparseCharacter({}))
         assert (status, h0) == ("solved", [g("1")])
-        assert dec.solve_over_gaussian_torus({0: two**2}) == ("solved", [h0[0] * two])
-        assert dec.solve_over_gaussian_torus({0: two}) == ("complex_only", (2, two))
+        squared, alone = SparseCharacter({0: two**2}), SparseCharacter({0: two})
+        assert dec.solve_over_gaussian_torus(squared) == ("solved", [h0[0] * two])
+        assert dec.solve_over_gaussian_torus(alone) == ("complex_only", (2, two))
 
 
 class TestTransportBuildsNoTable:

@@ -10,7 +10,7 @@ import pytest
 
 from logcy3.boundary import ExceptionalClass, LooijengaComponent, Marking
 from logcy3.exactnum import IntMatrix, SnfDecomposition
-from logcy3.gaussian import Frozen, GaussianRational, held_property
+from logcy3.gaussian import Frozen, GaussianRational, SparseCharacter, held_property
 from logcy3.pair import CurveBlowup, PicVector, PointBlowup
 from logcy3.periods import PeriodCharacter
 from logcy3.torelli import Correspondence, Verdict
@@ -101,6 +101,13 @@ CASES = [
         ("basis", "values"),
         True,
         "PeriodCharacter(basis=((1, 0),), values=(GaussianRational('2'),))",
+    ),
+    (
+        SparseCharacter,
+        lambda: SparseCharacter({0: G(2), 3: G(0, 1)}),
+        ("values",),
+        False,
+        "SparseCharacter(values={0: GaussianRational('2'), 3: GaussianRational('0+1*i')})",
     ),
     (
         Correspondence,
