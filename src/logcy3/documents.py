@@ -156,9 +156,9 @@ def pair_from_document(doc: dict):
     """Parse and build a validated pair; returns ``(pair, marking_or_none)``."""
     if _field(doc, "format", "document") != PAIR_FORMAT:
         raise DocumentError("document: not a pair document")
-    if _field(doc, "version", "document") != FORMAT_VERSION:
+    if _integer(_field(doc, "version", "document"), "version") != FORMAT_VERSION:
         raise DocumentError("document: unsupported version")
-    if doc.get("lattice_rank", 3) != 3:
+    if _integer(doc.get("lattice_rank", 3), "lattice_rank") != 3:
         raise DocumentError("document: lattice_rank must be 3")
     rays = _each(_field(doc, "rays", "document"), "rays", lambda ray: _integers(ray, "", 3))
     cones = _each(_field(doc, "cones", "document"), "cones", lambda cone: _integers(cone, "", 3))
@@ -193,13 +193,16 @@ def pair_from_document(doc: dict):
 
 
 def _marking_from_document(value, pair: LogCY3Pair) -> Marking:
-    """A marking with one nonzero point on each edge of the pair, each once."""
+    """A marking with one nonzero point on each edge of the pair, each once.
+
+    An edge key is ``v-w``, each vertex written as :func:`_vertex_key` reads it.
+    """
     edges = set(pair.edge_keys())
     values = {}
     for key, text in _expect(value, dict, "markings").items():
         try:
-            v, w = (int(x) for x in key.split("-"))
-        except ValueError as exc:
+            v, w = (_vertex_key(x, "markings") for x in key.split("-"))
+        except ValueError as exc:  # a DocumentError too
             raise DocumentError(f"markings: bad edge key {key!r}") from exc
         edge = frozenset((v, w))
         if edge not in edges:
@@ -270,7 +273,7 @@ def correspondence_from_document(doc: dict):
 
     if _field(doc, "format", "document") != CORRESPONDENCE_FORMAT:
         raise DocumentError("document: not a correspondence document")
-    if _field(doc, "version", "document") != FORMAT_VERSION:
+    if _integer(_field(doc, "version", "document"), "version") != FORMAT_VERSION:
         raise DocumentError("document: unsupported version")
     vertex_map = _by_vertex(_field(doc, "vertex_map", "document"), "vertex_map", _integer)
     step_map = _integers(_field(doc, "step_map", "document"), "step_map")

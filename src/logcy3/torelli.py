@@ -286,33 +286,24 @@ def component_transport(
     pair: LogCY3Pair, other: LogCY3Pair, corr: Correspondence, v: int
 ) -> IntMatrix:
     """The induced map from Pic of component v to Pic of its image component:
-    the explicit map if ``corr`` gives one, else the columns of
-    :func:`_derived_columns`.  It holds, and raises, as those columns do.
+    the explicit map if ``corr`` gives one, else the derived map.
+
+    The derived map sends a toric basis class through the vertex bijection
+    to the sparse class of its image ray
+    (:meth:`~logcy3.toric.Fan2.sparse_class`), and an exceptional class to
+    the unit column of its :func:`_exceptional_rows` row.  It holds, and
+    raises, as those rows do.  Every component map is made here.
     """
     override = corr.component_override(v)
     if override is not None:
         return override
-    rank = other.components[corr.vertex(v)].rank
-    return IntMatrix.from_columns(rank, _derived_columns(pair, other, corr, v, 0))
-
-
-def _derived_columns(pair, other, corr, v: int, start: int) -> list:
-    """The sparse columns of the derived map of component v, each row index
-    offset by ``start``.
-
-    A toric basis class maps through the vertex bijection to the sparse
-    class of its image ray (:meth:`~logcy3.toric.Fan2.sparse_class`), an
-    exceptional class to the unit column of its :func:`_exceptional_rows`
-    row.  It holds, and raises, as those rows do.
-    """
+    comp2 = other.components[corr.vertex(v)]
     rows = _exceptional_rows(pair, other, corr, v)
-    base2 = other.components[corr.vertex(v)].base
-    images = corr._images
+    base2, images = comp2.base, corr._images
     ray_of = {w: ray for ray, w in enumerate(base2.labels)}
-    columns = [
-        base2.sparse_class(ray_of[images[w]], start) for w in pair.components[v].base.labels[2:]
-    ]
-    return columns + [((start + row, 1),) for row in rows]
+    columns = [base2.sparse_class(ray_of[images[w]]) for w in pair.components[v].base.labels[2:]]
+    columns += [((row, 1),) for row in rows]
+    return IntMatrix.from_columns(comp2.rank, columns)
 
 
 def _exceptional_rows(pair, other, corr, v: int) -> list:
@@ -360,7 +351,7 @@ def threefold_transport(
     A toric basis class maps to the held sparse class of its image ray
     (:attr:`~logcy3.toric.ToricPicBasis.sparse_classes`), step k's
     exceptional class to the exceptional class of its matched step.  It
-    holds, as :func:`_derived_columns` does, only under the checks.
+    holds, as :func:`component_transport` does, only under the checks.
     """
     if corr.mu is not None:
         return corr.mu
@@ -447,8 +438,9 @@ def _matched(pair: LogCY3Pair, other: LogCY3Pair, corr: Correspondence):
     the other pair's held cubic tensor back through ``mu`` and compares it
     with this pair's by dict equality, and names the least differing triple
     only when they differ.  A component map is made as a matrix only where
-    step (iii) carries a curve class through it; the boundary map is left
-    to its readers (:func:`_pulled_support`, :func:`_boundary_map`).
+    step (iii) carries a curve class through it, and no boundary map is
+    built: its readers map what they read (:func:`_pulled_support`,
+    :func:`_boundary_image`).
 
     ``None`` is the identity correspondence; no bijection, a
     ``mu_components`` key for no vertex of the pair or a ``mu`` of another
@@ -573,29 +565,28 @@ def _matched(pair: LogCY3Pair, other: LogCY3Pair, corr: Correspondence):
     return frame_map
 
 
-def _boundary_map(pair, other, corr) -> IntMatrix:
-    """The boundary map of a correspondence that passes :func:`_matched`.
+def _boundary_image(pair, other, corr, flat) -> tuple:
+    """The image of a flat boundary vector under the boundary map of a
+    correspondence that passes :func:`_matched`.
 
-    Column j is the image of the pair's boundary class j, placed at the
-    offset of the image component's block: an explicit map's column as
-    given, a derived block's from :func:`_derived_columns`.  Decide builds
-    it only for a ``period`` verdict's witness image.
+    Only the component blocks that ``flat`` touches are mapped, each
+    through :func:`component_transport` and written at its image block's
+    offset.  Decide reads it for a ``period`` verdict's witness image.
     """
-    offsets, length = other.component_offsets()
-    columns = []
-    for v in sorted(pair.components):
-        start = offsets[corr.vertex(v)]
-        matrix = corr.component_override(v)
-        if matrix is None:
-            columns += _derived_columns(pair, other, corr, v, start)
-        else:
-            columns += [tuple([(start + i, x) for i, x in column]) for column in matrix.columns]
-    return IntMatrix.from_columns(length, columns)
+    offsets2, length = other.component_offsets()
+    image = [0] * length
+    for v, start in pair.component_offsets()[0].items():
+        block = flat[start:start + pair.components[v].rank]
+        if any(block):
+            start2 = offsets2[corr.vertex(v)]
+            mapped = component_transport(pair, other, corr, v).apply(block)
+            image[start2:start2 + len(mapped)] = mapped
+    return tuple(image)
 
 
 def _pulled_support(pair, other, corr, support: SparseCharacter) -> SparseCharacter:
     """The markers' character of the other pair pulled back through the
-    boundary map (:func:`_boundary_map`), where it is not 1.
+    boundary map, where it is not 1.
 
     Column ``j`` is valued over its rows in the other pair's support alone,
     which holds exceptional rows only.  A derived block sends toric classes
@@ -660,7 +651,7 @@ def decide_isomorphism(
                 {
                     "check": "period",
                     "witness": gen,
-                    "witness_image": _boundary_map(pair, other, corr).apply(gen),
+                    "witness_image": _boundary_image(pair, other, corr, gen),
                     "values": (str(value), str(value2)),
                 },
             )

@@ -663,17 +663,15 @@ class Fan2(Frozen):
         coeffs[i - 2] = 1
         return tuple(coeffs)
 
-    def sparse_class(self, i: int, start: int = 0) -> tuple:
-        """The nonzero ``(coordinate, value)`` entries of :meth:`ray_class`,
-        each coordinate offset by ``start``, as in a block of a larger lattice.
+    def sparse_class(self, i: int) -> tuple:
+        """The nonzero ``(coordinate, value)`` entries of :meth:`ray_class`.
 
-        A basis ray's is the unit column ``((start + i - 2, 1),)``, built on
-        read; the two seed rays' are read off :meth:`ray_class` once and held.
+        A basis ray's is the unit column ``((i - 2, 1),)``, built on read;
+        the two seed rays' are read off :meth:`ray_class` once and held.
         """
         if i >= 2:
-            return ((start + i - 2, 1),)
-        column = self._seed_classes[i]
-        return tuple([(start + b, x) for b, x in column]) if start else column
+            return ((i - 2, 1),)
+        return self._seed_classes[i]
 
     @held_property
     def _seed_classes(self) -> tuple:

@@ -8,8 +8,9 @@ examples and a failure reproduces on the next run.  Run
 Every correspondence a test passes to decide (or to the transporter, which
 runs the same checks first) is decided again when the test ends, and
 compared with :func:`reference_decide`, step (v) as a dense formula over
-every boundary row, so the support-only step is checked on the whole
-corpus the suite decides.  Where the correspondence passes the checks
+every boundary row of the map the dense component transports make
+(:func:`dense_boundary_map`), so the support-only step is checked on the
+whole corpus the suite decides.  Where the correspondence passes the checks
 before the periods, the other pair's edge-matching map after the boundary
 map must be the pair's with its rows carried to the image edges
 (:func:`assert_edge_rows_carried`), the identity that transport's shift
@@ -31,6 +32,7 @@ from hypothesis import settings
 from logcy3 import gaussian, torelli
 from logcy3.boundary import Marking, component_character_table
 from logcy3.exactnum import IntMatrix
+from logcy3.oracle import split_boundary_vector
 from logcy3.periods import (
     edge_matching_map, edge_matching_snf, edge_scaling_character, matching_kernel, matching_lattice,
 )
@@ -74,17 +76,53 @@ def dense_marker_table(pair):
     return dense_table(pair, Marking.markers(pair.edge_keys()))
 
 
+def dense_image(pair, other, corr, transports, flat):
+    """A flat boundary vector through each component's dense transport."""
+    per_component = split_boundary_vector(pair, flat)
+    images = {
+        corr.vertex(v): transports[v].apply(per_component[v])
+        for v in sorted(pair.components)
+    }
+    return tuple(x for u in sorted(other.components) for x in images[u])
+
+
+def dense_transports(pair, other, corr):
+    return {
+        v: torelli.component_transport(pair, other, corr, v)
+        for v in sorted(pair.components)
+    }
+
+
+def dense_boundary_map(pair, other, corr=None):
+    """The boundary map of the dense transports, column by column: each
+    component's dense columns, in sorted order, written in its image
+    component's block of the image blocks laid out in sorted order, as
+    :func:`dense_image` lays them out."""
+    corr = torelli.Correspondence.identity(pair) if corr is None else corr
+    transports = dense_transports(pair, other, corr)
+    starts, length = {}, 0
+    for u in sorted(other.components):
+        starts[u] = length
+        length += other.components[u].rank
+    columns = []
+    for v in sorted(pair.components):
+        transport, start = transports[v], starts[corr.vertex(v)]
+        for j in range(pair.components[v].rank):
+            columns.append([(start + i, x) for i, x in enumerate(transport.column(j)) if x])
+    return IntMatrix.from_columns(length, columns)
+
+
 def reference_decide(pair, other, corr=None):
     """Decide with the dense step (v): both sides' full tables at the markers.
 
     This pair's values pull its table back along the matching kernel; the
-    other's table is pulled back through the boundary map, then each
-    generator is valued over all its nonzero entries.
+    other's table is pulled back through :func:`dense_boundary_map`, then
+    each generator is valued over all its nonzero entries.
     """
     frame_map = torelli._matched(pair, other, corr)
     if isinstance(frame_map, torelli.Verdict):
         return frame_map
-    boundary = torelli._boundary_map(pair, other, corr or torelli.Correspondence.identity(pair))
+    boundary = dense_boundary_map(pair, other, corr)
     kernel = matching_kernel(pair)
     values = kernel.pull_back(dense_marker_table(pair))
     pulled = boundary.pull_back(dense_marker_table(other))
@@ -146,7 +184,7 @@ def reference_transport(pair, other, corr=None, marking=None, marking_other=None
     """Transport solved on the dense targets at the markers, times the shift.
 
     The targets are the other pair's full marker table pulled back through
-    the boundary map over this pair's; a solution is multiplied edge by
+    :func:`dense_boundary_map` over this pair's; a solution is multiplied edge by
     edge by :func:`dense_edge_shift` and checked against both markings'
     full tables.  The other marking's table is read first, so a marking
     without a point on some edge raises for the other pair's marking first.
@@ -158,7 +196,7 @@ def reference_transport(pair, other, corr=None, marking=None, marking_other=None
     marking_other = other.markers() if marking_other is None else marking_other
     table_other = dense_table(other, marking_other)
     table = dense_table(pair, marking)
-    boundary = torelli._boundary_map(pair, other, corr or torelli.Correspondence.identity(pair))
+    boundary = dense_boundary_map(pair, other, corr)
     pulled = boundary.pull_back(dense_marker_table(other))
     targets = [p / t for p, t in zip(pulled, dense_marker_table(pair))]
     targets = gaussian.SparseCharacter(dict(enumerate(targets)))
@@ -245,7 +283,7 @@ def decided_against_the_reference():
         assert got == _outcome(reference_decide, pair, other, corr)
         if isinstance(got, torelli.Verdict) and got.certificate["check"] in ("complete", "period"):
             corr = torelli.Correspondence.identity(pair) if corr is None else corr
-            boundary = torelli._boundary_map(pair, other, corr)
+            boundary = dense_boundary_map(pair, other, corr)
             assert_edge_rows_carried(pair, other, corr, boundary)
             assert_pulled_support_is_the_full_walk(pair, other, corr, boundary)
     for args in transports.values():

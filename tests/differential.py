@@ -15,14 +15,16 @@ imported its own tree.  The corpus has four groups:
 * ``scale`` (20 items): ``tests/test_golden_scale.py``'s 5 documents, each
   document's text and its ``periods``, ``invariants`` and ``compare``
   reports through the same runner;
-* ``verdicts`` (123 items): decide's verdict, reason and certificate and the
+* ``verdicts`` (127 items): decide's verdict, reason and certificate and the
   transporter's outcome, through ``cli._stringify``, for each of the 8
   bundled pairs and ``tests/stage_harness.py``'s family at 20 and 60 rays
   against itself, against its torus translate by ``(2, 3, i)``, and
   against each pair with one point coordinate moved by 3/2; and for
   ``p3-point`` and ``p111-blowup-point``, each with the point steps of
   ``RELABELLED`` appended, against their frame relabelling, whose vertex
-  and step maps are not the identity, and against its step 1 moved by 3/2;
+  and step maps are not the identity, and against its step 1 moved by 3/2,
+  and, under the identity with every component map given explicitly,
+  against its translate and against itself with step 1 moved by 3/2;
   the transport at the markers, with the partner re-marked, and with both
   re-marked, each re-marking a seeded point ``a + b i`` on every edge;
 * ``random`` (100 items): the first 100 derandomized draws of
@@ -107,6 +109,7 @@ def verdicts(pairs) -> dict:
     """Decide and transport of each pair against itself, its translate and
     each one-point perturbation, and of the ``RELABELLED`` pairs against
     their relabelling and its perturbation."""
+    from logcy3.exactnum import IntMatrix
     from logcy3.gaussian import GaussianRational
     from logcy3.pair import LogCY3Pair, PointBlowup
     from logcy3.torelli import Correspondence
@@ -134,6 +137,20 @@ def verdicts(pairs) -> dict:
         perturbed[1] = PointBlowup(program[1].edge, program[1].coordinate * moved_by)
         for partner, steps in (("relabelled", program), ("relabelled, perturbed 1", perturbed)):
             other = relabelled(pair, sigma, steps[::-1])
+            items[f"{name} {partner}"] = _verdict_item(f"{name} {partner}", pair, other, corr)
+        # The identity with every component map given explicitly.
+        identity = Correspondence.identity(pair)
+        maps = tuple(
+            (v, IntMatrix.from_columns(comp.rank, [((i, 1),) for i in range(comp.rank)]))
+            for v, comp in sorted(pair.components.items())
+        )
+        corr = Correspondence(identity.vertex_map, identity.step_map, None, maps)
+        edges = [tuple(e) for e in pair.complex.edges]
+        partners = {
+            "explicit, translate": pair.torus_translate(TRANSLATION),
+            "explicit, perturbed 1": LogCY3Pair.build(pair.fan, perturbed, edges),
+        }
+        for partner, other in partners.items():
             items[f"{name} {partner}"] = _verdict_item(f"{name} {partner}", pair, other, corr)
     return items
 

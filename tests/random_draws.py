@@ -1,7 +1,9 @@
 """The random pairs the property tests and ``tests/differential.py`` draw.
 
 :func:`random_cases` draws a subdivided fan, a point program with at times
-a curve step after it, a wall, a cone and a torus element;
+a curve step after it, a wall, a cone and a torus element, and
+:func:`point_cases` a fan and point program drawn alike, with a torus
+element and a step index;
 :func:`solved_curve_step` solves a curve's points so that its period is one.
 
 ``tests/differential.py`` imports this module against an older commit's
@@ -112,30 +114,40 @@ def drawn_curve_step(fan, program, rng):
     return solved_curve_step(pair, v, curve, 101)
 
 
+def _point_program(draw, min_walls=0):
+    """A subdivided fan, its sorted walls and a point program on them.
+
+    The program's walls are drawn first, ``min_walls`` to five of them, then
+    one or two distinct coordinates on each, then the order of the steps, so
+    every drawn point program builds; a program with no wall is the toric
+    pair of the subdivided fan.
+    """
+    base = draw(st.sampled_from(BASES))
+    size = draw(st.integers(base.n_rays, 16))
+    fan = ladder_fans(base, (size,), draw(st.integers(0, 2**16)))[0]
+    walls = sorted(tuple(sorted(wall)) for wall in fan.walls())
+    wall_sets = st.lists(st.sampled_from(walls), min_size=min_walls, max_size=5, unique=True)
+    steps = [
+        PointBlowup(wall, q)
+        for wall in draw(wall_sets)
+        for q in draw(st.lists(coordinates, min_size=1, max_size=2, unique=True))
+    ]
+    return fan, walls, draw(st.permutations(steps))
+
+
 @st.composite
 def random_cases(draw):
     """A subdivided fan, a program, a wall, a cone and a torus element.
 
-    The program's walls are drawn first, none to five of them, then one or
-    two distinct coordinates on each, then the order of the steps, so every
-    drawn point program builds; a program with no wall is the toric pair of
-    the subdivided fan.  In about one draw in three a curve step follows
+    The point program is drawn as :func:`_point_program` draws it.  In
+    about one draw in three a curve step follows
     (:func:`drawn_curve_step`).  Whether it does, where, and the wall, cone
     and torus element come from one drawn random generator: the last three
     are not in the pair's document, and hypothesis, which varies the parts
     of a case drawn alike, would otherwise repeat the document of a case
     with only them changed.
     """
-    base = draw(st.sampled_from(BASES))
-    size = draw(st.integers(base.n_rays, 16))
-    fan = ladder_fans(base, (size,), draw(st.integers(0, 2**16)))[0]
-    walls = sorted(tuple(sorted(wall)) for wall in fan.walls())
-    steps = [
-        PointBlowup(wall, q)
-        for wall in draw(st.lists(st.sampled_from(walls), max_size=5, unique=True))
-        for q in draw(st.lists(coordinates, min_size=1, max_size=2, unique=True))
-    ]
-    program = draw(st.permutations(steps))
+    fan, walls, program = _point_program(draw)
     rng = draw(st.randoms(use_true_random=True))
     if rng.random() < 1 / 3:
         program.append(drawn_curve_step(fan, program, rng))
@@ -143,3 +155,17 @@ def random_cases(draw):
     cone = rng.choice(fan.max_cones)
     torus_element = tuple(rng.choice(GRID) for _ in range(3))
     return fan, program, wall, cone, torus_element
+
+
+@st.composite
+def point_cases(draw):
+    """A subdivided fan, a point program of at least one step, a torus
+    element and a step index in 0..15, the program drawn as
+    :func:`random_cases` draws its points.
+
+    The last two come from one drawn random generator, for the reason
+    :func:`random_cases` gives.
+    """
+    fan, _, program = _point_program(draw, 1)
+    rng = draw(st.randoms(use_true_random=True))
+    return fan, program, tuple(rng.choice(GRID) for _ in range(3)), rng.randint(0, 15)

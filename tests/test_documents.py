@@ -172,6 +172,27 @@ class TestPairDocuments:
         with pytest.raises(DocumentError, match=re.escape(message)):
             pair_from_document(doc)
 
+    @pytest.mark.parametrize("key", NON_CANONICAL_KEYS)
+    @pytest.mark.parametrize("side", ["first", "second"])
+    def test_a_marking_key_not_written_as_its_integers_is_refused(self, key, side):
+        # Each side of an edge key is read as a vertex key is read.
+        doc = loads(bundled_text("p3-conic"))
+        bad = f"0-{key}" if side == "second" else f"{key}-0"
+        doc["markings"] = {k: "2" for k in ["0-1", "0-2", bad, "1-2", "1-3", "2-3"]}
+        message = f"markings: bad edge key {bad!r}"
+        with pytest.raises(DocumentError, match=f"^{re.escape(message)}$"):
+            pair_from_document(doc)
+
+    @pytest.mark.parametrize(
+        "field, value", [("version", True), ("version", 1.0), ("lattice_rank", 3.0)]
+    )
+    def test_a_header_field_must_be_an_integer(self, field, value):
+        doc = loads(bundled_text("p3"))
+        doc[field] = value
+        message = f"{field}: expected an integer, got {value!r}"
+        with pytest.raises(DocumentError, match=f"^{re.escape(message)}$"):
+            pair_from_document(doc)
+
     @pytest.mark.parametrize("sign", [0, 5, -2])
     def test_orientation_sign_must_be_a_unit(self, sign):
         doc = loads(bundled_text("p3"))
@@ -321,6 +342,15 @@ class TestCorrespondenceDocuments:
         doc = loads(dumps(correspondence_to_document(corr)))
         doc["version"] = 2
         with pytest.raises(DocumentError, match="^document: unsupported version$"):
+            correspondence_from_document(doc)
+
+    @pytest.mark.parametrize("version", [True, 1.0])
+    def test_the_version_must_be_an_integer(self, version):
+        corr = Correspondence(((0, 0), (1, 1), (2, 2), (3, 3)), (), None, ())
+        doc = loads(dumps(correspondence_to_document(corr)))
+        doc["version"] = version
+        message = f"version: expected an integer, got {version!r}"
+        with pytest.raises(DocumentError, match=f"^{re.escape(message)}$"):
             correspondence_from_document(doc)
 
     @pytest.mark.parametrize("field", ["vertex_map", "mu_components"])

@@ -65,7 +65,8 @@ def test_the_differential_corpus_is_built_from_the_golden_reports(golden):
     """``tests/differential.py``'s groups, built in process for two pairs:
     its reports are the recorded ones, and its verdicts say that a pair is
     isomorphic to itself, its translate and, with points added, its
-    relabelling, and not to a moved point."""
+    relabelling and, under explicit identity component maps, its
+    translate, and not to a moved point."""
     names = ["p111-blowup-point", "p3-mixed"]
     keys = [f"{c} {n}" for c in COMMANDS for n in names]
     assert differential.reports(names) == {key: golden[key] for key in keys}
@@ -80,6 +81,8 @@ def test_the_differential_corpus_is_built_from_the_golden_reports(golden):
         "p111-blowup-point translate": same,
         "p111-blowup-point relabelled": same,
         "p111-blowup-point relabelled, perturbed 1": moved,
+        "p111-blowup-point explicit, translate": same,
+        "p111-blowup-point explicit, perturbed 1": moved,
         "p3-mixed self": same,
         "p3-mixed translate": same,
         "p3-mixed perturbed 1": moved,

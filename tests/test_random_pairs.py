@@ -55,12 +55,14 @@ matching lattice:
 * the toric block of the edge-matching map, its columns of the toric
   component classes, has rank ``edges - 3``, and every generator of its
   kernel has period one, under the markers and under a second marking.
-* on 300 point programs, each against its torus translate with, in every
-  other draw, one coordinate moved, decide's step (v) is the torus solve
-  for three unknowns on the steps' edge characters: ``period`` exactly
-  when it is ``unsolvable``, ``complete`` when it is ``solved`` or
-  ``complex_only``; at least 50 draws give ``period`` and one
-  ``complex_only``.
+* on 300 drawn point programs (``point_cases``), each against its torus
+  translate with, in every other draw, one coordinate moved, decide's
+  step (v) is the torus solve for three unknowns on the steps' edge
+  characters: ``period`` exactly when it is ``unsolvable``, ``complete``
+  when it is ``solved`` or ``complex_only``; at least 50 draws give
+  ``period`` and one ``complex_only``.  The same holds on the scaling
+  family at 20 and 60 rays and on the bundled point-only pairs, against
+  their translate with and without step 0 moved.
 
 Run ``pytest --hypothesis-profile=default`` for fresh draws.
 """
@@ -71,6 +73,7 @@ from hypothesis import strategies as st
 
 from logcy3.boundary import Marking, component_character_table, component_marked_period
 from logcy3.exactnum import IntMatrix, snf
+from logcy3.fixtures import pair_fixtures
 from logcy3.gaussian import MINUS_ONE, GaussianRational, SparseCharacter, power_product_of
 from logcy3.oracle import cocycle_period, curve_subdivision_check, point_subdivision_check
 from logcy3.pair import CurveBlowup, LogCY3Pair, PairError, PointBlowup
@@ -91,7 +94,8 @@ from logcy3.torelli import (
     marking_transporter,
 )
 from logcy3.toric import Fan3, edge_reference_character, star_surface
-from random_draws import coordinates, random_cases
+from random_draws import coordinates, point_cases, random_cases
+from stage_harness import TRANSLATION, family
 from test_torelli import assert_edge_rows_carried, inverse
 
 def decided_and_transported(pair, other, corr=None):
@@ -357,11 +361,28 @@ def torus_solve_status(pair, other):
     return dec.solve_over_gaussian_torus(SparseCharacter(ratios))[0]
 
 
+def step_v_against_the_torus_solve(pair, torus_element, k=None):
+    """Decide's check and the torus solve's status for ``pair`` against its
+    torus translate, with step ``k`` of the translate, modulo the program's
+    length, multiplied by 5 unless ``k`` is None; ``period`` exactly when
+    the solve finds no solution."""
+    moved = list(pair.torus_translate(torus_element).program)
+    if k is not None and moved:
+        k %= len(moved)
+        moved[k] = PointBlowup(moved[k].edge, moved[k].coordinate * 5)
+    other = LogCY3Pair.build(pair.fan, moved, [tuple(e) for e in pair.complex.edges])
+    check = decide_isomorphism(pair, other).certificate["check"]
+    status = torus_solve_status(pair, other)
+    assert check in ("complete", "period")
+    assert (check == "period") == (status == "unsolvable")
+    return check, status
+
+
 def test_step_v_is_the_torus_solve_on_point_programs():
-    # A draw's point steps, without its curve step, against their torus
-    # translate, with, in every other draw, one coordinate of the translate
-    # multiplied by 5.  No two coordinates on an edge can then agree: a
-    # drawn coordinate q has 1 <= |q| <= 3 * 2 ** 0.5 < 5.
+    # A drawn point program against its torus translate, with, in every
+    # other draw, one coordinate of the translate multiplied by 5.  No two
+    # coordinates on an edge can then agree: a drawn coordinate q has
+    # 1 <= |q| <= 3 * 2 ** 0.5 < 5.
     outcomes = []
 
     @settings(
@@ -371,22 +392,31 @@ def test_step_v_is_the_torus_solve_on_point_programs():
         phases=(Phase.generate,),
         suppress_health_check=list(HealthCheck),
     )
-    @given(random_cases(), st.integers(0, 15))
-    def compare(case, k):
-        fan, program, _, _, torus_element = case
-        pair = LogCY3Pair.build(fan, [step for step in program if isinstance(step, PointBlowup)])
-        moved = list(pair.torus_translate(torus_element).program)
-        if len(outcomes) % 2 and moved:
-            k %= len(moved)
-            moved[k] = PointBlowup(moved[k].edge, moved[k].coordinate * 5)
-        other = LogCY3Pair.build(fan, moved)
-        check = decide_isomorphism(pair, other).certificate["check"]
-        status = torus_solve_status(pair, other)
-        assert check in ("complete", "period")
-        assert (check == "period") == (status == "unsolvable")
-        outcomes.append((check, status))
+    @given(point_cases())
+    def compare(case):
+        fan, program, torus_element, k = case
+        pair = LogCY3Pair.build(fan, program)
+        outcomes.append(
+            step_v_against_the_torus_solve(pair, torus_element, k if len(outcomes) % 2 else None)
+        )
 
     compare()
     assert len(outcomes) == 300
     assert sum(check == "period" for check, _ in outcomes) >= 50
     assert ("complete", "complex_only") in outcomes
+
+
+def test_step_v_is_the_torus_solve_on_the_family_and_the_bundled_point_pairs():
+    # The family's coordinates lie on distinct walls, one on each, and
+    # p3-point has a single step, so a coordinate moved by 5 meets no other.
+    pairs = [LogCY3Pair.build(*family(rays)) for rays in (20, 60)]
+    pairs += [
+        pair
+        for pair in pair_fixtures().values()
+        if all(isinstance(step, PointBlowup) for step in pair.program)
+    ]
+    outcomes = [
+        step_v_against_the_torus_solve(pair, TRANSLATION, k) for pair in pairs for k in (None, 0)
+    ]
+    assert outcomes[:4] == [("complete", "solved"), ("period", "unsolvable")] * 2
+    assert set(outcomes) == {("complete", "solved"), ("period", "unsolvable")}

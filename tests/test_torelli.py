@@ -24,7 +24,6 @@ from logcy3.fixtures import (
     toric_fixture_fans,
     triple_line_fan,
 )
-from logcy3.oracle import split_boundary_vector
 from logcy3.pair import LogCY3Pair, PairError, PicVector, PointBlowup, pull_back_tensor
 from logcy3.periods import (
     edge_cokernel_report,
@@ -48,7 +47,10 @@ from logcy3.torelli import (
 from conftest import (
     assert_edge_rows_carried as assert_rows_carried,
     assert_pulled_support_is_the_full_walk,
+    dense_boundary_map,
     dense_edge_shift,
+    dense_image,
+    dense_transports,
 )
 from random_draws import solved_curve_step
 from stage_harness import conic_ladder, conic_ladder_fan, family
@@ -678,36 +680,6 @@ class TestTransportReusesTheHeldFactorization:
         ) != evaluate_boundary_character(other, markers2, relation)
 
 
-def dense_image(pair, other, corr, transports, flat):
-    """A flat boundary vector through each component's dense transport."""
-    per_component = split_boundary_vector(pair, flat)
-    images = {
-        corr.vertex(v): transports[v].apply(per_component[v])
-        for v in sorted(pair.components)
-    }
-    return tuple(x for u in sorted(other.components) for x in images[u])
-
-
-def dense_transports(pair, other, corr):
-    return {
-        v: torelli.component_transport(pair, other, corr, v)
-        for v in sorted(pair.components)
-    }
-
-
-def dense_boundary_map(pair, other, corr):
-    """The boundary map of the dense transports, column by column: each unit
-    boundary vector through :func:`dense_image`."""
-    transports = dense_transports(pair, other, corr)
-    n = pair.component_offsets()[1]
-    columns = []
-    for j in range(n):
-        unit = tuple(1 if i == j else 0 for i in range(n))
-        image = dense_image(pair, other, corr, transports, unit)
-        columns.append([(i, x) for i, x in enumerate(image) if x])
-    return IntMatrix.from_columns(other.component_offsets()[1], columns)
-
-
 def assert_edge_rows_carried(pair, other, corr):
     """The rows carried (``conftest.assert_edge_rows_carried``) through the
     boundary map of the dense transports.
@@ -896,6 +868,51 @@ def with_override(pair, v, matrix):
     return Correspondence(identity.vertex_map, identity.step_map, None, ((v, matrix),))
 
 
+def relabelled_perturbed():
+    """A point program on P3 against its relabelling, with step 1 moved by
+    3/2, under a correspondence whose vertex and step maps are not the
+    identity: ``(pair, relabelled, corr)``."""
+    fan = projective_space_fan()
+    points = [((0, 1), "2"), ((1, 2), "3+i"), ((0, 3), "5"), ((2, 3), "7"), ((0, 1), "4")]
+    program = [PointBlowup(edge, g(text)) for edge, text in points]
+    images = {0: 2, 1: 0, 2: 3, 3: 1}
+    moved = [
+        PointBlowup(tuple(images[v] for v in step.edge), step.coordinate * g("3/2") ** (k == 1))
+        for k, step in enumerate(program)
+    ]
+    pair = LogCY3Pair.build(fan, program)
+    relabelled = LogCY3Pair.build(
+        fan, moved[::-1], [(images[v], images[w]) for v, w in pair.complex.edges]
+    )
+    return pair, relabelled, Correspondence(tuple(images.items()), (4, 3, 2, 1, 0))
+
+
+def drawn_overrides(data, pair) -> tuple:
+    """Square integer maps, entries in -3..3, for a drawn set of components."""
+    explicit = data.draw(st.sets(st.sampled_from(sorted(pair.components))))
+    entries = st.integers(-3, 3)
+    overrides = []
+    for v in sorted(explicit):
+        r = pair.components[v].rank
+        row = st.lists(entries, min_size=r, max_size=r)
+        overrides.append((v, IntMatrix(data.draw(st.lists(row, min_size=r, max_size=r)))))
+    return tuple(overrides)
+
+
+def assert_images_are_the_columns(pair, other, corr, rng):
+    """The boundary image of each unit boundary vector is the column of
+    :func:`dense_boundary_map`, and that of a seeded vector over every block
+    is the map applied to it."""
+    boundary = dense_boundary_map(pair, other, corr)
+    assert boundary.rows == len(other.character_table(other.markers()))
+    n = pair.component_offsets()[1]
+    for j in range(n):
+        unit = tuple(int(i == j) for i in range(n))
+        assert torelli._boundary_image(pair, other, corr, unit) == boundary.column(j)
+    flat = tuple(rng.randint(-3, 3) for _ in range(n))
+    assert torelli._boundary_image(pair, other, corr, flat) == boundary.apply(flat)
+
+
 class TestSparseBoundaryTransport:
     @pytest.fixture(scope="class")
     def cases(self, pairs):
@@ -927,15 +944,24 @@ class TestSparseBoundaryTransport:
         return check
 
     def test_columns_match_the_dense_transports(self, cases):
-        # The boundary map places each column where the dense component
-        # transports carry its unit vector.
-        for pair, other in cases:
-            corr = Correspondence.identity(pair)
+        # The boundary image of each unit boundary vector is the column
+        # where the dense component transports carry it: under derived maps
+        # and under a relabelling whose vertex and step maps are not the
+        # identity.
+        cases = [(pair, other, Correspondence.identity(pair)) for pair, other in cases]
+        cases.append(relabelled_perturbed())
+        for pair, other, corr in cases:
             assert not isinstance(torelli._matched(pair, other, corr), torelli.Verdict)
-            boundary = torelli._boundary_map(pair, other, corr)
-            length = boundary.rows
-            assert length == len(other.character_table(Marking.markers(other.edge_keys())))
-            assert boundary.columns == dense_boundary_map(pair, other, corr).columns
+            assert_images_are_the_columns(pair, other, corr, random.Random(31))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_columns_match_under_drawn_component_maps(self, data):
+        # Explicit maps are applied as given, block by block.
+        pair = BUNDLED["p3-mixed"]
+        corr = Correspondence.identity(pair)
+        corr = Correspondence(corr.vertex_map, corr.step_map, None, drawn_overrides(data, pair))
+        assert_images_are_the_columns(pair, pair, corr, random.Random(37))
 
     def test_transport_breaks_the_relation_decide_names(self, cases):
         # At the markers both read the pulled-back table, so decide's witness
@@ -1270,21 +1296,15 @@ class TestPulledSupport:
         # explicit map is read, and only the exceptional columns of the
         # others.
         pair = BUNDLED["p3-mixed"]
-        explicit = data.draw(st.sets(st.sampled_from(sorted(pair.components))))
-        entries = st.integers(-3, 3)
-        overrides = []
-        for v in sorted(explicit):
-            r = pair.components[v].rank
-            row = st.lists(entries, min_size=r, max_size=r)
-            rows = data.draw(st.lists(row, min_size=r, max_size=r))
-            overrides.append((v, IntMatrix(rows)))
+        overrides = drawn_overrides(data, pair)
+        explicit = {v for v, _ in overrides}
         identity = Correspondence.identity(pair)
-        corr = Correspondence(identity.vertex_map, identity.step_map, None, tuple(overrides))
+        corr = Correspondence(identity.vertex_map, identity.step_map, None, overrides)
         offsets, n = pair.component_offsets()
         values = st.sampled_from([g("1"), g("-1"), I, g("2"), g("1/2"), g("3-i")])
         support = data.draw(st.dictionaries(st.integers(0, n - 1), values))
         table = tuple(support.get(i, g("1")) for i in range(n))
-        dense = torelli._boundary_map(pair, pair, corr).pull_back(table)
+        dense = dense_boundary_map(pair, pair, corr).pull_back(table)
         read = {
             j
             for v, start in offsets.items()
@@ -1587,7 +1607,7 @@ class TestMatchReadsHeldSparseColumns:
     """On a fan whose sparse classes are held, decide and transport build no
     dense ray class, and derive a toric column (``Fan2.sparse_class``) only
     for a component that carries a curve step, once per call; a ``period``
-    verdict's witness image is read off the whole boundary map."""
+    verdict's witness image maps only the component blocks it touches."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
@@ -1600,9 +1620,9 @@ class TestMatchReadsHeldSparseColumns:
             monkeypatch.setattr(cls, "ray_class", counted)
         sparse_class = toric.Fan2.sparse_class
 
-        def recorded(self, i, start=0):
+        def recorded(self, i):
             counts["sparse_class"].append(self)
-            return sparse_class(self, i, start)
+            return sparse_class(self, i)
 
         monkeypatch.setattr(toric.Fan2, "sparse_class", recorded)
         return counts
@@ -1632,6 +1652,30 @@ class TestMatchReadsHeldSparseColumns:
         assert counts["sparse_class"] == 2 * [base for base in bases for _ in range(base.rank)]
         assert counts["Fan2.ray_class"] == counts["ToricPicBasis.ray_class"] == 0
 
+    def test_a_period_decide_maps_only_the_blocks_its_witness_touches(self, monkeypatch):
+        # The pulled support derives each component's exceptional rows once,
+        # and the witness image once more for each block the witness touches.
+        pair = LogCY3Pair.build(*family(20))
+        other = perturbed_partner("family", pair)
+        calls = []
+        original = torelli._exceptional_rows
+
+        def counted(pair, other, corr, v):
+            calls.append(v)
+            return original(pair, other, corr, v)
+
+        monkeypatch.setattr(torelli, "_exceptional_rows", counted)
+        certificate = decide_isomorphism(pair, other).certificate
+        assert certificate["check"] == "period"
+        witness = certificate["witness"]
+        touched = [
+            v
+            for v, start in pair.component_offsets()[0].items()
+            if any(witness[start:start + pair.components[v].rank])
+        ]
+        assert (len(pair.components), len(touched)) == (20, 2)
+        assert sorted(calls) == sorted([*pair.components, *touched])
+
     def test_a_period_witness_image_is_the_dense_image(self, pairs):
         # The image of the witness under the boundary map built column by
         # column from the dense transports, toric rows included: against
@@ -1642,19 +1686,7 @@ class TestMatchReadsHeldSparseColumns:
             for name, pair in pairs.items()
             if perturbed_partner(name, pair) is not None
         ]
-        fan = projective_space_fan()
-        points = [((0, 1), "2"), ((1, 2), "3+i"), ((0, 3), "5"), ((2, 3), "7"), ((0, 1), "4")]
-        program = [PointBlowup(edge, g(text)) for edge, text in points]
-        images = {0: 2, 1: 0, 2: 3, 3: 1}
-        moved = [
-            PointBlowup(tuple(images[v] for v in step.edge), step.coordinate * g("3/2") ** (k == 1))
-            for k, step in enumerate(program)
-        ]
-        pair = LogCY3Pair.build(fan, program)
-        relabelled = LogCY3Pair.build(
-            fan, moved[::-1], [(images[v], images[w]) for v, w in pair.complex.edges]
-        )
-        cases.append((pair, relabelled, Correspondence(tuple(images.items()), (4, 3, 2, 1, 0))))
+        cases.append(relabelled_perturbed())
         toric_rows = 0
         witnesses = []
         for pair, other, corr in cases:

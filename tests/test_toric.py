@@ -670,8 +670,7 @@ def nonzero(vector):
 
 def assert_sparse_classes_are_the_ray_classes(fan):
     """Every ray's sparse class, on the threefold basis and on each star
-    surface, is the nonzero entries of its dense class, seed rays included;
-    a surface's, moved by a block offset, has each coordinate moved so."""
+    surface, is the nonzero entries of its dense class, seed rays included."""
     basis = ToricPicBasis.of(fan)
     assert basis.sparse_classes == tuple(nonzero(basis.ray_class(v)) for v in range(fan.n_rays))
     for v in range(fan.n_rays):
@@ -679,7 +678,6 @@ def assert_sparse_classes_are_the_ray_classes(fan):
         for i in range(surface.n_rays):
             expected = nonzero(surface.ray_class(i))
             assert surface.sparse_class(i) == expected
-            assert surface.sparse_class(i, 7) == tuple((7 + b, x) for b, x in expected)
 
 
 class TestSparseClasses:
